@@ -7,6 +7,7 @@ from .catalog import (
     IndexKind,
     TableAccessStats,
     TableInfo,
+    index_key_getter,
 )
 from .stats import (
     ColumnStats,
@@ -25,6 +26,7 @@ __all__ = [
     "IndexKind",
     "TableAccessStats",
     "TableInfo",
+    "index_key_getter",
     "ColumnStats",
     "Histogram",
     "HistogramKind",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..index import BPlusTree, HashIndex
@@ -24,6 +25,15 @@ class CatalogError(Exception):
 class IndexKind(enum.Enum):
     BTREE = "btree"
     HASH = "hash"
+
+
+def index_key_getter(
+    schema: Schema, columns: Sequence[str]
+) -> Callable[[Sequence[Any]], Any]:
+    """``row -> key`` for an index over *columns*: the column's value for
+    a single-column key, a tuple for a composite one.  Resolves the
+    positions once; build it outside row loops."""
+    return itemgetter(*[schema.index_of(c) for c in columns])
 
 
 @dataclass
@@ -137,6 +147,16 @@ class TableInfo:
     def index_on(self, column: str) -> Optional[IndexInfo]:
         return self.indexes.get(column)
 
+    def index_keyers(
+        self,
+    ) -> List[Tuple[IndexInfo, Callable[[Sequence[Any]], Any]]]:
+        """Every index paired with its ``row -> key`` function, for the
+        index-maintenance loops of INSERT/UPDATE/DELETE."""
+        return [
+            (index, index_key_getter(self.schema, index.columns))
+            for index in self.indexes.values()
+        ]
+
     def column_stats(self, column: str) -> Optional[ColumnStats]:
         if self.stats is None:
             return None
@@ -238,18 +258,16 @@ class Catalog:
     def insert_rows(self, name: str, rows: Sequence[Sequence[Any]]) -> int:
         """Insert rows, maintaining every index on the table."""
         info = self.table(name)
+        keyers = info.index_keyers()
         count = 0
         for row in rows:
             rid = info.heap.insert(row)
             if info.zones is not None:
                 info.zones.widen(rid[0], info.schema.validate_row(row))
-            if info.indexes:
+            if keyers:
                 stored = info.heap.fetch(rid)
-                for index in info.indexes.values():
-                    positions = [
-                        info.schema.index_of(c) for c in index.columns
-                    ]
-                    value = self._index_key(stored, positions)
+                for index, key_of in keyers:
+                    value = key_of(stored)
                     if value is None and index.kind is IndexKind.HASH:
                         continue  # hash indexes do not store NULLs
                     index.structure.insert(value, rid)
@@ -299,9 +317,9 @@ class Catalog:
         else:
             buckets = max(16, info.num_pages * 2)
             structure = HashIndex(self.pool, cols[0].dtype, index_name, buckets)
-        positions = [info.schema.index_of(c) for c in columns]
+        key_of = index_key_getter(info.schema, columns)
         for rid, row in info.heap.scan():
-            value = self._index_key(row, positions)
+            value = key_of(row)
             if value is None and kind is IndexKind.HASH:
                 continue
             structure.insert(value, rid)
@@ -312,12 +330,6 @@ class Catalog:
         index.leaf_pages = self._measure_leaf_pages(index)
         info.indexes[leading] = index
         return index
-
-    @staticmethod
-    def _index_key(row: Sequence[Any], positions: Sequence[int]) -> Any:
-        if len(positions) == 1:
-            return row[positions[0]]
-        return tuple(row[p] for p in positions)
 
     def _measure_leaf_pages(self, index: IndexInfo) -> int:
         if index.kind is IndexKind.BTREE:

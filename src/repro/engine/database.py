@@ -26,9 +26,10 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..algebra import build_plan
+from ..algebra import JoinGraph, LogicalGet, build_plan
 from ..catalog import Catalog, IndexKind, TableInfo
 from ..executor import ExecContext, ExecMetrics, run
+from ..executor.scans import live_rows
 from ..expr import Literal
 from ..obs import (
     ActivityRegistry,
@@ -57,8 +58,16 @@ from ..obs import (
     statement_fingerprint,
     trace_span,
 )
-from ..optimizer import CostModel, Planner, PlannerOptions, PlannerStats
-from ..physical import PhysicalPlan, walk_plan
+from ..optimizer import (
+    CostModel,
+    Estimator,
+    Planner,
+    PlannerOptions,
+    PlannerStats,
+    StatsResolver,
+    access_paths,
+)
+from ..physical import PhysicalPlan, PIndexScan, walk_plan
 from ..sql import (
     AnalyzeStmt,
     BeginStmt,
@@ -523,23 +532,31 @@ class Database:
             self.txn.lock_table(txn, stmt.table)
             with self.txn.activate(txn), self._stmt_lock:
                 with trace_span("execute") as sp:
+                    path = None  # the access path that located the victims
                     if isinstance(stmt, InsertStmt):
                         count = self._insert(stmt)
                         kind = "insert"
                         result = QueryResult(rows=[], columns=[])
                     elif isinstance(stmt, DeleteStmt):
-                        count = self._delete(stmt)
+                        count, path = self._delete(stmt)
                         kind = "delete"
                         result = QueryResult(
                             rows=[(count,)], columns=["deleted"]
                         )
                     else:
-                        count = self._update(stmt)
+                        count, path = self._update(stmt)
                         kind = "update"
                         result = QueryResult(
                             rows=[(count,)], columns=["updated"]
                         )
                     sp.add("rows_modified", float(count))
+                    if path is not None:
+                        sp.set_attr(
+                            "access_path",
+                            path.index.name
+                            if isinstance(path, PIndexScan)
+                            else "seq",
+                        )
                 key = stmt.table.lower()
                 txn.pending_epochs[key] = txn.pending_epochs.get(key, 0) + 1
         except BaseException:
@@ -563,6 +580,7 @@ class Database:
                 time.perf_counter() - start,
                 dstats.reads - reads0,
                 dstats.writes - writes0,
+                path,
             )
         return result
 
@@ -576,10 +594,13 @@ class Database:
         elapsed: float,
         reads: int,
         writes: int,
+        path: Optional[PhysicalPlan],
     ) -> None:
         """Feed one finished DML statement into the metrics registry, the
         latency store, and the query log (with session/txn attribution) —
-        the write-side twin of :meth:`_record_query`."""
+        the write-side twin of :meth:`_record_query`.  *path* is the scan
+        that located an UPDATE/DELETE's rows (None for INSERT): its
+        estimates are what the log scores against the rows modified."""
         fingerprint = statement_fingerprint(sql)
         if self.obs.metrics:
             m = self.metrics
@@ -588,14 +609,15 @@ class Database:
             m.histogram("dml_execution_ms").observe(elapsed * 1000.0)
             self.latency.observe(fingerprint, elapsed * 1000.0)
         if self.query_log.capacity > 0:
+            est_rows = float(count) if path is None else path.est_rows
             self.query_log.record(
                 QueryLogRecord(
                     sql=sql,
                     fingerprint=fingerprint,
-                    est_rows=float(count),
+                    est_rows=est_rows,
                     actual_rows=count,
-                    q_error=1.0,
-                    est_cost=0.0,
+                    q_error=q_error(est_rows, float(count)),
+                    est_cost=0.0 if path is None else path.total_est_cost(),
                     actual_reads=reads,
                     actual_writes=writes,
                     planning_ms=0.0,
@@ -1824,37 +1846,57 @@ class Database:
                 rows.append(tuple(full))
         return self.catalog.insert_rows(stmt.table, rows)
 
-    def _matching_rids(self, info: TableInfo, where) -> List[Tuple[Any, Any]]:
-        """(rid, row) pairs matching a WHERE clause (full scan; fine for the
-        DML volumes this engine targets)."""
-        from ..expr import compile_predicate
+    def _victims(
+        self, info: TableInfo, where
+    ) -> Tuple[List[Tuple[Any, Any]], PhysicalPlan]:
+        """The (rid, row) pairs an UPDATE/DELETE touches, and the scan that
+        found them: the cheapest access path the optimizer prices for
+        *where* — the estimator and cost model a SELECT is planned with —
+        run against the current heap (the caller holds the table's
+        exclusive lock; its own uncommitted rows are visible).  Never
+        index-only: the old row is needed for undo and index maintenance.
+        Every fetched row is re-checked against the whole WHERE, and the
+        list is complete before the first mutation, so an UPDATE that moves
+        the key of the index being scanned visits each row once."""
+        from ..expr import compile_predicate, split_conjuncts
 
-        if where is None:
-            return list(info.heap.scan())
-        schema = info.schema
-        predicate = compile_predicate(where, schema)
-        return [(rid, row) for rid, row in info.heap.scan() if predicate(row)]
+        # compiled first: a mistyped WHERE fails before anything is priced
+        predicate = (
+            compile_predicate(where, info.schema)
+            if where is not None
+            else None
+        )
+        graph = JoinGraph(relations={info.name: LogicalGet(info)})
+        estimator = Estimator(
+            StatsResolver(graph),
+            self.options.estimator,
+            feedback=self.feedback if self.options.use_feedback else None,
+        )
+        candidates = access_paths(
+            info,
+            info.name,
+            split_conjuncts(where),
+            estimator,
+            self.model,
+            consider_unbounded_index=False,
+        )
+        plan = min(candidates, key=lambda cand: cand.cost.total).plan
+        return list(live_rows(plan, predicate)), plan
 
-    def _delete(self, stmt: DeleteStmt) -> int:
+    def _delete(self, stmt: DeleteStmt) -> Tuple[int, PhysicalPlan]:
         info = self.catalog.table(stmt.table)
-        victims = self._matching_rids(info, stmt.where)
+        victims, path = self._victims(info, stmt.where)
+        keyers = info.index_keyers()
         for rid, row in victims:
             info.heap.delete(rid)
-            for index in info.indexes.values():
-                value = self._index_key_of(info, row, index)
+            for index, key_of in keyers:
+                value = key_of(row)
                 if value is None and index.kind is IndexKind.HASH:
                     continue
                 index.structure.delete(value, rid)
-        return len(victims)
+        return len(victims), path
 
-    @staticmethod
-    def _index_key_of(info: TableInfo, row, index) -> Any:
-        positions = [info.schema.index_of(c) for c in index.columns]
-        if len(positions) == 1:
-            return row[positions[0]]
-        return tuple(row[p] for p in positions)
-
-    def _update(self, stmt: UpdateStmt) -> int:
+    def _update(self, stmt: UpdateStmt) -> Tuple[int, PhysicalPlan]:
         from ..expr import compile_expr
 
         info = self.catalog.table(stmt.table)
@@ -1864,7 +1906,8 @@ class Database:
         for column, expr in stmt.assignments:
             positions.append(schema.index_of(column))
             setters.append(compile_expr(expr, schema))
-        victims = self._matching_rids(info, stmt.where)
+        victims, path = self._victims(info, stmt.where)
+        keyers = info.index_keyers()
         for rid, row in victims:
             new_row = list(row)
             for pos, setter in zip(positions, setters):
@@ -1873,16 +1916,16 @@ class Database:
             stored = info.heap.fetch(new_rid)
             if info.zones is not None:
                 info.zones.widen(new_rid[0], stored)
-            for index in info.indexes.values():
-                old_value = self._index_key_of(info, row, index)
-                new_value = self._index_key_of(info, stored, index)
+            for index, key_of in keyers:
+                old_value = key_of(row)
+                new_value = key_of(stored)
                 if old_value == new_value and new_rid == rid:
                     continue
                 if not (old_value is None and index.kind is IndexKind.HASH):
                     index.structure.delete(old_value, rid)
                 if not (new_value is None and index.kind is IndexKind.HASH):
                     index.structure.insert(new_value, new_rid)
-        return len(victims)
+        return len(victims), path
 
     # -- durability ---------------------------------------------------------------------------
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
-from ..catalog import IndexKind
+from ..catalog import IndexKind, index_key_getter
 from ..expr import compile_predicate_batch
 from ..expr.vector import compile_predicate_columnar
 from ..index.keys import key_lt
@@ -103,14 +103,7 @@ def index_overlay(plan, overlay: Overlay) -> Tuple[Set[RID], List[Tuple[Any, Tup
     """
     replace, ghosts = overlay
     skip = set(replace) | set(ghosts)
-    info = plan.table
-    positions = [info.schema.index_of(c) for c in plan.index.columns]
-
-    def key_of(row: Tuple) -> Any:
-        if len(positions) == 1:
-            return row[positions[0]]
-        return tuple(row[p] for p in positions)
-
+    key_of = index_key_getter(plan.table.schema, plan.index.columns)
     injected: List[Tuple[Any, Tuple]] = []
     for row in replace.values():
         if row is not None:
@@ -382,6 +375,41 @@ def _index_bounds(plan) -> Tuple[Any, Any, bool, bool]:
     return low, high, plan.low.inclusive, plan.high.inclusive
 
 
+def index_entries(plan) -> Iterator[Tuple[Any, RID]]:
+    """The ``(key, rid)`` entries the index scan *plan* describes: a
+    B+-tree range in key order, or a hash index's equality probe."""
+    index = plan.index
+    if index.kind is IndexKind.HASH:
+        if not plan.is_equality:
+            raise PhysicalError("hash index supports only equality probes")
+        key = plan.low.value
+        return iter([(key, rid) for rid in index.structure.search(key)])
+    low, high, li, hi = _index_bounds(plan)
+    return index.structure.range_scan(low, high, li, hi)
+
+
+def live_rows(plan, predicate=None) -> Iterator[Tuple[RID, Tuple[Any, ...]]]:
+    """``(rid, row)`` pairs of a ``PSeqScan``/``PIndexScan`` read off the
+    *current* heap, with no snapshot overlay: the index scan operator's
+    fast path, and the way UPDATE/DELETE find their victims (the writer
+    holds the table's exclusive lock and must see its own uncommitted
+    rows).  *predicate* is an optional compiled row predicate; callers
+    that filter by batch pass none."""
+    table = plan.table
+    if isinstance(plan, PSeqScan):
+        table.access.seq_scans += 1
+        pairs = table.heap.scan()
+    else:
+        table.access.index_scans += 1
+        # interleaved with the entry iteration, one fetch per entry
+        fetch = table.heap.fetch
+        pairs = ((rid, fetch(rid)) for _, rid in index_entries(plan))
+    for rid, row in pairs:
+        # a None row was deleted since its index entry was made
+        if row is not None and (predicate is None or predicate(row)):
+            yield rid, row
+
+
 @operator_for(PIndexScan)
 class IndexScanOp(_ScanOp):
     """B+-tree range scan (or hash equality probe) fetching heap rows."""
@@ -398,37 +426,23 @@ class IndexScanOp(_ScanOp):
     def _open(self):
         self._rows = None
 
-    def _start(self) -> Iterator[Tuple[Any, Any]]:
-        plan = self.plan
-        plan.table.access.index_scans += 1
-        index = plan.index
-        if index.kind is IndexKind.HASH:
-            if not plan.is_equality:
-                raise PhysicalError("hash index supports only equality probes")
-            rids = index.structure.search(plan.low.value)
-            return iter([(plan.low.value, rid) for rid in rids])
-        low, high, li, hi = _index_bounds(plan)
-        return index.structure.range_scan(low, high, li, hi)
-
     def _fetched(self) -> Iterator[Tuple[Any, ...]]:
         # interleave index-entry iteration with heap fetches so the page
         # access pattern (and hence the buffer pool's hit/read split) is
         # the same at every batch size
-        fetch = self.plan.table.heap.fetch
         overlay = table_overlay(self.ctx, self.plan.table)
         if overlay is None:
-            for _, rid in self._start():
-                row = fetch(rid)
-                if row is None:
-                    continue  # deleted since the index entry was made
+            for _, row in live_rows(self.plan):
                 yield row
             return
         # snapshot overlay: suppress entries whose heap row is not what
         # this snapshot sees, and merge the visible images back in key
         # order (downstream operators may rely on the index sort order)
+        self.plan.table.access.index_scans += 1
+        fetch = self.plan.table.heap.fetch
         skip, injected = index_overlay(self.plan, overlay)
         i, n = 0, len(injected)
-        for key, rid in self._start():
+        for key, rid in index_entries(self.plan):
             while i < n and not key_lt(key, injected[i][0]):
                 yield injected[i][1]
                 i += 1
@@ -477,9 +491,8 @@ class IndexOnlyScanOp(_ScanOp):
         self._entries = None
 
     def _keys(self) -> Iterator[Any]:
-        low, high, li, hi = _index_bounds(self.plan)
         self.plan.table.access.index_scans += 1
-        entries = self.plan.index.structure.range_scan(low, high, li, hi)
+        entries = index_entries(self.plan)
         overlay = table_overlay(self.ctx, self.plan.table)
         if overlay is None:
             for key, _rid in entries:

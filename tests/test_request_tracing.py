@@ -157,6 +157,19 @@ class TestEngineSpans:
         assert root.find("txn.commit") is not None
         assert_connected(root)
 
+    def test_update_delete_span_names_the_access_path(self, db):
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
+        db.insert_rows("t", [(i, "x") for i in range(200)])
+        db.execute("ANALYZE t")
+        db.execute("UPDATE t SET v = 'y' WHERE id = 7")
+        execute = db.last_trace.find("execute")
+        assert execute.attrs["access_path"] == "pk_t_id"
+        assert execute.counters["rows_modified"] == 1.0
+        db.execute("DELETE FROM t WHERE v = 'y'")
+        assert db.last_trace.find("execute").attrs["access_path"] == "seq"
+        db.execute("INSERT INTO t VALUES (7, 'z')")
+        assert db.last_trace.find("execute").attrs is None
+
     def test_select_has_mvcc_spans(self, db):
         db.execute("CREATE TABLE t (id INT)")
         db.insert_rows("t", [(i,) for i in range(10)])
@@ -519,6 +532,24 @@ class TestDmlAccounting:
         assert insert.actual_rows == 2
         assert insert.execution_ms > 0
         assert insert.session_id > 0
+
+    def test_dml_log_carries_the_access_path_estimates(self):
+        db = Database()
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+        db.insert_rows("t", [(i, i % 4) for i in range(400)])
+        db.execute("ANALYZE t")
+        db.execute("UPDATE t SET v = 9 WHERE id = 4")
+        db.execute("DELETE FROM t WHERE v = 1")
+        db.execute("INSERT INTO t VALUES (1000, 0)")
+        update, delete, insert = db.query_log.entries()
+        # priced like the SELECT with the same WHERE: a pk probe is a few
+        # page reads, the unindexed predicate a walk of the heap
+        assert update.est_rows == pytest.approx(1.0)
+        assert 0.0 < update.est_cost < delete.est_cost
+        assert delete.est_rows == pytest.approx(100.0, rel=0.2)
+        assert delete.actual_rows == 100
+        assert delete.q_error == pytest.approx(1.0, rel=0.2)
+        assert (insert.est_rows, insert.est_cost) == (1.0, 0.0)
 
     def test_dml_attributed_to_explicit_txn(self):
         db = Database()

@@ -76,6 +76,20 @@ class TestSystemTableQueries:
         assert index_scans >= 1
         assert rows_read >= 200
 
+    def test_stat_tables_counts_dml_victim_searches(self):
+        # a write-only table is not "never scanned": UPDATE/DELETE locate
+        # their rows through the same scans a SELECT would use
+        db = _db()
+        db.execute("UPDATE t SET b = 0.0 WHERE a = 7")  # pk probe
+        db.execute("DELETE FROM t WHERE a = 8")  # pk probe
+        db.execute("UPDATE t SET b = 1.0 WHERE b < 100.0")  # not sargable
+        db.execute("DELETE FROM t")  # no WHERE
+        r = db.query(
+            "SELECT seq_scans, index_scans FROM sys_stat_tables "
+            "WHERE table_name = 't'"
+        )
+        assert r.rows == [(2, 2)]
+
     def test_stat_tables_hides_system_and_transient_tables(self):
         db = _db()
         r = db.query("SELECT table_name FROM sys_stat_tables")
