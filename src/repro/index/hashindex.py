@@ -16,6 +16,7 @@ from typing import Any, Iterator, List, Optional, Tuple
 from ..storage import RID, BufferPool, PageGuard
 from ..types import DataType
 from .keys import deserialize_key, key_size, serialize_key
+from .page import fill_page
 
 _BUCKET_HEADER = 7  # [nkeys:u16][overflow+1:u32][pad:u8]
 
@@ -158,9 +159,7 @@ class HashIndex:
         if len(buf) > self.pool.disk.page_size:
             raise HashIndexError("bucket overflow not caught by caller")
         with PageGuard(self.pool, (self.file_id, page_no), write=True) as data:
-            data[: len(buf)] = buf
-            for i in range(len(buf), len(data)):
-                data[i] = 0
+            fill_page(data, buf)
 
     def _read_bucket(
         self, page_no: int

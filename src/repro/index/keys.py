@@ -73,6 +73,20 @@ def deserialize_key(data: bytes, offset: int) -> Tuple[Any, int]:
     raise KeyError_(f"bad key tag {tag}")
 
 
+_TAG_WIDTH = {_TAG_NULL: 1, _TAG_INT: 9, _TAG_FLOAT: 9, _TAG_BOOL: 2, _TAG_DATE: 5}
+
+
+def skip_key(data: bytes, offset: int) -> int:
+    """Offset just past the key at *offset*, decoding no value."""
+    tag = data[offset]
+    if tag == _TAG_TEXT:
+        return offset + 3 + (data[offset + 1] << 8 | data[offset + 2])
+    try:
+        return offset + _TAG_WIDTH[tag]
+    except KeyError:
+        raise KeyError_(f"bad key tag {tag}") from None
+
+
 def key_size(value: Any, dtype: DataType) -> int:
     if value is None:
         return 1

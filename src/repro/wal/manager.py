@@ -210,13 +210,6 @@ class TxnManager:
 
     # -- undo -----------------------------------------------------------------
 
-    @staticmethod
-    def _index_key(info, row, index) -> Any:
-        positions = [info.schema.index_of(c) for c in index.columns]
-        if len(positions) == 1:
-            return row[positions[0]]
-        return tuple(row[p] for p in positions)
-
     def _undo_one(self, catalog, op: Tuple[Any, ...]) -> None:
         from ..storage.record import deserialize_row
 
@@ -258,8 +251,8 @@ class TxnManager:
     def _index_add(self, info, row, rid) -> None:
         from ..catalog import IndexKind
 
-        for index in info.indexes.values():
-            value = self._index_key(info, row, index)
+        for index, key_of in info.index_keyers():
+            value = key_of(row)
             if value is None and index.kind is IndexKind.HASH:
                 continue
             index.structure.insert(value, rid)
@@ -267,8 +260,8 @@ class TxnManager:
     def _index_remove(self, info, row, rid) -> None:
         from ..catalog import IndexKind
 
-        for index in info.indexes.values():
-            value = self._index_key(info, row, index)
+        for index, key_of in info.index_keyers():
+            value = key_of(row)
             if value is None and index.kind is IndexKind.HASH:
                 continue
             index.structure.delete(value, rid)
