@@ -5,7 +5,6 @@ with ``;``.  Meta-commands:
 
 * ``\\d``            — list tables (rows, pages, indexes)
 * ``\\strategy X``   — switch the join-order strategy
-* ``\\parallel N``   — set the parallel degree (1 = serial)
 * ``\\timing``       — toggle per-query metrics
 * ``\\metrics``      — dump the process-wide metrics snapshot (JSON);
   ``\\metrics prom`` renders Prometheus text exposition instead
@@ -235,16 +234,6 @@ def main(argv=None) -> int:
                     print(f"strategy = {parts[1]}")
                 else:
                     print(f"usage: \\strategy {{{'|'.join(STRATEGIES)}}}")
-            elif command == "\\parallel":
-                from dataclasses import replace
-
-                if len(parts) > 1 and parts[1].isdigit() and int(parts[1]) >= 1:
-                    db.options = replace(
-                        db.options, parallel_degree=int(parts[1])
-                    )
-                    print(f"parallel degree = {parts[1]}")
-                else:
-                    print("usage: \\parallel N  (N >= 1)")
             elif command == "\\load" and len(parts) > 1 and parts[1] == "demo":
                 from .workloads import WholesaleScale, load_wholesale
 

@@ -12,7 +12,6 @@ from . import (
     e11_ablations,
     e12_scaling,
     e13_batching,
-    e14_parallel,
     e15_feedback,
     e16_systables,
     e18_wal,
@@ -39,8 +38,8 @@ from .tables import (
 __all__ = [
     "e1_join_methods", "e2_access_paths", "e4_plan_quality", "e6_estimation",
     "e7_interesting_orders", "e8_buffer_sweep", "e9_rewrites", "e10_wholesale",
-    "e11_ablations", "e12_scaling", "e13_batching", "e14_parallel",
-    "e15_feedback", "e16_systables", "e18_wal", "e19_tracing",
+    "e11_ablations", "e12_scaling", "e13_batching", "e15_feedback",
+    "e16_systables", "e18_wal", "e19_tracing",
     "Measurement", "fresh_db", "measure_plan", "measure_query",
     "plan_with_strategy", "time_planning", "Ratio", "ResultTable",
     "geometric_mean", "q_error", "quantile", "render_all",

@@ -82,12 +82,10 @@ class TableAccessStats:
 
     Maintained by the scan operators — every sequential scan start, index
     scan start, row produced and page touched on behalf of this table is
-    counted here, in the parent process (parallel workers ship their
-    deltas back with the rest of their accounting).  ``pages_skipped``
-    counts pages a columnar scan proved empty from zone maps and never
-    fixed into the buffer pool: for any one scan,
-    ``pages_hit + pages_read + pages_skipped`` equals the pages the scan
-    would otherwise have touched.
+    counted here.  ``pages_skipped`` counts pages a columnar scan proved
+    empty from zone maps and never fixed into the buffer pool: for any
+    one scan, ``pages_hit + pages_read + pages_skipped`` equals the pages
+    the scan would otherwise have touched.
     """
 
     seq_scans: int = 0
@@ -225,7 +223,7 @@ class Catalog:
         query makes the engine call the provider, snapshot the returned
         rows into a transient heap table of the same name, and plan the
         statement against that — so every planner and executor feature
-        (filters, joins, ORDER BY, parallelism) composes with them, and
+        (filters, joins, ORDER BY) composes with them, and
         the optimizer prices them like the tiny freshly-ANALYZEd scans
         they are.  A user table of the same name shadows the provider.
         """

@@ -145,7 +145,6 @@ class Database:
         columnar: bool = False,
         data_dir: Optional[str] = None,
         wal_sync: bool = True,
-        mvcc: bool = True,
     ):
         self.disk = DiskManager(page_size)
         self.pool = BufferPool(self.disk, buffer_pages, replacement)
@@ -157,10 +156,6 @@ class Database:
         self.pool.evict_guard = self.txn.may_evict
         self.pool.write_hook = self.txn.before_page_write
         self.pool.clean_hook = self.txn.page_clean
-        #: snapshot-isolated reads (SELECTs run lock-free against a commit-
-        #: timestamp read view); ``mvcc=False`` falls back to statement-
-        #: scoped shared table locks (readers block on writers)
-        self.mvcc = mvcc
         #: the snapshot of the statement currently inside ``_stmt_lock``;
         #: nested internal selects (view materialization, subqueries)
         #: inherit it so one statement reads one consistent view
@@ -201,7 +196,7 @@ class Database:
         self.feedback = FeedbackStore()
         #: the optimizer SearchTrace of the most recent planning pass
         self.last_search: Optional[SearchTrace] = None
-        #: cumulative wait-event accounting (io/lock/exec/exchange classes);
+        #: cumulative wait-event accounting (io/lock/exec classes);
         #: attached to the buffer pool so page I/O and lock contention are
         #: timed at the source
         self.waits = WaitEventStats()
@@ -1310,26 +1305,6 @@ class Database:
     ) -> QueryResult:
         tracer = tracer or Tracer(enabled=False)
         start = time.perf_counter()
-        if not self.mvcc:
-            # Legacy isolation: top-level statements take statement-scoped
-            # shared table locks before the statement lock, so they never
-            # read uncommitted rows — at the price of blocking on writers.
-            acquired: List[str] = []
-            if session is not None:
-                names = [ref.table for ref in stmt.from_tables]
-                names += [join.table.table for join in stmt.joins]
-                acquired = self.txn.lock_tables_shared(
-                    [n for n in names if self.catalog.has_table(n)],
-                    txn=session.txn,
-                )
-            try:
-                with self._stmt_lock:
-                    return self._run_select_locked(
-                        stmt, sql, tracer, analyze, collect_search,
-                        session, start, None,
-                    )
-            finally:
-                self.txn.unlock_shared(acquired)
         # MVCC: top-level statements read through a commit-timestamp
         # snapshot instead of locking — they never block on writers and
         # never see uncommitted rows.  Inside an explicit transaction the
@@ -1511,7 +1486,7 @@ class Database:
                 self.activity.finish(entry)
         if waits0 is not None:
             # exec.cpu = wall execution time minus the blocked time that
-            # accrued during it, so cpu + io + lock (+ exchange) adds back
+            # accrued during it, so cpu + io + lock adds back
             # up to measured execution time
             blocked = sum(
                 seconds
@@ -1589,11 +1564,6 @@ class Database:
                 m.counter("pages_skipped_total").inc(
                     result.exec_metrics.pages_skipped
                 )
-                if result.exec_metrics.parallel_regions:
-                    m.counter("parallel_queries_total").inc()
-                    m.counter("parallel_workers_total").inc(
-                        result.exec_metrics.parallel_workers
-                    )
             m.gauge("buffer_hit_ratio").set(self.pool.stats.hit_rate)
             if sql is not None:
                 self.latency.observe(
@@ -1641,11 +1611,6 @@ class Database:
                     ),
                     temp_files=(
                         result.exec_metrics.temp_files
-                        if result.exec_metrics
-                        else 0
-                    ),
-                    parallel_workers=(
-                        result.exec_metrics.parallel_workers
                         if result.exec_metrics
                         else 0
                     ),

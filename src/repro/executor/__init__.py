@@ -7,14 +7,7 @@ rest of the engine uses.
 
 from .aggregate import Accumulator, AggregateState, compile_group_key
 from .context import ExecContext, ExecMetrics, read_spill, spill_rows
-from .exchange import fork_available
 from .operator import BatchCursor, Operator, build_operator, operator_for
-from .partition import (
-    PartitionContext,
-    page_range,
-    partition_hash,
-    partition_of,
-)
 from .run import execute, run
 from .sortutil import SortKey, cmp_values, make_key_fn, sorted_rows
 
@@ -26,15 +19,10 @@ __all__ = [
     "ExecMetrics",
     "read_spill",
     "spill_rows",
-    "fork_available",
     "BatchCursor",
     "Operator",
     "build_operator",
     "operator_for",
-    "PartitionContext",
-    "page_range",
-    "partition_hash",
-    "partition_of",
     "execute",
     "run",
     "SortKey",

@@ -16,7 +16,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 from ..expr import ExprError, compile_expr, compile_expr_batch
 from ..expr.vector import compile_expr_columnar
 from ..physical import PAggregate, PDistinct, PSort
-from .aggregate import Accumulator, AggregateState
+from .aggregate import AggregateState
 from .columnar import as_row_batch, is_columnar, kernel_values
 from .operator import Batch, Row, UnaryOperator, operator_for
 from .sortutil import make_key_fn
@@ -124,12 +124,6 @@ def _write_run(ctx, schema, rows: List[Row]):
 class AggregateOp(UnaryOperator):
     """Hash aggregation (or stream aggregation over sorted input).
 
-    ``mode="partial"`` emits mergeable accumulator states instead of
-    results; ``mode="final"`` consumes partial-state rows (group values
-    first, one state per aggregate after) and produces the real results.
-    A final aggregate never compiles expressions — its child's rows are
-    positional by construction.
-
     Under a columnar context only key/argument *extraction* is
     vectorized: group keys and aggregate arguments come from columnar
     kernels as plain Python lists, then flow into the exact same
@@ -143,37 +137,32 @@ class AggregateOp(UnaryOperator):
         super().__init__(plan, ctx)
         self.group_kernels = None
         self.arg_kernels = None
-        if plan.mode == "final":
-            self.state = None
-            self.group_fns = []
-            self.arg_fns = []
-        else:
-            child_schema = plan.child.schema
-            self.state = AggregateState(plan.aggs, child_schema)
-            self.group_fns = [
-                compile_expr_batch(g, child_schema) for g in plan.group_exprs
-            ]
-            self.arg_fns = [
-                None
-                if agg.arg is None
-                else compile_expr_batch(agg.arg, child_schema)
-                for agg in plan.aggs
-            ]
-            if ctx.columnar:
-                try:
-                    self.group_kernels = [
-                        compile_expr_columnar(g, child_schema)
-                        for g in plan.group_exprs
-                    ]
-                    self.arg_kernels = [
-                        None
-                        if agg.arg is None
-                        else compile_expr_columnar(agg.arg, child_schema)
-                        for agg in plan.aggs
-                    ]
-                except ExprError:
-                    self.group_kernels = None
-                    self.arg_kernels = None
+        child_schema = plan.child.schema
+        self.state = AggregateState(plan.aggs, child_schema)
+        self.group_fns = [
+            compile_expr_batch(g, child_schema) for g in plan.group_exprs
+        ]
+        self.arg_fns = [
+            None
+            if agg.arg is None
+            else compile_expr_batch(agg.arg, child_schema)
+            for agg in plan.aggs
+        ]
+        if ctx.columnar:
+            try:
+                self.group_kernels = [
+                    compile_expr_columnar(g, child_schema)
+                    for g in plan.group_exprs
+                ]
+                self.arg_kernels = [
+                    None
+                    if agg.arg is None
+                    else compile_expr_columnar(agg.arg, child_schema)
+                    for agg in plan.aggs
+                ]
+            except ExprError:
+                self.group_kernels = None
+                self.arg_kernels = None
         self._out: Optional[Iterator[Row]] = None
 
     def _open(self):
@@ -226,54 +215,11 @@ class AggregateOp(UnaryOperator):
                 acc.add_many([column[i] for i in indices])
 
     def _aggregate(self) -> Iterator[Row]:
-        if self.plan.mode == "final":
-            return self._final_groups()
         if self.plan.streaming and self.plan.group_exprs:
             return self._stream_groups()
         if not self.plan.group_exprs:
             return self._global()
         return self._hash_groups()
-
-    def _finish(self, accs) -> Row:
-        """Result row tail for one group: values, or states when partial."""
-        if self.plan.mode == "partial":
-            return self.state.partial(accs)
-        return self.state.finish(accs)
-
-    def _final_groups(self) -> Iterator[Row]:
-        """Merge partial-state rows: group values at positions ``[0, G)``,
-        one accumulator state per aggregate after.
-
-        Group output order is first-seen order over the input stream; for
-        a worker-order concatenation of page-partitioned workers that is
-        exactly the serial aggregate's first-seen order.
-        """
-        plan = self.plan
-        num_groups = len(plan.group_exprs)
-        groups: Dict[Tuple[Any, ...], list] = {}
-        while True:
-            batch = self.child.next_batch()
-            if batch is None:
-                break
-            for row in as_row_batch(batch):
-                key = row[:num_groups]
-                accs = groups.get(key)
-                if accs is None:
-                    groups[key] = accs = [
-                        Accumulator(a.func, a.distinct) for a in plan.aggs
-                    ]
-                for acc, state in zip(accs, row[num_groups:]):
-                    acc.absorb(state)
-        if not groups and not num_groups:
-            # global aggregate over zero partial rows (cannot happen with
-            # well-formed workers, which always emit one global row) —
-            # fall back to empty-input semantics
-            yield tuple(
-                Accumulator(a.func, a.distinct).result() for a in plan.aggs
-            )
-            return
-        for key, accs in groups.items():
-            yield key + tuple(acc.result() for acc in accs)
 
     def _stream_groups(self) -> Iterator[Row]:
         state = self.state
@@ -298,14 +244,14 @@ class AggregateOp(UnaryOperator):
                     end += 1
                 if not started or key != current_key:
                     if started:
-                        yield current_key + self._finish(accs)
+                        yield current_key + state.finish(accs)
                     current_key = key
                     accs = state.new_group()
                     started = True
                 self._update_accs(accs, arg_columns, range(start, end))
                 start = end
         if started:
-            yield current_key + self._finish(accs)
+            yield current_key + state.finish(accs)
 
     def _global(self) -> Iterator[Row]:
         state = self.state
@@ -317,7 +263,7 @@ class AggregateOp(UnaryOperator):
             batch = self._prepared(batch)
             arg_columns = self._arg_columns(batch)
             self._update_accs(accs, arg_columns, range(len(batch)))
-        yield self._finish(accs)
+        yield state.finish(accs)
 
     def _hash_groups(self) -> Iterator[Row]:
         state = self.state
@@ -341,7 +287,7 @@ class AggregateOp(UnaryOperator):
                     groups[key] = accs = state.new_group()
                 self._update_accs(accs, arg_columns, indices)
         for key, accs in groups.items():
-            yield key + self._finish(accs)
+            yield key + state.finish(accs)
 
     def _close(self):
         self._out = None

@@ -92,44 +92,6 @@ class Accumulator:
             return self.total / self.count
         return self.extreme
 
-    # -- two-phase (partial/final) protocol --------------------------------------
-
-    def partial_state(self) -> Tuple[Any, ...]:
-        """Mergeable snapshot of this accumulator, shipped from a parallel
-        worker to the final aggregation.
-
-        The planner only pushes partial aggregation when merging is exact
-        (COUNT/MIN/MAX of anything; SUM/AVG of integers — float addition
-        is not associative, so float SUM/AVG stays single-phase).
-        DISTINCT ships its value set (sorted by repr so worker output is
-        deterministic) and lets the final phase replay it, collapsing
-        duplicates across workers.
-        """
-        seen = (
-            tuple(sorted(self.seen, key=repr)) if self.seen is not None else None
-        )
-        return (self.count, self.total, self.extreme, seen)
-
-    def absorb(self, state: Tuple[Any, ...]) -> None:
-        """Merge a worker's :meth:`partial_state` into this accumulator."""
-        count, total, extreme, seen = state
-        if self.seen is not None:
-            # Replay distinct values through add(): values already seen in
-            # another worker's partition must count exactly once.
-            for value in seen:
-                self.add(value)
-            return
-        self.count += count
-        if total is not None:
-            self.total = total if self.total is None else self.total + total
-        if extreme is not None:
-            if self.func is AggFunc.MIN:
-                if self.extreme is None or extreme < self.extreme:
-                    self.extreme = extreme
-            elif self.func is AggFunc.MAX:
-                if self.extreme is None or extreme > self.extreme:
-                    self.extreme = extreme
-
 
 class AggregateState:
     """Per-group accumulator row plus evaluation plumbing."""
@@ -155,9 +117,6 @@ class AggregateState:
 
     def finish(self, accs: List[Accumulator]) -> Tuple[Any, ...]:
         return tuple(acc.result() for acc in accs)
-
-    def partial(self, accs: List[Accumulator]) -> Tuple[Any, ...]:
-        return tuple(acc.partial_state() for acc in accs)
 
 
 def compile_group_key(

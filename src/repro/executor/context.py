@@ -19,7 +19,6 @@ from typing import Any, Iterator, List, Optional, Sequence, Tuple
 from ..obs import InstrumentLevel
 from ..storage import BufferPool, HeapFile
 from ..types import Schema
-from .partition import PartitionContext
 
 
 @dataclass
@@ -32,21 +31,7 @@ class ExecMetrics:
     hash_probes: int = 0
     temp_files: int = 0
     spills: int = 0
-    parallel_regions: int = 0
-    parallel_workers: int = 0
     pages_skipped: int = 0  # heap pages pruned by zone maps, never fixed
-
-    def absorb(self, other: "ExecMetrics") -> None:
-        """Fold a worker's counters into this (parent) context's metrics."""
-        self.rows_scanned += other.rows_scanned
-        self.rows_emitted += other.rows_emitted
-        self.comparisons += other.comparisons
-        self.hash_probes += other.hash_probes
-        self.temp_files += other.temp_files
-        self.spills += other.spills
-        self.parallel_regions += other.parallel_regions
-        self.parallel_workers += other.parallel_workers
-        self.pages_skipped += other.pages_skipped
 
 
 class ExecContext:
@@ -63,7 +48,6 @@ class ExecContext:
         work_mem_pages: int = 64,
         instrument: InstrumentLevel = InstrumentLevel.ROWS,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        partition: Optional[PartitionContext] = None,
         activity: Optional[Any] = None,
         columnar: bool = False,
         snapshot: Optional[Any] = None,
@@ -80,9 +64,6 @@ class ExecContext:
         #: columns (with zone-map page skipping) and migrated operators
         #: stay columnar; unmigrated ones convert via ``as_row_batch``
         self.columnar = columnar
-        #: set only inside a parallel worker: which exchange partition this
-        #: execution computes (partition-aware operators consult it)
-        self.partition = partition
         #: the in-flight statement's ActivityEntry (``sys_stat_activity``);
         #: the run loop updates its progress fields batch by batch
         self.activity = activity

@@ -36,7 +36,6 @@ from .operator import (
     build_operator,
     operator_for,
 )
-from .partition import partition_hash
 from .sortutil import cmp_values
 
 
@@ -607,3 +606,24 @@ def _partition_insert(parts, key: Any, row: Row, fanout: int) -> None:
     if key is None:
         return  # NULL keys never join
     parts[partition_hash(key) % fanout].insert(row)
+
+
+def partition_hash(key: Any) -> int:
+    """Stable 32-bit hash the Grace join partitions its spill files by.
+
+    Properties the join relies on:
+
+    * deterministic across processes (no ``PYTHONHASHSEED`` dependence
+      for strings — FNV-1a over the UTF-8 bytes),
+    * equal SQL values hash equal even across numeric types
+      (``1 == 1.0`` → integral floats are canonicalized to int),
+    * ``True == 1`` follows from Python's own bool/int identity.
+    """
+    if isinstance(key, str):
+        h = 2166136261
+        for b in key.encode("utf-8"):
+            h = ((h ^ b) * 16777619) & 0xFFFFFFFF
+        return h
+    if isinstance(key, float) and key.is_integer():
+        key = int(key)
+    return hash(key) & 0xFFFFFFFF

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Any, Iterator, List, Tuple
 
 # importing the operator families populates the plan-type registry
-from . import agg_sort, exchange, joins, misc, scans  # noqa: F401
+from . import agg_sort, joins, misc, scans  # noqa: F401
 from .columnar import as_row_batch
 from .context import ExecContext
 from .operator import Operator, build_operator

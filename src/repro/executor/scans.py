@@ -42,7 +42,6 @@ from ..storage import SlottedPage, deserialize_row, page_skipper
 from .columnar import ColumnBatch
 from .operator import Batch, Operator, operator_for
 from .pagedecode import decode_page_columns, decode_pages_columns
-from .partition import page_range
 
 RID = Tuple[int, int]
 Overlay = Tuple[Dict[RID, Optional[Tuple]], Dict[RID, Tuple]]
@@ -146,12 +145,7 @@ class _ScanOp(Operator):
 
 @operator_for(PSeqScan)
 class SeqScanOp(_ScanOp):
-    """Heap scan (full, or one page-range partition) with an optional
-    pushed-down predicate.
-
-    A scan marked ``parallel`` running inside a worker (the context
-    carries a partition) reads only its contiguous page slice; anywhere
-    else it degrades to a plain full scan.
+    """Full heap scan with an optional pushed-down predicate.
 
     Under a columnar context (``ctx.columnar``) the scan decodes whole
     pages straight into :class:`ColumnBatch` columns (per-record row
@@ -186,37 +180,27 @@ class SeqScanOp(_ScanOp):
         self._buffered = 0
         self._skip = None
 
-    def _page_span(self) -> Tuple[int, int]:
-        heap = self.plan.table.heap
-        part = self.ctx.partition
-        if self.plan.parallel and part is not None:
-            return page_range(heap.num_pages, part.worker, part.degree)
-        return 0, heap.num_pages
-
-    def _visible_rows(
-        self, overlay: Overlay, first: int, last: int
-    ) -> Iterator[Tuple[Any, ...]]:
+    def _visible_rows(self, overlay: Overlay) -> Iterator[Tuple[Any, ...]]:
         """Heap scan with snapshot corrections applied in rid order;
-        ghosts (rows deleted after the snapshot) come after their page
-        range — a seq scan promises no ordering, so appending is fine."""
+        ghosts (rows deleted after the snapshot) come after the heap's
+        rows — a seq scan promises no ordering, so appending is fine."""
         replace, ghosts = overlay
-        for rid, row in self.plan.table.heap.scan(first, last):
+        for rid, row in self.plan.table.heap.scan():
             if rid in replace:
                 older = replace[rid]
                 if older is not None:
                     yield older
                 continue
             yield row
-        for rid in sorted(g for g in ghosts if first <= g[0] < last):
+        for rid in sorted(ghosts):
             yield ghosts[rid]
 
     def _start_scan(self) -> Iterator[Tuple[Any, ...]]:
         self.plan.table.access.seq_scans += 1
-        first, last = self._page_span()
         overlay = table_overlay(self.ctx, self.plan.table)
         if overlay is not None:
-            return self._visible_rows(overlay, first, last)
-        return self.plan.table.heap.scan_rows(first, last)
+            return self._visible_rows(overlay)
+        return self.plan.table.heap.scan_rows()
 
     def _next_batch(self, max_rows=None) -> Optional[Batch]:
         if self.ctx.columnar:
@@ -259,8 +243,7 @@ class SeqScanOp(_ScanOp):
         page_size = self.plan.table.heap.pool.disk.page_size
         est_rows = max(1, page_size // plan.schema.estimated_row_bytes())
         self._span = max(1, min(64, -(-self.ctx.batch_size // est_rows)))
-        first, last = self._page_span()
-        return iter(range(first, last))
+        return iter(range(plan.table.heap.num_pages))
 
     def _decode_next_span(self) -> Optional[ColumnBatch]:
         """The next span of non-skipped pages as one ColumnBatch."""
@@ -333,8 +316,7 @@ class SeqScanOp(_ScanOp):
             overlay = table_overlay(self.ctx, self.plan.table)
             if overlay is not None:
                 self.plan.table.access.seq_scans += 1
-                first, last = self._page_span()
-                self._rows = self._visible_rows(overlay, first, last)
+                self._rows = self._visible_rows(overlay)
                 return self._next_batch_columnar_rows(max_rows)
             self._pages = self._start_pages()
         n = self._target(max_rows)

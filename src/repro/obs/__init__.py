@@ -19,8 +19,8 @@ The pieces (all engine-independent; the engine threads them through):
   (relation set, predicate fingerprint), driving opt-in estimate
   correction (``feedback``).
 * :class:`WaitEventStats` — cumulative wait-event accounting: where time
-  goes (I/O vs. lock vs. CPU vs. exchange), fed by storage/executor/
-  exchange instrumentation (``waits``).
+  goes (I/O vs. lock vs. CPU), fed by storage/executor
+  instrumentation (``waits``).
 * :func:`register_system_tables` / :class:`ActivityRegistry` — the
   ``sys_stat_*`` virtual tables the engine serves through its own SQL,
   and the live-statement registry behind ``sys_stat_activity``

@@ -46,7 +46,7 @@ class ObsConfig:
     instrument: InstrumentLevel = InstrumentLevel.ROWS
     baselines: bool = True  # plan-baseline store + plan-change detection
     feedback: bool = True  # harvest est-vs-actual into the FeedbackStore
-    waits: bool = True  # wait-event accounting (I/O, lock, CPU, exchange)
+    waits: bool = True  # wait-event accounting (I/O, lock, CPU)
     system_tables: bool = True  # register the sys_stat_* virtual tables
     #: inter-query plan cache (normalize_statement-keyed physical plans);
     #: EXPLAIN ANALYZE always bypasses it so actuals reflect a cold plan

@@ -38,8 +38,6 @@ HELP_TEXTS: Dict[str, str] = {
     "pages_written_total": "disk pages written on behalf of queries",
     "spills_total": "work-memory spill events",
     "temp_files_total": "temporary files created by spilling operators",
-    "parallel_queries_total": "queries that ran with exchange parallelism",
-    "parallel_workers_total": "exchange workers launched",
     "plan_changes_total": "statements whose plan differed from the baseline",
     "plan_regressions_total": "plan changes whose estimated cost went up",
     "slow_queries_captured_total": "statements captured by auto_explain",
@@ -121,8 +119,8 @@ class Histogram:
     """Fixed-bucket distribution with exact count/sum/min/max.
 
     ``observe`` is thread-safe: concurrent updates (metrics feeding from
-    helper threads, stress tests mirroring the forked-worker fold-in)
-    never lose counts or leave ``sum`` inconsistent with ``count``.
+    session threads) never lose counts or leave ``sum`` inconsistent
+    with ``count``.
     """
 
     __slots__ = (

@@ -79,7 +79,6 @@ class QueryLogRecord:
     execution_ms: float
     spills: int = 0
     temp_files: int = 0
-    parallel_workers: int = 0
     plan_changed: bool = False  # chosen plan differs from the baseline
     baseline_cost_delta: float = 0.0  # new est_cost - baseline est_cost
     buffer_hits: int = 0  # pages served from the buffer pool
@@ -98,12 +97,13 @@ class QueryLogRecord:
         field added to the dataclass but missing here would silently
         drop data — the round-trip tests enumerate ``fields()`` so any
         serialization omission fails loudly); absent optional fields take
-        their defaults, so logs persisted by older versions still load."""
+        their defaults and the retired ``parallel_workers`` key is
+        dropped, so logs persisted by older versions still load."""
         known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - known - {"parallel_workers"}
         if unknown:
             raise ValueError(f"unknown QueryLogRecord fields: {sorted(unknown)}")
-        return cls(**data)
+        return cls(**{k: v for k, v in data.items() if k in known})
 
 
 class QueryLog:

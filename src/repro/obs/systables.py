@@ -12,7 +12,7 @@ those tables for this engine:
 * ``sys_stat_tables``     — per table: sequential/index scan starts, rows
   read, pages hit/read (from the scan operators' access counters);
 * ``sys_stat_waits``      — the wait-event registry: where time goes
-  (I/O, lock, CPU, exchange), wait_count/total/mean per event;
+  (I/O, lock, CPU), wait_count/total/mean per event;
 * ``sys_stat_metrics``    — every registry instrument as rows (histograms
   expand to count/sum/mean/p50/p95/p99);
 * ``sys_stat_activity``   — live in-flight statements with a progress
@@ -76,8 +76,7 @@ class ActivityEntry:
     rows_produced: int = 0
     started: float = field(default_factory=time.perf_counter)
     session_id: int = 0
-    #: the MVCC read view this statement runs under (None: no snapshot —
-    #: DML, or a database opened with mvcc=False)
+    #: the MVCC read view this statement runs under (None for DML)
     snapshot_ts: Any = None
     snapshot_acquired: float = 0.0
 
@@ -372,7 +371,6 @@ def _stat_locks(db: "Database") -> Tuple[Schema, Rows]:
         "sys_stat_locks",
         ("table_name", DataType.TEXT),
         ("holder_txn", DataType.INT),
-        ("readers", DataType.INT),
         ("writers_waiting", DataType.INT),
         ("acquisitions", DataType.INT),
         ("contended", DataType.INT),
@@ -382,7 +380,6 @@ def _stat_locks(db: "Database") -> Tuple[Schema, Rows]:
         (
             lock["table"],
             lock["holder_txn"],
-            lock["readers"],
             lock["writers_waiting"],
             lock["acquisitions"],
             lock["contended"],

@@ -21,12 +21,10 @@ records nothing.
 
 Request-scoped tracing adds identity on top of the tree shape: every
 span carries a ``span_id``/``parent_id`` pair and the tracer carries a
-``trace_id`` shared by every span it opens, so spans produced in forked
-exchange workers (serialized over the pipe, re-attached with
-:meth:`Tracer.graft`) stay linked to the request that spawned them.
-Deep layers — the WAL writer, the lock manager, MVCC — reach the
-request's tracer through a thread-local set by :func:`activate_tracer`
-and open spans with :func:`trace_span` without any signature threading.
+``trace_id`` shared by every span it opens.  Deep layers — the WAL
+writer, the lock manager, MVCC — reach the request's tracer through a
+thread-local set by :func:`activate_tracer` and open spans with
+:func:`trace_span` without any signature threading.
 """
 
 from __future__ import annotations
@@ -74,7 +72,7 @@ class Span:
         self.counters[name] = self.counters.get(name, 0.0) + value
 
     def set_attr(self, name: str, value: str) -> None:
-        """Attach a string attribute (lock name, table, worker id...)."""
+        """Attach a string attribute (lock name, table...)."""
         if self.attrs is None:
             self.attrs = {}
         self.attrs[name] = str(value)
@@ -197,31 +195,16 @@ class Tracer:
     being filled in) until the outermost span exits.
 
     *trace_id* names the request this tree belongs to (generated when
-    omitted); *id_base* offsets the span-id counter so trees built in
-    forked workers never collide with the parent's ids; *t0* pins the
-    zero point of the clock so a worker's offsets land on the same
-    timeline as the parent's (``perf_counter`` is CLOCK_MONOTONIC, valid
-    across fork).
+    omitted).
     """
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        trace_id: Optional[str] = None,
-        id_base: int = 0,
-        t0: Optional[float] = None,
-    ):
+    def __init__(self, enabled: bool = True, trace_id: Optional[str] = None):
         self.enabled = enabled
         self.trace_id = trace_id or (new_trace_id() if enabled else "")
         self.root: Optional[Span] = None
         self._stack: List[Span] = []
-        self._next_id = id_base + 1
-        if t0 is not None:
-            self._t0 = t0
-            self._t0_pinned = True
-        else:
-            self._t0 = 0.0
-            self._t0_pinned = False
+        self._next_id = 1
+        self._t0 = 0.0
 
     def _alloc_id(self) -> int:
         sid = self._next_id
@@ -247,7 +230,7 @@ class Tracer:
             yield NULL_SPAN
             return
         now = time.perf_counter()
-        if self.root is None and not self._t0_pinned:
+        if self.root is None:
             self._t0 = now
         if merge and self._stack:
             siblings = self._stack[-1].children
@@ -314,21 +297,6 @@ class Tracer:
         else:
             self.root = span
         return span
-
-    def graft(self, span: Span) -> None:
-        """Attach an externally built subtree (a forked worker's spans,
-        deserialized from the pipe) under the innermost open span."""
-        if not self.enabled or span is None:
-            return
-        if self._stack:
-            parent = self._stack[-1]
-        elif self.root is not None:
-            parent = self.root
-        else:
-            self.root = span
-            return
-        span.parent_id = parent.span_id
-        parent.children.append(span)
 
     def current(self):
         """The innermost open span (NULL_SPAN when disabled or idle)."""
@@ -403,11 +371,10 @@ class RequestTrace:
 
 # -- thread-local active tracer -----------------------------------------------
 #
-# The request's tracer is installed for the duration of Database.execute
-# (and for a forked worker's drain loop); deep layers that never see the
-# request — WalWriter.flush_to, TxnManager.lock_table, VersionStore —
-# open spans through trace_span() and pay one thread-local read when no
-# trace is active.
+# The request's tracer is installed for the duration of Database.execute;
+# deep layers that never see the request — WalWriter.flush_to,
+# TxnManager.lock_table, VersionStore — open spans through trace_span()
+# and pay one thread-local read when no trace is active.
 
 _ACTIVE = threading.local()
 

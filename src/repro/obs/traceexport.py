@@ -4,10 +4,8 @@ Converts a :class:`~repro.obs.trace.RequestTrace` (or a bare
 :class:`~repro.obs.trace.Span` tree) into the Chrome trace-event JSON
 format — the ``{"traceEvents": [...]}`` object that ``chrome://tracing``
 and Perfetto (https://ui.perfetto.dev) load directly.  Each span becomes
-one complete ("ph": "X") event with microsecond ``ts``/``dur``; spans
-grafted from forked exchange workers carry a ``worker`` attribute and
-are placed on their own track (``tid``) so lock waits, fsyncs, and
-per-worker execution render as parallel lanes under the request.
+one complete ("ph": "X") event with microsecond ``ts``/``dur``, all on
+one track, so nesting renders as the request's flame graph.
 
 :func:`validate_chrome_trace` is the structural validator the tests and
 the CI smoke step hold exported files to — a cheap schema check, not a
@@ -29,16 +27,6 @@ from .trace import RequestTrace, Span
 _DEFAULT_PID = 1
 
 
-def _span_tid(span: Span, inherited: int) -> int:
-    """Workers get their own track; everything else stays on the parent's."""
-    if span.attrs and "worker" in span.attrs:
-        try:
-            return 2 + int(span.attrs["worker"])
-        except ValueError:
-            return inherited
-    return inherited
-
-
 def chrome_trace_events(
     trace: Union[RequestTrace, Span],
     process_name: str = "repro",
@@ -58,8 +46,7 @@ def chrome_trace_events(
         }
     ]
 
-    def emit(span: Span, tid: int) -> None:
-        tid = _span_tid(span, tid)
+    def emit(span: Span) -> None:
         args: Dict[str, Any] = {}
         if span.counters:
             args.update(span.counters)
@@ -73,7 +60,7 @@ def chrome_trace_events(
         event: Dict[str, Any] = {
             "ph": "X",
             "pid": _DEFAULT_PID,
-            "tid": tid,
+            "tid": 1,
             "name": span.name,
             "ts": round(span.start_ms * 1000.0, 3),
             "dur": round(max(span.duration_ms, 0.0) * 1000.0, 3),
@@ -82,10 +69,10 @@ def chrome_trace_events(
             event["args"] = args
         events.append(event)
         for child in span.children:
-            emit(child, tid)
+            emit(child)
 
     if root is not None:
-        emit(root, 1)
+        emit(root)
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 

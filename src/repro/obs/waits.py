@@ -4,8 +4,8 @@ Industrial engines answer "is this workload CPU-bound, I/O-bound or
 lock-bound?" with a cumulative wait-event registry (PostgreSQL's
 ``pg_stat_activity.wait_event``, Oracle's wait interface).  This module is
 that registry: a process-wide, thread-safe map of *event name* → (count,
-total seconds), fed by instrumentation hooks in the storage, executor and
-exchange layers:
+total seconds), fed by instrumentation hooks in the storage and executor
+layers:
 
 * ``io.read`` / ``io.write`` — time inside the simulated disk, attributed
   at the buffer pool (every page read/writeback is timed once);
@@ -13,16 +13,10 @@ exchange layers:
   (uncontended acquires are not timed, so the hot path stays cheap);
 * ``exec.cpu`` — per-query executor time *minus* the I/O and lock waits
   that accrued during it (computed by the engine, so
-  ``exec.cpu + io.* + lock.*`` reconciles with measured execution time);
-* ``exchange.startup`` / ``exchange.send`` / ``exchange.recv`` — parallel
-  worker lifecycle: fork-to-first-work latency, pipe transfer time on the
-  worker side, and parent time blocked draining worker pipes.
-
-Workers ship their wait deltas back to the parent exactly like per-node
-actuals, so parallel queries account identically to serial ones.
+  ``exec.cpu + io.* + lock.*`` reconciles with measured execution time).
 
 Event names are dotted, coarse-grained on purpose: the first segment is
-the wait *class* (``io``, ``lock``, ``exec``, ``exchange``), which is how
+the wait *class* (``io``, ``lock``, ``exec``), which is how
 ``sys_stat_waits`` groups and how dashboards slice.
 """
 
@@ -84,11 +78,6 @@ class WaitEventStats:
             if count - c0 or seconds - s0:
                 out[event] = (count - c0, seconds - s0)
         return out
-
-    def merge(self, deltas: WaitSnapshot) -> None:
-        """Fold another registry's deltas in (worker → parent shipping)."""
-        for event, (count, seconds) in deltas.items():
-            self.record(event, seconds, count)
 
     def total_seconds(self, prefix: str = "") -> float:
         """Summed wait time, optionally restricted to one event class

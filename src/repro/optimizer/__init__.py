@@ -19,14 +19,6 @@ from .estimate import (
     StatsResolver,
     pages_for,
 )
-from .parallel import (
-    co_partitioned,
-    exactly_mergeable,
-    page_partitioned,
-    push_parallel_sort,
-    push_partial_aggregate,
-    region_alternatives,
-)
 from .planner import STRATEGIES, Planner, PlannerOptions
 
 __all__ = [
@@ -36,6 +28,4 @@ __all__ = [
     "DPPlanner", "PlannerStats", "SubPlan", "count_dp_subsets",
     "DEFAULT_EQ_SEL", "DEFAULT_RANGE_SEL", "Estimator", "EstimatorConfig",
     "StatsResolver", "pages_for", "STRATEGIES", "Planner", "PlannerOptions",
-    "co_partitioned", "exactly_mergeable", "page_partitioned",
-    "push_parallel_sort", "push_partial_aggregate", "region_alternatives",
 ]

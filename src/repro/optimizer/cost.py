@@ -76,8 +76,6 @@ class CostModel:
         work_mem_pages: int = 64,
         cpu_weight: float = 0.01,
         buffer_pages: Optional[int] = None,
-        parallel_setup_cpu: float = 10_000.0,
-        parallel_transfer_cpu: float = 0.5,
         vector_cpu_factor: float = 1.0,
     ):
         if work_mem_pages < 3:
@@ -94,10 +92,6 @@ class CostModel:
         #: total buffer-pool frames; used to price repeated random fetches
         #: against tables larger than the pool.  None = assume ample.
         self.buffer_pages = buffer_pages
-        #: CPU-op equivalent of starting one parallel worker (process fork,
-        #: context setup) and of moving one row through a gather
-        self.parallel_setup_cpu = parallel_setup_cpu
-        self.parallel_transfer_cpu = parallel_transfer_cpu
 
     def _cost(self, io: float, cpu: float) -> Cost:
         return Cost(io, cpu, self.cpu_weight)
@@ -274,37 +268,6 @@ class CostModel:
             return self._vcost(0.0, cpu)
         io = 2.0 * (max(1.0, left_pages) + max(1.0, right_pages))
         return self._cost(io, cpu * 1.5)
-
-    # -- parallelism -----------------------------------------------------------------------
-
-    def exchange(
-        self,
-        serial: Cost,
-        degree: int,
-        rows_out: float,
-        replicated: Optional[Cost] = None,
-    ) -> Cost:
-        """Response-time cost of running *serial* across *degree* workers.
-
-        The model is wall-clock, not resource-use: work that partitions
-        divides by the degree, while the *replicated* share (a replicated
-        hash-join build side; both sides' full scans in a hash-partitioned
-        join) is paid by every worker concurrently, so it stays whole.
-        Each worker adds a fixed startup charge and every output row pays
-        a transfer charge through the gather — the terms that keep tiny
-        queries serial.
-        """
-        if degree <= 1:
-            return serial
-        rep = replicated if replicated is not None else self.zero()
-        io = rep.io + max(0.0, serial.io - rep.io) / degree
-        cpu = (
-            rep.cpu
-            + max(0.0, serial.cpu - rep.cpu) / degree
-            + degree * self.parallel_setup_cpu
-            + max(0.0, rows_out) * self.parallel_transfer_cpu
-        )
-        return self._cost(io, cpu)
 
     # -- other operators --------------------------------------------------------------------
 

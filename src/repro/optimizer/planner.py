@@ -64,11 +64,6 @@ from .baselines import (
 from .cost import Cost, CostModel
 from .dp import DPPlanner, PlannerStats, SubPlan
 from .estimate import Estimator, EstimatorConfig, StatsResolver, pages_for
-from .parallel import (
-    push_parallel_sort,
-    push_partial_aggregate,
-    region_alternatives,
-)
 
 STRATEGIES = (
     "dp",
@@ -152,11 +147,6 @@ class PlannerOptions:
     use_interesting_orders: bool = True
     estimator: Optional[EstimatorConfig] = None
     random_seed: int = 0
-    #: worker count for intra-query parallelism; 1 = serial planning
-    parallel_degree: int = 1
-    #: choose a parallel alternative whenever one exists, ignoring cost —
-    #: lets tests exercise parallel shapes on tables too small to win
-    force_parallel: bool = False
     #: apply learned est-vs-actual corrections from the Database's
     #: FeedbackStore during estimation (LEO-style; plans may change,
     #: results never do)
@@ -167,8 +157,6 @@ class PlannerOptions:
             raise ValueError(
                 f"unknown strategy {self.strategy!r}; pick from {STRATEGIES}"
             )
-        if self.parallel_degree < 1:
-            raise ValueError("parallel_degree must be at least 1")
 
 
 @dataclass
@@ -377,14 +365,8 @@ class Planner:
             pages = pages_for(
                 child.rows, child.plan.schema.estimated_row_bytes(), self.page_size
             )
-            sort_cost = self.model.sort(pages, child.rows)
-            node: PhysicalPlan = PSort(child.plan, plan.keys)
-            cost = child.cost + sort_cost
-            parallel = self._maybe_parallel_sort(
-                child, plan.keys, sort_cost, cost
-            )
-            if parallel is not None:
-                node, cost = parallel
+            node = PSort(child.plan, plan.keys)
+            cost = child.cost + self.model.sort(pages, child.rows)
             order = self._sort_order(plan.keys, node.schema)
             seq = []
             for expr, asc in plan.keys:
@@ -522,7 +504,6 @@ class Planner:
         order = self._region_order(sub, equivalence)
         order_seq = self._region_order_seq(sub)
         converted = _Converted(sub.plan, sub.rows, sub.cost, order, order_seq)
-        converted = self._maybe_parallelize(converted)
         if post_filters:
             node = PFilter(converted.plan, conjoin(post_filters))
             sel = estimator.scan_selectivity(post_filters)
@@ -533,28 +514,6 @@ class Planner:
             node.est_rows, node.est_cost = rows, cost
             return _Converted(node, rows, cost, order, order_seq)
         return converted
-
-    def _maybe_parallelize(self, conv: _Converted) -> _Converted:
-        """Replace a region's serial plan with a gather-over-exchange
-        alternative when one exists and wins on cost (or is forced).
-
-        Every alternative produced preserves the serial output order
-        exactly (page-order concat, or ordinal merge), so the region's
-        known order survives parallelization untouched.
-        """
-        options = self.options
-        if options.parallel_degree <= 1 and not options.force_parallel:
-            return conv
-        degree = max(1, options.parallel_degree)
-        alternatives = region_alternatives(
-            conv.plan, conv.rows, self.model, degree, self.page_size
-        )
-        if not alternatives:
-            return conv
-        plan, cost = min(alternatives, key=lambda alt: alt[1].total)
-        if options.force_parallel or cost.total < conv.cost.total:
-            return _Converted(plan, conv.rows, cost, conv.order, conv.order_seq)
-        return conv
 
     def _needed_per_binding(
         self, region: LogicalPlan, graph: JoinGraph
@@ -688,10 +647,6 @@ class Planner:
             child.rows, plan.group_exprs, child.plan.schema
         )
         cost = child.cost + self.model.aggregate(child.rows, groups)
-        if not streaming:
-            parallel = self._maybe_partial_aggregate(plan, child, groups, cost)
-            if parallel is not None:
-                return parallel
         node = PAggregate(
             child.plan,
             plan.group_exprs,
@@ -704,76 +659,6 @@ class Planner:
             frozenset([plan.group_names[0]]) if streaming else _EMPTY
         )
         return self._annotate(node, groups, cost, order)
-
-    def _maybe_parallel_sort(
-        self,
-        child: _Converted,
-        keys,
-        sort_cost: Cost,
-        serial_total: Cost,
-    ) -> Optional[Tuple[PhysicalPlan, Cost]]:
-        """Sort inside the workers of a concat gather, key-merge above:
-        run formation divides by the degree, the merge touches each row
-        once.  Equal to the serial stable sort bit-for-bit."""
-        options = self.options
-        if options.parallel_degree <= 1 and not options.force_parallel:
-            return None
-        degree = max(1, options.parallel_degree)
-        gather = push_parallel_sort(child.plan, tuple(keys))
-        if gather is None:
-            return None
-        parallel_sort = Cost(
-            sort_cost.io / degree,
-            sort_cost.cpu / degree + child.rows,
-            sort_cost.cpu_weight,
-        )
-        cost = child.cost + parallel_sort
-        if not options.force_parallel and cost.total >= serial_total.total:
-            return None
-        gather.est_rows, gather.est_cost = child.rows, cost
-        return gather, cost
-
-    def _maybe_partial_aggregate(
-        self,
-        plan: LogicalAggregate,
-        child: _Converted,
-        groups: float,
-        serial_cost: Cost,
-    ) -> Optional[_Converted]:
-        """Two-phase aggregation through a concat gather: the partial
-        phase folds rows down to per-worker group states inside the
-        exchange, so only ``degree × groups`` state rows cross the
-        gather instead of every input row."""
-        options = self.options
-        if options.parallel_degree <= 1 and not options.force_parallel:
-            return None
-        degree = max(1, options.parallel_degree)
-        pushed = push_partial_aggregate(
-            child.plan,
-            plan.group_exprs,
-            plan.group_names,
-            plan.aggs,
-            plan.schema,
-            groups,
-        )
-        if pushed is None:
-            return None
-        final, _gather = pushed
-        model = self.model
-        agg = model.aggregate(child.rows, groups)
-        # the partial phase divides by the degree; the gather now moves
-        # group states, not input rows; the final phase merges them
-        delta_cpu = (
-            agg.cpu / degree
-            + (degree * groups - child.rows) * model.parallel_transfer_cpu
-            + model.aggregate(degree * groups, groups).cpu
-        )
-        cost = Cost(
-            child.cost.io, child.cost.cpu + delta_cpu, child.cost.cpu_weight
-        )
-        if not options.force_parallel and cost.total >= serial_cost.total:
-            return None
-        return self._annotate(final, groups, cost, _EMPTY)
 
     def _estimate_groups(self, rows: float, group_exprs, schema) -> float:
         """Group count: product of the group columns' distinct counts when

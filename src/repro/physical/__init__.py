@@ -1,12 +1,9 @@
 """Physical plan operators with cost/cardinality annotations."""
 
 from .plan import (
-    ORDINAL_COLUMN,
     PAggregate,
     PDistinct,
-    PExchange,
     PFilter,
-    PGather,
     PHashJoin,
     PIndexNLJoin,
     PIndexOnlyScan,
@@ -15,8 +12,6 @@ from .plan import (
     PMaterialize,
     PNarrow,
     PNestedLoopJoin,
-    POrdinal,
-    PPartitionFilter,
     PProject,
     PSeqScan,
     PSort,
@@ -24,15 +19,12 @@ from .plan import (
     PhysicalError,
     PhysicalPlan,
     RangeBound,
-    contains_parallel,
     walk_plan,
 )
 
 __all__ = [
-    "ORDINAL_COLUMN", "PAggregate", "PDistinct", "PExchange", "PFilter",
-    "PGather", "PHashJoin", "PIndexNLJoin", "PIndexOnlyScan", "PIndexScan",
-    "PLimit", "PMaterialize", "PNarrow", "PNestedLoopJoin", "POrdinal",
-    "PPartitionFilter", "PProject", "PSeqScan", "PSort", "PSortMergeJoin",
-    "PhysicalError", "PhysicalPlan", "RangeBound", "contains_parallel",
-    "walk_plan",
+    "PAggregate", "PDistinct", "PFilter", "PHashJoin", "PIndexNLJoin",
+    "PIndexOnlyScan", "PIndexScan", "PLimit", "PMaterialize", "PNarrow",
+    "PNestedLoopJoin", "PProject", "PSeqScan", "PSort", "PSortMergeJoin",
+    "PhysicalError", "PhysicalPlan", "RangeBound", "walk_plan",
 ]

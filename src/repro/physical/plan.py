@@ -167,14 +167,11 @@ class PhysicalPlan:
 
 @dataclass
 class PSeqScan(PhysicalPlan):
-    """Full heap scan.  With ``parallel=True`` the scan is the partition
-    point of an enclosing exchange: each worker scans only its contiguous
-    page-range slice of the heap (serial execution ignores the flag)."""
+    """Full heap scan."""
 
     table: TableInfo
     binding: str
     predicate: Optional[Expr] = None
-    parallel: bool = False
     schema: Schema = field(init=False)
 
     def __post_init__(self):
@@ -182,8 +179,7 @@ class PSeqScan(PhysicalPlan):
 
     def describe(self) -> str:
         suffix = f" filter {self.predicate}" if self.predicate is not None else ""
-        par = " parallel" if self.parallel else ""
-        return f"SeqScan({self.table.name} AS {self.binding}{par}){suffix}"
+        return f"SeqScan({self.table.name} AS {self.binding}){suffix}"
 
 
 @dataclass
@@ -432,15 +428,7 @@ class PSort(PhysicalPlan):
 @dataclass
 class PAggregate(PhysicalPlan):
     """Hash aggregation (or stream aggregation when ``streaming`` and the
-    input is sorted on the group keys).
-
-    ``mode`` supports two-phase parallel aggregation: ``"single"`` is the
-    classic one-shot aggregate; ``"partial"`` emits mergeable accumulator
-    states (run inside exchange workers); ``"final"`` consumes partial
-    state rows and produces the real results.  Partial and final phases
-    use the same ``group_exprs``/``aggs``; a final node's child must be a
-    partial node's output (group columns first, one state per agg after).
-    """
+    input is sorted on the group keys)."""
 
     child: PhysicalPlan
     group_exprs: Tuple[Expr, ...]
@@ -448,19 +436,12 @@ class PAggregate(PhysicalPlan):
     aggs: Tuple[AggCall, ...]
     schema: Schema
     streaming: bool = False
-    mode: str = "single"
-
-    def __post_init__(self):
-        if self.mode not in ("single", "partial", "final"):
-            raise PhysicalError(f"bad aggregate mode {self.mode!r}")
 
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.child,)
 
     def describe(self) -> str:
         mode = "stream" if self.streaming else "hash"
-        if self.mode != "single":
-            mode += f" {self.mode}"
         groups = ", ".join(str(g) for g in self.group_exprs) or "()"
         aggs = ", ".join(str(a) for a in self.aggs)
         return f"Aggregate[{mode}](by {groups}: {aggs})"
@@ -515,149 +496,9 @@ class PMaterialize(PhysicalPlan):
         return "Materialize"
 
 
-@dataclass
-class PPartitionFilter(PhysicalPlan):
-    """Keep only the rows of the current worker's hash partition.
-
-    ``hash(key) % degree == worker`` (NULL keys go to partition 0), with
-    worker/degree taken from the execution context at runtime.  Serial
-    execution (no partition context) passes everything through.  Placing
-    one of these on both inputs of a hash join co-partitions it: equal
-    keys always land in the same worker.
-    """
-
-    child: PhysicalPlan
-    key: Expr
-    schema: Schema = field(init=False)
-
-    def __post_init__(self):
-        self.schema = self.child.schema
-
-    def children(self) -> Tuple[PhysicalPlan, ...]:
-        return (self.child,)
-
-    def describe(self) -> str:
-        return f"PartitionFilter(hash {self.key})"
-
-
-#: name of the hidden ordinal column appended by POrdinal
-ORDINAL_COLUMN = "__ord"
-
-
-@dataclass
-class POrdinal(PhysicalPlan):
-    """Append the child's running row number as a hidden trailing column.
-
-    Placed *below* a hash-partition filter on a join's probe side, the
-    ordinal records each row's position in the deterministic serial scan
-    order; the gather node k-way-merges worker streams on it (and strips
-    it), restoring exact serial output order for co-partitioned joins.
-    """
-
-    child: PhysicalPlan
-    schema: Schema = field(init=False)
-
-    def __post_init__(self):
-        self.schema = self.child.schema.concat(
-            Schema([Column(ORDINAL_COLUMN, DataType.INT, None, False)])
-        )
-
-    def children(self) -> Tuple[PhysicalPlan, ...]:
-        return (self.child,)
-
-    def describe(self) -> str:
-        return "Ordinal"
-
-
-@dataclass
-class PExchange(PhysicalPlan):
-    """Parallel region marker: execute ``child`` once per worker.
-
-    Each of ``degree`` workers runs the child subplan against its own
-    partition (``mode='pages'``: a marked scan reads a contiguous page
-    slice; ``mode='hash'``: partition filters select a hash partition).
-    The node itself never executes as an operator — the gather above it
-    launches the workers — but it carries the merged per-worker actuals
-    so EXPLAIN ANALYZE stays exact.
-    """
-
-    child: PhysicalPlan
-    degree: int
-    mode: str = "pages"
-    schema: Schema = field(init=False)
-
-    def __post_init__(self):
-        if self.degree < 1:
-            raise PhysicalError("exchange degree must be at least 1")
-        if self.mode not in ("pages", "hash"):
-            raise PhysicalError(f"bad exchange mode {self.mode!r}")
-        self.schema = self.child.schema
-
-    def children(self) -> Tuple[PhysicalPlan, ...]:
-        return (self.child,)
-
-    def describe(self) -> str:
-        return f"Exchange({self.mode} x{self.degree})"
-
-
-@dataclass
-class PGather(PhysicalPlan):
-    """Deterministic merge of an exchange's worker streams.
-
-    Merge strategies (in priority order):
-
-    * ``ordinal is not None`` — k-way merge on the hidden ordinal column
-      at that position, which is then stripped (restores serial order for
-      co-partitioned hash joins);
-    * ``merge_keys`` — k-way merge on the sort keys with worker index as
-      tie-break (order-preserving gather over per-worker sorts: equal to
-      the serial stable sort bit-for-bit);
-    * otherwise — concatenation in worker order (equals serial order for
-      page-range partitions).
-    """
-
-    child: PExchange
-    merge_keys: Tuple[Tuple[Expr, bool], ...] = ()
-    ordinal: Optional[int] = None
-    schema: Schema = field(init=False)
-
-    def __post_init__(self):
-        schema = self.child.schema
-        if self.ordinal is not None:
-            columns = list(schema)
-            if not 0 <= self.ordinal < len(columns):
-                raise PhysicalError("gather ordinal position out of range")
-            del columns[self.ordinal]
-            schema = Schema(columns)
-        self.schema = schema
-
-    def children(self) -> Tuple[PhysicalPlan, ...]:
-        return (self.child,)
-
-    @property
-    def degree(self) -> int:
-        return self.child.degree
-
-    def describe(self) -> str:
-        if self.ordinal is not None:
-            merge = "merge=ordinal"
-        elif self.merge_keys:
-            keys = ", ".join(
-                f"{e} {'ASC' if a else 'DESC'}" for e, a in self.merge_keys
-            )
-            merge = f"merge=({keys})"
-        else:
-            merge = "merge=concat"
-        return f"Gather({merge}, workers={self.degree})"
-
-
 def walk_plan(plan: PhysicalPlan):
     """Pre-order traversal."""
     yield plan
     for child in plan.children():
         yield from walk_plan(child)
 
-
-def contains_parallel(plan: PhysicalPlan) -> bool:
-    """Does *plan* contain a parallel (gather/exchange) region?"""
-    return any(isinstance(node, PGather) for node in walk_plan(plan))

@@ -483,7 +483,6 @@ def repro_script(
     index: int,
     strategy: str = "dp",
     batch_size: int = 1024,
-    parallel_degree: int = 1,
     r_rows: int = 200,
     s_rows: int = 120,
 ) -> str:
@@ -494,7 +493,7 @@ def repro_script(
     asserts the engine matches the reference."""
     return f'''#!/usr/bin/env python
 """Differential repro: seed={seed} case={index} strategy={strategy!r}
-batch_size={batch_size} parallel_degree={parallel_degree}.
+batch_size={batch_size}.
 
 Run from the repo root:  PYTHONPATH=src python thisfile.py
 """
@@ -509,11 +508,7 @@ print("SQL:", case.sql)
 
 db = Database(buffer_pages=64, work_mem_pages=4, batch_size={batch_size})
 load_dataset(db, workload.dataset())
-db.options = PlannerOptions(
-    strategy={strategy!r},
-    parallel_degree={parallel_degree},
-    force_parallel={parallel_degree} > 1,
-)
+db.options = PlannerOptions(strategy={strategy!r})
 print(db.explain(case.sql))
 got = db.query(case.sql).rows
 want = case.expected(workload.reference())

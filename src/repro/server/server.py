@@ -11,7 +11,7 @@ outside the statement lock (group commit).
 Every request runs under its own request trace (when the database has
 tracing on): a ``request`` root span with ``protocol.decode`` →
 ``session.dispatch`` (the engine's whole span tree, lock waits, WAL
-appends, fsyncs, worker spans included) → ``protocol.encode`` children.
+appends, fsyncs included) → ``protocol.encode`` children.
 Clients may supply their own ``trace_id`` for end-to-end correlation and
 ask for the span tree back with ``"trace": true``; the finished trace is
 also captured engine-side (``Database.last_request_trace``, the

@@ -12,10 +12,8 @@ evicted or on ``flush_all``.
 The pool is thread-safe: a single reentrant lock serializes every public
 entry point, so concurrent pin/unpin/read from multiple threads can never
 interleave a lookup with an eviction (the classic fix-vs-evict race) or
-lose stats increments.  Parallel query *workers* are separate processes
-with their own pool, so they never contend on this lock — it exists for
-in-process threading (tests, future background writers) and costs one
-uncontended acquire per call.
+lose stats increments.  It exists for in-process threading (server
+sessions, tests) and costs one uncontended acquire per call.
 """
 
 from __future__ import annotations

@@ -137,9 +137,8 @@ class HeapFile:
     ) -> Iterator[Tuple[RID, Tuple[Any, ...]]]:
         """Scan pages ``[first_page, last_page)`` in order as ``(rid, row)``.
 
-        Defaults to a full scan.  The page-range form is how parallel
-        workers split a heap: disjoint ranges in worker order concatenate
-        to exactly the full-scan order.
+        Defaults to a full scan; disjoint ranges taken in page order
+        concatenate to exactly the full-scan order.
         """
         if last_page is None:
             last_page = self.num_pages

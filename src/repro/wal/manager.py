@@ -78,7 +78,7 @@ class Transaction:
 
 
 class _TableLock:
-    """A reader-writer lock with writer owner tracking.
+    """An exclusive lock with owner tracking (readers take none: MVCC).
 
     Carries its own cumulative statistics (acquisitions, contended
     acquisitions, total wait) so ``sys_stat_locks`` can serve a per-table
@@ -87,7 +87,6 @@ class _TableLock:
 
     __slots__ = (
         "cond",
-        "readers",
         "writer",
         "writer_waiting",
         "acquisitions",
@@ -97,7 +96,6 @@ class _TableLock:
 
     def __init__(self) -> None:
         self.cond = threading.Condition()
-        self.readers = 0
         self.writer: Optional[int] = None  # owning txn id
         self.writer_waiting = 0
         self.acquisitions = 0
@@ -440,12 +438,10 @@ class TxnManager:
             sp.set_attr("mode", "exclusive")
             with lock.cond:
                 lock.writer_waiting += 1
-                contended = lock.writer is not None or lock.readers > 0
+                contended = lock.writer is not None
                 try:
                     waited = self._timed_wait(
-                        lock,
-                        lambda: lock.writer is None and lock.readers == 0,
-                        table,
+                        lock, lambda: lock.writer is None, table
                     )
                     lock.writer = txn.id
                     lock.acquisitions += 1
@@ -464,50 +460,6 @@ class TxnManager:
                 lock.writer = None
                 lock.cond.notify_all()
 
-    def lock_tables_shared(
-        self, tables, txn: Optional[Transaction] = None
-    ) -> List[str]:
-        """Statement-scoped shared locks for a reader.  Returns the keys
-        to pass to :meth:`unlock_shared`.  A reader inside a transaction
-        that holds the write lock passes through (it reads its own
-        uncommitted rows); pass *txn* explicitly for readers that run
-        without thread activation (the SELECT path)."""
-        if txn is None:
-            txn = self.current()
-        acquired: List[str] = []
-        try:
-            for table in sorted({t.lower() for t in tables}):
-                lock = self._lock_for(table)
-                with trace_span("lock.acquire") as sp:
-                    sp.set_attr("table", table)
-                    sp.set_attr("mode", "shared")
-                    with lock.cond:
-                        if txn is not None and lock.writer == txn.id:
-                            continue  # our own write lock covers the read
-                        contended = lock.writer is not None
-                        waited = self._timed_wait(
-                            lock, lambda lk=lock: lk.writer is None, table
-                        )
-                        lock.readers += 1
-                        lock.acquisitions += 1
-                        lock.wait_seconds += waited
-                        if contended:
-                            lock.contended += 1
-                            sp.add("wait_ms", waited * 1000.0)
-                acquired.append(table)
-        except BaseException:
-            self.unlock_shared(acquired)
-            raise
-        return acquired
-
-    def unlock_shared(self, acquired: List[str]) -> None:
-        for table in acquired:
-            lock = self._lock_for(table)
-            with lock.cond:
-                lock.readers -= 1
-                if lock.readers == 0:
-                    lock.cond.notify_all()
-
     def lock_rows(self) -> List[Dict[str, Any]]:
         """Point-in-time view of every table lock ever touched, for
         ``sys_stat_locks``: current holder/waiters plus cumulative
@@ -521,7 +473,6 @@ class TxnManager:
                     {
                         "table": table,
                         "holder_txn": lock.writer or 0,
-                        "readers": lock.readers,
                         "writers_waiting": lock.writer_waiting,
                         "acquisitions": lock.acquisitions,
                         "contended": lock.contended,

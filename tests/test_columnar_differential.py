@@ -1,19 +1,16 @@
 """Columnar-engine differential tests: the columnar batch engine must be
 bit-identical to the row engine — same rows, same order, same per-node
-actuals — on the seeded random-query matrix, across batch sizes and
-parallel degrees.
+actuals — on the seeded random-query matrix, across batch sizes.
 
 Tier-1 runs a rotating slice; the ``slow``-marked sweep covers the full
 matrix in nightly CI under the rotating ``REPRO_MATRIX_SEED``.
 """
 
-import itertools
 import os
 
 import pytest
 
 from repro import Database
-from repro.optimizer import PlannerOptions
 from repro.physical import walk_plan
 from repro.qa import RandomWorkload
 from repro.qa.randomqueries import load_dataset
@@ -21,8 +18,6 @@ from repro.qa.randomqueries import load_dataset
 SEED = int(os.environ.get("REPRO_MATRIX_SEED", "1977"))
 
 BATCH_SIZES = [1, 64, 1024]
-DEGREES = [1, 2]
-CELLS = list(itertools.product(BATCH_SIZES, DEGREES))
 
 _workload = RandomWorkload(SEED)
 _reference = _workload.reference()
@@ -62,23 +57,14 @@ def actuals_of(plan):
     ]
 
 
-def check_case(index: int, batch_size: int, degree: int):
+def check_case(index: int, batch_size: int):
     case = _workload.case(index)
     row_db, col_db = engines_for(batch_size)
-    options = PlannerOptions(
-        parallel_degree=degree, force_parallel=degree > 1
-    )
-    try:
-        row_db.options = options
-        col_db.options = options
-        row_result = row_db.query(case.sql)
-        col_result = col_db.query(case.sql)
-    finally:
-        row_db.options = PlannerOptions()
-        col_db.options = PlannerOptions()
+    row_result = row_db.query(case.sql)
+    col_result = col_db.query(case.sql)
     assert col_result.rows == row_result.rows, (
         f"columnar rows differ from row engine for seed={SEED} "
-        f"case={index} (batch={batch_size}, degree={degree})\n"
+        f"case={index} (batch={batch_size})\n"
         f"  sql: {case.sql}"
     )
     assert case.matches(col_result.rows, _reference), (
@@ -87,26 +73,25 @@ def check_case(index: int, batch_size: int, degree: int):
     )
     assert actuals_of(col_result.plan) == actuals_of(row_result.plan), (
         f"per-node actuals differ between engines for seed={SEED} "
-        f"case={index} (batch={batch_size}, degree={degree})\n"
+        f"case={index} (batch={batch_size})\n"
         f"  sql: {case.sql}"
     )
 
 
 class TestColumnarSlice:
-    """Tier-1 slice: 30 cases, each under a rotating (batch, degree)
-    cell, so every combination is hit on every run."""
+    """Tier-1 slice: 30 cases, each under a rotating batch size, so
+    every batch size is hit on every run."""
 
     @pytest.mark.parametrize("index", range(30))
     def test_case_matches_row_engine(self, index):
-        batch_size, degree = CELLS[index % len(CELLS)]
-        check_case(index, batch_size, degree)
+        check_case(index, BATCH_SIZES[index % len(BATCH_SIZES)])
 
 
 @pytest.mark.slow
 class TestColumnarFullMatrix:
-    """Nightly sweep: 200 cases, every (batch, degree) cell per case."""
+    """Nightly sweep: 200 cases, every batch size per case."""
 
     @pytest.mark.parametrize("index", range(200))
     def test_case_matches_row_engine_all_cells(self, index):
-        for batch_size, degree in CELLS:
-            check_case(index, batch_size, degree)
+        for batch_size in BATCH_SIZES:
+            check_case(index, batch_size)

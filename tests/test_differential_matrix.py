@@ -1,6 +1,6 @@
 """The differential test matrix: seeded random queries, every planner
-strategy, every batch size, every parallel degree — all against the
-brute-force reference evaluator in :mod:`repro.qa`.
+strategy, every batch size — all against the brute-force reference
+evaluator in :mod:`repro.qa`.
 
 Failures print a pointer to a self-contained repro script (also written
 to ``repro_failures/`` when a failure occurs), so a red nightly run is
@@ -27,8 +27,7 @@ SEED = int(os.environ.get("REPRO_MATRIX_SEED", "1977"))
 
 STRATEGIES = ["dp", "greedy", "syntactic"]
 BATCH_SIZES = [1, 64, 1024]
-DEGREES = [1, 2, 4]
-COMBOS = list(itertools.product(STRATEGIES, BATCH_SIZES, DEGREES))
+COMBOS = list(itertools.product(STRATEGIES, BATCH_SIZES))
 
 FAILURE_DIR = Path(__file__).resolve().parent.parent / "repro_failures"
 
@@ -39,8 +38,8 @@ _databases = {}
 
 def database_for(batch_size: int) -> Database:
     """One engine per batch size, data loaded once (module-lifetime cache).
-    Small work memory on purpose: serial plans spill, so the matrix also
-    exercises the spill-vs-parallel interaction."""
+    Small work memory on purpose: plans spill, so the matrix also
+    exercises the external sort and the Grace hash join."""
     if batch_size not in _databases:
         db = Database(buffer_pages=64, work_mem_pages=4, batch_size=batch_size)
         load_dataset(db, _workload.dataset())
@@ -48,7 +47,7 @@ def database_for(batch_size: int) -> Database:
     return _databases[batch_size]
 
 
-def check_case(index: int, strategy: str, batch_size: int, degree: int):
+def check_case(index: int, strategy: str, batch_size: int):
     """Run case *index* under one matrix cell and compare to reference.
 
     On mismatch, write the repro script and fail with its path — the
@@ -56,11 +55,7 @@ def check_case(index: int, strategy: str, batch_size: int, degree: int):
     """
     case = _workload.case(index)
     db = database_for(batch_size)
-    db.options = PlannerOptions(
-        strategy=strategy,
-        parallel_degree=degree,
-        force_parallel=degree > 1,
-    )
+    db.options = PlannerOptions(strategy=strategy)
     try:
         got = db.query(case.sql).rows
     finally:
@@ -68,21 +63,15 @@ def check_case(index: int, strategy: str, batch_size: int, degree: int):
     if case.matches(got, _reference):
         return
     FAILURE_DIR.mkdir(exist_ok=True)
-    name = f"seed{SEED}_case{index}_{strategy}_b{batch_size}_d{degree}.py"
+    name = f"seed{SEED}_case{index}_{strategy}_b{batch_size}.py"
     script_path = FAILURE_DIR / name
     script_path.write_text(
-        repro_script(
-            SEED,
-            index,
-            strategy=strategy,
-            batch_size=batch_size,
-            parallel_degree=degree,
-        )
+        repro_script(SEED, index, strategy=strategy, batch_size=batch_size)
     )
     want = case.expected(_reference)
     pytest.fail(
         f"differential mismatch for seed={SEED} case={index} "
-        f"({strategy}, batch={batch_size}, degree={degree})\n"
+        f"({strategy}, batch={batch_size})\n"
         f"  sql: {case.sql}\n"
         f"  engine rows: {len(got)}, reference rows: {len(want)}\n"
         f"  repro script: {script_path}\n"
@@ -92,25 +81,24 @@ def check_case(index: int, strategy: str, batch_size: int, degree: int):
 
 class TestMatrixSlice:
     """Tier-1 slice: 40 cases, each under a rotating matrix cell, so every
-    strategy × batch × degree combination is hit on every run."""
+    strategy × batch combination is hit on every run."""
 
     @pytest.mark.parametrize("index", range(40))
     def test_case_matches_reference(self, index):
-        strategy, batch_size, degree = COMBOS[index % len(COMBOS)]
-        check_case(index, strategy, batch_size, degree)
+        strategy, batch_size = COMBOS[index % len(COMBOS)]
+        check_case(index, strategy, batch_size)
 
 
 @pytest.mark.slow
 class TestFullMatrix:
     """Nightly sweep: ≥200 cases; every case runs under all strategies
-    with batch/degree rotating per case (600 engine executions)."""
+    with the batch size rotating per case (600 engine executions)."""
 
     @pytest.mark.parametrize("index", range(200))
     def test_case_matches_reference_all_strategies(self, index):
-        cells = list(itertools.product(BATCH_SIZES, DEGREES))
-        batch_size, degree = cells[index % len(cells)]
+        batch_size = BATCH_SIZES[index % len(BATCH_SIZES)]
         for strategy in STRATEGIES:
-            check_case(index, strategy, batch_size, degree)
+            check_case(index, strategy, batch_size)
 
 
 @pytest.mark.fuzz
@@ -128,26 +116,17 @@ class TestFreshSeeds:
         load_dataset(db, workload.dataset())
         for index in range(25):
             case = workload.case(index)
-            strategy, _, degree = COMBOS[index % len(COMBOS)]
-            db.options = PlannerOptions(
-                strategy=strategy,
-                parallel_degree=degree,
-                force_parallel=degree > 1,
-            )
+            strategy, _ = COMBOS[index % len(COMBOS)]
+            db.options = PlannerOptions(strategy=strategy)
             got = db.query(case.sql).rows
             db.options = PlannerOptions()
             if not case.matches(got, reference):
                 FAILURE_DIR.mkdir(exist_ok=True)
-                name = f"seed{seed}_case{index}_{strategy}_d{degree}.py"
+                name = f"seed{seed}_case{index}_{strategy}.py"
                 path = FAILURE_DIR / name
                 path.write_text(
                     repro_script(
-                        seed,
-                        index,
-                        strategy=strategy,
-                        parallel_degree=degree,
-                        r_rows=120,
-                        s_rows=80,
+                        seed, index, strategy=strategy, r_rows=120, s_rows=80
                     )
                 )
                 pytest.fail(

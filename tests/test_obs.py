@@ -436,7 +436,6 @@ class TestQueryLogRoundTrip:
             execution_ms=3.1,
             spills=2,
             temp_files=3,
-            parallel_workers=4,
             plan_changed=True,
             baseline_cost_delta=-5.5,
             buffer_hits=19,
@@ -454,10 +453,7 @@ class TestQueryLogRoundTrip:
         # a field added to the dataclass but missing from the dict would
         # silently drop data — enumerate fields() so it fails loudly
         assert set(data) == {f.name for f in fields(QueryLogRecord)}
-        for name in (
-            "parallel_workers", "plan_changed", "baseline_cost_delta",
-            "buffer_hits",
-        ):
+        for name in ("plan_changed", "baseline_cost_delta", "buffer_hits"):
             assert name in data
 
     def test_record_round_trips_through_dict_and_json(self):
@@ -478,18 +474,30 @@ class TestQueryLogRoundTrip:
         with pytest.raises(ValueError, match="bogus_field"):
             QueryLogRecord.from_dict(data)
 
+    def test_retired_parallel_workers_key_is_dropped(self):
+        """Logs written while the exchange layer existed carry a
+        ``parallel_workers`` key; they load, and the key is gone."""
+        from repro.obs import QueryLogRecord
+
+        record = self._record()
+        data = dict(record.as_dict(), parallel_workers=4)
+        assert QueryLogRecord.from_dict(data) == record
+
+    def test_retired_key_does_not_excuse_other_unknown_keys(self):
+        from repro.obs import QueryLogRecord
+
+        data = dict(self._record().as_dict(), parallel_workers=4, bogus=1)
+        with pytest.raises(ValueError, match=r"\['bogus'\]"):
+            QueryLogRecord.from_dict(data)
+
     def test_older_logs_without_new_fields_still_load(self):
         from repro.obs import QueryLogRecord
 
         data = self._record().as_dict()
-        # a log persisted before PR 3/5/6 lacks the newer fields
-        for name in (
-            "parallel_workers", "plan_changed", "baseline_cost_delta",
-            "buffer_hits",
-        ):
+        # a log persisted before PR 5/6 lacks the newer fields
+        for name in ("plan_changed", "baseline_cost_delta", "buffer_hits"):
             del data[name]
         record = QueryLogRecord.from_dict(data)
-        assert record.parallel_workers == 0
         assert record.plan_changed is False
         assert record.baseline_cost_delta == 0.0
         assert record.buffer_hits == 0
@@ -502,7 +510,6 @@ class TestQueryLogRoundTrip:
         log.record(self._record(sql="SELECT 2 FROM t", plan_changed=False))
         back = QueryLog.from_json(log.to_json())
         assert back.entries() == log.entries()
-        assert back.entries()[0].parallel_workers == 4
         assert back.entries()[0].baseline_cost_delta == -5.5
 
     def test_database_populates_buffer_hits(self):

@@ -1,154 +1,41 @@
-"""Property tests for the partitioning primitives under parallel
-execution (hypothesis-driven).
+"""Property tests for ``partition_hash``, the function the Grace hash
+join partitions its spill files by (hypothesis-driven).
 
-Three properties carry the bit-identity argument for parallel plans:
-
-* hash partitioning is an *exact multiset partition* — every row lands in
-  exactly one worker, none are lost or duplicated;
-* rows with *equal join keys co-partition* — including across numeric
-  types (``1`` and ``1.0`` compare equal in SQL, so they must hash
-  equal too) — which is what makes the co-partitioned hash join exact;
-* the gather's k-way merge over per-worker sorted runs *preserves sort
-  order* and equals the serial stable sort.
+Both join inputs are partitioned independently and only same-numbered
+partitions are joined, so the join is exact only if equal keys always
+hash equal — including across numeric types (``1`` and ``1.0`` compare
+equal in SQL) — and the hash of a value never depends on the process
+that computes it.
 """
 
-from collections import Counter
-
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.executor import page_range, partition_hash, partition_of
-from repro.executor.sortutil import _KeyPart, SortKey
+from repro.executor.joins import partition_hash
 
 keys = st.one_of(
-    st.none(),
     st.integers(min_value=-(2**40), max_value=2**40),
     st.floats(allow_nan=False, allow_infinity=False, width=32),
     st.text(max_size=12),
 )
 
-degrees = st.integers(min_value=1, max_value=8)
-
 
 class TestHashPartitioning:
-    @given(st.lists(keys), degrees)
-    def test_exact_multiset_partition(self, values, degree):
-        """Each value goes to exactly one partition; the partitions'
-        union is the input multiset."""
-        parts = [
-            [v for v in values if partition_of(v, degree) == w]
-            for w in range(degree)
-        ]
-        assert sum(len(p) for p in parts) == len(values)
-        merged = Counter(map(repr, (v for part in parts for v in part)))
-        assert merged == Counter(map(repr, values))
-
-    @given(keys, degrees)
-    def test_partition_in_range(self, value, degree):
-        assert 0 <= partition_of(value, degree) < degree
-
-    @given(keys)
-    def test_degree_one_is_identity(self, value):
-        assert partition_of(value, 1) == 0
-
-    @given(st.integers(min_value=-(2**31), max_value=2**31), degrees)
-    def test_equal_int_float_keys_co_partition(self, n, degree):
+    @given(st.integers(min_value=-(2**31), max_value=2**31))
+    def test_equal_int_float_keys_co_partition(self, n):
         """SQL equality is cross-type (1 = 1.0), so the hash must agree
         across int and integral float representations."""
         assert partition_hash(n) == partition_hash(float(n))
-        assert partition_of(n, degree) == partition_of(float(n), degree)
 
     @given(keys)
     def test_hash_is_deterministic(self, value):
         assert partition_hash(value) == partition_hash(value)
+        assert 0 <= partition_hash(value) <= 0xFFFFFFFF
 
-    @given(degrees)
-    def test_nulls_land_in_worker_zero(self, degree):
-        assert partition_of(None, degree) == 0
-
-
-class TestPageRanges:
-    @given(st.integers(min_value=0, max_value=10_000), degrees)
-    def test_slices_tile_the_heap(self, num_pages, degree):
-        """Worker page slices are contiguous, disjoint, and cover every
-        page in order — concatenation is the serial scan."""
-        covered = []
-        previous_end = 0
-        for worker in range(degree):
-            first, last = page_range(num_pages, worker, degree)
-            assert first == previous_end
-            previous_end = last
-            covered.extend(range(first, last))
-        assert covered == list(range(num_pages))
-
-    @given(st.integers(min_value=0, max_value=10_000), degrees)
-    def test_slices_are_balanced(self, num_pages, degree):
-        sizes = [
-            last - first
-            for first, last in (
-                page_range(num_pages, w, degree) for w in range(degree)
-            )
-        ]
-        assert max(sizes) - min(sizes) <= 1
-
-
-rows = st.lists(
-    st.tuples(
-        st.integers(min_value=-100, max_value=100),
-        st.text(max_size=4),
-    ),
-    max_size=60,
-)
-
-
-class TestGatherMerge:
-    @given(rows, degrees)
-    def test_merge_equals_serial_stable_sort(self, data, degree):
-        """Per-worker stable sort + k-way merge keyed on (sort key,
-        worker index, row index) == one serial stable sort.  This is
-        exactly the decoration GatherOp._merge_on_keys applies."""
-        import heapq
-
-        def key(row):
-            return SortKey([_KeyPart(row[0], True)])
-
-        serial = sorted(data, key=key)
-        workers = [
-            sorted(
-                [r for i, r in enumerate(data) if i % degree == w], key=key
-            )
-            for w in range(degree)
-        ]
-        streams = [
-            [(key(r), w, i, r) for i, r in enumerate(run)]
-            for w, run in enumerate(workers)
-        ]
-        merged = [entry[3] for entry in heapq.merge(*streams)]
-        # the merge is ordered like the serial sort on the key column;
-        # the full row lists are permutations within equal keys
-        assert [r[0] for r in merged] == [r[0] for r in serial]
-        assert Counter(merged) == Counter(serial)
-
-    @given(rows, degrees)
-    @settings(max_examples=50)
-    def test_contiguous_split_merge_is_bit_identical(self, data, degree):
-        """When workers take *contiguous slices* (the page-range split),
-        the worker-index tie-break reproduces the serial stable sort
-        bit for bit — the stronger property parallel ORDER BY relies on."""
-        import heapq
-
-        def key(row):
-            return SortKey([_KeyPart(row[0], True)])
-
-        serial = sorted(data, key=key)
-        n = len(data)
-        slices = [
-            data[w * n // degree : (w + 1) * n // degree]
-            for w in range(degree)
-        ]
-        streams = [
-            [(key(r), w, i, r) for i, r in enumerate(sorted(run, key=key))]
-            for w, run in enumerate(slices)
-        ]
-        merged = [entry[3] for entry in heapq.merge(*streams)]
-        assert merged == serial
+    def test_strings_hash_by_fnv1a_not_by_hash_seed(self):
+        """Published FNV-1a 32-bit vectors: the string hash is a function
+        of the UTF-8 bytes alone, so ``PYTHONHASHSEED`` never leaks in
+        and two runs partition a spilled join the same way."""
+        assert partition_hash("") == 0x811C9DC5
+        assert partition_hash("a") == 0xE40C292C
+        assert partition_hash("foobar") == 0xBF9CF968

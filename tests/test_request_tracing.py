@@ -1,10 +1,10 @@
 """End-to-end request tracing: span identity, propagated trace contexts,
-WAL/lock/MVCC spans, forked-worker span grafting, Chrome trace export,
+WAL/lock/MVCC spans, Chrome trace export,
 latency histograms, and the sys_stat_traces/sys_stat_locks tables.
 
 The acceptance bar this file holds the engine to: a statement executed
 through the server yields ONE connected span tree — protocol decode →
-lock wait → execution (worker spans included) → wal.append → wal.fsync →
+lock wait → execution → wal.append → wal.fsync →
 commit — exportable as structurally valid Chrome trace-event JSON, and
 the number of ``wal.fsync`` spans reconciles exactly with the WAL
 writer's ``fsyncs`` counter.
@@ -28,7 +28,6 @@ from repro.obs import (
     trace_span,
     validate_chrome_trace,
 )
-from repro.optimizer import PlannerOptions
 from repro.server import Client, DatabaseServer
 
 
@@ -113,20 +112,6 @@ class TestSpanIdentity:
         with trace_span("orphan") as sp:
             sp.add("x")
             sp.set_attr("k", "v")  # must not raise
-
-    def test_graft_links_external_subtree(self):
-        tracer = Tracer()
-        foreign = Tracer(trace_id=tracer.trace_id, id_base=1_000_000)
-        with foreign.span("worker"):
-            with foreign.span("scan"):
-                pass
-        with tracer.span("request"):
-            tracer.graft(foreign.root)
-        root = tracer.root
-        worker = root.find("worker")
-        assert worker.parent_id == root.span_id
-        assert worker.span_id == 1_000_001
-        assert_connected(root)
 
     def test_record_span_clamps_negative_start(self):
         tracer = Tracer()
@@ -245,52 +230,6 @@ class TestEngineSpans:
         assert db.last_request_trace is None
 
 
-# -- forked worker span propagation -------------------------------------------
-
-
-class TestWorkerSpans:
-    def test_worker_spans_graft_under_parent(self):
-        db = Database()
-        db.execute("CREATE TABLE big (id INT, grp INT)")
-        db.insert_rows("big", [(i, i % 7) for i in range(4000)])
-        db.options = PlannerOptions(parallel_degree=3, force_parallel=True)
-        result = db.execute(
-            "SELECT grp, COUNT(*) FROM big GROUP BY grp ORDER BY grp"
-        )
-        assert result.rowcount == 7
-        root = db.last_trace
-        workers = root.find_all("worker")
-        assert len(workers) == 3
-        assert sorted(w.attrs["worker"] for w in workers) == ["0", "1", "2"]
-        for w in workers:
-            assert w.counters["rows"] > 0
-            # worker ids live in their own namespace, still linked
-            assert w.span_id >= 1_000_000
-        assert_connected(root)
-
-    def test_worker_spans_on_parent_timeline(self):
-        db = Database()
-        db.execute("CREATE TABLE big (id INT, grp INT)")
-        db.insert_rows("big", [(i, i % 5) for i in range(4000)])
-        db.options = PlannerOptions(parallel_degree=2, force_parallel=True)
-        db.execute("SELECT grp, COUNT(*) FROM big GROUP BY grp")
-        root = db.last_trace
-        for w in root.find_all("worker"):
-            # pinned t0 puts worker offsets inside the request interval
-            assert 0.0 <= w.start_ms <= root.duration_ms + 1.0
-
-    def test_untraced_parallel_query_ships_no_spans(self):
-        from repro.obs import ObsConfig
-
-        db = Database(obs=ObsConfig.off())
-        db.execute("CREATE TABLE big (id INT, grp INT)")
-        db.insert_rows("big", [(i, i % 3) for i in range(3000)])
-        db.options = PlannerOptions(parallel_degree=2, force_parallel=True)
-        result = db.execute("SELECT grp, COUNT(*) FROM big GROUP BY grp")
-        assert result.rowcount == 3
-        assert db.last_trace is None
-
-
 # -- the server path -----------------------------------------------------------
 
 
@@ -386,24 +325,6 @@ class TestServerTracing:
 
 
 class TestChromeExport:
-    def _traced(self, sql_rows=200):
-        db = Database()
-        db.execute("CREATE TABLE big (id INT, grp INT)")
-        db.insert_rows("big", [(i, i % 4) for i in range(4000)])
-        db.options = PlannerOptions(parallel_degree=2, force_parallel=True)
-        db.execute("SELECT grp, COUNT(*) FROM big GROUP BY grp")
-        return db
-
-    def test_workers_get_their_own_track(self):
-        db = self._traced()
-        trace = RequestTrace("abc", "q", db.last_trace)
-        obj = chrome_trace_events(trace)
-        assert validate_chrome_trace(obj) == []
-        tids = {
-            e["tid"] for e in obj["traceEvents"] if e["name"] == "worker"
-        }
-        assert tids == {2, 3}
-
     def test_metadata_and_root_args(self):
         tracer = Tracer(trace_id="1234567812345678")
         with tracer.span("request"):

@@ -14,7 +14,6 @@ import pytest
 
 from repro import Database, ObsConfig
 from repro.obs import SYSTEM_TABLE_NAMES, AutoExplainConfig, WaitEventStats
-from repro.optimizer import PlannerOptions
 
 
 def _db(**kwargs):
@@ -227,27 +226,6 @@ class TestWaitAccounting:
         assert db.waits.count("exec.cpu") == 1
         db.query("SELECT COUNT(*) AS n FROM t")
         assert db.waits.count("exec.cpu") == 2
-
-    def test_exchange_waits_and_worker_deltas_fold_into_parent(self):
-        db = _db(options=PlannerOptions(parallel_degree=2, force_parallel=True))
-        db.pool.clear()
-        db.reset_io()
-        db.waits.reset()
-        access0 = db.table("t").access.snapshot()
-        result = db.query("SELECT b FROM t WHERE b < 100.0")
-        if not result.exec_metrics.parallel_workers:
-            pytest.skip("no parallel plan chosen for this shape")
-        # worker I/O waits shipped back: counts reconcile exactly
-        assert db.waits.count("io.read") == db.disk.stats.reads
-        # the parallel region's lifecycle events were timed
-        workers = result.exec_metrics.parallel_workers
-        assert db.waits.count("exchange.startup") == workers
-        assert db.waits.count("exchange.recv") == workers
-        assert db.waits.count("exchange.send") == workers
-        # per-table access deltas folded: the workers' scans are visible
-        seq, _, rows_read, _, _, _ = db.table("t").access.delta(access0)
-        assert seq == workers
-        assert rows_read == 200
 
     def test_wait_registry_round_trips_and_renders_rows(self):
         stats = WaitEventStats()

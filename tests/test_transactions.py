@@ -176,22 +176,6 @@ class TestLocking:
         s1.close()
         s2.close()
 
-    def test_read_blocks_when_mvcc_disabled(self):
-        """The escape hatch keeps the old semantics: with mvcc=False
-        readers take shared locks and time out against a writer."""
-        db = make_db(mvcc=False)
-        db.txn.lock_timeout = 0.2
-        s1 = db.create_session()
-        s2 = db.create_session()
-        s1.execute("BEGIN")
-        s1.execute("DELETE FROM t WHERE id = 1")
-        with pytest.raises(LockTimeout):
-            s2.query("SELECT COUNT(*) FROM t")
-        s1.execute("COMMIT")
-        assert s2.query("SELECT COUNT(*) FROM t").rows == [(4,)]
-        s1.close()
-        s2.close()
-
 
 class TestDurableTransactions:
     def test_committed_txn_survives_reopen(self, tmp_path):

@@ -2,9 +2,7 @@
 
 Mirrors the buffer-pool concurrency suite: many threads hammer the same
 shared registries and every counter must stay exactly additive — no lost
-increments, no torn (count, seconds) pairs.  The forked-worker path ships
-snapshot deltas through these same structures, so additivity here is what
-makes parallel-query accounting exact.
+increments, no torn (count, seconds) pairs.
 """
 
 import random
@@ -65,19 +63,6 @@ class TestWaitEventStatsConcurrency:
         _run_threads(worker)
         assert stats.count("exec.cpu") == THREADS * PER_THREAD
         assert stats.seconds("exec.cpu") >= 0.0
-
-    def test_concurrent_merge_of_worker_deltas(self):
-        """The exact shape of the forked-worker fold-in, done from threads."""
-        parent = WaitEventStats()
-
-        def worker(seed):
-            private = WaitEventStats()
-            for _ in range(PER_THREAD):
-                private.record("io.read", 0.002)
-            parent.merge(private.delta({}))
-
-        _run_threads(worker)
-        assert parent.count("io.read") == THREADS * PER_THREAD
 
     def test_snapshot_during_writes_is_consistent(self):
         stats = WaitEventStats()
