@@ -19,8 +19,9 @@ with ``;``.  Meta-commands:
   data SQL sees as ``SELECT * FROM sys_stat_waits``
 * ``\\slow [N]``     — last N auto_explain captures (default 5);
   ``\\slow on [MS]`` / ``\\slow off`` toggles capture (threshold in ms)
-* ``\\cache``        — plan/result cache sizes, hit rates and last
-  invalidation; ``\\cache on`` / ``\\cache off`` toggles both caches
+* ``\\cache``        — plan cache shapes, variants and replans, result
+  cache entries, hit rates and last invalidation; ``\\cache on`` /
+  ``\\cache off`` toggles both caches
 * ``\\load demo``    — load the wholesale demo schema
 * ``\\q``            — quit
 
@@ -194,25 +195,31 @@ def main(argv=None) -> int:
             elif command == "\\cache":
                 if len(parts) > 1 and parts[1] in ("on", "off"):
                     enabled = parts[1] == "on"
-                    db.obs.plan_cache = enabled
+                    db.plan_cache.size = (
+                        db.obs.plan_cache_size if enabled else 0
+                    )
                     db.obs.result_cache = enabled
                     if not enabled:
                         db.plan_cache.invalidate("\\cache off")
                         db.result_cache.invalidate("\\cache off")
                     print(f"query caches {'on' if enabled else 'off'}")
                     continue
-                for label, cache, size, on in (
+                plans = db.plan_cache
+                for label, cache, on, entries in (
                     (
                         "plan  ",
-                        db.plan_cache,
-                        db.obs.plan_cache_size,
-                        db.obs.plan_cache,
+                        plans,
+                        plans.size > 0,
+                        f"{len(plans)}/{plans.size} variants of "
+                        f"{plans.shapes} shapes  "
+                        f"replans={plans.stats.replans}",
                     ),
                     (
                         "result",
                         db.result_cache,
-                        db.obs.result_cache_size,
                         db.obs.result_cache,
+                        f"{len(db.result_cache)}/"
+                        f"{db.obs.result_cache_size} entries",
                     ),
                 ):
                     s = cache.stats
@@ -223,7 +230,7 @@ def main(argv=None) -> int:
                     )
                     print(
                         f"  {label} [{'on ' if on else 'off'}] "
-                        f"{len(cache)}/{size} entries  "
+                        f"{entries}  "
                         f"hits={s.hits} misses={s.misses} "
                         f"hit_rate={s.hit_rate:.1%} "
                         f"dropped={s.invalidations}{last}"

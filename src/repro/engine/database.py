@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..algebra import JoinGraph, LogicalGet, build_plan
+from ..algebra import build_plan
 from ..catalog import Catalog, IndexKind, TableInfo
 from ..executor import ExecContext, ExecMetrics, run
 from ..executor.scans import live_rows
@@ -60,11 +60,9 @@ from ..obs import (
 )
 from ..optimizer import (
     CostModel,
-    Estimator,
     Planner,
     PlannerOptions,
     PlannerStats,
-    StatsResolver,
     access_paths,
 )
 from ..physical import PhysicalPlan, PIndexScan, walk_plan
@@ -96,7 +94,15 @@ from ..wal import (
     recover,
     write_checkpoint,
 )
-from .cache import PlanCache, ResultCache
+from .cache import (
+    CachedPlan,
+    Lifted,
+    PlanCache,
+    ResultCache,
+    lift_select,
+    lift_where,
+    relation_estimator,
+)
 from .session import Session
 from .views import Expansion, ViewDef, ViewExpander
 from ..storage import BufferPool, BufferStats, DiskManager, IOStats, Replacement
@@ -207,9 +213,9 @@ class Database:
         self.activity = ActivityRegistry()
         #: slow-statement capture (``auto_explain``-style)
         self.auto_explain = AutoExplain(self.obs.auto_explain)
-        #: inter-query caches: physical plans keyed by statement
-        #: fingerprint, and (off by default) read-only result rows keyed
-        #: by exact SQL; see ``engine.cache``
+        #: inter-query caches: physical plans keyed by literal-lifted
+        #: statement shape, and (off by default) read-only result rows
+        #: keyed by exact SQL; see ``engine.cache``
         self.plan_cache = PlanCache(self.obs.plan_cache_size)
         self.result_cache = ResultCache(self.obs.result_cache_size)
         #: per-table write counters + a global DDL/stats epoch; the
@@ -241,6 +247,17 @@ class Database:
                 sync=wal_sync,
             )
             self.txn.set_next_txn_id(self.last_recovery.next_txn_id)
+
+    @property
+    def options(self) -> PlannerOptions:
+        return self._options
+
+    @options.setter
+    def options(self, options: PlannerOptions) -> None:
+        self._options = options
+        #: part of every plan-cache shape, so plans picked under other
+        #: options are never served; rendered here, not per lookup
+        self._options_key = repr(options)
 
     # -- cache invalidation ------------------------------------------------------------
 
@@ -527,19 +544,21 @@ class Database:
             self.txn.lock_table(txn, stmt.table)
             with self.txn.activate(txn), self._stmt_lock:
                 with trace_span("execute") as sp:
-                    path = None  # the access path that located the victims
+                    # the access path that located the victims, and
+                    # whether it came out of the plan cache
+                    path, plan_cache_hit = None, False
                     if isinstance(stmt, InsertStmt):
                         count = self._insert(stmt)
                         kind = "insert"
                         result = QueryResult(rows=[], columns=[])
                     elif isinstance(stmt, DeleteStmt):
-                        count, path = self._delete(stmt)
+                        count, path, plan_cache_hit = self._delete(stmt)
                         kind = "delete"
                         result = QueryResult(
                             rows=[(count,)], columns=["deleted"]
                         )
                     else:
-                        count, path = self._update(stmt)
+                        count, path, plan_cache_hit = self._update(stmt)
                         kind = "update"
                         result = QueryResult(
                             rows=[(count,)], columns=["updated"]
@@ -576,6 +595,7 @@ class Database:
                 dstats.reads - reads0,
                 dstats.writes - writes0,
                 path,
+                plan_cache_hit,
             )
         return result
 
@@ -590,12 +610,16 @@ class Database:
         reads: int,
         writes: int,
         path: Optional[PhysicalPlan],
+        plan_cache_hit: bool,
     ) -> None:
         """Feed one finished DML statement into the metrics registry, the
         latency store, and the query log (with session/txn attribution) —
         the write-side twin of :meth:`_record_query`.  *path* is the scan
         that located an UPDATE/DELETE's rows (None for INSERT): its
         estimates are what the log scores against the rows modified."""
+        log = self.query_log.capacity > 0
+        if not (log or self.obs.metrics):
+            return
         fingerprint = statement_fingerprint(sql)
         if self.obs.metrics:
             m = self.metrics
@@ -603,7 +627,7 @@ class Database:
             m.counter("rows_modified_total").inc(count)
             m.histogram("dml_execution_ms").observe(elapsed * 1000.0)
             self.latency.observe(fingerprint, elapsed * 1000.0)
-        if self.query_log.capacity > 0:
+        if log:
             est_rows = float(count) if path is None else path.est_rows
             self.query_log.record(
                 QueryLogRecord(
@@ -617,6 +641,7 @@ class Database:
                     actual_writes=writes,
                     planning_ms=0.0,
                     execution_ms=elapsed * 1000.0,
+                    plan_cache_hit=plan_cache_hit,
                     kind=kind,
                     session_id=session.id,
                     txn_id=txn.id,
@@ -1271,20 +1296,6 @@ class Database:
         return result
 
     @staticmethod
-    def _has_subqueries(stmt: SelectStmt) -> bool:
-        from ..expr import contains_subquery
-
-        exprs = [item.expr for item in stmt.items if item.expr is not None]
-        exprs += [j.condition for j in stmt.joins if j.condition is not None]
-        exprs += list(stmt.group_by)
-        exprs += [o.expr for o in stmt.order_by]
-        if stmt.where is not None:
-            exprs.append(stmt.where)
-        if stmt.having is not None:
-            exprs.append(stmt.having)
-        return any(contains_subquery(e) for e in exprs)
-
-    @staticmethod
     def _plan_tables(physical: PhysicalPlan) -> set:
         """Lower-cased names of every base table the plan reads."""
         names = set()
@@ -1380,13 +1391,17 @@ class Database:
         # Cacheable = user-issued, not EXPLAIN ANALYZE (which must show a
         # cold plan), feedback off (feedback-corrected plans drift between
         # executions), and no subqueries (decomposition bakes subquery
-        # *results* into the plan as literals).
-        cacheable = (
+        # *results* into the plan as literals; the lifting walk is what
+        # finds them).
+        lifted = None
+        if (
             sql is not None
             and not analyze
             and not self.options.use_feedback
-            and not self._has_subqueries(stmt)
-        )
+            and (self.plan_cache.size or self.obs.result_cache)
+        ):
+            lifted = lift_select(stmt)
+        cacheable = lifted is not None
         # A session with pending (uncommitted) writes bypasses the result
         # cache: entries reflect committed state only, so serving one
         # could hide the session's own changes — while evicting it (the
@@ -1424,19 +1439,6 @@ class Database:
                 return result
             if self.obs.metrics:
                 self.metrics.counter("cache_result_misses_total").inc()
-        cached_plan = None
-        fingerprint = options_key = None
-        if cacheable and self.obs.plan_cache:
-            fingerprint = statement_fingerprint(sql)
-            options_key = repr(self.options)
-            cached_plan = self.plan_cache.lookup(fingerprint, sql, options_key)
-            if self.obs.metrics:
-                self.metrics.counter(
-                    "cache_plan_hits_total"
-                    if cached_plan is not None
-                    else "cache_plan_misses_total"
-                ).inc()
-        plan_cache_hit = cached_plan is not None
         entry = (
             self.activity.begin(
                 sql, session_id=session.id if session is not None else 0
@@ -1448,28 +1450,29 @@ class Database:
             entry.snapshot_ts = snapshot.ts
             entry.snapshot_acquired = snapshot.acquired_at
         made_transients = False
+        cached = None
+        plan_cache_hit = False
         try:
-            if cached_plan is not None:
-                physical, pstats = cached_plan, PlannerStats()
-            else:
+            pstats = PlannerStats()
+
+            def plan_cold(stmt: SelectStmt) -> PhysicalPlan:
+                nonlocal pstats
                 with tracer.span("plan"):
                     physical, pstats = self.plan_select(
                         stmt, tracer=tracer, collect_search=collect_search
                     )
-                # plans that lean on per-statement transients (materialized
-                # views, system tables) die with those transients — never
-                # cache them
-                made_transients = (
-                    len(self._live_transients) > before_transients
+                return physical
+
+            if cacheable and self.plan_cache.size:
+                physical, cached, plan_cache_hit = self._cached_plan(
+                    lifted, lambda: plan_cold(lifted.stmt)
                 )
-                if (
-                    cacheable
-                    and self.obs.plan_cache
-                    and not made_transients
-                ):
-                    self.plan_cache.store(
-                        fingerprint, sql, options_key, physical
-                    )
+            else:
+                physical = plan_cold(stmt)
+            # plans that lean on per-statement transients (materialized
+            # views, system tables) die with those transients: they are
+            # never cached, plans or rows
+            made_transients = len(self._live_transients) > before_transients
             planning = time.perf_counter() - start
             if entry is not None:
                 entry.phase = "executing"
@@ -1527,9 +1530,42 @@ class Database:
         self._record_query(
             sql, physical, result, plan_cache_hit=plan_cache_hit,
             session=session,
+            plan_fp=cached.fingerprint if cached is not None else None,
         )
         self._maybe_auto_explain(sql, physical, result)
         return result
+
+    def _cached_plan(
+        self, lifted: Lifted, plan_cold
+    ) -> Tuple[PhysicalPlan, Optional[CachedPlan], bool]:
+        """Lookup-or-plan through the plan cache, for a SELECT and for the
+        scan that locates an UPDATE/DELETE's rows alike: the executable
+        plan for *lifted*'s literals, its cache entry, and whether that
+        was a hit.  On a miss *plan_cold* plans the statement and the
+        result becomes the template of a new variant — unless it leans on
+        transient tables, in which case it is run as it is and there is
+        no entry.  A cached template is never executed itself."""
+        shape = (self._options_key, lifted.key)
+        cache = self.plan_cache
+        replans = cache.stats.replans
+        cached = cache.lookup(shape, lifted.params)
+        hit = cached is not None
+        if self.obs.metrics:
+            self.metrics.counter(
+                "cache_plan_hits_total" if hit else "cache_plan_misses_total"
+            ).inc()
+            if cache.stats.replans != replans:
+                self.metrics.counter("cache_plan_replans_total").inc()
+        if cached is None:
+            before = len(self._live_transients)
+            physical = plan_cold()
+            if len(self._live_transients) > before:
+                return physical, None, False
+            cached = CachedPlan(
+                physical, lifted.params, self.options.estimator
+            )
+            cache.store(shape, cached)
+        return cached.bind(lifted.params), cached, hit
 
     def _record_query(
         self,
@@ -1539,12 +1575,23 @@ class Database:
         plan_cache_hit: bool = False,
         result_cache_hit: bool = False,
         session: Optional[Session] = None,
+        plan_fp: Optional[str] = None,
     ) -> None:
         """Feed one finished SELECT into the metrics registry and (for
         user-issued statements, ``sql is not None``) the query log.
+        *plan_fp* is the plan fingerprint when the plan-cache entry
+        already knows it.
 
         A result-cache hit never executed, so its stale plan actuals are
         kept out of the feedback store and the baseline observer."""
+        observe_baseline = (
+            self.obs.baselines and sql is not None and not result_cache_hit
+        )
+        statement_fp = (
+            statement_fingerprint(sql)
+            if sql is not None and (self.obs.metrics or observe_baseline)
+            else None
+        )
         if self.obs.metrics:
             m = self.metrics
             m.counter("queries_total").inc()
@@ -1567,23 +1614,23 @@ class Database:
             m.gauge("buffer_hit_ratio").set(self.pool.stats.hit_rate)
             if sql is not None:
                 self.latency.observe(
-                    statement_fingerprint(sql),
+                    statement_fp,
                     (result.planning_seconds + result.execution_seconds)
                     * 1000.0,
                 )
         if self.obs.feedback and not result_cache_hit:
             self._harvest_feedback(physical)
-        fingerprint = plan_fingerprint(physical)
+        fingerprint = plan_fp or plan_fingerprint(physical)
         est_cost = physical.total_est_cost()
         plan_changed = False
         cost_delta = 0.0
-        if self.obs.baselines and sql is not None and not result_cache_hit:
+        if observe_baseline:
             change = self.baselines.observe(
-                statement_fingerprint(sql),
+                statement_fp,
                 sql,
                 fingerprint,
                 est_cost,
-                plan_shape_text(physical),
+                physical,  # rendered only for a new or changed plan
                 result.execution_seconds * 1000.0,
             )
             if change is not None:
@@ -1813,16 +1860,18 @@ class Database:
 
     def _victims(
         self, info: TableInfo, where
-    ) -> Tuple[List[Tuple[Any, Any]], PhysicalPlan]:
-        """The (rid, row) pairs an UPDATE/DELETE touches, and the scan that
-        found them: the cheapest access path the optimizer prices for
-        *where* — the estimator and cost model a SELECT is planned with —
-        run against the current heap (the caller holds the table's
-        exclusive lock; its own uncommitted rows are visible).  Never
-        index-only: the old row is needed for undo and index maintenance.
-        Every fetched row is re-checked against the whole WHERE, and the
-        list is complete before the first mutation, so an UPDATE that moves
-        the key of the index being scanned visits each row once."""
+    ) -> Tuple[List[Tuple[Any, Any]], PhysicalPlan, bool]:
+        """The (rid, row) pairs an UPDATE/DELETE touches, the scan that
+        found them, and whether that scan came out of the plan cache: the
+        cheapest access path the optimizer prices for *where* — the
+        estimator and cost model a SELECT is planned with, and the same
+        cache, keyed by table and WHERE shape — run against the current
+        heap (the caller holds the table's exclusive lock; its own
+        uncommitted rows are visible).  Never index-only: the old row is
+        needed for undo and index maintenance.  Every fetched row is
+        re-checked against the whole WHERE, and the list is complete
+        before the first mutation, so an UPDATE that moves the key of the
+        index being scanned visits each row once."""
         from ..expr import compile_predicate, split_conjuncts
 
         # compiled first: a mistyped WHERE fails before anything is priced
@@ -1831,26 +1880,37 @@ class Database:
             if where is not None
             else None
         )
-        graph = JoinGraph(relations={info.name: LogicalGet(info)})
-        estimator = Estimator(
-            StatsResolver(graph),
-            self.options.estimator,
-            feedback=self.feedback if self.options.use_feedback else None,
-        )
-        candidates = access_paths(
-            info,
-            info.name,
-            split_conjuncts(where),
-            estimator,
-            self.model,
-            consider_unbounded_index=False,
-        )
-        plan = min(candidates, key=lambda cand: cand.cost.total).plan
-        return list(live_rows(plan, predicate)), plan
 
-    def _delete(self, stmt: DeleteStmt) -> Tuple[int, PhysicalPlan]:
+        def plan_cold(where) -> PhysicalPlan:
+            candidates = access_paths(
+                info,
+                info.name,
+                split_conjuncts(where),
+                relation_estimator(
+                    info,
+                    info.name,
+                    self.options.estimator,
+                    self.feedback if self.options.use_feedback else None,
+                ),
+                self.model,
+                consider_unbounded_index=False,
+            )
+            return min(candidates, key=lambda cand: cand.cost.total).plan
+
+        lifted = None
+        if self.plan_cache.size and not self.options.use_feedback:
+            lifted = lift_where(info.name, where)
+        if lifted is not None:
+            plan, _, hit = self._cached_plan(
+                lifted, lambda: plan_cold(lifted.stmt)
+            )
+        else:
+            plan, hit = plan_cold(where), False
+        return list(live_rows(plan, predicate)), plan, hit
+
+    def _delete(self, stmt: DeleteStmt) -> Tuple[int, PhysicalPlan, bool]:
         info = self.catalog.table(stmt.table)
-        victims, path = self._victims(info, stmt.where)
+        victims, path, hit = self._victims(info, stmt.where)
         keyers = info.index_keyers()
         for rid, row in victims:
             info.heap.delete(rid)
@@ -1859,9 +1919,9 @@ class Database:
                 if value is None and index.kind is IndexKind.HASH:
                     continue
                 index.structure.delete(value, rid)
-        return len(victims), path
+        return len(victims), path, hit
 
-    def _update(self, stmt: UpdateStmt) -> Tuple[int, PhysicalPlan]:
+    def _update(self, stmt: UpdateStmt) -> Tuple[int, PhysicalPlan, bool]:
         from ..expr import compile_expr
 
         info = self.catalog.table(stmt.table)
@@ -1871,7 +1931,7 @@ class Database:
         for column, expr in stmt.assignments:
             positions.append(schema.index_of(column))
             setters.append(compile_expr(expr, schema))
-        victims, path = self._victims(info, stmt.where)
+        victims, path, hit = self._victims(info, stmt.where)
         keyers = info.index_keyers()
         for rid, row in victims:
             new_row = list(row)
@@ -1890,7 +1950,7 @@ class Database:
                     index.structure.delete(old_value, rid)
                 if not (new_value is None and index.kind is IndexKind.HASH):
                     index.structure.insert(new_value, new_rid)
-        return len(victims), path
+        return len(victims), path, hit
 
     # -- durability ---------------------------------------------------------------------------
 

@@ -95,6 +95,11 @@ class ColumnRef(Expr):
 @dataclass(frozen=True)
 class Literal(Expr):
     value: Any
+    #: parameter slot, set when the plan cache lifted this literal out of
+    #: a statement (``engine.cache``).  Part of equality and hash: two
+    #: lifted literals never conflate through a set or a memo, even while
+    #: their values coincide, so each slot can be rebound on its own.
+    slot: Optional[int] = None
 
     def __str__(self) -> str:
         if isinstance(self.value, str):

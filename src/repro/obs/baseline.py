@@ -22,6 +22,8 @@ from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Any, Deque, Dict, List, Optional
 
+from .plandiff import plan_shape_text
+
 _STRING = re.compile(r"'(?:[^']|'')*'")
 _NUMBER = re.compile(r"\b\d+(?:\.\d+)?(?:e[+-]?\d+)?\b", re.IGNORECASE)
 _WS = re.compile(r"\s+")
@@ -125,22 +127,26 @@ class PlanBaselineStore:
         sql: str,
         plan_fp: str,
         est_cost: float,
-        plan_shape: str,
+        plan_shape: Any,
         execution_ms: float,
     ) -> Optional[PlanChange]:
         """Record one planned-and-executed statement.  Returns the change
         event when the plan differs from the stored baseline (which is then
-        advanced to the new plan, so a stable new plan fires once)."""
+        advanced to the new plan, so a stable new plan fires once).
+        *plan_shape* is the shape text or the plan itself, which is only
+        rendered when the baseline is new or its plan changed."""
         baseline = self._baselines.get(statement_fp)
+        if baseline is not None and baseline.plan_fp == plan_fp:
+            baseline.est_cost = est_cost
+            baseline.note_run(execution_ms)
+            return None
+        if not isinstance(plan_shape, str):
+            plan_shape = plan_shape_text(plan_shape)
         if baseline is None:
             baseline = PlanBaseline(
                 statement_fp, sql, plan_fp, est_cost, plan_shape
             )
             self._baselines[statement_fp] = baseline
-            baseline.note_run(execution_ms)
-            return None
-        if baseline.plan_fp == plan_fp:
-            baseline.est_cost = est_cost
             baseline.note_run(execution_ms)
             return None
         change = PlanChange(

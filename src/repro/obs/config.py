@@ -48,9 +48,9 @@ class ObsConfig:
     feedback: bool = True  # harvest est-vs-actual into the FeedbackStore
     waits: bool = True  # wait-event accounting (I/O, lock, CPU)
     system_tables: bool = True  # register the sys_stat_* virtual tables
-    #: inter-query plan cache (normalize_statement-keyed physical plans);
+    #: plan variants the inter-query plan cache keeps (literal-lifted
+    #: statement shapes, see ``engine.cache``); 0 runs without the cache.
     #: EXPLAIN ANALYZE always bypasses it so actuals reflect a cold plan
-    plan_cache: bool = True
     plan_cache_size: int = 128
     #: invalidation-aware result cache for read-only statements; off by
     #: default (turning it on trades staleness tracking for latency)
@@ -72,9 +72,10 @@ class ObsConfig:
     @classmethod
     def off(cls) -> "ObsConfig":
         """Disable tracing, metrics, the query log, baselines, feedback,
-        wait accounting, auto_explain and both query caches (system
-        tables stay registered — they simply report empty/zero
-        statistics)."""
+        wait accounting, auto_explain and the result cache (system tables
+        stay registered — they simply report empty/zero statistics).  The
+        plan cache is not observability and stays on: an obs-off database
+        plans no more often than a default one."""
         return cls(
             trace=False,
             metrics=False,
@@ -84,6 +85,5 @@ class ObsConfig:
             feedback=False,
             waits=False,
             auto_explain=AutoExplainConfig(enabled=False),
-            plan_cache=False,
             result_cache=False,
         )

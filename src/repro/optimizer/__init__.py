@@ -1,6 +1,12 @@
 """The cost-based optimizer: estimation, costing, access paths, join enumeration."""
 
-from .access import ScanCandidate, access_paths, best_per_order, extract_bounds
+from .access import (
+    ScanCandidate,
+    access_paths,
+    best_per_order,
+    extract_bounds,
+    index_bounds,
+)
 from .baselines import (
     ExhaustivePlanner,
     GreedyPlanner,
@@ -23,6 +29,7 @@ from .planner import STRATEGIES, Planner, PlannerOptions
 
 __all__ = [
     "ScanCandidate", "access_paths", "best_per_order", "extract_bounds",
+    "index_bounds",
     "ExhaustivePlanner", "GreedyPlanner", "NaiveNLPlanner", "OrderPlanner",
     "RandomPlanner", "SyntacticPlanner", "Cost", "CostModel", "cardenas_pages",
     "DPPlanner", "PlannerStats", "SubPlan", "count_dp_subsets",

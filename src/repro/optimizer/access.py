@@ -117,6 +117,21 @@ def _tighten_high(current: RangeBound, value, inclusive: bool) -> RangeBound:
     return current
 
 
+def index_bounds(
+    index, binding: str, conjuncts: Sequence[Expr]
+) -> Tuple[RangeBound, RangeBound]:
+    """The range of *index* that *conjuncts* leave: what an index scan's
+    ``low``/``high`` are derived with, at planning time and again when the
+    plan cache binds a scan's ``bound_conjuncts`` to new literals."""
+    if index.is_composite:
+        low, high, _ = _composite_bounds(index, binding, conjuncts)
+        return low, high
+    bounds, _ = extract_bounds(
+        conjuncts, {index.column, f"{binding}.{index.column}"}
+    )
+    return bounds.low, bounds.high
+
+
 def access_paths(
     table: TableInfo,
     binding: str,
@@ -175,6 +190,7 @@ def access_paths(
                 bounds.low,
                 bounds.high,
                 conjoin(residual),
+                tuple(bounds.used),
             )
             cost = model.index_scan(index, pages, base_rows, matching)
             if residual:
@@ -190,7 +206,8 @@ def access_paths(
                 and needed_columns <= {qualified}
             ):
                 ionly = PIndexOnlyScan(
-                    table, binding, index, bounds.low, bounds.high
+                    table, binding, index, bounds.low, bounds.high,
+                    tuple(bounds.used),
                 )
                 icost = model.index_only_scan(index, base_rows, matching)
                 ionly.est_rows, ionly.est_cost = out_rows, icost
@@ -221,24 +238,12 @@ def access_paths(
     return candidates
 
 
-def _composite_candidate(
-    table: TableInfo,
-    binding: str,
-    index,
-    conjuncts: Sequence[Expr],
-    estimator: Estimator,
-    model: CostModel,
-    base_rows: float,
-    out_rows: float,
-    pages: int,
-) -> Optional[ScanCandidate]:
-    """Sargability for a composite B+-tree: equality conjuncts on a key
-    prefix, optionally a range on the next key column.
-
-    Exclusive/inclusive subtleties of non-final components over-fetch
-    slightly, so every conjunct is also re-applied as a residual filter —
-    the classic "index filter" discipline.
-    """
+def _composite_bounds(
+    index, binding: str, conjuncts: Sequence[Expr]
+) -> Tuple[RangeBound, RangeBound, List[Expr]]:
+    """Tuple bounds of a composite B+-tree from equality conjuncts on a
+    key prefix and, optionally, a range on the next key column; plus the
+    conjuncts used (none: nothing is sargable on the prefix)."""
     from ..index.keys import MAX_KEY
 
     prefix: List = []
@@ -255,8 +260,6 @@ def _composite_candidate(
             range_bounds = bounds
             used.extend(bounds.used)
         break
-    if not used:
-        return None  # nothing sargable on the key prefix
 
     low_parts = list(prefix)
     high_parts = list(prefix)
@@ -280,9 +283,34 @@ def _composite_candidate(
 
     low = RangeBound.at(tuple(low_parts), low_inclusive)
     high = RangeBound.at(tuple(high_parts), high_inclusive)
+    return low, high, used
+
+
+def _composite_candidate(
+    table: TableInfo,
+    binding: str,
+    index,
+    conjuncts: Sequence[Expr],
+    estimator: Estimator,
+    model: CostModel,
+    base_rows: float,
+    out_rows: float,
+    pages: int,
+) -> Optional[ScanCandidate]:
+    """Sargability for a composite B+-tree: equality conjuncts on a key
+    prefix, optionally a range on the next key column.
+
+    Exclusive/inclusive subtleties of non-final components over-fetch
+    slightly, so every conjunct is also re-applied as a residual filter —
+    the classic "index filter" discipline.
+    """
+    low, high, used = _composite_bounds(index, binding, conjuncts)
+    if not used:
+        return None  # nothing sargable on the key prefix
     matching = base_rows * estimator.scan_selectivity(used)
     plan = PIndexScan(
-        table, binding, index, low, high, conjoin(list(conjuncts))
+        table, binding, index, low, high, conjoin(list(conjuncts)),
+        tuple(used),
     )
     cost = model.index_scan(index, pages, base_rows, matching)
     if conjuncts:

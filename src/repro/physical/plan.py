@@ -185,7 +185,12 @@ class PSeqScan(PhysicalPlan):
 @dataclass
 class PIndexScan(PhysicalPlan):
     """B+-tree range scan (or hash probe when ``low == high`` equality and
-    the index is a hash index), fetching heap rows by RID."""
+    the index is a hash index), fetching heap rows by RID.
+
+    ``bound_conjuncts`` are the conjuncts ``low``/``high`` were tightened
+    from.  The executor never reads them; the plan cache does, to tighten
+    the range again when it binds the plan to another statement's
+    literals (``optimizer.access.index_bounds``)."""
 
     table: TableInfo
     binding: str
@@ -193,6 +198,7 @@ class PIndexScan(PhysicalPlan):
     low: RangeBound = field(default_factory=RangeBound.open)
     high: RangeBound = field(default_factory=RangeBound.open)
     residual: Optional[Expr] = None
+    bound_conjuncts: Tuple[Expr, ...] = ()
     schema: Schema = field(init=False)
 
     def __post_init__(self):
@@ -228,6 +234,7 @@ class PIndexOnlyScan(PhysicalPlan):
     index: IndexInfo
     low: RangeBound = field(default_factory=RangeBound.open)
     high: RangeBound = field(default_factory=RangeBound.open)
+    bound_conjuncts: Tuple[Expr, ...] = ()  # as on PIndexScan
     schema: Schema = field(init=False)
 
     def __post_init__(self):

@@ -123,3 +123,21 @@ def test_matrix_slice_plans_unchanged(matrix, index):
     sql = workload.case(index).sql
     got, plans = plans_digest(db, sql)
     assert got == MATRIX_DIGESTS[index], f"{sql}\n{plans}"
+
+
+@pytest.mark.parametrize("source", ["wholesale", "matrix"])
+def test_executed_plans_render_like_cold_plans(wholesale, matrix, source):
+    """The plan a statement runs with — planned from the literal-lifted
+    statement on a plan-cache miss, bound from the template on a hit —
+    is the plan ``db.plan`` gives the same text."""
+    if source == "wholesale":
+        db, texts = wholesale, [WHOLESALE_QUERIES[n] for n in sorted(WHOLESALE_QUERIES)]
+    else:
+        db, workload = matrix
+        texts = [workload.case(index).sql for index in range(40)]
+    for sql in texts:
+        cold = db.plan(sql).pretty()
+        hits = db.plan_cache.stats.hits
+        assert db.query(sql).plan.pretty() == cold, sql
+        assert db.query(sql).plan.pretty() == cold, sql
+        assert db.plan_cache.stats.hits > hits, sql

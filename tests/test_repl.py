@@ -130,3 +130,20 @@ class TestRepl:
         )
         assert "# TYPE repro_queries_total counter" in out
         assert "repro_buffer_pool_hit_rate" in out
+
+    def test_cache_view_shows_shapes_variants_and_replans(self):
+        out = run_repl(
+            "CREATE TABLE t (a INT, b INT);\n"
+            "INSERT INTO t VALUES (1, 2), (3, 4);\n"
+            "SELECT b FROM t WHERE a = 1;\n"
+            "SELECT b FROM t WHERE a = 3;\n"  # binds the first one's plan
+            "SELECT b FROM t WHERE a = 1 + 2;\n"
+            "SELECT b FROM t WHERE a = 1 + 3;\n"  # folded: pinned, replans
+            "\\cache\n"
+            "\\cache off\n"
+            "SELECT b FROM t WHERE a = 3;\n"
+            "\\cache\n"
+            "\\q\n"
+        )
+        assert "plan   [on ] 3/128 variants of 2 shapes  replans=1  hits=1 misses=3" in out
+        assert "plan   [off] 0/0 variants of 0 shapes" in out
