@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..engine import Database
 from ..expr import col, eq
 from ..physical import PIndexNLJoin, PNestedLoopJoin, PSeqScan
 from ..storage import Replacement
@@ -105,7 +104,7 @@ def run_replacement_policies(
         notes=f"{buffer_pages}-page pool; inner/table slightly exceeds it",
     )
     for policy in (Replacement.LRU, Replacement.CLOCK, Replacement.MRU, Replacement.FIFO):
-        db = Database(
+        db = fresh_db(
             buffer_pages=buffer_pages, work_mem_pages=6, replacement=policy
         )
         rng = Rng(seed)

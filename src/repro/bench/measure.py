@@ -106,9 +106,21 @@ def time_planning(
 
 
 def fresh_db(
-    buffer_pages: int = 256, work_mem_pages: int = 16, **kwargs: Any
+    buffer_pages: int = 256,
+    work_mem_pages: int = 16,
+    columnar: bool = False,
+    **kwargs: Any,
 ) -> Database:
-    """A new empty database with experiment-friendly defaults."""
+    """A new empty database with experiment-friendly defaults.
+
+    This is where the paper harness chooses its engine: the experiments
+    reproduce a tuple-at-a-time executor that reads every page of a scan
+    and a cost model that charges full per-tuple CPU, so they run
+    ``columnar=False`` whatever ``Database`` defaults to.
+    """
     return Database(
-        buffer_pages=buffer_pages, work_mem_pages=work_mem_pages, **kwargs
+        buffer_pages=buffer_pages,
+        work_mem_pages=work_mem_pages,
+        columnar=columnar,
+        **kwargs,
     )

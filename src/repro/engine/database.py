@@ -148,7 +148,7 @@ class Database:
         options: Optional[PlannerOptions] = None,
         obs: Optional[ObsConfig] = None,
         batch_size: int = ExecContext.DEFAULT_BATCH_SIZE,
-        columnar: bool = False,
+        columnar: bool = True,
         data_dir: Optional[str] = None,
         wal_sync: bool = True,
     ):
@@ -169,7 +169,8 @@ class Database:
         self.work_mem_pages = work_mem_pages
         self.batch_size = batch_size
         #: run queries through the columnar batch engine (ColumnBatch
-        #: flow, vectorized kernels, zone-map page skipping)
+        #: flow, vectorized kernels, zone-map page skipping) and price
+        #: plans for it; False is the paper's tuple-at-a-time engine
         self.columnar = columnar
         self.options = options or PlannerOptions()
         self.model = CostModel(
@@ -1611,6 +1612,9 @@ class Database:
                 m.counter("pages_skipped_total").inc(
                     result.exec_metrics.pages_skipped
                 )
+                m.counter("exec_row_fallbacks_total").inc(
+                    result.exec_metrics.row_fallbacks
+                )
             m.gauge("buffer_hit_ratio").set(self.pool.stats.hit_rate)
             if sql is not None:
                 self.latency.observe(
@@ -1871,7 +1875,10 @@ class Database:
         needed for undo and index maintenance.  Every fetched row is
         re-checked against the whole WHERE, and the list is complete
         before the first mutation, so an UPDATE that moves the key of the
-        index being scanned visits each row once."""
+        index being scanned visits each row once.  The candidates are
+        priced without the vectorized-CPU discount: ``live_rows`` walks
+        tuples with a scalar predicate whichever engine runs queries, so a
+        SELECT and an UPDATE with one WHERE may pick different paths."""
         from ..expr import compile_predicate, split_conjuncts
 
         # compiled first: a mistyped WHERE fails before anything is priced
@@ -1892,7 +1899,7 @@ class Database:
                     self.options.estimator,
                     self.feedback if self.options.use_feedback else None,
                 ),
-                self.model,
+                self.model.undiscounted(),
                 consider_unbounded_index=False,
             )
             return min(candidates, key=lambda cand: cand.cost.total).plan

@@ -17,7 +17,7 @@ from ..expr import ExprError, compile_expr, compile_expr_batch
 from ..expr.vector import compile_expr_columnar
 from ..physical import PAggregate, PDistinct, PSort
 from .aggregate import AggregateState
-from .columnar import as_row_batch, is_columnar, kernel_values
+from .columnar import is_columnar, kernel_values
 from .operator import Batch, Row, UnaryOperator, operator_for
 from .sortutil import make_key_fn
 
@@ -69,7 +69,7 @@ class SortOp(UnaryOperator):
             batch = self.child.next_batch()
             if batch is None:
                 break
-            batch = as_row_batch(batch)
+            batch = self._as_rows(batch)
             i = 0
             while i < len(batch):
                 take = min(max_rows - len(buffer), len(batch) - i)
@@ -177,8 +177,8 @@ class AggregateOp(UnaryOperator):
 
     def _prepared(self, batch: Batch) -> Batch:
         """Row view of *batch* when the columnar kernels are unusable."""
-        if is_columnar(batch) and self.group_kernels is None:
-            return batch.to_rows()
+        if self.group_kernels is None:
+            return self._as_rows(batch)
         return batch
 
     def _group_keys(self, batch: Batch) -> List[Tuple[Any, ...]]:
@@ -311,7 +311,7 @@ class DistinctOp(UnaryOperator):
             if batch is None:
                 return None
             out = []
-            for row in as_row_batch(batch):
+            for row in self._as_rows(batch):
                 if row not in seen:
                     seen.add(row)
                     out.append(row)

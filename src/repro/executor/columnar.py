@@ -19,9 +19,9 @@ Conversion is loss-free in both directions: ``from_rows`` then
 ``to_rows`` reproduces the original row tuples with native Python values
 (``int``, not ``numpy.int64``), which is what keeps the columnar engine
 bit-identical to the row engine under the differential matrix.  Any
-operator that has not been migrated simply calls :func:`as_row_batch` on
-its input and proceeds row-wise — that is the whole incremental-migration
-contract.
+operator that has not been migrated turns its input into rows
+(``Operator._as_rows``, which also marks the node ``engine=rows``) and
+proceeds row-wise — that is the whole incremental-migration contract.
 """
 
 from __future__ import annotations
@@ -225,7 +225,9 @@ def is_columnar(batch: Any) -> bool:
 
 
 def as_row_batch(batch: AnyBatch) -> List[Tuple[Any, ...]]:
-    """Row view of a batch: the incremental-migration escape hatch.
+    """Row view of a batch, for consumers outside the operator tree (the
+    result boundary in ``run``).  Operators use ``Operator._as_rows``,
+    which counts the conversion.
 
     Lists pass through untouched; columnar batches are transposed to row
     tuples with native Python values.

@@ -32,6 +32,7 @@ class ExecMetrics:
     temp_files: int = 0
     spills: int = 0
     pages_skipped: int = 0  # heap pages pruned by zone maps, never fixed
+    row_fallbacks: int = 0  # operators that turned a ColumnBatch into rows
 
 
 class ExecContext:
@@ -49,7 +50,7 @@ class ExecContext:
         instrument: InstrumentLevel = InstrumentLevel.ROWS,
         batch_size: int = DEFAULT_BATCH_SIZE,
         activity: Optional[Any] = None,
-        columnar: bool = False,
+        columnar: bool = True,
         snapshot: Optional[Any] = None,
     ):
         if work_mem_pages < 3:
@@ -62,7 +63,7 @@ class ExecContext:
         self.batch_size = batch_size
         #: vectorized execution: scans decode pages into ColumnBatch
         #: columns (with zone-map page skipping) and migrated operators
-        #: stay columnar; unmigrated ones convert via ``as_row_batch``
+        #: stay columnar; unmigrated ones convert via ``Operator._as_rows``
         self.columnar = columnar
         #: the in-flight statement's ActivityEntry (``sys_stat_activity``);
         #: the run loop updates its progress fields batch by batch

@@ -27,7 +27,7 @@ from ..physical import (
     PNestedLoopJoin,
     PSortMergeJoin,
 )
-from .columnar import ColumnBatch, as_row_batch, is_columnar, kernel_values
+from .columnar import ColumnBatch, is_columnar, kernel_values
 from .operator import (
     Batch,
     BatchCursor,
@@ -100,7 +100,7 @@ class NestedLoopJoinOp(_BinaryJoinOp):
             batch = self.left.next_batch()
             if batch is None:
                 break
-            batch = as_row_batch(batch)
+            batch = self._as_rows(batch)
             i = 0
             while i < len(batch):
                 take = min(block_rows - len(block), len(batch) - i)
@@ -126,7 +126,7 @@ class NestedLoopJoinOp(_BinaryJoinOp):
                 inner_batch = inner.next_batch()
                 if inner_batch is None:
                     break
-                for inner_row in as_row_batch(inner_batch):
+                for inner_row in self._as_rows(inner_batch):
                     metrics.comparisons += len(block)
                     combined = [outer + inner_row for outer in block]
                     if condition is None:
@@ -186,7 +186,7 @@ class IndexNLJoinOp(Operator):
             outer_batch = self.left.next_batch()
             if outer_batch is None:
                 return
-            outer_batch = as_row_batch(outer_batch)
+            outer_batch = self._as_rows(outer_batch)
             out: List[Row] = []
             for outer_row, key in zip(outer_batch, self.key_fn(outer_batch)):
                 if key is None:
@@ -264,8 +264,8 @@ class SortMergeJoinOp(_BinaryJoinOp):
         left_key = self.left_key
         right_key = self.right_key
         metrics = self.ctx.metrics
-        left = BatchCursor(self.left)
-        right = BatchCursor(self.right)
+        left = BatchCursor(self.left, self._as_rows)
+        right = BatchCursor(self.right, self._as_rows)
 
         lrow = left.next_row()
         rrow = right.next_row()
@@ -314,8 +314,7 @@ class HashJoinOp(_BinaryJoinOp):
     ``(probe, build)`` position lists, and the output batch is two
     ``numpy.take`` gathers — no row tuples are ever materialized.  The
     Grace spill path (and any expression shape without a kernel) falls
-    back to the row engine, emitting row batches downstream operators
-    accept via ``as_row_batch``.
+    back to the row engine (``_as_rows`` marks the node ``engine=rows``).
     """
 
     def __init__(self, plan, ctx):
@@ -402,7 +401,7 @@ class HashJoinOp(_BinaryJoinOp):
         if overflow:
             # Grace stays row-wise; re-batch its stream so the caller's
             # pending-buffer protocol sees ColumnBatches throughout
-            build_rows = [r for b in built for r in b.to_rows()]
+            build_rows = [r for b in built for r in self._as_rows(b)]
             gen = self._grace(build_rows)
             while True:
                 chunk = list(islice(gen, ctx.batch_size))
@@ -514,7 +513,7 @@ class HashJoinOp(_BinaryJoinOp):
             batch = self.right.next_batch()
             if batch is None:
                 break
-            build_rows.extend(as_row_batch(batch))
+            build_rows.extend(self._as_rows(batch))
             if len(build_rows) > max_build:
                 overflow = True
                 break
@@ -536,7 +535,7 @@ class HashJoinOp(_BinaryJoinOp):
             probe = self.left.next_batch()
             if probe is None:
                 return
-            probe = as_row_batch(probe)
+            probe = self._as_rows(probe)
             out: List[Row] = []
             for lrow, key in zip(probe, self.left_key(probe)):
                 if key is None:
@@ -563,7 +562,7 @@ class HashJoinOp(_BinaryJoinOp):
             batch = self.right.next_batch()
             if batch is None:
                 break
-            batch = as_row_batch(batch)
+            batch = self._as_rows(batch)
             for row, key in zip(batch, self.right_key(batch)):
                 _partition_insert(right_parts, key, row, fanout)
         left_parts = [ctx.create_temp(plan.left.schema) for _ in range(fanout)]
@@ -571,7 +570,7 @@ class HashJoinOp(_BinaryJoinOp):
             batch = self.left.next_batch()
             if batch is None:
                 break
-            batch = as_row_batch(batch)
+            batch = self._as_rows(batch)
             for row, key in zip(batch, self.left_key(batch)):
                 _partition_insert(left_parts, key, row, fanout)
         metrics.spills += 1

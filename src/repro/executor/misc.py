@@ -19,7 +19,7 @@ from typing import List, Optional
 from ..expr import ExprError, compile_expr_batch, compile_predicate_batch
 from ..expr.vector import compile_expr_columnar, compile_predicate_columnar
 from ..physical import PFilter, PLimit, PMaterialize, PNarrow, PProject
-from .columnar import ColumnBatch, as_row_batch, is_columnar
+from .columnar import ColumnBatch, is_columnar
 from .operator import Batch, Row, UnaryOperator, operator_for
 
 
@@ -51,7 +51,7 @@ class FilterOp(UnaryOperator):
                     if out:
                         return out
                     continue
-                batch = as_row_batch(batch)
+                batch = self._as_rows(batch)
             mask = predicate(batch)
             out = [row for row, keep in zip(batch, mask) if keep]
             if out:
@@ -81,7 +81,7 @@ class ProjectOp(UnaryOperator):
             return None
         if is_columnar(batch):
             if self.kernels is None:
-                batch = as_row_batch(batch)
+                batch = self._as_rows(batch)
             else:
                 return ColumnBatch(
                     self.plan.schema,
@@ -173,7 +173,7 @@ class MaterializeOp(UnaryOperator):
                 batch = self.child.next_batch()
                 if batch is None:
                     break
-                cache.extend(as_row_batch(batch))
+                cache.extend(self._as_rows(batch))
             self._cache = cache
             self.child.close()
             self._child_open = False

@@ -36,7 +36,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from ..obs import InstrumentLevel
 from ..physical import PhysicalError, PhysicalPlan
-from .columnar import as_row_batch
+from .columnar import ColumnBatch, as_row_batch
 from .context import ExecContext
 
 Row = Tuple[Any, ...]
@@ -74,6 +74,7 @@ class Operator:
         self.batch_size = ctx.batch_size
         self._level = ctx.instrument
         self._started = False  # first batch of the current open() pulled?
+        self._fell_back = False  # has _as_rows converted a ColumnBatch yet?
         if self._level is InstrumentLevel.FULL:
             self._bstats = ctx.pool.stats
             self._dstats = ctx.pool.disk.stats
@@ -148,6 +149,20 @@ class Operator:
             return self.batch_size
         return max_rows
 
+    def _as_rows(self, batch) -> Batch:
+        """Row view of an input *batch*, for an operator with no columnar
+        path or an expression with no kernel.  Row batches pass through;
+        the first :class:`ColumnBatch` converted marks the plan node
+        ``engine=rows`` in ``EXPLAIN ANALYZE`` and counts one row fallback
+        for this operator instance, however many batches follow."""
+        if isinstance(batch, ColumnBatch):
+            if not self._fell_back:
+                self._fell_back = True
+                self.plan.actual_row_fallback = True
+                self.ctx.metrics.row_fallbacks += 1
+            return batch.to_rows()
+        return batch
+
     # -- convenience --------------------------------------------------------
 
     def rows(self):
@@ -179,13 +194,16 @@ class BatchCursor:
 
     Merge join (and anything else that needs single-row lookahead) reads
     through one of these; ``next_row`` refills from ``next_batch`` so the
-    producer still runs batched.
+    producer still runs batched.  *as_rows* is the consumer's
+    ``_as_rows``, so a converted ColumnBatch is charged to the operator
+    that needed rows.
     """
 
-    __slots__ = ("op", "_batch", "_pos")
+    __slots__ = ("op", "_as_rows", "_batch", "_pos")
 
-    def __init__(self, op: Operator):
+    def __init__(self, op: Operator, as_rows=as_row_batch):
         self.op = op
+        self._as_rows = as_rows
         self._batch: Batch = []
         self._pos = 0
 
@@ -194,7 +212,7 @@ class BatchCursor:
             batch = self.op.next_batch()
             if batch is None:
                 return None
-            self._batch = as_row_batch(batch)
+            self._batch = self._as_rows(batch)
             self._pos = 0
         row = self._batch[self._pos]
         self._pos += 1

@@ -47,6 +47,10 @@ HELP_TEXTS: Dict[str, str] = {
     "cache_result_misses_total": "cacheable statements that missed the result cache",
     "cache_invalidations_total": "plan/result cache invalidation events",
     "pages_skipped_total": "heap pages skipped by zone-map pruning",
+    "exec_row_fallbacks_total": (
+        "operators that converted columnar input to rows "
+        "(marked engine=rows in EXPLAIN ANALYZE)"
+    ),
     "planning_ms": "statement planning latency",
     "execution_ms": "statement execution latency",
     "buffer_hit_ratio": "buffer pool hit rate since startup",

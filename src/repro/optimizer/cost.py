@@ -25,6 +25,7 @@ cost includes its inputs.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -84,8 +85,9 @@ class CostModel:
         self.cpu_weight = cpu_weight
         #: per-row CPU discount for operators the columnar engine
         #: vectorizes (scans, filters, projections, hash joins,
-        #: aggregation).  1.0 prices the row engine; a columnar Database
-        #: passes ~0.25, shifting crossovers toward CPU-heavy plans.
+        #: aggregation).  1.0 prices the row engine (the paper's); a
+        #: Database running the columnar engine — the default — passes
+        #: 0.25, shifting crossovers toward CPU-heavy plans.
         #: Row-at-a-time paths (index fetches, sorts, nested loops) are
         #: deliberately not discounted.
         self.vector_cpu_factor = vector_cpu_factor
@@ -103,6 +105,16 @@ class CostModel:
 
     def zero(self) -> Cost:
         return self._cost(0.0, 0.0)
+
+    def undiscounted(self) -> "CostModel":
+        """This model with ``vector_cpu_factor`` 1.0, every other constant
+        shared: what prices a plan that will be walked tuple-at-a-time
+        whatever engine runs queries (UPDATE/DELETE victim scans)."""
+        if self.vector_cpu_factor == 1.0:
+            return self
+        model = copy.copy(self)
+        model.vector_cpu_factor = 1.0
+        return model
 
     # -- access paths --------------------------------------------------------------
 

@@ -63,6 +63,9 @@ class PhysicalPlan:
     actual_hits: Optional[int] = None  # buffer-pool hits attributed here
     actual_reads: Optional[int] = None  # disk page reads attributed here
     actual_writes: Optional[int] = None  # disk page writes attributed here
+    #: this node turned ColumnBatch input into row tuples (no columnar
+    #: path for the operator, or no kernel for its expression)
+    actual_row_fallback: bool = False
 
     def children(self) -> Tuple["PhysicalPlan", ...]:
         return ()
@@ -84,6 +87,7 @@ class PhysicalPlan:
         self.actual_hits = None
         self.actual_reads = None
         self.actual_writes = None
+        self.actual_row_fallback = False
         for child in self.children():
             child.reset_actuals()
 
@@ -146,6 +150,8 @@ class PhysicalPlan:
         q = self.q_error()
         if q is not None:
             parts.append(f"q-err={q:.2f}")
+        if self.actual_row_fallback:
+            parts.append("engine=rows")
         return " (actual " + " ".join(parts) + ")"
 
     def pretty(self, indent: int = 0, actuals: bool = False) -> str:

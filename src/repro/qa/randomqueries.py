@@ -485,15 +485,18 @@ def repro_script(
     batch_size: int = 1024,
     r_rows: int = 200,
     s_rows: int = 120,
+    columnar: bool = True,
 ) -> str:
     """A self-contained script reproducing one differential case.
 
     Run with ``PYTHONPATH=src python <script>`` from the repo root; it
     rebuilds the exact dataset and query from ``(seed, index)`` and
-    asserts the engine matches the reference."""
+    asserts the engine matches the reference.  The engine the case failed
+    under is spelled out in the constructor call, so the script keeps
+    reproducing whatever ``Database`` defaults to later."""
     return f'''#!/usr/bin/env python
 """Differential repro: seed={seed} case={index} strategy={strategy!r}
-batch_size={batch_size}.
+batch_size={batch_size} columnar={columnar}.
 
 Run from the repo root:  PYTHONPATH=src python thisfile.py
 """
@@ -506,7 +509,12 @@ workload = RandomWorkload({seed}, r_rows={r_rows}, s_rows={s_rows})
 case = workload.case({index})
 print("SQL:", case.sql)
 
-db = Database(buffer_pages=64, work_mem_pages=4, batch_size={batch_size})
+db = Database(
+    buffer_pages=64,
+    work_mem_pages=4,
+    batch_size={batch_size},
+    columnar={columnar},
+)
 load_dataset(db, workload.dataset())
 db.options = PlannerOptions(strategy={strategy!r})
 print(db.explain(case.sql))

@@ -9,6 +9,11 @@ reproducible from the artifact alone.
 The default (tier-1) run covers a rotating slice of the matrix; the
 ``slow``-marked sweep runs the full ≥200-query matrix in nightly CI with
 a rotating seed taken from ``REPRO_MATRIX_SEED``.
+
+The slice runs the engine ``Database`` defaults to (vectorized).  The
+full matrix adds an engine axis — the default, and ``columnar=False``,
+the tuple-at-a-time engine that produces the paper's tables (E1–E12) —
+so both stay checked against the reference.
 """
 
 import itertools
@@ -36,25 +41,34 @@ _reference = _workload.reference()
 _databases = {}
 
 
-def database_for(batch_size: int) -> Database:
-    """One engine per batch size, data loaded once (module-lifetime cache).
-    Small work memory on purpose: plans spill, so the matrix also
-    exercises the external sort and the Grace hash join."""
-    if batch_size not in _databases:
-        db = Database(buffer_pages=64, work_mem_pages=4, batch_size=batch_size)
+def database_for(batch_size: int, columnar: bool = True) -> Database:
+    """One engine per (batch size, engine), data loaded once
+    (module-lifetime cache).  Small work memory on purpose: plans spill,
+    so the matrix also exercises the external sort and the Grace hash
+    join."""
+    key = (batch_size, columnar)
+    if key not in _databases:
+        db = Database(
+            buffer_pages=64,
+            work_mem_pages=4,
+            batch_size=batch_size,
+            columnar=columnar,
+        )
         load_dataset(db, _workload.dataset())
-        _databases[batch_size] = db
-    return _databases[batch_size]
+        _databases[key] = db
+    return _databases[key]
 
 
-def check_case(index: int, strategy: str, batch_size: int):
+def check_case(
+    index: int, strategy: str, batch_size: int, columnar: bool = True
+):
     """Run case *index* under one matrix cell and compare to reference.
 
     On mismatch, write the repro script and fail with its path — the
     script alone reproduces the failure from (seed, index, config).
     """
     case = _workload.case(index)
-    db = database_for(batch_size)
+    db = database_for(batch_size, columnar)
     db.options = PlannerOptions(strategy=strategy)
     try:
         got = db.query(case.sql).rows
@@ -63,15 +77,22 @@ def check_case(index: int, strategy: str, batch_size: int):
     if case.matches(got, _reference):
         return
     FAILURE_DIR.mkdir(exist_ok=True)
-    name = f"seed{SEED}_case{index}_{strategy}_b{batch_size}.py"
+    engine = "columnar" if columnar else "row"
+    name = f"seed{SEED}_case{index}_{strategy}_b{batch_size}_{engine}.py"
     script_path = FAILURE_DIR / name
     script_path.write_text(
-        repro_script(SEED, index, strategy=strategy, batch_size=batch_size)
+        repro_script(
+            SEED,
+            index,
+            strategy=strategy,
+            batch_size=batch_size,
+            columnar=columnar,
+        )
     )
     want = case.expected(_reference)
     pytest.fail(
         f"differential mismatch for seed={SEED} case={index} "
-        f"({strategy}, batch={batch_size})\n"
+        f"({strategy}, batch={batch_size}, {engine} engine)\n"
         f"  sql: {case.sql}\n"
         f"  engine rows: {len(got)}, reference rows: {len(want)}\n"
         f"  repro script: {script_path}\n"
@@ -91,14 +112,18 @@ class TestMatrixSlice:
 
 @pytest.mark.slow
 class TestFullMatrix:
-    """Nightly sweep: ≥200 cases; every case runs under all strategies
-    with the batch size rotating per case (600 engine executions)."""
+    """Nightly sweep: ≥200 cases on both engines; every case runs under
+    all strategies with the batch size rotating per case (1,200 engine
+    executions)."""
 
     @pytest.mark.parametrize("index", range(200))
-    def test_case_matches_reference_all_strategies(self, index):
+    @pytest.mark.parametrize(
+        "columnar", [True, False], ids=["default", "row"]
+    )
+    def test_case_matches_reference_all_strategies(self, index, columnar):
         batch_size = BATCH_SIZES[index % len(BATCH_SIZES)]
         for strategy in STRATEGIES:
-            check_case(index, strategy, batch_size)
+            check_case(index, strategy, batch_size, columnar)
 
 
 @pytest.mark.fuzz
@@ -143,7 +168,11 @@ class TestReproScript:
         import sys
 
         script = tmp_path / "repro_case0.py"
-        script.write_text(repro_script(SEED, 0, strategy="dp"))
+        text = repro_script(SEED, 0, strategy="dp")
+        # the engine is named, not left to the constructor's default
+        assert "columnar=True" in text
+        assert "columnar=False" in repro_script(SEED, 0, columnar=False)
+        script.write_text(text)
         env = dict(os.environ)
         root = Path(__file__).resolve().parent.parent
         env["PYTHONPATH"] = str(root / "src")

@@ -21,6 +21,11 @@ from hypothesis import strategies as st
 
 from repro import Database
 from repro.catalog import IndexKind
+from repro.engine.cache import relation_estimator
+from repro.expr import split_conjuncts
+from repro.optimizer.access import access_paths
+from repro.physical import PIndexScan, PSeqScan
+from repro.sql import parse
 
 BTREE, HASH = IndexKind.BTREE, IndexKind.HASH
 
@@ -195,6 +200,48 @@ def test_cost_model_picks_the_path(layout, where, expected):
     for template, _ in ACTIONS.values():
         db.execute(template.format(where=clause))
         assert _path(db) == expected, template
+
+
+def test_select_and_update_are_each_priced_for_their_own_executor():
+    """One WHERE, one table, two legitimate answers.  A SELECT runs the
+    vectorized scan, so its candidates carry the model's CPU discount and
+    one page of 120 rows is cheaper scanned than probed.  An UPDATE's
+    victims are walked tuple-at-a-time whatever engine serves queries,
+    so its candidates are priced undiscounted and the probe wins."""
+    db = build("btree")
+    assert db.columnar and db.model.vector_cpu_factor < 1.0
+    info = db.table("t")
+    conjuncts = split_conjuncts(parse("SELECT * FROM t WHERE k = 17").where)
+    estimator = relation_estimator(info, "t", db.options.estimator)
+
+    def priced(model):
+        """path name -> total cost of every candidate under *model*."""
+        return {
+            cand.plan.index.name
+            if isinstance(cand.plan, PIndexScan)
+            else "seq": cand.cost.total
+            for cand in access_paths(
+                info,
+                "t",
+                conjuncts,
+                estimator,
+                model,
+                consider_unbounded_index=False,
+            )
+        }
+
+    vectorized = priced(db.model)
+    scalar = priced(db.model.undiscounted())
+    assert vectorized["seq"] < vectorized["ix_k"] == scalar["ix_k"]
+    assert scalar["ix_k"] < scalar["seq"]
+
+    scan = db.plan("SELECT * FROM t WHERE k = 17").child
+    assert isinstance(scan, PSeqScan)
+    assert scan.est_cost.total == vectorized["seq"]
+
+    db.execute("UPDATE t SET v = v + 1000 WHERE k = 17")
+    assert _path(db) == "ix_k"
+    assert db.query_log.entries()[-1].est_cost == scalar["ix_k"]
 
 
 # -- random statement sequences ------------------------------------------------

@@ -121,7 +121,9 @@ class TestQueryLogHelpers:
         assert q_error(0.0, 0.0) == 1.0
 
     def test_fingerprint_ignores_literals(self):
-        db = _small_db()
+        # 2,000 rows, so the range is an index scan and the bare select a
+        # seq scan (at 200 rows a vectorized scan of 3 pages wins both)
+        db = _small_db(rows=2000)
         # same plan shape, different constants → same fingerprint
         a = plan_fingerprint(db.plan("SELECT b FROM t WHERE a < 5"))
         b = plan_fingerprint(db.plan("SELECT b FROM t WHERE a < 8"))
@@ -133,10 +135,10 @@ class TestQueryLogHelpers:
 # -- database wiring -----------------------------------------------------------
 
 
-def _small_db(**kwargs):
+def _small_db(rows=200, **kwargs):
     db = Database(buffer_pages=64, work_mem_pages=8, **kwargs)
     db.execute("CREATE TABLE t (a INT PRIMARY KEY, b FLOAT)")
-    db.insert_rows("t", [(i, float(i % 13)) for i in range(200)])
+    db.insert_rows("t", [(i, float(i % 13)) for i in range(rows)])
     db.execute("ANALYZE t")
     return db
 

@@ -6,6 +6,12 @@ computed on commit 69418cf — the last one whose planner still had the
 intra-query-parallelism hooks.  Removing the hooks must change no serial
 plan, row estimate or cost, so the digests must not move; a deliberate
 planner or cost-model change re-pins them and says why.
+
+Those 48 are the 1977 planner's: their fixtures are built with
+``columnar=False`` (the paper's tuple-at-a-time engine, undiscounted
+per-tuple CPU).  ``SERVING_DIGESTS`` pins the eight wholesale plans a
+default ``Database`` serves with — the vectorized engine and its 0.25
+CPU discount — computed on the commit that made that the default.
 """
 
 import hashlib
@@ -37,6 +43,26 @@ WHOLESALE_DIGESTS = {
         "2eac31e7d02e5a94b31e60f33d4f277d1a90b39e52be63759f3d60fb4d75fece",
     "Q8_priority_scan":
         "db25603d2bb0f8970bcb7c669c9ee211dfb7691cb3e5b233a9d0d6b4993210e6",
+}
+
+#: the same eight queries on the same data, planned by a default Database
+SERVING_DIGESTS = {
+    "Q1_status_rollup":
+        "eb45a8142437dba423eeb47516b912a523672474687c8d3b4baa996e40531241",
+    "Q2_region_revenue":
+        "e15e99d475ac451eb39a9914115bf4e6b78354614b70a5ef8ae0422ff4671f0f",
+    "Q3_top_customers":
+        "024c5a601c0581a10f481d94d1e6e754e2c7b955aba3a92a288181c002ce6396",
+    "Q4_line_revenue":
+        "267a0606ec69c02950743857d94117d490dd22d3cd212fcbf79022304369936f",
+    "Q5_big_orders_by_segment":
+        "36e9c5e695cb90c1023d21219a3a56618706775f75167e04108548e3b181c51f",
+    "Q6_five_way":
+        "3c6ae09551081d76d1f2dc6ecb71d6dab95729cead27838cd402f42e6bef98ab",
+    "Q7_selective_point":
+        "2eac31e7d02e5a94b31e60f33d4f277d1a90b39e52be63759f3d60fb4d75fece",
+    "Q8_priority_scan":
+        "bfeb4eaae79d4642b35ee2d2e59465ea38e3f44a7b4d5c38c95708be3cc98093",
 }
 
 #: the tier-1 slice of tests/test_differential_matrix.py (seed 1977)
@@ -98,6 +124,13 @@ def plans_digest(db, sql):
 
 @pytest.fixture(scope="module")
 def wholesale():
+    db = Database(buffer_pages=96, work_mem_pages=8, columnar=False)
+    load_wholesale(db, WholesaleScale.tiny(), seed=13)
+    return db
+
+
+@pytest.fixture(scope="module")
+def serving():
     db = Database(buffer_pages=96, work_mem_pages=8)
     load_wholesale(db, WholesaleScale.tiny(), seed=13)
     return db
@@ -106,7 +139,7 @@ def wholesale():
 @pytest.fixture(scope="module")
 def matrix():
     workload = RandomWorkload(1977)
-    db = Database(buffer_pages=64, work_mem_pages=4)
+    db = Database(buffer_pages=64, work_mem_pages=4, columnar=False)
     load_dataset(db, workload.dataset())
     return db, workload
 
@@ -117,6 +150,12 @@ def test_wholesale_plans_unchanged(wholesale, name):
     assert got == WHOLESALE_DIGESTS[name], plans
 
 
+@pytest.mark.parametrize("name", sorted(WHOLESALE_QUERIES))
+def test_serving_default_wholesale_plans_unchanged(serving, name):
+    got, plans = plans_digest(serving, WHOLESALE_QUERIES[name])
+    assert got == SERVING_DIGESTS[name], plans
+
+
 @pytest.mark.parametrize("index", range(40))
 def test_matrix_slice_plans_unchanged(matrix, index):
     db, workload = matrix
@@ -125,13 +164,16 @@ def test_matrix_slice_plans_unchanged(matrix, index):
     assert got == MATRIX_DIGESTS[index], f"{sql}\n{plans}"
 
 
-@pytest.mark.parametrize("source", ["wholesale", "matrix"])
-def test_executed_plans_render_like_cold_plans(wholesale, matrix, source):
+@pytest.mark.parametrize("source", ["wholesale", "serving", "matrix"])
+def test_executed_plans_render_like_cold_plans(
+    wholesale, serving, matrix, source
+):
     """The plan a statement runs with — planned from the literal-lifted
     statement on a plan-cache miss, bound from the template on a hit —
     is the plan ``db.plan`` gives the same text."""
-    if source == "wholesale":
-        db, texts = wholesale, [WHOLESALE_QUERIES[n] for n in sorted(WHOLESALE_QUERIES)]
+    if source != "matrix":
+        db = wholesale if source == "wholesale" else serving
+        texts = [WHOLESALE_QUERIES[n] for n in sorted(WHOLESALE_QUERIES)]
     else:
         db, workload = matrix
         texts = [workload.case(index).sql for index in range(40)]
