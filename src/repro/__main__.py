@@ -19,9 +19,8 @@ with ``;``.  Meta-commands:
   data SQL sees as ``SELECT * FROM sys_stat_waits``
 * ``\\slow [N]``     — last N auto_explain captures (default 5);
   ``\\slow on [MS]`` / ``\\slow off`` toggles capture (threshold in ms)
-* ``\\cache``        — plan cache shapes, variants and replans, result
-  cache entries, hit rates and last invalidation; ``\\cache on`` /
-  ``\\cache off`` toggles both caches
+* ``\\cache``        — plan cache shapes, variants and replans, hit rate
+  and last invalidation; ``\\cache on`` / ``\\cache off`` toggles it
 * ``\\load demo``    — load the wholesale demo schema
 * ``\\q``            — quit
 
@@ -193,48 +192,28 @@ def main(argv=None) -> int:
                     )
                     print(entry["plan"])
             elif command == "\\cache":
+                plans = db.plan_cache
                 if len(parts) > 1 and parts[1] in ("on", "off"):
                     enabled = parts[1] == "on"
-                    db.plan_cache.size = (
-                        db.obs.plan_cache_size if enabled else 0
-                    )
-                    db.obs.result_cache = enabled
+                    plans.size = db.obs.plan_cache_size if enabled else 0
                     if not enabled:
-                        db.plan_cache.invalidate("\\cache off")
-                        db.result_cache.invalidate("\\cache off")
-                    print(f"query caches {'on' if enabled else 'off'}")
+                        plans.invalidate("\\cache off")
+                    print(f"plan cache {'on' if enabled else 'off'}")
                     continue
-                plans = db.plan_cache
-                for label, cache, on, entries in (
-                    (
-                        "plan  ",
-                        plans,
-                        plans.size > 0,
-                        f"{len(plans)}/{plans.size} variants of "
-                        f"{plans.shapes} shapes  "
-                        f"replans={plans.stats.replans}",
-                    ),
-                    (
-                        "result",
-                        db.result_cache,
-                        db.obs.result_cache,
-                        f"{len(db.result_cache)}/"
-                        f"{db.obs.result_cache_size} entries",
-                    ),
-                ):
-                    s = cache.stats
-                    last = (
-                        f"  last invalidation: {s.last_invalidation}"
-                        if s.last_invalidation
-                        else ""
-                    )
-                    print(
-                        f"  {label} [{'on ' if on else 'off'}] "
-                        f"{entries}  "
-                        f"hits={s.hits} misses={s.misses} "
-                        f"hit_rate={s.hit_rate:.1%} "
-                        f"dropped={s.invalidations}{last}"
-                    )
+                s = plans.stats
+                last = (
+                    f"  last invalidation: {s.last_invalidation}"
+                    if s.last_invalidation
+                    else ""
+                )
+                print(
+                    f"  plan   [{'on ' if plans.size > 0 else 'off'}] "
+                    f"{len(plans)}/{plans.size} variants of "
+                    f"{plans.shapes} shapes  replans={s.replans}  "
+                    f"hits={s.hits} misses={s.misses} "
+                    f"hit_rate={s.hit_rate:.1%} "
+                    f"dropped={s.invalidations}{last}"
+                )
             elif command == "\\strategy":
                 if len(parts) > 1 and parts[1] in STRATEGIES:
                     db.set_strategy(parts[1])

@@ -1,66 +1,60 @@
-"""Inter-query caching: plan cache and result cache.
+"""Inter-query caching: the plan cache.
 
-Two bounded LRU caches sit in front of the optimizer:
+One bounded LRU cache sits in front of the optimizer.
+:class:`PlanCache` plans a statement *shape* once and binds its
+literals on every later execution (System R's access module, re-run
+with new host variables), for SELECTs and for the scan that locates an
+UPDATE/DELETE's rows alike.
 
-* :class:`PlanCache` — plans a statement *shape* once and binds its
-  literals on every later execution (System R's access module, re-run
-  with new host variables), for SELECTs and for the scan that locates an
-  UPDATE/DELETE's rows alike.
+**Lifting.**  After parsing, :func:`lift_select` / :func:`lift_where`
+walk the statement once.  Every ``int``/``float``/``str`` literal of
+the WHERE clause and of the JOIN conditions becomes a parameter slot
+(``Literal.slot``); the walk yields the *shape key* — the statement
+with each lifted literal masked by its Python type — and the parameter
+vector.  ``NULL``, booleans, ``LIMIT`` counts and LIKE patterns stay in
+the key by value, and so does everything in the select list, GROUP BY,
+HAVING and ORDER BY: the plan builder matches those clauses against
+each other by expression equality and names output columns after their
+text, so their literals are part of what the statement *is*.
+Subqueries make a statement uncacheable (decomposition bakes their
+results into the plan).
 
-  **Lifting.**  After parsing, :func:`lift_select` / :func:`lift_where`
-  walk the statement once.  Every ``int``/``float``/``str`` literal of
-  the WHERE clause and of the JOIN conditions becomes a parameter slot
-  (``Literal.slot``); the walk yields the *shape key* — the statement
-  with each lifted literal masked by its Python type — and the parameter
-  vector.  ``NULL``, booleans, ``LIMIT`` counts and LIKE patterns stay in
-  the key by value, and so does everything in the select list, GROUP BY,
-  HAVING and ORDER BY: the plan builder matches those clauses against
-  each other by expression equality and names output columns after their
-  text, so their literals are part of what the statement *is*.
-  Subqueries make a statement uncacheable (decomposition bakes their
-  results into the plan).
+**Miss.**  The statement is planned exactly as it would be cold, real
+values in place, and the plan is kept as a template
+(:class:`~repro.physical.bind.PlanTemplate`).  **Hit.**  The template
+is bound: every node is copied, expressions holding slots are rebuilt
+around the new values, and index ranges are tightened again from the
+scan's ``bound_conjuncts`` with the planner's own
+``optimizer.access.index_bounds`` — so ``k > ?1 AND k > ?2`` keeps the
+tighter bound whichever it is this time.  A template is never executed
+and a bound plan is never shared, so each result owns its actuals.
 
-  **Miss.**  The statement is planned exactly as it would be cold, real
-  values in place, and the plan is kept as a template
-  (:class:`~repro.physical.bind.PlanTemplate`).  **Hit.**  The template
-  is bound: every node is copied, expressions holding slots are rebuilt
-  around the new values, and index ranges are tightened again from the
-  scan's ``bound_conjuncts`` with the planner's own
-  ``optimizer.access.index_bounds`` — so ``k > ?1 AND k > ?2`` keeps the
-  tighter bound whichever it is this time.  A template is never executed
-  and a bound plan is never shared, so each result owns its actuals.
+**Pinned slots.**  Planning can consume a value: constant folding
+evaluates ``1 + 2`` and ``3 > 5``, an absorbing ``OR TRUE`` drops its
+siblings.  A slot that no longer appears anywhere in the finished plan
+is *pinned*: the entry records its value and only matches statements
+carrying the same one.  The slots behind a hash-index probe built from
+more than one conjunct are pinned too (the probe needs the bounds to
+coincide).  A statement whose slots are all pinned behaves like an
+exact-text match.
 
-  **Pinned slots.**  Planning can consume a value: constant folding
-  evaluates ``1 + 2`` and ``3 > 5``, an absorbing ``OR TRUE`` drops its
-  siblings.  A slot that no longer appears anywhere in the finished plan
-  is *pinned*: the entry records its value and only matches statements
-  carrying the same one.  The slots behind a hash-index probe built from
-  more than one conjunct are pinned too (the probe needs the bounds to
-  coincide).  A statement whose slots are all pinned behaves like an
-  exact-text match.
+**Bucket guard.**  For each base relation whose pushed-down conjuncts
+hold a free slot the entry stores ``floor(log2(max(1, rows)))`` of the
+estimator's ``scan_rows`` at plan time; a lookup re-estimates with the
+new values and the bucket vector must agree.  A range that was 0.1 %
+and is now 40 % therefore plans again, and both *variants* stay cached
+under the shape.  Estimates shown for a hit (EXPLAIN, the query log)
+are those of the binding that planned the variant — within 2x of the
+current binding's by construction.  The guard is skipped where it
+cannot change the answer: no statistics (the estimate is a constant),
+or an equality on a column whose statistics say every value is
+distinct.
 
-  **Bucket guard.**  For each base relation whose pushed-down conjuncts
-  hold a free slot the entry stores ``floor(log2(max(1, rows)))`` of the
-  estimator's ``scan_rows`` at plan time; a lookup re-estimates with the
-  new values and the bucket vector must agree.  A range that was 0.1 %
-  and is now 40 % therefore plans again, and both *variants* stay cached
-  under the shape.  Estimates shown for a hit (EXPLAIN, the query log)
-  are those of the binding that planned the variant — within 2x of the
-  current binding's by construction.  The guard is skipped where it
-  cannot change the answer: no statistics (the estimate is a constant),
-  or an equality on a column whose statistics say every value is
-  distinct.
+The key carries the rendering of the active :class:`PlannerOptions`, and
+the whole cache is invalidated by anything that could change what the
+optimizer would pick: DDL, ``ANALYZE``, a strategy switch.
 
-  The key carries the rendering of the active :class:`PlannerOptions`, and
-  the whole cache is invalidated by anything that could change what the
-  optimizer would pick: DDL, ``ANALYZE``, a strategy switch.
-* :class:`ResultCache` — maps exact SQL text to the rows a read-only
-  SELECT produced, together with a snapshot of each referenced table's
-  *write epoch*.  The engine bumps a table's epoch on every write to it;
-  a cached result is served only while every referenced epoch (and the
-  global DDL epoch) is unchanged, so hits are never stale.
-
-Both caches track hit/miss/invalidation counts for ``sys_stat_*`` and
+The cache tracks hit/miss/invalidation counts for ``sys_stat_*`` and
 the REPL's ``\\cache`` view.
 """
 
@@ -68,8 +62,8 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ..algebra import JoinGraph, LogicalGet
 from ..catalog import IndexKind, TableInfo
@@ -109,14 +103,14 @@ from ..sql import JoinClause, SelectStmt
 
 @dataclass
 class CacheStats:
-    """Hit/miss accounting shared by both caches."""
+    """Hit/miss accounting of the plan cache."""
 
     hits: int = 0
     misses: int = 0
     invalidations: int = 0
     last_invalidation: Optional[str] = None
-    #: plan cache only — misses on a shape that *is* cached, because a
-    #: pinned value or a selectivity bucket differed (also in ``misses``)
+    #: misses on a shape that *is* cached, because a pinned value or a
+    #: selectivity bucket differed (also in ``misses``)
     replans: int = 0
 
     @property
@@ -449,79 +443,6 @@ class PlanCache:
         dropped = self._variants
         self._shapes.clear()
         self._variants = 0
-        if dropped:
-            self.stats.invalidations += dropped
-            self.stats.last_invalidation = reason
-        return dropped
-
-
-@dataclass
-class _ResultEntry:
-    rows: List[Tuple[Any, ...]]
-    columns: List[str]
-    plan: Any  # PhysicalPlan
-    table_epochs: Dict[str, int] = field(default_factory=dict)
-    global_epoch: int = 0
-
-
-class ResultCache:
-    """Bounded LRU of SELECT results keyed by exact SQL text.
-
-    Every entry snapshots the write epoch of each table the plan reads;
-    ``lookup`` re-checks those epochs so a write to any referenced table
-    (or any DDL, via the global epoch) makes the entry invisible.  Stale
-    entries are evicted lazily, on the lookup that notices them.
-    """
-
-    def __init__(self, size: int):
-        self.size = max(0, size)
-        self._entries: "OrderedDict[str, _ResultEntry]" = OrderedDict()
-        self.stats = CacheStats()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def lookup(
-        self, sql: str, global_epoch: int, table_epochs: Dict[str, int]
-    ) -> Optional[_ResultEntry]:
-        entry = self._entries.get(sql)
-        if entry is not None:
-            stale = entry.global_epoch != global_epoch or any(
-                table_epochs.get(name, 0) != epoch
-                for name, epoch in entry.table_epochs.items()
-            )
-            if stale:
-                del self._entries[sql]
-                self.stats.invalidations += 1
-                self.stats.last_invalidation = "stale epoch"
-            else:
-                self._entries.move_to_end(sql)
-                self.stats.hits += 1
-                return entry
-        self.stats.misses += 1
-        return None
-
-    def store(
-        self,
-        sql: str,
-        rows: List[Tuple[Any, ...]],
-        columns: List[str],
-        plan: Any,
-        table_epochs: Dict[str, int],
-        global_epoch: int,
-    ) -> None:
-        if self.size <= 0:
-            return
-        self._entries[sql] = _ResultEntry(
-            list(rows), list(columns), plan, dict(table_epochs), global_epoch
-        )
-        self._entries.move_to_end(sql)
-        while len(self._entries) > self.size:
-            self._entries.popitem(last=False)
-
-    def invalidate(self, reason: str) -> int:
-        dropped = len(self._entries)
-        self._entries.clear()
         if dropped:
             self.stats.invalidations += dropped
             self.stats.last_invalidation = reason

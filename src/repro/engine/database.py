@@ -24,6 +24,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass
+from dataclasses import replace as dc_replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..algebra import build_plan
@@ -65,7 +66,7 @@ from ..optimizer import (
     PlannerStats,
     access_paths,
 )
-from ..physical import PhysicalPlan, PIndexScan, walk_plan
+from ..physical import PhysicalPlan, PIndexScan, PLimit, walk_plan
 from ..sql import (
     AnalyzeStmt,
     BeginStmt,
@@ -98,12 +99,12 @@ from .cache import (
     CachedPlan,
     Lifted,
     PlanCache,
-    ResultCache,
     lift_select,
     lift_where,
     relation_estimator,
 )
 from .session import Session
+from .statement import StatementContext
 from .views import Expansion, ViewDef, ViewExpander
 from ..storage import BufferPool, BufferStats, DiskManager, IOStats, Replacement
 from ..types import Column, Schema
@@ -190,12 +191,10 @@ class Database:
         #: bounded ring of *slow* request traces — captured when
         #: auto_explain is enabled and the request crosses its threshold
         #: (one knob for both capture paths); served by ``sys_stat_traces``
-        self.traces = TraceRing(self.obs.trace_ring_size)
+        self.traces = TraceRing()
         #: per-fingerprint statement latency quantiles (log-bucketed),
         #: surfaced as ``statement_latency_ms`` in the Prometheus export
-        self.latency = StatementLatency(
-            max_fingerprints=self.obs.latency_fingerprints
-        )
+        self.latency = StatementLatency()
         #: plan baselines per normalized statement (plan-change detection)
         self.baselines = PlanBaselineStore()
         #: est-vs-actual cardinality evidence, harvested from executions;
@@ -214,15 +213,9 @@ class Database:
         self.activity = ActivityRegistry()
         #: slow-statement capture (``auto_explain``-style)
         self.auto_explain = AutoExplain(self.obs.auto_explain)
-        #: inter-query caches: physical plans keyed by literal-lifted
-        #: statement shape, and (off by default) read-only result rows
-        #: keyed by exact SQL; see ``engine.cache``
+        #: inter-query cache: physical plans keyed by literal-lifted
+        #: statement shape; see ``engine.cache``
         self.plan_cache = PlanCache(self.obs.plan_cache_size)
-        self.result_cache = ResultCache(self.obs.result_cache_size)
-        #: per-table write counters + a global DDL/stats epoch; the
-        #: result cache snapshots these to stay invalidation-aware
-        self._write_epochs: Dict[str, int] = {}
-        self._global_epoch = 0
         #: the engine-wide statement lock: one statement mutates or plans
         #: at a time; lock *waits* (table locks) happen outside it, and
         #: COMMIT's fsync happens after it, so sessions still overlap
@@ -265,10 +258,8 @@ class Database:
     def _invalidate_caches(self, reason: str) -> None:
         """Anything that can change what the optimizer would pick — DDL,
         new statistics, a planner-options switch — drops every cached
-        plan and result."""
-        self._global_epoch += 1
+        plan."""
         dropped = self.plan_cache.invalidate(reason)
-        dropped += self.result_cache.invalidate(reason)
         if dropped and self.obs.metrics:
             self.metrics.counter("cache_invalidations_total").inc(dropped)
 
@@ -299,15 +290,10 @@ class Database:
             self._rollback_txn(txn)
 
     def _commit_txn(self, txn: Transaction) -> None:
-        """COMMIT: make durable, release locks, then publish the buffered
-        write epochs so other sessions' cached results go stale only for
-        writes that actually committed."""
+        """COMMIT: make durable, then release locks."""
         with trace_span("txn.commit") as sp:
             sp.add("txn_id", float(txn.id))
             self.txn.commit(txn)
-        for key, bumps in txn.pending_epochs.items():
-            self._write_epochs[key] = self._write_epochs.get(key, 0) + bumps
-        txn.pending_epochs.clear()
 
     def _rollback_txn(self, txn: Transaction) -> None:
         # undo mutates heaps and indexes, so it runs as a statement
@@ -318,24 +304,26 @@ class Database:
             with self._stmt_lock:
                 self.txn.rollback(txn, self.catalog)
 
-    def _begin(self, session: Session) -> QueryResult:
-        if session.txn is not None:
+    def _txn_control(self, session: Session, stmt: Any) -> QueryResult:
+        """BEGIN / COMMIT / ROLLBACK."""
+        if isinstance(stmt, RollbackStmt):
+            self.rollback_session_txn(session)
+        elif isinstance(stmt, CommitStmt):
+            txn = session.txn
+            session.txn = None
+            if txn is not None:
+                self._commit_txn(txn)
+        elif session.txn is not None:
             raise EngineError("already in a transaction")
-        session.txn = self.txn.begin(session.id, explicit=True)
+        else:
+            session.txn = self.txn.begin(session.id, explicit=True)
         return QueryResult(rows=[], columns=[])
 
-    def _commit(self, session: Session) -> QueryResult:
-        txn = session.txn
-        session.txn = None
-        if txn is not None:
-            self._commit_txn(txn)
-        return QueryResult(rows=[], columns=[])
-
-    def _rollback(self, session: Session) -> QueryResult:
-        self.rollback_session_txn(session)
-        return QueryResult(rows=[], columns=[])
-
-    # -- statement dispatch ------------------------------------------------------------
+    # -- the statement path ------------------------------------------------------------
+    #
+    # One entry (``_run_statement``: query span, parse, dispatch, trace),
+    # one read envelope (``_read``), one write envelope (``_write``), one
+    # recorder (``_record``); a ``StatementContext`` is what they share.
 
     def execute(
         self,
@@ -352,59 +340,263 @@ class Database:
         is used as-is and **not** finalized here — the owner closes its
         root span and calls :meth:`capture_trace`.
         """
+        return self._run_statement(sql, session, trace_id, tracer)
+
+    def query(
+        self,
+        sql: str,
+        session: Optional[Session] = None,
+        trace_id: Optional[str] = None,
+    ) -> QueryResult:
+        """Run a SELECT and return rows + metrics."""
+        return self._run_statement(sql, session, trace_id, select_only=True)
+
+    def _run_statement(
+        self,
+        source: Any,
+        session: Optional[Session] = None,
+        trace_id: Optional[str] = None,
+        tracer: Optional[Tracer] = None,
+        select_only: bool = False,
+    ) -> QueryResult:
+        """The one statement entry.  *source* is SQL text, or an already
+        parsed SELECT for the nested internal selects (view
+        materialization, subquery substitution): those run under a trace
+        of their own and, having no text, are neither shown in
+        ``sys_stat_activity`` nor logged."""
         session = session or self._session
         external = tracer is not None
         if tracer is None:
-            tracer = self._new_tracer(trace_id)
-        # the active tracer lets deep layers (WAL append/fsync, table
-        # locks, MVCC) open spans without threading it through signatures
-        with activate_tracer(tracer):
-            with tracer.span("query"):
-                with tracer.span("parse"):
-                    stmt = parse(sql)
+            tracer = Tracer(enabled=self.obs.trace, trace_id=trace_id)
+        sql = source if isinstance(source, str) else None
+        entry = None if sql is None else self.activity.begin(sql, session.id)
+        try:
+            # the active tracer lets deep layers (WAL append/fsync, table
+            # locks, MVCC) open spans without threading it through signatures
+            with activate_tracer(tracer), tracer.span("query"):
+                if sql is None:
+                    stmt = source
+                else:
+                    with tracer.span("parse"):
+                        stmt = parse(sql)
+                st = StatementContext(session, tracer, sql, entry)
                 if isinstance(stmt, SelectStmt):
-                    result = self._run_select(
-                        stmt, sql=sql, tracer=tracer, session=session
-                    )
+                    result = self._read(st, stmt)
+                elif select_only:
+                    raise EngineError("query() expects a SELECT; use execute()")
                 elif isinstance(stmt, ExplainStmt):
-                    result = self._explain(stmt, sql, tracer, session)
-                elif isinstance(stmt, BeginStmt):
-                    result = self._begin(session)
-                elif isinstance(stmt, CommitStmt):
-                    result = self._commit(session)
-                elif isinstance(stmt, RollbackStmt):
-                    result = self._rollback(session)
+                    result = self._explain(st, stmt)
+                elif isinstance(stmt, (BeginStmt, CommitStmt, RollbackStmt)):
+                    result = self._txn_control(session, stmt)
                 elif isinstance(stmt, CheckpointStmt):
                     result = self.checkpoint()
+                elif isinstance(stmt, (InsertStmt, DeleteStmt, UpdateStmt)):
+                    result = self._dml(st, stmt)
                 else:
-                    result = self._execute_other(stmt, sql, session)
+                    result = self._utility(st, stmt)
+        finally:
+            if entry is not None:
+                self.activity.finish(entry)
         if not external and tracer.root is not None:
             result.trace = tracer.root
             self.last_trace = tracer.root
-            self.capture_trace(tracer, sql, session_id=session.id)
+            if sql is not None:
+                self.capture_trace(tracer, sql, session_id=session.id)
         return result
 
-    def _explain(
+    def _read(
         self,
-        stmt: ExplainStmt,
-        sql: str,
-        tracer: Tracer,
-        session: Optional[Session] = None,
+        st: StatementContext,
+        stmt: SelectStmt,
+        analyze: bool = False,
+        collect_search: Optional[bool] = None,
     ) -> QueryResult:
+        """The read envelope: pin or acquire the snapshot, take the
+        statement lock, run, record, release."""
+        tracer = st.tracer
+        # MVCC: user statements read through a commit-timestamp snapshot
+        # instead of locking — they never block on writers and never see
+        # uncommitted rows.  Inside an explicit transaction the snapshot
+        # is pinned at the first SELECT and reused until COMMIT/ROLLBACK
+        # (repeatable reads, released by TxnManager._finish); autocommit
+        # SELECTs take a statement snapshot (read committed).  Nested
+        # internal selects inherit the outer statement's view below, so
+        # one statement reads one consistent state.
+        release = False
+        if st.sql is not None:
+            txn = st.txn = st.session.txn
+            if txn is None or txn.snapshot is None:
+                with tracer.span("mvcc.acquire") as sp:
+                    st.snapshot = self.txn.versions.acquire(
+                        txn.id if txn is not None else 0
+                    )
+                    sp.set_attr(
+                        "scope", "statement" if txn is None else "transaction"
+                    )
+                    sp.add("snapshot_ts", float(st.snapshot.ts))
+                if txn is None:
+                    release = True
+                else:
+                    txn.snapshot = st.snapshot
+            else:
+                st.snapshot = txn.snapshot
+            st.entry.snapshot_ts = st.snapshot.ts
+            st.entry.snapshot_acquired = st.snapshot.acquired_at
+        try:
+            with self._stmt_lock:
+                outer_snapshot = self._active_snapshot
+                if st.snapshot is None:
+                    st.snapshot = outer_snapshot
+                self._active_snapshot = st.snapshot
+                before = len(self._live_transients)
+                try:
+                    result = self._run_select(st, stmt, analyze, collect_search)
+                finally:
+                    # transient tables created for THIS statement's views
+                    self._drop_transients_from(before)
+                    self._active_snapshot = outer_snapshot
+                self._record(st, result, result.rowcount)
+        finally:
+            if release:
+                with tracer.span("mvcc.release"):
+                    self.txn.versions.release(st.snapshot)
+        return result
+
+    def _run_select(
+        self,
+        st: StatementContext,
+        stmt: SelectStmt,
+        analyze: bool,
+        collect_search: Optional[bool],
+    ) -> QueryResult:
+        """Plan (or fetch the cached plan) and execute, inside the read
+        envelope; leaves the chosen plan on *st*."""
+        tracer = st.tracer
+        # Cacheable = user-issued, not EXPLAIN ANALYZE (which must show a
+        # cold plan), feedback off (feedback-corrected plans drift between
+        # executions), and no subqueries (decomposition bakes subquery
+        # *results* into the plan as literals; the lifting walk is what
+        # finds them).
+        lifted = None
+        if (
+            st.sql is not None
+            and not analyze
+            and not self.options.use_feedback
+            and self.plan_cache.size
+        ):
+            lifted = lift_select(stmt)
+        pstats = PlannerStats()
+
+        def plan_cold(stmt: SelectStmt) -> PhysicalPlan:
+            nonlocal pstats
+            with tracer.span("plan"):
+                physical, pstats = self.plan_select(
+                    stmt, tracer=tracer, collect_search=collect_search
+                )
+            return physical
+
+        if lifted is not None:
+            st.plan, cached, st.plan_cache_hit = self._cached_plan(
+                lifted, lambda: plan_cold(lifted.stmt)
+            )
+            if cached is not None:
+                st.plan_fp = cached.fingerprint
+        else:
+            st.plan = plan_cold(stmt)
+        planning = time.perf_counter() - st.start
+        st.phase("executing")
+        waits0 = self.waits.snapshot() if self.obs.waits else None
+        with tracer.span("execute"):
+            result = self.run_plan(
+                st.plan, analyze=analyze, activity=st.entry,
+                snapshot=st.snapshot,
+            )
+        if waits0 is not None:
+            # exec.cpu = wall execution time minus the blocked time that
+            # accrued during it, so cpu + io + lock adds back
+            # up to measured execution time
+            blocked = sum(
+                seconds
+                for event, (_, seconds) in self.waits.delta(waits0).items()
+                if not event.startswith("exec.")
+            )
+            self.waits.record(
+                "exec.cpu", max(0.0, result.execution_seconds - blocked)
+            )
+        result.planner_stats = pstats
+        result.planning_seconds = planning
+        return result
+
+    def _write(self, st: StatementContext, tables: Sequence[str], body) -> Any:
+        """The write envelope, shared by DDL, INSERT/UPDATE/DELETE,
+        ``insert_rows`` and ``analyze``: run *body* under the session's
+        transaction (or an implicit autocommitted one).  Table locks are
+        taken *before* the statement lock — lock waits must not block the
+        engine — and an implicit COMMIT's fsync happens *after* the
+        statement lock is released (group commit batching)."""
+        session = st.session
+        own = session.txn
+        txn = st.txn = own if own is not None else self.txn.begin(session.id)
+        try:
+            st.phase("lock wait")
+            for table in tables:
+                self.txn.lock_table(txn, table)
+            st.phase("executing")
+            with self.txn.activate(txn), self._stmt_lock:
+                out = body()
+        except BaseException:
+            # statement failure aborts the whole transaction (a partially
+            # applied statement cannot be left behind)
+            if own is not None:
+                session.txn = None
+            self._rollback_txn(txn)
+            raise
+        if own is None:
+            self._commit_txn(txn)
+        return out
+
+    def _dml(self, st: StatementContext, stmt: Any) -> QueryResult:
+        """INSERT/UPDATE/DELETE: through the write envelope, then recorded."""
+        insert = isinstance(stmt, InsertStmt)
+        st.kind = (
+            "insert"
+            if insert
+            else "delete" if isinstance(stmt, DeleteStmt) else "update"
+        )
+        st.io0 = self.disk.stats.snapshot()
+
+        def body() -> int:
+            with trace_span("execute") as sp:
+                if insert:
+                    count = self._insert(stmt)
+                else:
+                    # the access path that located the victims, and
+                    # whether it came out of the plan cache
+                    apply = self._delete if st.kind == "delete" else self._update
+                    count, st.plan, st.plan_cache_hit = apply(stmt)
+                    sp.set_attr(
+                        "access_path",
+                        st.plan.index.name
+                        if isinstance(st.plan, PIndexScan)
+                        else "seq",
+                    )
+                sp.add("rows_modified", float(count))
+            return count
+
+        count = self._write(st, [stmt.table], body)
+        self._record(st, None, count)
+        if insert:
+            return QueryResult(rows=[], columns=[])
+        return QueryResult(rows=[(count,)], columns=[f"{st.kind}d"])
+
+    def _explain(self, st: StatementContext, stmt: ExplainStmt) -> QueryResult:
         """EXPLAIN [(ANALYZE | VERBOSE | SEARCH | DIFF)]: render the plan
         (with actuals when executed), optionally followed by the
         optimizer's search trace, or diffed against the stored baseline."""
-        if stmt.diff:
-            return self._explain_diff(stmt, sql, tracer)
         collect_search = True if stmt.search else None
-        if stmt.analyze:
-            inner = self._run_select(
-                stmt.inner,
-                sql=sql,
-                tracer=tracer,
-                analyze=True,
-                collect_search=collect_search,
-                session=session,
+        if stmt.analyze and not stmt.diff:
+            inner = self._read(
+                st, stmt.inner, analyze=True, collect_search=collect_search
             )
             text = inner.plan.pretty(actuals=True)
             text += (
@@ -414,30 +606,33 @@ class Database:
                 f"{inner.rowcount} rows"
             )
             text += self._search_section(stmt)
-            return QueryResult(
+            return dc_replace(
+                inner,
                 rows=[(line,) for line in text.splitlines()],
                 columns=["plan"],
-                plan=inner.plan,
-                io=inner.io,
-                buffer=inner.buffer,
-                exec_metrics=inner.exec_metrics,
-                planner_stats=inner.planner_stats,
-                planning_seconds=inner.planning_seconds,
-                execution_seconds=inner.execution_seconds,
             )
-        start = time.perf_counter()
-        with self._stmt_lock:
-            before = len(self._live_transients)
-            try:
-                with tracer.span("plan"):
-                    physical, pstats = self.plan_select(
-                        stmt.inner, tracer=tracer, collect_search=collect_search
-                    )
-                text = physical.pretty()
-                text += self._search_section(stmt)
-            finally:
-                self._drop_transients_from(before)
-        planning = time.perf_counter() - start
+        physical, pstats = self._plan_only(
+            stmt.inner, st.tracer, collect_search
+        )
+        planning = time.perf_counter() - st.start
+        if not stmt.diff:
+            text = physical.pretty() + self._search_section(stmt)
+        else:
+            # diffing is a read-only question: the baseline is NOT advanced
+            baseline = self.baselines.get(statement_fingerprint(st.sql))
+            if baseline is None:
+                text = (
+                    physical.pretty()
+                    + "\n\n(no stored baseline for this statement yet — "
+                    "run it once to establish one)"
+                )
+            else:
+                text = plan_diff(
+                    baseline.plan_shape,
+                    plan_shape_text(physical),
+                    baseline.est_cost,
+                    physical.total_est_cost(),
+                )
         return QueryResult(
             rows=[(line,) for line in text.splitlines()],
             columns=["plan"],
@@ -451,203 +646,46 @@ class Database:
             return ""
         return "\n\nSearch:\n" + self.last_search.render(verbose=stmt.verbose)
 
-    def _explain_diff(
-        self, stmt: ExplainStmt, sql: str, tracer: Tracer
-    ) -> QueryResult:
-        """EXPLAIN DIFF: plan the statement (no execution) and diff the
-        chosen plan against the stored baseline.  The baseline itself is
-        NOT advanced — diffing is a read-only question."""
-        start = time.perf_counter()
+    def _plan_only(
+        self,
+        stmt: SelectStmt,
+        tracer: Optional[Tracer] = None,
+        collect_search: Optional[bool] = None,
+    ) -> Tuple[PhysicalPlan, PlannerStats]:
+        """Plan without executing — ``EXPLAIN``, ``EXPLAIN DIFF``,
+        :meth:`plan`, :meth:`explain`.  Planning materializes
+        non-mergeable views and ``sys_stat_*`` snapshots into real catalog
+        tables, so it holds the statement lock, and it drops those
+        transients before it returns."""
+        tracer = tracer or Tracer(enabled=False)
         with self._stmt_lock:
             before = len(self._live_transients)
             try:
                 with tracer.span("plan"):
-                    physical, pstats = self.plan_select(
-                        stmt.inner, tracer=tracer
+                    return self.plan_select(
+                        stmt, tracer=tracer, collect_search=collect_search
                     )
             finally:
                 self._drop_transients_from(before)
-        planning = time.perf_counter() - start
-        baseline = self.baselines.get(statement_fingerprint(sql))
-        if baseline is None:
-            text = (
-                physical.pretty()
-                + "\n\n(no stored baseline for this statement yet — "
-                "run it once to establish one)"
-            )
-        else:
-            text = plan_diff(
-                baseline.plan_shape,
-                plan_shape_text(physical),
-                baseline.est_cost,
-                physical.total_est_cost(),
-            )
-        return QueryResult(
-            rows=[(line,) for line in text.splitlines()],
-            columns=["plan"],
-            plan=physical,
-            planner_stats=pstats,
-            planning_seconds=planning,
-        )
 
-    def _execute_other(
-        self, stmt: Any, sql: str, session: Optional[Session] = None
+    def _utility(
+        self, st: StatementContext, stmt: Any, **stats_options: Any
     ) -> QueryResult:
-        """DDL / DML / utility statements (everything but SELECT/EXPLAIN)."""
-        session = session or self._session
-        if isinstance(stmt, (InsertStmt, DeleteStmt, UpdateStmt)):
-            return self._execute_dml(stmt, session, sql=sql)
-        if session.txn is not None:
+        """DDL and ANALYZE: autocommitted through the write envelope and
+        logged as DDL (recovery replays the text).  *stats_options* are
+        :meth:`analyze`'s histogram settings."""
+        if st.session.txn is not None:
             raise EngineError(
                 "DDL and utility statements autocommit and cannot run "
                 "inside an explicit transaction"
             )
-        txn = self.txn.begin(session.id)
-        try:
-            for table in self._utility_lock_targets(stmt):
-                self.txn.lock_table(txn, table)
-            with self.txn.activate(txn), self._stmt_lock:
-                result = self._apply_utility(stmt, sql)
-                if isinstance(
-                    stmt,
-                    (
-                        CreateTableStmt,
-                        CreateIndexStmt,
-                        DropTableStmt,
-                        CreateViewStmt,
-                        DropViewStmt,
-                        AnalyzeStmt,
-                    ),
-                ):
-                    self.txn.log_ddl(
-                        json.dumps({"sql": sql}).encode("utf-8")
-                    )
-        except BaseException:
-            self._rollback_txn(txn)
-            raise
-        self._commit_txn(txn)
-        return result
 
-    def _execute_dml(
-        self, stmt: Any, session: Session, sql: Optional[str] = None
-    ) -> QueryResult:
-        """INSERT/UPDATE/DELETE under the session's transaction (or an
-        implicit autocommitted one).  The table write lock is taken
-        *before* the statement lock — lock waits must not block the
-        engine — and an implicit COMMIT's fsync happens *after* the
-        statement lock is released (group commit batching)."""
-        own = session.txn
-        txn = own if own is not None else self.txn.begin(session.id)
-        start = time.perf_counter()
-        dstats = self.disk.stats
-        reads0, writes0 = dstats.reads, dstats.writes
-        try:
-            self.txn.lock_table(txn, stmt.table)
-            with self.txn.activate(txn), self._stmt_lock:
-                with trace_span("execute") as sp:
-                    # the access path that located the victims, and
-                    # whether it came out of the plan cache
-                    path, plan_cache_hit = None, False
-                    if isinstance(stmt, InsertStmt):
-                        count = self._insert(stmt)
-                        kind = "insert"
-                        result = QueryResult(rows=[], columns=[])
-                    elif isinstance(stmt, DeleteStmt):
-                        count, path, plan_cache_hit = self._delete(stmt)
-                        kind = "delete"
-                        result = QueryResult(
-                            rows=[(count,)], columns=["deleted"]
-                        )
-                    else:
-                        count, path, plan_cache_hit = self._update(stmt)
-                        kind = "update"
-                        result = QueryResult(
-                            rows=[(count,)], columns=["updated"]
-                        )
-                    sp.add("rows_modified", float(count))
-                    if path is not None:
-                        sp.set_attr(
-                            "access_path",
-                            path.index.name
-                            if isinstance(path, PIndexScan)
-                            else "seq",
-                        )
-                key = stmt.table.lower()
-                txn.pending_epochs[key] = txn.pending_epochs.get(key, 0) + 1
-        except BaseException:
-            # statement failure aborts the whole transaction (a partially
-            # applied statement cannot be left behind)
-            if own is not None:
-                session.txn = None
-            self._rollback_txn(txn)
-            raise
-        if own is None:
-            self._commit_txn(txn)
-        if sql is not None:
-            # statement latency as the client saw it: for autocommit DML
-            # the elapsed time includes the COMMIT's (group-batched) fsync
-            self._record_dml(
-                sql,
-                kind,
-                count,
-                session,
-                txn,
-                time.perf_counter() - start,
-                dstats.reads - reads0,
-                dstats.writes - writes0,
-                path,
-                plan_cache_hit,
-            )
-        return result
+        def body() -> QueryResult:
+            result = self._apply_utility(stmt, st.sql, **stats_options)
+            self.txn.log_ddl(json.dumps({"sql": st.sql}).encode("utf-8"))
+            return result
 
-    def _record_dml(
-        self,
-        sql: str,
-        kind: str,
-        count: int,
-        session: Session,
-        txn: Transaction,
-        elapsed: float,
-        reads: int,
-        writes: int,
-        path: Optional[PhysicalPlan],
-        plan_cache_hit: bool,
-    ) -> None:
-        """Feed one finished DML statement into the metrics registry, the
-        latency store, and the query log (with session/txn attribution) —
-        the write-side twin of :meth:`_record_query`.  *path* is the scan
-        that located an UPDATE/DELETE's rows (None for INSERT): its
-        estimates are what the log scores against the rows modified."""
-        log = self.query_log.capacity > 0
-        if not (log or self.obs.metrics):
-            return
-        fingerprint = statement_fingerprint(sql)
-        if self.obs.metrics:
-            m = self.metrics
-            m.counter("dml_statements_total").inc()
-            m.counter("rows_modified_total").inc(count)
-            m.histogram("dml_execution_ms").observe(elapsed * 1000.0)
-            self.latency.observe(fingerprint, elapsed * 1000.0)
-        if log:
-            est_rows = float(count) if path is None else path.est_rows
-            self.query_log.record(
-                QueryLogRecord(
-                    sql=sql,
-                    fingerprint=fingerprint,
-                    est_rows=est_rows,
-                    actual_rows=count,
-                    q_error=q_error(est_rows, float(count)),
-                    est_cost=0.0 if path is None else path.total_est_cost(),
-                    actual_reads=reads,
-                    actual_writes=writes,
-                    planning_ms=0.0,
-                    execution_ms=elapsed * 1000.0,
-                    plan_cache_hit=plan_cache_hit,
-                    kind=kind,
-                    session_id=session.id,
-                    txn_id=txn.id,
-                )
-            )
+        return self._write(st, self._utility_lock_targets(stmt), body)
 
     def _utility_lock_targets(self, stmt: Any) -> List[str]:
         """Tables a DDL/utility statement must quiesce before running."""
@@ -662,7 +700,9 @@ class Database:
                 return [stmt.table]
         return []
 
-    def _apply_utility(self, stmt: Any, sql: str) -> QueryResult:
+    def _apply_utility(
+        self, stmt: Any, sql: str, **stats_options: Any
+    ) -> QueryResult:
         if isinstance(stmt, CreateTableStmt):
             schema = Schema(
                 Column(c.name, c.dtype, stmt.table, c.nullable)
@@ -709,12 +749,12 @@ class Database:
         if isinstance(stmt, AnalyzeStmt):
             self._invalidate_caches("ANALYZE")
             if stmt.table is None:
-                self.catalog.analyze_all()
+                self.catalog.analyze_all(**stats_options)
                 analyzed = sorted(
                     self.catalog.tables(), key=lambda info: info.name
                 )
             else:
-                self.catalog.analyze(stmt.table)
+                self.catalog.analyze(stmt.table, **stats_options)
                 analyzed = [self.catalog.table(stmt.table)]
             # one summary row per table, zone-map coverage included
             rows = []
@@ -743,32 +783,6 @@ class Database:
             )
         raise EngineError(f"unsupported statement {type(stmt).__name__}")
 
-    def query(
-        self,
-        sql: str,
-        session: Optional[Session] = None,
-        trace_id: Optional[str] = None,
-    ) -> QueryResult:
-        """Run a SELECT and return rows + metrics."""
-        session = session or self._session
-        tracer = self._new_tracer(trace_id)
-        with activate_tracer(tracer):
-            with tracer.span("query"):
-                with tracer.span("parse"):
-                    stmt = parse(sql)
-                if not isinstance(stmt, SelectStmt):
-                    raise EngineError(
-                        "query() expects a SELECT; use execute()"
-                    )
-                result = self._run_select(
-                    stmt, sql=sql, tracer=tracer, session=session
-                )
-        if tracer.root is not None:
-            result.trace = tracer.root
-            self.last_trace = tracer.root
-            self.capture_trace(tracer, sql, session_id=session.id)
-        return result
-
     # -- planning ---------------------------------------------------------------------------
 
     def plan_select(
@@ -779,15 +793,14 @@ class Database:
     ) -> Tuple[PhysicalPlan, PlannerStats]:
         """Plan a SELECT.  Views referenced by *stmt* are expanded here; a
         non-mergeable view is materialized into a transient table that the
-        statement owning the planning drops when it finishes (``_run_select``,
-        ``plan`` and ``explain_stmt`` all clean up after themselves; direct
+        statement owning the planning drops when it finishes (the read
+        envelope and ``_plan_only`` clean up after themselves; direct
         callers own the cleanup via :meth:`drop_transients`)."""
         tracer = tracer or Tracer(enabled=False)
         with tracer.span("view_expansion") as span:
             expansion = self._expand_views(stmt)
             if expansion.transient_tables:
                 span.add("views_materialized", len(expansion.transient_tables))
-        self._live_transients.extend(expansion.transient_tables)
         self._materialize_system_tables(expansion.stmt)
         with tracer.span("decorrelation") as span:
             before = len(self._live_transients)
@@ -815,8 +828,6 @@ class Database:
         return physical, planner.last_stats or PlannerStats()
 
     # -- views -------------------------------------------------------------------------
-
-    _live_transients: List[str]
 
     def _expand_views(self, stmt: SelectStmt) -> Expansion:
         if not self.views:
@@ -859,12 +870,15 @@ class Database:
         return names
 
     def _materialize_view(self, inner: SelectStmt, table_name: str) -> str:
-        result = self._select(inner)
+        result = self._run_statement(inner)
         schema = Schema(
             Column(column.name, column.dtype, table_name, True)
             for column in result.plan.schema
         )
         self.catalog.create_table(table_name, schema)
+        # registered at once, so it is dropped with the statement even
+        # when a later view or subquery of the same statement fails
+        self._live_transients.append(table_name)
         self.catalog.insert_rows(table_name, result.rows)
         self.catalog.analyze(table_name)
         return table_name
@@ -894,9 +908,9 @@ class Database:
                 continue
             schema, rows = catalog.system_table_rows(key)
             catalog.create_table(key, schema)
+            self._live_transients.append(key)
             catalog.insert_rows(key, rows)
             catalog.analyze(key)
-            self._live_transients.append(key)
 
     def drop_transients(self) -> None:
         """Drop transient tables left over from planning view queries."""
@@ -1117,7 +1131,6 @@ class Database:
         )
         alias = f"__dq{counter}_{len(self._live_transients)}"
         table_name = self._materialize_view(derived, f"__decorr_{alias}")
-        self._live_transients.append(table_name)
         extra_tables.append(TableRef(table_name, alias))
 
         conjuncts_out: List[Any] = []
@@ -1134,7 +1147,7 @@ class Database:
             return expr
         inner: SelectStmt = expr.payload
         try:
-            result = self._select(inner)
+            result = self._run_statement(inner)
         except Exception as exc:
             raise EngineError(
                 "subquery failed (correlated subqueries are not supported: "
@@ -1167,21 +1180,10 @@ class Database:
             stmt = stmt.inner
         if not isinstance(stmt, SelectStmt):
             raise EngineError("plan() expects a SELECT")
-        before = len(self._live_transients)
-        try:
-            return self.plan_select(stmt)[0]
-        finally:
-            self._drop_transients_from(before)
+        return self._plan_only(stmt)[0]
 
     def explain(self, sql: str) -> str:
         return self.plan(sql).pretty()
-
-    def explain_stmt(self, stmt: SelectStmt) -> str:
-        before = len(self._live_transients)
-        try:
-            return self.plan_select(stmt)[0].pretty()
-        finally:
-            self._drop_transients_from(before)
 
     # -- execution ---------------------------------------------------------------------------
 
@@ -1235,9 +1237,6 @@ class Database:
             execution_seconds=elapsed,
         )
 
-    def _new_tracer(self, trace_id: Optional[str] = None) -> Tracer:
-        return Tracer(enabled=self.obs.trace, trace_id=trace_id)
-
     # -- request traces -----------------------------------------------------------------
 
     def capture_trace(
@@ -1285,257 +1284,6 @@ class Database:
                 fh.write(text)
         return text
 
-    def _select(self, stmt: SelectStmt) -> QueryResult:
-        """Plan + run a SELECT under its own trace (internal entry point:
-        view materialization, subquery substitution, tests)."""
-        tracer = self._new_tracer()
-        with tracer.span("query"):
-            result = self._run_select(stmt, tracer=tracer)
-        if tracer.root is not None:
-            result.trace = tracer.root
-            self.last_trace = tracer.root
-        return result
-
-    @staticmethod
-    def _plan_tables(physical: PhysicalPlan) -> set:
-        """Lower-cased names of every base table the plan reads."""
-        names = set()
-        for node in walk_plan(physical):
-            table = getattr(node, "table", None)
-            if table is not None:
-                names.add(table.name.lower())
-        return names
-
-    def _run_select(
-        self,
-        stmt: SelectStmt,
-        sql: Optional[str] = None,
-        tracer: Optional[Tracer] = None,
-        analyze: bool = False,
-        collect_search: Optional[bool] = None,
-        session: Optional[Session] = None,
-    ) -> QueryResult:
-        tracer = tracer or Tracer(enabled=False)
-        start = time.perf_counter()
-        # MVCC: top-level statements read through a commit-timestamp
-        # snapshot instead of locking — they never block on writers and
-        # never see uncommitted rows.  Inside an explicit transaction the
-        # snapshot is pinned at the first SELECT and reused until COMMIT/
-        # ROLLBACK (repeatable reads, released by TxnManager._finish);
-        # autocommit SELECTs take a statement snapshot (read committed).
-        snapshot = None
-        release = False
-        if session is not None:
-            txn = session.txn
-            if txn is not None:
-                if txn.snapshot is None:
-                    with tracer.span("mvcc.acquire") as sp:
-                        txn.snapshot = self.txn.versions.acquire(txn.id)
-                        sp.set_attr("scope", "transaction")
-                        sp.add("snapshot_ts", float(txn.snapshot.ts))
-                snapshot = txn.snapshot
-            else:
-                with tracer.span("mvcc.acquire") as sp:
-                    snapshot = self.txn.versions.acquire(0)
-                    sp.set_attr("scope", "statement")
-                    sp.add("snapshot_ts", float(snapshot.ts))
-                release = True
-        try:
-            with self._stmt_lock:
-                return self._run_select_locked(
-                    stmt, sql, tracer, analyze, collect_search,
-                    session, start, snapshot,
-                )
-        finally:
-            if release:
-                with tracer.span("mvcc.release"):
-                    self.txn.versions.release(snapshot)
-
-    def _run_select_locked(
-        self,
-        stmt: SelectStmt,
-        sql: Optional[str],
-        tracer: Tracer,
-        analyze: bool,
-        collect_search: Optional[bool],
-        session: Optional[Session],
-        start: float,
-        snapshot: Optional[Any] = None,
-    ) -> QueryResult:
-        # Nested internal selects (view materialization, subquery
-        # decomposition) arrive with snapshot=None and inherit the outer
-        # statement's view, so one statement reads one consistent state.
-        if snapshot is None:
-            snapshot = self._active_snapshot
-        prev_snapshot = self._active_snapshot
-        self._active_snapshot = snapshot
-        try:
-            return self._run_select_impl(
-                stmt, sql, tracer, analyze, collect_search,
-                session, start, snapshot,
-            )
-        finally:
-            self._active_snapshot = prev_snapshot
-
-    def _run_select_impl(
-        self,
-        stmt: SelectStmt,
-        sql: Optional[str],
-        tracer: Tracer,
-        analyze: bool,
-        collect_search: Optional[bool],
-        session: Optional[Session],
-        start: float,
-        snapshot: Optional[Any],
-    ) -> QueryResult:
-        before_transients = len(self._live_transients)
-        # Cacheable = user-issued, not EXPLAIN ANALYZE (which must show a
-        # cold plan), feedback off (feedback-corrected plans drift between
-        # executions), and no subqueries (decomposition bakes subquery
-        # *results* into the plan as literals; the lifting walk is what
-        # finds them).
-        lifted = None
-        if (
-            sql is not None
-            and not analyze
-            and not self.options.use_feedback
-            and (self.plan_cache.size or self.obs.result_cache)
-        ):
-            lifted = lift_select(stmt)
-        cacheable = lifted is not None
-        # A session with pending (uncommitted) writes bypasses the result
-        # cache: entries reflect committed state only, so serving one
-        # could hide the session's own changes — while evicting it (the
-        # cache's staleness reaction) would wrongly punish everyone else
-        # for writes that may yet roll back.
-        txn = session.txn if session is not None else None
-        # A snapshot older than the latest commit must also bypass: cache
-        # entries reflect the *newest* committed state, which this reader's
-        # frozen view is not allowed to observe yet.
-        stale_snapshot = (
-            snapshot is not None
-            and snapshot.ts != self.txn.versions.last_commit_ts
-        )
-        bypass_result_cache = (
-            txn is not None and bool(txn.pending_epochs)
-        ) or stale_snapshot
-        if cacheable and self.obs.result_cache and not bypass_result_cache:
-            hit = self.result_cache.lookup(
-                sql, self._global_epoch, self._write_epochs
-            )
-            if hit is not None:
-                if self.obs.metrics:
-                    self.metrics.counter("cache_result_hits_total").inc()
-                result = QueryResult(
-                    rows=list(hit.rows),
-                    columns=list(hit.columns),
-                    plan=hit.plan,
-                    planner_stats=PlannerStats(),
-                    planning_seconds=time.perf_counter() - start,
-                )
-                self._record_query(
-                    sql, hit.plan, result, result_cache_hit=True,
-                    session=session,
-                )
-                return result
-            if self.obs.metrics:
-                self.metrics.counter("cache_result_misses_total").inc()
-        entry = (
-            self.activity.begin(
-                sql, session_id=session.id if session is not None else 0
-            )
-            if sql is not None
-            else None
-        )
-        if entry is not None and snapshot is not None:
-            entry.snapshot_ts = snapshot.ts
-            entry.snapshot_acquired = snapshot.acquired_at
-        made_transients = False
-        cached = None
-        plan_cache_hit = False
-        try:
-            pstats = PlannerStats()
-
-            def plan_cold(stmt: SelectStmt) -> PhysicalPlan:
-                nonlocal pstats
-                with tracer.span("plan"):
-                    physical, pstats = self.plan_select(
-                        stmt, tracer=tracer, collect_search=collect_search
-                    )
-                return physical
-
-            if cacheable and self.plan_cache.size:
-                physical, cached, plan_cache_hit = self._cached_plan(
-                    lifted, lambda: plan_cold(lifted.stmt)
-                )
-            else:
-                physical = plan_cold(stmt)
-            # plans that lean on per-statement transients (materialized
-            # views, system tables) die with those transients: they are
-            # never cached, plans or rows
-            made_transients = len(self._live_transients) > before_transients
-            planning = time.perf_counter() - start
-            if entry is not None:
-                entry.phase = "executing"
-            waits0 = self.waits.snapshot() if self.obs.waits else None
-            with tracer.span("execute"):
-                result = self.run_plan(
-                    physical, analyze=analyze, activity=entry,
-                    snapshot=snapshot,
-                )
-        finally:
-            # transient tables created for THIS statement's views
-            self._drop_transients_from(before_transients)
-            if entry is not None:
-                self.activity.finish(entry)
-        if waits0 is not None:
-            # exec.cpu = wall execution time minus the blocked time that
-            # accrued during it, so cpu + io + lock adds back
-            # up to measured execution time
-            blocked = sum(
-                seconds
-                for event, (_, seconds) in self.waits.delta(waits0).items()
-                if not event.startswith("exec.")
-            )
-            self.waits.record(
-                "exec.cpu", max(0.0, result.execution_seconds - blocked)
-            )
-        result.planner_stats = pstats
-        result.planning_seconds = planning
-        if (
-            cacheable
-            and self.obs.result_cache
-            and not made_transients
-            and result.rowcount <= self.obs.result_cache_max_rows
-            # re-checked after execution: a commit landing mid-query
-            # makes these rows a stale view the cache must not publish
-            and not (
-                snapshot is not None
-                and snapshot.ts != self.txn.versions.last_commit_ts
-            )
-        ):
-            tables = self._plan_tables(physical)
-            # never publish rows that include this session's uncommitted
-            # writes — a rollback would leave the entry poisoned for
-            # everyone else
-            dirty = set(txn.pending_epochs) if txn is not None else set()
-            if not (tables & dirty):
-                self.result_cache.store(
-                    sql,
-                    result.rows,
-                    result.columns,
-                    physical,
-                    {name: self._write_epochs.get(name, 0) for name in tables},
-                    self._global_epoch,
-                )
-        self._record_query(
-            sql, physical, result, plan_cache_hit=plan_cache_hit,
-            session=session,
-            plan_fp=cached.fingerprint if cached is not None else None,
-        )
-        self._maybe_auto_explain(sql, physical, result)
-        return result
-
     def _cached_plan(
         self, lifted: Lifted, plan_cold
     ) -> Tuple[PhysicalPlan, Optional[CachedPlan], bool]:
@@ -1568,152 +1316,136 @@ class Database:
             cache.store(shape, cached)
         return cached.bind(lifted.params), cached, hit
 
-    def _record_query(
-        self,
-        sql: Optional[str],
-        physical: PhysicalPlan,
-        result: QueryResult,
-        plan_cache_hit: bool = False,
-        result_cache_hit: bool = False,
-        session: Optional[Session] = None,
-        plan_fp: Optional[str] = None,
+    def _record(
+        self, st: StatementContext, result: Optional[QueryResult], rows: int
     ) -> None:
-        """Feed one finished SELECT into the metrics registry and (for
-        user-issued statements, ``sql is not None``) the query log.
-        *plan_fp* is the plan fingerprint when the plan-cache entry
-        already knows it.
-
-        A result-cache hit never executed, so its stale plan actuals are
-        kept out of the feedback store and the baseline observer."""
-        observe_baseline = (
-            self.obs.baselines and sql is not None and not result_cache_hit
-        )
+        """The one recorder: feed a finished statement — a SELECT with its
+        *result*, or a DML statement (*result* is None) — into the metrics
+        registry, the latency store, the query log (with session/txn
+        attribution), the baseline and feedback stores and auto_explain.
+        *rows* is what it returned or modified; ``st.plan`` is the
+        SELECT's plan or the scan that located an UPDATE/DELETE's rows
+        (None for INSERT), whose estimates the log scores against *rows*.
+        A nested internal select (``st.sql is None``) feeds only the
+        metrics and the feedback store."""
+        sql, plan, obs = st.sql, st.plan, self.obs
+        select = st.kind == "select"
+        log = sql is not None and self.query_log.capacity > 0
+        observe_baseline = select and sql is not None and obs.baselines
+        if select:
+            planning_ms = result.planning_seconds * 1000.0
+            execution_ms = result.execution_seconds * 1000.0
+            io = result.io
+        elif log or obs.metrics:
+            # statement latency as the client saw it: for autocommit DML
+            # the elapsed time includes the COMMIT's (group-batched) fsync
+            planning_ms = 0.0
+            execution_ms = (time.perf_counter() - st.start) * 1000.0
+            io = self.disk.stats.delta(st.io0)
+        else:
+            return
+        # the log names a SELECT by its plan and a DML statement by its text
         statement_fp = (
             statement_fingerprint(sql)
-            if sql is not None and (self.obs.metrics or observe_baseline)
+            if sql is not None
+            and (obs.metrics or observe_baseline or (log and not select))
             else None
         )
-        if self.obs.metrics:
+        if obs.metrics:
             m = self.metrics
-            m.counter("queries_total").inc()
-            m.histogram("planning_ms").observe(result.planning_seconds * 1000.0)
-            m.histogram("execution_ms").observe(
-                result.execution_seconds * 1000.0
-            )
-            m.counter("rows_returned_total").inc(result.rowcount)
-            if result.io is not None:
-                m.counter("pages_read_total").inc(result.io.reads)
-                m.counter("pages_written_total").inc(result.io.writes)
-            if result.exec_metrics is not None:
-                m.counter("spills_total").inc(result.exec_metrics.spills)
-                m.counter("temp_files_total").inc(
-                    result.exec_metrics.temp_files
-                )
-                m.counter("pages_skipped_total").inc(
-                    result.exec_metrics.pages_skipped
-                )
-                m.counter("exec_row_fallbacks_total").inc(
-                    result.exec_metrics.row_fallbacks
-                )
-            m.gauge("buffer_hit_ratio").set(self.pool.stats.hit_rate)
+            if select:
+                m.counter("queries_total").inc()
+                m.histogram("planning_ms").observe(planning_ms)
+                m.histogram("execution_ms").observe(execution_ms)
+                m.counter("rows_returned_total").inc(rows)
+                m.counter("pages_read_total").inc(io.reads)
+                m.counter("pages_written_total").inc(io.writes)
+                em = result.exec_metrics
+                m.counter("spills_total").inc(em.spills)
+                m.counter("temp_files_total").inc(em.temp_files)
+                m.counter("pages_skipped_total").inc(em.pages_skipped)
+                m.counter("exec_row_fallbacks_total").inc(em.row_fallbacks)
+                m.gauge("buffer_hit_ratio").set(self.pool.stats.hit_rate)
+            else:
+                m.counter("dml_statements_total").inc()
+                m.counter("rows_modified_total").inc(rows)
+                m.histogram("dml_execution_ms").observe(execution_ms)
             if sql is not None:
-                self.latency.observe(
+                self.latency.observe(statement_fp, planning_ms + execution_ms)
+        # plans under a LIMIT are not harvested: early termination leaves
+        # actuals that reflect the cutoff, not the data, and learning from
+        # them would poison the corrections
+        if (
+            select
+            and obs.feedback
+            and not any(isinstance(node, PLimit) for node in walk_plan(plan))
+        ):
+            self.feedback.harvest(plan)
+        if log or observe_baseline:
+            fingerprint = (
+                (st.plan_fp or plan_fingerprint(plan)) if select else statement_fp
+            )
+            est_cost = 0.0 if plan is None else plan.total_est_cost()
+            plan_changed = False
+            cost_delta = 0.0
+            if observe_baseline:
+                change = self.baselines.observe(
                     statement_fp,
-                    (result.planning_seconds + result.execution_seconds)
-                    * 1000.0,
+                    sql,
+                    fingerprint,
+                    est_cost,
+                    plan,  # rendered only for a new or changed plan
+                    execution_ms,
                 )
-        if self.obs.feedback and not result_cache_hit:
-            self._harvest_feedback(physical)
-        fingerprint = plan_fp or plan_fingerprint(physical)
-        est_cost = physical.total_est_cost()
-        plan_changed = False
-        cost_delta = 0.0
-        if observe_baseline:
-            change = self.baselines.observe(
-                statement_fp,
-                sql,
-                fingerprint,
-                est_cost,
-                physical,  # rendered only for a new or changed plan
-                result.execution_seconds * 1000.0,
-            )
-            if change is not None:
-                plan_changed = True
-                cost_delta = change.cost_delta
-                if self.obs.metrics:
-                    self.metrics.counter("plan_changes_total").inc()
-                    if change.is_regression:
-                        self.metrics.counter("plan_regressions_total").inc()
-        if sql is not None and self.query_log.capacity > 0:
-            self.query_log.record(
-                QueryLogRecord(
-                    sql=sql,
-                    fingerprint=fingerprint,
-                    est_rows=physical.est_rows,
-                    actual_rows=result.rowcount,
-                    q_error=q_error(physical.est_rows, float(result.rowcount)),
-                    est_cost=est_cost,
-                    actual_reads=result.io.reads if result.io else 0,
-                    actual_writes=result.io.writes if result.io else 0,
-                    planning_ms=result.planning_seconds * 1000.0,
-                    execution_ms=result.execution_seconds * 1000.0,
-                    spills=(
-                        result.exec_metrics.spills if result.exec_metrics else 0
-                    ),
-                    temp_files=(
-                        result.exec_metrics.temp_files
-                        if result.exec_metrics
-                        else 0
-                    ),
-                    plan_changed=plan_changed,
-                    baseline_cost_delta=cost_delta,
-                    buffer_hits=result.buffer.hits if result.buffer else 0,
-                    plan_cache_hit=plan_cache_hit,
-                    result_cache_hit=result_cache_hit,
-                    kind="select",
-                    session_id=session.id if session is not None else 0,
-                    txn_id=(
-                        session.txn.id
-                        if session is not None and session.txn is not None
-                        else 0
-                    ),
+                if change is not None:
+                    plan_changed = True
+                    cost_delta = change.cost_delta
+                    if obs.metrics:
+                        self.metrics.counter("plan_changes_total").inc()
+                        if change.is_regression:
+                            self.metrics.counter("plan_regressions_total").inc()
+            if log:
+                est_rows = float(rows) if plan is None else plan.est_rows
+                self.query_log.record(
+                    QueryLogRecord(
+                        sql=sql,
+                        fingerprint=fingerprint,
+                        est_rows=est_rows,
+                        actual_rows=rows,
+                        q_error=q_error(est_rows, float(rows)),
+                        est_cost=est_cost,
+                        actual_reads=io.reads,
+                        actual_writes=io.writes,
+                        planning_ms=planning_ms,
+                        execution_ms=execution_ms,
+                        spills=result.exec_metrics.spills if select else 0,
+                        temp_files=result.exec_metrics.temp_files if select else 0,
+                        plan_changed=plan_changed,
+                        baseline_cost_delta=cost_delta,
+                        buffer_hits=result.buffer.hits if select else 0,
+                        plan_cache_hit=st.plan_cache_hit,
+                        kind=st.kind,
+                        session_id=st.session.id,
+                        txn_id=st.txn.id if st.txn is not None else 0,
+                    )
                 )
+        if select and sql is not None and self.auto_explain.enabled:
+            # capture user statements that crossed the auto_explain threshold
+            search_summary = None
+            if self.last_search is not None and len(self.last_search):
+                search_summary = self.last_search.render(top=3)
+            captured = self.auto_explain.maybe_capture(
+                sql=sql,
+                execution_ms=execution_ms,
+                planning_ms=planning_ms,
+                rows=rows,
+                plan_text=plan.pretty(actuals=True),
+                reads=io.reads,
+                writes=io.writes,
+                search_summary=search_summary,
             )
-
-    def _maybe_auto_explain(
-        self, sql: Optional[str], physical: PhysicalPlan, result: QueryResult
-    ) -> None:
-        """Capture user statements that crossed the auto_explain threshold."""
-        if sql is None or not self.auto_explain.enabled:
-            return
-        search_summary = None
-        if self.last_search is not None and len(self.last_search):
-            search_summary = self.last_search.render(top=3)
-        captured = self.auto_explain.maybe_capture(
-            sql=sql,
-            execution_ms=result.execution_seconds * 1000.0,
-            planning_ms=result.planning_seconds * 1000.0,
-            rows=result.rowcount,
-            plan_text=physical.pretty(actuals=True),
-            reads=result.io.reads if result.io else 0,
-            writes=result.io.writes if result.io else 0,
-            search_summary=search_summary,
-        )
-        if captured is not None and self.obs.metrics:
-            self.metrics.counter("slow_queries_captured_total").inc()
-
-    def _harvest_feedback(self, physical: PhysicalPlan) -> None:
-        """Fold this execution's per-node actuals into the feedback store.
-
-        Plans under a LIMIT are skipped entirely: early termination leaves
-        actuals that reflect the cutoff, not the data, and learning from
-        them would poison the corrections.
-        """
-        from ..physical import PLimit, walk_plan
-
-        if any(isinstance(node, PLimit) for node in walk_plan(physical)):
-            return
-        self.feedback.harvest(physical)
+            if captured is not None and obs.metrics:
+                self.metrics.counter("slow_queries_captured_total").inc()
 
     def metrics_snapshot(self, format: str = "json") -> Any:
         """Process-wide observability snapshot: registry instruments plus
@@ -2088,48 +1820,19 @@ class Database:
     ) -> int:
         """Bulk insert under the session's transaction (or an implicit
         autocommitted one) — the programmatic twin of INSERT."""
-        session = session or self._session
-        own = session.txn
-        txn = own if own is not None else self.txn.begin(session.id)
-        try:
-            self.txn.lock_table(txn, table)
-            with self.txn.activate(txn), self._stmt_lock:
-                count = self.catalog.insert_rows(table, rows)
-                key = table.lower()
-                txn.pending_epochs[key] = txn.pending_epochs.get(key, 0) + 1
-        except BaseException:
-            if own is not None:
-                session.txn = None
-            self._rollback_txn(txn)
-            raise
-        if own is None:
-            self._commit_txn(txn)
-        return count
+        return self._write(
+            StatementContext(session or self._session),
+            [table],
+            lambda: self.catalog.insert_rows(table, rows),
+        )
 
     def analyze(self, table: Optional[str] = None, **kwargs: Any) -> None:
-        self._invalidate_caches("ANALYZE")
-        txn = self.txn.begin(self._session.id)
-        try:
-            for name in self._analyze_lock_targets(table):
-                self.txn.lock_table(txn, name)
-            with self.txn.activate(txn), self._stmt_lock:
-                if table is None:
-                    self.catalog.analyze_all(**kwargs)
-                else:
-                    self.catalog.analyze(table, **kwargs)
-                sql = f"ANALYZE {table}" if table is not None else "ANALYZE"
-                self.txn.log_ddl(json.dumps({"sql": sql}).encode("utf-8"))
-        except BaseException:
-            self._rollback_txn(txn)
-            raise
-        self._commit_txn(txn)
-
-    def _analyze_lock_targets(self, table: Optional[str]) -> List[str]:
-        if table is None:
-            return sorted(info.name for info in self.catalog.tables())
-        if self.catalog.has_table(table):
-            return [table]
-        return []
+        """The programmatic twin of ANALYZE (*kwargs*: the histogram
+        settings of :meth:`Catalog.analyze`)."""
+        sql = f"ANALYZE {table}" if table is not None else "ANALYZE"
+        self._utility(
+            StatementContext(self._session, sql=sql), AnalyzeStmt(table), **kwargs
+        )
 
     def table(self, name: str) -> TableInfo:
         return self.catalog.table(name)

@@ -52,30 +52,17 @@ class ObsConfig:
     #: statement shapes, see ``engine.cache``); 0 runs without the cache.
     #: EXPLAIN ANALYZE always bypasses it so actuals reflect a cold plan
     plan_cache_size: int = 128
-    #: invalidation-aware result cache for read-only statements; off by
-    #: default (turning it on trades staleness tracking for latency)
-    result_cache: bool = False
-    result_cache_size: int = 64
-    result_cache_max_rows: int = 10_000
     #: slow-statement capture; disabled by default (set ``enabled=True``
     #: or call ``Database.auto_explain.configure(enabled=True, ...)``)
     auto_explain: Optional[AutoExplainConfig] = field(default=None)
-    #: capacity of the slow-trace ring (request traces captured when
-    #: auto_explain is enabled and the request crosses its threshold;
-    #: served by ``sys_stat_traces``)
-    trace_ring_size: int = 64
-    #: fingerprints tracked by the per-statement latency store (the
-    #: ``statement_latency_ms`` quantile families in the Prometheus
-    #: exposition); new fingerprints beyond the cap are dropped
-    latency_fingerprints: int = 128
 
     @classmethod
     def off(cls) -> "ObsConfig":
         """Disable tracing, metrics, the query log, baselines, feedback,
-        wait accounting, auto_explain and the result cache (system tables
-        stay registered — they simply report empty/zero statistics).  The
-        plan cache is not observability and stays on: an obs-off database
-        plans no more often than a default one."""
+        wait accounting and auto_explain (system tables stay registered —
+        they simply report empty/zero statistics).  The plan cache is not
+        observability and stays on: an obs-off database plans no more
+        often than a default one."""
         return cls(
             trace=False,
             metrics=False,
@@ -85,5 +72,4 @@ class ObsConfig:
             feedback=False,
             waits=False,
             auto_explain=AutoExplainConfig(enabled=False),
-            result_cache=False,
         )

@@ -43,8 +43,6 @@ HELP_TEXTS: Dict[str, str] = {
     "slow_queries_captured_total": "statements captured by auto_explain",
     "cache_plan_hits_total": "statements planned from the plan cache",
     "cache_plan_misses_total": "cacheable statements that missed the plan cache",
-    "cache_result_hits_total": "statements answered from the result cache",
-    "cache_result_misses_total": "cacheable statements that missed the result cache",
     "cache_invalidations_total": "plan/result cache invalidation events",
     "pages_skipped_total": "heap pages skipped by zone-map pruning",
     "exec_row_fallbacks_total": (

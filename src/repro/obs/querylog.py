@@ -83,7 +83,6 @@ class QueryLogRecord:
     baseline_cost_delta: float = 0.0  # new est_cost - baseline est_cost
     buffer_hits: int = 0  # pages served from the buffer pool
     plan_cache_hit: bool = False  # physical plan reused from the plan cache
-    result_cache_hit: bool = False  # rows served from the result cache
     kind: str = "select"  # select | insert | update | delete
     session_id: int = 0  # owning session (0 = direct Database call)
     txn_id: int = 0  # transaction the statement ran in (0 = autocommit)
@@ -97,10 +96,11 @@ class QueryLogRecord:
         field added to the dataclass but missing here would silently
         drop data — the round-trip tests enumerate ``fields()`` so any
         serialization omission fails loudly); absent optional fields take
-        their defaults and the retired ``parallel_workers`` key is
-        dropped, so logs persisted by older versions still load."""
+        their defaults and the keys of retired features (the exchange
+        layer's, the result cache's) are dropped, so logs persisted by
+        older versions still load."""
         known = {f.name for f in fields(cls)}
-        unknown = set(data) - known - {"parallel_workers"}
+        unknown = set(data) - known - {"parallel_workers", "result_cache_hit"}
         if unknown:
             raise ValueError(f"unknown QueryLogRecord fields: {sorted(unknown)}")
         return cls(**{k: v for k, v in data.items() if k in known})

@@ -15,8 +15,10 @@ those tables for this engine:
   (I/O, lock, CPU), wait_count/total/mean per event;
 * ``sys_stat_metrics``    — every registry instrument as rows (histograms
   expand to count/sum/mean/p50/p95/p99);
-* ``sys_stat_activity``   — live in-flight statements with a progress
-  snapshot: phase, current operator, rows produced, elapsed;
+* ``sys_stat_activity``   — live in-flight statements of every kind,
+  readers and writers, with a progress snapshot: phase (a writer parked
+  on a table lock shows ``lock wait``), current operator, rows produced,
+  elapsed;
 * ``sys_stat_traces``     — the slow-trace ring: one row per captured
   request trace (trace id, statement, duration, span count, and the
   slowest non-root span with its share of the request);
@@ -71,7 +73,7 @@ class ActivityEntry:
 
     query_id: int
     sql: str
-    phase: str = "planning"  # planning -> executing -> done
+    phase: str = "planning"  # planning [-> lock wait] -> executing
     current_operator: str = ""
     rows_produced: int = 0
     started: float = field(default_factory=time.perf_counter)
@@ -145,14 +147,13 @@ def _stat_statements(db: "Database") -> Tuple[Schema, Rows]:
         ("pages_written", DataType.INT),
         ("plan_changes", DataType.INT),
         ("plan_cache_hits", DataType.INT),
-        ("result_cache_hits", DataType.INT),
     )
     groups: Dict[str, List[Any]] = {}
     for record in db.query_log.entries():
         statement = normalize_statement(record.sql)
         group = groups.get(statement)
         if group is None:
-            group = groups[statement] = [[], 0, 0, 0, 0, 0, 0, 0]
+            group = groups[statement] = [[], 0, 0, 0, 0, 0, 0]
         group[0].append(record.execution_ms)
         group[1] += record.actual_rows
         group[2] += record.buffer_hits
@@ -160,7 +161,6 @@ def _stat_statements(db: "Database") -> Tuple[Schema, Rows]:
         group[4] += record.actual_writes
         group[5] += 1 if record.plan_changed else 0
         group[6] += 1 if record.plan_cache_hit else 0
-        group[7] += 1 if record.result_cache_hit else 0
     rows: Rows = []
     for statement, (
         times,
@@ -170,7 +170,6 @@ def _stat_statements(db: "Database") -> Tuple[Schema, Rows]:
         writes,
         changes,
         plan_hits,
-        result_hits,
     ) in sorted(groups.items()):
         total = sum(times)
         rows.append(
@@ -186,7 +185,6 @@ def _stat_statements(db: "Database") -> Tuple[Schema, Rows]:
                 writes,
                 changes,
                 plan_hits,
-                result_hits,
             )
         )
     return schema, rows

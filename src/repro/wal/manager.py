@@ -64,9 +64,6 @@ class Transaction:
     explicit: bool = False
     #: logical inverse ops, applied in reverse on rollback
     undo: List[Tuple[Any, ...]] = field(default_factory=list)
-    #: table -> number of writes this txn made (applied to the engine's
-    #: write epochs at COMMIT, discarded at ROLLBACK)
-    pending_epochs: Dict[str, int] = field(default_factory=dict)
     locked_tables: Set[str] = field(default_factory=set)
     #: True once this txn has appended at least one WAL record
     logged: bool = False
@@ -182,7 +179,6 @@ class TxnManager:
             for op in reversed(txn.undo):
                 self._undo_one(catalog, op)
         txn.undo.clear()
-        txn.pending_epochs.clear()
         if self.writer is not None and txn.logged:
             self.writer.append(WalRecordType.ABORT, txn.id)
         self.versions.rollback(txn.id)

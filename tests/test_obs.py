@@ -478,12 +478,19 @@ class TestQueryLogRoundTrip:
 
     def test_retired_parallel_workers_key_is_dropped(self):
         """Logs written while the exchange layer existed carry a
-        ``parallel_workers`` key; they load, and the key is gone."""
+        ``parallel_workers`` key, and logs written while the result cache
+        existed a ``result_cache_hit`` key; they load, and the keys are
+        gone."""
         from repro.obs import QueryLogRecord
 
         record = self._record()
-        data = dict(record.as_dict(), parallel_workers=4)
-        assert QueryLogRecord.from_dict(data) == record
+        for retired in (
+            {"parallel_workers": 4},
+            {"result_cache_hit": True},
+            {"parallel_workers": 4, "result_cache_hit": False},
+        ):
+            data = dict(record.as_dict(), **retired)
+            assert QueryLogRecord.from_dict(data) == record
 
     def test_retired_key_does_not_excuse_other_unknown_keys(self):
         from repro.obs import QueryLogRecord

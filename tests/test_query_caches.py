@@ -1,5 +1,5 @@
-"""Plan-cache and result-cache behavior: hits, invalidation, bypass
-rules, and the observability surface (metrics counters, query-log flags,
+"""Plan-cache behavior: hits, invalidation, bypass rules, and the
+observability surface (metrics counters, query-log flags,
 ``sys_stat_statements`` columns)."""
 
 import pytest
@@ -141,10 +141,8 @@ class TestPlanCache:
         assert db.plan_cache.stats.hits == 0
 
     def test_off_config_disables(self):
-        # ObsConfig.off() disables the result cache; the plan cache is
-        # not observability and keeps working
+        # the plan cache is not observability and keeps working
         db = Database(obs=ObsConfig.off())
-        assert not db.obs.result_cache
         db.execute("CREATE TABLE t (id INT)")
         db.query("SELECT id FROM t WHERE id = 1")
         db.query("SELECT id FROM t WHERE id = 2")
@@ -186,205 +184,34 @@ class TestPlanCache:
         assert warm < cold
 
 
-class TestResultCache:
-    def test_hit_skips_execution(self):
-        db = make_db(result_cache=True)
-        first = db.query(QUERY)
-        rows0 = db.table("t").access.rows_read
-        result = db.query(QUERY)
-        assert result.rows == first.rows
-        assert db.result_cache.stats.hits == 1
-        assert db.table("t").access.rows_read == rows0  # no scan happened
-
-    def test_invalidated_by_write_to_referenced_table(self):
-        db = make_db(result_cache=True)
-        first = db.query(QUERY)
-        db.execute("INSERT INTO t VALUES (1000, 3)")
-        result = db.query(QUERY)
-        assert dict(result.rows)[3] == dict(first.rows)[3] + 1
-
-    def test_unrelated_write_keeps_entry(self):
-        db = make_db(result_cache=True)
-        db.execute("CREATE TABLE u (id INT)")
-        db.query(QUERY)
-        db.execute("INSERT INTO u VALUES (1)")
-        db.query(QUERY)
-        assert db.result_cache.stats.hits == 1
-
-    @pytest.mark.parametrize("dml", ["DELETE FROM t WHERE id = 0",
-                                     "UPDATE t SET v = 5 WHERE id = 1"])
-    def test_invalidated_by_delete_and_update(self, dml):
-        db = make_db(result_cache=True)
-        db.query(QUERY)
-        db.execute(dml)
-        db.query(QUERY)
-        assert db.result_cache.stats.hits == 0
-
-    def test_row_limit(self):
-        db = make_db(result_cache=True, result_cache_max_rows=10)
-        db.query("SELECT id FROM t")  # 500 rows: too big to cache
-        db.query("SELECT id FROM t")
-        assert db.result_cache.stats.hits == 0
-        assert len(db.result_cache) == 0
-
-    def test_off_by_default(self):
-        db = make_db()
-        db.query(QUERY)
-        db.query(QUERY)
-        assert len(db.result_cache) == 0
-
-
 class TestCacheObservability:
     def test_metrics_counters(self):
-        db = make_db(result_cache=True)
+        db = make_db()
         for _ in range(3):
             db.query(QUERY)
         counters = db.metrics.snapshot()["counters"]
-        assert counters["cache_result_hits_total"] == 2
-        assert counters["cache_result_misses_total"] == 1
+        assert counters["cache_plan_hits_total"] == 2
         assert counters["cache_plan_misses_total"] == 1
         db.execute("ANALYZE t")
-        assert db.metrics.snapshot()["counters"]["cache_invalidations_total"] >= 2
+        assert db.metrics.snapshot()["counters"]["cache_invalidations_total"] >= 1
 
     def test_querylog_flags(self):
-        db = make_db(result_cache=True)
+        db = make_db()
         for _ in range(3):
             db.query(QUERY)
         flags = [
-            (r.plan_cache_hit, r.result_cache_hit)
-            for r in db.query_log.entries()
-            if r.sql == QUERY
+            r.plan_cache_hit for r in db.query_log.entries() if r.sql == QUERY
         ]
-        assert flags == [(False, False), (False, True), (False, True)]
+        assert flags == [False, True, True]
 
     def test_sys_stat_statements_columns(self):
         db = make_db()
         for _ in range(4):
             db.query(QUERY)
         rows = db.query(
-            "SELECT statement, calls, plan_cache_hits, result_cache_hits "
+            "SELECT statement, calls, plan_cache_hits "
             "FROM sys_stat_statements"
         ).rows
         stats = {row[0]: row[1:] for row in rows}
         entry = next(v for k, v in stats.items() if "group by" in k)
-        assert entry == (4, 3, 0)
-
-    def test_result_cache_hit_skips_feedback_and_baselines(self):
-        db = make_db(result_cache=True)
-        db.query(QUERY)
-        feedback0 = len(db.feedback)
-        db.query(QUERY)  # result-cache hit: stale actuals must not leak
-        assert len(db.feedback) == feedback0
-
-
-class TestTransactionResultCache:
-    """Transaction boundaries and the result cache: rolled-back writes
-    must never invalidate (or poison) what other sessions see, and a
-    session must never be served rows that hide its own pending writes."""
-
-    def test_rolled_back_write_keeps_entry(self):
-        db = make_db(result_cache=True)
-        first = db.query(QUERY)
-        s = db.create_session()
-        s.execute("BEGIN")
-        s.execute("INSERT INTO t VALUES (1000, 3)")
-        s.execute("ROLLBACK")
-        again = db.query(QUERY)
-        assert db.result_cache.stats.hits == 1  # entry survived the abort
-        assert again.rows == first.rows
-
-    def test_own_pending_write_overlays_lookup(self):
-        db = make_db(result_cache=True)
-        db.query(QUERY)  # cached: v=3 -> 45
-        s = db.create_session()
-        s.execute("BEGIN")
-        s.execute("INSERT INTO t VALUES (1000, 3)")
-        mine = s.query(QUERY)
-        assert dict(mine.rows)[3] == 46  # own write visible, not stale rows
-        s.execute("ROLLBACK")
-        other = db.query(QUERY)
-        assert dict(other.rows)[3] == 45
-        assert db.result_cache.stats.hits == 1  # original entry still valid
-
-    def test_uncommitted_rows_never_stored_for_others(self):
-        db = make_db(result_cache=True)
-        s = db.create_session()
-        s.execute("BEGIN")
-        s.execute("INSERT INTO t VALUES (1000, 3)")
-        mine = s.query(QUERY)
-        assert dict(mine.rows)[3] == 46
-        s.execute("ROLLBACK")
-        other = db.query(QUERY)  # a hit here would serve aborted rows
-        assert db.result_cache.stats.hits == 0
-        assert dict(other.rows)[3] == 45
-
-    def test_commit_invalidates_for_everyone(self):
-        db = make_db(result_cache=True)
-        db.query(QUERY)
-        s = db.create_session()
-        s.execute("BEGIN")
-        s.execute("INSERT INTO t VALUES (1000, 3)")
-        s.execute("COMMIT")
-        result = db.query(QUERY)
-        assert db.result_cache.stats.hits == 0
-        assert dict(result.rows)[3] == 46
-
-
-class TestSnapshotResultCache:
-    """MVCC snapshots and the result cache: an entry is only valid for
-    readers whose snapshot matches the commit timestamp it was built at.
-    A transaction pinned on an old snapshot must never be served rows
-    cached after later commits — and its snapshot-filtered rows must
-    never be stored where fresher readers would find them."""
-
-    def test_pinned_snapshot_not_served_newer_cached_rows(self):
-        db = make_db(result_cache=True)
-        s = db.create_session()
-        s.execute("BEGIN")
-        assert dict(s.query(QUERY).rows)[3] == 45  # pins the snapshot
-        db.execute("INSERT INTO t VALUES (1000, 3)")  # commits past it
-        db.query(QUERY)  # re-populates the cache with the fresh rows
-        hits0 = db.result_cache.stats.hits
-        mine = s.query(QUERY)  # stale snapshot: lookup must be bypassed
-        assert dict(mine.rows)[3] == 45  # the pinned view, not the cache
-        assert db.result_cache.stats.hits == hits0
-        s.execute("COMMIT")
-        assert dict(db.query(QUERY).rows)[3] == 46
-
-    def test_stale_snapshot_rows_never_poison_cache(self):
-        db = make_db(result_cache=True)
-        s = db.create_session()
-        s.execute("BEGIN")
-        s.query(QUERY)  # pin at 45
-        db.execute("INSERT INTO t VALUES (1000, 3)")  # invalidates entry
-        mine = s.query(QUERY)  # recomputed under the old snapshot
-        assert dict(mine.rows)[3] == 45
-        # ...and must NOT have been stored: a fresh reader re-executes
-        fresh = db.query(QUERY)
-        assert db.result_cache.stats.hits == 0
-        assert dict(fresh.rows)[3] == 46
-        s.execute("ROLLBACK")
-
-    def test_current_snapshot_still_hits(self):
-        # no over-bypass: a pinned snapshot that *is* current (nothing
-        # committed since) keeps full cache service
-        db = make_db(result_cache=True)
-        s = db.create_session()
-        s.execute("BEGIN")
-        first = s.query(QUERY)
-        again = s.query(QUERY)
-        assert again.rows == first.rows
-        assert db.result_cache.stats.hits == 1
-        s.execute("COMMIT")
-
-    def test_autocommit_statement_snapshots_share_entries(self):
-        # read-committed statement snapshots advance with every commit,
-        # so successive autocommit SELECTs from different sessions all
-        # sit at the current timestamp and share one entry
-        db = make_db(result_cache=True)
-        s1, s2 = db.create_session(), db.create_session()
-        s1.query(QUERY)
-        s2.query(QUERY)
-        assert db.result_cache.stats.hits == 1
-        s1.close()
-        s2.close()
+        assert entry == (4, 3)

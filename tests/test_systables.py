@@ -207,13 +207,7 @@ class TestWaitAccounting:
         db.pool.clear()
         db.waits.reset()
         before = db.waits.snapshot()
-        result = db._run_select(
-            __import__("repro.sql", fromlist=["parse"]).parse(
-                "SELECT b FROM t WHERE b < 100.0"
-            ),
-            sql="SELECT b FROM t WHERE b < 100.0",
-            analyze=True,
-        )
+        result = db.execute("EXPLAIN ANALYZE SELECT b FROM t WHERE b < 100.0")
         delta = db.waits.delta(before)
         # the plan root's inclusive actual_reads is every page the
         # execution read — the same events the wait registry timed
