@@ -8,9 +8,7 @@ Shapes asserted:
   loses badly on random probes (the classic policy/workload interaction).
 """
 
-from conftest import save_tables
-
-from repro.bench import e11_ablations
+from repro.bench import e11_ablations, render_all
 
 
 def run_experiment():
@@ -21,7 +19,7 @@ def run_experiment():
 
 def test_bench_e11_ablations(benchmark):
     tables = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    save_tables("e11_ablations", tables)
+    print("\n" + render_all(tables))
     hist, policy = tables
 
     geo = hist.columns.index("geo-mean")

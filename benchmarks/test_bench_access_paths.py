@@ -5,9 +5,7 @@ Shape asserted: indexes win at low selectivity; the unclustered index
 crosses over to losing within a few percent; the planner's pick follows.
 """
 
-from conftest import save_tables
-
-from repro.bench import e2_access_paths
+from repro.bench import e2_access_paths, render_all
 
 FRACTIONS = [0.0005, 0.002, 0.01, 0.05, 0.2, 0.5, 1.0]
 
@@ -20,7 +18,7 @@ def run_experiment():
 
 def test_bench_e2_access_paths(benchmark):
     tables = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    save_tables("e2_access_paths", tables[:1])
+    print("\n" + render_all(tables[:1]))
     actual = tables[0]
     cols = actual.columns
 

@@ -5,9 +5,7 @@ the inner fits; hash join flattens once the build side fits work memory;
 index-NL is the most buffer-hungry at small pools.
 """
 
-from conftest import save_tables
-
-from repro.bench import e8_buffer_sweep
+from repro.bench import e8_buffer_sweep, render_all
 
 BUFFERS = [8, 16, 32, 64, 128]
 
@@ -20,7 +18,7 @@ def run_experiment():
 
 def test_bench_e8_buffer_sweep(benchmark):
     tables = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    text = save_tables("e8_buffer_sweep", tables)
+    print("\n" + render_all(tables))
     (table,) = tables
 
     from repro.bench.figures import chart_from_table
@@ -31,9 +29,6 @@ def test_bench_e8_buffer_sweep(benchmark):
         log_y=True, x_label="buffer pages", y_label="page I/O",
     )
     print(chart)
-    import pathlib
-    out = pathlib.Path(__file__).parent / "results" / "e8_buffer_sweep.txt"
-    out.write_text(text + "\n\n" + chart + "\n")
 
     bnl = table.column_values("block-NL")
     hash_io = table.column_values("hash")

@@ -6,9 +6,7 @@ small factor everywhere (it is the same mechanism the planner ranks
 plans with, so this is the experiment that justifies everything else).
 """
 
-from conftest import save_tables
-
-from repro.bench import e2_access_paths
+from repro.bench import e2_access_paths, render_all
 from repro.bench.tables import q_error
 
 FRACTIONS = [0.001, 0.01, 0.05, 0.2, 1.0]
@@ -22,7 +20,7 @@ def run_experiment():
 
 def test_bench_e3_cost_validation(benchmark):
     tables = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    text = save_tables("e3_cost_validation", tables[1:])
+    print("\n" + render_all(tables[1:]))
     validation = tables[1]
 
     from repro.bench.figures import chart_from_table
@@ -34,9 +32,6 @@ def test_bench_e3_cost_validation(benchmark):
         log_y=True, x_label="selectivity", y_label="page reads",
     )
     print(chart)
-    import pathlib
-    out = pathlib.Path(__file__).parent / "results" / "e3_cost_validation.txt"
-    out.write_text(text + "\n\n" + chart + "\n")
     cols = validation.columns
 
     pairs = [

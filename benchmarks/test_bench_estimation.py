@@ -5,9 +5,7 @@ skew; histograms fix ranges; MCVs fix heavy hitters; nothing fixes
 correlated conjuncts (independence assumption).
 """
 
-from conftest import save_tables
-
-from repro.bench import e6_estimation
+from repro.bench import e6_estimation, render_all
 
 
 def run_experiment():
@@ -16,7 +14,7 @@ def run_experiment():
 
 def test_bench_e6_estimation(benchmark):
     tables = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    save_tables("e6_estimation", tables)
+    print("\n" + render_all(tables))
     detail, summary = tables
     geo = {row[0]: row[1] for row in summary.rows}
 

@@ -6,9 +6,7 @@ and is never costlier; the ORDER-BY-join-column query gets cheaper in
 real I/O.
 """
 
-from conftest import save_tables
-
-from repro.bench import e7_interesting_orders
+from repro.bench import e7_interesting_orders, render_all
 
 
 def run_experiment():
@@ -17,7 +15,7 @@ def run_experiment():
 
 def test_bench_e7_interesting_orders(benchmark):
     tables = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    save_tables("e7_interesting_orders", tables)
+    print("\n" + render_all(tables))
     (table,) = tables
     cols = table.columns
     on_io = cols.index("orders on: I/O")

@@ -6,9 +6,7 @@ prediction.  Shape asserted: nested loops lose at scale, hash/merge win,
 index-NL is buffer-sensitive.
 """
 
-from conftest import save_tables
-
-from repro.bench import e1_join_methods
+from repro.bench import e1_join_methods, render_all
 
 SIZES = [(500, 500), (3000, 3000), (8000, 2000), (2000, 8000)]
 
@@ -24,7 +22,7 @@ def run_experiment():
 
 def test_bench_e1_join_methods(benchmark):
     tables = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    save_tables("e1_join_methods", tables)
+    print("\n" + render_all(tables))
     actual, estimated = tables
     methods = e1_join_methods.METHODS
 

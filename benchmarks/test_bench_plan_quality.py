@@ -5,9 +5,7 @@ Shape asserted: DP's modeled cost is never beaten; baselines degrade on
 the shapes where order matters (star/clique).
 """
 
-from conftest import save_tables
-
-from repro.bench import e4_plan_quality
+from repro.bench import e4_plan_quality, render_all
 
 STRATEGIES = ["dp", "dp-bushy", "greedy", "syntactic", "random"]
 
@@ -24,7 +22,7 @@ def run_experiment():
 
 def test_bench_e4_plan_quality(benchmark):
     tables = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    save_tables("e4_plan_quality", tables)
+    print("\n" + render_all(tables))
     table = tables[0]
     cols = table.columns
 

@@ -5,9 +5,7 @@ polynomially, exhaustive explodes combinatorially (clique shape makes
 every order valid, so the factorial bites).
 """
 
-from conftest import save_tables
-
-from repro.bench import e4_plan_quality
+from repro.bench import e4_plan_quality, render_all
 
 
 def run_experiment():
@@ -30,7 +28,7 @@ def run_experiment():
 
 def test_bench_e5_planning_time(benchmark):
     tables = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    text = save_tables("e5_planning_time", tables)
+    print("\n" + render_all(tables))
     chain_effort = tables[1]
     clique_effort = tables[3]
 
@@ -43,9 +41,6 @@ def test_bench_e5_planning_time(benchmark):
         log_y=True, x_label="relations", y_label="plans",
     )
     print(chart)
-    import pathlib
-    out = pathlib.Path(__file__).parent / "results" / "e5_planning_time.txt"
-    out.write_text(text + "\n\n" + chart + "\n")
 
     dp = chain_effort.column_values("dp plans")
     greedy = chain_effort.column_values("greedy plans")

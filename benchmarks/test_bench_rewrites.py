@@ -4,9 +4,7 @@ Shape asserted: pushdown never hurts, and strictly helps (modeled cost) on
 queries with selective single-table filters.
 """
 
-from conftest import save_tables
-
-from repro.bench import e9_rewrites
+from repro.bench import e9_rewrites, render_all
 from repro.workloads import WholesaleScale
 
 
@@ -16,7 +14,7 @@ def run_experiment():
 
 def test_bench_e9_rewrites(benchmark):
     tables = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    save_tables("e9_rewrites", tables)
+    print("\n" + render_all(tables))
     (table,) = tables
     cols = table.columns
     pd_cost = cols.index("pushdown: cost")

@@ -6,9 +6,7 @@ wall-clock advantage grows (or at minimum persists) with scale — the
 "why pay for an optimizer" closing argument.
 """
 
-from conftest import save_tables
-
-from repro.bench import e12_scaling
+from repro.bench import e12_scaling, render_all
 
 
 def run_experiment():
@@ -19,7 +17,7 @@ def run_experiment():
 
 def test_bench_e12_scaling(benchmark):
     tables = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    save_tables("e12_scaling", tables)
+    print("\n" + render_all(tables))
     (table,) = tables
     cols = table.columns
     ratio_col = cols.index("time ratio")

@@ -6,9 +6,7 @@ wins overall (geo-mean time ratio > 1); result sets are verified identical
 inside the experiment itself.
 """
 
-from conftest import save_tables
-
-from repro.bench import e10_wholesale
+from repro.bench import e10_wholesale, render_all
 from repro.workloads import WholesaleScale
 
 
@@ -26,7 +24,7 @@ def run_experiment():
 
 def test_bench_e10_wholesale(benchmark):
     tables = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    save_tables("e10_wholesale", tables)
+    print("\n" + render_all(tables))
     for table in tables:
         cols = table.columns
         ratio_col = cols.index("time ratio")

@@ -1,4 +1,9 @@
-"""Benchmark harness: measurement utilities and the E1-E10 experiments."""
+"""The paper's tables: measurement utilities and experiments E1-E12 and E15.
+
+Simulated page I/O, rows, modeled cost and q-error — deterministic, and
+pinned by digest in ``tests/test_paper_tables.py``.  Wall-clock claims
+about layers are measured by ``benchmarks/e2e/`` instead.
+"""
 
 from . import (
     e1_join_methods,
@@ -11,11 +16,7 @@ from . import (
     e10_wholesale,
     e11_ablations,
     e12_scaling,
-    e13_batching,
     e15_feedback,
-    e16_systables,
-    e18_wal,
-    e19_tracing,
 )
 from .figures import chart_from_table, line_chart
 from .measure import (
@@ -23,6 +24,7 @@ from .measure import (
     fresh_db,
     measure_plan,
     measure_query,
+    measure_repeated,
     plan_with_strategy,
     time_planning,
 )
@@ -38,10 +40,10 @@ from .tables import (
 __all__ = [
     "e1_join_methods", "e2_access_paths", "e4_plan_quality", "e6_estimation",
     "e7_interesting_orders", "e8_buffer_sweep", "e9_rewrites", "e10_wholesale",
-    "e11_ablations", "e12_scaling", "e13_batching", "e15_feedback",
-    "e16_systables", "e18_wal", "e19_tracing",
+    "e11_ablations", "e12_scaling", "e15_feedback",
     "Measurement", "fresh_db", "measure_plan", "measure_query",
-    "plan_with_strategy", "time_planning", "Ratio", "ResultTable",
+    "measure_repeated", "plan_with_strategy", "time_planning",
+    "Ratio", "ResultTable",
     "geometric_mean", "q_error", "quantile", "render_all",
     "chart_from_table", "line_chart",
 ]

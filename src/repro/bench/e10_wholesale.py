@@ -19,7 +19,7 @@ import math
 from typing import List, Optional
 
 from ..workloads import WHOLESALE_QUERIES, WholesaleScale, load_wholesale
-from .measure import fresh_db, measure_plan, plan_with_strategy
+from .measure import fresh_db, measure_repeated, plan_with_strategy
 from .tables import Ratio, ResultTable, geometric_mean
 
 
@@ -67,8 +67,8 @@ def run(
         sql = WHOLESALE_QUERIES[name]
         dp_plan, _ = plan_with_strategy(db, sql, "dp")
         base_plan, _ = plan_with_strategy(db, sql, baseline, random_seed=seed)
-        dp = _best_of(db, dp_plan, repeats)
-        base = _best_of(db, base_plan, repeats)
+        dp = measure_repeated(db, dp_plan, repeats, keep_result=True)
+        base = measure_repeated(db, base_plan, repeats, keep_result=True)
         if not _rows_equal(dp.result.rows, base.result.rows):
             raise AssertionError(f"{name}: strategies disagree on results")
         ratio = (
@@ -105,11 +105,3 @@ def run(
     )
     return [table]
 
-
-def _best_of(db, plan, repeats: int):
-    best = None
-    for _ in range(max(1, repeats)):
-        m = measure_plan(db, plan, keep_result=True)
-        if best is None or m.exec_seconds < best.exec_seconds:
-            best = m
-    return best

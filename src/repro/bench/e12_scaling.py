@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..workloads import WholesaleScale, load_wholesale
-from .measure import fresh_db, measure_plan, plan_with_strategy
+from .measure import fresh_db, measure_repeated, plan_with_strategy
 from .tables import Ratio, ResultTable
 
 #: the measured query: 3 joins with selective filters on BOTH small sides,
@@ -57,8 +57,8 @@ def run(
         counts = load_wholesale(db, SCALES[scale_name], seed=seed)
         dp_plan, _ = plan_with_strategy(db, QUERY, "dp")
         base_plan, _ = plan_with_strategy(db, QUERY, baseline)
-        dp = _best_of(db, dp_plan, repeats)
-        base = _best_of(db, base_plan, repeats)
+        dp = measure_repeated(db, dp_plan, repeats)
+        base = measure_repeated(db, base_plan, repeats)
         ratio = (
             base.exec_seconds / dp.exec_seconds if dp.exec_seconds else 1.0
         )
@@ -73,11 +73,3 @@ def run(
         )
     return [table]
 
-
-def _best_of(db, plan, repeats: int):
-    best = None
-    for _ in range(max(1, repeats)):
-        m = measure_plan(db, plan)
-        if best is None or m.exec_seconds < best.exec_seconds:
-            best = m
-    return best

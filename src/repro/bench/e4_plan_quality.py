@@ -12,7 +12,6 @@ explodes factorially and greedy stays near-linear.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional
 
 from ..optimizer import count_dp_subsets

@@ -129,7 +129,9 @@ class GreedyPlanner(OrderPlanner):
     """Smallest-relation-first, then smallest-intermediate-result."""
 
     def plan(self) -> SubPlan:
-        remaining = set(self.graph.bindings())
+        # sorted, so that min() breaks a tie on binding name and not on
+        # string-hash order
+        remaining = sorted(self.graph.bindings())
         start = min(
             remaining,
             key=lambda b: self.estimator.scan_rows(
@@ -137,20 +139,20 @@ class GreedyPlanner(OrderPlanner):
             ),
         )
         order = [start]
-        remaining.discard(start)
+        remaining.remove(start)
         placed = {start}
         while remaining:
             connected = [
                 b for b in remaining if self.graph.join_conjuncts_between(placed, {b})
             ]
-            pool = connected or sorted(remaining)
+            pool = connected or remaining
             nxt = min(
                 pool,
                 key=lambda b: self._dp._subset_rows(frozenset(placed | {b})),
             )
             order.append(nxt)
             placed.add(nxt)
-            remaining.discard(nxt)
+            remaining.remove(nxt)
         return self.plan_order(order)
 
 

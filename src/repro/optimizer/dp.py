@@ -445,7 +445,7 @@ class DPPlanner:
             return memo
         raw = 1.0
         corrected = 1.0
-        for binding in subset:
+        for binding in sorted(subset):  # fixed order of the float products
             get = self.graph.relations[binding]
             scan = max(
                 1.0,

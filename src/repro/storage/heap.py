@@ -132,17 +132,9 @@ class HeapFile:
         with PageGuard(self.pool, (self.file_id, page_no)) as data:
             return bytes(data)
 
-    def scan(
-        self, first_page: int = 0, last_page: Optional[int] = None
-    ) -> Iterator[Tuple[RID, Tuple[Any, ...]]]:
-        """Scan pages ``[first_page, last_page)`` in order as ``(rid, row)``.
-
-        Defaults to a full scan; disjoint ranges taken in page order
-        concatenate to exactly the full-scan order.
-        """
-        if last_page is None:
-            last_page = self.num_pages
-        for page_no in range(first_page, min(last_page, self.num_pages)):
+    def scan(self) -> Iterator[Tuple[RID, Tuple[Any, ...]]]:
+        """Scan every page in order as ``(rid, row)``."""
+        for page_no in range(self.num_pages):
             page_id = (self.file_id, page_no)
             with PageGuard(self.pool, page_id) as data:
                 page = SlottedPage(data)
@@ -155,10 +147,8 @@ class HeapFile:
             for item in rows:
                 yield item
 
-    def scan_rows(
-        self, first_page: int = 0, last_page: Optional[int] = None
-    ) -> Iterator[Tuple[Any, ...]]:
-        for _, row in self.scan(first_page, last_page):
+    def scan_rows(self) -> Iterator[Tuple[Any, ...]]:
+        for _, row in self.scan():
             yield row
 
     # -- internals -----------------------------------------------------------------

@@ -214,3 +214,48 @@ class TestE12Miniature:
         assert table.rows[0][1] == 1600  # lineitem rows at tiny scale
         ratio = table.rows[0][table.columns.index("time ratio")]
         assert ratio.value > 0
+
+
+class TestRepeats:
+    """E10/E12 run each plan ``repeats`` times cold.  The repeats must
+    agree on what they counted, and the reported counts are the first
+    run's whichever run the wall clock liked best."""
+
+    @staticmethod
+    def second_runs(monkeypatch, extra_reads):
+        """Make every second cold run the fastest by far."""
+        from repro.bench import measure
+
+        real, calls = measure.measure_plan, []
+
+        def skewed(db, plan, **kwargs):
+            m = real(db, plan, **kwargs)
+            calls.append(m)
+            if len(calls) % 2 == 0:
+                m.exec_seconds = 0.0
+                m.actual_reads += extra_reads
+            return m
+
+        monkeypatch.setattr(measure, "measure_plan", skewed)
+
+    def test_fastest_repeat_lends_only_its_time(self, monkeypatch):
+        from repro.bench import e12_scaling
+
+        (once,) = e12_scaling.run(scales=["tiny"], repeats=1)
+        self.second_runs(monkeypatch, extra_reads=0)
+        (twice,) = e12_scaling.run(scales=["tiny"], repeats=2)
+        cols = twice.columns
+        for name in ("dp: I/O", "syntactic: I/O"):
+            assert twice.rows[0][cols.index(name)] == once.rows[0][cols.index(name)]
+        assert twice.rows[0][cols.index("dp: time (ms)")] == 0.0
+
+    def test_disagreeing_repeats_are_an_error(self, monkeypatch):
+        from repro.bench import e10_wholesale
+
+        self.second_runs(monkeypatch, extra_reads=1)
+        with pytest.raises(AssertionError, match="cold repeats disagree"):
+            e10_wholesale.run(
+                scale=WholesaleScale.tiny(),
+                queries=["Q7_selective_point"],
+                repeats=2,
+            )

@@ -11,9 +11,12 @@ import os
 import pytest
 
 from repro import Database
-from repro.physical import walk_plan
+from repro.executor import ExecContext, run
+from repro.expr import col
+from repro.physical import PHashJoin, PSeqScan, walk_plan
 from repro.qa import RandomWorkload
 from repro.qa.randomqueries import load_dataset
+from repro.workloads import WholesaleScale, load_wholesale
 
 SEED = int(os.environ.get("REPRO_MATRIX_SEED", "1977"))
 
@@ -95,3 +98,48 @@ class TestColumnarFullMatrix:
     def test_case_matches_row_engine_all_cells(self, index):
         for batch_size in BATCH_SIZES:
             check_case(index, batch_size)
+
+
+# -- one plan, both engines, cold and warm pool --------------------------------
+#
+# the two pipelines the retired E13b experiment timed; its non-timing
+# check was that both engines return the same rows from the same plan
+# whether or not the pages are already in the pool
+
+
+@pytest.fixture(scope="module")
+def wholesale_pipelines():
+    db = Database(buffer_pages=64, work_mem_pages=64, columnar=False)
+    load_wholesale(db, WholesaleScale.tiny(), seed=42)
+    lineitem = PSeqScan(db.table("lineitem"), "l")
+    orders = PSeqScan(db.table("orders"), "o")
+    customer = PSeqScan(db.table("customer"), "c")
+    return db, {
+        "scan-filter-agg": db.plan(
+            "SELECT status, COUNT(*) AS n, SUM(total) AS revenue "
+            "FROM orders WHERE total > 500.0 GROUP BY status"
+        ),
+        "hash-join-3way": PHashJoin(
+            PHashJoin(lineitem, orders, col("l.order_id"), col("o.id")),
+            customer,
+            col("o.cust_id"),
+            col("c.id"),
+        ),
+    }
+
+
+@pytest.mark.parametrize("pool", ["cold", "warm"])
+@pytest.mark.parametrize("pipeline", ["scan-filter-agg", "hash-join-3way"])
+def test_one_plan_same_rows_on_both_engines(wholesale_pipelines, pipeline, pool):
+    db, plans = wholesale_pipelines
+
+    def rows(columnar):
+        if pool == "cold":
+            db.pool.clear()
+        ctx = ExecContext(db.pool, db.work_mem_pages, columnar=columnar)
+        return run(plans[pipeline], ctx)
+
+    if pool == "warm":
+        rows(False)
+    got = rows(True)
+    assert got and got == rows(False)

@@ -215,6 +215,43 @@ class TestWaitAccounting:
         assert count == result.plan.actual_reads == result.io.reads
         assert seconds > 0.0
 
+    def test_sql_aggregates_reconcile_with_engine_counters(self):
+        """Every aggregate a ``sys_stat_*`` table serves through SQL
+        equals the counter the engine keeps (the retired E16 table).
+        The engine side is read before each probe: a system table is
+        snapshotted at planning time, so the observing statement is not
+        part of what it sees."""
+        db = _db(rows=2000)
+        db.waits.reset()
+        db.metrics.reset()
+        db.query_log.clear()
+        db.pool.clear()
+        db.reset_io()
+
+        def one(sql):
+            return db.query(sql).rows[0][0]
+
+        for _ in range(4):
+            db.query("SELECT COUNT(*) AS n FROM t WHERE b > 3.0")
+        assert one(
+            "SELECT calls FROM sys_stat_statements "
+            "WHERE statement = 'select count(*) as n from t where b > ?'"
+        ) == 4
+        reads = db.disk.stats.reads
+        assert reads > 0
+        assert one(
+            "SELECT wait_count FROM sys_stat_waits WHERE event = 'io.read'"
+        ) == reads
+        rows_read = db.table("t").access.rows_read
+        assert rows_read == 4 * 2000
+        assert one(
+            "SELECT rows_read FROM sys_stat_tables WHERE table_name = 't'"
+        ) == rows_read
+        queries = db.metrics.counter("queries_total").value
+        assert one(
+            "SELECT value FROM sys_stat_metrics WHERE name = 'queries_total'"
+        ) == queries == 7
+
     def test_exec_cpu_recorded_per_user_query(self):
         db = _db()
         db.waits.reset()

@@ -8,10 +8,14 @@ tests pin the user-visible contract; the crash-side contract lives in
 test_crash_recovery.py.
 """
 
+import os
+import threading
+import time
+
 import pytest
 
 from repro import Database, EngineError
-from repro.wal import LockTimeout
+from repro.wal import LockTimeout, WalRecordType, WalWriter
 
 
 def make_db(**kwargs):
@@ -201,3 +205,89 @@ class TestDurableTransactions:
 
         with Database(data_dir=data_dir) as db2:
             assert all_rows(db2) == BASELINE
+
+
+class TestFsyncPerCommit:
+    """The durability ladder the retired E18 experiment asserted beside
+    its timings: no fsync without a log or with sync off, exactly one
+    per serial durable COMMIT, fewer than one under group commit."""
+
+    TXNS = 6
+
+    @staticmethod
+    def commit_txns(session, table, txns):
+        for t in range(txns):
+            session.execute("BEGIN")
+            for j in range(3):
+                session.execute(f"INSERT INTO {table} VALUES ({t * 3 + j})")
+            session.execute("COMMIT")
+
+    def test_no_wal_no_writer(self):
+        db = Database()
+        db.execute("CREATE TABLE kv0 (k INT)")
+        with db.create_session() as s:
+            self.commit_txns(s, "kv0", self.TXNS)
+        assert db.txn.writer is None
+
+    @pytest.mark.parametrize("wal_sync, per_commit", [(False, 0), (True, 1)])
+    def test_serial_commits(self, tmp_path, wal_sync, per_commit):
+        db = Database(data_dir=str(tmp_path), wal_sync=wal_sync)
+        db.execute("CREATE TABLE kv0 (k INT)")
+        base = db.txn.writer.fsyncs
+        with db.create_session() as s:
+            self.commit_txns(s, "kv0", self.TXNS)
+        assert db.txn.writer.fsyncs - base == per_commit * self.TXNS
+        db.close()
+
+    def test_one_fsync_seals_every_commit_appended_behind_it(self, tmp_path):
+        writer = WalWriter(str(tmp_path / "wal.log"))
+        first = writer.append(WalRecordType.COMMIT, 1)
+        second = writer.append(WalRecordType.COMMIT, 2)
+        writer.flush_to(first)
+        writer.flush_to(second)  # already covered: no second fsync
+        assert writer.fsyncs == 1
+        assert writer.flushed_lsn == second
+        writer.close()
+
+    def test_concurrent_committers_share_fsyncs(self, tmp_path, monkeypatch):
+        # an fsync slow enough that the other committers append their
+        # COMMITs and queue on the flush lock while one is in flight
+        real_fsync = os.fsync
+
+        def slow_fsync(fd):
+            time.sleep(0.005)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", slow_fsync)
+        threads = 4
+        db = Database(data_dir=str(tmp_path))
+        # one table per committer: table write locks are held to the end
+        # of the transaction, so same-table committers would serialize
+        for i in range(threads):
+            db.execute(f"CREATE TABLE kv{i} (k INT)")
+        base = db.txn.writer.fsyncs
+        failures = []
+
+        def body(i):
+            try:
+                with db.create_session() as s:
+                    self.commit_txns(s, f"kv{i}", self.TXNS)
+            except Exception as exc:  # re-raised on the main thread
+                failures.append(exc)
+
+        workers = [
+            threading.Thread(target=body, args=(i,)) for i in range(threads)
+        ]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+        assert not any(w.is_alive() for w in workers)
+        if failures:
+            raise failures[0]
+        commits = threads * self.TXNS
+        assert 0 < db.txn.writer.fsyncs - base < commits
+        for i in range(threads):
+            count = db.query(f"SELECT COUNT(*) FROM kv{i}").rows[0][0]
+            assert count == self.TXNS * 3
+        db.close()
