@@ -27,6 +27,8 @@ with ``;``.  Meta-commands:
 The ``sys_stat_*`` system tables (statements, tables, waits, metrics,
 activity, traces, locks) are ordinary SELECT targets — e.g.
 ``SELECT * FROM sys_stat_statements ORDER BY total_ms DESC LIMIT 5;``.
+The shell runs with observability on; it is one switch (``ObsConfig``),
+so no meta-command turns a part of it off.
 """
 
 from __future__ import annotations

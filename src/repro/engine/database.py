@@ -50,6 +50,7 @@ from ..obs import (
     Tracer,
     WaitEventStats,
     activate_tracer,
+    active_tracer,
     chrome_trace_events,
     plan_diff,
     plan_fingerprint,
@@ -183,7 +184,7 @@ class Database:
         self._live_transients: List[str] = []
         self.obs = obs or ObsConfig()
         self.metrics = MetricsRegistry()
-        self.query_log = QueryLog(self.obs.query_log_size)
+        self.query_log = QueryLog()
         self.last_trace: Optional[Span] = None
         #: the most recent request's full trace (id + span tree), kept
         #: regardless of duration; ``last_trace_export()`` renders it
@@ -203,12 +204,13 @@ class Database:
         #: the optimizer SearchTrace of the most recent planning pass
         self.last_search: Optional[SearchTrace] = None
         #: cumulative wait-event accounting (io/lock/exec classes);
-        #: attached to the buffer pool so page I/O and lock contention are
-        #: timed at the source
+        #: attached to the buffer pool, the lock manager and the WAL
+        #: writer so page I/O, lock contention and fsyncs are timed at
+        #: the source
         self.waits = WaitEventStats()
-        if self.obs.waits:
-            self.pool.waits = self.waits
-            self.txn.waits = self.waits
+        self.pool.waits = self.txn.waits = (
+            self.waits if self.obs.enabled else None
+        )
         #: in-flight user statements (serves ``sys_stat_activity``)
         self.activity = ActivityRegistry()
         #: slow-statement capture (``auto_explain``-style)
@@ -229,15 +231,14 @@ class Database:
         self.data_dir = data_dir
         self.last_recovery: Optional[RecoveryReport] = None
         self._closed = False
-        if self.obs.system_tables:
-            register_system_tables(self)
+        register_system_tables(self)
         if data_dir is not None:
             os.makedirs(data_dir, exist_ok=True)
             self.last_recovery = recover(self, data_dir)
             self.txn.writer = open_wal(
                 data_dir,
                 self.last_recovery.next_lsn,
-                waits=self.waits if self.obs.waits else None,
+                waits=self.txn.waits,
                 sync=wal_sync,
             )
             self.txn.set_next_txn_id(self.last_recovery.next_txn_id)
@@ -260,7 +261,7 @@ class Database:
         new statistics, a planner-options switch — drops every cached
         plan."""
         dropped = self.plan_cache.invalidate(reason)
-        if dropped and self.obs.metrics:
+        if dropped and self.obs.enabled:
             self.metrics.counter("cache_invalidations_total").inc(dropped)
 
     # -- sessions and transactions -----------------------------------------------------
@@ -326,60 +327,44 @@ class Database:
     # recorder (``_record``); a ``StatementContext`` is what they share.
 
     def execute(
-        self,
-        sql: str,
-        session: Optional[Session] = None,
-        trace_id: Optional[str] = None,
-        tracer: Optional[Tracer] = None,
+        self, sql: str, session: Optional[Session] = None
     ) -> QueryResult:
-        """Parse and run one statement of any kind.
+        """Parse and run one statement of any kind."""
+        return self._run_statement(sql, session)
 
-        *trace_id* names the request in the trace this statement opens
-        (client-supplied distributed tracing; generated when omitted).
-        An externally owned *tracer* (the server's per-request root span)
-        is used as-is and **not** finalized here — the owner closes its
-        root span and calls :meth:`capture_trace`.
-        """
-        return self._run_statement(sql, session, trace_id, tracer)
-
-    def query(
-        self,
-        sql: str,
-        session: Optional[Session] = None,
-        trace_id: Optional[str] = None,
-    ) -> QueryResult:
+    def query(self, sql: str, session: Optional[Session] = None) -> QueryResult:
         """Run a SELECT and return rows + metrics."""
-        return self._run_statement(sql, session, trace_id, select_only=True)
+        return self._run_statement(sql, session, select_only=True)
 
     def _run_statement(
         self,
         source: Any,
         session: Optional[Session] = None,
-        trace_id: Optional[str] = None,
-        tracer: Optional[Tracer] = None,
         select_only: bool = False,
     ) -> QueryResult:
         """The one statement entry.  *source* is SQL text, or an already
         parsed SELECT for the nested internal selects (view
         materialization, subquery substitution): those run under a trace
         of their own and, having no text, are neither shown in
-        ``sys_stat_activity`` nor logged."""
+        ``sys_stat_activity`` nor logged.  A user statement joins the
+        tracer active on its thread (the server's per-request one, which
+        its owner finalizes with :meth:`capture_trace`) or opens and
+        finalizes its own; everything below goes through ``trace_span``."""
         session = session or self._session
-        external = tracer is not None
-        if tracer is None:
-            tracer = Tracer(enabled=self.obs.trace, trace_id=trace_id)
         sql = source if isinstance(source, str) else None
+        tracer = None if sql is None else active_tracer()
+        own = tracer is None
+        if own:
+            tracer = Tracer(enabled=self.obs.enabled)
         entry = None if sql is None else self.activity.begin(sql, session.id)
         try:
-            # the active tracer lets deep layers (WAL append/fsync, table
-            # locks, MVCC) open spans without threading it through signatures
             with activate_tracer(tracer), tracer.span("query"):
                 if sql is None:
                     stmt = source
                 else:
                     with tracer.span("parse"):
                         stmt = parse(sql)
-                st = StatementContext(session, tracer, sql, entry)
+                st = StatementContext(session, sql, entry)
                 if isinstance(stmt, SelectStmt):
                     result = self._read(st, stmt)
                 elif select_only:
@@ -397,7 +382,7 @@ class Database:
         finally:
             if entry is not None:
                 self.activity.finish(entry)
-        if not external and tracer.root is not None:
+        if own and tracer.root is not None:
             result.trace = tracer.root
             self.last_trace = tracer.root
             if sql is not None:
@@ -413,7 +398,6 @@ class Database:
     ) -> QueryResult:
         """The read envelope: pin or acquire the snapshot, take the
         statement lock, run, record, release."""
-        tracer = st.tracer
         # MVCC: user statements read through a commit-timestamp snapshot
         # instead of locking — they never block on writers and never see
         # uncommitted rows.  Inside an explicit transaction the snapshot
@@ -426,7 +410,7 @@ class Database:
         if st.sql is not None:
             txn = st.txn = st.session.txn
             if txn is None or txn.snapshot is None:
-                with tracer.span("mvcc.acquire") as sp:
+                with trace_span("mvcc.acquire") as sp:
                     st.snapshot = self.txn.versions.acquire(
                         txn.id if txn is not None else 0
                     )
@@ -458,7 +442,7 @@ class Database:
                 self._record(st, result, result.rowcount)
         finally:
             if release:
-                with tracer.span("mvcc.release"):
+                with trace_span("mvcc.release"):
                     self.txn.versions.release(st.snapshot)
         return result
 
@@ -471,7 +455,6 @@ class Database:
     ) -> QueryResult:
         """Plan (or fetch the cached plan) and execute, inside the read
         envelope; leaves the chosen plan on *st*."""
-        tracer = st.tracer
         # Cacheable = user-issued, not EXPLAIN ANALYZE (which must show a
         # cold plan), feedback off (feedback-corrected plans drift between
         # executions), and no subqueries (decomposition bakes subquery
@@ -489,10 +472,8 @@ class Database:
 
         def plan_cold(stmt: SelectStmt) -> PhysicalPlan:
             nonlocal pstats
-            with tracer.span("plan"):
-                physical, pstats = self.plan_select(
-                    stmt, tracer=tracer, collect_search=collect_search
-                )
+            with trace_span("plan"):
+                physical, pstats = self.plan_select(stmt, collect_search)
             return physical
 
         if lifted is not None:
@@ -505,21 +486,18 @@ class Database:
             st.plan = plan_cold(stmt)
         planning = time.perf_counter() - st.start
         st.phase("executing")
-        waits0 = self.waits.snapshot() if self.obs.waits else None
-        with tracer.span("execute"):
+        blocked = self.waits.blocked_seconds()
+        with trace_span("execute"):
             result = self.run_plan(
                 st.plan, analyze=analyze, activity=st.entry,
                 snapshot=st.snapshot,
             )
-        if waits0 is not None:
-            # exec.cpu = wall execution time minus the blocked time that
-            # accrued during it, so cpu + io + lock adds back
-            # up to measured execution time
-            blocked = sum(
-                seconds
-                for event, (_, seconds) in self.waits.delta(waits0).items()
-                if not event.startswith("exec.")
-            )
+        if self.obs.enabled:
+            # exec.cpu = wall execution time minus the time this thread
+            # spent blocked during it (another session's fsync is not
+            # ours), so cpu + io + lock adds back up to measured
+            # execution time
+            blocked = self.waits.blocked_seconds() - blocked
             self.waits.record(
                 "exec.cpu", max(0.0, result.execution_seconds - blocked)
             )
@@ -611,9 +589,7 @@ class Database:
                 rows=[(line,) for line in text.splitlines()],
                 columns=["plan"],
             )
-        physical, pstats = self._plan_only(
-            stmt.inner, st.tracer, collect_search
-        )
+        physical, pstats = self._plan_only(stmt.inner, collect_search)
         planning = time.perf_counter() - st.start
         if not stmt.diff:
             text = physical.pretty() + self._search_section(stmt)
@@ -647,24 +623,18 @@ class Database:
         return "\n\nSearch:\n" + self.last_search.render(verbose=stmt.verbose)
 
     def _plan_only(
-        self,
-        stmt: SelectStmt,
-        tracer: Optional[Tracer] = None,
-        collect_search: Optional[bool] = None,
+        self, stmt: SelectStmt, collect_search: Optional[bool] = None
     ) -> Tuple[PhysicalPlan, PlannerStats]:
         """Plan without executing — ``EXPLAIN``, ``EXPLAIN DIFF``,
         :meth:`plan`, :meth:`explain`.  Planning materializes
         non-mergeable views and ``sys_stat_*`` snapshots into real catalog
         tables, so it holds the statement lock, and it drops those
         transients before it returns."""
-        tracer = tracer or Tracer(enabled=False)
         with self._stmt_lock:
             before = len(self._live_transients)
             try:
-                with tracer.span("plan"):
-                    return self.plan_select(
-                        stmt, tracer=tracer, collect_search=collect_search
-                    )
+                with trace_span("plan"):
+                    return self.plan_select(stmt, collect_search)
             finally:
                 self._drop_transients_from(before)
 
@@ -786,23 +756,19 @@ class Database:
     # -- planning ---------------------------------------------------------------------------
 
     def plan_select(
-        self,
-        stmt: SelectStmt,
-        tracer: Optional[Tracer] = None,
-        collect_search: Optional[bool] = None,
+        self, stmt: SelectStmt, collect_search: Optional[bool] = None
     ) -> Tuple[PhysicalPlan, PlannerStats]:
         """Plan a SELECT.  Views referenced by *stmt* are expanded here; a
         non-mergeable view is materialized into a transient table that the
         statement owning the planning drops when it finishes (the read
         envelope and ``_plan_only`` clean up after themselves; direct
         callers own the cleanup via :meth:`drop_transients`)."""
-        tracer = tracer or Tracer(enabled=False)
-        with tracer.span("view_expansion") as span:
+        with trace_span("view_expansion") as span:
             expansion = self._expand_views(stmt)
             if expansion.transient_tables:
                 span.add("views_materialized", len(expansion.transient_tables))
         self._materialize_system_tables(expansion.stmt)
-        with tracer.span("decorrelation") as span:
+        with trace_span("decorrelation") as span:
             before = len(self._live_transients)
             stmt = self._decompose_subqueries(expansion.stmt)
             if len(self._live_transients) > before:
@@ -812,13 +778,12 @@ class Database:
                 )
         logical = build_plan(stmt, self.catalog)
         if collect_search is None:
-            collect_search = self.obs.trace
+            collect_search = self.obs.enabled
         search = SearchTrace() if collect_search else None
         planner = Planner(
             self.catalog,
             self.model,
             self.options,
-            tracer=tracer,
             feedback=self.feedback,
             search=search,
         )
@@ -1199,26 +1164,23 @@ class Database:
 
         ``cold=True`` clears the buffer pool first so the run pays full
         page-fetch costs (what the experiments usually want).
-        ``analyze=True`` forces FULL instrumentation (per-operator timing
-        and attributed buffer/disk counters) regardless of the configured
-        default level; an enabled ``auto_explain`` with ``analyze=True``
-        (its default) forces the same, so captures carry per-node timing —
-        the trade PostgreSQL's ``auto_explain.log_analyze`` makes.
+        ``analyze=True`` runs at FULL instrumentation (per-operator timing
+        and attributed buffer/disk counters) instead of ROWS; an enabled
+        ``auto_explain`` forces the same, so captures carry per-node
+        timing — the trade PostgreSQL's ``auto_explain.log_analyze`` makes.
         """
         if cold:
             self.pool.clear()
         before_io = self.disk.stats.snapshot()
         before_buf = self.pool.stats.snapshot()
-        if analyze or (
-            self.auto_explain.enabled and self.auto_explain.config.analyze
-        ):
-            level = InstrumentLevel.FULL
-        else:
-            level = self.obs.instrument
         ctx = ExecContext(
             self.pool,
             self.work_mem_pages,
-            instrument=level,
+            instrument=(
+                InstrumentLevel.FULL
+                if analyze or self.auto_explain.enabled
+                else InstrumentLevel.ROWS
+            ),
             batch_size=self.batch_size,
             activity=activity,
             columnar=self.columnar,
@@ -1263,11 +1225,8 @@ class Database:
             and trace.duration_ms >= self.auto_explain.config.threshold_ms
         ):
             self.traces.record(trace)
-            if self.obs.metrics:
-                self.metrics.counter("traces_captured_total").inc()
-                self.metrics.counter("trace_spans_total").inc(
-                    trace.span_count()
-                )
+            self.metrics.counter("traces_captured_total").inc()
+            self.metrics.counter("trace_spans_total").inc(trace.span_count())
         return trace
 
     def last_trace_export(self, path: Optional[str] = None) -> str:
@@ -1299,7 +1258,7 @@ class Database:
         replans = cache.stats.replans
         cached = cache.lookup(shape, lifted.params)
         hit = cached is not None
-        if self.obs.metrics:
+        if self.obs.enabled:
             self.metrics.counter(
                 "cache_plan_hits_total" if hit else "cache_plan_misses_total"
             ).inc()
@@ -1319,117 +1278,99 @@ class Database:
     def _record(
         self, st: StatementContext, result: Optional[QueryResult], rows: int
     ) -> None:
-        """The one recorder: feed a finished statement — a SELECT with its
-        *result*, or a DML statement (*result* is None) — into the metrics
-        registry, the latency store, the query log (with session/txn
-        attribution), the baseline and feedback stores and auto_explain.
-        *rows* is what it returned or modified; ``st.plan`` is the
-        SELECT's plan or the scan that located an UPDATE/DELETE's rows
-        (None for INSERT), whose estimates the log scores against *rows*.
-        A nested internal select (``st.sql is None``) feeds only the
-        metrics and the feedback store."""
-        sql, plan, obs = st.sql, st.plan, self.obs
+        """The one recorder, and all of what ``ObsConfig.enabled`` buys
+        besides span trees and wait hooks: feed a finished statement — a
+        SELECT with its *result*, or a DML statement (*result* is None) —
+        into the metrics registry, the feedback and baseline stores, the
+        latency store, the query log (with session/txn attribution) and
+        auto_explain.  *rows* is what it returned or modified;
+        ``st.plan`` is the SELECT's plan or the scan that located an
+        UPDATE/DELETE's rows (None for INSERT), whose estimates the log
+        scores against *rows*."""
+        if not self.obs.enabled:
+            return
+        sql, plan, m = st.sql, st.plan, self.metrics
         select = st.kind == "select"
-        log = sql is not None and self.query_log.capacity > 0
-        observe_baseline = select and sql is not None and obs.baselines
+        est_cost = 0.0 if plan is None else plan.total_est_cost()
+        spills = temp_files = buffer_hits = 0
+        change = None
         if select:
             planning_ms = result.planning_seconds * 1000.0
             execution_ms = result.execution_seconds * 1000.0
-            io = result.io
-        elif log or obs.metrics:
+            io, em = result.io, result.exec_metrics
+            m.counter("queries_total").inc()
+            m.histogram("planning_ms").observe(planning_ms)
+            m.histogram("execution_ms").observe(execution_ms)
+            m.counter("rows_returned_total").inc(rows)
+            m.counter("pages_read_total").inc(io.reads)
+            m.counter("pages_written_total").inc(io.writes)
+            m.counter("spills_total").inc(em.spills)
+            m.counter("temp_files_total").inc(em.temp_files)
+            m.counter("pages_skipped_total").inc(em.pages_skipped)
+            m.counter("exec_row_fallbacks_total").inc(em.row_fallbacks)
+            m.gauge("buffer_hit_ratio").set(self.pool.stats.hit_rate)
+            # plans under a LIMIT are not harvested: early termination
+            # leaves actuals that reflect the cutoff, not the data, and
+            # learning from them would poison the corrections
+            if self.obs.feedback and not any(
+                isinstance(node, PLimit) for node in walk_plan(plan)
+            ):
+                self.feedback.harvest(plan)
+            if sql is None:
+                return  # a nested internal select: no text to record under
+            statement_fp = statement_fingerprint(sql)
+            fingerprint = st.plan_fp or plan_fingerprint(plan)
+            spills, temp_files = em.spills, em.temp_files
+            buffer_hits = result.buffer.hits
+            change = self.baselines.observe(
+                statement_fp,
+                sql,
+                fingerprint,
+                est_cost,
+                plan,  # rendered only for a new or changed plan
+                execution_ms,
+            )
+            if change is not None:
+                m.counter("plan_changes_total").inc()
+                if change.is_regression:
+                    m.counter("plan_regressions_total").inc()
+        else:
             # statement latency as the client saw it: for autocommit DML
             # the elapsed time includes the COMMIT's (group-batched) fsync
             planning_ms = 0.0
             execution_ms = (time.perf_counter() - st.start) * 1000.0
             io = self.disk.stats.delta(st.io0)
-        else:
-            return
-        # the log names a SELECT by its plan and a DML statement by its text
-        statement_fp = (
-            statement_fingerprint(sql)
-            if sql is not None
-            and (obs.metrics or observe_baseline or (log and not select))
-            else None
-        )
-        if obs.metrics:
-            m = self.metrics
-            if select:
-                m.counter("queries_total").inc()
-                m.histogram("planning_ms").observe(planning_ms)
-                m.histogram("execution_ms").observe(execution_ms)
-                m.counter("rows_returned_total").inc(rows)
-                m.counter("pages_read_total").inc(io.reads)
-                m.counter("pages_written_total").inc(io.writes)
-                em = result.exec_metrics
-                m.counter("spills_total").inc(em.spills)
-                m.counter("temp_files_total").inc(em.temp_files)
-                m.counter("pages_skipped_total").inc(em.pages_skipped)
-                m.counter("exec_row_fallbacks_total").inc(em.row_fallbacks)
-                m.gauge("buffer_hit_ratio").set(self.pool.stats.hit_rate)
-            else:
-                m.counter("dml_statements_total").inc()
-                m.counter("rows_modified_total").inc(rows)
-                m.histogram("dml_execution_ms").observe(execution_ms)
-            if sql is not None:
-                self.latency.observe(statement_fp, planning_ms + execution_ms)
-        # plans under a LIMIT are not harvested: early termination leaves
-        # actuals that reflect the cutoff, not the data, and learning from
-        # them would poison the corrections
-        if (
-            select
-            and obs.feedback
-            and not any(isinstance(node, PLimit) for node in walk_plan(plan))
-        ):
-            self.feedback.harvest(plan)
-        if log or observe_baseline:
-            fingerprint = (
-                (st.plan_fp or plan_fingerprint(plan)) if select else statement_fp
+            m.counter("dml_statements_total").inc()
+            m.counter("rows_modified_total").inc(rows)
+            m.histogram("dml_execution_ms").observe(execution_ms)
+            # the log names a SELECT by its plan, a DML statement by its text
+            fingerprint = statement_fp = statement_fingerprint(sql)
+        self.latency.observe(statement_fp, planning_ms + execution_ms)
+        est_rows = float(rows) if plan is None else plan.est_rows
+        self.query_log.record(
+            QueryLogRecord(
+                sql=sql,
+                fingerprint=fingerprint,
+                est_rows=est_rows,
+                actual_rows=rows,
+                q_error=q_error(est_rows, float(rows)),
+                est_cost=est_cost,
+                actual_reads=io.reads,
+                actual_writes=io.writes,
+                planning_ms=planning_ms,
+                execution_ms=execution_ms,
+                spills=spills,
+                temp_files=temp_files,
+                plan_changed=change is not None,
+                baseline_cost_delta=0.0 if change is None else change.cost_delta,
+                buffer_hits=buffer_hits,
+                plan_cache_hit=st.plan_cache_hit,
+                kind=st.kind,
+                session_id=st.session.id,
+                txn_id=st.txn.id if st.txn is not None else 0,
             )
-            est_cost = 0.0 if plan is None else plan.total_est_cost()
-            plan_changed = False
-            cost_delta = 0.0
-            if observe_baseline:
-                change = self.baselines.observe(
-                    statement_fp,
-                    sql,
-                    fingerprint,
-                    est_cost,
-                    plan,  # rendered only for a new or changed plan
-                    execution_ms,
-                )
-                if change is not None:
-                    plan_changed = True
-                    cost_delta = change.cost_delta
-                    if obs.metrics:
-                        self.metrics.counter("plan_changes_total").inc()
-                        if change.is_regression:
-                            self.metrics.counter("plan_regressions_total").inc()
-            if log:
-                est_rows = float(rows) if plan is None else plan.est_rows
-                self.query_log.record(
-                    QueryLogRecord(
-                        sql=sql,
-                        fingerprint=fingerprint,
-                        est_rows=est_rows,
-                        actual_rows=rows,
-                        q_error=q_error(est_rows, float(rows)),
-                        est_cost=est_cost,
-                        actual_reads=io.reads,
-                        actual_writes=io.writes,
-                        planning_ms=planning_ms,
-                        execution_ms=execution_ms,
-                        spills=result.exec_metrics.spills if select else 0,
-                        temp_files=result.exec_metrics.temp_files if select else 0,
-                        plan_changed=plan_changed,
-                        baseline_cost_delta=cost_delta,
-                        buffer_hits=result.buffer.hits if select else 0,
-                        plan_cache_hit=st.plan_cache_hit,
-                        kind=st.kind,
-                        session_id=st.session.id,
-                        txn_id=st.txn.id if st.txn is not None else 0,
-                    )
-                )
-        if select and sql is not None and self.auto_explain.enabled:
+        )
+        if select and self.auto_explain.enabled:
             # capture user statements that crossed the auto_explain threshold
             search_summary = None
             if self.last_search is not None and len(self.last_search):
@@ -1444,8 +1385,8 @@ class Database:
                 writes=io.writes,
                 search_summary=search_summary,
             )
-            if captured is not None and obs.metrics:
-                self.metrics.counter("slow_queries_captured_total").inc()
+            if captured is not None:
+                m.counter("slow_queries_captured_total").inc()
 
     def metrics_snapshot(self, format: str = "json") -> Any:
         """Process-wide observability snapshot: registry instruments plus
@@ -1455,38 +1396,48 @@ class Database:
         ``format="prom"`` returns Prometheus text exposition (the storage
         counters render as gauges alongside the registry instruments).
         """
+        if format not in ("json", "prom"):
+            raise EngineError(f"unknown metrics format {format!r}")
+        bstats, dstats, versions = self.pool.stats, self.disk.stats, self.txn.versions
+        # the one list of storage counters: nested as it is for JSON,
+        # flattened to ``section_name`` gauges for Prometheus
+        storage = {
+            "buffer_pool": {
+                "hits": bstats.hits,
+                "misses": bstats.misses,
+                "evictions": bstats.evictions,
+                "dirty_writebacks": bstats.dirty_writebacks,
+                "hit_rate": bstats.hit_rate,
+            },
+            "disk": {
+                "reads": dstats.reads,
+                "writes": dstats.writes,
+                "seq_reads": dstats.seq_reads,
+                "allocations": dstats.allocations,
+            },
+            "mvcc": {
+                "last_commit_ts": versions.last_commit_ts,
+                "active_snapshots": versions.active_snapshots(),
+                "live_versions": versions.live_versions(),
+                "versions_recorded": versions.versions_recorded,
+                "versions_pruned": versions.versions_pruned,
+                "snapshots_taken": versions.snapshots_taken,
+            },
+        }
         if format == "prom":
-            bstats, dstats = self.pool.stats, self.disk.stats
             extras = {
-                "buffer_pool_hits": float(bstats.hits),
-                "buffer_pool_misses": float(bstats.misses),
-                "buffer_pool_evictions": float(bstats.evictions),
-                "buffer_pool_dirty_writebacks": float(bstats.dirty_writebacks),
-                "buffer_pool_hit_rate": bstats.hit_rate,
-                "disk_reads": float(dstats.reads),
-                "disk_writes": float(dstats.writes),
-                "disk_seq_reads": float(dstats.seq_reads),
-                "disk_allocations": float(dstats.allocations),
-                "query_log_entries": float(len(self.query_log)),
-                "feedback_entries": float(len(self.feedback)),
-                "plan_baselines": float(len(self.baselines)),
-                "wait_events_total": float(len(self.waits)),
-                "slow_query_captures": float(self.auto_explain.captured_total),
+                f"{section}_{name}": float(value)
+                for section, counters in storage.items()
+                for name, value in counters.items()
             }
-            versions = self.txn.versions
             extras.update(
-                {
-                    "mvcc_last_commit_ts": float(versions.last_commit_ts),
-                    "mvcc_active_snapshots": float(
-                        versions.active_snapshots()
-                    ),
-                    "mvcc_live_versions": float(versions.live_versions()),
-                    "mvcc_versions_recorded": float(
-                        versions.versions_recorded
-                    ),
-                    "mvcc_versions_pruned": float(versions.versions_pruned),
-                    "mvcc_snapshots_taken": float(versions.snapshots_taken),
-                }
+                query_log_entries=float(len(self.query_log)),
+                feedback_entries=float(len(self.feedback)),
+                plan_baselines=float(len(self.baselines)),
+                wait_events_total=float(len(self.waits)),
+                slow_query_captures=float(self.auto_explain.captured_total),
+                statement_latency_fingerprints=float(len(self.latency)),
+                slow_traces_captured=float(self.traces.captured),
             )
             # one pair of series per wait event, dots flattened for the
             # exposition grammar (io.read -> wait_io_read_*)
@@ -1494,10 +1445,6 @@ class Database:
                 flat = event.replace(".", "_")
                 extras[f"wait_{flat}_count"] = float(count)
                 extras[f"wait_{flat}_seconds"] = total_ms / 1000.0
-            extras["statement_latency_fingerprints"] = float(
-                len(self.latency)
-            )
-            extras["slow_traces_captured"] = float(self.traces.captured)
             # per-fingerprint latency quantiles as one labeled family;
             # sorted label bodies keep the exposition byte-stable
             labeled = []
@@ -1519,35 +1466,11 @@ class Database:
             return self.metrics.render_prometheus(
                 extras=extras, labeled=labeled
             )
-        if format != "json":
-            raise EngineError(f"unknown metrics format {format!r}")
         snap: Dict[str, Any] = self.metrics.snapshot()
-        bstats = self.pool.stats
-        snap["buffer_pool"] = {
-            "hits": bstats.hits,
-            "misses": bstats.misses,
-            "evictions": bstats.evictions,
-            "dirty_writebacks": bstats.dirty_writebacks,
-            "hit_rate": bstats.hit_rate,
-        }
-        dstats = self.disk.stats
-        snap["disk"] = {
-            "reads": dstats.reads,
-            "writes": dstats.writes,
-            "seq_reads": dstats.seq_reads,
-            "allocations": dstats.allocations,
-        }
+        snap.update(storage)
+        # JSON only: None while no snapshot is open
+        snap["mvcc"]["oldest_snapshot_ts"] = versions.oldest_snapshot_ts()
         snap["query_log_entries"] = len(self.query_log)
-        versions = self.txn.versions
-        snap["mvcc"] = {
-            "last_commit_ts": versions.last_commit_ts,
-            "active_snapshots": versions.active_snapshots(),
-            "oldest_snapshot_ts": versions.oldest_snapshot_ts(),
-            "live_versions": versions.live_versions(),
-            "versions_recorded": versions.versions_recorded,
-            "versions_pruned": versions.versions_pruned,
-            "snapshots_taken": versions.snapshots_taken,
-        }
         snap["waits"] = self.waits.as_dict()
         snap["auto_explain"] = {
             "enabled": self.auto_explain.enabled,
@@ -1779,7 +1702,7 @@ class Database:
                 writer.flush_to(lsn)
                 if action is not None:
                     faults.crash()
-            if self.obs.metrics:
+            if self.obs.enabled:
                 self.metrics.counter("checkpoints_total").inc()
                 self.metrics.counter("checkpoint_pages_flushed_total").inc(
                     flushed

@@ -32,8 +32,8 @@ class Session:
     def in_transaction(self) -> bool:
         return self.txn is not None
 
-    def execute(self, sql: str, tracer=None) -> "QueryResult":
-        return self.db.execute(sql, session=self, tracer=tracer)
+    def execute(self, sql: str) -> "QueryResult":
+        return self.db.execute(sql, session=self)
 
     def query(self, sql: str) -> "QueryResult":
         return self.db.query(sql, session=self)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..obs import ActivityEntry, Tracer
+    from ..obs import ActivityEntry
     from ..physical import PhysicalPlan
     from ..storage import IOStats
     from ..wal import Snapshot, Transaction
@@ -20,7 +20,6 @@ class StatementContext:
     read and write envelopes and the recorder hand each other."""
 
     session: Session
-    tracer: Optional[Tracer] = None
     #: the text as the client sent it; None for a nested internal select
     #: and for ``insert_rows`` — neither is shown as activity or logged
     sql: Optional[str] = None

@@ -5,7 +5,7 @@ Operators implement ``open() / next_batch() / close()`` (see
 rest of the engine uses.
 """
 
-from .aggregate import Accumulator, AggregateState, compile_group_key
+from .aggregate import Accumulator, AggregateState
 from .context import ExecContext, ExecMetrics, read_spill, spill_rows
 from .operator import BatchCursor, Operator, build_operator, operator_for
 from .run import execute, run
@@ -14,7 +14,6 @@ from .sortutil import SortKey, cmp_values, make_key_fn, sorted_rows
 __all__ = [
     "Accumulator",
     "AggregateState",
-    "compile_group_key",
     "ExecContext",
     "ExecMetrics",
     "read_spill",

@@ -138,7 +138,7 @@ class AggregateOp(UnaryOperator):
         self.group_kernels = None
         self.arg_kernels = None
         child_schema = plan.child.schema
-        self.state = AggregateState(plan.aggs, child_schema)
+        self.state = AggregateState(plan.aggs)
         self.group_fns = [
             compile_expr_batch(g, child_schema) for g in plan.group_exprs
         ]

@@ -7,10 +7,9 @@ regardless of values.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
-from ..expr import AggCall, AggFunc, Expr, compile_expr
-from ..types import Schema
+from ..expr import AggCall, AggFunc
 
 
 class Accumulator:
@@ -26,30 +25,8 @@ class Accumulator:
         self.extreme: Any = None
         self.seen: Optional[set] = set() if distinct else None
 
-    def add(self, value: Any) -> None:
-        if value is None:
-            return
-        if self.seen is not None:
-            if value in self.seen:
-                return
-            self.seen.add(value)
-        self.count += 1
-        if self.func is AggFunc.SUM or self.func is AggFunc.AVG:
-            self.total = value if self.total is None else self.total + value
-        elif self.func is AggFunc.MIN:
-            if self.extreme is None or value < self.extreme:
-                self.extreme = value
-        elif self.func is AggFunc.MAX:
-            if self.extreme is None or value > self.extreme:
-                self.extreme = value
-
-    def add_star(self) -> None:
-        """COUNT(*): every row counts."""
-        self.count += 1
-
     def add_many(self, values: Sequence[Any]) -> None:
-        """Fold a column of values in one call (same result as ``add`` per
-        value, in the same left-to-right order)."""
+        """Fold a column of values in one call, strictly left to right."""
         vals = [v for v in values if v is not None]
         if self.seen is not None:
             fresh = []
@@ -63,8 +40,8 @@ class Accumulator:
         self.count += len(vals)
         func = self.func
         if func is AggFunc.SUM or func is AggFunc.AVG:
-            # accumulate in the same order as repeated add() so float sums
-            # are bit-identical at every batch size
+            # accumulate one value at a time, in order, so float sums are
+            # bit-identical at every batch size
             total = self.total
             for v in vals:
                 total = v if total is None else total + v
@@ -94,33 +71,14 @@ class Accumulator:
 
 
 class AggregateState:
-    """Per-group accumulator row plus evaluation plumbing."""
+    """Makes and finishes a group's row of accumulators; the operator
+    that owns it evaluates the arguments and folds them in."""
 
-    def __init__(self, aggs: Sequence[AggCall], child_schema: Schema):
+    def __init__(self, aggs: Sequence[AggCall]):
         self.aggs = list(aggs)
-        self.arg_fns: List[Optional[Callable[[tuple], Any]]] = []
-        for agg in self.aggs:
-            if agg.arg is None:
-                self.arg_fns.append(None)
-            else:
-                self.arg_fns.append(compile_expr(agg.arg, child_schema))
 
     def new_group(self) -> List[Accumulator]:
         return [Accumulator(a.func, a.distinct) for a in self.aggs]
 
-    def update(self, accs: List[Accumulator], row: tuple) -> None:
-        for acc, agg, fn in zip(accs, self.aggs, self.arg_fns):
-            if fn is None:
-                acc.add_star()
-            else:
-                acc.add(fn(row))
-
     def finish(self, accs: List[Accumulator]) -> Tuple[Any, ...]:
         return tuple(acc.result() for acc in accs)
-
-
-def compile_group_key(
-    group_exprs: Sequence[Expr], child_schema: Schema
-) -> Callable[[tuple], Tuple[Any, ...]]:
-    fns = [compile_expr(g, child_schema) for g in group_exprs]
-    return lambda row: tuple(fn(row) for fn in fns)

@@ -1,9 +1,10 @@
 """Query-lifecycle and optimizer observability.
 
-The pieces (all engine-independent; the engine threads them through):
+The pieces (all engine-independent; on a ``Database`` all live or all
+idle, and fed by one recorder at the end of the statement path):
 
-* :class:`InstrumentLevel` / :class:`ObsConfig` — measurement depth and
-  which subsystems are live (``config``).
+* :class:`ObsConfig` — the on/off switch; :class:`InstrumentLevel` —
+  per-execution measurement depth (``config``).
 * :class:`Tracer` / :class:`Span` — planner/query span trees with JSON
   round-tripping (``trace``).
 * :class:`MetricsRegistry` — process-wide counters, gauges, latency

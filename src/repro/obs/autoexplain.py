@@ -12,10 +12,10 @@ The capture log is bounded both ways: the ring keeps the most recent
 contents once appends exceed twice the capacity — the file never grows
 without bound.
 
-``analyze=True`` (the default) runs statements at FULL instrumentation
-while auto_explain is enabled, so a capture carries real per-node timing;
-the cost is the FULL-level overhead on every statement (see E13), which
-is the same trade PostgreSQL's ``auto_explain.log_analyze`` makes.
+Statements run at FULL instrumentation while auto_explain is enabled, so
+a capture carries real per-node timing; the cost is the FULL-level
+overhead on every statement (see E13), which is the trade PostgreSQL's
+``auto_explain.log_analyze`` makes.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ class AutoExplainConfig:
     threshold_ms: float = 100.0  # capture statements at or above this
     path: Optional[str] = None  # JSONL mirror; None = in-memory only
     capacity: int = 64  # captures kept (ring + compacted file)
-    analyze: bool = True  # run at FULL instrumentation while enabled
 
 
 class AutoExplain:

@@ -107,23 +107,20 @@ class QueryLogRecord:
 
 
 class QueryLog:
-    """Bounded ring of :class:`QueryLogRecord`; capacity 0 disables it."""
+    """Bounded ring of :class:`QueryLogRecord`."""
 
     def __init__(self, capacity: int = 256):
         self.capacity = capacity
-        self._records: Deque[QueryLogRecord] = deque(
-            maxlen=capacity if capacity > 0 else 1
-        )
+        self._records: Deque[QueryLogRecord] = deque(maxlen=capacity)
 
     def record(self, entry: QueryLogRecord) -> None:
-        if self.capacity > 0:
-            self._records.append(entry)
+        self._records.append(entry)
 
     def __len__(self) -> int:
-        return len(self._records) if self.capacity > 0 else 0
+        return len(self._records)
 
     def entries(self) -> List[QueryLogRecord]:
-        return list(self._records) if self.capacity > 0 else []
+        return list(self._records)
 
     def as_dicts(self) -> List[Dict[str, Any]]:
         return [r.as_dict() for r in self.entries()]

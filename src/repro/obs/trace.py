@@ -21,10 +21,10 @@ records nothing.
 
 Request-scoped tracing adds identity on top of the tree shape: every
 span carries a ``span_id``/``parent_id`` pair and the tracer carries a
-``trace_id`` shared by every span it opens.  Deep layers — the WAL
-writer, the lock manager, MVCC — reach the request's tracer through a
-thread-local set by :func:`activate_tracer` and open spans with
-:func:`trace_span` without any signature threading.
+``trace_id`` shared by every span it opens.  A trace's owner (the server
+per request, ``Database._run_statement`` otherwise) installs its tracer
+on the thread with :func:`activate_tracer`; every layer below it opens
+spans with :func:`trace_span` — the only route a tracer travels.
 """
 
 from __future__ import annotations
@@ -168,7 +168,8 @@ class Span:
 
 
 class _NullSpan:
-    """Shared sink for disabled tracers: accepts counters, keeps nothing."""
+    """Shared sink for disabled tracers: accepts counters, keeps nothing;
+    its own context manager, so an idle :func:`trace_span` returns it."""
 
     __slots__ = ()
 
@@ -176,6 +177,12 @@ class _NullSpan:
         pass
 
     def set_attr(self, name: str, value: str) -> None:
+        pass
+
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
         pass
 
 
@@ -371,10 +378,10 @@ class RequestTrace:
 
 # -- thread-local active tracer -----------------------------------------------
 #
-# The request's tracer is installed for the duration of Database.execute;
-# deep layers that never see the request — WalWriter.flush_to,
-# TxnManager.lock_table, VersionStore — open spans through trace_span()
-# and pay one thread-local read when no trace is active.
+# The tracer is installed for the duration of a request or statement; the
+# layers below its owner — planner, envelopes, WalWriter.flush_to,
+# TxnManager.lock_table — open spans through trace_span() and pay one
+# thread-local read when no trace is active.
 
 _ACTIVE = threading.local()
 
@@ -395,12 +402,9 @@ def activate_tracer(tracer: Optional[Tracer]):
         _ACTIVE.tracer = prev
 
 
-@contextmanager
 def trace_span(name: str, merge: bool = False):
     """Open *name* on the thread's active tracer; NULL_SPAN when idle."""
     tracer = getattr(_ACTIVE, "tracer", None)
     if tracer is None or not tracer.enabled:
-        yield NULL_SPAN
-        return
-    with tracer.span(name, merge=merge) as sp:
-        yield sp
+        return NULL_SPAN
+    return tracer.span(name, merge=merge)

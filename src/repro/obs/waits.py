@@ -12,8 +12,9 @@ layers:
 * ``lock.buffer`` — contended acquisitions of the buffer pool's lock
   (uncontended acquires are not timed, so the hot path stays cheap);
 * ``exec.cpu`` — per-query executor time *minus* the I/O and lock waits
-  that accrued during it (computed by the engine, so
-  ``exec.cpu + io.* + lock.*`` reconciles with measured execution time).
+  the executing thread itself recorded during it (computed by the engine,
+  so ``exec.cpu + io.* + lock.*`` reconciles with measured execution
+  time, and another session's fsync is not charged to this one).
 
 Event names are dotted, coarse-grained on purpose: the first segment is
 the wait *class* (``io``, ``lock``, ``exec``), which is how
@@ -39,11 +40,16 @@ class WaitEventStats:
         self._lock = threading.Lock()
         # event -> [count, total_seconds]; lists so record() mutates in place
         self._events: Dict[str, List[float]] = {}
+        # .seconds: what the calling thread itself spent blocked
+        self._blocked = threading.local()
 
     # -- recording -----------------------------------------------------------
 
     def record(self, event: str, seconds: float, count: int = 1) -> None:
         """Add one (or *count*) occurrences of *event* totalling *seconds*."""
+        if not event.startswith("exec."):
+            blocked = self._blocked
+            blocked.seconds = getattr(blocked, "seconds", 0.0) + seconds
         with self._lock:
             cell = self._events.get(event)
             if cell is None:
@@ -63,6 +69,12 @@ class WaitEventStats:
 
     # -- reading -------------------------------------------------------------
 
+    def blocked_seconds(self) -> float:
+        """Running total of the non-``exec.`` wait time the *calling
+        thread* recorded; its growth across an execution is the time that
+        execution was blocked, whatever other sessions waited for."""
+        return getattr(self._blocked, "seconds", 0.0)
+
     def snapshot(self) -> WaitSnapshot:
         with self._lock:
             return {
@@ -78,15 +90,6 @@ class WaitEventStats:
             if count - c0 or seconds - s0:
                 out[event] = (count - c0, seconds - s0)
         return out
-
-    def total_seconds(self, prefix: str = "") -> float:
-        """Summed wait time, optionally restricted to one event class
-        (``prefix="io."`` sums reads and writes)."""
-        return sum(
-            seconds
-            for event, (_, seconds) in self.snapshot().items()
-            if event.startswith(prefix)
-        )
 
     def count(self, event: str) -> int:
         with self._lock:

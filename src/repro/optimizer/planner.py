@@ -43,7 +43,7 @@ from ..algebra import (
 )
 from ..catalog import Catalog
 from ..expr import ColumnRef, Expr, conjoin, infer_expr_type
-from ..obs import SearchTrace, Tracer
+from ..obs import SearchTrace, trace_span
 from ..physical import (
     PAggregate,
     PDistinct,
@@ -199,7 +199,6 @@ class Planner:
         catalog: Catalog,
         model: Optional[CostModel] = None,
         options: Optional[PlannerOptions] = None,
-        tracer: Optional[Tracer] = None,
         feedback: Optional[object] = None,
         search: Optional[SearchTrace] = None,
     ):
@@ -208,7 +207,6 @@ class Planner:
         self.options = options or PlannerOptions()
         self.page_size = catalog.pool.disk.page_size
         self.last_stats: Optional[PlannerStats] = None
-        self.tracer = tracer or Tracer(enabled=False)
         #: FeedbackStore consulted when ``options.use_feedback`` is on
         self.feedback = feedback
         #: SearchTrace that region enumerations are recorded into
@@ -218,12 +216,12 @@ class Planner:
 
     def plan_logical(self, plan: LogicalPlan) -> PhysicalPlan:
         if self.options.pushdown:
-            with self.tracer.span("rewrite"):
+            with trace_span("rewrite"):
                 plan = push_down_predicates(plan)
         desired = self._desired_orders(plan)
         self._needed_map: Dict[int, Optional[Set[str]]] = {}
         self._collect_needed(plan, None)
-        with self.tracer.span("costing"):
+        with trace_span("costing"):
             converted = self._convert(plan, desired)
         return converted.plan
 
@@ -441,7 +439,7 @@ class Planner:
             else None
         )
 
-        with self.tracer.span("join_enumeration") as span:
+        with trace_span("join_enumeration") as span:
             if strategy in ("dp", "dp-bushy"):
                 planner = DPPlanner(
                     graph,

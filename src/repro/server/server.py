@@ -9,9 +9,10 @@ concurrency still pays off because lock waits and COMMIT fsyncs happen
 outside the statement lock (group commit).
 
 Every request runs under its own request trace (when the database has
-tracing on): a ``request`` root span with ``protocol.decode`` →
+observability on): a ``request`` root span with ``protocol.decode`` →
 ``session.dispatch`` (the engine's whole span tree, lock waits, WAL
-appends, fsyncs included) → ``protocol.encode`` children.
+appends, fsyncs included — the statement joins the tracer this thread
+has active) → ``protocol.encode`` children.
 Clients may supply their own ``trace_id`` for end-to-end correlation and
 ask for the span tree back with ``"trace": true``; the finished trace is
 also captured engine-side (``Database.last_request_trace``, the
@@ -184,7 +185,7 @@ class DatabaseServer:
         """
         trace_id = request.get("trace_id")
         tracer = Tracer(
-            enabled=self.db.obs.trace,
+            enabled=self.db.obs.enabled,
             trace_id=trace_id if isinstance(trace_id, str) else None,
         )
         with activate_tracer(tracer):
@@ -192,7 +193,7 @@ class DatabaseServer:
                 root.set_attr("session", str(session.id))
                 tracer.record_span("protocol.decode", decode_s * 1000.0)
                 with tracer.span("session.dispatch"):
-                    response = self._run(session, sql, tracer)
+                    response = self._run(session, sql)
                 if tracer.enabled:
                     response["trace_id"] = tracer.trace_id
                     if request.get("trace"):
@@ -216,9 +217,9 @@ class DatabaseServer:
         self.db.capture_trace(tracer, sql, session_id=session.id)
         return frame
 
-    def _run(self, session, sql: str, tracer=None) -> dict:
+    def _run(self, session, sql: str) -> dict:
         try:
-            result = session.execute(sql, tracer=tracer)
+            result = session.execute(sql)
         except Exception as exc:  # engine errors travel as payloads
             return {
                 "ok": False,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..obs.trace import trace_span
 from ..qa import faults

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro import Database, InstrumentLevel, ObsConfig, Span, Tracer
+from repro.executor import ExecContext, run
 from repro.obs import MetricsRegistry, plan_fingerprint, q_error
 
 
@@ -205,12 +206,14 @@ class TestExplainAnalyzeActuals:
             assert node.actual_time_ms is None  # FULL only under ANALYZE
 
     def test_level_off_leaves_plan_bare(self):
-        db = _small_db(
-            obs=ObsConfig(instrument=InstrumentLevel.OFF)
+        # the level is an ExecContext matter, not a database setting
+        db = _small_db()
+        plan = db.plan("SELECT b FROM t WHERE a < 10")
+        ctx = ExecContext(
+            db.pool, db.work_mem_pages, instrument=InstrumentLevel.OFF
         )
-        r = db.query("SELECT b FROM t WHERE a < 10")
-        assert r.rowcount == 10
-        for node in _walk(r.plan):
+        assert len(run(plan, ctx)) == 10
+        for node in _walk(plan):
             assert node.actual_rows is None
 
 
@@ -409,6 +412,35 @@ class TestPrometheusExposition:
             "repro_query_log_entries 1",
         ):
             assert needle in text, needle
+        # the storage gauges are the JSON snapshot's sections flattened:
+        # the family names are pinned, and the nullable one stays JSON-only
+        families = {
+            line.split()[2][len("repro_"):]
+            for line in text.splitlines()
+            if line.startswith("# TYPE ")
+        }
+        assert {
+            name
+            for name in families
+            if name.startswith(("buffer_pool_", "disk_", "mvcc_"))
+        } == {
+            "buffer_pool_hits",
+            "buffer_pool_misses",
+            "buffer_pool_evictions",
+            "buffer_pool_dirty_writebacks",
+            "buffer_pool_hit_rate",
+            "disk_reads",
+            "disk_writes",
+            "disk_seq_reads",
+            "disk_allocations",
+            "mvcc_last_commit_ts",
+            "mvcc_active_snapshots",
+            "mvcc_live_versions",
+            "mvcc_versions_recorded",
+            "mvcc_versions_pruned",
+            "mvcc_snapshots_taken",
+        }
+        assert "oldest_snapshot_ts" in db.metrics_snapshot()["mvcc"]
 
     def test_database_snapshot_is_byte_stable(self):
         db = _small_db()

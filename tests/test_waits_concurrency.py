@@ -5,9 +5,14 @@ shared registries and every counter must stay exactly additive — no lost
 increments, no torn (count, seconds) pairs.
 """
 
+import os
 import random
 import threading
+import time
 
+import pytest
+
+from repro import Database
 from repro.obs import MetricsRegistry, WaitEventStats
 from repro.storage.buffer import BufferPool, _TimedRLock
 from repro.storage.disk import DiskManager
@@ -82,6 +87,61 @@ class TestWaitEventStatsConcurrency:
         finally:
             stop.set()
             thread.join()
+
+
+class TestExecCpuIsPerSession:
+    def test_reader_is_not_charged_a_concurrent_committers_fsync(
+        self, tmp_path, monkeypatch
+    ):
+        """A COMMIT's fsync runs outside the statement lock, beside other
+        sessions' SELECTs; ``exec.cpu`` is execution time minus what the
+        *executing thread* waited for, so the committer's ``wal.fsync``
+        must not come out of the reader's CPU time."""
+        real_fsync = os.fsync
+
+        def slow_fsync(fd):
+            time.sleep(0.005)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", slow_fsync)
+        db = Database(data_dir=str(tmp_path))
+        db.execute("CREATE TABLE r (a INT, b FLOAT)")
+        db.insert_rows("r", [(i, i * 0.5) for i in range(5000)])
+        db.execute("CREATE TABLE w (k INT)")
+        sql = "SELECT COUNT(*), SUM(b) FROM r"
+        db.query(sql)  # r is buffer-resident from here on
+        stop, failures = threading.Event(), []
+
+        def committer():
+            try:
+                with db.create_session() as session:
+                    k = 0
+                    while not stop.is_set():
+                        session.execute(f"INSERT INTO w VALUES ({k})")
+                        k += 1
+            except Exception as exc:  # re-raised on the main thread
+                failures.append(exc)
+
+        thread = threading.Thread(target=committer)
+        thread.start()
+        try:
+            while db.waits.count("wal.fsync") < 2:  # the committer is running
+                assert thread.is_alive()
+                time.sleep(0.001)
+            db.waits.reset()
+            executed = sum(db.query(sql).execution_seconds for _ in range(40))
+        finally:
+            stop.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        if failures:
+            raise failures[0]
+        # only SELECTs record exec.cpu, and the reader ran all of them
+        assert db.waits.count("exec.cpu") == 40
+        # fsyncs did complete beside the reads, for at least 5 % of their time
+        assert db.waits.seconds("wal.fsync") > 0.05 * executed
+        assert db.waits.seconds("exec.cpu") == pytest.approx(executed, rel=0.05)
+        db.close()
 
 
 class TestMetricsRegistryConcurrency:
