@@ -23,6 +23,7 @@ import json
 import os
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from dataclasses import replace as dc_replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -51,7 +52,7 @@ from ..obs import (
     WaitEventStats,
     activate_tracer,
     active_tracer,
-    chrome_trace_events,
+    export_chrome_trace,
     plan_diff,
     plan_fingerprint,
     plan_shape_text,
@@ -67,7 +68,7 @@ from ..optimizer import (
     PlannerStats,
     access_paths,
 )
-from ..physical import PhysicalPlan, PIndexScan, PLimit, walk_plan
+from ..physical import PhysicalPlan, PIndexScan, PLimit
 from ..sql import (
     AnalyzeStmt,
     BeginStmt,
@@ -138,8 +139,47 @@ class QueryResult:
         return [dict(zip(self.columns, row)) for row in self.rows]
 
 
+class _Harvested:
+    """A store the recorder feeds, kept under ``_<name>``.  Reading it by
+    its public name harvests what is still queued first — the one door
+    every reader, ``sys_stat_*`` providers included, goes through."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.slot = "_" + name
+
+    def __get__(self, db: Optional["Database"], owner: Optional[type] = None):
+        if db is None:
+            return self
+        if db._pending:
+            db.harvest_pending()
+        return getattr(db, self.slot)
+
+
+#: what the harvest feeds per SELECT and per DML statement, as
+#: ``MetricsRegistry.bind`` takes them: (counters, histograms, gauges)
+_SELECT_INSTRUMENTS = (
+    (
+        "queries_total", "rows_returned_total", "pages_read_total",
+        "pages_written_total", "spills_total", "temp_files_total",
+        "pages_skipped_total", "exec_row_fallbacks_total",
+    ),
+    ("planning_ms", "execution_ms"),
+    ("buffer_hit_ratio",),
+)
+_DML_INSTRUMENTS = (
+    ("dml_statements_total", "rows_modified_total"), ("dml_execution_ms",), (),
+)
+
+
 class Database:
     """An in-process relational database with a cost-based optimizer."""
+
+    #: queued recorder entries at which the enqueuer harvests inline
+    PENDING_BOUND = 64
+
+    metrics, query_log, latency = _Harvested(), _Harvested(), _Harvested()
+    baselines, feedback, traces = _Harvested(), _Harvested(), _Harvested()
+    last_request_trace = _Harvested()
 
     def __init__(
         self,
@@ -183,24 +223,29 @@ class Database:
         self.views: Dict[str, ViewDef] = {}
         self._live_transients: List[str] = []
         self.obs = obs or ObsConfig()
-        self.metrics = MetricsRegistry()
-        self.query_log = QueryLog()
+        #: what finished statements and requests left for the stores
+        #: below, oldest first, as ``(harvester, args)``: queued on the
+        #: reply path, run by ``harvest_pending`` one at a time
+        self._pending: deque = deque()
+        self._harvest_lock = threading.Lock()
+        self._metrics = MetricsRegistry()
+        self._query_log = QueryLog()
         self.last_trace: Optional[Span] = None
         #: the most recent request's full trace (id + span tree), kept
         #: regardless of duration; ``last_trace_export()`` renders it
-        self.last_request_trace: Optional[RequestTrace] = None
+        self._last_request_trace: Optional[RequestTrace] = None
         #: bounded ring of *slow* request traces — captured when
         #: auto_explain is enabled and the request crosses its threshold
         #: (one knob for both capture paths); served by ``sys_stat_traces``
-        self.traces = TraceRing()
+        self._traces = TraceRing()
         #: per-fingerprint statement latency quantiles (log-bucketed),
         #: surfaced as ``statement_latency_ms`` in the Prometheus export
-        self.latency = StatementLatency()
+        self._latency = StatementLatency()
         #: plan baselines per normalized statement (plan-change detection)
-        self.baselines = PlanBaselineStore()
+        self._baselines = PlanBaselineStore()
         #: est-vs-actual cardinality evidence, harvested from executions;
         #: consulted at planning time only when options.use_feedback is set
-        self.feedback = FeedbackStore()
+        self._feedback = FeedbackStore()
         #: the optimizer SearchTrace of the most recent planning pass
         self.last_search: Optional[SearchTrace] = None
         #: cumulative wait-event accounting (io/lock/exec classes);
@@ -262,7 +307,7 @@ class Database:
         plan."""
         dropped = self.plan_cache.invalidate(reason)
         if dropped and self.obs.enabled:
-            self.metrics.counter("cache_invalidations_total").inc(dropped)
+            self._metrics.counter("cache_invalidations_total").inc(dropped)
 
     # -- sessions and transactions -----------------------------------------------------
 
@@ -347,9 +392,11 @@ class Database:
         materialization, subquery substitution): those run under a trace
         of their own and, having no text, are neither shown in
         ``sys_stat_activity`` nor logged.  A user statement joins the
-        tracer active on its thread (the server's per-request one, which
-        its owner finalizes with :meth:`capture_trace`) or opens and
-        finalizes its own; everything below goes through ``trace_span``."""
+        tracer active on its thread (the server's per-request one) or
+        opens its own; everything below goes through ``trace_span``.
+        Whoever owns the tracer owns the request and finalizes it —
+        :meth:`capture_trace`, then :meth:`harvest_pending`: here before
+        returning, the server once its reply is on the wire."""
         session = session or self._session
         sql = source if isinstance(source, str) else None
         tracer = None if sql is None else active_tracer()
@@ -387,6 +434,8 @@ class Database:
             self.last_trace = tracer.root
             if sql is not None:
                 self.capture_trace(tracer, sql, session_id=session.id)
+        if own and self._pending:
+            self.harvest_pending()
         return result
 
     def _read(
@@ -1201,33 +1250,28 @@ class Database:
 
     # -- request traces -----------------------------------------------------------------
 
-    def capture_trace(
-        self,
-        tracer: Tracer,
-        sql: str,
-        session_id: int = 0,
-    ) -> Optional[RequestTrace]:
-        """Wrap a finished tracer into a :class:`RequestTrace`.
+    def capture_trace(self, tracer: Tracer, sql: str, session_id: int = 0) -> None:
+        """Queue a finished tracer for :meth:`harvest_pending` to keep as
+        a :class:`RequestTrace` (nothing is built on the reply path)."""
+        if tracer.enabled and tracer.root is not None:
+            self._pending.append((self._keep_trace, (tracer, sql, session_id)))
+            if len(self._pending) >= self.PENDING_BOUND:
+                self.harvest_pending()
 
-        Always remembered as ``last_request_trace``; additionally pushed
+    def _keep_trace(self, tracer: Tracer, sql: str, session_id: int) -> None:
+        """Always remembered as ``last_request_trace``; additionally pushed
         into the slow-trace ring when auto_explain is enabled and the
         request crossed its ``threshold_ms`` (the same knob that gates
-        slow-plan capture — one definition of "slow").
-        """
-        if not tracer.enabled or tracer.root is None:
-            return None
+        slow-plan capture — one definition of "slow")."""
         trace = RequestTrace(
             tracer.trace_id, sql, tracer.root, session_id=session_id
         )
-        self.last_request_trace = trace
-        if (
-            self.auto_explain.enabled
-            and trace.duration_ms >= self.auto_explain.config.threshold_ms
-        ):
-            self.traces.record(trace)
-            self.metrics.counter("traces_captured_total").inc()
-            self.metrics.counter("trace_spans_total").inc(trace.span_count())
-        return trace
+        self._last_request_trace = trace
+        slow = self.auto_explain.config
+        if slow.enabled and trace.duration_ms >= slow.threshold_ms:
+            self._traces.record(trace)
+            self._metrics.counter("traces_captured_total").inc()
+            self._metrics.counter("trace_spans_total").inc(trace.span_count())
 
     def last_trace_export(self, path: Optional[str] = None) -> str:
         """The most recent request trace as Chrome trace-event JSON —
@@ -1237,11 +1281,7 @@ class Database:
         trace = self.last_request_trace
         if trace is None:
             raise EngineError("no request trace captured yet")
-        text = json.dumps(chrome_trace_events(trace), indent=1)
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        return text
+        return export_chrome_trace(trace, path)
 
     def _cached_plan(
         self, lifted: Lifted, plan_cold
@@ -1259,11 +1299,11 @@ class Database:
         cached = cache.lookup(shape, lifted.params)
         hit = cached is not None
         if self.obs.enabled:
-            self.metrics.counter(
+            self._metrics.counter(
                 "cache_plan_hits_total" if hit else "cache_plan_misses_total"
             ).inc()
             if cache.stats.replans != replans:
-                self.metrics.counter("cache_plan_replans_total").inc()
+                self._metrics.counter("cache_plan_replans_total").inc()
         if cached is None:
             before = len(self._live_transients)
             physical = plan_cold()
@@ -1278,51 +1318,92 @@ class Database:
     def _record(
         self, st: StatementContext, result: Optional[QueryResult], rows: int
     ) -> None:
-        """The one recorder, and all of what ``ObsConfig.enabled`` buys
-        besides span trees and wait hooks: feed a finished statement — a
-        SELECT with its *result*, or a DML statement (*result* is None) —
-        into the metrics registry, the feedback and baseline stores, the
-        latency store, the query log (with session/txn attribution) and
-        auto_explain.  *rows* is what it returned or modified;
-        ``st.plan`` is the SELECT's plan or the scan that located an
-        UPDATE/DELETE's rows (None for INSERT), whose estimates the log
-        scores against *rows*."""
+        """The one recorder, on the reply path: queue a finished statement
+        — a SELECT with its *result*, or a DML statement (*result* is
+        None) — for :meth:`_harvest`, keeping only what will not be there
+        to read later: a DML statement's latency as the client saw it
+        (for autocommit DML that includes the COMMIT's group-batched
+        fsync) and its disk delta, and the search trace an auto_explain
+        capture would render.  The result's row list is not kept."""
         if not self.obs.enabled:
             return
-        sql, plan, m = st.sql, st.plan, self.metrics
+        if result is None:
+            elapsed_ms = (time.perf_counter() - st.start) * 1000.0
+            measured = (0.0, elapsed_ms, self.disk.stats.delta(st.io0), None, 0)
+        else:
+            measured = (
+                result.planning_seconds * 1000.0,
+                result.execution_seconds * 1000.0,
+                result.io, result.exec_metrics, result.buffer.hits,
+            )
+        self._pending.append(
+            (self._harvest, (st, rows, self.last_search, *measured))
+        )
+        if len(self._pending) >= self.PENDING_BOUND:
+            self.harvest_pending()
+
+    def harvest_pending(self) -> None:
+        """Run everything queued, oldest first: what a request's owner
+        does once the reply is out, and what every reader of a harvested
+        store does first.  An entry leaves the queue only when it has
+        been harvested, so a reader that finds the queue empty has missed
+        nothing, and one that does not waits here for the lock."""
+        pending = self._pending
+        with self._harvest_lock:
+            while pending:
+                harvester, args = pending[0]
+                try:
+                    harvester(*args)
+                finally:
+                    pending.popleft()
+
+    def _harvest(
+        self, st: StatementContext, rows: int, search: Optional[SearchTrace],
+        planning_ms: float, execution_ms: float, io: IOStats,
+        em: Optional[ExecMetrics], buffer_hits: int,
+    ) -> None:
+        """All of what ``ObsConfig.enabled`` buys besides span trees and
+        wait hooks: feed one recorded statement into the metrics
+        registry, the feedback and baseline stores, the latency store,
+        the query log (with session/txn attribution) and auto_explain.
+        *rows* is what it returned or modified; ``st.plan`` is the
+        SELECT's plan or the scan that located an UPDATE/DELETE's rows
+        (None for INSERT), whose estimates the log scores against *rows*.
+        Runs under the harvest lock, so it reaches the stores by their
+        private names, never through the harvesting door."""
+        sql, plan = st.sql, st.plan
         select = st.kind == "select"
         est_cost = 0.0 if plan is None else plan.total_est_cost()
-        spills = temp_files = buffer_hits = 0
+        spills = temp_files = 0
         change = None
         if select:
-            planning_ms = result.planning_seconds * 1000.0
-            execution_ms = result.execution_seconds * 1000.0
-            io, em = result.io, result.exec_metrics
-            m.counter("queries_total").inc()
-            m.histogram("planning_ms").observe(planning_ms)
-            m.histogram("execution_ms").observe(execution_ms)
-            m.counter("rows_returned_total").inc(rows)
-            m.counter("pages_read_total").inc(io.reads)
-            m.counter("pages_written_total").inc(io.writes)
-            m.counter("spills_total").inc(em.spills)
-            m.counter("temp_files_total").inc(em.temp_files)
-            m.counter("pages_skipped_total").inc(em.pages_skipped)
-            m.counter("exec_row_fallbacks_total").inc(em.row_fallbacks)
-            m.gauge("buffer_hit_ratio").set(self.pool.stats.hit_rate)
+            (
+                queries, returned, read, written, spilled, temps, skipped,
+                fallbacks, planning_h, execution_h, hit_ratio,
+            ) = self._metrics.bind(_SELECT_INSTRUMENTS)
+            queries.inc()
+            planning_h.observe(planning_ms)
+            execution_h.observe(execution_ms)
+            returned.inc(rows)
+            for counter, amount in (
+                (read, io.reads), (written, io.writes), (spilled, em.spills),
+                (temps, em.temp_files), (skipped, em.pages_skipped),
+                (fallbacks, em.row_fallbacks),
+            ):
+                if amount:
+                    counter.inc(amount)
+            hit_ratio.set(self.pool.stats.hit_rate)
             # plans under a LIMIT are not harvested: early termination
             # leaves actuals that reflect the cutoff, not the data, and
             # learning from them would poison the corrections
-            if self.obs.feedback and not any(
-                isinstance(node, PLimit) for node in walk_plan(plan)
-            ):
-                self.feedback.harvest(plan)
+            if self.obs.feedback:
+                self._feedback.harvest(plan, unless=PLimit)
             if sql is None:
                 return  # a nested internal select: no text to record under
             statement_fp = statement_fingerprint(sql)
             fingerprint = st.plan_fp or plan_fingerprint(plan)
             spills, temp_files = em.spills, em.temp_files
-            buffer_hits = result.buffer.hits
-            change = self.baselines.observe(
+            change = self._baselines.observe(
                 statement_fp,
                 sql,
                 fingerprint,
@@ -1331,23 +1412,21 @@ class Database:
                 execution_ms,
             )
             if change is not None:
-                m.counter("plan_changes_total").inc()
+                self._metrics.counter("plan_changes_total").inc()
                 if change.is_regression:
-                    m.counter("plan_regressions_total").inc()
+                    self._metrics.counter("plan_regressions_total").inc()
         else:
-            # statement latency as the client saw it: for autocommit DML
-            # the elapsed time includes the COMMIT's (group-batched) fsync
-            planning_ms = 0.0
-            execution_ms = (time.perf_counter() - st.start) * 1000.0
-            io = self.disk.stats.delta(st.io0)
-            m.counter("dml_statements_total").inc()
-            m.counter("rows_modified_total").inc(rows)
-            m.histogram("dml_execution_ms").observe(execution_ms)
+            statements, modified, execution_h = self._metrics.bind(
+                _DML_INSTRUMENTS
+            )
+            statements.inc()
+            modified.inc(rows)
+            execution_h.observe(execution_ms)
             # the log names a SELECT by its plan, a DML statement by its text
             fingerprint = statement_fp = statement_fingerprint(sql)
-        self.latency.observe(statement_fp, planning_ms + execution_ms)
+        self._latency.observe(statement_fp, planning_ms + execution_ms)
         est_rows = float(rows) if plan is None else plan.est_rows
-        self.query_log.record(
+        self._query_log.record(
             QueryLogRecord(
                 sql=sql,
                 fingerprint=fingerprint,
@@ -1370,11 +1449,8 @@ class Database:
                 txn_id=st.txn.id if st.txn is not None else 0,
             )
         )
-        if select and self.auto_explain.enabled:
+        if select and self.auto_explain.config.enabled:
             # capture user statements that crossed the auto_explain threshold
-            search_summary = None
-            if self.last_search is not None and len(self.last_search):
-                search_summary = self.last_search.render(top=3)
             captured = self.auto_explain.maybe_capture(
                 sql=sql,
                 execution_ms=execution_ms,
@@ -1383,10 +1459,10 @@ class Database:
                 plan_text=plan.pretty(actuals=True),
                 reads=io.reads,
                 writes=io.writes,
-                search_summary=search_summary,
+                search_summary=search.render(top=3) if search else None,
             )
             if captured is not None:
-                m.counter("slow_queries_captured_total").inc()
+                self._metrics.counter("slow_queries_captured_total").inc()
 
     def metrics_snapshot(self, format: str = "json") -> Any:
         """Process-wide observability snapshot: registry instruments plus
@@ -1703,8 +1779,8 @@ class Database:
                 if action is not None:
                     faults.crash()
             if self.obs.enabled:
-                self.metrics.counter("checkpoints_total").inc()
-                self.metrics.counter("checkpoint_pages_flushed_total").inc(
+                self._metrics.counter("checkpoints_total").inc()
+                self._metrics.counter("checkpoint_pages_flushed_total").inc(
                     flushed
                 )
         return QueryResult(

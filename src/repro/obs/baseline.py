@@ -15,6 +15,7 @@ changes whose estimated cost went *up*.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
@@ -24,9 +25,11 @@ from typing import Any, Deque, Dict, List, Optional
 
 from .plandiff import plan_shape_text
 
-_STRING = re.compile(r"'(?:[^']|'')*'")
-_NUMBER = re.compile(r"\b\d+(?:\.\d+)?(?:e[+-]?\d+)?\b", re.IGNORECASE)
-_WS = re.compile(r"\s+")
+#: a string or a number; a string is tried first at every position, so a
+#: digit inside one is never taken for a number
+_LITERAL = re.compile(
+    r"'(?:[^']|'')*'|\b\d+(?:\.\d+)?(?:e[+-]?\d+)?\b", re.IGNORECASE
+)
 
 
 def normalize_statement(sql: str) -> str:
@@ -36,9 +39,8 @@ def normalize_statement(sql: str) -> str:
     ``EXPLAIN ANALYZE SELECT ...`` shares its fingerprint with the bare
     SELECT it wraps.
     """
-    text = _STRING.sub("?", sql)
-    text = _NUMBER.sub("?", text)
-    text = _WS.sub(" ", text).strip().lower().rstrip(";").strip()
+    text = " ".join(_LITERAL.sub("?", sql).split())
+    text = text.lower().rstrip(";").strip()
     if text.startswith("explain"):
         idx = text.find("select")
         if idx > 0:
@@ -46,11 +48,15 @@ def normalize_statement(sql: str) -> str:
     return text
 
 
+@functools.lru_cache(maxsize=1024)
+def _digest(normalized: str) -> str:
+    # texts differ, shapes repeat: the recorder hashes each shape once
+    return hashlib.sha1(normalized.encode("utf-8")).hexdigest()[:12]
+
+
 def statement_fingerprint(sql: str) -> str:
     """Stable hash of the normalized statement: the baseline-store key."""
-    return hashlib.sha1(normalize_statement(sql).encode("utf-8")).hexdigest()[
-        :12
-    ]
+    return _digest(normalize_statement(sql))
 
 
 @dataclass

@@ -62,13 +62,15 @@ class FeedbackEntry:
     worst_q: float = 1.0
 
     def observe(self, estimated: float, actual: float) -> None:
-        est = max(float(estimated), 1.0)
-        act = max(float(actual), 1.0)
+        est = estimated if estimated > 1.0 else 1.0
+        act = actual if actual > 1.0 else 1.0
         self.samples += 1
         self.log_ratio_sum += math.log(act / est)
         self.est_sum += est
         self.actual_sum += act
-        self.worst_q = max(self.worst_q, est / act, act / est)
+        q = est / act if est > act else act / est
+        if q > self.worst_q:
+            self.worst_q = q
 
     @property
     def ratio(self) -> float:
@@ -111,12 +113,8 @@ class FeedbackStore:
     _entries: Dict[str, FeedbackEntry] = field(default_factory=dict)
 
     def record(self, key: str, estimated: float, actual: float) -> None:
-        if not (
-            math.isfinite(estimated)
-            and math.isfinite(actual)
-            and estimated >= 0
-            and actual >= 0
-        ):
+        # finite and non-negative (a NaN fails every comparison)
+        if not (0 <= estimated < math.inf and 0 <= actual < math.inf):
             return
         entry = self._entries.get(key)
         if entry is None:
@@ -136,27 +134,31 @@ class FeedbackStore:
         entry = self._entries.get(key) if key is not None else None
         return entry is not None and entry.samples >= self.min_samples
 
-    def harvest(self, plan: Any) -> int:
+    def harvest(self, plan: Any, unless: Any = ()) -> int:
         """Fold one executed plan's per-node actuals into the store.
 
         Nodes count when the planner stamped a ``feedback_key`` and the
         executor filled ``actual_rows``; rescanned nodes (loops > 1)
         contribute their per-loop average, matching the per-scan estimate.
+        A plan holding a node of a type in *unless* contributes nothing.
         Returns the number of observations recorded.
         """
-        recorded = 0
+        found = []
         stack = [plan]
         while stack:
             node = stack.pop()
+            if isinstance(node, unless):
+                return 0
             stack.extend(node.children())
-            key = getattr(node, "feedback_key", None)
-            actual = getattr(node, "actual_rows", None)
-            if key is None or actual is None:
-                continue
-            loops = max(1, getattr(node, "actual_loops", 1) or 1)
-            self.record(key, float(node.est_rows), actual / loops)
-            recorded += 1
-        return recorded
+            if node.feedback_key is not None and node.actual_rows is not None:
+                found.append(node)
+        for node in found:
+            self.record(
+                node.feedback_key,
+                float(node.est_rows),
+                node.actual_rows / (node.actual_loops or 1),
+            )
+        return len(found)
 
     # -- introspection -----------------------------------------------------------
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Default histogram ladder (latencies in milliseconds).
@@ -149,11 +150,8 @@ class Histogram:
                 self.min = value
             if value > self.max:
                 self.max = value
-            for i, bound in enumerate(self.bounds):
-                if value <= bound:
-                    self.bucket_counts[i] += 1
-                    return
-            self.bucket_counts[-1] += 1
+            # the first bound >= value; past the last one, the overflow bucket
+            self.bucket_counts[bisect_left(self.bounds, value)] += 1
 
     @property
     def mean(self) -> float:
@@ -248,6 +246,7 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
+        self._bound: Dict[tuple, tuple] = {}
         # guards lazy instrument creation under concurrent first use
         self._lock = threading.Lock()
 
@@ -278,6 +277,21 @@ class MetricsRegistry:
                     ),
                 )
         return inst
+
+    def bind(self, names: Tuple[Sequence[str], ...]) -> tuple:
+        """The instruments *names* = ``(counters, histograms, gauges)``
+        lists, as one flat tuple in that order: resolved (and created) on
+        the first call, remembered until :meth:`reset` — a per-statement
+        caller pays one lookup, not one per instrument."""
+        bound = self._bound.get(names)
+        if bound is None:
+            counters, histograms, gauges = names
+            bound = self._bound[names] = (
+                *map(self.counter, counters),
+                *map(self.histogram, histograms),
+                *map(self.gauge, gauges),
+            )
+        return bound
 
     def names(self) -> List[str]:
         return sorted(
@@ -382,6 +396,7 @@ class MetricsRegistry:
         self._counters.clear()
         self._gauges.clear()
         self._histograms.clear()
+        self._bound.clear()
 
 
 def _fmt(value: float) -> str:

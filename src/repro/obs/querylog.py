@@ -34,11 +34,12 @@ def q_error(estimated: float, actual: float) -> float:
     top of :meth:`QueryLog.top_misestimates` rather than poisoning the
     ordering with NaN comparisons.
     """
-    if not (math.isfinite(estimated) and math.isfinite(actual)):
-        return math.inf
-    est = max(estimated, 1.0)
-    act = max(actual, 1.0)
-    return max(est / act, act / est)
+    inf = math.inf
+    if not (-inf < estimated < inf and -inf < actual < inf):  # NaN fails too
+        return inf
+    est = estimated if estimated > 1.0 else 1.0
+    act = actual if actual > 1.0 else 1.0
+    return est / act if est > act else act / est
 
 
 def plan_fingerprint(plan: Any) -> str:

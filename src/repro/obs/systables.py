@@ -60,8 +60,17 @@ SYSTEM_TABLE_NAMES = (
 )
 
 
+#: the longest statement text a row carries (the stores keep it whole):
+#: beside the row's other columns it fits a page whatever its characters
+TEXT_LIMIT = 200
+
+
 def _schema(table: str, *cols: Tuple[str, DataType]) -> Schema:
     return Schema(Column(name, dtype, table, True) for name, dtype in cols)
+
+
+def _bounded(text: str) -> str:
+    return text if len(text) <= TEXT_LIMIT else text[: TEXT_LIMIT - 1] + "…"
 
 
 # -- live-query activity ------------------------------------------------------
@@ -174,7 +183,7 @@ def _stat_statements(db: "Database") -> Tuple[Schema, Rows]:
         total = sum(times)
         rows.append(
             (
-                statement,
+                _bounded(statement),
                 len(times),
                 total,
                 total / len(times),
@@ -293,7 +302,7 @@ def _stat_activity(db: "Database") -> Tuple[Schema, Rows]:
             entry.current_operator,
             entry.rows_produced,
             entry.elapsed_ms,
-            " ".join(entry.sql.split())[:200],
+            _bounded(" ".join(entry.sql.split())),
             entry.session_id,
             "active",
             entry.snapshot_ts,
@@ -351,7 +360,7 @@ def _stat_traces(db: "Database") -> Tuple[Schema, Rows]:
         rows.append(
             (
                 trace.trace_id,
-                " ".join(trace.sql.split())[:200],
+                _bounded(" ".join(trace.sql.split())),
                 trace.session_id or 0,
                 trace.duration_ms,
                 trace.span_count(),

@@ -17,7 +17,10 @@ Spans nest by dynamic scope::
 Every child's interval lies inside its parent's, measured with the same
 clock, so the sum of child durations never exceeds the parent duration.
 A disabled tracer costs one attribute check per ``span()`` call and
-records nothing.
+records nothing.  An enabled one costs about a microsecond a span: a
+:class:`Span` is its own context manager, allocates its containers when
+the first counter or child arrives, and a trace id is a counter behind
+a per-process random prefix.
 
 Request-scoped tracing adds identity on top of the tree shape: every
 span carries a ``span_id``/``parent_id`` pair and the tracer carries a
@@ -29,47 +32,90 @@ spans with :func:`trace_span` — the only route a tracer travels.
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
 import threading
 import time
-import uuid
-from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional
 
 
 class Span:
-    """One timed phase: offset + duration (ms), counters, children."""
+    """One timed phase: offset + duration (ms), counters, children.
+    ``with tracer.span(name)`` enters the span itself: entering stamps its
+    start and hangs it under the innermost open span; leaving, normally
+    or by an exception, stamps its duration."""
 
     __slots__ = (
-        "name",
-        "start_ms",
-        "duration_ms",
-        "counters",
-        "children",
-        "span_id",
-        "parent_id",
-        "attrs",
+        "name", "start_ms", "duration_ms", "_counters", "_children",
+        "span_id", "parent_id", "attrs", "_tracer", "_outer",
     )
 
     def __init__(
-        self,
-        name: str,
-        start_ms: float = 0.0,
-        span_id: int = 0,
-        parent_id: int = 0,
+        self, name: str, start_ms: float = 0.0, span_id: int = 0, parent_id: int = 0
     ):
         self.name = name
         self.start_ms = start_ms
         self.duration_ms = 0.0
-        self.counters: Dict[str, float] = {}
-        self.children: List["Span"] = []
+        self._counters: Optional[Dict[str, float]] = None
+        self._children: Optional[List["Span"]] = None
         self.span_id = span_id
         self.parent_id = parent_id
         self.attrs: Optional[Dict[str, str]] = None
+        #: while open: the tracer it is open on and the span that was
+        #: innermost before it; both None once it has closed
+        self._tracer: Optional["Tracer"] = None
+        self._outer: Optional["Span"] = None
+
+    @property
+    def counters(self) -> Dict[str, float]:
+        if self._counters is None:
+            self._counters = {}
+        return self._counters
+
+    @property
+    def children(self) -> List["Span"]:
+        if self._children is None:
+            self._children = []
+        return self._children
+
+    def __enter__(self) -> "Span":
+        tracer = self._tracer
+        now = time.perf_counter()
+        if tracer.root is None:
+            tracer._t0 = now
+        self.start_ms = (now - tracer._t0) * 1000.0
+        self.span_id = tracer._next_id
+        tracer._next_id += 1
+        outer = self._outer = tracer._open
+        # a second top-level span hangs under the root: one connected tree
+        parent = outer or tracer.root
+        if parent is None:
+            tracer.root = self
+        else:
+            self.parent_id = parent.span_id
+            if parent._children is None:
+                parent._children = [self]
+            else:
+                parent._children.append(self)
+        tracer._open = self
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        tracer = self._tracer
+        tracer._open = self._outer
+        self._tracer = self._outer = None
+        self.duration_ms = (
+            (time.perf_counter() - tracer._t0) * 1000.0 - self.start_ms
+        )
 
     def add(self, name: str, value: float = 1.0) -> None:
         """Accumulate a counter on this span."""
-        self.counters[name] = self.counters.get(name, 0.0) + value
+        counters = self._counters
+        if counters is None:
+            self._counters = {name: 0.0 + value}
+        else:
+            counters[name] = counters.get(name, 0.0) + value
 
     def set_attr(self, name: str, value: str) -> None:
         """Attach a string attribute (lock name, table...)."""
@@ -81,7 +127,7 @@ class Span:
         """Depth-first search for the first span named *name*."""
         if self.name == name:
             return self
-        for child in self.children:
+        for child in self._children or ():
             hit = child.find(name)
             if hit is not None:
                 return hit
@@ -93,11 +139,11 @@ class Span:
 
     def walk(self) -> Iterator["Span"]:
         yield self
-        for child in self.children:
+        for child in self._children or ():
             yield from child.walk()
 
     def child_time_ms(self) -> float:
-        return sum(c.duration_ms for c in self.children)
+        return sum(c.duration_ms for c in self._children or ())
 
     # -- serialization ---------------------------------------------------------
 
@@ -113,10 +159,10 @@ class Span:
             out["parent_id"] = self.parent_id
         if self.attrs:
             out["attrs"] = dict(self.attrs)
-        if self.counters:
-            out["counters"] = dict(self.counters)
-        if self.children:
-            out["children"] = [c.to_dict() for c in self.children]
+        if self._counters:
+            out["counters"] = dict(self._counters)
+        if self._children:
+            out["children"] = [c.to_dict() for c in self._children]
         return out
 
     @classmethod
@@ -128,10 +174,10 @@ class Span:
             parent_id=data.get("parent_id", 0),
         )
         span.duration_ms = data.get("duration_ms", 0.0)
-        span.counters = dict(data.get("counters", {}))
+        span._counters = dict(data.get("counters", {}))
         attrs = data.get("attrs")
         span.attrs = dict(attrs) if attrs else None
-        span.children = [cls.from_dict(c) for c in data.get("children", [])]
+        span._children = [cls.from_dict(c) for c in data.get("children", [])]
         return span
 
     def to_json(self, indent: Optional[int] = None) -> str:
@@ -148,22 +194,22 @@ class Span:
             else ""
         )
         counters = (
-            "  " + " ".join(f"{k}={v:g}" for k, v in self.counters.items())
-            if self.counters
+            "  " + " ".join(f"{k}={v:g}" for k, v in self._counters.items())
+            if self._counters
             else ""
         )
         lines = [
             "  " * indent
             + f"{self.name}: {self.duration_ms:.3f} ms{attrs}{counters}"
         ]
-        for child in self.children:
+        for child in self._children or ():
             lines.append(child.pretty(indent + 1))
         return "\n".join(lines)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Span({self.name!r}, {self.duration_ms:.3f}ms, "
-            f"{len(self.children)} children)"
+            f"{len(self._children or ())} children)"
         )
 
 
@@ -189,9 +235,41 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
+class _Fold:
+    """The scope of a ``merge=True`` interval its closed sibling absorbs."""
+
+    __slots__ = ("span", "t_in")
+
+    def __init__(self, span: Span):
+        self.span = span
+
+    def __enter__(self) -> Span:
+        self.t_in = time.perf_counter()
+        return self.span
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.span.duration_ms += (time.perf_counter() - self.t_in) * 1000.0
+        self.span.add("count", 1.0)
+
+
+_TRACE_IDS = itertools.count()
+_TRACE_PREFIX = ""
+
+
+def _new_trace_prefix() -> None:
+    global _TRACE_PREFIX
+    _TRACE_PREFIX = os.urandom(4).hex()
+
+
+_new_trace_prefix()
+# a forked child keeps the parent's counter, so it takes its own prefix
+os.register_at_fork(after_in_child=_new_trace_prefix)
+
+
 def new_trace_id() -> str:
-    """A 16-hex-digit request trace id."""
-    return uuid.uuid4().hex[:16]
+    """A 16-hex-digit request trace id: this process's random prefix,
+    then a counter (``next`` on it is atomic, so ids never repeat)."""
+    return f"{_TRACE_PREFIX}{next(_TRACE_IDS) & 0xFFFFFFFF:08x}"
 
 
 class Tracer:
@@ -209,22 +287,18 @@ class Tracer:
         self.enabled = enabled
         self.trace_id = trace_id or (new_trace_id() if enabled else "")
         self.root: Optional[Span] = None
-        self._stack: List[Span] = []
+        #: the innermost open span
+        self._open: Optional[Span] = None
         self._next_id = 1
         self._t0 = 0.0
-
-    def _alloc_id(self) -> int:
-        sid = self._next_id
-        self._next_id += 1
-        return sid
 
     def now_ms(self) -> float:
         """Milliseconds since this tracer's zero point."""
         return (time.perf_counter() - self._t0) * 1000.0
 
-    @contextmanager
     def span(self, name: str, merge: bool = False):
-        """Open a child span under the innermost open span.
+        """A child span of the innermost open span, to be entered with
+        ``with``.
 
         With ``merge=True``, a closed sibling of the same name (the
         previous child of the current parent) absorbs this interval
@@ -234,81 +308,41 @@ class Tracer:
         to keep trees bounded.
         """
         if not self.enabled:
-            yield NULL_SPAN
-            return
-        now = time.perf_counter()
-        if self.root is None:
-            self._t0 = now
-        if merge and self._stack:
-            siblings = self._stack[-1].children
+            return NULL_SPAN
+        if merge and self._open is not None:
+            siblings = self._open._children
             if siblings and siblings[-1].name == name:
-                prior = siblings[-1]
-                t_in = time.perf_counter()
-                try:
-                    yield prior
-                finally:
-                    prior.duration_ms += (
-                        (time.perf_counter() - t_in) * 1000.0
-                    )
-                    prior.add("count", 1.0)
-                return
-        span = Span(name, (now - self._t0) * 1000.0, span_id=self._alloc_id())
-        if self._stack:
-            parent = self._stack[-1]
-            span.parent_id = parent.span_id
-            parent.children.append(span)
-        elif self.root is None:
-            self.root = span
-        else:
-            # a second top-level span: keep the tree connected
-            span.parent_id = self.root.span_id
-            self.root.children.append(span)
-        self._stack.append(span)
-        try:
-            if merge:
-                span.add("count", 1.0)
-            yield span
-        finally:
-            self._stack.pop()
-            span.duration_ms = (
-                (time.perf_counter() - self._t0) * 1000.0 - span.start_ms
-            )
+                return _Fold(siblings[-1])
+        span = Span(name)
+        span._tracer = self
+        if merge:
+            span.add("count", 1.0)
+        return span
 
-    def record_span(
-        self,
-        name: str,
-        duration_ms: float,
-        start_ms: Optional[float] = None,
-        attrs: Optional[Dict[str, str]] = None,
-    ) -> Optional[Span]:
-        """Attach a pre-measured interval (e.g. timed before the tracer
-        existed, like protocol decode) under the current span."""
+    def record_span(self, name: str, duration_ms: float) -> Optional[Span]:
+        """Attach an interval that ended just now but was measured
+        elsewhere (e.g. before the tracer existed, like protocol decode)
+        under the current span."""
         if not self.enabled:
             return None
-        now_ms = (time.perf_counter() - self._t0) * 1000.0
         # clamp: an interval measured before the root opened (protocol
         # decode) would otherwise start at a negative offset
-        start = now_ms - duration_ms if start_ms is None else start_ms
-        span = Span(name, max(0.0, start), span_id=self._alloc_id())
+        start = max(0.0, self.now_ms() - duration_ms)
+        span = Span(name, start, span_id=self._next_id)
+        self._next_id += 1
         span.duration_ms = duration_ms
-        if attrs:
-            for k, v in attrs.items():
-                span.set_attr(k, v)
-        if self._stack:
-            parent = self._stack[-1]
+        parent = self._open or self.root
+        if parent is None:
+            self.root = span
+        else:
             span.parent_id = parent.span_id
             parent.children.append(span)
-        elif self.root is not None:
-            span.parent_id = self.root.span_id
-            self.root.children.append(span)
-        else:
-            self.root = span
         return span
 
     def current(self):
         """The innermost open span (NULL_SPAN when disabled or idle)."""
-        if self.enabled and self._stack:
-            return self._stack[-1]
+        if self.enabled and self._open is not None:
+            return self._open
         return NULL_SPAN
 
     def add(self, name: str, value: float = 1.0) -> None:
@@ -391,15 +425,21 @@ def active_tracer() -> Optional[Tracer]:
     return getattr(_ACTIVE, "tracer", None)
 
 
-@contextmanager
-def activate_tracer(tracer: Optional[Tracer]):
+class activate_tracer:
     """Install *tracer* as this thread's active tracer for the scope."""
-    prev = getattr(_ACTIVE, "tracer", None)
-    _ACTIVE.tracer = tracer
-    try:
-        yield tracer
-    finally:
-        _ACTIVE.tracer = prev
+
+    __slots__ = ("tracer", "prev")
+
+    def __init__(self, tracer: Optional[Tracer]):
+        self.tracer = tracer
+
+    def __enter__(self) -> Optional[Tracer]:
+        self.prev = getattr(_ACTIVE, "tracer", None)
+        _ACTIVE.tracer = self.tracer
+        return self.tracer
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        _ACTIVE.tracer = self.prev
 
 
 def trace_span(name: str, merge: bool = False):

@@ -64,34 +64,16 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def recv_message(sock: socket.socket) -> Dict[str, Any]:
-    """Read one framed message; raises ``ConnectionError`` on a clean
-    close *between* messages too (callers treat that as disconnect)."""
-    header = sock.recv(_LEN.size)
-    if not header:
-        raise ConnectionError("peer disconnected")
-    if len(header) < _LEN.size:
-        header += _recv_exact(sock, _LEN.size - len(header))
-    (length,) = _LEN.unpack(header)
-    if length > MAX_MESSAGE_BYTES:
-        raise ProtocolError(f"frame length {length} exceeds maximum")
-    body = _recv_exact(sock, length)
-    try:
-        message = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"bad message body: {exc}") from exc
-    if not isinstance(message, dict):
-        raise ProtocolError("message must be a JSON object")
-    return message
-
-
 def recv_message_timed(
     sock: socket.socket,
 ) -> Tuple[Dict[str, Any], float]:
-    """Like :func:`recv_message`, plus the seconds spent reading and
-    decoding *after the frame header arrived* — i.e. excluding the idle
-    wait for the next request, so the server can report it as the
-    request's ``protocol.decode`` span."""
+    """Read one framed message; raises ``ConnectionError`` on a clean
+    close *between* messages too (callers treat that as disconnect).
+
+    Also returns the seconds spent reading and decoding *after the frame
+    header arrived* — i.e. excluding the idle wait for the next request,
+    so the server can report it as the request's ``protocol.decode``
+    span."""
     header = sock.recv(_LEN.size)
     if not header:
         raise ConnectionError("peer disconnected")
@@ -109,3 +91,8 @@ def recv_message_timed(
     if not isinstance(message, dict):
         raise ProtocolError("message must be a JSON object")
     return message, time.perf_counter() - start
+
+
+def recv_message(sock: socket.socket) -> Dict[str, Any]:
+    """:func:`recv_message_timed` without the decode seconds."""
+    return recv_message_timed(sock)[0]

@@ -17,6 +17,13 @@ Clients may supply their own ``trace_id`` for end-to-end correlation and
 ask for the span tree back with ``"trace": true``; the finished trace is
 also captured engine-side (``Database.last_request_trace``, the
 slow-trace ring, ``sys_stat_traces``).
+
+The connection thread owns its requests, so it finalizes them: what a
+statement and its trace leave for the engine's stores is queued while
+the request runs and harvested (``Database.harvest_pending``) *after*
+the reply frame is on the wire.  Whoever reads a store drains the queue
+first, so the client that has its reply never finds its statement
+missing.
 """
 
 from __future__ import annotations
@@ -33,6 +40,10 @@ from .protocol import (
     send_frame,
     send_message,
 )
+
+
+def _failure(error: object, error_type: str = "ProtocolError") -> dict:
+    return {"ok": False, "error": str(error), "error_type": error_type}
 
 
 class DatabaseServer:
@@ -96,7 +107,9 @@ class DatabaseServer:
                 pass
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5)
-        for worker in list(self._workers):
+        with self._guard:
+            workers = list(self._workers)
+        for worker in workers:
             worker.join(timeout=5)
 
     def __enter__(self) -> "DatabaseServer":
@@ -121,7 +134,8 @@ class DatabaseServer:
                 name="repro-server-conn",
                 daemon=True,
             )
-            self._workers.append(worker)
+            with self._guard:
+                self._workers.append(worker)
             worker.start()
 
     def _serve_connection(self, conn: socket.socket) -> None:
@@ -134,14 +148,7 @@ class DatabaseServer:
                 except (ConnectionError, OSError):
                     return
                 except ProtocolError as exc:
-                    self._send_safe(
-                        conn,
-                        {
-                            "ok": False,
-                            "error": str(exc),
-                            "error_type": "ProtocolError",
-                        },
-                    )
+                    self._send_safe(conn, _failure(exc))
                     return
                 if request.get("op") == "close":
                     self._send_safe(conn, {"ok": True, "closed": True})
@@ -149,12 +156,7 @@ class DatabaseServer:
                 sql = request.get("sql")
                 if not isinstance(sql, str):
                     self._send_safe(
-                        conn,
-                        {
-                            "ok": False,
-                            "error": "request must carry a 'sql' string",
-                            "error_type": "ProtocolError",
-                        },
+                        conn, _failure("request must carry a 'sql' string")
                     )
                     continue
                 frame = self._handle_request(session, sql, request, decode_s)
@@ -162,6 +164,8 @@ class DatabaseServer:
                     send_frame(conn, frame)
                 except OSError:
                     return
+                finally:
+                    self.db.harvest_pending()
         finally:
             session.close()  # rolls back any open transaction
             try:
@@ -171,6 +175,7 @@ class DatabaseServer:
             with self._guard:
                 if conn in self._conns:
                     self._conns.remove(conn)
+                self._workers.remove(threading.current_thread())
 
     def _handle_request(
         self, session, sql: str, request: dict, decode_s: float
@@ -181,7 +186,8 @@ class DatabaseServer:
         The span tree shipped back to the client (``"trace": true``) is
         snapshotted *before* ``protocol.encode`` — a tree cannot contain
         its own final encoding — but the full tree, encode span
-        included, is captured engine-side as the last request trace.
+        included, is queued for the engine to keep as the last request
+        trace once the frame has been sent.
         """
         trace_id = request.get("trace_id")
         tracer = Tracer(
@@ -206,13 +212,7 @@ class DatabaseServer:
                     try:
                         frame = encode_message(response)
                     except ProtocolError as exc:
-                        frame = encode_message(
-                            {
-                                "ok": False,
-                                "error": str(exc),
-                                "error_type": "ProtocolError",
-                            }
-                        )
+                        frame = encode_message(_failure(exc))
                     sp.add("bytes", float(len(frame)))
         self.db.capture_trace(tracer, sql, session_id=session.id)
         return frame
@@ -221,15 +221,12 @@ class DatabaseServer:
         try:
             result = session.execute(sql)
         except Exception as exc:  # engine errors travel as payloads
-            return {
-                "ok": False,
-                "error": str(exc),
-                "error_type": type(exc).__name__,
-            }
+            return _failure(exc, type(exc).__name__)
         return {
             "ok": True,
-            "columns": list(result.columns),
-            "rows": [list(row) for row in result.rows],
+            # json writes a tuple as an array: no re-listing
+            "columns": result.columns,
+            "rows": result.rows,
             "in_transaction": session.in_transaction,
         }
 

@@ -7,8 +7,8 @@ STRING (single-quoted, '' escapes), SYMBOL (punctuation/operators), EOF.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List
+import re
+from typing import List
 
 KEYWORDS = {
     "SELECT", "FROM", "WHERE", "AND", "OR", "NOT", "AS", "JOIN", "INNER",
@@ -27,6 +27,20 @@ SYMBOLS = [
     "/", "%", ".", ";",
 ]
 
+#: the blanks and comments before a token, then the token.  The order of
+#: the alternatives is the tokenizer: a number before the ``.`` symbol,
+#: ``SYMBOLS`` longest first, and last whatever character begins none.
+_TOKEN = re.compile(
+    r"(?:\s+|--[^\n]*\n?)*"
+    r"(?:(?P<word>[^\W\d]\w*)"
+    r"|(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<string>'(?:[^']|'')*')"
+    r"|(?P<symbol>" + "|".join(map(re.escape, SYMBOLS)) + ")"
+    r"|(?P<end>\Z)"
+    r"|(?P<other>.))",
+    re.DOTALL,
+)
+
 
 class LexError(Exception):
     """Raised on characters the tokenizer cannot interpret."""
@@ -36,107 +50,62 @@ class LexError(Exception):
         self.position = position
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # KEYWORD | IDENT | NUMBER | STRING | SYMBOL | EOF
-    value: object
-    position: int
+    """*position* is where a word or a symbol starts, and where a string
+    or a number ends."""
+
+    __slots__ = ("kind", "value", "position")
+
+    def __init__(self, kind: str, value: object, position: int):
+        self.kind = kind  # KEYWORD | IDENT | NUMBER | STRING | SYMBOL | EOF
+        self.value = value
+        self.position = position
+
+    def _key(self):
+        return (self.kind, self.value, self.position)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Token) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"Token({self.kind!r}, {self.value!r}, {self.position})"
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.kind}({self.value!r})"
 
 
 def tokenize(sql: str) -> List[Token]:
-    return list(_tokens(sql))
-
-
-def _tokens(sql: str) -> Iterator[Token]:
-    i = 0
+    tokens: List[Token] = []
+    append = tokens.append
+    keywords = KEYWORDS
     n = len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if sql.startswith("--", i):
-            nl = sql.find("\n", i)
-            i = n if nl < 0 else nl + 1
-            continue
-        if ch == "'":
-            value, i = _string(sql, i)
-            yield Token("STRING", value, i)
-            continue
-        if ch.isdigit() or (
-            ch == "." and i + 1 < n and sql[i + 1].isdigit()
-        ):
-            value, i = _number(sql, i)
-            yield Token("NUMBER", value, i)
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (sql[i].isalnum() or sql[i] == "_"):
-                i += 1
-            word = sql[start:i]
-            upper = word.upper()
-            if upper in KEYWORDS:
-                yield Token("KEYWORD", upper, start)
+    for m in _TOKEN.finditer(sql):
+        kind = m.lastgroup
+        text = m[kind]
+        end = m.end()
+        if kind == "word":
+            upper = text.upper()
+            if upper in keywords:
+                append(Token("KEYWORD", upper, end - len(text)))
             else:
-                yield Token("IDENT", word, start)
-            continue
-        matched = False
-        for sym in SYMBOLS:
-            if sql.startswith(sym, i):
-                canonical = "<>" if sym == "!=" else sym
-                yield Token("SYMBOL", canonical, i)
-                i += len(sym)
-                matched = True
-                break
-        if not matched:
-            raise LexError(f"unexpected character {ch!r}", i)
-    yield Token("EOF", None, n)
-
-
-def _string(sql: str, i: int):
-    out = []
-    i += 1  # skip opening quote
-    n = len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch == "'":
-            if i + 1 < n and sql[i + 1] == "'":
-                out.append("'")
-                i += 2
-                continue
-            return "".join(out), i + 1
-        out.append(ch)
-        i += 1
-    raise LexError("unterminated string literal", i)
-
-
-def _number(sql: str, i: int):
-    start = i
-    n = len(sql)
-    seen_dot = False
-    seen_exp = False
-    while i < n:
-        ch = sql[i]
-        if ch.isdigit():
-            i += 1
-        elif ch == "." and not seen_dot and not seen_exp:
-            seen_dot = True
-            i += 1
-        elif ch in "eE" and not seen_exp and i > start:
-            nxt = sql[i + 1] if i + 1 < n else ""
-            if nxt.isdigit() or (
-                nxt in "+-" and i + 2 < n and sql[i + 2].isdigit()
-            ):
-                seen_exp = True
-                i += 2 if nxt in "+-" else 1
-            else:
-                break
-        else:
-            break
-    text = sql[start:i]
-    if seen_dot or seen_exp:
-        return float(text), i
-    return int(text), i
+                append(Token("IDENT", text, end - len(text)))
+        elif kind == "symbol":
+            value = "<>" if text == "!=" else text
+            append(Token("SYMBOL", value, end - len(text)))
+        elif kind == "number":
+            append(Token("NUMBER", int(text) if text.isdigit() else float(text), end))
+        elif kind == "string":
+            # the pattern backs off a trailing '' it could not close, so a
+            # literal with a quote right behind it never closed
+            if sql.startswith("'", end):
+                raise LexError("unterminated string literal", n)
+            append(Token("STRING", text[1:-1].replace("''", "'"), end))
+        elif kind == "other":
+            if text == "'":
+                raise LexError("unterminated string literal", n)
+            raise LexError(f"unexpected character {text!r}", end - 1)
+    append(Token("EOF", None, n))
+    return tokens

@@ -53,7 +53,8 @@ class BufferStats:
 
     @property
     def hit_rate(self) -> float:
-        return self.hits / self.accesses if self.accesses else 0.0
+        accesses = self.hits + self.misses
+        return self.hits / accesses if accesses else 0.0
 
     def snapshot(self) -> "BufferStats":
         return BufferStats(
