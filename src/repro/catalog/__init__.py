@@ -4,10 +4,8 @@ from .catalog import (
     Catalog,
     CatalogError,
     IndexInfo,
-    IndexKind,
     TableAccessStats,
     TableInfo,
-    index_key_getter,
 )
 from .stats import (
     ColumnStats,
@@ -23,10 +21,8 @@ __all__ = [
     "Catalog",
     "CatalogError",
     "IndexInfo",
-    "IndexKind",
     "TableAccessStats",
     "TableInfo",
-    "index_key_getter",
     "ColumnStats",
     "Histogram",
     "HistogramKind",

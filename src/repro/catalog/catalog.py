@@ -7,13 +7,12 @@ clusteredness, histograms — lives here, refreshed by :meth:`Catalog.analyze`.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..index import BPlusTree, HashIndex
-from ..storage import BufferPool, HeapFile, ZoneMaps
+from ..index import BPlusTree
+from ..storage import RID, BufferPool, HeapFile, ZoneMaps
 from ..types import Column, Schema
 from .stats import ColumnStats, HistogramKind, TableStats, analyze_column
 
@@ -22,37 +21,24 @@ class CatalogError(Exception):
     """Raised for unknown/duplicate tables or indexes."""
 
 
-class IndexKind(enum.Enum):
-    BTREE = "btree"
-    HASH = "hash"
-
-
-def index_key_getter(
-    schema: Schema, columns: Sequence[str]
-) -> Callable[[Sequence[Any]], Any]:
-    """``row -> key`` for an index over *columns*: the column's value for
-    a single-column key, a tuple for a composite one.  Resolves the
-    positions once; build it outside row loops."""
-    return itemgetter(*[schema.index_of(c) for c in columns])
-
-
 @dataclass
 class IndexInfo:
-    """Metadata + structure for one index.
+    """Metadata + structure for one index (always a B+-tree).
 
     ``columns`` is the ordered key column list (bare names); single-column
     indexes store scalar keys, composite indexes store tuples.  ``column``
     remains the *leading* column — the one that determines sort order and
-    sargability of the first key part.
+    sargability of the first key part.  ``key_of`` is the index's
+    ``row -> key`` function, built once by :meth:`Catalog.create_index`.
     """
 
     name: str
     table: str
     column: str  # leading bare column name
-    kind: IndexKind
     clustered: bool
-    structure: Any  # BPlusTree | HashIndex
-    #: pages occupied by leaf level (btree) or buckets (hash); set by ANALYZE
+    structure: BPlusTree
+    key_of: Callable[[Sequence[Any]], Any]
+    #: pages occupied by the leaf level; set by ANALYZE
     leaf_pages: int = 0
     columns: Sequence[str] = ()
 
@@ -67,13 +53,7 @@ class IndexInfo:
 
     @property
     def height(self) -> int:
-        if self.kind is IndexKind.BTREE:
-            return self.structure.height
-        return 1
-
-    @property
-    def supports_range(self) -> bool:
-        return self.kind is IndexKind.BTREE
+        return self.structure.height
 
 
 @dataclass
@@ -123,7 +103,17 @@ class TableAccessStats:
 
 @dataclass
 class TableInfo:
-    """Metadata + storage for one table."""
+    """Metadata + storage for one table, and the one door for row writes.
+
+    :meth:`insert`, :meth:`delete`, :meth:`update` and :meth:`restore`
+    are the four things the engine does to a stored row.  Each one does
+    the heap write and everything the table's derived structures are
+    owed for it — the zone maps widened over the page the row landed
+    on, every index's entry added or removed — so zone-map soundness
+    and index consistency each have one place to be wrong.  Nothing
+    else calls ``structure.insert``/``structure.delete``/``zones.widen``
+    (``tests/test_single_write_door.py``).
+    """
 
     name: str
     schema: Schema
@@ -145,15 +135,54 @@ class TableInfo:
     def index_on(self, column: str) -> Optional[IndexInfo]:
         return self.indexes.get(column)
 
-    def index_keyers(
-        self,
-    ) -> List[Tuple[IndexInfo, Callable[[Sequence[Any]], Any]]]:
-        """Every index paired with its ``row -> key`` function, for the
-        index-maintenance loops of INSERT/UPDATE/DELETE."""
-        return [
-            (index, index_key_getter(self.schema, index.columns))
-            for index in self.indexes.values()
-        ]
+    # -- row writes -----------------------------------------------------------
+
+    def _entered(self, rid: RID, stored: Tuple[Any, ...]) -> None:
+        """*stored* now sits at *rid*: widen its page's zones, add its
+        index entries."""
+        if self.zones is not None:
+            self.zones.widen(rid[0], stored)
+        for index in self.indexes.values():
+            index.structure.insert(index.key_of(stored), rid)
+
+    def _left(self, rid: RID, row: Sequence[Any]) -> None:
+        """*row* no longer sits at *rid*: drop its index entries (zone
+        bounds only ever widen)."""
+        for index in self.indexes.values():
+            index.structure.delete(index.key_of(row), rid)
+
+    def insert(self, row: Sequence[Any]) -> RID:
+        """Validate and store *row*; returns its RID."""
+        stored = self.schema.validate_row(row)
+        rid = self.heap.insert_stored(stored)
+        self._entered(rid, stored)
+        return rid
+
+    def delete(self, rid: RID, row: Sequence[Any]) -> None:
+        """Delete the stored *row* at *rid*."""
+        self.heap.delete(rid)
+        self._left(rid, row)
+
+    def update(self, rid: RID, old: Sequence[Any], new: Sequence[Any]) -> RID:
+        """Replace the stored row *old* at *rid* with *new*; returns where
+        it lives now (the same RID unless the row grew and moved)."""
+        new_rid = self.heap.update(rid, new)  # raises on a mistyped row
+        # what the heap just stored, without reading it back
+        stored = self.schema.validate_row(new)
+        if self.zones is not None:
+            self.zones.widen(new_rid[0], stored)
+        for index in self.indexes.values():
+            old_key, new_key = index.key_of(old), index.key_of(stored)
+            if old_key != new_key or new_rid != rid:
+                index.structure.delete(old_key, rid)
+                index.structure.insert(new_key, new_rid)
+        return new_rid
+
+    def restore(self, rid: RID, row: Sequence[Any]) -> RID:
+        """Put *row* back under *rid* (rollback's undo of a delete)."""
+        restored = self.heap.restore(rid, row)
+        self._entered(restored, row)
+        return restored
 
     def column_stats(self, column: str) -> Optional[ColumnStats]:
         if self.stats is None:
@@ -255,22 +284,10 @@ class Catalog:
 
     def insert_rows(self, name: str, rows: Sequence[Sequence[Any]]) -> int:
         """Insert rows, maintaining every index on the table."""
-        info = self.table(name)
-        keyers = info.index_keyers()
-        count = 0
+        insert = self.table(name).insert
         for row in rows:
-            rid = info.heap.insert(row)
-            if info.zones is not None:
-                info.zones.widen(rid[0], info.schema.validate_row(row))
-            if keyers:
-                stored = info.heap.fetch(rid)
-                for index, key_of in keyers:
-                    value = key_of(stored)
-                    if value is None and index.kind is IndexKind.HASH:
-                        continue  # hash indexes do not store NULLs
-                    index.structure.insert(value, rid)
-            count += 1
-        return count
+            insert(row)
+        return len(rows)
 
     # -- indexes ---------------------------------------------------------------------
 
@@ -279,13 +296,12 @@ class Catalog:
         index_name: str,
         table: str,
         column,
-        kind: IndexKind = IndexKind.BTREE,
         clustered: bool = False,
     ) -> IndexInfo:
-        """Build an index over existing rows.
+        """Build a B+-tree index over existing rows.
 
         *column* is one bare column name or an ordered list of names (a
-        composite B+-tree key; hash indexes are single-column).
+        composite key).
         ``clustered=True`` records that the heap is physically ordered by
         the leading column; the cost model prices clustered range scans as
         sequential page runs.  One index per *leading* column, and one
@@ -303,26 +319,16 @@ class Catalog:
             raise CatalogError(f"index already exists on {table}.{leading}")
         if clustered and any(ix.clustered for ix in info.indexes.values()):
             raise CatalogError(f"table {table} already has a clustered index")
-        if kind is IndexKind.HASH and len(columns) > 1:
-            raise CatalogError("hash indexes are single-column")
-        if kind is IndexKind.BTREE:
-            dtype = (
-                cols[0].dtype
-                if len(cols) == 1
-                else tuple(c.dtype for c in cols)
-            )
-            structure: Any = BPlusTree(self.pool, dtype, index_name)
-        else:
-            buckets = max(16, info.num_pages * 2)
-            structure = HashIndex(self.pool, cols[0].dtype, index_name, buckets)
-        key_of = index_key_getter(info.schema, columns)
+        dtype = (
+            cols[0].dtype if len(cols) == 1 else tuple(c.dtype for c in cols)
+        )
+        structure = BPlusTree(self.pool, dtype, index_name)
+        # the column's value for a single-column key, a tuple for a composite
+        key_of = itemgetter(*[info.schema.index_of(c) for c in columns])
         for rid, row in info.heap.scan():
-            value = key_of(row)
-            if value is None and kind is IndexKind.HASH:
-                continue
-            structure.insert(value, rid)
+            structure.insert(key_of(row), rid)
         index = IndexInfo(
-            index_name, info.name, leading, kind, clustered, structure,
+            index_name, info.name, leading, clustered, structure, key_of,
             columns=tuple(columns),
         )
         index.leaf_pages = self._measure_leaf_pages(index)
@@ -330,11 +336,9 @@ class Catalog:
         return index
 
     def _measure_leaf_pages(self, index: IndexInfo) -> int:
-        if index.kind is IndexKind.BTREE:
-            if index.structure.num_entries == 0:
-                return 1
-            return index.structure.num_leaf_pages()
-        return index.structure.num_pages
+        if index.structure.num_entries == 0:
+            return 1
+        return index.structure.num_leaf_pages()
 
     # -- statistics ----------------------------------------------------------------------
 

@@ -33,10 +33,9 @@ and a bound plan is never shared, so each result owns its actuals.
 evaluates ``1 + 2`` and ``3 > 5``, an absorbing ``OR TRUE`` drops its
 siblings.  A slot that no longer appears anywhere in the finished plan
 is *pinned*: the entry records its value and only matches statements
-carrying the same one.  The slots behind a hash-index probe built from
-more than one conjunct are pinned too (the probe needs the bounds to
-coincide).  A statement whose slots are all pinned behaves like an
-exact-text match.
+carrying the same one — planning-consumed values only; a value an
+index range was tightened from stays free.  A statement whose slots
+are all pinned behaves like an exact-text match.
 
 **Bucket guard.**  For each base relation whose pushed-down conjuncts
 hold a free slot the entry stores ``floor(log2(max(1, rows)))`` of the
@@ -66,7 +65,7 @@ from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
 from ..algebra import JoinGraph, LogicalGet
-from ..catalog import IndexKind, TableInfo
+from ..catalog import TableInfo
 from ..expr import (
     AggCall,
     Arithmetic,
@@ -333,15 +332,12 @@ class CachedPlan:
         nodes = self.template.nodes
         pinned = set(range(len(params))) - self.template.slots
         #: index scans whose range is tightened again at bind time
-        self._ranged: List[int] = []
-        for i, node in enumerate(nodes):
-            if not isinstance(node, (PIndexScan, PIndexOnlyScan)):
-                continue
-            bound = slots_of(node.bound_conjuncts)
-            if node.index.kind is IndexKind.HASH and len(node.bound_conjuncts) > 1:
-                pinned |= bound  # the probe exists while the bounds coincide
-            elif bound:
-                self._ranged.append(i)
+        self._ranged: List[int] = [
+            i
+            for i, node in enumerate(nodes)
+            if isinstance(node, (PIndexScan, PIndexOnlyScan))
+            and slots_of(node.bound_conjuncts)
+        ]
         self.pinned: List[Tuple[int, Any]] = [
             (slot, params[slot]) for slot in sorted(pinned)
         ]

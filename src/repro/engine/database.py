@@ -29,10 +29,10 @@ from dataclasses import replace as dc_replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..algebra import build_plan
-from ..catalog import Catalog, IndexKind, TableInfo
+from ..catalog import Catalog, TableInfo
 from ..executor import ExecContext, ExecMetrics, run
 from ..executor.scans import live_rows
-from ..expr import Literal
+from ..expr import Literal, fold_constants
 from ..obs import (
     ActivityRegistry,
     AutoExplain,
@@ -192,7 +192,6 @@ class Database:
         batch_size: int = ExecContext.DEFAULT_BATCH_SIZE,
         columnar: bool = True,
         data_dir: Optional[str] = None,
-        wal_sync: bool = True,
     ):
         self.disk = DiskManager(page_size)
         self.pool = BufferPool(self.disk, buffer_pages, replacement)
@@ -284,7 +283,6 @@ class Database:
                 data_dir,
                 self.last_recovery.next_lsn,
                 waits=self.txn.waits,
-                sync=wal_sync,
             )
             self.txn.set_next_txn_id(self.last_recovery.next_txn_id)
 
@@ -735,15 +733,13 @@ class Database:
                         f"pk_{stmt.table}_{c.name}",
                         stmt.table,
                         c.name,
-                        IndexKind.BTREE,
                         clustered=True,
                     )
             return QueryResult(rows=[], columns=[])
         if isinstance(stmt, CreateIndexStmt):
-            kind = IndexKind.BTREE if stmt.using == "btree" else IndexKind.HASH
             self._invalidate_caches("CREATE INDEX")
             self.catalog.create_index(
-                stmt.name, stmt.table, stmt.column, kind, stmt.clustered
+                stmt.name, stmt.table, stmt.column, stmt.clustered
             )
             return QueryResult(rows=[], columns=[])
         if isinstance(stmt, DropTableStmt):
@@ -1567,30 +1563,37 @@ class Database:
 
     def _insert(self, stmt: InsertStmt) -> int:
         info = self.catalog.table(stmt.table)
+        names = [column.name for column in info.schema]
+        columns = names if stmt.columns is None else stmt.columns
+        if len(set(columns)) != len(columns):
+            duplicated = sorted({c for c in columns if columns.count(c) > 1})
+            raise EngineError(f"INSERT names a column twice: {duplicated}")
+        unknown = sorted(set(columns) - set(names))
+        if unknown:
+            raise EngineError(f"unknown INSERT columns: {unknown}")
+        #: schema position -> position in the statement's value lists
+        source = [
+            columns.index(name) if name in columns else None for name in names
+        ]
+        # every row is shaped before the first is stored
         rows = []
         for value_row in stmt.rows:
+            if len(value_row) != len(columns):
+                raise EngineError(
+                    f"INSERT has {len(columns)} columns "
+                    f"but {len(value_row)} values"
+                )
             literals: List[Any] = []
             for expr in value_row:
-                from ..expr import fold_constants
-
                 folded = fold_constants(expr)
                 if not isinstance(folded, Literal):
                     raise EngineError(
                         f"INSERT values must be constants, got {expr}"
                     )
                 literals.append(folded.value)
-            if stmt.columns is None:
-                rows.append(tuple(literals))
-            else:
-                by_name = dict(zip(stmt.columns, literals))
-                full = []
-                for column in info.schema:
-                    full.append(by_name.pop(column.name, None))
-                if by_name:
-                    raise EngineError(
-                        f"unknown INSERT columns: {sorted(by_name)}"
-                    )
-                rows.append(tuple(full))
+            rows.append(
+                tuple(None if i is None else literals[i] for i in source)
+            )
         return self.catalog.insert_rows(stmt.table, rows)
 
     def _victims(
@@ -1649,14 +1652,8 @@ class Database:
     def _delete(self, stmt: DeleteStmt) -> Tuple[int, PhysicalPlan, bool]:
         info = self.catalog.table(stmt.table)
         victims, path, hit = self._victims(info, stmt.where)
-        keyers = info.index_keyers()
         for rid, row in victims:
-            info.heap.delete(rid)
-            for index, key_of in keyers:
-                value = key_of(row)
-                if value is None and index.kind is IndexKind.HASH:
-                    continue
-                index.structure.delete(value, rid)
+            info.delete(rid, row)
         return len(victims), path, hit
 
     def _update(self, stmt: UpdateStmt) -> Tuple[int, PhysicalPlan, bool]:
@@ -1670,24 +1667,11 @@ class Database:
             positions.append(schema.index_of(column))
             setters.append(compile_expr(expr, schema))
         victims, path, hit = self._victims(info, stmt.where)
-        keyers = info.index_keyers()
         for rid, row in victims:
             new_row = list(row)
             for pos, setter in zip(positions, setters):
                 new_row[pos] = setter(row)
-            new_rid = info.heap.update(rid, tuple(new_row))
-            stored = info.heap.fetch(new_rid)
-            if info.zones is not None:
-                info.zones.widen(new_rid[0], stored)
-            for index, key_of in keyers:
-                old_value = key_of(row)
-                new_value = key_of(stored)
-                if old_value == new_value and new_rid == rid:
-                    continue
-                if not (old_value is None and index.kind is IndexKind.HASH):
-                    index.structure.delete(old_value, rid)
-                if not (new_value is None and index.kind is IndexKind.HASH):
-                    index.structure.insert(new_value, new_rid)
+            info.update(rid, row, new_row)
         return len(victims), path, hit
 
     # -- durability ---------------------------------------------------------------------------

@@ -28,16 +28,10 @@ from __future__ import annotations
 from itertools import islice
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
-from ..catalog import IndexKind, index_key_getter
 from ..expr import compile_predicate_batch
 from ..expr.vector import compile_predicate_columnar
 from ..index.keys import key_lt
-from ..physical import (
-    PIndexOnlyScan,
-    PIndexScan,
-    PSeqScan,
-    PhysicalError,
-)
+from ..physical import PIndexOnlyScan, PIndexScan, PSeqScan
 from ..storage import SlottedPage, deserialize_row, page_skipper
 from .columnar import ColumnBatch
 from .operator import Batch, Operator, operator_for
@@ -70,11 +64,9 @@ class _KeyOrder:
 
 def _key_in_bounds(plan, key: Any) -> bool:
     """Would the index scan described by *plan* have emitted *key*?"""
-    if plan.index.kind is IndexKind.HASH:
-        return key is not None and key == plan.low.value
     low, high, li, hi = _index_bounds(plan)
     if key is None:
-        # bounded btree scans never return NULL keys (SQL comparison
+        # bounded scans never return NULL keys (SQL comparison
         # semantics); fully unbounded scans include them
         return low is None and high is None
     if low is not None:
@@ -102,7 +94,7 @@ def index_overlay(plan, overlay: Overlay) -> Tuple[Set[RID], List[Tuple[Any, Tup
     """
     replace, ghosts = overlay
     skip = set(replace) | set(ghosts)
-    key_of = index_key_getter(plan.table.schema, plan.index.columns)
+    key_of = plan.index.key_of
     injected: List[Tuple[Any, Tuple]] = []
     for row in replace.values():
         if row is not None:
@@ -358,16 +350,10 @@ def _index_bounds(plan) -> Tuple[Any, Any, bool, bool]:
 
 
 def index_entries(plan) -> Iterator[Tuple[Any, RID]]:
-    """The ``(key, rid)`` entries the index scan *plan* describes: a
-    B+-tree range in key order, or a hash index's equality probe."""
-    index = plan.index
-    if index.kind is IndexKind.HASH:
-        if not plan.is_equality:
-            raise PhysicalError("hash index supports only equality probes")
-        key = plan.low.value
-        return iter([(key, rid) for rid in index.structure.search(key)])
+    """The ``(key, rid)`` entries the index scan *plan* describes, in
+    key order."""
     low, high, li, hi = _index_bounds(plan)
-    return index.structure.range_scan(low, high, li, hi)
+    return plan.index.structure.range_scan(low, high, li, hi)
 
 
 def live_rows(plan, predicate=None) -> Iterator[Tuple[RID, Tuple[Any, ...]]]:
@@ -394,7 +380,7 @@ def live_rows(plan, predicate=None) -> Iterator[Tuple[RID, Tuple[Any, ...]]]:
 
 @operator_for(PIndexScan)
 class IndexScanOp(_ScanOp):
-    """B+-tree range scan (or hash equality probe) fetching heap rows."""
+    """B+-tree range scan fetching heap rows."""
 
     def __init__(self, plan, ctx):
         super().__init__(plan, ctx)
@@ -465,8 +451,6 @@ class IndexOnlyScanOp(_ScanOp):
 
     def __init__(self, plan, ctx):
         super().__init__(plan, ctx)
-        if plan.index.kind is not IndexKind.BTREE:
-            raise PhysicalError("index-only scans require a btree index")
         self._entries = None
 
     def _open(self):

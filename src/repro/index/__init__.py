@@ -1,14 +1,11 @@
-"""Index substrate: page-based B+-tree and static hash index."""
+"""Index substrate: the page-based B+-tree."""
 
 from .bptree import BPlusTree, BPTreeError
-from .hashindex import HashIndex, HashIndexError
 from .keys import KeyError_, deserialize_key, entry_lt, key_lt, key_size, serialize_key
 
 __all__ = [
     "BPlusTree",
     "BPTreeError",
-    "HashIndex",
-    "HashIndexError",
     "KeyError_",
     "deserialize_key",
     "entry_lt",

@@ -1,8 +1,8 @@
 """Access path selection.
 
 For one relation (plus its pushed-down filter conjuncts), enumerate every
-way to read it — sequential scan, B+-tree range scan, hash probe,
-index-only scan — price each with the cost model, and report the
+way to read it — sequential scan, B+-tree range scan, index-only
+scan — price each with the cost model, and report the
 *interesting order* each provides.  The join enumerator keeps the cheapest
 candidate per order; experiment E2 sweeps selectivity to locate the
 seq-vs-index crossovers.
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple
 
-from ..catalog import IndexKind, TableInfo
+from ..catalog import TableInfo
 from ..expr import (
     CmpOp,
     ColCmpConst,
@@ -177,11 +177,8 @@ def access_paths(
             continue
         names = {column, qualified}
         bounds, residual = extract_bounds(conjuncts, names)
-        order = qualified if index.kind is IndexKind.BTREE else None
 
-        if bounds.bounded and (
-            index.kind is IndexKind.BTREE or bounds.is_equality
-        ):
+        if bounds.bounded:
             matching = base_rows * estimator.scan_selectivity(bounds.used)
             plan = PIndexScan(
                 table,
@@ -196,12 +193,11 @@ def access_paths(
             if residual:
                 cost = cost + model.filter(matching, len(residual))
             plan.est_rows, plan.est_cost = out_rows, cost
-            candidates.append(ScanCandidate(plan, cost, out_rows, order))
+            candidates.append(ScanCandidate(plan, cost, out_rows, qualified))
 
             # Index-only variant when the key column is all that's needed.
             if (
                 needed_columns is not None
-                and index.kind is IndexKind.BTREE
                 and not residual
                 and needed_columns <= {qualified}
             ):
@@ -211,12 +207,11 @@ def access_paths(
                 )
                 icost = model.index_only_scan(index, base_rows, matching)
                 ionly.est_rows, ionly.est_cost = out_rows, icost
-                candidates.append(ScanCandidate(ionly, icost, out_rows, order))
+                candidates.append(
+                    ScanCandidate(ionly, icost, out_rows, qualified)
+                )
 
-        elif (
-            consider_unbounded_index
-            and index.kind is IndexKind.BTREE
-        ):
+        elif consider_unbounded_index:
             # Full index scan: expensive, but delivers sorted output (kept
             # only if its interesting order pays off in the DP).
             plan = PIndexScan(
@@ -231,7 +226,7 @@ def access_paths(
             if conjuncts:
                 cost = cost + model.filter(base_rows, len(conjuncts))
             plan.est_rows, plan.est_cost = out_rows, cost
-            candidates.append(ScanCandidate(plan, cost, out_rows, order))
+            candidates.append(ScanCandidate(plan, cost, out_rows, qualified))
 
     for cand in candidates:
         cand.plan.feedback_key = fb_key

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from ..catalog import IndexInfo, IndexKind
+from ..catalog import IndexInfo
 
 
 @dataclass(frozen=True)
@@ -136,9 +136,6 @@ class CostModel:
         else:
             leaf_fraction = 0.0
         leaf_io = max(1.0, math.ceil(leaf_fraction * max(1, index.leaf_pages)))
-        if index.kind is IndexKind.HASH:
-            # bucket chain read replaces descent+leaf walk
-            descent, leaf_io = 1.0, 0.0
         if index.clustered:
             data_io = math.ceil(leaf_fraction * max(1, table_pages))
         else:

@@ -558,14 +558,10 @@ class Planner:
     def _region_order_seq(self, sub: SubPlan) -> Tuple[str, ...]:
         """Multi-column sort sequence when the region plan is a composite
         B+-tree scan (its output is ordered by the full key)."""
-        from ..catalog import IndexKind
         from ..physical import PIndexScan
 
         plan = sub.plan
-        if (
-            isinstance(plan, PIndexScan)
-            and plan.index.kind is IndexKind.BTREE
-        ):
+        if isinstance(plan, PIndexScan):
             return tuple(
                 f"{plan.binding}.{column}" for column in plan.index.columns
             )

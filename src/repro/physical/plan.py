@@ -190,8 +190,7 @@ class PSeqScan(PhysicalPlan):
 
 @dataclass
 class PIndexScan(PhysicalPlan):
-    """B+-tree range scan (or hash probe when ``low == high`` equality and
-    the index is a hash index), fetching heap rows by RID.
+    """B+-tree range scan, fetching heap rows by RID.
 
     ``bound_conjuncts`` are the conjuncts ``low``/``high`` were tightened
     from.  The executor never reads them; the plan cache does, to tighten
@@ -221,13 +220,12 @@ class PIndexScan(PhysicalPlan):
         )
 
     def describe(self) -> str:
-        kind = self.index.kind.value
         clustered = " clustered" if self.index.clustered else ""
         rng = f"[{self.low} .. {self.high}]"
         suffix = f" filter {self.residual}" if self.residual is not None else ""
         return (
             f"IndexScan({self.table.name} AS {self.binding} via "
-            f"{self.index.name}:{kind}{clustered} {rng}){suffix}"
+            f"{self.index.name}:btree{clustered} {rng}){suffix}"
         )
 
 

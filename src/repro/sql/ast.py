@@ -93,7 +93,6 @@ class CreateIndexStmt(Statement):
     name: str
     table: str
     column: "str | List[str]"  # one name or an ordered composite key list
-    using: str = "btree"  # btree | hash
     clustered: bool = False
 
     @property

@@ -382,14 +382,13 @@ class _Parser:
         while self.accept_symbol(","):
             columns.append(self.expect_ident())
         self.expect_symbol(")")
-        using = "btree"
         if self.accept_keyword("USING"):
+            # every index is a B+-tree; HASH stays a spelling of it so the
+            # DDL text in old WALs keeps parsing
             tok = self.advance()
-            word = str(tok.value).lower()
-            if word not in ("btree", "hash"):
+            if str(tok.value).lower() not in ("btree", "hash"):
                 raise ParseError(f"unknown index kind {tok.value!r}", tok)
-            using = word
-        return CreateIndexStmt(name, table, columns, using, clustered)
+        return CreateIndexStmt(name, table, columns, clustered)
 
     def insert(self) -> InsertStmt:
         self.expect_keyword("INSERT")

@@ -55,7 +55,11 @@ class HeapFile:
 
     def insert(self, row: Sequence[Any]) -> RID:
         """Validate, serialize and store a row; returns its RID."""
-        stored = self.schema.validate_row(row)
+        return self.insert_stored(self.schema.validate_row(row))
+
+    def insert_stored(self, stored: Tuple[Any, ...]) -> RID:
+        """:meth:`insert` for a row ``schema.validate_row`` already
+        returned (``TableInfo`` validates once and keeps the result)."""
         record = serialize_row(self.schema, stored)
         max_record = self.pool.disk.page_size - 64
         if len(record) > max_record:
@@ -108,7 +112,7 @@ class HeapFile:
                 )
             return rid
         self.delete(rid)
-        return self.insert(row)
+        return self.insert_stored(stored)
 
     # -- access ------------------------------------------------------------------
 

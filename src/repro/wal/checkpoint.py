@@ -69,7 +69,9 @@ def collect_meta(
                     {
                         "name": ix.name,
                         "columns": list(ix.columns),
-                        "kind": ix.kind.value,
+                        # every index is a B+-tree; the field stays so
+                        # older code can open this directory
+                        "kind": "btree",
                         "clustered": ix.clustered,
                     }
                     for ix in info.indexes.values()

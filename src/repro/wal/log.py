@@ -43,7 +43,6 @@ class WalWriter:
         path: str,
         start_lsn: int = 1,
         waits=None,
-        sync: bool = True,
     ):
         self.path = path
         #: LSN the next append will receive
@@ -52,8 +51,6 @@ class WalWriter:
         self.flushed_lsn = start_lsn - 1
         #: wait-event registry for ``wal.write`` / ``wal.fsync`` (optional)
         self.waits = waits
-        #: ``sync=False`` skips fsync (bench ablation; commits may be lost)
-        self.sync = sync
         self.appends = 0
         self.fsyncs = 0
         self._append_lock = threading.Lock()
@@ -122,15 +119,14 @@ class WalWriter:
             if action == "before":  # pragma: no cover - hit() exits first
                 faults.crash()
             start = time.perf_counter() if self.waits is not None else 0.0
-            if self.sync:
-                # One wal.fsync span per real fsync: the skip paths above
-                # (already covered by a concurrent committer) record
-                # nothing, so span counts reconcile exactly with the
-                # ``fsyncs`` counter even under group commit.
-                with trace_span("wal.fsync") as sp:
-                    os.fsync(self._file.fileno())
-                    self.fsyncs += 1
-                    sp.add("covered_lsn", float(target))
+            # One wal.fsync span per real fsync: the skip paths above
+            # (already covered by a concurrent committer) record
+            # nothing, so span counts reconcile exactly with the
+            # ``fsyncs`` counter even under group commit.
+            with trace_span("wal.fsync") as sp:
+                os.fsync(self._file.fileno())
+                self.fsyncs += 1
+                sp.add("covered_lsn", float(target))
             if self.waits is not None:
                 self.waits.record("wal.fsync", time.perf_counter() - start)
             self.flushed_lsn = target
@@ -173,8 +169,7 @@ class WalWriter:
         """
         with self._append_lock, self._flush_lock:
             self._file.flush()
-            if self.sync:
-                os.fsync(self._file.fileno())
+            os.fsync(self._file.fileno())
             with open(self.path, "rb") as f:
                 buf = f.read()
             records, _ = valid_prefix(buf)
@@ -225,9 +220,5 @@ def committed_txns(records) -> set:
     }
 
 
-def open_wal(
-    data_dir: str, start_lsn: int, waits=None, sync: bool = True
-) -> WalWriter:
-    return WalWriter(
-        os.path.join(data_dir, WAL_FILE), start_lsn, waits=waits, sync=sync
-    )
+def open_wal(data_dir: str, start_lsn: int, waits=None) -> WalWriter:
+    return WalWriter(os.path.join(data_dir, WAL_FILE), start_lsn, waits=waits)

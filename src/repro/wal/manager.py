@@ -214,51 +214,22 @@ class TxnManager:
         if kind == "insert":
             _, _, rid = op
             row = info.heap.fetch(rid)
-            if row is None:
-                return
-            info.heap.delete(rid)
-            self._index_remove(info, row, rid)
+            if row is not None:
+                info.delete(rid, row)
         elif kind == "delete":
             _, _, rid, old_bytes = op
-            row = deserialize_row(info.schema, old_bytes)
-            new_rid = info.heap.restore(rid, row)
-            if info.zones is not None:
-                info.zones.widen(new_rid[0], row)
-            self._index_add(info, row, new_rid)
+            info.restore(rid, deserialize_row(info.schema, old_bytes))
         elif kind == "update":
             # an in-place update: the current (new) row sits at *rid*.
             # Tombstone + restore keeps the RID stable even when the old
             # record is longer than the shrunk slot footprint.
             _, _, rid, old_bytes = op
-            old_row = deserialize_row(info.schema, old_bytes)
             new_row = info.heap.fetch(rid)
             if new_row is not None:
-                self._index_remove(info, new_row, rid)
-                info.heap.delete(rid)
-            restored = info.heap.restore(rid, old_row)
-            if info.zones is not None:
-                info.zones.widen(restored[0], old_row)
-            self._index_add(info, old_row, restored)
+                info.delete(rid, new_row)
+            info.restore(rid, deserialize_row(info.schema, old_bytes))
         else:  # pragma: no cover - defensive
             raise TxnError(f"unknown undo op {kind!r}")
-
-    def _index_add(self, info, row, rid) -> None:
-        from ..catalog import IndexKind
-
-        for index, key_of in info.index_keyers():
-            value = key_of(row)
-            if value is None and index.kind is IndexKind.HASH:
-                continue
-            index.structure.insert(value, rid)
-
-    def _index_remove(self, info, row, rid) -> None:
-        from ..catalog import IndexKind
-
-        for index, key_of in info.index_keyers():
-            value = key_of(row)
-            if value is None and index.kind is IndexKind.HASH:
-                continue
-            index.structure.delete(value, rid)
 
     # -- mutation hooks (called by HeapFile under an active transaction) ------
     #

@@ -180,8 +180,6 @@ def recover(db, data_dir: str) -> RecoveryReport:
     # -- rebuild derived state -------------------------------------------------
     for info in catalog.tables():
         info.heap.recount()
-    from ..catalog import IndexKind
-
     for ix in pending_indexes:
         table = ix["table"]
         if not catalog.has_table(table):
@@ -194,7 +192,6 @@ def recover(db, data_dir: str) -> RecoveryReport:
             ix["name"],
             table,
             columns if len(columns) > 1 else columns[0],
-            IndexKind(ix["kind"]),
             bool(ix["clustered"]),
         )
         report.indexes_rebuilt += 1
@@ -237,7 +234,6 @@ def _replay_ddl(
                         "name": f"pk_{stmt.table}_{c.name}",
                         "table": stmt.table,
                         "columns": [c.name],
-                        "kind": "btree",
                         "clustered": True,
                     }
                 )
@@ -255,7 +251,6 @@ def _replay_ddl(
                 "name": stmt.name,
                 "table": stmt.table,
                 "columns": stmt.columns,
-                "kind": "btree" if stmt.using == "btree" else "hash",
                 "clustered": stmt.clustered,
             }
         )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.catalog import Catalog, CatalogError, IndexKind
+from repro.catalog import Catalog, CatalogError
 from repro.storage import BufferPool, DiskManager
 from repro.types import DataType, schema_of
 
@@ -75,23 +75,15 @@ class TestInsertAndIndexMaintenance:
     def test_inserts_maintain_indexes(self):
         _, cat = make_catalog()
         cat.create_table("t", orders_schema())
-        cat.create_index("ix", "t", "id", IndexKind.BTREE)
+        cat.create_index("ix", "t", "id")
         cat.insert_rows("t", [(7, 1, 1.0)])
         info = cat.table("t")
         assert len(info.index_on("id").structure.search(7)) == 1
 
-    def test_hash_index_skips_nulls(self):
-        _, cat = make_catalog()
-        cat.create_table("t", orders_schema())
-        cat.create_index("ix", "t", "cust", IndexKind.HASH)
-        cat.insert_rows("t", [(1, None, 1.0), (2, 5, 2.0)])
-        ix = cat.table("t").index_on("cust")
-        assert ix.structure.num_entries == 1
-
     def test_btree_keeps_nulls(self):
         _, cat = make_catalog()
         cat.create_table("t", orders_schema())
-        cat.create_index("ix", "t", "cust", IndexKind.BTREE)
+        cat.create_index("ix", "t", "cust")
         cat.insert_rows("t", [(1, None, 1.0)])
         assert cat.table("t").index_on("cust").structure.num_entries == 1
 
@@ -115,14 +107,10 @@ class TestIndexRules:
         _, cat = make_catalog()
         cat.create_table("t", orders_schema())
         cat.insert_rows("t", [(i, i, float(i)) for i in range(300)])
-        ix = cat.create_index("a", "t", "id", IndexKind.BTREE, clustered=True)
+        ix = cat.create_index("a", "t", "id", clustered=True)
         assert ix.clustered
-        assert ix.supports_range
         assert ix.height >= 1
         assert ix.leaf_pages >= 1
-        hx = cat.create_index("h", "t", "cust", IndexKind.HASH)
-        assert not hx.supports_range
-        assert hx.height == 1
 
 
 class TestAnalyze:

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro import Database
-from repro.catalog import CatalogError, IndexKind
 from repro.index import BPlusTree
 from repro.index.keys import MAX_KEY, MIN_KEY, key_lt
 from repro.physical import PIndexScan, walk_plan
@@ -171,12 +170,6 @@ class TestCompositeThroughSQL:
         r = db.query("SELECT COUNT(*) AS n FROM ev WHERE user_id = 5 AND day = 3")
         assert r.rows == [(1,)]
         db.table("ev").index_on("user_id").structure.validate()
-
-    def test_hash_composite_rejected(self, db):
-        with pytest.raises(CatalogError):
-            db.catalog.create_index(
-                "hx", "ev", ["kind", "day"], IndexKind.HASH
-            )
 
     def test_ordered_output_on_leading_column(self, db):
         plan = db.plan("SELECT user_id FROM ev WHERE user_id = 9 ORDER BY user_id")

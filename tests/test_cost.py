@@ -4,20 +4,18 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.catalog import IndexInfo, IndexKind
+from repro.catalog import IndexInfo
 from repro.optimizer import Cost, CostModel, cardenas_pages
 
 
-def fake_index(kind=IndexKind.BTREE, clustered=False, height=2, leaf_pages=10):
-    ix = IndexInfo("ix", "t", "c", kind, clustered, structure=None)
-    ix.leaf_pages = leaf_pages
-    if kind is IndexKind.BTREE:
-        class _S:
-            pass
+def fake_index(clustered=False, height=2, leaf_pages=10):
+    class _S:
+        pass
 
-        s = _S()
-        s.height = height
-        ix.structure = s
+    s = _S()
+    s.height = height
+    ix = IndexInfo("ix", "t", "c", clustered, structure=s, key_of=None)
+    ix.leaf_pages = leaf_pages
     return ix
 
 
@@ -79,14 +77,6 @@ class TestScans:
             for k in (1, 10, 100, 1000)
         ]
         assert costs == sorted(costs)
-
-    def test_hash_index_no_descent(self):
-        hx = fake_index(kind=IndexKind.HASH)
-        bx = fake_index(kind=IndexKind.BTREE, height=3)
-        assert (
-            self.model.index_scan(hx, 100, 10000, 1).io
-            < self.model.index_scan(bx, 100, 10000, 1).io
-        )
 
     def test_index_only_cheaper_than_fetching(self):
         ix = fake_index()

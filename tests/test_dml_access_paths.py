@@ -1,8 +1,9 @@
 """UPDATE/DELETE find their rows through access-path selection — and
 must change exactly the rows a heap walk with the same WHERE would.
 
-One table is built five ways (no index, B+-tree, hash, composite
-B+-tree, clustered B+-tree + secondary hash).  For every layout ×
+One table is built five ways (no index, a secondary index, the same
+declared ``USING hash`` — a spelling old WALs carry, a B+-tree like any
+other — composite, clustered + secondary).  For every layout ×
 predicate × statement shape the engine is compared with a plain Python
 list: the affected count and the resulting table equal the model's, the
 victims equal what ``SELECT * … WHERE <same predicate>`` returned just
@@ -20,22 +21,22 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Database
-from repro.catalog import IndexKind
 from repro.engine.cache import relation_estimator
 from repro.expr import split_conjuncts
 from repro.optimizer.access import access_paths
 from repro.physical import PIndexScan, PSeqScan
 from repro.sql import parse
 
-BTREE, HASH = IndexKind.BTREE, IndexKind.HASH
-
-#: layout -> [(index name, key columns, kind, clustered)]
+#: layout -> its index DDL
 LAYOUTS = {
     "none": [],
-    "btree": [("ix_k", "k", BTREE, False)],
-    "hash": [("hx_k", "k", HASH, False)],
-    "composite": [("ix_gk", ["g", "k"], BTREE, False)],
-    "clustered": [("cx_k", "k", BTREE, True), ("hx_g", "g", HASH, False)],
+    "btree": ["CREATE INDEX ix_k ON t (k)"],
+    "hash": ["CREATE INDEX hx_k ON t (k) USING hash"],
+    "composite": ["CREATE INDEX ix_gk ON t (g, k)"],
+    "clustered": [
+        "CREATE CLUSTERED INDEX cx_k ON t (k)",
+        "CREATE INDEX hx_g ON t (g) USING hash",
+    ],
 }
 
 
@@ -53,8 +54,8 @@ def build(layout):
     db = Database(buffer_pages=64, work_mem_pages=8)
     db.execute("CREATE TABLE t (k INT, g INT, v INT, s TEXT)")
     db.insert_rows("t", seed_rows())
-    for name, columns, kind, clustered in LAYOUTS[layout]:
-        db.catalog.create_index(name, "t", columns, kind, clustered)
+    for ddl in LAYOUTS[layout]:
+        db.execute(ddl)
     db.execute("ANALYZE t")
     return db
 
@@ -119,19 +120,14 @@ ACTIONS = {
 
 
 def check_indexes(db):
-    """Every index holds exactly the heap's (key, rid) pairs (hash
-    indexes store no NULL keys) and every B+-tree is well-formed."""
+    """Every index holds exactly the heap's (key, rid) pairs (NULL keys
+    included) and is well-formed."""
     info = db.table("t")
     heap = list(info.heap.scan())
-    for index, key_of in info.index_keyers():
-        expected = Counter(
-            (key_of(row), rid)
-            for rid, row in heap
-            if not (index.kind is HASH and key_of(row) is None)
-        )
+    for index in info.indexes.values():
+        expected = Counter((index.key_of(row), rid) for rid, row in heap)
         assert Counter(index.structure.items()) == expected, index.name
-        if index.kind is BTREE:
-            index.structure.validate()
+        index.structure.validate()
 
 
 def apply_and_check(db, run, model, where, matches, action):
@@ -185,7 +181,7 @@ def _path(db):
         ("btree", None, "seq"),
         ("hash", "k = 17", "hx_k"),
         ("hash", "k = 5.0", "hx_k"),
-        ("hash", "k < 10", "seq"),
+        ("hash", "k < 10", "hx_k"),  # a range: the index is a B+-tree
         ("composite", "g = 2 AND k = 14", "ix_gk"),
         ("composite", "k = 14", "seq"),  # not a key prefix
         ("clustered", "k BETWEEN 40 AND 45", "cx_k"),
@@ -348,9 +344,9 @@ class TestInsideTransactions:
         assert kv.query("SELECT COUNT(*) FROM kv").rows == [(500,)]
         info = kv.table("kv")
         heap = list(info.heap.scan())
-        for index, key_of in info.index_keyers():
+        for index in info.indexes.values():
             assert Counter(index.structure.items()) == Counter(
-                (key_of(row), rid) for rid, row in heap
+                (index.key_of(row), rid) for rid, row in heap
             )
         info.index_on("k").structure.validate()
 

@@ -61,6 +61,29 @@ class TestDDL:
         with pytest.raises(EngineError):
             db.execute("INSERT INTO t (zz) VALUES (1)")
 
+    @pytest.mark.parametrize(
+        "sql, complaint",
+        [
+            ("INSERT INTO t (id, id) VALUES (3, 4)", r"twice: \['id'\]"),
+            ("INSERT INTO t (id) VALUES (7, 8)", "1 columns but 2 values"),
+            ("INSERT INTO t (id, k) VALUES (9)", "2 columns but 1 values"),
+            # the second row is the misshapen one: the first is not stored
+            ("INSERT INTO t (id, k) VALUES (5, 6), (7)", "2 columns but 1"),
+            ("INSERT INTO t VALUES (5, 6, 'c'), (7, 8)", "3 columns but 2"),
+        ],
+    )
+    def test_misshapen_insert_is_refused_whole(self, sql, complaint):
+        db = Database()
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, k INT, s TEXT)")
+        db.execute("INSERT INTO t (s, id) VALUES ('a', 1), ('b', 2)")
+        with pytest.raises(EngineError, match=complaint):
+            db.execute(sql)
+        assert db.query("SELECT COUNT(*) FROM t").rows == [(2,)]
+        assert db.query("SELECT * FROM t").rows == [
+            (1, None, "a"),
+            (2, None, "b"),
+        ]
+
     def test_insert_expression_folds(self):
         db = Database()
         db.execute("CREATE TABLE t (a INT)")

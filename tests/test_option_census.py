@@ -32,7 +32,6 @@ CONSTRUCTORS = {
         "batch_size",
         "columnar",
         "data_dir",
-        "wal_sync",
     ),
     ExecContext: (
         "pool",

@@ -229,14 +229,13 @@ class TestFsyncPerCommit:
             self.commit_txns(s, "kv0", self.TXNS)
         assert db.txn.writer is None
 
-    @pytest.mark.parametrize("wal_sync, per_commit", [(False, 0), (True, 1)])
-    def test_serial_commits(self, tmp_path, wal_sync, per_commit):
-        db = Database(data_dir=str(tmp_path), wal_sync=wal_sync)
+    def test_serial_commits(self, tmp_path):
+        db = Database(data_dir=str(tmp_path))
         db.execute("CREATE TABLE kv0 (k INT)")
         base = db.txn.writer.fsyncs
         with db.create_session() as s:
             self.commit_txns(s, "kv0", self.TXNS)
-        assert db.txn.writer.fsyncs - base == per_commit * self.TXNS
+        assert db.txn.writer.fsyncs - base == self.TXNS
         db.close()
 
     def test_one_fsync_seals_every_commit_appended_behind_it(self, tmp_path):

@@ -9,8 +9,17 @@ page's bounds, updates that grow a row until it relocates to another
 page, rollbacks that put old values back — and after every step asks a
 handful of random equality, range, ``BETWEEN`` and ``IN`` predicates.
 Each must return exactly the rows of ``heap.scan()`` filtered in Python:
-the table has no index, so every answer comes from the zone-map-skipping
-``SeqScan``.
+no predicate names an indexed column, so every answer comes from the
+zone-map-skipping ``SeqScan``.
+
+The same walk pins the other thing a row write owes its table: columns
+``a`` and ``b`` (both nullable, named by no predicate) sit behind a
+single-column and a composite B+-tree, and after every rule each index
+must hold exactly the heap's ``(key, rid)`` pairs (NULL keys included)
+in key order — inside open transactions, after rollbacks, after recovery
+rebuilt them.  (Among equal keys the tree orders rids within a leaf
+only, so the pairs are compared as a multiset and the order of the walk
+is ``validate()``'s to check.)
 """
 
 import shutil
@@ -23,11 +32,13 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
+    invariant,
     precondition,
     rule,
 )
 
 from repro import Database
+from repro.catalog import TableInfo
 from repro.physical import PSeqScan, walk_plan
 
 SEED_ROWS = 300
@@ -59,7 +70,15 @@ def _constant(column):
 
 
 def _sql(value):
+    if value is None:
+        return "NULL"
     return f"'{value}'" if isinstance(value, str) else repr(value)
+
+
+#: what ``update_value`` may assign: the zoned columns and the two
+#: indexed ones (``SET a = NULL`` is not SQL this engine types; NULL keys
+#: arrive by INSERT and leave by UPDATE)
+_ASSIGNABLE = {"id": ints, "v": ints, "f": halves, "a": ints, "b": ints}
 
 
 @st.composite
@@ -127,7 +146,6 @@ class ZoneMapMachine(RuleBasedStateMachine):
             buffer_pages=64,
             page_size=PAGE_SIZE,
             data_dir=self.data_dir,
-            wal_sync=False,
             columnar=True,
         )
 
@@ -138,12 +156,20 @@ class ZoneMapMachine(RuleBasedStateMachine):
     @initialize()
     def seed(self):
         db = self.db
-        db.execute("CREATE TABLE t (id INT, v INT, f FLOAT, s TEXT)")
+        db.execute(
+            "CREATE TABLE t (id INT, v INT, f FLOAT, s TEXT, a INT, b INT)"
+        )
         # id ascends with the pages, so the id and f zones are tight and
         # disjoint: a stale bound cannot hide behind an overlapping one
         db.insert_rows(
-            "t", [(i, i % 7, i / 2, f"r{i}") for i in range(SEED_ROWS)]
+            "t",
+            [
+                (i, i % 7, i / 2, f"r{i}", None if i % 11 == 0 else i % 13, i % 5)
+                for i in range(SEED_ROWS)
+            ],
         )
+        db.execute("CREATE INDEX ix_a ON t (a)")
+        db.execute("CREATE INDEX ix_ba ON t (b, a)")
         db.execute("ANALYZE t")
         # the machine is only worth running if scans really skip
         probe = db.query(f"SELECT * FROM t WHERE id >= {SEED_ROWS - 5}")
@@ -160,22 +186,40 @@ class ZoneMapMachine(RuleBasedStateMachine):
             want = Counter(row for row in live if matches(row))
             assert Counter(result.rows) == want, sql
 
+    @invariant()
+    def indexes_hold_the_heap(self):
+        if not self.db.catalog.has_table("t"):
+            return  # before seed()
+        info = self.db.table("t")
+        heap = list(info.heap.scan())
+        assert len(info.indexes) == 2
+        for index in info.indexes.values():
+            want = Counter((index.key_of(row), rid) for rid, row in heap)
+            entries = index.structure.range_scan(None, None, True, True)
+            assert Counter(entries) == want, index.name
+            index.structure.validate()
+
     # -- writes ------------------------------------------------------------
 
     @rule(
         row=st.tuples(
-            st.none() | ints, st.none() | ints, st.none() | halves, labels
+            st.none() | ints,
+            st.none() | ints,
+            st.none() | halves,
+            labels,
+            st.none() | ints,
+            st.none() | ints,
         ),
         preds=predicates,
     )
     def insert(self, row, preds):
-        values = ", ".join("NULL" if v is None else _sql(v) for v in row)
+        values = ", ".join(_sql(v) for v in row)
         self.db.execute(f"INSERT INTO t VALUES ({values})")
         self.check(preds)
 
     @rule(
-        assignment=st.sampled_from(["id", "v", "f"]).flatmap(
-            lambda column: st.tuples(st.just(column), _constant(column))
+        assignment=st.sampled_from(sorted(_ASSIGNABLE)).flatmap(
+            lambda column: st.tuples(st.just(column), _ASSIGNABLE[column])
         ),
         key=st.integers(0, SEED_ROWS - 1),
         preds=predicates,
@@ -196,7 +240,7 @@ class ZoneMapMachine(RuleBasedStateMachine):
     )
     def update_shift(self, low, span, delta, preds):
         self.db.execute(
-            f"UPDATE t SET v = v + {delta}, f = f - {delta} "
+            f"UPDATE t SET v = v + {delta}, f = f - {delta}, a = a + {delta} "
             f"WHERE id BETWEEN {low} AND {low + span}"
         )
         self.check(preds)
@@ -274,3 +318,48 @@ class TestZoneMapModelDeep(ZoneMapMachine.TestCase):
     settings = settings(
         max_examples=150, stateful_step_count=40, deadline=None
     )
+
+
+def _scripted_walk():
+    """Every kind of row write once, the invariant checked after each."""
+    machine = ZoneMapMachine()
+    try:
+        machine.seed()
+        for step, args in [
+            (machine.insert, {"row": (1000, 3, 1.5, "r9", None, 4)}),
+            (machine.update_value, {"assignment": ("b", 77), "key": 20}),
+            (machine.update_grow, {"key": 21, "length": 200}),
+            (machine.delete, {"low": 10, "span": 5}),
+            (machine.begin, None),
+            (machine.delete, {"low": 30, "span": 3}),
+            (machine.update_shift, {"low": 40, "span": 3, "delta": 9}),
+            (machine.rollback, {}),
+        ]:
+            step() if args is None else step(preds=[], **args)
+            machine.indexes_hold_the_heap()
+    finally:
+        machine.teardown()
+
+
+@pytest.mark.parametrize(
+    "operation", [None, "insert", "delete", "update", "restore"]
+)
+def test_an_operation_that_skips_an_index_is_caught(monkeypatch, operation):
+    """The invariant earns its place: let any one of ``TableInfo``'s four
+    row writes forget one index and it fails (and with none mutated, the
+    walk itself is sound)."""
+    if operation is None:
+        return _scripted_walk()
+    real = getattr(TableInfo, operation)
+
+    def mutant(self, *args):
+        hidden = self.indexes.popitem() if self.indexes else None
+        try:
+            return real(self, *args)
+        finally:
+            if hidden is not None:
+                self.indexes[hidden[0]] = hidden[1]
+
+    monkeypatch.setattr(TableInfo, operation, mutant)
+    with pytest.raises(AssertionError, match="ix_ba"):
+        _scripted_walk()
