@@ -60,9 +60,10 @@ class IndexInfo:
 class TableAccessStats:
     """Cumulative access counters for one table (``sys_stat_tables``).
 
-    Maintained by the scan operators — every sequential scan start, index
-    scan start, row produced and page touched on behalf of this table is
-    counted here.  ``pages_skipped`` counts pages a columnar scan proved
+    Maintained by the operators that read the table (the scans, and the
+    index nested-loop join for its inner side) — every sequential scan
+    start, index scan start, row produced and page touched on behalf of
+    this table is counted here.  ``pages_skipped`` counts pages a columnar scan proved
     empty from zone maps and never fixed into the buffer pool: for any
     one scan, ``pages_hit + pages_read + pages_skipped`` equals the pages
     the scan would otherwise have touched.

@@ -10,7 +10,7 @@ buffer pool) is unchanged from the generator engine.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -21,21 +21,25 @@ from ..expr import (
     compile_predicate_batch,
 )
 from ..expr.vector import compile_expr_columnar, compile_predicate_columnar
+from ..index.keys import MAX_KEY, MIN_KEY
 from ..physical import (
     PHashJoin,
     PIndexNLJoin,
     PNestedLoopJoin,
     PSortMergeJoin,
 )
-from .columnar import ColumnBatch, is_columnar, kernel_values
+from .columnar import AnyBatch, ColumnBatch, is_columnar, kernel_values
 from .operator import (
     Batch,
     BatchCursor,
+    BatchSlicer,
     Operator,
     Row,
     build_operator,
     operator_for,
 )
+from .pagedecode import gather_columns
+from .scans import RID, TableReader, table_overlay
 from .sortutil import cmp_values
 
 
@@ -145,9 +149,30 @@ class NestedLoopJoinOp(_BinaryJoinOp):
             self._inner_open = False
 
 
+#: an outer batch that matches fewer RIDs than this is fetched RID by RID:
+#: a gather pays ≈0.1 ms of numpy calls whatever the count, a
+#: ``heap.fetch`` 5–8 µs a row.  Measured (EXPERIMENTS.md E29): the two
+#: meet at 24–32 RIDs on rows with a TEXT column, between 100 and 200 on
+#: all-numeric rows lying one to a page; at 64 the gather is 0.80× the
+#: loop's time on the first and 1.05× on the second
+GATHER_MIN_RIDS = 64
+
+
 @operator_for(PIndexNLJoin)
-class IndexNLJoinOp(Operator):
-    """For each outer row, probe an index on the inner table."""
+class IndexNLJoinOp(TableReader):
+    """For each outer row, probe an index on the inner table.
+
+    The row engine fetches one heap row per match, interleaved with the
+    index probes: that page access pattern is what the paper's tables
+    count.  Under a columnar context the join works an outer batch at a
+    time — probe the index for every key, then *gather* the matched RIDs
+    with one fix per heap page (``pagedecode.gather_columns``) and emit
+    outer ⊕ inner as one :class:`ColumnBatch`, rows in the row engine's
+    order.  Three cases keep the per-RID loop (``_fetch_rows``): an outer
+    batch under ``GATHER_MIN_RIDS`` matches, inner records the gather
+    cannot decode (NULLs), and — for the whole execution — a snapshot
+    overlay on the inner table or a key/residual without a kernel.
+    """
 
     def __init__(self, plan, ctx):
         super().__init__(plan, ctx)
@@ -158,71 +183,156 @@ class IndexNLJoinOp(Operator):
             if plan.residual is not None
             else None
         )
+        self._vectorized = False
+        if ctx.columnar:
+            try:
+                self.key_col = compile_expr_columnar(
+                    plan.outer_key, plan.left.schema
+                )
+                self.residual_col = (
+                    compile_predicate_columnar(plan.residual, plan.schema)
+                    if plan.residual is not None
+                    else None
+                )
+                self._vectorized = True
+            except ExprError:
+                pass  # no kernel for the key/residual: row path
         self._gen: Optional[Iterator[Row]] = None
+        self._slicer: Optional[BatchSlicer] = None
 
     def _open(self):
         self.left.open()
         self._gen = None
+        self._slicer = None
 
     def _next_batch(self, max_rows=None) -> Optional[Batch]:
-        if self._gen is None:
-            self._gen = self._join_rows()
-        batch = list(islice(self._gen, self._target(max_rows)))
+        if self._gen is None and self._slicer is None:
+            self.plan.table.access.index_scans += 1
+            # snapshot overlay on the probed (inner) table: suppress index
+            # entries whose heap row is not what the snapshot sees, and
+            # probe the visible images by their leading key component
+            skip, extra = self._inner_overlay()
+            if self._vectorized and skip is None:
+                self._slicer = BatchSlicer(self._join_columnar())
+            else:
+                self._gen = self._join_rows(skip, extra)
+        n = self._target(max_rows)
+        if self._slicer is not None:
+            return self._slicer.next(n)
+        batch = list(islice(self._gen, n))
         return batch or None
 
-    def _join_rows(self) -> Iterator[Row]:
-        plan = self.plan
-        index = plan.index
-        heap_fetch = plan.table.heap.fetch
-        metrics = self.ctx.metrics
+    def _matches(self, keys: List[Any]) -> Iterator[Tuple[int, List[RID]]]:
+        """``(outer position, matching rids)`` for every non-NULL key of
+        an outer batch, each probe made as the pair is asked for."""
+        index = self.plan.index
+        structure = index.structure
         composite = getattr(index, "is_composite", False)
-        if composite:
-            from ..index.keys import MAX_KEY, MIN_KEY
-        # snapshot overlay on the probed (inner) table: suppress index
-        # entries whose heap row is not what the snapshot sees, and probe
-        # the visible images by their leading key component instead
-        skip, extra = self._inner_overlay(composite)
-        while True:
-            outer_batch = self.left.next_batch()
-            if outer_batch is None:
-                return
-            outer_batch = self._as_rows(outer_batch)
-            out: List[Row] = []
-            for outer_row, key in zip(outer_batch, self.key_fn(outer_batch)):
-                if key is None:
-                    continue
-                metrics.hash_probes += 1
-                if composite:
-                    # probe on the leading key component: all entries whose
-                    # first component equals the outer key
-                    rids = [
-                        rid
-                        for _, rid in index.structure.range_scan(
-                            (key, MIN_KEY), (key, MAX_KEY)
-                        )
-                    ]
-                else:
-                    rids = index.structure.search(key)
-                for rid in rids:
-                    if skip is not None and rid in skip:
-                        continue
-                    inner_row = heap_fetch(rid)
-                    if inner_row is None:
-                        continue
-                    out.append(outer_row + inner_row)
-                if extra is not None:
-                    for inner_row in extra.get(key, ()):
-                        out.append(outer_row + inner_row)
-            if self.residual is not None and out:
-                mask = self.residual(out)
-                out = [row for row, keep in zip(out, mask) if keep]
-            yield from out
+        metrics = self.ctx.metrics
+        for i, key in enumerate(keys):
+            if key is None:
+                continue
+            metrics.hash_probes += 1
+            if composite:
+                # probe on the leading key component: all entries whose
+                # first component equals the outer key
+                rids = [
+                    rid
+                    for _, rid in structure.range_scan(
+                        (key, MIN_KEY), (key, MAX_KEY)
+                    )
+                ]
+            else:
+                rids = structure.search(key)
+            yield i, rids
 
-    def _inner_overlay(self, composite: bool):
+    def _fetch_rows(
+        self, outer_rows: Batch, keys, matches, skip=None, extra=None
+    ) -> List[Row]:
+        """The per-RID loop: one ``heap.fetch`` per match, made as
+        *matches* hands the RIDs over — given ``_matches`` itself, probes
+        and fetches interleave outer row by outer row."""
+        heap_fetch = self.plan.table.heap.fetch
+        out: List[Row] = []
+        for i, rids in matches:
+            outer_row = outer_rows[i]
+            for rid in rids:
+                if skip is not None and rid in skip:
+                    continue
+                inner_row = heap_fetch(rid)
+                if inner_row is None:
+                    continue
+                out.append(outer_row + inner_row)
+            if extra is not None:
+                for inner_row in extra.get(keys[i], ()):
+                    out.append(outer_row + inner_row)
+        return out
+
+    def _residual_rows(self, rows: List[Row]) -> List[Row]:
+        if self.residual is None or not rows:
+            return rows
+        mask = self.residual(rows)
+        return [row for row, keep in zip(rows, mask) if keep]
+
+    def _join_rows(self, skip, extra) -> Iterator[Row]:
+        while True:
+            outer = self.left.next_batch()
+            if outer is None:
+                return
+            outer = self._as_rows(outer)
+            keys = self.key_fn(outer)
+            yield from self._residual_rows(
+                self._pull_counted(
+                    lambda: self._fetch_rows(
+                        outer, keys, self._matches(keys), skip, extra
+                    )
+                )
+            )
+
+    def _join_columnar(self) -> Iterator[AnyBatch]:
+        while True:
+            outer = self.left.next_batch()
+            if outer is None:
+                return
+            if is_columnar(outer):
+                keys = kernel_values(*self.key_col(outer))
+            else:
+                keys = self.key_fn(outer)
+            out = self._pull_counted(lambda: self._gather(outer, keys))
+            if not is_columnar(out):
+                out = self._residual_rows(out)
+            elif self.residual_col is not None:
+                out = out.filter(self.residual_col(out))
+            if out:
+                yield out
+
+    def _gather(self, outer: AnyBatch, keys: List[Any]) -> AnyBatch:
+        """One outer batch joined: every key probed, then the matched
+        RIDs fetched by page into a ColumnBatch — or RID by RID into
+        rows, when they are few or the gather cannot decode them."""
+        plan = self.plan
+        matches = list(self._matches(keys))
+        rids = [rid for _, found in matches for rid in found]
+        if len(rids) >= GATHER_MIN_RIDS:
+            gathered = gather_columns(plan.table.heap, plan.table.schema, rids)
+            if gathered is not None:
+                columns, live = gathered
+                positions = np.repeat(
+                    np.array([i for i, _ in matches], dtype=np.intp),
+                    [len(found) for _, found in matches],
+                )[live]
+                if not is_columnar(outer):
+                    outer = ColumnBatch.from_rows(plan.left.schema, outer)
+                return ColumnBatch(
+                    plan.schema,
+                    outer.take(positions).columns + columns,
+                    len(live),
+                )
+        return self._fetch_rows(self._as_rows(outer), keys, matches)
+
+    def _inner_overlay(self):
         """``(skip_rids, probe_key -> visible rows)`` under a snapshot,
         or ``(None, None)`` when the live heap is already correct."""
-        from .scans import table_overlay
-
         plan = self.plan
         overlay = table_overlay(self.ctx, plan.table)
         if overlay is None:
@@ -243,6 +353,7 @@ class IndexNLJoinOp(Operator):
 
     def _close(self):
         self._gen = None
+        self._slicer = None
         self.left.close()
 
 
@@ -327,8 +438,7 @@ class HashJoinOp(_BinaryJoinOp):
             else None
         )
         self._columnar = False
-        self._pending: Optional[ColumnBatch] = None
-        self._col_gen: Optional[Iterator[ColumnBatch]] = None
+        self._slicer: Optional[BatchSlicer] = None
         if ctx.columnar:
             try:
                 self.left_key_col = compile_expr_columnar(
@@ -348,31 +458,17 @@ class HashJoinOp(_BinaryJoinOp):
 
     def _open(self):
         super()._open()
-        self._pending = None
-        self._col_gen: Optional[Iterator[ColumnBatch]] = None
+        self._slicer = None
 
     def _next_batch(self, max_rows=None) -> Optional[Batch]:
         if not self._columnar:
             return super()._next_batch(max_rows)
-        n = self._target(max_rows)
-        while True:
-            pending = self._pending
-            if pending is not None:
-                if len(pending) > n:
-                    self._pending = pending.slice(n, len(pending))
-                    return pending.slice(0, n)
-                self._pending = None
-                return pending
-            if self._col_gen is None:
-                self._col_gen = self._join_columnar()
-            batch = next(self._col_gen, None)
-            if batch is None:
-                return None
-            self._pending = batch
+        if self._slicer is None:
+            self._slicer = BatchSlicer(self._join_columnar())
+        return self._slicer.next(self._target(max_rows))
 
     def _close(self):
-        self._pending = None
-        self._col_gen = None
+        self._slicer = None
         super()._close()
 
     # -- columnar path ------------------------------------------------------
@@ -399,8 +495,8 @@ class HashJoinOp(_BinaryJoinOp):
                 break
 
         if overflow:
-            # Grace stays row-wise; re-batch its stream so the caller's
-            # pending-buffer protocol sees ColumnBatches throughout
+            # Grace stays row-wise; re-batch its stream so downstream
+            # sees ColumnBatches throughout
             build_rows = [r for b in built for r in self._as_rows(b)]
             gen = self._grace(build_rows)
             while True:

@@ -32,11 +32,11 @@ never touch ``plan.actual_*`` themselves.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Type
 
 from ..obs import InstrumentLevel
 from ..physical import PhysicalError, PhysicalPlan
-from .columnar import ColumnBatch, as_row_batch
+from .columnar import AnyBatch, ColumnBatch, as_row_batch
 from .context import ExecContext
 
 Row = Tuple[Any, ...]
@@ -187,6 +187,36 @@ class UnaryOperator(Operator):
 
     def _close(self) -> None:
         self.child.close()
+
+
+class BatchSlicer:
+    """Serves a stream of batches of any size — row lists or
+    :class:`ColumnBatch`, one per probe batch of a join — in pieces of at
+    most the rows the consumer asked for; the rest of a batch waits for
+    the next call, and the stream is only advanced once it is used up
+    (so a ``Limit`` above sees the same row counts at every batch size).
+    """
+
+    __slots__ = ("_batches", "_pending")
+
+    def __init__(self, batches: Iterator[AnyBatch]):
+        self._batches = batches
+        self._pending: Optional[AnyBatch] = None
+
+    def next(self, n: int) -> Optional[AnyBatch]:
+        pending = self._pending
+        if pending is None:
+            pending = next(self._batches, None)
+            if pending is None:
+                return None
+        if len(pending) <= n:
+            self._pending = None
+            return pending
+        if isinstance(pending, ColumnBatch):
+            self._pending = pending.slice(n, len(pending))
+            return pending.slice(0, n)
+        self._pending = pending[n:]
+        return pending[:n]
 
 
 class BatchCursor:

@@ -109,15 +109,17 @@ def index_overlay(plan, overlay: Overlay) -> Tuple[Set[RID], List[Tuple[Any, Tup
     return skip, injected
 
 
-class _ScanOp(Operator):
-    """Shared per-table accounting for the leaf scan family.
+class TableReader(Operator):
+    """Shared per-table accounting for the operators that touch pages on
+    behalf of a base table (``plan.table``): the leaf scan family and the
+    index nested-loop join, for its inner side.
 
-    Scans are the only operators that touch pages on behalf of a base
-    table, so attributing buffer traffic to ``table.access`` is exact: a
-    hit/miss delta around each batch pull (leaf operators have no
-    children whose I/O could leak into the interval).  The counters are
-    always on — the cost is a handful of attribute reads per *batch* —
-    and feed ``sys_stat_tables``.
+    Attributing buffer traffic to ``table.access`` is exact: a hit/miss
+    delta around each pull from the table, an interval no child's I/O
+    falls into (leaf operators have no children; the join pulls its outer
+    batch before the interval opens).  The counters are always on — the
+    cost is a handful of attribute reads per *batch* — and feed
+    ``sys_stat_tables``.
     """
 
     def _pull_counted(self, produce) -> Batch:
@@ -136,7 +138,7 @@ class _ScanOp(Operator):
 
 
 @operator_for(PSeqScan)
-class SeqScanOp(_ScanOp):
+class SeqScanOp(TableReader):
     """Full heap scan with an optional pushed-down predicate.
 
     Under a columnar context (``ctx.columnar``) the scan decodes whole
@@ -379,7 +381,7 @@ def live_rows(plan, predicate=None) -> Iterator[Tuple[RID, Tuple[Any, ...]]]:
 
 
 @operator_for(PIndexScan)
-class IndexScanOp(_ScanOp):
+class IndexScanOp(TableReader):
     """B+-tree range scan fetching heap rows."""
 
     def __init__(self, plan, ctx):
@@ -446,7 +448,7 @@ class IndexScanOp(_ScanOp):
 
 
 @operator_for(PIndexOnlyScan)
-class IndexOnlyScanOp(_ScanOp):
+class IndexOnlyScanOp(TableReader):
     """Answer directly from index entries (key column only, no heap I/O)."""
 
     def __init__(self, plan, ctx):

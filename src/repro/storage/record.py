@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import struct
 from datetime import date
-from functools import lru_cache
 from typing import Any, Optional, Sequence, Tuple
 
 from ..types import DataType, Schema
@@ -40,9 +39,9 @@ _FIXED_CODES = {
 }
 
 
-@lru_cache(maxsize=256)
-def _fast_segments(dtypes: Tuple[DataType, ...]):
-    """Precompiled decode plan for rows with no NULL columns.
+def _compile_segments(schema: Schema) -> tuple:
+    """Compile the decode plan for rows of *schema* with no NULL columns
+    and keep it on the schema (``_deserialize_fast`` reads it from there).
 
     Consecutive fixed-width columns collapse into one ``struct.Struct``;
     TEXT columns (variable length) break the runs.  Each segment is either
@@ -51,7 +50,7 @@ def _fast_segments(dtypes: Tuple[DataType, ...]):
     segments = []
     run: list = []
     date_positions: list = []
-    for dtype in dtypes:
+    for dtype in schema.dtypes():
         code = _FIXED_CODES.get(dtype)
         if code is None:  # TEXT
             if run:
@@ -68,7 +67,8 @@ def _fast_segments(dtypes: Tuple[DataType, ...]):
         segments.append(
             (struct.Struct(">" + "".join(run)), tuple(date_positions))
         )
-    return tuple(segments)
+    schema._decode_segments = tuple(segments)
+    return schema._decode_segments
 
 
 def serialize_row(schema: Schema, row: Sequence[Any]) -> bytes:
@@ -103,13 +103,16 @@ def serialize_row(schema: Schema, row: Sequence[Any]) -> bytes:
 
 
 def _deserialize_fast(
-    dtypes: Tuple[DataType, ...], data: bytes, pos: int
+    schema: Schema, data: bytes, pos: int
 ) -> Optional[Tuple[Any, ...]]:
     """Decode a record known to have no NULLs; None on length mismatch
     (caller falls back to the checked column-by-column path)."""
     values: list = []
+    segments = schema._decode_segments
+    if segments is None:
+        segments = _compile_segments(schema)
     try:
-        for segment in _fast_segments(dtypes):
+        for segment in segments:
             if segment is None:  # TEXT
                 (length,) = _TEXT_LEN.unpack_from(data, pos)
                 pos += 2
@@ -144,7 +147,7 @@ def deserialize_row(schema: Schema, data: bytes) -> Tuple[Any, ...]:
     pos = bitmap_len
     if not int.from_bytes(bitmap, "big"):
         # no NULLs: take the precompiled fixed-layout fast path
-        row = _deserialize_fast(schema.dtypes(), data, pos)
+        row = _deserialize_fast(schema, data, pos)
         if row is not None:
             return row
     values = []

@@ -52,7 +52,14 @@ class Schema:
     across qualifiers.
     """
 
-    __slots__ = ("_columns", "_by_qualified", "_by_name", "_hash", "_dtypes")
+    __slots__ = (
+        "_columns",
+        "_by_qualified",
+        "_by_name",
+        "_hash",
+        "_dtypes",
+        "_decode_segments",
+    )
 
     def __init__(self, columns: Iterable[Column]):
         cols: Tuple[Column, ...] = tuple(columns)
@@ -71,6 +78,10 @@ class Schema:
         self._by_name = by_name
         self._hash: Optional[int] = None
         self._dtypes: Optional[Tuple[DataType, ...]] = None
+        #: the row codec's compiled no-NULL decode plan for this schema
+        #: (``storage.record`` builds it on the first decode and keeps it
+        #: here, so a decode reads an attribute instead of hashing dtypes)
+        self._decode_segments: Optional[tuple] = None
 
     # -- container protocol -------------------------------------------------
 
@@ -84,8 +95,7 @@ class Schema:
         return self._columns[index]
 
     def dtypes(self) -> Tuple[DataType, ...]:
-        """Column dtypes as a hashable tuple (cached — the row codec keys
-        its precompiled decode plans on it)."""
+        """Column dtypes as a tuple (cached)."""
         if self._dtypes is None:
             self._dtypes = tuple(col.dtype for col in self._columns)
         return self._dtypes

@@ -128,19 +128,25 @@ def test_wholesale_marks_only_operators_that_convert(engines):
         assert after - before == len(marked), name
 
 
-def test_index_nested_loop_join_is_marked(engines):
-    # Q4 probes lineitem once per supplier row: the join receives the
-    # supplier scan's ColumnBatch and walks it tuple-at-a-time
+def test_index_nested_loop_join_is_not_marked(engines):
+    # Q4 probes lineitem once per supplier row and matches hundreds of
+    # RIDs per outer batch: the join gathers them by page and emits a
+    # ColumnBatch, so it converted nothing and counts no row fallback
     default, _ = engines
+    before = default.metrics.counter("exec_row_fallbacks_total").value
     result = default.execute(
         "EXPLAIN ANALYZE " + WHOLESALE_QUERIES["Q4_line_revenue"]
     )
-    joins = [
-        node
-        for node in walk_plan(result.plan)
-        if isinstance(node, PIndexNLJoin)
-    ]
-    assert joins and all(node.actual_row_fallback for node in joins)
+    nodes = list(walk_plan(result.plan))
+    joins = [node for node in nodes if isinstance(node, PIndexNLJoin)]
+    assert joins and not any(node.actual_row_fallback for node in joins)
+    marked = sum(node.actual_row_fallback for node in nodes)
+    after = default.metrics.counter("exec_row_fallbacks_total").value
+    assert after - before == marked
+    join_line = next(
+        row[0] for row in result.rows if "IndexNLJoin" in row[0]
+    )
+    assert "engine=rows" not in join_line
 
 
 def test_paper_engine_never_marks(engines):
