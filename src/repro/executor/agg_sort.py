@@ -13,7 +13,7 @@ import heapq
 from itertools import islice
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from ..expr import ExprError, compile_expr, compile_expr_batch
+from ..expr import compile_expr
 from ..expr.vector import compile_expr_columnar
 from ..physical import PAggregate, PDistinct, PSort
 from .aggregate import AggregateState
@@ -135,34 +135,26 @@ class AggregateOp(UnaryOperator):
 
     def __init__(self, plan, ctx):
         super().__init__(plan, ctx)
-        self.group_kernels = None
-        self.arg_kernels = None
         child_schema = plan.child.schema
         self.state = AggregateState(plan.aggs)
         self.group_fns = [
-            compile_expr_batch(g, child_schema) for g in plan.group_exprs
+            compile_expr(g, child_schema) for g in plan.group_exprs
         ]
         self.arg_fns = [
-            None
-            if agg.arg is None
-            else compile_expr_batch(agg.arg, child_schema)
+            None if agg.arg is None else compile_expr(agg.arg, child_schema)
             for agg in plan.aggs
         ]
         if ctx.columnar:
-            try:
-                self.group_kernels = [
-                    compile_expr_columnar(g, child_schema)
-                    for g in plan.group_exprs
-                ]
-                self.arg_kernels = [
-                    None
-                    if agg.arg is None
-                    else compile_expr_columnar(agg.arg, child_schema)
-                    for agg in plan.aggs
-                ]
-            except ExprError:
-                self.group_kernels = None
-                self.arg_kernels = None
+            self.group_kernels = [
+                compile_expr_columnar(g, child_schema)
+                for g in plan.group_exprs
+            ]
+            self.arg_kernels = [
+                None
+                if agg.arg is None
+                else compile_expr_columnar(agg.arg, child_schema)
+                for agg in plan.aggs
+            ]
         self._out: Optional[Iterator[Row]] = None
 
     def _open(self):
@@ -175,12 +167,6 @@ class AggregateOp(UnaryOperator):
         batch = list(islice(self._out, self._target(max_rows)))
         return batch or None
 
-    def _prepared(self, batch: Batch) -> Batch:
-        """Row view of *batch* when the columnar kernels are unusable."""
-        if self.group_kernels is None:
-            return self._as_rows(batch)
-        return batch
-
     def _group_keys(self, batch: Batch) -> List[Tuple[Any, ...]]:
         if is_columnar(batch):
             columns = [
@@ -188,9 +174,7 @@ class AggregateOp(UnaryOperator):
                 for kernel in self.group_kernels
             ]
         else:
-            columns = [fn(batch) for fn in self.group_fns]
-        if len(columns) == 1:
-            return [(v,) for v in columns[0]]
+            columns = [map(fn, batch) for fn in self.group_fns]
         return list(zip(*columns))
 
     def _arg_columns(self, batch: Batch) -> List[Optional[List[Any]]]:
@@ -199,7 +183,10 @@ class AggregateOp(UnaryOperator):
                 None if kernel is None else kernel_values(*kernel(batch))
                 for kernel in self.arg_kernels
             ]
-        return [None if fn is None else fn(batch) for fn in self.arg_fns]
+        return [
+            None if fn is None else list(map(fn, batch))
+            for fn in self.arg_fns
+        ]
 
     def _update_accs(self, accs, arg_columns, indices) -> None:
         """Fold the rows at *indices* of the current batch into *accs*."""
@@ -230,7 +217,6 @@ class AggregateOp(UnaryOperator):
             batch = self.child.next_batch()
             if batch is None:
                 break
-            batch = self._prepared(batch)
             arg_columns = self._arg_columns(batch)
             keys = self._group_keys(batch)
             # fold each run of equal keys in one shot (input is sorted on
@@ -260,7 +246,6 @@ class AggregateOp(UnaryOperator):
             batch = self.child.next_batch()
             if batch is None:
                 break
-            batch = self._prepared(batch)
             arg_columns = self._arg_columns(batch)
             self._update_accs(accs, arg_columns, range(len(batch)))
         yield state.finish(accs)
@@ -272,7 +257,6 @@ class AggregateOp(UnaryOperator):
             batch = self.child.next_batch()
             if batch is None:
                 break
-            batch = self._prepared(batch)
             arg_columns = self._arg_columns(batch)
             # bucket batch positions by key, then fold group by group
             buckets: Dict[Tuple[Any, ...], List[int]] = {}

@@ -10,16 +10,11 @@ buffer pool) is unchanged from the generator engine.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..expr import (
-    ExprError,
-    compile_expr,
-    compile_expr_batch,
-    compile_predicate_batch,
-)
+from ..expr import compile_expr, compile_predicate
 from ..expr.vector import compile_expr_columnar, compile_predicate_columnar
 from ..index.keys import MAX_KEY, MIN_KEY
 from ..physical import (
@@ -80,7 +75,7 @@ class NestedLoopJoinOp(_BinaryJoinOp):
     def __init__(self, plan, ctx):
         super().__init__(plan, ctx)
         self.condition = (
-            compile_predicate_batch(plan.condition, plan.schema)
+            compile_predicate(plan.condition, plan.schema)
             if plan.condition is not None
             else None
         )
@@ -136,10 +131,7 @@ class NestedLoopJoinOp(_BinaryJoinOp):
                     if condition is None:
                         yield from combined
                     else:
-                        mask = condition(combined)
-                        for row, keep in zip(combined, mask):
-                            if keep:
-                                yield row
+                        yield from filter(condition, combined)
 
     def _close(self):
         self._gen = None
@@ -171,32 +163,27 @@ class IndexNLJoinOp(TableReader):
     order.  Three cases keep the per-RID loop (``_fetch_rows``): an outer
     batch under ``GATHER_MIN_RIDS`` matches, inner records the gather
     cannot decode (NULLs), and — for the whole execution — a snapshot
-    overlay on the inner table or a key/residual without a kernel.
+    overlay on the inner table.
     """
 
     def __init__(self, plan, ctx):
         super().__init__(plan, ctx)
         self.left = build_operator(plan.left, ctx)
-        self.key_fn = compile_expr_batch(plan.outer_key, plan.left.schema)
+        self.key_fn = compile_expr(plan.outer_key, plan.left.schema)
         self.residual = (
-            compile_predicate_batch(plan.residual, plan.schema)
+            compile_predicate(plan.residual, plan.schema)
             if plan.residual is not None
             else None
         )
-        self._vectorized = False
         if ctx.columnar:
-            try:
-                self.key_col = compile_expr_columnar(
-                    plan.outer_key, plan.left.schema
-                )
-                self.residual_col = (
-                    compile_predicate_columnar(plan.residual, plan.schema)
-                    if plan.residual is not None
-                    else None
-                )
-                self._vectorized = True
-            except ExprError:
-                pass  # no kernel for the key/residual: row path
+            self.key_col = compile_expr_columnar(
+                plan.outer_key, plan.left.schema
+            )
+            self.residual_col = (
+                compile_predicate_columnar(plan.residual, plan.schema)
+                if plan.residual is not None
+                else None
+            )
         self._gen: Optional[Iterator[Row]] = None
         self._slicer: Optional[BatchSlicer] = None
 
@@ -212,7 +199,7 @@ class IndexNLJoinOp(TableReader):
             # entries whose heap row is not what the snapshot sees, and
             # probe the visible images by their leading key component
             skip, extra = self._inner_overlay()
-            if self._vectorized and skip is None:
+            if self.ctx.columnar and skip is None:
                 self._slicer = BatchSlicer(self._join_columnar())
             else:
                 self._gen = self._join_rows(skip, extra)
@@ -269,10 +256,9 @@ class IndexNLJoinOp(TableReader):
         return out
 
     def _residual_rows(self, rows: List[Row]) -> List[Row]:
-        if self.residual is None or not rows:
+        if self.residual is None:
             return rows
-        mask = self.residual(rows)
-        return [row for row, keep in zip(rows, mask) if keep]
+        return list(filter(self.residual, rows))
 
     def _join_rows(self, skip, extra) -> Iterator[Row]:
         while True:
@@ -280,7 +266,7 @@ class IndexNLJoinOp(TableReader):
             if outer is None:
                 return
             outer = self._as_rows(outer)
-            keys = self.key_fn(outer)
+            keys = list(map(self.key_fn, outer))
             yield from self._residual_rows(
                 self._pull_counted(
                     lambda: self._fetch_rows(
@@ -297,7 +283,7 @@ class IndexNLJoinOp(TableReader):
             if is_columnar(outer):
                 keys = kernel_values(*self.key_col(outer))
             else:
-                keys = self.key_fn(outer)
+                keys = list(map(self.key_fn, outer))
             out = self._pull_counted(lambda: self._gather(outer, keys))
             if not is_columnar(out):
                 out = self._residual_rows(out)
@@ -366,7 +352,7 @@ class SortMergeJoinOp(_BinaryJoinOp):
         self.left_key = compile_expr(plan.left_key, plan.left.schema)
         self.right_key = compile_expr(plan.right_key, plan.right.schema)
         self.residual = (
-            compile_predicate_batch(plan.residual, plan.schema)
+            compile_predicate(plan.residual, plan.schema)
             if plan.residual is not None
             else None
         )
@@ -407,10 +393,7 @@ class SortMergeJoinOp(_BinaryJoinOp):
                     if self.residual is None:
                         yield from combined
                     else:
-                        mask = self.residual(combined)
-                        for row, keep in zip(combined, mask):
-                            if keep:
-                                yield row
+                        yield from filter(self.residual, combined)
                     lrow = left.next_row()
 
 
@@ -424,44 +407,39 @@ class HashJoinOp(_BinaryJoinOp):
     keys come from vectorized kernels, each probe batch produces matched
     ``(probe, build)`` position lists, and the output batch is two
     ``numpy.take`` gathers — no row tuples are ever materialized.  The
-    Grace spill path (and any expression shape without a kernel) falls
-    back to the row engine (``_as_rows`` marks the node ``engine=rows``).
+    Grace spill path falls back to the row engine (``_as_rows`` marks
+    the node ``engine=rows``).
     """
 
     def __init__(self, plan, ctx):
         super().__init__(plan, ctx)
-        self.left_key = compile_expr_batch(plan.left_key, plan.left.schema)
-        self.right_key = compile_expr_batch(plan.right_key, plan.right.schema)
+        self.left_key = compile_expr(plan.left_key, plan.left.schema)
+        self.right_key = compile_expr(plan.right_key, plan.right.schema)
         self.residual = (
-            compile_predicate_batch(plan.residual, plan.schema)
+            compile_predicate(plan.residual, plan.schema)
             if plan.residual is not None
             else None
         )
-        self._columnar = False
         self._slicer: Optional[BatchSlicer] = None
         if ctx.columnar:
-            try:
-                self.left_key_col = compile_expr_columnar(
-                    plan.left_key, plan.left.schema
-                )
-                self.right_key_col = compile_expr_columnar(
-                    plan.right_key, plan.right.schema
-                )
-                self.residual_col = (
-                    compile_predicate_columnar(plan.residual, plan.schema)
-                    if plan.residual is not None
-                    else None
-                )
-                self._columnar = True
-            except ExprError:
-                pass  # no kernel for the keys/residual: row path
+            self.left_key_col = compile_expr_columnar(
+                plan.left_key, plan.left.schema
+            )
+            self.right_key_col = compile_expr_columnar(
+                plan.right_key, plan.right.schema
+            )
+            self.residual_col = (
+                compile_predicate_columnar(plan.residual, plan.schema)
+                if plan.residual is not None
+                else None
+            )
 
     def _open(self):
         super()._open()
         self._slicer = None
 
     def _next_batch(self, max_rows=None) -> Optional[Batch]:
-        if not self._columnar:
+        if not self.ctx.columnar:
             return super()._next_batch(max_rows)
         if self._slicer is None:
             self._slicer = BatchSlicer(self._join_columnar())
@@ -609,7 +587,7 @@ class HashJoinOp(_BinaryJoinOp):
             batch = self.right.next_batch()
             if batch is None:
                 break
-            build_rows.extend(self._as_rows(batch))
+            build_rows.extend(batch)
             if len(build_rows) > max_build:
                 overflow = True
                 break
@@ -622,18 +600,16 @@ class HashJoinOp(_BinaryJoinOp):
     def _in_memory(self, build_rows: List[Row]) -> Iterator[Row]:
         metrics = self.ctx.metrics
         table: dict = {}
-        if build_rows:
-            for row, key in zip(build_rows, self.right_key(build_rows)):
-                if key is None:
-                    continue
-                table.setdefault(key, []).append(row)
+        for row, key in zip(build_rows, map(self.right_key, build_rows)):
+            if key is None:
+                continue
+            table.setdefault(key, []).append(row)
         while True:
             probe = self.left.next_batch()
             if probe is None:
                 return
-            probe = self._as_rows(probe)
             out: List[Row] = []
-            for lrow, key in zip(probe, self.left_key(probe)):
+            for lrow, key in zip(probe, map(self.left_key, probe)):
                 if key is None:
                     continue
                 metrics.hash_probes += 1
@@ -651,50 +627,42 @@ class HashJoinOp(_BinaryJoinOp):
         right_parts = [
             ctx.create_temp(plan.right.schema) for _ in range(fanout)
         ]
-        if build_rows:
-            for row, key in zip(build_rows, self.right_key(build_rows)):
-                _partition_insert(right_parts, key, row, fanout)
+        for row in build_rows:
+            _partition_insert(right_parts, self.right_key(row), row, fanout)
         while True:  # rest of the build side
             batch = self.right.next_batch()
             if batch is None:
                 break
-            batch = self._as_rows(batch)
-            for row, key in zip(batch, self.right_key(batch)):
-                _partition_insert(right_parts, key, row, fanout)
+            for row in self._as_rows(batch):
+                _partition_insert(
+                    right_parts, self.right_key(row), row, fanout
+                )
         left_parts = [ctx.create_temp(plan.left.schema) for _ in range(fanout)]
         while True:
             batch = self.left.next_batch()
             if batch is None:
                 break
-            batch = self._as_rows(batch)
-            for row, key in zip(batch, self.left_key(batch)):
-                _partition_insert(left_parts, key, row, fanout)
+            for row in self._as_rows(batch):
+                _partition_insert(left_parts, self.left_key(row), row, fanout)
         metrics.spills += 1
 
         for lpart, rpart in zip(left_parts, right_parts):
             table: dict = {}
-            rrows = list(rpart.scan_rows())
-            if rrows:
-                for rrow, key in zip(rrows, self.right_key(rrows)):
-                    table.setdefault(key, []).append(rrow)
-            lrows = list(lpart.scan_rows())
+            for rrow in rpart.scan_rows():
+                table.setdefault(self.right_key(rrow), []).append(rrow)
             out: List[Row] = []
-            if lrows:
-                for lrow, key in zip(lrows, self.left_key(lrows)):
-                    metrics.hash_probes += 1
-                    for rrow in table.get(key, ()):
-                        out.append(lrow + rrow)
+            for lrow in lpart.scan_rows():
+                metrics.hash_probes += 1
+                for rrow in table.get(self.left_key(lrow), ()):
+                    out.append(lrow + rrow)
             yield from self._residual_filter(out)
             ctx.drop_temp(lpart)
             ctx.drop_temp(rpart)
 
-    def _residual_filter(self, rows: List[Row]) -> Iterator[Row]:
-        if not rows:
-            return iter(())
+    def _residual_filter(self, rows: List[Row]) -> Iterable[Row]:
         if self.residual is None:
-            return iter(rows)
-        mask = self.residual(rows)
-        return (row for row, keep in zip(rows, mask) if keep)
+            return rows
+        return filter(self.residual, rows)
 
 
 def _partition_insert(parts, key: Any, row: Row, fanout: int) -> None:

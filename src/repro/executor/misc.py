@@ -1,22 +1,23 @@
 """Stateless row operators: filter, project, narrow, limit, materialize.
 
 These are the batch engine's cheapest operators — each call transforms
-one child batch with a single vectorized expression evaluation (or plain
-slicing), so their per-row overhead is a list comprehension step rather
-than a generator frame.
+one child batch, so their per-row overhead is a list comprehension step
+rather than a generator frame.
 
-Filter, project, narrow and limit are fully columnar-aware: when the
-child hands them a :class:`ColumnBatch` they stay columnar (mask filter,
-kernel evaluation, column selection, slicing) and pass columns through
-untouched, so a scan→filter→project pipeline never materializes row
-tuples.  Materialize converts to rows (its cache is row storage).
+Filter, project, narrow and limit take either kind of batch: a
+:class:`ColumnBatch` stays columnar (mask filter, kernel evaluation,
+column selection, slicing) and passes columns through untouched, so a
+scan→filter→project pipeline never materializes row tuples; a row batch
+(the row engine; above an index scan or a sort on either engine) goes
+through the scalar closures row by row.  Materialize converts to rows
+(its cache is row storage).
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
-from ..expr import ExprError, compile_expr_batch, compile_predicate_batch
+from ..expr import compile_expr, compile_predicate
 from ..expr.vector import compile_expr_columnar, compile_predicate_columnar
 from ..physical import PFilter, PLimit, PMaterialize, PNarrow, PProject
 from .columnar import ColumnBatch, is_columnar
@@ -27,17 +28,11 @@ from .operator import Batch, Row, UnaryOperator, operator_for
 class FilterOp(UnaryOperator):
     def __init__(self, plan, ctx):
         super().__init__(plan, ctx)
-        self.predicate = compile_predicate_batch(
-            plan.predicate, plan.child.schema
-        )
-        self.predicate_columnar = None
+        self.predicate = compile_predicate(plan.predicate, plan.child.schema)
         if ctx.columnar:
-            try:
-                self.predicate_columnar = compile_predicate_columnar(
-                    plan.predicate, plan.child.schema
-                )
-            except ExprError:
-                pass  # no kernel for this shape: row path below
+            self.predicate_columnar = compile_predicate_columnar(
+                plan.predicate, plan.child.schema
+            )
 
     def _next_batch(self, max_rows=None) -> Optional[Batch]:
         predicate = self.predicate
@@ -46,14 +41,9 @@ class FilterOp(UnaryOperator):
             if batch is None:
                 return None
             if is_columnar(batch):
-                if self.predicate_columnar is not None:
-                    out = batch.filter(self.predicate_columnar(batch))
-                    if out:
-                        return out
-                    continue
-                batch = self._as_rows(batch)
-            mask = predicate(batch)
-            out = [row for row, keep in zip(batch, mask) if keep]
+                out = batch.filter(self.predicate_columnar(batch))
+            else:
+                out = [row for row in batch if predicate(row)]
             if out:
                 return out
 
@@ -62,36 +52,24 @@ class FilterOp(UnaryOperator):
 class ProjectOp(UnaryOperator):
     def __init__(self, plan, ctx):
         super().__init__(plan, ctx)
-        self.fns = [
-            compile_expr_batch(e, plan.child.schema) for e in plan.exprs
-        ]
-        self.kernels = None
+        self.fns = [compile_expr(e, plan.child.schema) for e in plan.exprs]
         if ctx.columnar:
-            try:
-                self.kernels = [
-                    compile_expr_columnar(e, plan.child.schema)
-                    for e in plan.exprs
-                ]
-            except ExprError:
-                pass  # no kernel for this shape: row path below
+            self.kernels = [
+                compile_expr_columnar(e, plan.child.schema)
+                for e in plan.exprs
+            ]
 
     def _next_batch(self, max_rows=None) -> Optional[Batch]:
         batch = self.child.next_batch(max_rows)
         if batch is None:
             return None
         if is_columnar(batch):
-            if self.kernels is None:
-                batch = self._as_rows(batch)
-            else:
-                return ColumnBatch(
-                    self.plan.schema,
-                    [kernel(batch) for kernel in self.kernels],
-                    len(batch),
-                )
-        columns = [fn(batch) for fn in self.fns]
-        if len(columns) == 1:
-            return [(v,) for v in columns[0]]
-        return list(zip(*columns))
+            return ColumnBatch(
+                self.plan.schema,
+                [kernel(batch) for kernel in self.kernels],
+                len(batch),
+            )
+        return list(zip(*[map(fn, batch) for fn in self.fns]))
 
 
 @operator_for(PNarrow)

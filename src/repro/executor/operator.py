@@ -150,9 +150,9 @@ class Operator:
         return max_rows
 
     def _as_rows(self, batch) -> Batch:
-        """Row view of an input *batch*, for an operator with no columnar
-        path or an expression with no kernel.  Row batches pass through;
-        the first :class:`ColumnBatch` converted marks the plan node
+        """Row view of an input *batch*, for an operator (or a path of
+        one: the Grace spill, the per-RID index join loop) with no
+        columnar form.  Row batches pass through; the first :class:`ColumnBatch` converted marks the plan node
         ``engine=rows`` in ``EXPLAIN ANALYZE`` and counts one row fallback
         for this operator instance, however many batches follow."""
         if isinstance(batch, ColumnBatch):

@@ -3,7 +3,8 @@
 All page access goes through the buffer pool via the heap/index
 structures, so I/O counters reflect real behaviour.  Scans are the pure
 batch producers: they pull up to ``batch_size`` rows per call and apply
-their predicate with one vectorized evaluation per batch.
+their predicate to the batch — a kernel over a ``ColumnBatch``, the
+scalar closure row by row over a row batch.
 
 Snapshot visibility (MVCC) is applied here, at the leaves.  When the
 context carries a :class:`repro.wal.Snapshot`, every scan first asks the
@@ -28,7 +29,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
-from ..expr import compile_predicate_batch
+from ..expr import compile_predicate
 from ..expr.vector import compile_predicate_columnar
 from ..index.keys import key_lt
 from ..physical import PIndexOnlyScan, PIndexScan, PSeqScan
@@ -44,10 +45,9 @@ Overlay = Tuple[Dict[RID, Optional[Tuple]], Dict[RID, Tuple]]
 def table_overlay(ctx, info) -> Optional[Overlay]:
     """The snapshot's (replace, ghosts) correction for *info*'s table, or
     ``None`` when the live heap is already what the snapshot sees."""
-    snapshot = getattr(ctx, "snapshot", None)
-    if snapshot is None:
+    if ctx.snapshot is None:
         return None
-    return snapshot.scan_overlay(info)
+    return ctx.snapshot.scan_overlay(info)
 
 
 class _KeyOrder:
@@ -109,6 +109,25 @@ def index_overlay(plan, overlay: Overlay) -> Tuple[Set[RID], List[Tuple[Any, Tup
     return skip, injected
 
 
+def merged_entries(
+    plan, overlay: Overlay
+) -> Iterator[Tuple[Any, Optional[RID], Optional[Tuple]]]:
+    """The index scan *plan* as the snapshot behind *overlay* sees it:
+    ``(key, rid, None)`` for each live entry the overlay leaves alone and
+    ``(key, None, row)`` for each visible image, merged in key order
+    (downstream operators may rely on the index sort order)."""
+    skip, injected = index_overlay(plan, overlay)
+    i, n = 0, len(injected)
+    for key, rid in index_entries(plan):
+        while i < n and not key_lt(key, injected[i][0]):
+            yield injected[i][0], None, injected[i][1]
+            i += 1
+        if rid not in skip:
+            yield key, rid, None
+    for key, row in injected[i:]:
+        yield key, None, row
+
+
 class TableReader(Operator):
     """Shared per-table accounting for the operators that touch pages on
     behalf of a base table (``plan.table``): the leaf scan family and the
@@ -152,7 +171,7 @@ class SeqScanOp(TableReader):
     def __init__(self, plan, ctx):
         super().__init__(plan, ctx)
         self.predicate = (
-            compile_predicate_batch(plan.predicate, plan.schema)
+            compile_predicate(plan.predicate, plan.schema)
             if plan.predicate is not None and not ctx.columnar
             else None
         )
@@ -211,8 +230,7 @@ class SeqScanOp(TableReader):
             metrics.rows_scanned += len(batch)
             if predicate is None:
                 return batch
-            mask = predicate(batch)
-            out = [row for row, keep in zip(batch, mask) if keep]
+            out = [row for row in batch if predicate(row)]
             if out:
                 return out
             # whole batch filtered out: pull more instead of going empty
@@ -387,7 +405,7 @@ class IndexScanOp(TableReader):
     def __init__(self, plan, ctx):
         super().__init__(plan, ctx)
         self.residual = (
-            compile_predicate_batch(plan.residual, plan.schema)
+            compile_predicate(plan.residual, plan.schema)
             if plan.residual is not None
             else None
         )
@@ -405,26 +423,13 @@ class IndexScanOp(TableReader):
             for _, row in live_rows(self.plan):
                 yield row
             return
-        # snapshot overlay: suppress entries whose heap row is not what
-        # this snapshot sees, and merge the visible images back in key
-        # order (downstream operators may rely on the index sort order)
         self.plan.table.access.index_scans += 1
         fetch = self.plan.table.heap.fetch
-        skip, injected = index_overlay(self.plan, overlay)
-        i, n = 0, len(injected)
-        for key, rid in index_entries(self.plan):
-            while i < n and not key_lt(key, injected[i][0]):
-                yield injected[i][1]
-                i += 1
-            if rid in skip:
-                continue
-            row = fetch(rid)
+        for _, rid, row in merged_entries(self.plan, overlay):
             if row is None:
-                continue
-            yield row
-        while i < n:
-            yield injected[i][1]
-            i += 1
+                row = fetch(rid)  # None: deleted since the entry was made
+            if row is not None:
+                yield row
 
     def _next_batch(self, max_rows=None) -> Optional[Batch]:
         if self._rows is None:
@@ -438,8 +443,7 @@ class IndexScanOp(TableReader):
                 return None
             metrics.rows_scanned += len(batch)
             if residual is not None:
-                mask = residual(batch)
-                batch = [row for row, keep in zip(batch, mask) if keep]
+                batch = [row for row in batch if residual(row)]
             if batch:
                 return batch
 
@@ -460,24 +464,13 @@ class IndexOnlyScanOp(TableReader):
 
     def _keys(self) -> Iterator[Any]:
         self.plan.table.access.index_scans += 1
-        entries = index_entries(self.plan)
         overlay = table_overlay(self.ctx, self.plan.table)
         if overlay is None:
-            for key, _rid in entries:
-                yield key
-            return
-        skip, injected = index_overlay(self.plan, overlay)
-        i, n = 0, len(injected)
-        for key, rid in entries:
-            while i < n and not key_lt(key, injected[i][0]):
-                yield injected[i][0]
-                i += 1
-            if rid in skip:
-                continue
-            yield key
-        while i < n:
-            yield injected[i][0]
-            i += 1
+            entries = index_entries(self.plan)
+        else:
+            entries = merged_entries(self.plan, overlay)
+        for entry in entries:
+            yield entry[0]
 
     def _next_batch(self, max_rows=None) -> Optional[Batch]:
         if self._entries is None:

@@ -16,6 +16,8 @@ from typing import Any, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..types import Schema
 from .nodes import (
+    ARITH_FNS,
+    CMP_FNS,
     AggCall,
     Arithmetic,
     Between,
@@ -136,9 +138,7 @@ def fold_constants(expr: Expr) -> Expr:
             and left.value is not None
             and right.value is not None
         ):
-            from .eval import _cmp_fn  # local import avoids a cycle
-
-            return Literal(_cmp_fn(expr.op)(left.value, right.value))
+            return Literal(CMP_FNS[expr.op](left.value, right.value))
         return Comparison(expr.op, left, right)
     if isinstance(expr, Arithmetic):
         left = fold_constants(expr.left)
@@ -149,21 +149,12 @@ def fold_constants(expr: Expr) -> Expr:
             and left.value is not None
             and right.value is not None
         ):
-            from .nodes import ArithOp
-
-            a, b = left.value, right.value
             try:
-                if expr.op is ArithOp.ADD:
-                    return Literal(a + b)
-                if expr.op is ArithOp.SUB:
-                    return Literal(a - b)
-                if expr.op is ArithOp.MUL:
-                    return Literal(a * b)
-                if expr.op is ArithOp.DIV:
-                    return Literal(a / b) if b != 0 else expr
-                return Literal(a % b) if b != 0 else expr
+                value = ARITH_FNS[expr.op](left.value, right.value)
             except TypeError:
                 return expr
+            # x/0 and x%0 are NULL at run time; the node stays unfolded
+            return expr if value is None else Literal(value)
         return Arithmetic(expr.op, left, right)
     if isinstance(expr, Negate):
         inner = fold_constants(expr.operand)

@@ -5,28 +5,29 @@ position once and returns a closure ``row -> value`` — the executor's hot
 loops never do name lookups.  Three-valued logic: predicates return
 True/False/None; filters keep only True.
 
-``compile_expr_batch``/``compile_predicate_batch`` are the vectorized
-twins used by the batched operator engine: one call evaluates a whole
-batch (a list of row tuples) and returns a list of values, amortizing the
-closure dispatch over the batch.  Semantics are bit-for-bit those of the
-row compilers (same NULL propagation, same LIKE/IN/BETWEEN edge cases) —
-``tests/test_batch_eval.py`` asserts the parity property.
+This is the scalar compiler, the one every row path of the executor
+calls; the other one, ``expr/vector.py``, compiles the same node classes
+into kernels over a ``ColumnBatch``.  What ``a OP b`` means for two
+non-NULL values is neither's to say: both read ``CMP_FNS``/``ARITH_FNS``
+in ``expr/nodes.py``.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any, Callable, List, Optional
+from operator import itemgetter
+from typing import Any, Callable
 
 from ..types import DataType, Schema, common_type, infer_type
 from .nodes import (
+    ARITH_FNS,
+    CMP_FNS,
     AggCall,
     Arithmetic,
     ArithOp,
     Between,
     BoolKind,
     BoolOp,
-    CmpOp,
     ColumnRef,
     Comparison,
     Expr,
@@ -40,7 +41,6 @@ from .nodes import (
 )
 
 Evaluator = Callable[[tuple], Any]
-BatchEvaluator = Callable[[List[tuple]], List[Any]]
 
 
 def infer_expr_type(expr: Expr, schema: Schema) -> DataType:
@@ -106,25 +106,6 @@ def like_to_regex(pattern: str) -> "re.Pattern[str]":
     return re.compile("^" + "".join(out) + "$", re.DOTALL)
 
 
-def _cmp_fn(op: CmpOp) -> Callable[[Any, Any], Optional[bool]]:
-    def run(a: Any, b: Any) -> Optional[bool]:
-        if a is None or b is None:
-            return None
-        if op is CmpOp.EQ:
-            return a == b
-        if op is CmpOp.NE:
-            return a != b
-        if op is CmpOp.LT:
-            return a < b
-        if op is CmpOp.LE:
-            return a <= b
-        if op is CmpOp.GT:
-            return a > b
-        return a >= b
-
-    return run
-
-
 def compile_expr(expr: Expr, schema: Schema) -> Evaluator:
     """Compile *expr* into a ``row -> value`` closure.
 
@@ -137,18 +118,27 @@ def compile_expr(expr: Expr, schema: Schema) -> Evaluator:
 
 def _compile(expr: Expr, schema: Schema) -> Evaluator:
     if isinstance(expr, ColumnRef):
-        idx = schema.index_of(expr.name)
-        return lambda row: row[idx]
+        return itemgetter(schema.index_of(expr.name))
 
     if isinstance(expr, Literal):
         value = expr.value
         return lambda row: value
 
-    if isinstance(expr, Comparison):
+    if isinstance(expr, (Comparison, Arithmetic)):
         left = _compile(expr.left, schema)
         right = _compile(expr.right, schema)
-        fn = _cmp_fn(expr.op)
-        return lambda row: fn(left(row), right(row))
+        # the operator is picked here, once, not per row
+        table = CMP_FNS if isinstance(expr, Comparison) else ARITH_FNS
+        fn = table[expr.op]
+
+        def run_binary(row):
+            a = left(row)
+            b = right(row)
+            if a is None or b is None:
+                return None
+            return fn(a, b)
+
+        return run_binary
 
     if isinstance(expr, BoolOp):
         parts = [_compile(o, schema) for o in expr.operands]
@@ -186,32 +176,6 @@ def _compile(expr: Expr, schema: Schema) -> Evaluator:
             return None if v is None else not v
 
         return run_not
-
-    if isinstance(expr, Arithmetic):
-        left = _compile(expr.left, schema)
-        right = _compile(expr.right, schema)
-        op = expr.op
-
-        def run_arith(row):
-            a = left(row)
-            b = right(row)
-            if a is None or b is None:
-                return None
-            if op is ArithOp.ADD:
-                return a + b
-            if op is ArithOp.SUB:
-                return a - b
-            if op is ArithOp.MUL:
-                return a * b
-            if op is ArithOp.DIV:
-                if b == 0:
-                    return None  # SQL engines raise; we NULL, documented
-                return a / b
-            if b == 0:
-                return None
-            return a % b
-
-        return run_arith
 
     if isinstance(expr, Negate):
         inner = _compile(expr.operand, schema)
@@ -288,205 +252,3 @@ def compile_predicate(expr: Expr, schema: Schema) -> Callable[[tuple], bool]:
     """Like :func:`compile_expr` but maps NULL to False (WHERE semantics)."""
     inner = compile_expr(expr, schema)
     return lambda row: inner(row) is True
-
-
-# -- batch (vectorized) compilation ------------------------------------------------
-
-
-def compile_expr_batch(expr: Expr, schema: Schema) -> BatchEvaluator:
-    """Compile *expr* into a ``rows -> values`` closure over whole batches.
-
-    Returns one value per input row, in order.  Type-checks like
-    :func:`compile_expr`; three-valued logic is preserved (a predicate
-    expression yields True/False/None per row).
-    """
-    infer_expr_type(expr, schema)
-    return _compile_batch(expr, schema)
-
-
-def compile_predicate_batch(
-    expr: Expr, schema: Schema
-) -> Callable[[List[tuple]], List[bool]]:
-    """Batch twin of :func:`compile_predicate`: ``rows -> [keep, ...]``
-    with NULL mapped to False (WHERE semantics)."""
-    inner = compile_expr_batch(expr, schema)
-
-    def run(rows: List[tuple]) -> List[bool]:
-        return [v is True for v in inner(rows)]
-
-    return run
-
-
-def _batch_cmp(op: CmpOp) -> Callable[[Any, Any], Optional[bool]]:
-    if op is CmpOp.EQ:
-        return lambda a, b: a == b
-    if op is CmpOp.NE:
-        return lambda a, b: a != b
-    if op is CmpOp.LT:
-        return lambda a, b: a < b
-    if op is CmpOp.LE:
-        return lambda a, b: a <= b
-    if op is CmpOp.GT:
-        return lambda a, b: a > b
-    return lambda a, b: a >= b
-
-
-def _compile_batch(expr: Expr, schema: Schema) -> BatchEvaluator:
-    if isinstance(expr, ColumnRef):
-        idx = schema.index_of(expr.name)
-        return lambda rows: [row[idx] for row in rows]
-
-    if isinstance(expr, Literal):
-        value = expr.value
-        return lambda rows: [value] * len(rows)
-
-    if isinstance(expr, Comparison):
-        left = _compile_batch(expr.left, schema)
-        right = _compile_batch(expr.right, schema)
-        cmp = _batch_cmp(expr.op)
-
-        def run_cmp(rows):
-            return [
-                None if a is None or b is None else cmp(a, b)
-                for a, b in zip(left(rows), right(rows))
-            ]
-
-        return run_cmp
-
-    if isinstance(expr, BoolOp):
-        parts = [_compile_batch(o, schema) for o in expr.operands]
-        if expr.kind is BoolKind.AND:
-
-            def run_and(rows):
-                out: List[Optional[bool]] = [True] * len(rows)
-                for part in parts:
-                    for i, v in enumerate(part(rows)):
-                        if v is False:
-                            out[i] = False
-                        elif v is None and out[i] is True:
-                            out[i] = None
-                return out
-
-            return run_and
-
-        def run_or(rows):
-            out: List[Optional[bool]] = [False] * len(rows)
-            for part in parts:
-                for i, v in enumerate(part(rows)):
-                    if v is True:
-                        out[i] = True
-                    elif v is None and out[i] is False:
-                        out[i] = None
-            return out
-
-        return run_or
-
-    if isinstance(expr, Not):
-        inner = _compile_batch(expr.operand, schema)
-        return lambda rows: [
-            None if v is None else not v for v in inner(rows)
-        ]
-
-    if isinstance(expr, Arithmetic):
-        left = _compile_batch(expr.left, schema)
-        right = _compile_batch(expr.right, schema)
-        op = expr.op
-        if op is ArithOp.ADD:
-            fn = lambda a, b: a + b  # noqa: E731
-        elif op is ArithOp.SUB:
-            fn = lambda a, b: a - b  # noqa: E731
-        elif op is ArithOp.MUL:
-            fn = lambda a, b: a * b  # noqa: E731
-        elif op is ArithOp.DIV:
-            fn = lambda a, b: None if b == 0 else a / b  # noqa: E731
-        else:
-            fn = lambda a, b: None if b == 0 else a % b  # noqa: E731
-
-        def run_arith(rows):
-            return [
-                None if a is None or b is None else fn(a, b)
-                for a, b in zip(left(rows), right(rows))
-            ]
-
-        return run_arith
-
-    if isinstance(expr, Negate):
-        inner = _compile_batch(expr.operand, schema)
-        return lambda rows: [
-            None if v is None else -v for v in inner(rows)
-        ]
-
-    if isinstance(expr, IsNull):
-        inner = _compile_batch(expr.operand, schema)
-        if expr.negated:
-            return lambda rows: [v is not None for v in inner(rows)]
-        return lambda rows: [v is None for v in inner(rows)]
-
-    if isinstance(expr, InList):
-        inner = _compile_batch(expr.operand, schema)
-        items = [_compile_batch(i, schema) for i in expr.items]
-        negated = expr.negated
-
-        def run_in(rows):
-            values = inner(rows)
-            columns = [item(rows) for item in items]
-            out: List[Optional[bool]] = []
-            for i, v in enumerate(values):
-                if v is None:
-                    out.append(None)
-                    continue
-                saw_null = False
-                hit = False
-                for column in columns:
-                    w = column[i]
-                    if w is None:
-                        saw_null = True
-                    elif v == w:
-                        hit = True
-                        break
-                if hit:
-                    out.append(not negated)
-                elif saw_null:
-                    out.append(None)
-                else:
-                    out.append(negated)
-            return out
-
-        return run_in
-
-    if isinstance(expr, Between):
-        inner = _compile_batch(expr.operand, schema)
-        low = _compile_batch(expr.low, schema)
-        high = _compile_batch(expr.high, schema)
-        negated = expr.negated
-
-        def run_between(rows):
-            out: List[Optional[bool]] = []
-            for v, lo, hi in zip(inner(rows), low(rows), high(rows)):
-                if v is None or lo is None or hi is None:
-                    out.append(None)
-                else:
-                    result = lo <= v <= hi
-                    out.append(not result if negated else result)
-            return out
-
-        return run_between
-
-    if isinstance(expr, Like):
-        inner = _compile_batch(expr.operand, schema)
-        match = like_to_regex(expr.pattern).match
-        negated = expr.negated
-
-        def run_like(rows):
-            out: List[Optional[bool]] = []
-            for v in inner(rows):
-                if v is None:
-                    out.append(None)
-                else:
-                    result = match(v) is not None
-                    out.append(not result if negated else result)
-            return out
-
-        return run_like
-
-    raise ExprError(f"cannot compile {expr!r}")

@@ -13,6 +13,7 @@ operator evaluates.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Optional, Tuple
 
@@ -72,6 +73,29 @@ class ArithOp(enum.Enum):
     MUL = "*"
     DIV = "/"
     MOD = "%"
+
+
+#: What ``a OP b`` means for two non-NULL values.  The scalar compiler,
+#: the kernels (on arrays: numpy applies the same operator elementwise)
+#: and constant folding all read these two tables; NULL operands are the
+#: caller's business and never reach them.
+CMP_FNS = {
+    CmpOp.EQ: operator.eq,
+    CmpOp.NE: operator.ne,
+    CmpOp.LT: operator.lt,
+    CmpOp.LE: operator.le,
+    CmpOp.GT: operator.gt,
+    CmpOp.GE: operator.ge,
+}
+
+#: ``/`` and ``%`` by zero are NULL (SQL engines raise; we NULL, documented)
+ARITH_FNS = {
+    ArithOp.ADD: operator.add,
+    ArithOp.SUB: operator.sub,
+    ArithOp.MUL: operator.mul,
+    ArithOp.DIV: lambda a, b: None if b == 0 else a / b,
+    ArithOp.MOD: lambda a, b: None if b == 0 else a % b,
+}
 
 
 class AggFunc(enum.Enum):

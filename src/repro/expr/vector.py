@@ -1,13 +1,17 @@
-"""Columnar expression kernels: the vectorized third compiler.
+"""Columnar expression kernels: the vectorized compiler.
 
 ``compile_expr_columnar(expr, schema)`` returns a kernel
 ``ColumnBatch -> (data, valid)`` where ``data`` is a numpy array of
 per-row results and ``valid`` an optional boolean mask (``None`` = all
 valid).  Three-valued logic is carried in the mask: a NULL result is an
-invalid lane.  Semantics are bit-for-bit those of ``compile_expr`` /
-``compile_expr_batch`` — the same NULL propagation, Kleene AND/OR,
-IN/BETWEEN/LIKE edge cases, and ``x/0 -> NULL`` — asserted by the
-hypothesis parity suite in ``tests/test_columnar_eval.py``.
+invalid lane.  Semantics are bit-for-bit those of the scalar compiler
+(``compile_expr``, ``expr/eval.py``) — the same NULL propagation, Kleene
+AND/OR, IN/BETWEEN/LIKE edge cases, and ``x/0 -> NULL`` — asserted by
+the hypothesis parity suite in ``tests/test_columnar_eval.py``; the
+operators themselves are ``CMP_FNS``/``ARITH_FNS`` of ``expr/nodes.py``,
+applied to arrays.  The two compilers know the same node classes
+(``tests/test_expr_coverage.py``), so an operator that compiled its row
+form can compile its kernel.
 
 Two deliberate representation notes:
 
@@ -34,6 +38,8 @@ from .eval import infer_expr_type, like_to_regex
 if TYPE_CHECKING:  # pragma: no cover - the kernels only use the protocol
     from ..executor.columnar import ColumnBatch
 from .nodes import (
+    ARITH_FNS,
+    CMP_FNS,
     Arithmetic,
     ArithOp,
     Between,
@@ -100,44 +106,20 @@ def _compare(
             return np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
         a, b = safe_a, safe_b
     with np.errstate(invalid="ignore"):
-        if op is CmpOp.EQ:
-            res = a == b
-        elif op is CmpOp.NE:
-            res = a != b
-        elif op is CmpOp.LT:
-            res = a < b
-        elif op is CmpOp.LE:
-            res = a <= b
-        elif op is CmpOp.GT:
-            res = a > b
-        else:
-            res = a >= b
+        res = CMP_FNS[op](a, b)
     return np.asarray(res, dtype=bool), valid
 
 
-def _row_arith_fn(op: ArithOp):
-    """Scalar fallback mirroring the row engine (object-dtype operands)."""
-    if op is ArithOp.ADD:
-        return lambda a, b: a + b
-    if op is ArithOp.SUB:
-        return lambda a, b: a - b
-    if op is ArithOp.MUL:
-        return lambda a, b: a * b
-    if op is ArithOp.DIV:
-        return lambda a, b: None if b == 0 else a / b
-    return lambda a, b: None if b == 0 else a % b
-
-
 def _arith_object(
-    op: ArithOp,
+    fn: Callable,
     a: np.ndarray,
     av: Optional[np.ndarray],
     b: np.ndarray,
     bv: Optional[np.ndarray],
     n: int,
 ) -> KernelResult:
-    """Elementwise Python arithmetic for object-dtype operands."""
-    fn = _row_arith_fn(op)
+    """Elementwise Python arithmetic (*fn* of ``ARITH_FNS``) for
+    object-dtype operands."""
     a_vals = a.tolist()
     b_vals = b.tolist()
     valid = _and_valid(av, bv)
@@ -154,9 +136,8 @@ def _arith_object(
 def compile_expr_columnar(expr: Expr, schema: Schema) -> Kernel:
     """Compile *expr* into a ``ColumnBatch -> (data, valid)`` kernel.
 
-    Type-checks like :func:`~repro.expr.eval.compile_expr`.  Raises
-    :class:`ExprError` for expression shapes with no columnar kernel —
-    callers fall back to the row compilers.
+    Type-checks like :func:`~repro.expr.eval.compile_expr`, and raises
+    :class:`ExprError` for the same shapes it does.
     """
     infer_expr_type(expr, schema)
     return _compile_columnar(expr, schema)
@@ -251,29 +232,24 @@ def _compile_columnar(expr: Expr, schema: Schema) -> Kernel:
     if isinstance(expr, Arithmetic):
         left = _compile_columnar(expr.left, schema)
         right = _compile_columnar(expr.right, schema)
-        op = expr.op
+        scalar_fn = ARITH_FNS[expr.op]
+        # on arrays + - * are the table's own functions; / and % cannot
+        # answer None per lane, so they mask the zero divisors out instead
+        zero_is_null = expr.op in (ArithOp.DIV, ArithOp.MOD)
+        array_fn = {ArithOp.DIV: np.true_divide, ArithOp.MOD: np.mod}.get(
+            expr.op, scalar_fn
+        )
 
         def run_arith(batch: ColumnBatch) -> KernelResult:
             a, av = left(batch)
             b, bv = right(batch)
-            n = len(batch)
             if a.dtype == object or b.dtype == object:
-                return _arith_object(op, a, av, b, bv, n)
+                return _arith_object(scalar_fn, a, av, b, bv, len(batch))
             valid = _and_valid(av, bv)
             with np.errstate(all="ignore"):
-                if op is ArithOp.ADD:
-                    data = a + b
-                elif op is ArithOp.SUB:
-                    data = a - b
-                elif op is ArithOp.MUL:
-                    data = a * b
-                elif op is ArithOp.DIV:
+                data = array_fn(a, b)
+                if zero_is_null:
                     zero = b == 0
-                    data = np.true_divide(a, b)
-                    valid = ~zero if valid is None else valid & ~zero
-                else:
-                    zero = b == 0
-                    data = np.mod(a, b)
                     valid = ~zero if valid is None else valid & ~zero
             return data, valid
 

@@ -63,8 +63,8 @@ class PhysicalPlan:
     actual_hits: Optional[int] = None  # buffer-pool hits attributed here
     actual_reads: Optional[int] = None  # disk page reads attributed here
     actual_writes: Optional[int] = None  # disk page writes attributed here
-    #: this node turned ColumnBatch input into row tuples (no columnar
-    #: path for the operator, or no kernel for its expression)
+    #: this node turned ColumnBatch input into row tuples (the operator,
+    #: or the path of it that ran, has no columnar form)
     actual_row_fallback: bool = False
 
     def children(self) -> Tuple["PhysicalPlan", ...]:

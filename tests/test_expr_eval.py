@@ -26,7 +26,19 @@ from repro.expr import (
     not_,
     or_,
 )
-from repro.expr.nodes import AggCall, AggFunc, ArithOp, Arithmetic, Negate
+from repro.executor.columnar import ColumnBatch, kernel_values
+from repro.expr.nodes import (
+    ARITH_FNS,
+    CMP_FNS,
+    AggCall,
+    AggFunc,
+    ArithOp,
+    Arithmetic,
+    CmpOp,
+    Comparison,
+    Negate,
+)
+from repro.expr.vector import compile_expr_columnar
 from repro.types import DataType, schema_of
 
 SCHEMA = schema_of(
@@ -203,6 +215,77 @@ class TestConstantFolding:
             e = Arithmetic(op, lit(a), lit(b))
             folded = fold_constants(e)
             assert run(folded, R) == run(e, R)
+
+
+class TestOneMeaningPerOperator:
+    """``CMP_FNS``/``ARITH_FNS`` are the only place ``a OP b`` is written
+    down; the scalar compiler, constant folding and the kernels'
+    object-dtype path read them, so one case pins all three readers."""
+
+    KERNEL_SCHEMA = schema_of(
+        "k", ("a", DataType.INT), ("b", DataType.INT), ("c", DataType.FLOAT)
+    )
+    #: an INT past int64 in any lane degrades its whole column to object
+    #: dtype, which is what sends a kernel down the per-lane Python path
+    HUGE = 2**70
+
+    ARITH_CASES = [
+        (ArithOp.ADD, 7, 2, 9),
+        (ArithOp.SUB, 7, 2, 5),
+        (ArithOp.MUL, 7, 2, 14),
+        (ArithOp.DIV, 7, 2, 3.5),
+        (ArithOp.DIV, 7, 0, None),
+        (ArithOp.MOD, 7, 2, 1),
+        (ArithOp.MOD, 7, 0, None),
+    ]
+    #: INT against FLOAT, one value apart and equal
+    CMP_CASES = [
+        (CmpOp.EQ, 7.5, False), (CmpOp.EQ, 7.0, True),
+        (CmpOp.NE, 7.5, True), (CmpOp.NE, 7.0, False),
+        (CmpOp.LT, 7.5, True), (CmpOp.LT, 7.0, False),
+        (CmpOp.LE, 7.5, True), (CmpOp.LE, 6.5, False),
+        (CmpOp.GT, 6.5, True), (CmpOp.GT, 7.0, False),
+        (CmpOp.GE, 7.0, True), (CmpOp.GE, 7.5, False),
+    ]
+
+    def test_every_table_entry_has_a_case(self):
+        assert {op for op, *_ in self.ARITH_CASES} == set(ARITH_FNS)
+        assert set(ARITH_FNS) == set(ArithOp)
+        assert {op for op, *_ in self.CMP_CASES} == set(CMP_FNS)
+        assert set(CMP_FNS) == set(CmpOp)
+
+    def kernel_lane(self, expr, row):
+        """Lane 0 of *expr*'s kernel over *row* with column ``a`` forced
+        to object dtype."""
+        batch = ColumnBatch.from_rows(
+            self.KERNEL_SCHEMA, [row, (self.HUGE, 1, 1.0)]
+        )
+        assert batch.columns[0][0].dtype == object
+        kernel = compile_expr_columnar(expr, self.KERNEL_SCHEMA)
+        return kernel_values(*kernel(batch))[0]
+
+    def assert_same(self, got, expected):
+        assert got == expected and type(got) is type(expected)
+
+    @pytest.mark.parametrize("op,a,b,expected", ARITH_CASES)
+    def test_arithmetic_three_readers_agree(self, op, a, b, expected):
+        constant = Arithmetic(op, lit(a), lit(b))
+        self.assert_same(run(constant, R), expected)
+        folded = fold_constants(constant)
+        if expected is None:
+            assert folded is constant  # NULL at run time: left unfolded
+        else:
+            self.assert_same(folded.value, expected)
+        columns = Arithmetic(op, col("a"), col("b"))
+        self.assert_same(self.kernel_lane(columns, (a, b, 0.0)), expected)
+
+    @pytest.mark.parametrize("op,c,expected", CMP_CASES)
+    def test_mixed_comparison_three_readers_agree(self, op, c, expected):
+        constant = Comparison(op, lit(7), lit(c))
+        self.assert_same(run(constant, R), expected)
+        self.assert_same(fold_constants(constant).value, expected)
+        columns = Comparison(op, col("a"), col("c"))
+        self.assert_same(self.kernel_lane(columns, (7, 0, c)), expected)
 
 
 class TestErrors:

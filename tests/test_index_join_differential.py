@@ -11,9 +11,9 @@ on every node — at every batch size, and under a snapshot.
 import pytest
 
 from repro import Database
-from repro.executor import ExecContext, joins, run
+from repro.executor import ExecContext, run
 from repro.executor.joins import GATHER_MIN_RIDS
-from repro.expr import ExprError, col, eq, gt, lit
+from repro.expr import col, eq, gt, lit
 from repro.physical import (
     PIndexNLJoin,
     PLimit,
@@ -131,18 +131,6 @@ def test_residual_with_a_kernel(db):
     rows = assert_engines_agree(db, plan)
     assert sorted(rows) == expected(lambda o, i: i[3] > 300.0)
     assert execute(db, plan, True)[3] == [False, False]
-
-
-def test_residual_without_a_kernel_takes_the_row_path(db, monkeypatch):
-    def no_kernel(expr, schema):
-        raise ExprError(f"no columnar kernel for {expr!r}")
-
-    monkeypatch.setattr(joins, "compile_predicate_columnar", no_kernel)
-    plan = join(db, residual=eq(col("i.g"), lit(3)))
-    rows = assert_engines_agree(db, plan)
-    assert sorted(rows) == expected(lambda o, i: i[2] == 3)
-    # the join turned the scan's ColumnBatch into rows, and says so
-    assert execute(db, plan, True)[3] == [True, False]
 
 
 @pytest.mark.parametrize("count", [1, 5, 64, 700, 5000])

@@ -12,8 +12,6 @@ import pytest
 
 from repro import Database
 from repro.bench import fresh_db
-from repro.executor import misc
-from repro.expr import ExprError
 from repro.optimizer import PlannerOptions
 from repro.physical import (
     PAggregate,
@@ -157,9 +155,10 @@ def test_paper_engine_never_marks(engines):
     assert paper.metrics.counter("exec_row_fallbacks_total").value == 0
 
 
-def test_filter_without_a_kernel_is_marked_and_counted_once(monkeypatch):
+def test_filter_without_a_kernel_is_marked_and_counted_once():
     # pushdown off (E9's ablation) keeps the predicate in a Filter above
-    # the scan, where it is handed ColumnBatches
+    # the scan, where it is handed ColumnBatches and stays columnar; the
+    # DISTINCT above it has no columnar path and turns them into rows
     db = Database(options=PlannerOptions(pushdown=False))
     db.execute("CREATE TABLE a (x INT, y INT)")
     # several batches' worth, so "once" is not "once per batch"
@@ -168,25 +167,22 @@ def test_filter_without_a_kernel_is_marked_and_counted_once(monkeypatch):
     sql = "SELECT x FROM a WHERE y > 2"
     counter = db.metrics.counter("exec_row_fallbacks_total")
 
-    def filter_marks():
-        result = db.execute("EXPLAIN ANALYZE " + sql)
+    def marks(statement):
+        result = db.execute("EXPLAIN ANALYZE " + statement)
         text = "\n".join(row[0] for row in result.rows)
-        marks = [
-            node.actual_row_fallback
-            for node in walk_plan(result.plan)
-            if isinstance(node, PFilter)
-        ]
-        return marks, text.count("engine=rows")
+        nodes = list(walk_plan(result.plan))
+        assert any(isinstance(node, PFilter) for node in nodes)
+        marked = [type(node) for node in nodes if node.actual_row_fallback]
+        return marked, text.count("engine=rows")
 
-    assert filter_marks() == ([False], 0)
+    assert marks(sql) == ([], 0)
     assert counter.value == 0
 
-    def no_kernel(expr, schema):
-        raise ExprError(f"no columnar kernel for {expr!r}")
-
-    monkeypatch.setattr(misc, "compile_predicate_columnar", no_kernel)
-    assert filter_marks() == ([True], 1)
+    distinct = sql.replace("SELECT", "SELECT DISTINCT")
+    assert marks(distinct) == ([PDistinct], 1)
     assert counter.value == 1
-    assert sorted(db.query(sql).rows) == [
+    assert marks(distinct) == ([PDistinct], 1)
+    assert counter.value == 2
+    assert sorted(db.query(distinct).rows) == [
         (i,) for i in range(5000) if i % 5 > 2
     ]
