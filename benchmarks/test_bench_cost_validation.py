@@ -7,7 +7,7 @@ plans with, so this is the experiment that justifies everything else).
 """
 
 from repro.bench import e2_access_paths, render_all
-from repro.bench.tables import q_error
+from repro.obs.querylog import q_error
 
 FRACTIONS = [0.001, 0.01, 0.05, 0.2, 1.0]
 

@@ -16,7 +16,7 @@ from repro.bench.e6_estimation import (
     make_queries,
 )
 from repro.bench.measure import fresh_db
-from repro.bench.tables import q_error
+from repro.obs.querylog import q_error
 
 
 def main() -> None:

@@ -83,17 +83,6 @@ class JoinGraph:
                 out.extend(conjuncts)
         return out
 
-    def applicable_hyper(
-        self, combined: Set[str], already: Set[str]
-    ) -> List[Expr]:
-        """Hyper-conjuncts that become evaluable at *combined* but were not
-        evaluable at any strict subset in *already* (caller tracks this)."""
-        out = []
-        for tables, conjunct in self.hyper:
-            if tables <= combined and not tables <= already:
-                out.append(conjunct)
-        return out
-
     def is_connected_subset(self, subset: Set[str]) -> bool:
         """True if *subset* induces a connected subgraph (no cross products
         needed to join it)."""

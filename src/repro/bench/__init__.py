@@ -32,7 +32,6 @@ from .tables import (
     Ratio,
     ResultTable,
     geometric_mean,
-    q_error,
     quantile,
     render_all,
 )
@@ -44,6 +43,6 @@ __all__ = [
     "Measurement", "fresh_db", "measure_plan", "measure_query",
     "measure_repeated", "plan_with_strategy", "time_planning",
     "Ratio", "ResultTable",
-    "geometric_mean", "q_error", "quantile", "render_all",
+    "geometric_mean", "quantile", "render_all",
     "chart_from_table", "line_chart",
 ]

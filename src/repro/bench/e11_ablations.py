@@ -18,11 +18,12 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..expr import col, eq
+from ..obs.querylog import q_error
 from ..physical import PIndexNLJoin, PNestedLoopJoin, PSeqScan
 from ..storage import Replacement
 from ..workloads import Rng, shuffled_ints, uniform_floats, uniform_ints, zipf_ints
 from .measure import fresh_db, measure_plan
-from .tables import ResultTable, geometric_mean, q_error
+from .tables import ResultTable, geometric_mean
 
 
 def run_histogram_sweep(

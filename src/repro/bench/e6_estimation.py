@@ -16,11 +16,12 @@ from typing import Dict, List, Tuple
 
 from ..algebra import build_plan, extract_join_graph, push_down_predicates, transform_join_regions
 from ..engine import Database
+from ..obs.querylog import q_error
 from ..optimizer import Estimator, EstimatorConfig, StatsResolver
 from ..sql import SelectStmt, parse
 from ..workloads import Rng, correlated_pair, uniform_ints, zipf_ints
 from .measure import fresh_db
-from .tables import ResultTable, geometric_mean, q_error, quantile
+from .tables import ResultTable, geometric_mean, quantile
 
 TIERS: Dict[str, EstimatorConfig] = {
     "uniform": EstimatorConfig(use_histograms=False, use_mcvs=False),

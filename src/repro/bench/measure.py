@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
 from ..engine import Database, QueryResult
+from ..obs.querylog import q_error
 from ..physical import PhysicalPlan
 from ..sql import SelectStmt, parse
 
@@ -37,8 +38,6 @@ class Measurement:
 
     @property
     def cardinality_q_error(self) -> float:
-        from .tables import q_error
-
         return q_error(self.est_rows, float(self.rows))
 
 

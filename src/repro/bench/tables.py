@@ -128,10 +128,3 @@ def quantile(values: Sequence[float], q: float) -> float:
     hi = min(lo + 1, len(ordered) - 1)
     frac = pos - lo
     return ordered[lo] * (1 - frac) + ordered[hi] * frac
-
-
-def q_error(estimated: float, actual: float) -> float:
-    """The standard cardinality-estimation error metric (≥ 1)."""
-    est = max(estimated, 1.0)
-    act = max(actual, 1.0)
-    return max(est / act, act / est)

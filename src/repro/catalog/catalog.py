@@ -12,7 +12,7 @@ from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..index import BPlusTree
-from ..storage import RID, BufferPool, HeapFile, ZoneMaps
+from ..storage import RID, BufferPool, HeapFile
 from ..types import Column, Schema
 from .stats import ColumnStats, HistogramKind, TableStats, analyze_column
 
@@ -63,10 +63,9 @@ class TableAccessStats:
     Maintained by the operators that read the table (the scans, and the
     index nested-loop join for its inner side) — every sequential scan
     start, index scan start, row produced and page touched on behalf of
-    this table is counted here.  ``pages_skipped`` counts pages a columnar scan proved
-    empty from zone maps and never fixed into the buffer pool: for any
-    one scan, ``pages_hit + pages_read + pages_skipped`` equals the pages
-    the scan would otherwise have touched.
+    this table is counted here.  A sequential scan reads every page: on a
+    cold pool, one scan's ``pages_hit + pages_read`` equals the table's
+    pages.
     """
 
     seq_scans: int = 0
@@ -74,30 +73,25 @@ class TableAccessStats:
     rows_read: int = 0
     pages_hit: int = 0
     pages_read: int = 0
-    pages_skipped: int = 0
 
-    def snapshot(self) -> Tuple[int, int, int, int, int, int]:
+    def snapshot(self) -> Tuple[int, int, int, int, int]:
         return (
             self.seq_scans,
             self.index_scans,
             self.rows_read,
             self.pages_hit,
             self.pages_read,
-            self.pages_skipped,
         )
 
     def add(self, delta: Sequence[int]) -> None:
-        seq, idx, rows, hits, reads, skipped = delta
+        seq, idx, rows, hits, reads = delta
         self.seq_scans += seq
         self.index_scans += idx
         self.rows_read += rows
         self.pages_hit += hits
         self.pages_read += reads
-        self.pages_skipped += skipped
 
-    def delta(
-        self, earlier: Sequence[int]
-    ) -> Tuple[int, int, int, int, int, int]:
+    def delta(self, earlier: Sequence[int]) -> Tuple[int, int, int, int, int]:
         now = self.snapshot()
         return tuple(n - e for n, e in zip(now, earlier))  # type: ignore[return-value]
 
@@ -108,11 +102,10 @@ class TableInfo:
 
     :meth:`insert`, :meth:`delete`, :meth:`update` and :meth:`restore`
     are the four things the engine does to a stored row.  Each one does
-    the heap write and everything the table's derived structures are
-    owed for it — the zone maps widened over the page the row landed
-    on, every index's entry added or removed — so zone-map soundness
-    and index consistency each have one place to be wrong.  Nothing
-    else calls ``structure.insert``/``structure.delete``/``zones.widen``
+    the heap write and everything the table's indexes are owed for it —
+    every index's entry added or removed — so index consistency has one
+    place to be wrong.  Nothing else calls
+    ``structure.insert``/``structure.delete``
     (``tests/test_single_write_door.py``).
     """
 
@@ -122,8 +115,6 @@ class TableInfo:
     indexes: Dict[str, IndexInfo] = field(default_factory=dict)  # by column
     stats: Optional[TableStats] = None
     access: TableAccessStats = field(default_factory=TableAccessStats)
-    #: page-level (min, max) bounds, built by ANALYZE, widened on writes
-    zones: Optional[ZoneMaps] = None
 
     @property
     def num_rows(self) -> int:
@@ -139,16 +130,12 @@ class TableInfo:
     # -- row writes -----------------------------------------------------------
 
     def _entered(self, rid: RID, stored: Tuple[Any, ...]) -> None:
-        """*stored* now sits at *rid*: widen its page's zones, add its
-        index entries."""
-        if self.zones is not None:
-            self.zones.widen(rid[0], stored)
+        """*stored* now sits at *rid*: add its index entries."""
         for index in self.indexes.values():
             index.structure.insert(index.key_of(stored), rid)
 
     def _left(self, rid: RID, row: Sequence[Any]) -> None:
-        """*row* no longer sits at *rid*: drop its index entries (zone
-        bounds only ever widen)."""
+        """*row* no longer sits at *rid*: drop its index entries."""
         for index in self.indexes.values():
             index.structure.delete(index.key_of(row), rid)
 
@@ -170,8 +157,6 @@ class TableInfo:
         new_rid = self.heap.update(rid, new)  # raises on a mistyped row
         # what the heap just stored, without reading it back
         stored = self.schema.validate_row(new)
-        if self.zones is not None:
-            self.zones.widen(new_rid[0], stored)
         for index in self.indexes.values():
             old_key, new_key = index.key_of(old), index.key_of(stored)
             if old_key != new_key or new_rid != rid:
@@ -350,20 +335,14 @@ class Catalog:
         num_buckets: int = 32,
         num_mcvs: int = 8,
     ) -> TableStats:
-        """Scan a table once and compute statistics for every column —
-        including fresh page-level zone maps (the scan is page-aware, so
-        the (min, max) bounds come for free)."""
+        """Scan a table once and compute statistics for every column."""
         info = self.table(name)
         columns: Dict[str, List[Any]] = {c.name: [] for c in info.schema}
-        zones = ZoneMaps(len(info.schema))
         num_rows = 0
-        for (page_no, _slot), row in info.heap.scan():
+        for row in info.heap.scan_rows():
             num_rows += 1
-            zones.widen(page_no, row)
             for c, v in zip(info.schema, row):
                 columns[c.name].append(v)
-        zones._page(max(0, info.num_pages - 1))  # cover trailing empty pages
-        info.zones = zones
         stats = TableStats(num_rows=num_rows, num_pages=info.num_pages)
         for c in info.schema:
             stats.columns[c.name] = analyze_column(

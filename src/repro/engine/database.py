@@ -161,7 +161,7 @@ _SELECT_INSTRUMENTS = (
     (
         "queries_total", "rows_returned_total", "pages_read_total",
         "pages_written_total", "spills_total", "temp_files_total",
-        "pages_skipped_total", "exec_row_fallbacks_total",
+        "exec_row_fallbacks_total",
     ),
     ("planning_ms", "execution_ms"),
     ("buffer_hit_ratio",),
@@ -210,8 +210,8 @@ class Database:
         self.work_mem_pages = work_mem_pages
         self.batch_size = batch_size
         #: run queries through the columnar batch engine (ColumnBatch
-        #: flow, vectorized kernels, zone-map page skipping) and price
-        #: plans for it; False is the paper's tuple-at-a-time engine
+        #: flow, vectorized kernels) and price plans for it; False is the
+        #: paper's tuple-at-a-time engine
         self.columnar = columnar
         self.options = options or PlannerOptions()
         self.model = CostModel(
@@ -771,31 +771,11 @@ class Database:
             else:
                 self.catalog.analyze(stmt.table, **stats_options)
                 analyzed = [self.catalog.table(stmt.table)]
-            # one summary row per table, zone-map coverage included
-            rows = []
-            for info in analyzed:
-                zone_pages, zone_entries = (
-                    info.zones.summary() if info.zones is not None else (0, 0)
-                )
-                rows.append(
-                    (
-                        info.name,
-                        info.stats.num_rows if info.stats else 0,
-                        info.num_pages,
-                        zone_pages,
-                        zone_entries,
-                    )
-                )
-            return QueryResult(
-                rows=rows,
-                columns=[
-                    "table",
-                    "rows",
-                    "pages",
-                    "zone_pages",
-                    "zone_entries",
-                ],
-            )
+            rows = [
+                (info.name, info.stats.num_rows, info.num_pages)
+                for info in analyzed
+            ]
+            return QueryResult(rows=rows, columns=["table", "rows", "pages"])
         raise EngineError(f"unsupported statement {type(stmt).__name__}")
 
     # -- planning ---------------------------------------------------------------------------
@@ -847,7 +827,6 @@ class Database:
             is_table=self.catalog.has_table,
             materialize=self._materialize_view,
             table_columns=self._table_columns,
-            view_output_names=lambda s: [],
         )
         return expander.expand(stmt)
 
@@ -1374,8 +1353,8 @@ class Database:
         change = None
         if select:
             (
-                queries, returned, read, written, spilled, temps, skipped,
-                fallbacks, planning_h, execution_h, hit_ratio,
+                queries, returned, read, written, spilled, temps, fallbacks,
+                planning_h, execution_h, hit_ratio,
             ) = self._metrics.bind(_SELECT_INSTRUMENTS)
             queries.inc()
             planning_h.observe(planning_ms)
@@ -1383,8 +1362,7 @@ class Database:
             returned.inc(rows)
             for counter, amount in (
                 (read, io.reads), (written, io.writes), (spilled, em.spills),
-                (temps, em.temp_files), (skipped, em.pages_skipped),
-                (fallbacks, em.row_fallbacks),
+                (temps, em.temp_files), (fallbacks, em.row_fallbacks),
             ):
                 if amount:
                     counter.inc(amount)

@@ -75,13 +75,11 @@ class ViewExpander:
         is_table: Callable[[str], bool],
         materialize: Callable[[SelectStmt, str], str],
         table_columns: Callable[[str], List[str]],
-        view_output_names: Callable[[SelectStmt], List[str]],
     ):
         self.views = views
         self.is_table = is_table
         self.materialize = materialize
         self.table_columns = table_columns
-        self.view_output_names = view_output_names
         self._counter = 0
 
     # -- public ------------------------------------------------------------------

@@ -31,7 +31,6 @@ class ExecMetrics:
     hash_probes: int = 0
     temp_files: int = 0
     spills: int = 0
-    pages_skipped: int = 0  # heap pages pruned by zone maps, never fixed
     row_fallbacks: int = 0  # operators that turned a ColumnBatch into rows
 
 
@@ -62,8 +61,8 @@ class ExecContext:
         self.instrument = instrument
         self.batch_size = batch_size
         #: vectorized execution: scans decode pages into ColumnBatch
-        #: columns (with zone-map page skipping) and migrated operators
-        #: stay columnar; unmigrated ones convert via ``Operator._as_rows``
+        #: columns and migrated operators stay columnar; unmigrated ones
+        #: convert via ``Operator._as_rows``
         self.columnar = columnar
         #: the in-flight statement's ActivityEntry (``sys_stat_activity``);
         #: the run loop updates its progress fields batch by batch

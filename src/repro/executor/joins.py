@@ -160,10 +160,9 @@ class IndexNLJoinOp(TableReader):
     time — probe the index for every key, then *gather* the matched RIDs
     with one fix per heap page (``pagedecode.gather_columns``) and emit
     outer ⊕ inner as one :class:`ColumnBatch`, rows in the row engine's
-    order.  Three cases keep the per-RID loop (``_fetch_rows``): an outer
-    batch under ``GATHER_MIN_RIDS`` matches, inner records the gather
-    cannot decode (NULLs), and — for the whole execution — a snapshot
-    overlay on the inner table.
+    order.  Two cases keep the per-RID loop (``_fetch_rows``): an outer
+    batch under ``GATHER_MIN_RIDS`` matches, and — for the whole
+    execution — a snapshot overlay on the inner table.
     """
 
     def __init__(self, plan, ctx):
@@ -295,26 +294,22 @@ class IndexNLJoinOp(TableReader):
     def _gather(self, outer: AnyBatch, keys: List[Any]) -> AnyBatch:
         """One outer batch joined: every key probed, then the matched
         RIDs fetched by page into a ColumnBatch — or RID by RID into
-        rows, when they are few or the gather cannot decode them."""
+        rows, when they are few."""
         plan = self.plan
         matches = list(self._matches(keys))
         rids = [rid for _, found in matches for rid in found]
-        if len(rids) >= GATHER_MIN_RIDS:
-            gathered = gather_columns(plan.table.heap, plan.table.schema, rids)
-            if gathered is not None:
-                columns, live = gathered
-                positions = np.repeat(
-                    np.array([i for i, _ in matches], dtype=np.intp),
-                    [len(found) for _, found in matches],
-                )[live]
-                if not is_columnar(outer):
-                    outer = ColumnBatch.from_rows(plan.left.schema, outer)
-                return ColumnBatch(
-                    plan.schema,
-                    outer.take(positions).columns + columns,
-                    len(live),
-                )
-        return self._fetch_rows(self._as_rows(outer), keys, matches)
+        if len(rids) < GATHER_MIN_RIDS:
+            return self._fetch_rows(self._as_rows(outer), keys, matches)
+        columns, live = gather_columns(plan.table.heap, plan.table.schema, rids)
+        positions = np.repeat(
+            np.array([i for i, _ in matches], dtype=np.intp),
+            [len(found) for _, found in matches],
+        )[live]
+        if not is_columnar(outer):
+            outer = ColumnBatch.from_rows(plan.left.schema, outer)
+        return ColumnBatch(
+            plan.schema, outer.take(positions).columns + columns, len(live)
+        )
 
     def _inner_overlay(self):
         """``(skip_rids, probe_key -> visible rows)`` under a snapshot,

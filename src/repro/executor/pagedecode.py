@@ -2,10 +2,9 @@
 
 The row engine decodes a page record-by-record (``SlottedPage.records``
 then ``deserialize_row``), materializing one Python tuple per row.  The
-columnar scan instead parses the slot directories with numpy, checks
-every record's null bitmap in one shot, and gathers each fixed-width
-column with a single fancy-index per column — no per-row Python objects
-until an operator actually asks for rows.
+columnar scan instead parses the slot directories with numpy and gathers
+each column with a single fancy-index per column — no per-row Python
+objects until an operator actually asks for rows.
 
 Decoding works on a *span* of pages at once: the per-column numpy-call
 overhead (a handful of microseconds each) is paid once per span instead
@@ -17,12 +16,13 @@ hands it every live slot of a span in page order (``decode_pages_columns``),
 the index nested-loop join the slots a list of RIDs names, each distinct
 page fixed once (``gather_columns``).
 
-The decoder is deliberately partial: any span holding a record with a
-NULL column (non-zero null bitmap), or whose structure does not match
-the schema exactly, returns ``None`` and the caller falls back to
-per-page (and ultimately per-record) decoding.  Decoded values are
-bit-identical to the row path: the byte format (see ``storage.record``)
-is the single source of truth for both.
+Every record decodes here.  The null bitmaps become per-column validity
+masks (``ColumnBatch``'s ``(data, valid)`` form) and a column holding a
+NULL reads its present lanes only; a span with no NULL bit set does no
+mask work at all.  A record that does not line up with the schema
+raises the ``RecordError`` that ``deserialize_row`` raises for it.
+Decoded values are bit-identical to the row path: the byte format (see
+``storage.record``) is the single source of truth for both.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import numpy as np
 
 from ..storage.heap import RID, HeapFile
 from ..storage.page import HEADER_SIZE, SLOT_SIZE, TOMBSTONE, PageError
+from ..storage.record import RecordError, deserialize_row
 from ..types import DataType, Schema
 from .columnar import ColumnData
 
@@ -57,11 +58,9 @@ GATHER_SPAN_PAGES = 32
 
 def decode_pages_columns(
     schema: Schema, raws: Sequence[bytes]
-) -> Optional[Tuple[List[ColumnData], int]]:
-    """Decode a span of pages into ``(columns, num_rows)``, or ``None``
-    to make the caller fall back to per-page decoding (NULLs present, or
-    the bytes do not line up with *schema*).  Record order is page order
-    then slot order — exactly the row scan's order."""
+) -> Tuple[List[ColumnData], int]:
+    """Decode a span of pages into ``(columns, num_rows)``.  Record order
+    is page order then slot order — exactly the row scan's order."""
     offs_parts: List[np.ndarray] = []
     lens_parts: List[np.ndarray] = []
     base = 0
@@ -88,63 +87,81 @@ def decode_pages_columns(
     lens = (
         lens_parts[0] if len(lens_parts) == 1 else np.concatenate(lens_parts)
     )
-    columns = _decode_records(schema, joined, offs, lens)
-    if columns is None:
-        return None
-    return columns, int(offs.shape[0])
+    return _decode_records(schema, joined, offs, lens), int(offs.shape[0])
 
 
 def _decode_records(
     schema: Schema, joined: bytes, offs: np.ndarray, lens: np.ndarray
-) -> Optional[List[ColumnData]]:
+) -> List[ColumnData]:
     """The records at byte offsets *offs* (lengths *lens*) of *joined* as
-    one column per schema column, in the order given; ``None`` when a
-    record has a NULL column or does not line up with *schema*."""
+    one ``(data, valid)`` column per schema column, in the order given:
+    ``valid`` is ``None`` for a column with no NULL, and a NULL lane holds
+    zero (``None`` in an object array)."""
     buf = np.frombuffer(joined, dtype=np.uint8)
     n = int(offs.shape[0])
-    ncols = len(schema)
-    bitmap_len = (ncols + 7) // 8
-    if bool(buf[offs[:, None] + np.arange(bitmap_len)].any()):
-        return None  # some record has NULL columns: caller falls back
+    bitmap_len = (len(schema) + 7) // 8
+    bitmaps = buf[offs[:, None] + np.arange(bitmap_len)]
+    has_nulls = bool(bitmaps.any())
     cur = offs + bitmap_len
     columns: List[ColumnData] = []
-    for col in schema:
-        dtype = col.dtype
-        if dtype is DataType.TEXT:
-            starts = cur + 2
-            ends = starts + _u16(buf, cur)
-            values = [
-                joined[s:e].decode("utf-8")
-                for s, e in zip(starts.tolist(), ends.tolist())
-            ]
-            data = np.empty(n, dtype=object)
-            data[:] = values
-            cur = ends
-        elif dtype is DataType.BOOL:
-            data = buf[cur] != 0
-            cur = cur + 1
-        elif dtype is DataType.DATE:
-            ordinals = (
-                np.ascontiguousarray(buf[cur[:, None] + np.arange(4)])
-                .view(">u4")
-                .ravel()
-            )
-            data = np.empty(n, dtype=object)
-            data[:] = [date.fromordinal(o) for o in ordinals.tolist()]
-            cur = cur + 4
+    for i, col in enumerate(schema):
+        valid = None
+        if has_nulls:
+            null = (bitmaps[:, i >> 3] & (1 << (i & 7))) != 0
+            if null.any():
+                valid = ~null
+        if valid is None:
+            data, cur = _decode_column(col.dtype, buf, joined, cur)
         else:
-            width, view, native = _FIXED[dtype]
-            data = (
-                np.ascontiguousarray(buf[cur[:, None] + np.arange(width)])
-                .view(view)
-                .ravel()
-                .astype(native)
-            )
-            cur = cur + width
-        columns.append((data, None))
-    if not np.array_equal(cur, offs + lens):
-        return None  # structural mismatch: let the row decoder diagnose
+            # a NULL column has no bytes: decode the present lanes only
+            present, ends = _decode_column(col.dtype, buf, joined, cur[valid])
+            fill = None if present.dtype == object else 0
+            data = np.full(n, fill, dtype=present.dtype)
+            data[valid] = present
+            cur[valid] = ends  # *cur* is always this function's own array
+        columns.append((data, valid))
+    ends = offs + lens
+    if not np.array_equal(cur, ends):
+        # the row decoder names what is wrong with the first such record
+        bad = int(np.flatnonzero(cur != ends)[0])
+        deserialize_row(schema, joined[int(offs[bad]) : int(ends[bad])])
+        raise RecordError("record does not line up with its schema")
     return columns
+
+
+def _decode_column(
+    dtype: DataType, buf: np.ndarray, joined: bytes, at: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One column's values stored at byte offsets *at*, and the offsets
+    just past them."""
+    if dtype is DataType.TEXT:
+        starts = at + 2
+        ends = starts + _u16(buf, at)
+        data = np.empty(len(at), dtype=object)
+        data[:] = [
+            joined[s:e].decode("utf-8")
+            for s, e in zip(starts.tolist(), ends.tolist())
+        ]
+        return data, ends
+    if dtype is DataType.BOOL:
+        return buf[at] != 0, at + 1
+    if dtype is DataType.DATE:
+        ordinals = (
+            np.ascontiguousarray(buf[at[:, None] + np.arange(4)])
+            .view(">u4")
+            .ravel()
+        )
+        data = np.empty(len(at), dtype=object)
+        data[:] = [date.fromordinal(o) for o in ordinals.tolist()]
+        return data, at + 4
+    width, view, native = _FIXED[dtype]
+    data = (
+        np.ascontiguousarray(buf[at[:, None] + np.arange(width)])
+        .view(view)
+        .ravel()
+        .astype(native)
+    )
+    return data, at + width
 
 
 def _u16(buf: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -152,16 +169,9 @@ def _u16(buf: np.ndarray, at: np.ndarray) -> np.ndarray:
     return (buf[at].astype(np.int64) << 8) | buf[at + 1]
 
 
-def decode_page_columns(
-    schema: Schema, raw: bytes
-) -> Optional[Tuple[List[ColumnData], int]]:
-    """Single-page decode (the span decoder over one page)."""
-    return decode_pages_columns(schema, (raw,))
-
-
 def gather_columns(
     heap: HeapFile, schema: Schema, rids: Sequence[RID]
-) -> Optional[Tuple[List[ColumnData], np.ndarray]]:
+) -> Tuple[List[ColumnData], np.ndarray]:
     """Fetch the records at *rids* (any order, repeats allowed) page by
     page: every distinct page is fixed once, ``GATHER_SPAN_PAGES`` at a
     time, and the slots the RIDs name are decoded straight into columns.
@@ -170,9 +180,8 @@ def gather_columns(
     record, in the order the RIDs were given, and the positions in *rids*
     those rows came from (a tombstoned slot — deleted since its index
     entry was made — yields no row, as ``HeapFile.fetch`` yields ``None``).
-    ``None`` when a selected record has a NULL column or does not line up
-    with *schema*: the caller falls back to per-record decode.  A slot
-    past the page's directory raises the ``PageError`` of
+    A record that does not line up with *schema* raises what
+    ``HeapFile.fetch`` raises for it, a slot past the page's directory raises the ``PageError`` of
     ``SlottedPage._slot``, a page past the file ``HeapFile``'s error."""
     n = len(rids)
     if n == 0:
@@ -184,9 +193,11 @@ def gather_columns(
     by_page = np.argsort(pages, kind="stable")
     distinct, first = np.unique(pages[by_page], return_index=True)
     bounds = np.append(first, n)
-    # one array of n rows per column, filled span by span at the
-    # positions the span's RIDs have in *rids*
+    # one array of n rows per column (and a mask once a column shows a
+    # NULL), filled span by span at the positions the span's RIDs have
+    # in *rids*
     out: List[np.ndarray] = []
+    masks: List[Optional[np.ndarray]] = []
     alive = np.ones(n, dtype=bool)
     for lo in range(0, len(distinct), GATHER_SPAN_PAGES):
         span = distinct[lo : lo + GATHER_SPAN_PAGES]
@@ -210,12 +221,18 @@ def gather_columns(
             alive[sel[~live]] = False
             sel, offs, lens = sel[live], offs[live], lens[live]
         columns = _decode_records(schema, joined, offs, lens)
-        if columns is None:
-            return None
         if not out:
             out = [np.empty(n, dtype=data.dtype) for data, _ in columns]
-        for dest, (data, _) in zip(out, columns):
-            dest[sel] = data
+            masks = [None] * len(columns)
+        for c, (data, valid) in enumerate(columns):
+            out[c][sel] = data
+            if valid is not None:
+                if masks[c] is None:
+                    masks[c] = np.ones(n, dtype=bool)
+                masks[c][sel] = valid
     if alive.all():
-        return [(data, None) for data in out], np.arange(n)
-    return [(data[alive], None) for data in out], np.flatnonzero(alive)
+        return list(zip(out, masks)), np.arange(n)
+    return [
+        (data[alive], None if valid is None else valid[alive])
+        for data, valid in zip(out, masks)
+    ], np.flatnonzero(alive)

@@ -19,9 +19,8 @@ fast paths byte-identical to non-MVCC execution).  With an overlay:
 * index scans suppress entries for overlaid rids and merge the visible
   images back **in key order** (via ``key_lt``), because the optimizer
   exploits index output order (merge joins, ORDER BY elimination);
-* the columnar path falls back to row-at-a-time decoding — zone maps
-  are rebuilt from the live heap, so page skipping is unsound under an
-  overlay and is disabled with it.
+* the columnar seq scan decodes row-at-a-time — the snapshot's older
+  images are not on the pages — and columnarizes each batch.
 """
 
 from __future__ import annotations
@@ -33,10 +32,9 @@ from ..expr import compile_predicate
 from ..expr.vector import compile_predicate_columnar
 from ..index.keys import key_lt
 from ..physical import PIndexOnlyScan, PIndexScan, PSeqScan
-from ..storage import SlottedPage, deserialize_row, page_skipper
 from .columnar import ColumnBatch
 from .operator import Batch, Operator, operator_for
-from .pagedecode import decode_page_columns, decode_pages_columns
+from .pagedecode import decode_pages_columns
 
 RID = Tuple[int, int]
 Overlay = Tuple[Dict[RID, Optional[Tuple]], Dict[RID, Tuple]]
@@ -160,12 +158,10 @@ class TableReader(Operator):
 class SeqScanOp(TableReader):
     """Full heap scan with an optional pushed-down predicate.
 
-    Under a columnar context (``ctx.columnar``) the scan decodes whole
-    pages straight into :class:`ColumnBatch` columns (per-record row
-    decode only as a NULL fallback), evaluates the pushed-down predicate
-    as a vectorized kernel, and — when the table has zone maps — skips
-    pages whose (min, max) bounds prove no row can match, before the
-    page is ever fixed into the buffer pool.
+    Under a columnar context (``ctx.columnar``) the scan reads every
+    page, decodes spans of them straight into :class:`ColumnBatch`
+    columns (NULLs as validity masks) and evaluates the pushed-down
+    predicate as a vectorized kernel.
     """
 
     def __init__(self, plan, ctx):
@@ -184,14 +180,12 @@ class SeqScanOp(TableReader):
         self._pages: Optional[Iterator[int]] = None
         self._parts: list = []
         self._buffered = 0
-        self._skip = None
 
     def _open(self):
         self._rows = None  # created lazily so the first page read is timed
         self._pages = None
         self._parts = []
         self._buffered = 0
-        self._skip = None
 
     def _visible_rows(self, overlay: Overlay) -> Iterator[Tuple[Any, ...]]:
         """Heap scan with snapshot corrections applied in rid order;
@@ -246,10 +240,6 @@ class SeqScanOp(TableReader):
     def _start_pages(self) -> Iterator[int]:
         plan = self.plan
         plan.table.access.seq_scans += 1
-        if plan.table.zones is not None and plan.predicate is not None:
-            self._skip = page_skipper(
-                plan.predicate, plan.schema, plan.table.zones
-            )
         # pages per decode span: enough to fill one target batch, bounded
         # so a span never holds more than a modest slice of the file
         page_size = self.plan.table.heap.pool.disk.page_size
@@ -258,55 +248,22 @@ class SeqScanOp(TableReader):
         return iter(range(plan.table.heap.num_pages))
 
     def _decode_next_span(self) -> Optional[ColumnBatch]:
-        """The next span of non-skipped pages as one ColumnBatch."""
-        plan = self.plan
-        heap = plan.table.heap
-        schema = plan.schema
-        skip = self._skip
+        """The next span of pages that holds a live record, as one
+        ColumnBatch."""
+        heap = self.plan.table.heap
+        schema = self.plan.schema
         while True:
-            raws: list = []
-            for page_no in self._pages:
-                if skip is not None and skip(page_no):
-                    plan.table.access.pages_skipped += 1
-                    self.ctx.metrics.pages_skipped += 1
-                    continue
-                raws.append(heap.page_bytes(page_no))
-                if len(raws) >= self._span:
-                    break
+            raws = [heap.page_bytes(p) for p in islice(self._pages, self._span)]
             if not raws:
                 return None
-            decoded = decode_pages_columns(schema, raws)
-            if decoded is not None:
-                columns, count = decoded
-                if count == 0:
-                    continue
+            columns, count = decode_pages_columns(schema, raws)
+            if count:
                 return ColumnBatch(schema, columns, count)
-            # NULLs somewhere in the span: decode page by page, dropping
-            # to the per-record row decoder only where needed
-            parts: list = []
-            for raw in raws:
-                single = decode_page_columns(schema, raw)
-                if single is None:
-                    rows = [
-                        deserialize_row(schema, rec)
-                        for _, rec in SlottedPage(raw).records()
-                    ]
-                    if rows:
-                        parts.append(ColumnBatch.from_rows(schema, rows))
-                else:
-                    columns, count = single
-                    if count:
-                        parts.append(ColumnBatch(schema, columns, count))
-            if not parts:
-                continue
-            if len(parts) == 1:
-                return parts[0]
-            return ColumnBatch.concat(parts)
 
     def _next_batch_columnar_rows(self, max_rows=None) -> Optional[ColumnBatch]:
         """Columnar scan under a snapshot overlay: decode row-at-a-time
-        (zone-map skipping would consult live-heap bounds that the
-        snapshot's older images may violate) and columnarize per batch."""
+        (the snapshot's older images are not on the pages) and
+        columnarize per batch."""
         n = self._target(max_rows)
         predicate = self.predicate_columnar
         while True:

@@ -177,9 +177,6 @@ class PlanBaselineStore:
     def get(self, statement_fp: str) -> Optional[PlanBaseline]:
         return self._baselines.get(statement_fp)
 
-    def baseline_for(self, sql: str) -> Optional[PlanBaseline]:
-        return self.get(statement_fingerprint(sql))
-
     def changes(self) -> List[PlanChange]:
         return list(self._changes)
 

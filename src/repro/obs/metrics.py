@@ -45,7 +45,6 @@ HELP_TEXTS: Dict[str, str] = {
     "cache_plan_hits_total": "statements planned from the plan cache",
     "cache_plan_misses_total": "cacheable statements that missed the plan cache",
     "cache_invalidations_total": "plan/result cache invalidation events",
-    "pages_skipped_total": "heap pages skipped by zone-map pruning",
     "exec_row_fallbacks_total": (
         "operators that converted columnar input to rows "
         "(marked engine=rows in EXPLAIN ANALYZE)"

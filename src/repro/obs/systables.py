@@ -210,7 +210,6 @@ def _stat_tables(db: "Database") -> Tuple[Schema, Rows]:
         ("rows_read", DataType.INT),
         ("pages_hit", DataType.INT),
         ("pages_read", DataType.INT),
-        ("pages_skipped", DataType.INT),
     )
     rows: Rows = []
     for info in sorted(db.catalog.tables(), key=lambda t: t.name):
@@ -231,7 +230,6 @@ def _stat_tables(db: "Database") -> Tuple[Schema, Rows]:
                 access.rows_read,
                 access.pages_hit,
                 access.pages_read,
-                access.pages_skipped,
             )
         )
     return schema, rows

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from ..catalog import IndexInfo, TableInfo
 from ..expr import AggCall, Expr
@@ -422,18 +422,6 @@ class PSort(PhysicalPlan):
     def describe(self) -> str:
         keys = ", ".join(f"{e} {'ASC' if a else 'DESC'}" for e, a in self.keys)
         return f"Sort({keys})"
-
-    @property
-    def sort_columns(self) -> Tuple[str, ...]:
-        """Qualified column names if all keys are plain ascending columns."""
-        from ..expr import ColumnRef
-
-        out: List[str] = []
-        for expr, asc in self.keys:
-            if not asc or not isinstance(expr, ColumnRef):
-                return ()
-            out.append(expr.name)
-        return tuple(out)
 
 
 @dataclass

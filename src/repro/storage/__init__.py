@@ -5,7 +5,6 @@ from .disk import PAGE_SIZE, DiskError, DiskManager, IOStats, PageId
 from .heap import RID, HeapError, HeapFile
 from .page import PageError, SlottedPage
 from .record import RecordError, deserialize_row, record_size, serialize_row
-from .zonemap import ZoneMaps, page_skipper
 
 __all__ = [
     "BufferError_",
@@ -27,6 +26,4 @@ __all__ = [
     "deserialize_row",
     "record_size",
     "serialize_row",
-    "ZoneMaps",
-    "page_skipper",
 ]

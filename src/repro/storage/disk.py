@@ -90,9 +90,6 @@ class DiskManager:
     def drop_file(self, file_id: int) -> None:
         self._files.pop(file_id, None)
 
-    def file_name(self, file_id: int) -> str:
-        return self._file(file_id).name
-
     def num_pages(self, file_id: int) -> int:
         return len(self._file(file_id).pages)
 

@@ -34,22 +34,10 @@ class DataType(enum.Enum):
         return self in (DataType.INT, DataType.FLOAT)
 
     @property
-    def python_type(self) -> type:
-        return _PYTHON_TYPES[self]
-
-    @property
     def fixed_width(self) -> Optional[int]:
         """Byte width used by the storage layer, or None for variable width."""
         return _FIXED_WIDTHS[self]
 
-
-_PYTHON_TYPES = {
-    DataType.INT: int,
-    DataType.FLOAT: float,
-    DataType.TEXT: str,
-    DataType.BOOL: bool,
-    DataType.DATE: date,
-}
 
 _FIXED_WIDTHS = {
     DataType.INT: 8,
@@ -65,10 +53,6 @@ DEFAULT_TEXT_WIDTH = 16
 
 class TypeError_(Exception):
     """Raised when a value does not conform to its declared type."""
-
-
-def type_name(dtype: DataType) -> str:
-    return dtype.value
 
 
 def parse_type(name: str) -> DataType:

@@ -146,21 +146,10 @@ class WalWriter:
 
     # -- maintenance ----------------------------------------------------------
 
-    def reset(self, start_lsn: int) -> None:
-        """Truncate the log (post-checkpoint) and restart LSNs."""
-        with self._append_lock, self._flush_lock:
-            self._file.close()
-            self._file = open(self.path, "wb")
-            self._file.flush()
-            os.fsync(self._file.fileno())
-            self.next_lsn = start_lsn
-            self._appended_lsn = start_lsn - 1
-            self.flushed_lsn = start_lsn - 1
-
     def retain_from(self, redo_lsn: int) -> int:
         """Drop the log prefix below *redo_lsn* (fuzzy checkpoint GC).
 
-        Unlike :meth:`reset`, records at or above *redo_lsn* survive —
+        Records at or above *redo_lsn* survive —
         they may belong to transactions still in flight or to dirty
         pages the checkpoint could not flush — and the LSN counters keep
         counting.  The rewrite is atomic (tmp + fsync + rename), so a

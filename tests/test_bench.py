@@ -10,7 +10,6 @@ from repro.bench import (
     fresh_db,
     geometric_mean,
     measure_query,
-    q_error,
     quantile,
     render_all,
 )
@@ -24,6 +23,7 @@ from repro.bench import (
     e9_rewrites,
     e10_wholesale,
 )
+from repro.obs.querylog import q_error
 from repro.workloads import WholesaleScale
 
 

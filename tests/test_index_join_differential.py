@@ -45,7 +45,7 @@ def db():
     db.execute("CREATE INDEX ix_kg ON inn2 (k, g)")
     db.execute("CREATE TABLE out (k INT, tag TEXT)")
     db.insert_rows("out", OUTER)
-    # an inner table whose rows carry NULLs: the gather declines them
+    # an inner table whose rows carry NULLs: gathered like any other
     db.execute("CREATE TABLE holes (k INT, v INT)")
     db.insert_rows(
         "holes", [(i % 50, None if i % 9 == 0 else i) for i in range(1500)]
@@ -153,12 +153,12 @@ def test_a_probe_stream_under_the_crossover_is_fetched_per_rid(db):
     assert execute(db, join(db), True, batch_size=1)[3][0] is True
 
 
-def test_inner_rows_with_nulls_fall_back_to_the_per_rid_loop(db):
+def test_inner_rows_with_nulls_are_gathered(db):
     plan = join(db, "holes")
     rows = assert_engines_agree(db, plan)
     assert len(rows) > GATHER_MIN_RIDS
     assert any(row[-1] is None for row in rows)
-    assert execute(db, plan, True)[3] == [True, False]
+    assert execute(db, plan, True)[3] == [False, False]
 
 
 def test_wholesale_q7_under_and_q4_over_the_crossover():
@@ -233,7 +233,7 @@ def test_sys_stat_tables_sees_the_inner_side_of_the_join(columnar):
     result = db.execute("EXPLAIN ANALYZE " + WHOLESALE_QUERIES["Q4_line_revenue"])
     (node,) = [n for n in walk_plan(result.plan) if isinstance(n, PIndexNLJoin)]
     assert node.table.name == "lineitem"
-    seq, idx, rows_read, hits, reads, _ = db.table("lineitem").access.delta(before)
+    seq, idx, rows_read, hits, reads = db.table("lineitem").access.delta(before)
     assert (seq, idx) == (0, 1)
     assert rows_read == node.actual_rows > GATHER_MIN_RIDS
     child = node.left

@@ -1,16 +1,15 @@
-"""One door for row writes: index entries and zone bounds are touched in
+"""One door for row writes: index entries are touched in
 ``catalog/catalog.py`` and nowhere else under ``src/repro``.
 
 ``TableInfo.insert/delete/update/restore`` do the heap write and settle
-what every derived structure is owed for it.  A module that calls
-``<index>.structure.insert``, ``<index>.structure.delete`` or
-``zones.widen`` itself is a second maintenance loop — one more place to
-forget an index (wrong results through that index) or a zone bound (rows
-silently skipped by every columnar scan).
+what every index is owed for it.  A module that calls
+``<index>.structure.insert`` or ``<index>.structure.delete`` itself is a
+second maintenance loop — one more place to forget an index (wrong
+results through that index).
 
 The allow-list is one file, by name: ``catalog/catalog.py`` holds the
-four operations, ``create_index``'s bulk build and ``analyze``'s zone
-rebuild.  A new entry here is a design decision, not a lint fix.
+four operations and ``create_index``'s bulk build.  A new entry here is
+a design decision, not a lint fix.
 """
 
 import ast
@@ -30,7 +29,7 @@ def _is(node, name):
 
 
 def maintenance_calls(source):
-    """``(line, call)`` for every index-entry or zone-bound write."""
+    """``(line, call)`` for every index-entry write."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
@@ -38,12 +37,10 @@ def maintenance_calls(source):
         method, owner = node.func.attr, node.func.value
         if method in ("insert", "delete") and _is(owner, "structure"):
             found.append((node.lineno, f"structure.{method}"))
-        elif method == "widen" and _is(owner, "zones"):
-            found.append((node.lineno, "zones.widen"))
     return sorted(found)
 
 
-def test_only_the_catalog_maintains_indexes_and_zones():
+def test_only_the_catalog_maintains_indexes():
     found = {
         name: calls
         for path in sorted(SRC.rglob("*.py"))
@@ -51,12 +48,11 @@ def test_only_the_catalog_maintains_indexes_and_zones():
         and (calls := maintenance_calls(path.read_text(encoding="utf-8")))
     }
     assert found == {}
-    # the door is really there: the allow-listed file makes all three calls
+    # the door is really there: the allow-listed file makes both calls
     inside = maintenance_calls((SRC / "catalog/catalog.py").read_text("utf-8"))
     assert {call for _, call in inside} == {
         "structure.insert",
         "structure.delete",
-        "zones.widen",
     }
 
 
@@ -65,8 +61,8 @@ def test_only_the_catalog_maintains_indexes_and_zones():
     [
         ("index.structure.insert(key, rid)\n", [(1, "structure.insert")]),
         ("ix.structure.delete(k, r)\n", [(1, "structure.delete")]),
-        ("info.zones.widen(rid[0], row)\n", [(1, "zones.widen")]),
-        ("zones = Z()\nzones.widen(0, row)\n", [(2, "zones.widen")]),
+        ("self.structure.insert(k, rid)\n", [(1, "structure.insert")]),
+        ("structure = ix.structure\nstructure.delete(k, r)\n", [(2, "structure.delete")]),
         ("info.heap.insert(row)\ninfo.delete(rid, row)\n", []),
         ("structure.insert(key_of(row), rid)\n", [(1, "structure.insert")]),
         ("structure.search(key)\nzones.entry(0, 0)\n", []),

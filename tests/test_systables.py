@@ -14,6 +14,7 @@ import pytest
 
 from repro import Database, ObsConfig
 from repro.obs import SYSTEM_TABLE_NAMES, AutoExplainConfig, WaitEventStats
+from repro.physical import PSeqScan, walk_plan
 
 
 def _db(rows=200, **kwargs):
@@ -76,6 +77,22 @@ class TestSystemTableQueries:
         assert seq_scans >= 1
         assert index_scans >= 1
         assert rows_read >= 2000
+
+    def test_a_cold_seq_scan_touches_every_page_once(self):
+        # a pushed predicate prunes no page: on a cold pool the scan's
+        # pages_hit + pages_read is the table's num_pages
+        db = _db(rows=2000)
+        stat = (
+            "SELECT num_pages, pages_hit, pages_read FROM sys_stat_tables "
+            "WHERE table_name = 't'"
+        )
+        ((_, hit0, read0),) = db.query(stat).rows
+        db.pool.clear()
+        result = db.query("SELECT COUNT(*) FROM t WHERE b < 1.0")
+        assert any(isinstance(n, PSeqScan) for n in walk_plan(result.plan))
+        ((pages, hit, read),) = db.query(stat).rows
+        assert pages > 1
+        assert (hit - hit0) + (read - read0) == pages
 
     def test_stat_tables_counts_dml_victim_searches(self):
         # a write-only table is not "never scanned": UPDATE/DELETE locate
