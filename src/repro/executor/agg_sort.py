@@ -3,8 +3,9 @@
 Sort spills fixed-size runs through temp heap files and k-way-merges
 them, exactly as the generator engine did (run boundaries are sliced to
 ``max_rows`` regardless of the producer's batch size, so spill behaviour
-is batch-size independent).  Aggregation evaluates group keys and
-argument expressions once per batch.
+is batch-size independent); the input and each run are sorted on native
+key values (``sortutil.sorted_rows``).  Aggregation evaluates group keys
+and argument expressions once per batch.
 """
 
 from __future__ import annotations
@@ -13,13 +14,15 @@ import heapq
 from itertools import islice
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from ..expr import compile_expr
 from ..expr.vector import compile_expr_columnar
 from ..physical import PAggregate, PDistinct, PSort
-from .aggregate import AggregateState
-from .columnar import is_columnar, kernel_values
+from .aggregate import AggregateState, CodeFold
+from .columnar import ColumnBatch, is_columnar, kernel_values
 from .operator import Batch, Row, UnaryOperator, operator_for
-from .sortutil import make_key_fn
+from .sortutil import make_key_fn, sorted_rows
 
 
 @operator_for(PSort)
@@ -30,9 +33,9 @@ class SortOp(UnaryOperator):
     def __init__(self, plan, ctx):
         super().__init__(plan, ctx)
         child_schema = plan.child.schema
-        evaluators = [compile_expr(e, child_schema) for e, _ in plan.keys]
-        directions = [asc for _, asc in plan.keys]
-        self.key_fn = make_key_fn(evaluators, directions)
+        self.evaluators = [compile_expr(e, child_schema) for e, _ in plan.keys]
+        self.directions = [asc for _, asc in plan.keys]
+        self.key_fn = make_key_fn(self.evaluators, self.directions)
         self._sorted: Optional[List[Row]] = None
         self._pos = 0
         self._merge: Optional[Iterator[Row]] = None
@@ -60,7 +63,6 @@ class SortOp(UnaryOperator):
         ctx = self.ctx
         plan = self.plan
         child_schema = plan.child.schema
-        key_fn = self.key_fn
         max_rows = ctx.max_rows_in_memory(child_schema)
 
         runs = []
@@ -76,18 +78,18 @@ class SortOp(UnaryOperator):
                 buffer.extend(batch[i : i + take])
                 i += take
                 if len(buffer) >= max_rows:
-                    buffer.sort(key=key_fn)
-                    runs.append(_write_run(ctx, child_schema, buffer))
+                    runs.append(_write_run(ctx, child_schema, self._sort(buffer)))
                     buffer = []
         if not runs:
-            buffer.sort(key=key_fn)
-            self._sorted = buffer
+            self._sorted = self._sort(buffer)
             return
         if buffer:
-            buffer.sort(key=key_fn)
-            runs.append(_write_run(ctx, child_schema, buffer))
+            runs.append(_write_run(ctx, child_schema, self._sort(buffer)))
         ctx.metrics.spills += 1
         self._merge = self._merge_runs(runs)
+
+    def _sort(self, rows: List[Row]) -> List[Row]:
+        return sorted_rows(rows, self.evaluators, self.directions)
 
     def _merge_runs(self, runs) -> Iterator[Row]:
         """k-way merge of sorted run files."""
@@ -124,13 +126,16 @@ def _write_run(ctx, schema, rows: List[Row]):
 class AggregateOp(UnaryOperator):
     """Hash aggregation (or stream aggregation over sorted input).
 
-    Under a columnar context only key/argument *extraction* is
-    vectorized: group keys and aggregate arguments come from columnar
-    kernels as plain Python lists, then flow into the exact same
-    accumulator fold as the row engine.  Accumulation stays strictly
-    sequential on purpose — float ``SUM``/``AVG`` are order- and
-    association-sensitive, and bit-identical results across engines are
-    part of the differential-testing contract.
+    The row engine buckets each batch's rows by key in a dict and folds
+    every group's values into its ``Accumulator``s.  Under a columnar
+    context hash and global aggregation fold by group code instead
+    (``_fold_codes``): a dict maps each batch's distinct key tuples to
+    group ids, numbered in order of first appearance, and a ``CodeFold``
+    folds the argument kernels' arrays per group with numpy.  Either way
+    each group is folded in row order — float ``SUM``/``AVG`` are order-
+    and association-sensitive, and bit-identical results across engines
+    are part of the differential-testing contract.  Streaming
+    aggregation keeps the ``Accumulator`` fold and yields run by run.
     """
 
     def __init__(self, plan, ctx):
@@ -204,6 +209,8 @@ class AggregateOp(UnaryOperator):
     def _aggregate(self) -> Iterator[Row]:
         if self.plan.streaming and self.plan.group_exprs:
             return self._stream_groups()
+        if self.ctx.columnar:
+            return self._fold_codes()
         if not self.plan.group_exprs:
             return self._global()
         return self._hash_groups()
@@ -272,6 +279,47 @@ class AggregateOp(UnaryOperator):
                 self._update_accs(accs, arg_columns, indices)
         for key, accs in groups.items():
             yield key + state.finish(accs)
+
+    def _fold_codes(self) -> Iterator[Row]:
+        fold = CodeFold(self.plan.aggs)
+        # key tuple -> group code; a global aggregate is the one group ()
+        index: Dict[Tuple[Any, ...], int] = (
+            {} if self.plan.group_exprs else {(): 0}
+        )
+        while True:
+            batch = self.child.next_batch()
+            if batch is None:
+                break
+            codes = self._codes(index, batch)
+            fold.fold(codes, len(index), self._arg_arrays(batch))
+        return iter(
+            [key + row for key, row in zip(index, fold.results(len(index)))]
+        )
+
+    def _codes(
+        self, index: Dict[Tuple[Any, ...], int], batch: Batch
+    ) -> np.ndarray:
+        """Each row's group code; a key not in *index* gets the next code
+        (its tuple is compared as the row engine's bucket dict compares
+        it: NULLs are one group, a NaN is never equal to another)."""
+        if not self.plan.group_exprs:
+            return np.zeros(len(batch), dtype=np.intp)
+        keys = self._group_keys(batch)
+        ids = dict.fromkeys(keys)
+        for key in ids:
+            code = index.get(key)
+            if code is None:
+                code = index[key] = len(index)
+            ids[key] = code
+        return np.fromiter(map(ids.__getitem__, keys), np.intp, len(keys))
+
+    def _arg_arrays(self, batch: Batch) -> List[Any]:
+        """Each aggregate's argument as a kernel result ``(data, valid)``
+        (``None`` for ``COUNT(*)``)."""
+        kernels = self.arg_kernels
+        if not is_columnar(batch) and any(k is not None for k in kernels):
+            batch = ColumnBatch.from_rows(self.plan.child.schema, batch)
+        return [None if k is None else k(batch) for k in kernels]
 
     def _close(self):
         self._out = None

@@ -33,7 +33,7 @@ from .operator import (
     build_operator,
     operator_for,
 )
-from .pagedecode import gather_columns
+from .pagedecode import gather_rids
 from .scans import RID, TableReader, table_overlay
 from .sortutil import cmp_values
 
@@ -157,8 +157,9 @@ class IndexNLJoinOp(TableReader):
     The row engine fetches one heap row per match, interleaved with the
     index probes: that page access pattern is what the paper's tables
     count.  Under a columnar context the join works an outer batch at a
-    time — probe the index for every key, then *gather* the matched RIDs
-    with one fix per heap page (``pagedecode.gather_columns``) and emit
+    time — probe the index for every key into ``(pages, slots)`` arrays
+    (``BPlusTree.probe``), then *gather* the matched RIDs with one fix
+    per heap page (``pagedecode.gather_rids``) and emit
     outer ⊕ inner as one :class:`ColumnBatch`, rows in the row engine's
     order.  Two cases keep the per-RID loop (``_fetch_rows``): an outer
     batch under ``GATHER_MIN_RIDS`` matches, and — for the whole
@@ -208,29 +209,25 @@ class IndexNLJoinOp(TableReader):
         batch = list(islice(self._gen, n))
         return batch or None
 
+    def _bounds(self, key: Any) -> Tuple[Any, Any]:
+        """The inclusive index range outer key *key* matches: the key
+        itself, or on a composite index every entry whose leading
+        component equals it."""
+        if getattr(self.plan.index, "is_composite", False):
+            return (key, MIN_KEY), (key, MAX_KEY)
+        return key, key
+
     def _matches(self, keys: List[Any]) -> Iterator[Tuple[int, List[RID]]]:
         """``(outer position, matching rids)`` for every non-NULL key of
         an outer batch, each probe made as the pair is asked for."""
-        index = self.plan.index
-        structure = index.structure
-        composite = getattr(index, "is_composite", False)
+        structure = self.plan.index.structure
         metrics = self.ctx.metrics
         for i, key in enumerate(keys):
             if key is None:
                 continue
             metrics.hash_probes += 1
-            if composite:
-                # probe on the leading key component: all entries whose
-                # first component equals the outer key
-                rids = [
-                    rid
-                    for _, rid in structure.range_scan(
-                        (key, MIN_KEY), (key, MAX_KEY)
-                    )
-                ]
-            else:
-                rids = structure.search(key)
-            yield i, rids
+            entries = structure.range_scan(*self._bounds(key))
+            yield i, [rid for _, rid in entries]
 
     def _fetch_rows(
         self, outer_rows: Batch, keys, matches, skip=None, extra=None
@@ -292,23 +289,38 @@ class IndexNLJoinOp(TableReader):
                 yield out
 
     def _gather(self, outer: AnyBatch, keys: List[Any]) -> AnyBatch:
-        """One outer batch joined: every key probed, then the matched
-        RIDs fetched by page into a ColumnBatch — or RID by RID into
-        rows, when they are few."""
+        """One outer batch joined: every key probed into ``(pages,
+        slots)`` arrays, then the matched RIDs fetched by page into a
+        ColumnBatch — or RID by RID into rows, when they are few."""
         plan = self.plan
-        matches = list(self._matches(keys))
-        rids = [rid for _, found in matches for rid in found]
-        if len(rids) < GATHER_MIN_RIDS:
+        probe = plan.index.structure.probe
+        metrics = self.ctx.metrics
+        positions: List[int] = []
+        found: List[Tuple[np.ndarray, np.ndarray]] = []
+        for i, key in enumerate(keys):
+            if key is None:
+                continue
+            metrics.hash_probes += 1
+            positions.append(i)
+            found.append(probe(*self._bounds(key)))
+        counts = [len(pages) for pages, _ in found]
+        if sum(counts) < GATHER_MIN_RIDS:
+            matches = [
+                (i, list(zip(pages.tolist(), slots.tolist())))
+                for i, (pages, slots) in zip(positions, found)
+            ]
             return self._fetch_rows(self._as_rows(outer), keys, matches)
-        columns, live = gather_columns(plan.table.heap, plan.table.schema, rids)
-        positions = np.repeat(
-            np.array([i for i, _ in matches], dtype=np.intp),
-            [len(found) for _, found in matches],
-        )[live]
+        columns, live = gather_rids(
+            plan.table.heap,
+            plan.table.schema,
+            np.concatenate([pages for pages, _ in found]),
+            np.concatenate([slots for _, slots in found]),
+        )
+        take = np.repeat(np.array(positions, dtype=np.intp), counts)[live]
         if not is_columnar(outer):
             outer = ColumnBatch.from_rows(plan.left.schema, outer)
         return ColumnBatch(
-            plan.schema, outer.take(positions).columns + columns, len(live)
+            plan.schema, outer.take(take).columns + columns, len(live)
         )
 
     def _inner_overlay(self):

@@ -13,8 +13,9 @@ dozen records.
 
 Two readers share the one record decoder (``_decode_records``): the scan
 hands it every live slot of a span in page order (``decode_pages_columns``),
-the index nested-loop join the slots a list of RIDs names, each distinct
-page fixed once (``gather_columns``).
+the index nested-loop join the slots its RIDs name — the ``(pages, slots)``
+arrays of its index probes — each distinct page fixed once
+(``gather_rids``; ``gather_columns`` takes RID tuples).
 
 Every record decodes here.  The null bitmaps become per-column validity
 masks (``ColumnBatch``'s ``(data, valid)`` form) and a column holding a
@@ -172,30 +173,39 @@ def _u16(buf: np.ndarray, at: np.ndarray) -> np.ndarray:
 def gather_columns(
     heap: HeapFile, schema: Schema, rids: Sequence[RID]
 ) -> Tuple[List[ColumnData], np.ndarray]:
-    """Fetch the records at *rids* (any order, repeats allowed) page by
-    page: every distinct page is fixed once, ``GATHER_SPAN_PAGES`` at a
-    time, and the slots the RIDs name are decoded straight into columns.
+    """``gather_rids`` for a list of RID tuples."""
+    flat = np.fromiter(
+        chain.from_iterable(rids), dtype=np.int64, count=2 * len(rids)
+    )
+    return gather_rids(heap, schema, flat[0::2], flat[1::2])
+
+
+def gather_rids(
+    heap: HeapFile, schema: Schema, pages: np.ndarray, slots: np.ndarray
+) -> Tuple[List[ColumnData], np.ndarray]:
+    """Fetch the records at the RIDs ``zip(pages, slots)`` (int64 arrays;
+    any order, repeats allowed) page by page: every distinct page is
+    fixed once, ``GATHER_SPAN_PAGES`` at a time, and the slots the RIDs
+    name are decoded straight into columns.
 
     Returns ``(columns, live)``: one row per RID whose slot holds a
-    record, in the order the RIDs were given, and the positions in *rids*
-    those rows came from (a tombstoned slot — deleted since its index
-    entry was made — yields no row, as ``HeapFile.fetch`` yields ``None``).
-    A record that does not line up with *schema* raises what
-    ``HeapFile.fetch`` raises for it, a slot past the page's directory raises the ``PageError`` of
-    ``SlottedPage._slot``, a page past the file ``HeapFile``'s error."""
-    n = len(rids)
+    record, in the order the RIDs were given, and the positions of the
+    RIDs those rows came from (a tombstoned slot — deleted since its
+    index entry was made — yields no row, as ``HeapFile.fetch`` yields
+    ``None``).  A record that does not line up with *schema* raises what
+    ``HeapFile.fetch`` raises for it, a slot past the page's directory
+    raises the ``PageError`` of ``SlottedPage._slot``, a page past the
+    file ``HeapFile``'s error."""
+    n = len(pages)
     if n == 0:
         nothing = np.empty(0, dtype=np.int64)
         return _decode_records(schema, b"", nothing, nothing), nothing
-    flat = np.fromiter(chain.from_iterable(rids), dtype=np.int64, count=2 * n)
-    pages = flat[0::2]
-    slots = flat[1::2]
     by_page = np.argsort(pages, kind="stable")
     distinct, first = np.unique(pages[by_page], return_index=True)
     bounds = np.append(first, n)
     # one array of n rows per column (and a mask once a column shows a
     # NULL), filled span by span at the positions the span's RIDs have
-    # in *rids*
+    # in the arrays
     out: List[np.ndarray] = []
     masks: List[Optional[np.ndarray]] = []
     alive = np.ones(n, dtype=bool)

@@ -71,7 +71,9 @@ def make_key_fn(
     evaluators: Sequence[Callable[[tuple], Any]],
     directions: Sequence[bool],
 ) -> Callable[[tuple], SortKey]:
-    """Build a ``row -> SortKey`` function from compiled key expressions."""
+    """Build a ``row -> SortKey`` function from compiled key expressions
+    (the k-way merge of spilled runs compares by it; whole lists sort
+    with ``sorted_rows``)."""
 
     def key(row: tuple) -> SortKey:
         return SortKey(
@@ -86,7 +88,20 @@ def sorted_rows(
     evaluators: Sequence[Callable[[tuple], Any]],
     directions: Sequence[bool],
 ) -> List[tuple]:
-    return sorted(rows, key=make_key_fn(evaluators, directions))
+    """*rows* in ``make_key_fn`` order, sorted on native values: one
+    stable pass per key, last key first, so no key object is built and
+    every comparison is a C one.  A pass keys on the value itself, or on
+    ``(v is not None, v)`` when a NULL is among them; ``reverse`` keeps
+    ties in input order, so NULLs come first ascending and last
+    descending, as ``SortKey`` orders them."""
+    out = list(rows)
+    for ev, asc in reversed(list(zip(evaluators, directions))):
+        values = list(map(ev, out))
+        if None in values:
+            values = [(v is not None, v) for v in values]
+        order = sorted(range(len(out)), key=values.__getitem__, reverse=not asc)
+        out = list(map(out.__getitem__, order))
+    return out
 
 
 def cmp_values(a: Any, b: Any) -> int:

@@ -35,7 +35,9 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left, bisect_right
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..storage import RID, BufferPool, PageGuard
 from ..types import DataType
@@ -218,6 +220,39 @@ class BPlusTree:
         the leaf it is in.
         """
         bounded = low is not None or high is not None
+        for entries in self._leaf_runs(
+            low, high, low_inclusive, high_inclusive, self._entries
+        ):
+            for entry in entries:
+                if entry[0] is not None or not bounded:
+                    yield entry
+
+    def probe(self, low: Any, high: Any) -> Tuple[np.ndarray, np.ndarray]:
+        """The RIDs ``range_scan(low, high)`` yields, both bounds
+        inclusive and given (so no NULL key is in range: NULLs sort
+        first), as ``(pages, slots)`` int64 arrays: the same leaves fixed
+        in the same order, and each leaf's run copied out with numpy
+        while it is pinned, none of its entries decoded."""
+        runs = list(self._leaf_runs(low, high, True, True, self._rid_run))
+        if not runs:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty
+        pages, slots = zip(*runs)
+        if len(runs) == 1:
+            return pages[0], slots[0]
+        return np.concatenate(pages), np.concatenate(slots)
+
+    def _leaf_runs(
+        self,
+        low: Any,
+        high: Any,
+        low_inclusive: bool,
+        high_inclusive: bool,
+        take: Callable[[bytearray, Sequence[int], int, int, int], Any],
+    ) -> Iterator[Any]:
+        """For each leaf holding entries in the range, in key order,
+        ``take(data, offsets, i, j, end)`` of its entries ``i..j-1``
+        (*end*: where its last entry ends), called while it is pinned."""
         seeking = low is not None
         page_no: Optional[int] = (
             self._descend_to_leaf(self._needle(low))
@@ -226,7 +261,7 @@ class BPlusTree:
         )
         while page_no is not None:
             with self._pin(page_no) as data:
-                offsets, _ = self._keys(data, page_no, _LEAF)
+                offsets, end = self._keys(data, page_no, _LEAF)
 
                 def key_at(o: int) -> Any:
                     return self._deserialize_key(data, o)[0]
@@ -243,14 +278,32 @@ class BPlusTree:
                 if high is not None:
                     side = bisect_right if high_inclusive else bisect_left
                     j = side(offsets, self._needle(high), lo=i, key=key_at)
-                entries = [self._entry(data, o) for o in offsets[i:j]]
+                run = take(data, offsets, i, j, end)
                 past_high = j < len(offsets)
                 page_no = _next_leaf(data)
-            for entry in entries:
-                if entry[0] is not None or not bounded:
-                    yield entry
+            yield run
             if past_high:
                 return
+
+    def _entries(self, data, offsets, i, j, end) -> List[Tuple[Any, RID]]:
+        return [self._entry(data, o) for o in offsets[i:j]]
+
+    def _rid_run(self, data, offsets, i, j, end) -> Tuple[np.ndarray, np.ndarray]:
+        """``(pages, slots)`` of entries ``i..j-1``: an entry's RID is the
+        six bytes before the next key (or the end), whatever the key's
+        width."""
+        if i == j:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty
+        n = len(offsets)
+        buf = np.frombuffer(data, dtype=np.uint8)
+        after = np.array(
+            [*offsets[i + 1 : j], offsets[j] if j < n else end], dtype=np.int64
+        )
+        raw = buf[(after - _RID.size)[:, None] + np.arange(_RID.size)]
+        pages = raw[:, :4].copy().view(">u4").ravel().astype(np.int64)
+        slots = raw[:, 4:].copy().view(">u2").ravel().astype(np.int64)
+        return pages, slots
 
     def items(self) -> Iterator[Tuple[Any, RID]]:
         return self.range_scan(None, None)

@@ -301,8 +301,8 @@ class BufferPool:
     def _choose_victim(self) -> _Frame:
         if self.policy is Replacement.CLOCK:
             return self._clock_victim()
-        frames = list(self._frames.values())
-        order = reversed(frames) if self.policy is Replacement.MRU else iter(frames)
+        frames = self._frames.values()
+        order = reversed(frames) if self.policy is Replacement.MRU else frames
         for frame in order:
             if self._evictable(frame):
                 return frame
