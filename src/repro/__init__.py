@@ -1,12 +1,15 @@
 """repro — Evaluation and Optimization (VLDB 1977).
 
 A complete reproduction of foundational-era cost-based query evaluation and
-optimization: a relational engine (storage, buffer pool, B+-tree/hash
-indexes, SQL front-end, Volcano executor) whose planner implements the
-classic cost model, selectivity estimation, access-path selection, and
-System-R dynamic-programming join enumeration with interesting orders —
-plus the baseline planners and benchmark harness that regenerate the
-evaluation tables and figures.
+optimization: a relational engine (storage, buffer pool, B+-tree indexes,
+SQL front-end, Volcano executor, WAL, socket server) whose planner
+implements the classic cost model, selectivity estimation, access-path
+selection, and System-R dynamic-programming join enumeration with
+interesting orders.  Beside the engine, and outside what a server
+imports, sits the laboratory that regenerates the evaluation:
+the baseline planners (``repro.optimizer.baselines``), the paper harness
+(``repro.bench``), the workload generators (``repro.workloads``) and the
+QA kit (``repro.qa``).
 
 Quickstart::
 

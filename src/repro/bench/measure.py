@@ -16,6 +16,7 @@ from ..engine import Database, QueryResult
 from ..obs.querylog import q_error
 from ..physical import PhysicalPlan
 from ..sql import SelectStmt, parse
+from ..storage import Replacement
 
 
 @dataclass
@@ -130,6 +131,7 @@ def fresh_db(
     buffer_pages: int = 256,
     work_mem_pages: int = 16,
     columnar: bool = False,
+    replacement: Replacement = Replacement.LRU,
     **kwargs: Any,
 ) -> Database:
     """A new empty database with experiment-friendly defaults.
@@ -137,11 +139,15 @@ def fresh_db(
     This is where the paper harness chooses its engine: the experiments
     reproduce a tuple-at-a-time executor that reads every page of a scan
     and a cost model that charges full per-tuple CPU, so they run
-    ``columnar=False`` whatever ``Database`` defaults to.
+    ``columnar=False`` whatever ``Database`` defaults to.  *replacement*
+    sets the new, still empty pool's page-replacement policy (E11b); a
+    ``Database`` itself always runs LRU.
     """
-    return Database(
+    db = Database(
         buffer_pages=buffer_pages,
         work_mem_pages=work_mem_pages,
         columnar=columnar,
         **kwargs,
     )
+    db.pool.policy = replacement
+    return db

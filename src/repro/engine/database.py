@@ -87,12 +87,12 @@ from ..sql import (
     UpdateStmt,
     parse,
 )
-from ..qa import faults
 from ..wal import (
     RecoveryReport,
     Transaction,
     TxnManager,
     WalRecordType,
+    failpoints,
     open_wal,
     recover,
     write_checkpoint,
@@ -108,7 +108,7 @@ from .cache import (
 from .session import Session
 from .statement import StatementContext
 from .views import Expansion, ViewDef, ViewExpander
-from ..storage import BufferPool, BufferStats, DiskManager, IOStats, Replacement
+from ..storage import BufferPool, BufferStats, DiskManager, IOStats
 from ..types import Column, Schema
 
 
@@ -186,7 +186,6 @@ class Database:
         buffer_pages: int = 256,
         work_mem_pages: int = 32,
         page_size: int = 4096,
-        replacement: Replacement = Replacement.LRU,
         options: Optional[PlannerOptions] = None,
         obs: Optional[ObsConfig] = None,
         batch_size: int = ExecContext.DEFAULT_BATCH_SIZE,
@@ -194,7 +193,7 @@ class Database:
         data_dir: Optional[str] = None,
     ):
         self.disk = DiskManager(page_size)
-        self.pool = BufferPool(self.disk, buffer_pages, replacement)
+        self.pool = BufferPool(self.disk, buffer_pages)
         self.catalog = Catalog(self.pool)
         #: transaction manager: lifecycle, undo, table locks; doubles as
         #: the WAL hook target (writer attached below when durable)
@@ -1696,23 +1695,23 @@ class Database:
             ).encode("utf-8")
             with trace_span("checkpoint.begin") as sp:
                 sp.add("active_txns", float(len(att)))
-                action = faults.FAILPOINTS.hit("checkpoint.begin")
+                action = failpoints.FAILPOINTS.hit("checkpoint.begin")
                 begin_lsn = writer.append(
                     WalRecordType.CHECKPOINT_BEGIN, 0, payload=payload
                 )
                 writer.flush_to(begin_lsn)
                 if action is not None:
-                    faults.crash()
+                    failpoints.crash()
             flushed = 0
             with trace_span("checkpoint.flush") as sp:
                 for pid in self.pool.dirty_pages():
                     if not self.txn.may_evict(pid):
                         continue  # no-steal: an active txn owns this page
-                    action = faults.FAILPOINTS.hit("checkpoint.flush")
+                    action = failpoints.FAILPOINTS.hit("checkpoint.flush")
                     if self.pool.flush_page(pid):
                         flushed += 1
                     if action is not None:
-                        faults.crash()
+                        failpoints.crash()
                 writer.flush_all()
                 sp.add("pages_flushed", float(flushed))
             last = writer.flushed_lsn
@@ -1729,7 +1728,7 @@ class Database:
                     active_txns=att,
                 )
                 writer.retain_from(redo_lsn)
-                action = faults.FAILPOINTS.hit("checkpoint.end")
+                action = failpoints.FAILPOINTS.hit("checkpoint.end")
                 lsn = writer.append(
                     WalRecordType.CHECKPOINT_END,
                     0,
@@ -1739,7 +1738,7 @@ class Database:
                 )
                 writer.flush_to(lsn)
                 if action is not None:
-                    faults.crash()
+                    failpoints.crash()
             if self.obs.enabled:
                 self._metrics.counter("checkpoints_total").inc()
                 self._metrics.counter("checkpoint_pages_flushed_total").inc(

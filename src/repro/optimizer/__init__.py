@@ -1,4 +1,9 @@
-"""The cost-based optimizer: estimation, costing, access paths, join enumeration."""
+"""The cost-based optimizer: estimation, costing, access paths, join enumeration.
+
+The baseline join-order planners the evaluation compares DP against are
+not re-exported here: import them from :mod:`.baselines`, which the
+planner itself loads only when a baseline strategy is planned.
+"""
 
 from .access import (
     ScanCandidate,
@@ -6,14 +11,6 @@ from .access import (
     best_per_order,
     extract_bounds,
     index_bounds,
-)
-from .baselines import (
-    ExhaustivePlanner,
-    GreedyPlanner,
-    NaiveNLPlanner,
-    OrderPlanner,
-    RandomPlanner,
-    SyntacticPlanner,
 )
 from .cost import Cost, CostModel, cardenas_pages
 from .dp import DPPlanner, PlannerStats, SubPlan, count_dp_subsets
@@ -30,8 +27,7 @@ from .planner import STRATEGIES, Planner, PlannerOptions
 __all__ = [
     "ScanCandidate", "access_paths", "best_per_order", "extract_bounds",
     "index_bounds",
-    "ExhaustivePlanner", "GreedyPlanner", "NaiveNLPlanner", "OrderPlanner",
-    "RandomPlanner", "SyntacticPlanner", "Cost", "CostModel", "cardenas_pages",
+    "Cost", "CostModel", "cardenas_pages",
     "DPPlanner", "PlannerStats", "SubPlan", "count_dp_subsets",
     "DEFAULT_EQ_SEL", "DEFAULT_RANGE_SEL", "Estimator", "EstimatorConfig",
     "StatsResolver", "pages_for", "STRATEGIES", "Planner", "PlannerOptions",

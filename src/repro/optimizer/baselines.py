@@ -17,7 +17,10 @@ The foils the evaluation compares the DP optimizer against (E4, E5):
   badness of an arbitrary plan.
 
 All baselines share access-path and join-method pricing with the DP
-planner, so differences measure *join order* quality alone.
+planner, so differences measure *join order* quality alone.  They are
+the laboratory, not the engine: :class:`~.planner.Planner` reaches this
+module only when a region is planned under one of the :data:`BASELINES`
+names, so a server planning with ``dp`` never imports it.
 """
 
 from __future__ import annotations
@@ -223,3 +226,20 @@ class RandomPlanner(OrderPlanner):
 
     def plan_many(self, trials: int) -> List[SubPlan]:
         return [self.plan() for _ in range(trials)]
+
+
+#: strategy name -> baseline planner: the five non-DP STRATEGIES
+BASELINES = {
+    "syntactic": SyntacticPlanner,
+    "naive": NaiveNLPlanner,
+    "greedy": GreedyPlanner,
+    "exhaustive": ExhaustivePlanner,
+    "random": RandomPlanner,
+}
+
+
+def baseline_planner(strategy, graph, estimator, model, seed=0) -> OrderPlanner:
+    """The planner *strategy* names; only ``random`` takes the seed."""
+    if strategy == "random":
+        return RandomPlanner(graph, estimator, model, seed=seed)
+    return BASELINES[strategy](graph, estimator, model)

@@ -17,7 +17,11 @@ above the join region (experiment E7).
 
 ``strategy`` selects the join-order algorithm: ``dp`` (System R left-deep,
 the default), ``dp-bushy``, ``syntactic``, ``naive``, ``greedy``,
-``exhaustive``, ``random``.
+``exhaustive``, ``random``.  The two DP strategies are implemented here
+(:mod:`.dp`); the five others are the evaluation's baselines
+(:mod:`.baselines`), which this module imports only when a region is
+planned under one of their names — the serving engine plans with ``dp``
+and never loads them.
 """
 
 from __future__ import annotations
@@ -53,13 +57,6 @@ from ..physical import (
     PProject,
     PSort,
     PhysicalPlan,
-)
-from .baselines import (
-    ExhaustivePlanner,
-    GreedyPlanner,
-    NaiveNLPlanner,
-    RandomPlanner,
-    SyntacticPlanner,
 )
 from .cost import Cost, CostModel
 from .dp import DPPlanner, PlannerStats, SubPlan
@@ -464,18 +461,14 @@ class Planner:
                 sub = self._choose_with_orders(table, sort_wanted, group_wanted)
                 self.last_stats = planner.stats
             else:
-                planner_cls = {
-                    "syntactic": SyntacticPlanner,
-                    "naive": NaiveNLPlanner,
-                    "greedy": GreedyPlanner,
-                    "exhaustive": ExhaustivePlanner,
-                }.get(strategy)
-                if planner_cls is not None:
-                    baseline = planner_cls(graph, estimator, self.model)
-                else:
-                    baseline = RandomPlanner(
-                        graph, estimator, self.model, seed=self.options.random_seed
-                    )
+                # The baselines are the evaluation's foils (E4/E5), not a
+                # plan a served statement gets: imported on first use, so
+                # the serving engine's import closure stays without them.
+                from .baselines import baseline_planner
+
+                baseline = baseline_planner(
+                    strategy, graph, estimator, self.model, self.options.random_seed
+                )
                 sub = baseline.plan()
                 self.last_stats = baseline.stats
                 if region_search is not None:

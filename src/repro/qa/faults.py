@@ -1,127 +1,24 @@
-"""Deterministic fault injection: crash the engine at exact points.
+"""The crash workload, its committed-prefix oracle and the sweep driver.
 
-Recovery code is only as trustworthy as the crashes it has survived, so
-this module makes crashing *reproducible*.  The WAL writer, the buffer
-pool and the checkpointer call :func:`hit` at every durability-relevant
-moment (a *failpoint site*); a site is a named counter.  Normally a hit
-costs one dict lookup and returns.  When the environment arms a site —
-
-    REPRO_FAILPOINTS="wal.append=3:partial"
-
-— the third ``wal.append`` hit kills the process with ``os._exit`` (no
-atexit handlers, no flushes: the closest a unit test gets to pulling the
-plug).  Three kill modes model three torn states:
-
-* ``before``  — die before the guarded effect (nothing written);
-* ``after``   — die after the effect (written, not acknowledged);
-* ``partial`` — the site writes a *prefix* of its payload, then dies
-  (a torn write: exactly what a power cut mid-``write(2)`` leaves).
-
-``REPRO_FAILPOINTS_COUNT=<path>`` arms nothing but records every site's
-final hit count as JSON at interpreter exit — the sweep driver uses one
-counting run to learn how many kill points a workload has, then replays
-it once per point.  See :mod:`tests.test_crash_recovery` and
-docs/RECOVERY.md for the sweep protocol.
+The failpoint hooks they arm live beside the WAL, in
+:mod:`repro.wal.failpoints`, so a server never imports this module.
+See :mod:`tests.test_crash_recovery` and docs/RECOVERY.md for the sweep
+protocol.
 """
 
 from __future__ import annotations
 
-import atexit
+import argparse
 import json
 import os
-import threading
-from typing import Dict, Optional, Tuple
+import random
+import shutil
+import subprocess
+import sys
+from typing import Dict, Optional
 
-#: process exit code used for injected crashes (distinguishes an injected
-#: kill from an ordinary failure in sweep drivers)
-CRASH_EXIT_CODE = 113
-
-#: kill modes a site may be armed with
-MODES = ("before", "after", "partial")
-
-
-class FaultError(Exception):
-    """Raised for malformed REPRO_FAILPOINTS specs."""
-
-
-class Failpoints:
-    """A registry of named crash sites with per-site hit counters."""
-
-    def __init__(self, spec: str = "", count_path: Optional[str] = None):
-        self._lock = threading.Lock()
-        self.counts: Dict[str, int] = {}
-        #: site -> (hit number to kill at, mode)
-        self.armed: Dict[str, Tuple[int, str]] = parse_spec(spec)
-        self.count_path = count_path
-        if count_path:
-            atexit.register(self._dump_counts)
-
-    @classmethod
-    def from_env(cls) -> "Failpoints":
-        return cls(
-            os.environ.get("REPRO_FAILPOINTS", ""),
-            os.environ.get("REPRO_FAILPOINTS_COUNT") or None,
-        )
-
-    # -- the hot path ---------------------------------------------------------
-
-    def hit(self, site: str) -> Optional[str]:
-        """Count one hit of *site*.
-
-        Returns ``None`` (keep going), or ``"partial"`` when the site
-        itself must perform its torn half-write and then call
-        :func:`crash`.  ``before``/``after`` mode kills are handled here:
-        ``before`` exits immediately; ``after`` arms a flag returned as
-        ``"after"`` so the caller completes the effect and then crashes
-        via :func:`crash`.
-        """
-        with self._lock:
-            n = self.counts.get(site, 0) + 1
-            self.counts[site] = n
-        armed = self.armed.get(site)
-        if armed is None or n != armed[0]:
-            return None
-        mode = armed[1]
-        if mode == "before":
-            crash()
-        return mode  # "partial" or "after": caller finishes, then crashes
-
-    def _dump_counts(self) -> None:
-        try:
-            with open(self.count_path, "w") as f:
-                json.dump(self.counts, f)
-        except OSError:  # pragma: no cover - count file on a dead disk
-            pass
-
-
-def parse_spec(spec: str) -> Dict[str, Tuple[int, str]]:
-    """Parse ``"site=N[:mode],site2=M"`` into ``{site: (N, mode)}``."""
-    armed: Dict[str, Tuple[int, str]] = {}
-    for part in filter(None, (p.strip() for p in spec.split(","))):
-        if "=" not in part:
-            raise FaultError(f"bad failpoint spec {part!r} (want site=N[:mode])")
-        site, _, rest = part.partition("=")
-        nth, _, mode = rest.partition(":")
-        mode = mode or "before"
-        if mode not in MODES:
-            raise FaultError(f"unknown failpoint mode {mode!r} (want {MODES})")
-        try:
-            n = int(nth)
-        except ValueError:
-            raise FaultError(f"bad failpoint count {nth!r} in {part!r}") from None
-        if n < 1:
-            raise FaultError(f"failpoint count must be >= 1, got {n}")
-        armed[site.strip()] = (n, mode)
-    return armed
-
-
-def crash() -> None:
-    """Die *now*: no atexit, no buffered-file flushing, no cleanup."""
-    os._exit(CRASH_EXIT_CODE)
-
-
-#: the process-wide registry every instrumented site consults
-FAILPOINTS = Failpoints.from_env()
+from ..engine.database import Database
+from ..wal.failpoints import CRASH_EXIT_CODE, SITES, FaultError
 
 
 # -- the crash workload + oracle ----------------------------------------------
@@ -149,8 +46,6 @@ def txn_ops(seed: int, t: int):
     ``("insert", k, v)`` / ``("update", k, v)`` / ``("delete", k)``.
     Derived from the seed alone — never from database state — so a
     reference replay reproduces them regardless of where a run died."""
-    import random
-
     r = random.Random(f"{seed}:{t}")
     ops = []
     for j in range(r.randint(1, 3)):
@@ -187,8 +82,6 @@ def run_workload(
 ) -> None:
     """Run the workload to completion (or until an armed failpoint kills
     the process).  Assumes a fresh ``data_dir``."""
-    from ..engine.database import Database
-
     db = Database(data_dir=data_dir)
     if not db.catalog.has_table(WORKLOAD_TABLE):
         db.execute(f"CREATE TABLE {WORKLOAD_TABLE} (k INT, v INT)")
@@ -251,8 +144,6 @@ def verify_recovery(
     """Recover the database and check it against the committed-prefix
     oracle.  Returns a summary dict; raises :class:`FaultError` when the
     recovered state matches no admissible commit count."""
-    from ..engine.database import Database
-
     acked = read_acks(acks_path)
     a = max(acked) if acked else 0
     if acked != list(range(1, a + 1)):
@@ -290,40 +181,13 @@ def verify_recovery(
 
 # -- sweep driver --------------------------------------------------------------
 
-#: every instrumented site, with the kill modes that make sense there
-SWEEP_SITES = {
-    "wal.append": ("before", "after", "partial"),
-    "wal.fsync": ("before", "after"),
-    "checkpoint.begin": ("before", "after"),
-    "checkpoint.flush": ("before", "after"),
-    "checkpoint.page": ("before", "after", "partial"),
-    "checkpoint.end": ("before", "after"),
-    "page.writeback": ("before", "after"),
-}
-
-
 def _workload_argv(data_dir: str, seed: int, txns: int, acks: str):
-    import sys
-
-    return [
-        sys.executable,
-        "-m",
-        "repro.qa.faults",
-        "--data-dir",
-        data_dir,
-        "--seed",
-        str(seed),
-        "--txns",
-        str(txns),
-        "--acks",
-        acks,
-    ]
+    return [sys.executable, "-m", "repro.qa.faults", "--data-dir", data_dir,
+            "--seed", str(seed), "--txns", str(txns), "--acks", acks]
 
 
 def _subprocess_env(extra: Dict[str, str]) -> Dict[str, str]:
-    import repro
-
-    src = os.path.dirname(os.path.dirname(os.path.dirname(repro.__file__)))
+    src = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     env = dict(os.environ)
     env.pop("REPRO_FAILPOINTS", None)
     env.pop("REPRO_FAILPOINTS_COUNT", None)
@@ -337,8 +201,6 @@ def count_workload_hits(
     base_dir: str, seed: int, txns: int
 ) -> Dict[str, int]:
     """One un-armed counting run: how often does each site fire?"""
-    import subprocess
-
     data_dir = os.path.join(base_dir, "count")
     os.makedirs(data_dir, exist_ok=True)
     acks = os.path.join(data_dir, "acks.txt")
@@ -363,7 +225,7 @@ def sweep_points(counts: Dict[str, int], max_points: Optional[int] = None):
     every hit of every site by default, evenly subsampled per (site,
     mode) when *max_points* bounds the budget."""
     points = []
-    for site, modes in SWEEP_SITES.items():
+    for site, modes in SITES.items():
         total = counts.get(site, 0)
         if total == 0:
             continue
@@ -383,9 +245,6 @@ def run_crash_point(
     """Kill one fresh workload run at (site, hit *n*, mode), then recover
     and verify.  Returns the oracle summary (with ``"skipped": True``
     when the armed point was never reached and the run completed)."""
-    import shutil
-    import subprocess
-
     data_dir = os.path.join(base_dir, f"{site.replace('.', '_')}-{n}-{mode}")
     shutil.rmtree(data_dir, ignore_errors=True)
     os.makedirs(data_dir)
@@ -397,17 +256,13 @@ def run_crash_point(
         text=True,
         timeout=600,
     )
-    if proc.returncode == 0:
-        summary = verify_recovery(data_dir, seed, txns, acks)
-        summary["skipped"] = True  # armed point never fired this run
-    elif proc.returncode == CRASH_EXIT_CODE:
-        summary = verify_recovery(data_dir, seed, txns, acks)
-        summary["skipped"] = False
-    else:
+    if proc.returncode not in (0, CRASH_EXIT_CODE):
         raise FaultError(
             f"workload died unexpectedly at {site}={n}:{mode} "
             f"(rc={proc.returncode}): {proc.stderr[-2000:]}"
         )
+    summary = verify_recovery(data_dir, seed, txns, acks)
+    summary["skipped"] = proc.returncode == 0  # armed point never fired
     summary.update(site=site, n=n, mode=mode)
     shutil.rmtree(data_dir, ignore_errors=True)
     return summary
@@ -430,8 +285,6 @@ def run_crash_sweep(
 
 
 def _main(argv=None) -> int:
-    import argparse
-
     parser = argparse.ArgumentParser(
         prog="python -m repro.qa.faults",
         description="run the deterministic crash workload (sweep target)",

@@ -25,7 +25,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from ..qa import faults
+from ..wal import failpoints
 from .disk import DiskManager, PageId
 
 
@@ -328,7 +328,7 @@ class BufferPool:
         if frame.dirty:
             if self.write_hook is not None:
                 self.write_hook(frame.page_id)
-            action = faults.FAILPOINTS.hit("page.writeback")
+            action = failpoints.FAILPOINTS.hit("page.writeback")
             waits = self._lock.waits
             if waits is None:
                 self.disk.write_page(frame.page_id, bytes(frame.data))
@@ -341,7 +341,7 @@ class BufferPool:
             if self.clean_hook is not None:
                 self.clean_hook(frame.page_id)
             if action is not None:
-                faults.crash()
+                failpoints.crash()
 
 
 class PageGuard:

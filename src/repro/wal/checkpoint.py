@@ -32,7 +32,7 @@ import struct
 import zlib
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..qa import faults
+from . import failpoints
 
 CHECKPOINT_FILE = "checkpoint.bin"
 _MAGIC = b"RPCKPT1\n"
@@ -134,17 +134,17 @@ def write_checkpoint(
         for table in meta["tables"]:
             info = db.catalog.table(table["name"])
             for page in db.disk.page_images(info.heap.file_id):
-                action = faults.FAILPOINTS.hit("checkpoint.page")
+                action = failpoints.FAILPOINTS.hit("checkpoint.page")
                 if action == "partial":
                     f.write(bytes(page)[: db.disk.page_size // 2])
                     f.flush()
                     os.fsync(f.fileno())
-                    faults.crash()
+                    failpoints.crash()
                 emit(bytes(page))
                 if action == "after":
                     f.flush()
                     os.fsync(f.fileno())
-                    faults.crash()
+                    failpoints.crash()
         f.write(struct.pack(">I", crc))
         f.flush()
         os.fsync(f.fileno())

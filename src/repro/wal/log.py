@@ -8,7 +8,7 @@ the whole appended tail, and the ones behind it find their LSN already
 durable and skip the fsync entirely.  ``fsyncs``/``appends`` counters make
 the batching measurable (bench E18).
 
-Failpoint sites (see :mod:`repro.qa.faults`):
+Failpoint sites (see :mod:`.failpoints`):
 
 * ``wal.append`` — one hit per record append.  ``partial`` mode writes a
   prefix of the encoded record, fsyncs it (so the torn bytes really reach
@@ -24,7 +24,7 @@ import time
 from typing import List, Tuple
 
 from ..obs.trace import trace_span
-from ..qa import faults
+from . import failpoints
 from .records import (
     WalRecord,
     WalRecordType,
@@ -77,7 +77,7 @@ class WalWriter:
             data = encode_record(
                 WalRecord(lsn, rec_type, txn_id, table, page_no, slot_no, payload)
             )
-            action = faults.FAILPOINTS.hit("wal.append")
+            action = failpoints.FAILPOINTS.hit("wal.append")
             if action == "partial":
                 # A torn write: half the frame reaches disk, then the
                 # plug is pulled.  fsync first so the torn bytes are
@@ -85,7 +85,7 @@ class WalWriter:
                 self._file.write(data[: max(1, len(data) // 2)])
                 self._file.flush()
                 os.fsync(self._file.fileno())
-                faults.crash()
+                failpoints.crash()
             start = time.perf_counter() if self.waits is not None else 0.0
             self._file.write(data)
             if self.waits is not None:
@@ -95,7 +95,7 @@ class WalWriter:
             if action == "after":
                 self._file.flush()
                 os.fsync(self._file.fileno())
-                faults.crash()
+                failpoints.crash()
             return lsn
 
     # -- durability -----------------------------------------------------------
@@ -115,9 +115,9 @@ class WalWriter:
             with self._append_lock:
                 target = self._appended_lsn
                 self._file.flush()
-            action = faults.FAILPOINTS.hit("wal.fsync")
+            action = failpoints.FAILPOINTS.hit("wal.fsync")
             if action == "before":  # pragma: no cover - hit() exits first
-                faults.crash()
+                failpoints.crash()
             start = time.perf_counter() if self.waits is not None else 0.0
             # One wal.fsync span per real fsync: the skip paths above
             # (already covered by a concurrent committer) record
@@ -131,7 +131,7 @@ class WalWriter:
                 self.waits.record("wal.fsync", time.perf_counter() - start)
             self.flushed_lsn = target
             if action == "after":
-                faults.crash()
+                failpoints.crash()
 
     def flush_all(self) -> None:
         with self._append_lock:

@@ -4,13 +4,13 @@ import pytest
 
 from repro.algebra import build_plan, extract_join_graph, push_down_predicates, transform_join_regions
 from repro.engine import Database
-from repro.optimizer import (
-    Estimator,
+from repro.optimizer import STRATEGIES, Estimator, StatsResolver
+from repro.optimizer.baselines import (
+    BASELINES,
     ExhaustivePlanner,
     GreedyPlanner,
     NaiveNLPlanner,
     RandomPlanner,
-    StatsResolver,
     SyntacticPlanner,
 )
 from repro.physical import PNestedLoopJoin, PSeqScan, walk_plan
@@ -142,3 +142,8 @@ class TestExecutionAgreement:
             result = db.run_plan(sub.plan, cold=True)
             answers.append(len(result.rows))
         assert len(set(answers)) == 1
+
+
+class TestStrategyTable:
+    def test_table_names_every_non_dp_strategy(self):
+        assert set(BASELINES) == set(STRATEGIES) - {"dp", "dp-bushy"}

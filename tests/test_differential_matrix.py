@@ -161,14 +161,15 @@ class TestFreshSeeds:
 
 
 class TestReproScript:
-    def test_script_round_trips(self, tmp_path):
+    @pytest.mark.parametrize("strategy", ["dp", "greedy"])
+    def test_script_round_trips(self, tmp_path, strategy):
         """The emitted repro script must itself run green for a passing
         case — otherwise failure artifacts would be untrustworthy."""
         import subprocess
         import sys
 
         script = tmp_path / "repro_case0.py"
-        text = repro_script(SEED, 0, strategy="dp")
+        text = repro_script(SEED, 0, strategy=strategy)
         # the engine is named, not left to the constructor's default
         assert "columnar=True" in text
         assert "columnar=False" in repro_script(SEED, 0, columnar=False)

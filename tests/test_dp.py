@@ -9,7 +9,8 @@ import pytest
 
 from repro.algebra import extract_join_graph, push_down_predicates, build_plan, transform_join_regions
 from repro.engine import Database
-from repro.optimizer import DPPlanner, Estimator, ExhaustivePlanner, StatsResolver, count_dp_subsets
+from repro.optimizer import DPPlanner, Estimator, StatsResolver, count_dp_subsets
+from repro.optimizer.baselines import ExhaustivePlanner
 from repro.physical import PHashJoin, PIndexNLJoin, PNestedLoopJoin, PSortMergeJoin, walk_plan
 from repro.workloads import build_chain, build_clique, build_star
 

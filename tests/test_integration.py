@@ -149,9 +149,10 @@ class TestMixedWorkload:
 class TestBufferPolicyEndToEnd:
     @pytest.mark.parametrize("policy", ["lru", "clock", "mru", "fifo"])
     def test_policies_answer_identically(self, policy):
+        from repro.bench import fresh_db
         from repro.storage import Replacement
 
-        db = Database(
+        db = fresh_db(
             buffer_pages=8,
             work_mem_pages=4,
             replacement=Replacement(policy),

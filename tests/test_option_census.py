@@ -26,7 +26,6 @@ CONSTRUCTORS = {
         "buffer_pages",
         "work_mem_pages",
         "page_size",
-        "replacement",
         "options",
         "obs",
         "batch_size",

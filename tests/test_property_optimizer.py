@@ -25,10 +25,10 @@ from repro.expr import CmpOp, Comparison, col, lit
 from repro.optimizer import (
     DPPlanner,
     Estimator,
-    ExhaustivePlanner,
     PlannerOptions,
     StatsResolver,
 )
+from repro.optimizer.baselines import ExhaustivePlanner
 from repro.sql import parse
 
 
