@@ -40,13 +40,12 @@ from ..obs import (
     InstrumentLevel,
     MetricsRegistry,
     ObsConfig,
-    PlanBaselineStore,
     QueryLog,
     QueryLogRecord,
     RequestTrace,
     SearchTrace,
     Span,
-    StatementLatency,
+    StatementStore,
     TraceRing,
     Tracer,
     WaitEventStats,
@@ -177,9 +176,10 @@ class Database:
     #: queued recorder entries at which the enqueuer harvests inline
     PENDING_BOUND = 64
 
-    metrics, query_log, latency = _Harvested(), _Harvested(), _Harvested()
-    baselines, feedback, traces = _Harvested(), _Harvested(), _Harvested()
-    last_request_trace = _Harvested()
+    metrics, query_log, statements = _Harvested(), _Harvested(), _Harvested()
+    feedback, traces, last_request_trace = (
+        _Harvested(), _Harvested(), _Harvested()
+    )
 
     def __init__(
         self,
@@ -228,19 +228,19 @@ class Database:
         self._harvest_lock = threading.Lock()
         self._metrics = MetricsRegistry()
         self._query_log = QueryLog()
-        self.last_trace: Optional[Span] = None
         #: the most recent request's full trace (id + span tree), kept
-        #: regardless of duration; ``last_trace_export()`` renders it
+        #: regardless of duration; ``last_trace`` is its tree and
+        #: ``last_trace_export()`` renders it
         self._last_request_trace: Optional[RequestTrace] = None
         #: bounded ring of *slow* request traces — captured when
         #: auto_explain is enabled and the request crosses its threshold
         #: (one knob for both capture paths); served by ``sys_stat_traces``
         self._traces = TraceRing()
-        #: per-fingerprint statement latency quantiles (log-bucketed),
-        #: surfaced as ``statement_latency_ms`` in the Prometheus export
-        self._latency = StatementLatency()
-        #: plan baselines per normalized statement (plan-change detection)
-        self._baselines = PlanBaselineStore()
+        #: one entry per normalized statement: calls, execution-time
+        #: histogram, row and page sums, a SELECT's plan baseline; serves
+        #: ``sys_stat_statements``, ``statement_latency_ms`` and
+        #: ``EXPLAIN DIFF``
+        self._statements = StatementStore()
         #: est-vs-actual cardinality evidence, harvested from executions;
         #: consulted at planning time only when options.use_feedback is set
         self._feedback = FeedbackStore()
@@ -428,7 +428,6 @@ class Database:
                 self.activity.finish(entry)
         if own and tracer.root is not None:
             result.trace = tracer.root
-            self.last_trace = tracer.root
             if sql is not None:
                 self.capture_trace(tracer, sql, session_id=session.id)
         if own and self._pending:
@@ -641,7 +640,7 @@ class Database:
             text = physical.pretty() + self._search_section(stmt)
         else:
             # diffing is a read-only question: the baseline is NOT advanced
-            baseline = self.baselines.get(statement_fingerprint(st.sql))
+            baseline = self.statements.baseline(statement_fingerprint(st.sql))
             if baseline is None:
                 text = (
                     physical.pretty()
@@ -649,10 +648,11 @@ class Database:
                     "run it once to establish one)"
                 )
             else:
+                shape, cost = baseline
                 text = plan_diff(
-                    baseline.plan_shape,
+                    shape,
                     plan_shape_text(physical),
-                    baseline.est_cost,
+                    cost,
                     physical.total_est_cost(),
                 )
         return QueryResult(
@@ -1224,6 +1224,13 @@ class Database:
 
     # -- request traces -----------------------------------------------------------------
 
+    @property
+    def last_trace(self) -> Optional[Span]:
+        """The span tree of the most recent request: an embedded
+        statement's ``query`` root, or a served request's ``request``."""
+        trace = self.last_request_trace
+        return None if trace is None else trace.root
+
     def capture_trace(self, tracer: Tracer, sql: str, session_id: int = 0) -> None:
         """Queue a finished tracer for :meth:`harvest_pending` to keep as
         a :class:`RequestTrace` (nothing is built on the reply path)."""
@@ -1338,8 +1345,8 @@ class Database:
     ) -> None:
         """All of what ``ObsConfig.enabled`` buys besides span trees and
         wait hooks: feed one recorded statement into the metrics
-        registry, the feedback and baseline stores, the latency store,
-        the query log (with session/txn attribution) and auto_explain.
+        registry, the feedback store, the statement store, the query log
+        (with session/txn attribution) and auto_explain.
         *rows* is what it returned or modified; ``st.plan`` is the
         SELECT's plan or the scan that located an UPDATE/DELETE's rows
         (None for INSERT), whose estimates the log scores against *rows*.
@@ -1349,7 +1356,6 @@ class Database:
         select = st.kind == "select"
         est_cost = 0.0 if plan is None else plan.total_est_cost()
         spills = temp_files = 0
-        change = None
         if select:
             (
                 queries, returned, read, written, spilled, temps, fallbacks,
@@ -1373,21 +1379,8 @@ class Database:
                 self._feedback.harvest(plan, unless=PLimit)
             if sql is None:
                 return  # a nested internal select: no text to record under
-            statement_fp = statement_fingerprint(sql)
-            fingerprint = st.plan_fp or plan_fingerprint(plan)
+            plan_fp = st.plan_fp or plan_fingerprint(plan)
             spills, temp_files = em.spills, em.temp_files
-            change = self._baselines.observe(
-                statement_fp,
-                sql,
-                fingerprint,
-                est_cost,
-                plan,  # rendered only for a new or changed plan
-                execution_ms,
-            )
-            if change is not None:
-                self._metrics.counter("plan_changes_total").inc()
-                if change.is_regression:
-                    self._metrics.counter("plan_regressions_total").inc()
         else:
             statements, modified, execution_h = self._metrics.bind(
                 _DML_INSTRUMENTS
@@ -1395,9 +1388,18 @@ class Database:
             statements.inc()
             modified.inc(rows)
             execution_h.observe(execution_ms)
-            # the log names a SELECT by its plan, a DML statement by its text
-            fingerprint = statement_fp = statement_fingerprint(sql)
-        self._latency.observe(statement_fp, planning_ms + execution_ms)
+            plan_fp = None
+        statement_fp, change = self._statements.observe(
+            sql, execution_ms, rows, buffer_hits, io.reads, io.writes,
+            st.plan_cache_hit, plan_fp, est_cost,
+            plan,  # rendered only for a new or changed baseline
+        )
+        if change is not None:
+            self._metrics.counter("plan_changes_total").inc()
+            if change.is_regression:
+                self._metrics.counter("plan_regressions_total").inc()
+        # the log names a SELECT by its plan, a DML statement by its text
+        fingerprint = statement_fp if plan_fp is None else plan_fp
         est_rows = float(rows) if plan is None else plan.est_rows
         self._query_log.record(
             QueryLogRecord(
@@ -1482,10 +1484,11 @@ class Database:
             extras.update(
                 query_log_entries=float(len(self.query_log)),
                 feedback_entries=float(len(self.feedback)),
-                plan_baselines=float(len(self.baselines)),
+                plan_baselines=float(self.statements.baselines()),
                 wait_events_total=float(len(self.waits)),
                 slow_query_captures=float(self.auto_explain.captured_total),
-                statement_latency_fingerprints=float(len(self.latency)),
+                statement_latency_fingerprints=float(len(self.statements)),
+                statement_latency_dropped=float(self.statements.dropped),
                 slow_traces_captured=float(self.traces.captured),
             )
             # one pair of series per wait event, dots flattened for the
@@ -1497,7 +1500,7 @@ class Database:
             # per-fingerprint latency quantiles as one labeled family;
             # sorted label bodies keep the exposition byte-stable
             labeled = []
-            quantiles = self.latency.quantiles()
+            quantiles = self.statements.quantiles()
             if quantiles:
                 labeled.append(
                     (
@@ -1535,7 +1538,8 @@ class Database:
                 else None
             ),
         }
-        snap["statement_latency"] = self.latency.snapshot()
+        snap["statement_latency"] = self.statements.snapshot()
+        snap["statement_latency_dropped"] = self.statements.dropped
         return snap
 
     def _insert(self, stmt: InsertStmt) -> int:

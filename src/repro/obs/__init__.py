@@ -13,8 +13,10 @@ idle, and fed by one recorder at the end of the statement path):
   store: est vs. actual cardinality, cost, latency (``querylog``).
 * :class:`SearchTrace` — what the optimizer *considered*: memo entries,
   pruning decisions, ranked alternatives per join region (``search``).
-* :class:`PlanBaselineStore` — plan-change/regression detection keyed by
-  normalized statement fingerprint (``baseline``), rendered by
+* :class:`StatementStore` — the one per-statement store, keyed by
+  normalized statement fingerprint: calls and an execution-time
+  histogram, row and page sums, and a SELECT's plan baseline for
+  plan-change/regression detection (``statements``), rendered by
   :func:`plan_diff` (``plandiff``).
 * :class:`FeedbackStore` — LEO-style est-vs-actual aggregates keyed by
   (relation set, predicate fingerprint), driving opt-in estimate
@@ -31,13 +33,6 @@ idle, and fed by one recorder at the end of the statement path):
 """
 
 from .autoexplain import AutoExplain, AutoExplainConfig
-from .baseline import (
-    PlanBaseline,
-    PlanBaselineStore,
-    PlanChange,
-    normalize_statement,
-    statement_fingerprint,
-)
 from .config import InstrumentLevel, ObsConfig
 from .feedback import (
     FeedbackEntry,
@@ -52,11 +47,16 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    StatementLatency,
 )
 from .plandiff import plan_diff, plan_shape_lines, plan_shape_text
 from .querylog import QueryLog, QueryLogRecord, plan_fingerprint, q_error
 from .search import PathAlt, RegionSearch, SearchTrace, plan_shape
+from .statements import (
+    PlanChange,
+    StatementStore,
+    normalize_statement,
+    statement_fingerprint,
+)
 from .systables import (
     SYSTEM_TABLE_NAMES,
     ActivityEntry,
@@ -112,13 +112,11 @@ __all__ = [
     "chrome_trace_events",
     "export_chrome_trace",
     "validate_chrome_trace",
-    "StatementLatency",
     "SearchTrace",
     "RegionSearch",
     "PathAlt",
     "plan_shape",
-    "PlanBaseline",
-    "PlanBaselineStore",
+    "StatementStore",
     "PlanChange",
     "normalize_statement",
     "statement_fingerprint",

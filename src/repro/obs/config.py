@@ -3,9 +3,10 @@
 * :class:`ObsConfig` — observability on a
   :class:`~repro.engine.Database` has two states.  ``ObsConfig()`` is
   *on*: span trees, wait accounting, and one recorder feeding the
-  metrics registry, latency store, query log, baselines, feedback store
-  and auto_explain.  ``ObsConfig.off()`` is the uninstrumented engine the
-  benchmark's ``obs.overhead_share`` divides by.  Nothing in between is
+  metrics registry, feedback store, statement store (per-statement
+  calls, latency and plan baselines), query log and auto_explain.
+  ``ObsConfig.off()`` is the uninstrumented engine the benchmark's
+  ``obs.overhead_share`` divides by.  Nothing in between is
   configurable.
 * :class:`InstrumentLevel` — how much the executor measures per operator
   in one execution; an :class:`~repro.executor.ExecContext` argument, not

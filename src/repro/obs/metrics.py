@@ -71,11 +71,14 @@ HELP_TEXTS: Dict[str, str] = {
     "traces_captured_total": "request traces captured into the slow-trace ring",
     "trace_spans_total": "spans recorded across captured request traces",
     "statement_latency_ms": (
-        "per-fingerprint statement latency quantiles "
+        "per-fingerprint statement execution latency quantiles "
         "(log-bucketed; labels: fingerprint, quantile)"
     ),
     "statement_latency_fingerprints": (
-        "fingerprints currently tracked by the latency store"
+        "fingerprints currently tracked by the statement store"
+    ),
+    "statement_latency_dropped": (
+        "fingerprints dropped because the statement store was full"
     ),
 }
 
@@ -182,60 +185,6 @@ class Histogram:
             "p95": self.percentile(0.95),
             "p99": self.percentile(0.99),
         }
-
-
-class StatementLatency:
-    """Per-fingerprint latency distributions on a log-bucket ladder.
-
-    One :class:`Histogram` per statement fingerprint, capped at
-    *max_fingerprints* — once full, new fingerprints are dropped (and
-    counted) rather than evicting hot ones, so the exposition stays
-    bounded under adversarial workloads.  ``quantiles()`` returns the
-    sorted, deterministic view the Prometheus exporter renders as
-    ``statement_latency_ms{fingerprint=...,quantile=...}`` samples.
-    """
-
-    def __init__(
-        self,
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-        max_fingerprints: int = 128,
-    ):
-        self.buckets = tuple(buckets)
-        self.max_fingerprints = max_fingerprints
-        self._hists: Dict[str, Histogram] = {}
-        self._lock = threading.Lock()
-        self.dropped = 0
-
-    def observe(self, fingerprint: str, value_ms: float) -> None:
-        hist = self._hists.get(fingerprint)
-        if hist is None:
-            with self._lock:
-                hist = self._hists.get(fingerprint)
-                if hist is None:
-                    if len(self._hists) >= self.max_fingerprints:
-                        self.dropped += 1
-                        return
-                    hist = Histogram(self.buckets)
-                    self._hists[fingerprint] = hist
-        hist.observe(value_ms)
-
-    def __len__(self) -> int:
-        return len(self._hists)
-
-    def quantiles(self) -> List[Tuple[str, str, float]]:
-        """Sorted ``(fingerprint, quantile, value_ms)`` samples."""
-        out: List[Tuple[str, str, float]] = []
-        with self._lock:
-            items = sorted(self._hists.items())
-        for fingerprint, hist in items:
-            for label, p in (("0.5", 0.50), ("0.95", 0.95), ("0.99", 0.99)):
-                out.append((fingerprint, label, hist.percentile(p)))
-        return out
-
-    def snapshot(self) -> Dict[str, Dict[str, float]]:
-        with self._lock:
-            items = sorted(self._hists.items())
-        return {fp: h.snapshot() for fp, h in items}
 
 
 class MetricsRegistry:

@@ -6,9 +6,10 @@ engines by *system views* (``pg_stat_statements``, ``pg_stat_user_tables``,
 ``v$session``) queried with the engine's own SQL.  This module provides
 those tables for this engine:
 
-* ``sys_stat_statements`` — per normalized statement: calls, total/mean/
-  p95 latency, rows, buffer hits/page reads, plan-change count
-  (aggregated from the query log on every reference);
+* ``sys_stat_statements`` — per normalized statement since startup:
+  calls, total/mean/p95 execution time, rows, buffer hits/page reads,
+  plan-change and plan-cache-hit counts (the statement store's entries,
+  at most 128 statements; p95 is a histogram bucket bound);
 * ``sys_stat_tables``     — per table: sequential/index scan starts, rows
   read, pages hit/read (from the scan operators' access counters);
 * ``sys_stat_waits``      — the wait-event registry: where time goes
@@ -41,7 +42,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
 from ..types import Column, DataType, Schema
-from .baseline import normalize_statement
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine wires us)
     from ..engine.database import Database
@@ -133,15 +133,6 @@ class ActivityRegistry:
 # -- providers ----------------------------------------------------------------
 
 
-def _exact_percentile(values: List[float], p: float) -> float:
-    """Exact percentile (nearest-rank) of a small value list."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = max(1, round(p * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]
-
-
 def _stat_statements(db: "Database") -> Tuple[Schema, Rows]:
     schema = _schema(
         "sys_stat_statements",
@@ -157,45 +148,9 @@ def _stat_statements(db: "Database") -> Tuple[Schema, Rows]:
         ("plan_changes", DataType.INT),
         ("plan_cache_hits", DataType.INT),
     )
-    groups: Dict[str, List[Any]] = {}
-    for record in db.query_log.entries():
-        statement = normalize_statement(record.sql)
-        group = groups.get(statement)
-        if group is None:
-            group = groups[statement] = [[], 0, 0, 0, 0, 0, 0]
-        group[0].append(record.execution_ms)
-        group[1] += record.actual_rows
-        group[2] += record.buffer_hits
-        group[3] += record.actual_reads
-        group[4] += record.actual_writes
-        group[5] += 1 if record.plan_changed else 0
-        group[6] += 1 if record.plan_cache_hit else 0
-    rows: Rows = []
-    for statement, (
-        times,
-        nrows,
-        hits,
-        reads,
-        writes,
-        changes,
-        plan_hits,
-    ) in sorted(groups.items()):
-        total = sum(times)
-        rows.append(
-            (
-                _bounded(statement),
-                len(times),
-                total,
-                total / len(times),
-                _exact_percentile(times, 0.95),
-                nrows,
-                hits,
-                reads,
-                writes,
-                changes,
-                plan_hits,
-            )
-        )
+    rows: Rows = [
+        (_bounded(row[0]), *row[1:]) for row in db.statements.rows()
+    ]
     return schema, rows
 
 

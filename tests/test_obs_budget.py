@@ -30,7 +30,7 @@ from repro.obs import statement_fingerprint
 KV_ROWS = 4000
 WARMUPS, MEASURED = 200, 1000
 #: default minus off, calls per statement
-SELECT_BUDGET = 100
+SELECT_BUDGET = 97
 INSERT_BUDGET = 70
 
 

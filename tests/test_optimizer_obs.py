@@ -10,8 +10,8 @@ from repro import Database
 from repro.obs import (
     FeedbackStore,
     MetricsRegistry,
-    PlanBaselineStore,
     SearchTrace,
+    StatementStore,
     feedback_key,
     normalize_statement,
     normalized_predicate,
@@ -93,27 +93,39 @@ class TestPlanBaselines:
         sql = "SELECT a.id FROM a WHERE a.v = 3"
         for _ in range(3):
             db.query(sql)
-        assert len(db.baselines) == 1
-        assert db.baselines.changes() == []
+        assert db.statements.baselines() == 1
+        assert db.statements.changes() == []
         assert all(not r.plan_changed for r in db.query_log.entries())
 
     def test_literals_share_one_baseline(self, db):
         db.query("SELECT a.id FROM a WHERE a.v = 3")
         db.query("SELECT a.id FROM a WHERE a.v = 5")
-        assert len(db.baselines) == 1
+        assert db.statements.baselines() == 1
 
     def test_store_emits_change_and_advances(self):
-        store = PlanBaselineStore()
+        store = StatementStore()
         fp = statement_fingerprint("SELECT 1")
-        assert store.observe(fp, "SELECT 1", "planA", 10.0, "A", 5.0) is None
-        change = store.observe(fp, "SELECT 1", "planB", 25.0, "B", 9.0)
+
+        def run(plan_fp, cost, shape, ms):
+            observed_fp, change = store.observe(
+                "SELECT 1", ms, plan_fp=plan_fp, est_cost=cost, plan=shape
+            )
+            assert observed_fp == fp
+            return change
+
+        assert run("planA", 10.0, "A", 5.0) is None
+        change = run("planB", 25.0, "B", 9.0)
         assert change is not None
         assert change.is_regression and change.cost_delta == pytest.approx(15.0)
+        assert change.old_best_ms == 5.0
         # the new plan becomes the baseline: re-observing it is quiet
-        assert store.observe(fp, "SELECT 1", "planB", 25.0, "B", 9.0) is None
-        improvement = store.observe(fp, "SELECT 1", "planA", 10.0, "A", 4.0)
+        assert run("planB", 25.0, "B", 9.0) is None
+        improvement = run("planA", 10.0, "A", 4.0)
         assert improvement is not None and not improvement.is_regression
         assert store.regressions() == [change]
+        assert store.baseline(fp) == ("A", 10.0)
+        ((_, calls, *_rest, plan_changes, _hits),) = store.rows()
+        assert (calls, plan_changes) == (4, 2)
 
     def test_explain_diff_without_baseline(self, db):
         text = explain_text(
@@ -127,7 +139,7 @@ class TestPlanBaselines:
         text = explain_text(db, f"EXPLAIN DIFF {sql}")
         assert "(plans are identical)" in text
         # read-only: the diff itself must not advance the baseline
-        assert len(db.baselines) == 1
+        assert db.statements.baselines() == 1
 
     def test_normalize_statement(self):
         a = normalize_statement("SELECT x FROM t WHERE a = 5 AND s = 'hi'")

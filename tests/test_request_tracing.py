@@ -305,6 +305,20 @@ class TestServerTracing:
         assert full.find("protocol.encode") is not None
         assert_connected(full)
 
+    def test_last_trace_is_the_served_request_tree(self, served):
+        db, server = served
+        embedded = db.last_trace  # the fixture's INSERT, run in process
+        assert embedded.name == "query"
+        with connect(server) as client:
+            reply = client.execute("SELECT v FROM t WHERE id = 2", trace=True)
+        assert db.last_trace is db.last_request_trace.root
+        assert db.last_request_trace.trace_id == reply.trace_id
+        tree = db.last_trace
+        assert tree is not embedded and tree.name == "request"
+        assert tree.span_id == Span.from_dict(reply.trace).span_id
+        # a snapshot read's span: the served SELECT's, not the INSERT's
+        assert tree.find("mvcc.acquire") is not None
+
     def test_server_trace_attributed_to_session(self, served):
         db, server = served
         with connect(server) as client:
@@ -538,16 +552,21 @@ class TestDmlAccounting:
         assert text == db.metrics_snapshot(format="prom")
 
     def test_latency_store_bounds_fingerprints(self):
-        from repro.obs import StatementLatency
+        from repro.obs import StatementStore, statement_fingerprint
 
-        store = StatementLatency(max_fingerprints=2)
-        store.observe("a", 1.0)
-        store.observe("b", 2.0)
-        store.observe("c", 3.0)  # dropped
+        store = StatementStore(max_statements=2)
+        store.observe("SELECT a FROM t", 1.0)
+        store.observe("SELECT b FROM t", 2.0)
+        store.observe("SELECT c FROM t", 3.0)  # dropped
+        store.observe("SELECT a FROM t", 4.0)  # known: still counted
         assert len(store) == 2
         assert store.dropped == 1
         fps = {fp for fp, _q, _v in store.quantiles()}
-        assert fps == {"a", "b"}
+        assert fps == {
+            statement_fingerprint("SELECT a FROM t"),
+            statement_fingerprint("SELECT b FROM t"),
+        }
+        assert [row[1] for row in store.rows()] == [2, 1]
 
     def test_json_snapshot_has_trace_section(self):
         db = Database()

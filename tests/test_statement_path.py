@@ -99,7 +99,7 @@ def test_lifecycle(name, mode):
     assert result.trace.children[0].name == "parse"
     # exactly the records it owes
     records = db.query_log.entries()[logged:]
-    observed = db.latency.snapshot().get(statement_fingerprint(sql))
+    observed = db.statements.snapshot().get(statement_fingerprint(sql))
     if kind is None:
         assert records == [] and observed is None
     else:
@@ -200,15 +200,15 @@ def test_two_states_same_answers_same_plans_same_pages():
     # + five DML statements and the run inside EXPLAIN ANALYZE
     assert len(on.query_log) == selects + 6
     # the point reads share a shape, the two COUNT(*)s a text
-    assert len(on.baselines) == selects - 2 + 1
+    assert on.statements.baselines() == selects - 2 + 1
     assert len(on.feedback) > 0 and len(on.waits) > 0
     assert on.last_trace is not None and on.last_request_trace is not None
 
     assert off.metrics.snapshot() == {
         "counters": {}, "gauges": {}, "histograms": {},
     }
-    assert len(off.query_log) == len(off.latency) == 0
-    assert len(off.baselines) == len(off.feedback) == len(off.waits) == 0
+    assert len(off.query_log) == len(off.statements) == 0
+    assert len(off.feedback) == len(off.waits) == 0
     assert off.last_trace is None and off.last_request_trace is None
     assert off.last_search is None and len(off.traces.entries()) == 0
 

@@ -11,9 +11,17 @@ reconcile exactly with the storage layer's own statistics.
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Database, ObsConfig
-from repro.obs import SYSTEM_TABLE_NAMES, AutoExplainConfig, WaitEventStats
+from repro.obs import (
+    SYSTEM_TABLE_NAMES,
+    AutoExplainConfig,
+    WaitEventStats,
+    normalize_statement,
+    statement_fingerprint,
+)
 from repro.physical import PSeqScan, walk_plan
 
 
@@ -408,3 +416,96 @@ class TestActivityProgress:
         assert entry.elapsed_ms >= 0.0
         db.activity.finish(entry)
         assert len(db.activity) == 0
+
+
+# -- one store per statement ----------------------------------------------------
+
+
+def regroup(records):
+    """``sys_stat_statements`` as it was once computed: the query-log
+    ring regrouped by normalized statement, with p95 left out."""
+    groups = {}
+    for record in records:
+        group = groups.setdefault(
+            normalize_statement(record.sql), [[], 0, 0, 0, 0, 0, 0]
+        )
+        group[0].append(record.execution_ms)
+        group[1] += record.actual_rows
+        group[2] += record.buffer_hits
+        group[3] += record.actual_reads
+        group[4] += record.actual_writes
+        group[5] += 1 if record.plan_changed else 0
+        group[6] += 1 if record.plan_cache_hit else 0
+    return {
+        statement: (len(times), sum(times), sum(times) / len(times), *sums)
+        for statement, (times, *sums) in groups.items()
+    }
+
+
+class TestOneStatementStore:
+    def test_calls_are_cumulative_and_agree_with_statement_latency(self):
+        db = Database()
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+        for i in range(300):
+            db.execute(f"INSERT INTO t VALUES ({i}, {i})")
+        shape = "insert into t values (?, ?)"
+        calls = db.query(
+            f"SELECT calls FROM sys_stat_statements WHERE statement = '{shape}'"
+        ).rows
+        fp = statement_fingerprint("INSERT INTO t VALUES (0, 0)")
+        latency = db.metrics_snapshot()["statement_latency"][fp]
+        assert calls == [(300,)] and latency["count"] == 300
+        assert len(db.query_log) == 256  # the ring alone would undercount
+
+    def test_the_store_is_bounded_and_reports_its_drops(self):
+        db = Database()
+        db.execute("CREATE TABLE u (a INT, b INT)")
+        db.execute("INSERT INTO u VALUES (1, 2)")
+        for i in range(200):  # 200 shapes: an alias is not a literal
+            db.query(f"SELECT a AS c{i} FROM u")
+        assert len(db.statements) == 128 and db.statements.dropped == 73
+        assert db.statements.baselines() == 127
+        snap = db.metrics_snapshot()
+        assert len(snap["statement_latency"]) == 128
+        assert snap["statement_latency_dropped"] == 73
+        prom = db.metrics_snapshot(format="prom").splitlines()
+        for line in (
+            "repro_statement_latency_fingerprints 128",
+            "repro_statement_latency_dropped 73",
+            "repro_plan_baselines 127",
+        ):
+            assert line in prom
+        rows = db.query("SELECT statement FROM sys_stat_statements").rows
+        assert len(rows) == 128
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(0, 40).map(lambda k: f"INSERT INTO h VALUES ({k}, {k % 7})"),
+                st.integers(0, 40).map(lambda k: f"SELECT v FROM h WHERE k = {k}"),
+                st.integers(0, 9).map(lambda v: f"SELECT COUNT(*) AS n FROM h WHERE v < {v}"),
+                st.integers(0, 9).map(lambda v: f"UPDATE h SET v = {v} WHERE k = {v * 3}"),
+                st.integers(0, 9).map(lambda v: f"DELETE FROM h WHERE v = {v}"),
+                st.integers(0, 9).map(lambda v: f"EXPLAIN ANALYZE SELECT k FROM h WHERE v = {v}"),
+                st.just("ANALYZE h"),
+            ),
+            max_size=60,
+        )
+    )
+    def test_the_store_equals_the_regrouped_query_log(self, statements):
+        """Below the 256-record ring, the store and a regroup of the query
+        log are the same numbers (p95 aside: the store's is a bucket bound)."""
+        db = Database()
+        db.execute("CREATE TABLE h (k INT, v INT)")
+        db.execute("CREATE INDEX hk ON h (k)")
+        for sql in statements:
+            db.execute(sql)
+        expected = regroup(db.query_log.entries())
+        rows = db.query("SELECT * FROM sys_stat_statements").rows
+        got = {row[0]: row[1:4] + row[5:] for row in rows}
+        assert got.keys() == expected.keys()
+        for statement, (calls, total, mean, *sums) in expected.items():
+            mine = got[statement]
+            assert mine[0] == calls and list(mine[3:]) == sums
+            assert mine[1:3] == pytest.approx((total, mean), rel=1e-12)
