@@ -6,18 +6,18 @@ literals on every later execution (System R's access module, re-run
 with new host variables), for SELECTs and for the scan that locates an
 UPDATE/DELETE's rows alike.
 
-**Lifting.**  After parsing, :func:`lift_select` / :func:`lift_where`
-walk the statement once.  Every ``int``/``float``/``str`` literal of
-the WHERE clause and of the JOIN conditions becomes a parameter slot
-(``Literal.slot``); the walk yields the *shape key* — the statement
-with each lifted literal masked by its Python type — and the parameter
-vector.  ``NULL``, booleans, ``LIMIT`` counts and LIKE patterns stay in
-the key by value, and so does everything in the select list, GROUP BY,
-HAVING and ORDER BY: the plan builder matches those clauses against
-each other by expression equality and names output columns after their
-text, so their literals are part of what the statement *is*.
-Subqueries make a statement uncacheable (decomposition bakes their
-results into the plan).
+**Shapes.**  The parser decides what a statement's shape is
+(:mod:`repro.sql.parser`): every ``int``/``float``/``str`` literal of
+the WHERE clause and of the JOIN conditions arrives as a parameter slot
+(``Literal.slot``), and the statement carries its *shape key* — its
+tokens with each slotted literal masked by its Python type — and the
+parameter vector.  ``NULL``, booleans, ``LIMIT`` counts and LIKE
+patterns stay in the key by value, and so does everything in the select
+list, GROUP BY, HAVING and ORDER BY: the plan builder matches those
+clauses against each other by expression equality and names output
+columns after their text, so their literals are part of what the
+statement *is*.  A statement with a subquery has no key and is not
+cached (decomposition bakes subquery results into the plan).
 
 **Miss.**  The statement is planned exactly as it would be cold, real
 values in place, and the plan is kept as a template
@@ -67,24 +67,12 @@ from typing import Any, List, Optional, Sequence, Tuple
 from ..algebra import JoinGraph, LogicalGet
 from ..catalog import TableInfo
 from ..expr import (
-    AggCall,
-    Arithmetic,
-    Between,
     BoolKind,
     BoolOp,
     CmpOp,
     ColCmpConst,
-    ColumnRef,
-    Comparison,
     Expr,
-    InList,
-    IsNull,
-    Like,
-    Literal,
-    Negate,
-    Not,
     classify_conjunct,
-    map_expr,
     referenced_columns,
 )
 from ..obs import plan_fingerprint
@@ -97,7 +85,6 @@ from ..physical import (
     PSeqScan,
 )
 from ..physical.bind import PlanTemplate, bind_expr, slots_of
-from ..sql import JoinClause, SelectStmt
 
 
 @dataclass
@@ -116,122 +103,6 @@ class CacheStats:
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-
-# -- literal lifting ----------------------------------------------------------
-
-
-@dataclass
-class Lifted:
-    """One statement after lifting: its shape key, its parameter vector,
-    and what a miss plans — the SELECT (or the WHERE of an UPDATE/DELETE)
-    with the lifted literals slotted."""
-
-    key: Tuple[Any, ...]
-    params: List[Any]
-    stmt: Any
-
-
-class _Lifter:
-    """The one walk: rebuilds expressions through ``map_expr`` and leaves
-    one key token per node (post-order, each token fixing its node's kind
-    and arity, so the token string determines the tree)."""
-
-    def __init__(self, head: Sequence[Any]):
-        self.key: List[Any] = list(head)
-        self.params: List[Any] = []
-        self.lifting = False
-        self.cacheable = True
-
-    def expr(self, expr: Optional[Expr], lifting: bool) -> Optional[Expr]:
-        if expr is None:
-            self.key.append(None)
-            return None
-        self.lifting = lifting
-        return map_expr(expr, self._visit)
-
-    def _visit(self, e: Expr) -> Expr:
-        cls = type(e)
-        key = self.key
-        if cls is Literal:
-            value = e.value
-            kind = type(value)
-            if self.lifting and (kind is int or kind is float or kind is str):
-                key.append(kind)
-                self.params.append(value)
-                return Literal(value, len(self.params) - 1)
-            key.append((Literal, repr(value)))
-        elif cls is ColumnRef:
-            key.append(e.name)
-        elif cls is Comparison or cls is Arithmetic:
-            key.append(e.op)
-        elif cls is BoolOp:
-            key.append((e.kind, len(e.operands)))
-        elif cls is InList:
-            key.append((InList, len(e.items), e.negated))
-        elif cls is Between or cls is IsNull:
-            key.append((cls, e.negated))
-        elif cls is Like:
-            key.append((Like, e.pattern, e.negated))
-        elif cls is Not or cls is Negate:
-            key.append(cls)
-        elif cls is AggCall:
-            key.append((e.func, e.distinct, e.arg is None))
-        else:
-            # a subquery — or a node kind this walk has not been taught
-            self.cacheable = False
-        return e
-
-    def result(self, stmt: Any) -> Optional[Lifted]:
-        if not self.cacheable:
-            return None
-        return Lifted(tuple(self.key), self.params, stmt)
-
-
-def lift_select(stmt: SelectStmt) -> Optional[Lifted]:
-    """Lift a SELECT; ``None`` when it holds a subquery (uncacheable)."""
-    walk = _Lifter(("select", stmt.distinct, stmt.limit, len(stmt.items)))
-    key = walk.key
-    for item in stmt.items:
-        key.append((item.alias, item.star_qualifier))
-        walk.expr(item.expr, False)
-    key.append(len(stmt.from_tables))
-    for ref in stmt.from_tables:
-        key.append((ref.table, ref.alias))
-    key.append(len(stmt.joins))
-    joins = []
-    for join in stmt.joins:
-        key.append((join.table.table, join.table.alias))
-        joins.append(JoinClause(join.table, walk.expr(join.condition, True)))
-    where = walk.expr(stmt.where, True)
-    key.append(len(stmt.group_by))
-    for expr in stmt.group_by:
-        walk.expr(expr, False)
-    walk.expr(stmt.having, False)
-    key.append(len(stmt.order_by))
-    for order in stmt.order_by:
-        key.append(order.ascending)
-        walk.expr(order.expr, False)
-    return walk.result(
-        SelectStmt(
-            stmt.items,
-            stmt.from_tables,
-            joins,
-            where,
-            stmt.group_by,
-            stmt.having,
-            stmt.order_by,
-            stmt.limit,
-            stmt.distinct,
-        )
-    )
-
-
-def lift_where(table: str, where: Optional[Expr]) -> Optional[Lifted]:
-    """Lift the WHERE of an UPDATE/DELETE on *table*: the key of the scan
-    that locates the statement's rows (both statement kinds share it)."""
-    walk = _Lifter(("dml", table))
-    return walk.result(walk.expr(where, True))
 
 
 # -- cached plans -------------------------------------------------------------
@@ -382,7 +253,7 @@ class CachedPlan:
 class PlanCache:
     """Bounded LRU of plan variants, grouped by statement shape.
 
-    A *shape* is ``(options_key, lifted key)``: the rendering of the
+    A *shape* is ``(options_key, stmt.key)``: the rendering of the
     active :class:`PlannerOptions` and the literal-masked statement.
     ``size`` bounds the variants over all shapes; ``size=0`` switches the
     cache off.

@@ -96,14 +96,7 @@ from ..wal import (
     recover,
     write_checkpoint,
 )
-from .cache import (
-    CachedPlan,
-    Lifted,
-    PlanCache,
-    lift_select,
-    lift_where,
-    relation_estimator,
-)
+from .cache import CachedPlan, PlanCache, relation_estimator
 from .session import Session
 from .statement import StatementContext
 from .views import Expansion, ViewDef, ViewExpander
@@ -258,8 +251,8 @@ class Database:
         self.activity = ActivityRegistry()
         #: slow-statement capture (``auto_explain``-style)
         self.auto_explain = AutoExplain(self.obs.auto_explain)
-        #: inter-query cache: physical plans keyed by literal-lifted
-        #: statement shape; see ``engine.cache``
+        #: inter-query cache: physical plans keyed by the statement shape
+        #: the parser yields; see ``engine.cache``
         self.plan_cache = PlanCache(self.obs.plan_cache_size)
         #: the engine-wide statement lock: one statement mutates or plans
         #: at a time; lock *waits* (table locks) happen outside it, and
@@ -408,7 +401,7 @@ class Database:
                 else:
                     with tracer.span("parse"):
                         stmt = parse(sql)
-                st = StatementContext(session, sql, entry)
+                st = StatementContext(session, sql, entry, stmt.tokens)
                 if isinstance(stmt, SelectStmt):
                     result = self._read(st, stmt)
                 elif select_only:
@@ -500,35 +493,17 @@ class Database:
     ) -> QueryResult:
         """Plan (or fetch the cached plan) and execute, inside the read
         envelope; leaves the chosen plan on *st*."""
-        # Cacheable = user-issued, not EXPLAIN ANALYZE (which must show a
-        # cold plan), feedback off (feedback-corrected plans drift between
-        # executions), and no subqueries (decomposition bakes subquery
-        # *results* into the plan as literals; the lifting walk is what
-        # finds them).
-        lifted = None
-        if (
-            st.sql is not None
-            and not analyze
-            and not self.options.use_feedback
-            and self.plan_cache.size
-        ):
-            lifted = lift_select(stmt)
         pstats = PlannerStats()
 
-        def plan_cold(stmt: SelectStmt) -> PhysicalPlan:
+        def plan_cold() -> PhysicalPlan:
             nonlocal pstats
             with trace_span("plan"):
                 physical, pstats = self.plan_select(stmt, collect_search)
             return physical
 
-        if lifted is not None:
-            st.plan, cached, st.plan_cache_hit = self._cached_plan(
-                lifted, lambda: plan_cold(lifted.stmt)
-            )
-            if cached is not None:
-                st.plan_fp = cached.fingerprint
-        else:
-            st.plan = plan_cold(stmt)
+        st.plan, cached, st.plan_cache_hit = self._cached_plan(stmt, plan_cold)
+        if cached is not None:
+            st.plan_fp = cached.fingerprint
         planning = time.perf_counter() - st.start
         st.phase("executing")
         blocked = self.waits.blocked_seconds()
@@ -1265,19 +1240,29 @@ class Database:
         return export_chrome_trace(trace, path)
 
     def _cached_plan(
-        self, lifted: Lifted, plan_cold
+        self, stmt: Any, plan_cold
     ) -> Tuple[PhysicalPlan, Optional[CachedPlan], bool]:
         """Lookup-or-plan through the plan cache, for a SELECT and for the
         scan that locates an UPDATE/DELETE's rows alike: the executable
-        plan for *lifted*'s literals, its cache entry, and whether that
-        was a hit.  On a miss *plan_cold* plans the statement and the
-        result becomes the template of a new variant — unless it leans on
-        transient tables, in which case it is run as it is and there is
-        no entry.  A cached template is never executed itself."""
-        shape = (self._options_key, lifted.key)
+        plan for *stmt*'s parameters, its cache entry, and whether that
+        was a hit.  On a miss *plan_cold* plans the statement (its
+        literals slotted) and the result becomes the template of a new
+        variant — unless it leans on transient tables, in which case it
+        is run as it is and there is no entry.  A cached template is
+        never executed itself.
+
+        Only a statement ``parse`` gave a shape key is cached: not a
+        nested internal select, not EXPLAIN's SELECT (EXPLAIN ANALYZE
+        shows a cold plan), not one with a subquery (decomposition bakes
+        subquery *results* into the plan).  Neither is anything while
+        feedback is on: feedback-corrected plans drift between runs."""
+        if stmt.key is None or not self.plan_cache.size or self.options.use_feedback:
+            return plan_cold(), None, False
+        shape = (self._options_key, stmt.key)
+        params = stmt.params
         cache = self.plan_cache
         replans = cache.stats.replans
-        cached = cache.lookup(shape, lifted.params)
+        cached = cache.lookup(shape, params)
         hit = cached is not None
         if self.obs.enabled:
             self._metrics.counter(
@@ -1290,11 +1275,9 @@ class Database:
             physical = plan_cold()
             if len(self._live_transients) > before:
                 return physical, None, False
-            cached = CachedPlan(
-                physical, lifted.params, self.options.estimator
-            )
+            cached = CachedPlan(physical, params, self.options.estimator)
             cache.store(shape, cached)
-        return cached.bind(lifted.params), cached, hit
+        return cached.bind(params), cached, hit
 
     def _record(
         self, st: StatementContext, result: Optional[QueryResult], rows: int
@@ -1393,6 +1376,7 @@ class Database:
             sql, execution_ms, rows, buffer_hits, io.reads, io.writes,
             st.plan_cache_hit, plan_fp, est_cost,
             plan,  # rendered only for a new or changed baseline
+            st.tokens,
         )
         if change is not None:
             self._metrics.counter("plan_changes_total").inc()
@@ -1578,11 +1562,11 @@ class Database:
         return self.catalog.insert_rows(stmt.table, rows)
 
     def _victims(
-        self, info: TableInfo, where
+        self, info: TableInfo, stmt: Any
     ) -> Tuple[List[Tuple[Any, Any]], PhysicalPlan, bool]:
         """The (rid, row) pairs an UPDATE/DELETE touches, the scan that
         found them, and whether that scan came out of the plan cache: the
-        cheapest access path the optimizer prices for *where* — the
+        cheapest access path the optimizer prices for its WHERE — the
         estimator and cost model a SELECT is planned with, and the same
         cache, keyed by table and WHERE shape — run against the current
         heap (the caller holds the table's exclusive lock; its own
@@ -1596,6 +1580,7 @@ class Database:
         SELECT and an UPDATE with one WHERE may pick different paths."""
         from ..expr import compile_predicate, split_conjuncts
 
+        where = stmt.where
         # compiled first: a mistyped WHERE fails before anything is priced
         predicate = (
             compile_predicate(where, info.schema)
@@ -1603,7 +1588,7 @@ class Database:
             else None
         )
 
-        def plan_cold(where) -> PhysicalPlan:
+        def plan_cold() -> PhysicalPlan:
             candidates = access_paths(
                 info,
                 info.name,
@@ -1619,20 +1604,12 @@ class Database:
             )
             return min(candidates, key=lambda cand: cand.cost.total).plan
 
-        lifted = None
-        if self.plan_cache.size and not self.options.use_feedback:
-            lifted = lift_where(info.name, where)
-        if lifted is not None:
-            plan, _, hit = self._cached_plan(
-                lifted, lambda: plan_cold(lifted.stmt)
-            )
-        else:
-            plan, hit = plan_cold(where), False
+        plan, _, hit = self._cached_plan(stmt, plan_cold)
         return list(live_rows(plan, predicate)), plan, hit
 
     def _delete(self, stmt: DeleteStmt) -> Tuple[int, PhysicalPlan, bool]:
         info = self.catalog.table(stmt.table)
-        victims, path, hit = self._victims(info, stmt.where)
+        victims, path, hit = self._victims(info, stmt)
         for rid, row in victims:
             info.delete(rid, row)
         return len(victims), path, hit
@@ -1647,7 +1624,7 @@ class Database:
         for column, expr in stmt.assignments:
             positions.append(schema.index_of(column))
             setters.append(compile_expr(expr, schema))
-        victims, path, hit = self._victims(info, stmt.where)
+        victims, path, hit = self._victims(info, stmt)
         for rid, row in victims:
             new_row = list(row)
             for pos, setter in zip(positions, setters):

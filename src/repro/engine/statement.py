@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..obs import ActivityEntry
     from ..physical import PhysicalPlan
+    from ..sql import Token
     from ..storage import IOStats
     from ..wal import Snapshot, Transaction
     from .session import Session
@@ -25,6 +26,9 @@ class StatementContext:
     sql: Optional[str] = None
     #: the statement's ``sys_stat_activity`` row (user statements only)
     entry: Optional[ActivityEntry] = None
+    #: the tokens the text was parsed from: the statement fingerprint's
+    #: input, so the harvest never reads the text again
+    tokens: Sequence[Token] = ()
     kind: str = "select"  # select | insert | update | delete
     #: taken once parsed: planning time and DML latency count from here
     start: float = field(default_factory=time.perf_counter)

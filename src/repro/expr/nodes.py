@@ -119,10 +119,12 @@ class ColumnRef(Expr):
 @dataclass(frozen=True)
 class Literal(Expr):
     value: Any
-    #: parameter slot, set when the plan cache lifted this literal out of
-    #: a statement (``engine.cache``).  Part of equality and hash: two
-    #: lifted literals never conflate through a set or a memo, even while
-    #: their values coincide, so each slot can be rebound on its own.
+    #: parameter slot, set by the parser on an int/float/str literal of a
+    #: SELECT's WHERE or JOIN … ON, or of an UPDATE/DELETE's WHERE — the
+    #: statement's ``params[slot]`` (``sql.parser``); the plan cache
+    #: rebinds it (``engine.cache``).  Part of equality and hash: two
+    #: slotted literals never conflate through a set or a memo, even
+    #: while their values coincide, so each slot can be rebound on its own.
     slot: Optional[int] = None
 
     def __str__(self) -> str:

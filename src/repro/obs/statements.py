@@ -3,8 +3,9 @@
 The 1977 paper judges an optimizer by setting what it chose beside what
 it cost; in a running engine that judgment is per statement.  One
 :class:`StatementStore`, keyed by the normalized statement
-(:func:`statement_fingerprint`) and fed once per recorded statement,
-holds it.  Each :class:`StatementStats` entry carries the normalized
+(:func:`statement_fingerprint`: the statement's tokens with every literal
+a ``?``, built from the tokens its parse read) and fed once per recorded
+statement, holds it.  Each :class:`StatementStats` entry carries the normalized
 text, one :class:`~repro.obs.metrics.Histogram` of execution time (calls,
 total, mean and the bucketed p95 all come from it), running sums of rows
 and page traffic, and — for a SELECT — the *baseline*: the plan the
@@ -30,36 +31,47 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import re
 import threading
 from collections import deque
 from dataclasses import asdict, dataclass
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
+from ..sql.lexer import Token, tokenize
 from .metrics import Histogram
 from .plandiff import plan_shape_text
 
-#: a string or a number; a string is tried first at every position, so a
-#: digit inside one is never taken for a number
-_LITERAL = re.compile(
-    r"'(?:[^']|'')*'|\b\d+(?:\.\d+)?(?:e[+-]?\d+)?\b", re.IGNORECASE
-)
+
+def normalize_tokens(tokens: Sequence[Token]) -> str:
+    """The normalized statement, from the tokens the parser read: every
+    literal is ``?``, words are lower-cased, one space stands where the
+    text had blanks or a comment, and the trailing ``;`` goes.  An
+    ``EXPLAIN`` prefix (with any option list) goes too, so an ``EXPLAIN
+    ANALYZE SELECT ...`` shares its fingerprint with the bare SELECT."""
+    start, end = 0, len(tokens) - 1  # the last token is EOF
+    if _is(tokens[0], "KEYWORD", "EXPLAIN"):
+        start = next(
+            (i for i in range(1, end) if _is(tokens[i], "KEYWORD", "SELECT")), 0
+        )
+    while end > start and _is(tokens[end - 1], "SYMBOL", ";"):
+        end -= 1
+    text = "".join(
+        [
+            (" " if tok.spaced else "")
+            + ("?" if tok.kind == "NUMBER" or tok.kind == "STRING" else tok.value)
+            for tok in tokens[start:end]
+        ]
+    )
+    return text.lower().lstrip()
+
+
+def _is(tok: Token, kind: str, value: str) -> bool:
+    return tok.kind == kind and tok.value == value
 
 
 def normalize_statement(sql: str) -> str:
-    """Literal-free, whitespace-collapsed, lower-cased statement text.
-
-    ``EXPLAIN`` prefixes (with any option list) are stripped so an
-    ``EXPLAIN ANALYZE SELECT ...`` shares its fingerprint with the bare
-    SELECT it wraps.
-    """
-    text = " ".join(_LITERAL.sub("?", sql).split())
-    text = text.lower().rstrip(";").strip()
-    if text.startswith("explain"):
-        idx = text.find("select")
-        if idx > 0:
-            text = text[idx:]
-    return text
+    """:func:`normalize_tokens` of *sql*'s tokens; text the lexer cannot
+    read raises :class:`~repro.sql.LexError`."""
+    return normalize_tokens(tokenize(sql))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -157,15 +169,17 @@ class StatementStore:
         plan_fp: Optional[str] = None,
         est_cost: float = 0.0,
         plan: Any = None,
+        tokens: Optional[Sequence[Token]] = None,
     ) -> Tuple[str, Optional[PlanChange]]:
         """Record one executed statement; returns its fingerprint and, for
         a SELECT (*plan_fp* given) whose plan differs from the baseline,
         the change event — the baseline then advances to the new plan, so
         a stable new plan fires once.  *plan* is the shape text or the
         plan itself, rendered only when the baseline is new or changed.
-        A statement the full store has no entry for is dropped and
+        *tokens* are *sql*'s, when the caller parsed it already.  A
+        statement the full store has no entry for is dropped and
         counted."""
-        statement = normalize_statement(sql)
+        statement = normalize_tokens(tokens or tokenize(sql))
         fp = _digest(statement)
         with self._lock:
             entry = self._entries.get(fp)

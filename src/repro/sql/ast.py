@@ -10,14 +10,26 @@ to convert.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ..expr.nodes import Expr
 from ..types import DataType
+from .lexer import Token
 
 
 class Statement:
-    """Base class for parsed statements."""
+    """Base class for parsed statements.
+
+    :func:`~repro.sql.parser.parse` leaves on the statement it returns
+    the ``tokens`` it was parsed from (what the statement fingerprint is
+    made of) and, for a SELECT, UPDATE or DELETE without a subquery, its
+    plan-cache ``key`` and the ``params`` its slotted literals hold.  None
+    of the three is part of a statement's equality.
+    """
+
+    tokens: Sequence[Token] = ()
+    key: Optional[Tuple[Any, ...]] = None
+    params: Sequence[Any] = ()
 
 
 @dataclass(frozen=True)

@@ -52,14 +52,17 @@ class LexError(Exception):
 
 class Token:
     """*position* is where a word or a symbol starts, and where a string
-    or a number ends."""
+    or a number ends.  *spaced* says blanks or a comment came before it:
+    layout, so not part of a token's identity, and what the statement
+    fingerprint (``obs.statements``) turns into one space."""
 
-    __slots__ = ("kind", "value", "position")
+    __slots__ = ("kind", "value", "position", "spaced")
 
-    def __init__(self, kind: str, value: object, position: int):
+    def __init__(self, kind: str, value: object, position: int, spaced: bool = False):
         self.kind = kind  # KEYWORD | IDENT | NUMBER | STRING | SYMBOL | EOF
         self.value = value
         self.position = position
+        self.spaced = spaced
 
     def _key(self):
         return (self.kind, self.value, self.position)
@@ -82,27 +85,32 @@ def tokenize(sql: str) -> List[Token]:
     append = tokens.append
     keywords = KEYWORDS
     n = len(sql)
+    last = 0  # where the previous token ended: matches are contiguous
     for m in _TOKEN.finditer(sql):
         kind = m.lastgroup
         text = m[kind]
         end = m.end()
+        start = end - len(text)
+        spaced = start != last
+        last = end
         if kind == "word":
             upper = text.upper()
             if upper in keywords:
-                append(Token("KEYWORD", upper, end - len(text)))
+                append(Token("KEYWORD", upper, start, spaced))
             else:
-                append(Token("IDENT", text, end - len(text)))
+                append(Token("IDENT", text, start, spaced))
         elif kind == "symbol":
             value = "<>" if text == "!=" else text
-            append(Token("SYMBOL", value, end - len(text)))
+            append(Token("SYMBOL", value, start, spaced))
         elif kind == "number":
-            append(Token("NUMBER", int(text) if text.isdigit() else float(text), end))
+            value = int(text) if text.isdigit() else float(text)
+            append(Token("NUMBER", value, end, spaced))
         elif kind == "string":
             # the pattern backs off a trailing '' it could not close, so a
             # literal with a quote right behind it never closed
             if sql.startswith("'", end):
                 raise LexError("unterminated string literal", n)
-            append(Token("STRING", text[1:-1].replace("''", "'"), end))
+            append(Token("STRING", text[1:-1].replace("''", "'"), end, spaced))
         elif kind == "other":
             if text == "'":
                 raise LexError("unterminated string literal", n)

@@ -5,11 +5,22 @@ Expression precedence (loosest to tightest)::
     OR < AND < NOT < comparison | IS | IN | LIKE | BETWEEN < + - < * / % < unary
 
 The parser emits engine expressions (:mod:`repro.expr.nodes`) directly.
+
+**Statement shapes.**  The parser alone decides which literals are a
+statement's parameters: every ``int``/``float``/``str`` literal of a
+SELECT's WHERE and JOIN … ON, and of an UPDATE/DELETE's WHERE, becomes
+``Literal(value, slot)`` with its value in ``stmt.params[slot]``.  The
+select list, GROUP BY, HAVING, ORDER BY, LIMIT, LIKE patterns, INSERT
+values, UPDATE SET, a view body, EXPLAIN's SELECT and subqueries stay
+unslotted.  ``stmt.key`` is the statement's tokens with the slotted
+literals masked by type (the plan cache's shape key, ``engine.cache``);
+for UPDATE/DELETE only the table and the WHERE's tokens, so both kinds
+share one victim scan.  A statement with a subquery has no key.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Set, Tuple
 
 from ..expr.nodes import (
     AggCall,
@@ -58,14 +69,12 @@ from .ast import (
 from .lexer import Token, tokenize
 
 _AGG_KEYWORDS = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
-
-_CMP_SYMBOLS = {
-    "=": CmpOp.EQ,
-    "<>": CmpOp.NE,
-    "<": CmpOp.LT,
-    "<=": CmpOp.LE,
-    ">": CmpOp.GT,
-    ">=": CmpOp.GE,
+_LITERALS = {"NUMBER", "STRING"}
+_CMP_SYMBOLS = {op.value: op for op in CmpOp}
+_TXN_STATEMENTS = {"BEGIN": BeginStmt, "COMMIT": CommitStmt, "ROLLBACK": RollbackStmt}
+_EXPLAIN_OPTIONS = {
+    "ANALYZE": "analyze", "ANALYSE": "analyze", "VERBOSE": "verbose",
+    "SEARCH": "search", "DIFF": "diff",
 }
 
 
@@ -78,11 +87,29 @@ class ParseError(Exception):
 
 
 def parse(sql: str) -> Statement:
-    """Parse one SQL statement (trailing ``;`` allowed)."""
-    parser = _Parser(tokenize(sql))
+    """Parse one SQL statement (trailing ``;`` allowed).  The statement
+    carries its ``tokens`` and, when it has a shape, its ``key`` and
+    ``params`` (see the module docstring)."""
+    tokens = tokenize(sql)
+    parser = _Parser(tokens)
     stmt = parser.statement()
+    end = parser.pos
     parser.accept_symbol(";")
     parser.expect_eof()
+    stmt.tokens = tokens
+    if parser.shape is not None and not parser.nested:
+        head, start = parser.shape
+        slotted, folded = parser.slotted, parser.folded
+        stmt.key = head + tuple(
+            tok.value
+            if tok.kind not in _LITERALS
+            else type(tok.value)
+            if i in slotted
+            else (type(tok.value), tok.value)
+            for i, tok in enumerate(tokens[start:end], start)
+            if i not in folded
+        )
+        stmt.params = parser.params
     return stmt
 
 
@@ -98,6 +125,18 @@ class _Parser:
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
         self.pos = 0
+        #: the key's head and the index of its first token, once the
+        #: statement turns out to have a shape
+        self.shape: Optional[Tuple[Tuple[Any, ...], int]] = None
+        #: a SELECT was parsed inside the statement's own
+        self.nested = False
+        #: whether primary() slots the literals it meets, the slotted
+        #: values, the token index of each slotted literal, and those of
+        #: the unary minuses folded into one (left out of the key)
+        self.slotting = False
+        self.params: List[Any] = []
+        self.slotted: Set[int] = set()
+        self.folded: Set[int] = set()
 
     # -- token plumbing ---------------------------------------------------------
 
@@ -152,7 +191,7 @@ class _Parser:
 
     def statement(self) -> Statement:
         if self.at_keyword("SELECT"):
-            return self.select()
+            return self.select(top=True)
         if self.at_keyword("EXPLAIN"):
             self.advance()
             return self._explain_tail()
@@ -170,10 +209,7 @@ class _Parser:
             self.advance()
             self.expect_keyword("FROM")
             table = self.expect_ident()
-            where = None
-            if self.accept_keyword("WHERE"):
-                where = self.expression()
-            return DeleteStmt(table, where)
+            return DeleteStmt(table, self.dml_where(table))
         if self.at_keyword("UPDATE"):
             return self.update()
         if self.at_keyword("ANALYZE"):
@@ -181,59 +217,37 @@ class _Parser:
             if self.current.kind == "IDENT":
                 return AnalyzeStmt(self.expect_ident())
             return AnalyzeStmt(None)
-        if self.accept_keyword("BEGIN"):
+        if self.at_keyword(*_TXN_STATEMENTS):
+            stmt = _TXN_STATEMENTS[self.advance().value]()
             self.accept_keyword("TRANSACTION", "WORK")
-            return BeginStmt()
-        if self.accept_keyword("COMMIT"):
-            self.accept_keyword("TRANSACTION", "WORK")
-            return CommitStmt()
-        if self.accept_keyword("ROLLBACK"):
-            self.accept_keyword("TRANSACTION", "WORK")
-            return RollbackStmt()
+            return stmt
         if self.accept_keyword("CHECKPOINT"):
             return CheckpointStmt()
         raise ParseError(f"unexpected {self.current}", self.current)
 
     def _explain_tail(self) -> ExplainStmt:
         """EXPLAIN options: parenthesized PostgreSQL-style list
-        ``EXPLAIN (ANALYZE, VERBOSE, SEARCH)`` or the bare keyword form
-        ``EXPLAIN ANALYZE VERBOSE SEARCH`` — both precede the SELECT."""
-        analyze = verbose = search = diff = False
+        ``EXPLAIN (ANALYZE, VERBOSE, SEARCH)`` (commas optional) or the
+        bare keyword form ``EXPLAIN ANALYZE VERBOSE SEARCH`` — both
+        precede the SELECT."""
+        options = {}
+        parenthesized = self.accept_symbol("(")
+        while self.at_keyword(*_EXPLAIN_OPTIONS):
+            options[_EXPLAIN_OPTIONS[self.advance().value]] = True
+            if parenthesized:
+                self.accept_symbol(",")
+        if parenthesized and not self.accept_symbol(")"):
+            raise ParseError(f"unknown EXPLAIN option {self.current}", self.current)
+        return ExplainStmt(self.select(), **options)
 
-        def accept_option() -> bool:
-            nonlocal analyze, verbose, search, diff
-            if self.accept_keyword("ANALYZE", "ANALYSE"):
-                analyze = True
-            elif self.accept_keyword("VERBOSE"):
-                verbose = True
-            elif self.accept_keyword("SEARCH"):
-                search = True
-            elif self.accept_keyword("DIFF"):
-                diff = True
-            else:
-                return False
-            return True
-
-        if self.accept_symbol("("):
-            first = True
-            while not self.at_symbol(")"):
-                if not first:
-                    self.accept_symbol(",")  # separator is optional
-                if not accept_option():
-                    raise ParseError(
-                        f"unknown EXPLAIN option {self.current}", self.current
-                    )
-                first = False
-            self.expect_symbol(")")
+    def select(self, top: bool = False) -> SelectStmt:
+        """A SELECT; *top* when it is the statement, whose WHERE and ON
+        literals are slotted — any other is nested in it."""
+        if top:
+            self.shape = ((), self.pos)
         else:
-            while accept_option():
-                pass
-        inner = self.select()
-        return ExplainStmt(
-            inner, analyze, verbose=verbose, search=search, diff=diff
-        )
-
-    def select(self) -> SelectStmt:
+            self.nested = True
+        outer, self.slotting = self.slotting, False
         self.expect_keyword("SELECT")
         distinct = self.accept_keyword("DISTINCT")
         items = [self.select_item()]
@@ -253,7 +267,7 @@ class _Parser:
                     table = self.table_ref()
                     condition = None
                     if not cross and self.accept_keyword("ON"):
-                        condition = self.expression()
+                        condition = self.condition(top)
                     elif not cross:
                         raise ParseError(
                             "JOIN requires ON (use CROSS JOIN otherwise)",
@@ -263,7 +277,7 @@ class _Parser:
                     continue
                 break
         if self.accept_keyword("WHERE"):
-            stmt.where = self.expression()
+            stmt.where = self.condition(top)
         if self.accept_keyword("GROUP"):
             self.expect_keyword("BY")
             stmt.group_by.append(self.expression())
@@ -282,7 +296,22 @@ class _Parser:
                 raise ParseError("LIMIT expects an integer", tok)
             self.advance()
             stmt.limit = tok.value
+        self.slotting = outer
         return stmt
+
+    def condition(self, slotting: bool) -> Expr:
+        """A WHERE or JOIN … ON condition, its literals slotted or not."""
+        self.slotting = slotting
+        expr = self.expression()
+        self.slotting = False
+        return expr
+
+    def dml_where(self, table: str) -> Optional[Expr]:
+        """The optional, slotted WHERE of an UPDATE/DELETE on *table*."""
+        self.shape = ((table,), self.pos)
+        if self.accept_keyword("WHERE"):
+            return self.condition(True)
+        return None
 
     def select_item(self) -> SelectItem:
         if self.accept_symbol("*"):
@@ -333,12 +362,10 @@ class _Parser:
         if self.accept_keyword("VIEW"):
             name = self.expect_ident()
             self.expect_keyword("AS")
-            start = self.current.position
             inner = self.select()
             return CreateViewStmt(name, inner)
         clustered = self.accept_keyword("CLUSTERED")
-        unique = self.accept_keyword("UNIQUE")  # parsed, treated as plain
-        del unique
+        self.accept_keyword("UNIQUE")  # parsed, treated as plain
         if self.accept_keyword("INDEX"):
             return self.create_index(clustered)
         raise ParseError(f"expected TABLE or INDEX, got {self.current}", self.current)
@@ -413,10 +440,7 @@ class _Parser:
         assignments = [self.assignment()]
         while self.accept_symbol(","):
             assignments.append(self.assignment())
-        where = None
-        if self.accept_keyword("WHERE"):
-            where = self.expression()
-        return UpdateStmt(table, assignments, where)
+        return UpdateStmt(table, assignments, self.dml_where(table))
 
     def assignment(self) -> Tuple[str, Expr]:
         column = self.expect_ident()
@@ -506,34 +530,32 @@ class _Parser:
         return left
 
     def additive(self) -> Expr:
-        left = self.multiplicative()
-        while True:
-            if self.accept_symbol("+"):
-                left = Arithmetic(ArithOp.ADD, left, self.multiplicative())
-            elif self.accept_symbol("-"):
-                left = Arithmetic(ArithOp.SUB, left, self.multiplicative())
-            else:
-                return left
+        return self.arithmetic(self.multiplicative, ("+", "-"))
 
     def multiplicative(self) -> Expr:
-        left = self.unary()
-        while True:
-            if self.accept_symbol("*"):
-                left = Arithmetic(ArithOp.MUL, left, self.unary())
-            elif self.accept_symbol("/"):
-                left = Arithmetic(ArithOp.DIV, left, self.unary())
-            elif self.accept_symbol("%"):
-                left = Arithmetic(ArithOp.MOD, left, self.unary())
-            else:
-                return left
+        return self.arithmetic(self.unary, ("*", "/", "%"))
+
+    def arithmetic(self, operand, symbols: Tuple[str, ...]) -> Expr:
+        """``operand (op operand)*``, left-associative, op in *symbols*."""
+        left = operand()
+        while self.current.kind == "SYMBOL" and self.current.value in symbols:
+            op = ArithOp(self.advance().value)
+            left = Arithmetic(op, left, operand())
+        return left
 
     def unary(self) -> Expr:
         if self.accept_symbol("-"):
+            minus = self.pos - 1
             inner = self.unary()
             if isinstance(inner, Literal) and isinstance(
                 inner.value, (int, float)
             ):
-                return Literal(-inner.value)
+                if inner.slot is not None:
+                    # the sign is part of the value: ``k = -3`` is the
+                    # shape of ``k = 3``
+                    self.params[inner.slot] = -inner.value
+                    self.folded.add(minus)
+                return Literal(-inner.value, inner.slot)
             return Negate(inner)
         if self.accept_symbol("+"):
             return self.unary()
@@ -541,10 +563,12 @@ class _Parser:
 
     def primary(self) -> Expr:
         tok = self.current
-        if tok.kind == "NUMBER":
-            self.advance()
-            return Literal(tok.value)
-        if tok.kind == "STRING":
+        if tok.kind in _LITERALS:
+            if self.slotting:
+                self.slotted.add(self.pos)
+                self.params.append(tok.value)
+                self.advance()
+                return Literal(tok.value, len(self.params) - 1)
             self.advance()
             return Literal(tok.value)
         if tok.kind == "KEYWORD":

