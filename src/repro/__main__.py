@@ -17,7 +17,8 @@ with ``;``.  Meta-commands:
   and plan-change flags
 * ``\\waits``        — cumulative wait events (where time goes); the same
   data SQL sees as ``SELECT * FROM sys_stat_waits``
-* ``\\slow [N]``     — last N auto_explain captures (default 5);
+* ``\\slow [N]``     — last N auto_explain captures (default 5): a SELECT
+  with its plan, any other request with its duration and slowest span;
   ``\\slow on [MS]`` / ``\\slow off`` toggles capture (threshold in ms)
 * ``\\cache``        — plan cache shapes, variants and replans, hit rate
   and last invalidation; ``\\cache on`` / ``\\cache off`` toggles it
@@ -37,6 +38,7 @@ import json
 import sys
 
 from . import Database
+from .obs import Span
 from .optimizer import STRATEGIES
 
 
@@ -61,6 +63,26 @@ def _print_result(result, timing: bool) -> None:
             f"exec {result.execution_seconds * 1000:.1f} ms, "
             f"{result.io.reads} reads / {result.io.writes} writes]"
         )
+
+
+def _print_capture(entry) -> None:
+    """One auto_explain capture: a SELECT with its plan, any other
+    request with its duration and the slowest span in its tree."""
+    sql_text = " ".join(entry["sql"].split())
+    if len(sql_text) > 60:
+        sql_text = sql_text[:57] + "..."
+    if "plan" in entry:
+        print(
+            f"-- exec={entry['execution_ms']:.2f}ms "
+            f"plan={entry['planning_ms']:.2f}ms "
+            f"rows={entry['rows']}  {sql_text}"
+        )
+        print(entry["plan"])
+        return
+    print(f"-- {entry['duration_ms']:.2f}ms rows={entry['rows']}  {sql_text}")
+    top = Span.from_dict(entry["trace"]).slowest()
+    if top is not None:
+        print(f"   top span: {top.name} {top.duration_ms:.2f}ms")
 
 
 def _describe(db: Database) -> None:
@@ -117,8 +139,6 @@ def main(argv=None) -> int:
                     print("usage: \\trace export FILE")
                 elif db.last_request_trace is not None:
                     print(db.last_request_trace.pretty())
-                elif db.last_trace is not None:
-                    print(db.last_trace.pretty())
                 else:
                     print("no query traced yet")
             elif command == "\\search":
@@ -184,15 +204,7 @@ def main(argv=None) -> int:
                         "\\slow on [MS] enables)"
                     )
                 for entry in captures:
-                    sql_text = " ".join(entry["sql"].split())
-                    if len(sql_text) > 60:
-                        sql_text = sql_text[:57] + "..."
-                    print(
-                        f"-- exec={entry['execution_ms']:.2f}ms "
-                        f"plan={entry['planning_ms']:.2f}ms "
-                        f"rows={entry['rows']}  {sql_text}"
-                    )
-                    print(entry["plan"])
+                    _print_capture(entry)
             elif command == "\\cache":
                 plans = db.plan_cache
                 if len(parts) > 1 and parts[1] in ("on", "off"):

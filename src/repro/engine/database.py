@@ -46,7 +46,6 @@ from ..obs import (
     SearchTrace,
     Span,
     StatementStore,
-    TraceRing,
     Tracer,
     WaitEventStats,
     activate_tracer,
@@ -170,7 +169,7 @@ class Database:
     PENDING_BOUND = 64
 
     metrics, query_log, statements = _Harvested(), _Harvested(), _Harvested()
-    feedback, traces, last_request_trace = (
+    feedback, auto_explain, last_request_trace = (
         _Harvested(), _Harvested(), _Harvested()
     )
 
@@ -225,10 +224,10 @@ class Database:
         #: regardless of duration; ``last_trace`` is its tree and
         #: ``last_trace_export()`` renders it
         self._last_request_trace: Optional[RequestTrace] = None
-        #: bounded ring of *slow* request traces — captured when
-        #: auto_explain is enabled and the request crosses its threshold
-        #: (one knob for both capture paths); served by ``sys_stat_traces``
-        self._traces = TraceRing()
+        #: slow-request capture (``auto_explain``-style): the one ring of
+        #: requests at or above its threshold, with their span trees and
+        #: a SELECT's plan; serves ``sys_stat_traces`` and ``\slow``
+        self._auto_explain = AutoExplain(self.obs.auto_explain)
         #: one entry per normalized statement: calls, execution-time
         #: histogram, row and page sums, a SELECT's plan baseline; serves
         #: ``sys_stat_statements``, ``statement_latency_ms`` and
@@ -249,8 +248,6 @@ class Database:
         )
         #: in-flight user statements (serves ``sys_stat_activity``)
         self.activity = ActivityRegistry()
-        #: slow-statement capture (``auto_explain``-style)
-        self.auto_explain = AutoExplain(self.obs.auto_explain)
         #: inter-query cache: physical plans keyed by the statement shape
         #: the parser yields; see ``engine.cache``
         self.plan_cache = PlanCache(self.obs.plan_cache_size)
@@ -1176,7 +1173,7 @@ class Database:
             self.work_mem_pages,
             instrument=(
                 InstrumentLevel.FULL
-                if analyze or self.auto_explain.enabled
+                if analyze or self._auto_explain.enabled
                 else InstrumentLevel.ROWS
             ),
             batch_size=self.batch_size,
@@ -1215,18 +1212,25 @@ class Database:
                 self.harvest_pending()
 
     def _keep_trace(self, tracer: Tracer, sql: str, session_id: int) -> None:
-        """Always remembered as ``last_request_trace``; additionally pushed
-        into the slow-trace ring when auto_explain is enabled and the
-        request crossed its ``threshold_ms`` (the same knob that gates
-        slow-plan capture — one definition of "slow")."""
+        """Always remembered as ``last_request_trace``; the one place that
+        decides whether a request was slow (its root span took at least
+        auto_explain's ``threshold_ms``) and captures it, with what the
+        recorder left of its statement — a SELECT's plan included."""
         trace = RequestTrace(
             tracer.trace_id, sql, tracer.root, session_id=session_id
         )
         self._last_request_trace = trace
-        slow = self.auto_explain.config
-        if slow.enabled and trace.duration_ms >= slow.threshold_ms:
-            self._traces.record(trace)
-            self._metrics.counter("traces_captured_total").inc()
+        if tracer.statement is None:
+            captured = self._auto_explain.maybe_capture(trace)
+        else:
+            st, rows, planning_ms, execution_ms, io, _, _, search = tracer.statement
+            select = st.kind == "select"
+            captured = self._auto_explain.maybe_capture(
+                trace, execution_ms, planning_ms, rows, io.reads, io.writes,
+                st.plan if select else None, search if select else None,
+            )
+        if captured is not None:
+            self._metrics.counter("slow_queries_captured_total").inc()
             self._metrics.counter("trace_spans_total").inc(trace.span_count())
 
     def last_trace_export(self, path: Optional[str] = None) -> str:
@@ -1287,8 +1291,9 @@ class Database:
         None) — for :meth:`_harvest`, keeping only what will not be there
         to read later: a DML statement's latency as the client saw it
         (for autocommit DML that includes the COMMIT's group-batched
-        fsync) and its disk delta, and the search trace an auto_explain
-        capture would render.  The result's row list is not kept."""
+        fsync) and its disk delta.  While auto_explain is enabled the
+        same, with the search trace its capture would render, is left on
+        the request's tracer.  The result's row list is not kept."""
         if not self.obs.enabled:
             return
         if result is None:
@@ -1300,9 +1305,10 @@ class Database:
                 result.execution_seconds * 1000.0,
                 result.io, result.exec_metrics, result.buffer.hits,
             )
-        self._pending.append(
-            (self._harvest, (st, rows, self.last_search, *measured))
-        )
+        args = (st, rows, *measured)
+        if st.sql is not None and self._auto_explain.config.enabled:
+            active_tracer().statement = (*args, self.last_search)
+        self._pending.append((self._harvest, args))
         if len(self._pending) >= self.PENDING_BOUND:
             self.harvest_pending()
 
@@ -1322,14 +1328,14 @@ class Database:
                     pending.popleft()
 
     def _harvest(
-        self, st: StatementContext, rows: int, search: Optional[SearchTrace],
-        planning_ms: float, execution_ms: float, io: IOStats,
-        em: Optional[ExecMetrics], buffer_hits: int,
+        self, st: StatementContext, rows: int, planning_ms: float,
+        execution_ms: float, io: IOStats, em: Optional[ExecMetrics],
+        buffer_hits: int,
     ) -> None:
         """All of what ``ObsConfig.enabled`` buys besides span trees and
         wait hooks: feed one recorded statement into the metrics
-        registry, the feedback store, the statement store, the query log
-        (with session/txn attribution) and auto_explain.
+        registry, the feedback store, the statement store and the query
+        log (with session/txn attribution).
         *rows* is what it returned or modified; ``st.plan`` is the
         SELECT's plan or the scan that located an UPDATE/DELETE's rows
         (None for INSERT), whose estimates the log scores against *rows*.
@@ -1408,20 +1414,6 @@ class Database:
                 txn_id=st.txn.id if st.txn is not None else 0,
             )
         )
-        if select and self.auto_explain.config.enabled:
-            # capture user statements that crossed the auto_explain threshold
-            captured = self.auto_explain.maybe_capture(
-                sql=sql,
-                execution_ms=execution_ms,
-                planning_ms=planning_ms,
-                rows=rows,
-                plan_text=plan.pretty(actuals=True),
-                reads=io.reads,
-                writes=io.writes,
-                search_summary=search.render(top=3) if search else None,
-            )
-            if captured is not None:
-                self._metrics.counter("slow_queries_captured_total").inc()
 
     def metrics_snapshot(self, format: str = "json") -> Any:
         """Process-wide observability snapshot: registry instruments plus
@@ -1468,12 +1460,12 @@ class Database:
             extras.update(
                 query_log_entries=float(len(self.query_log)),
                 feedback_entries=float(len(self.feedback)),
+                feedback_dropped=float(self.feedback.dropped),
                 plan_baselines=float(self.statements.baselines()),
                 wait_events_total=float(len(self.waits)),
                 slow_query_captures=float(self.auto_explain.captured_total),
                 statement_latency_fingerprints=float(len(self.statements)),
                 statement_latency_dropped=float(self.statements.dropped),
-                slow_traces_captured=float(self.traces.captured),
             )
             # one pair of series per wait event, dots flattened for the
             # exposition grammar (io.read -> wait_io_read_*)
@@ -1512,15 +1504,6 @@ class Database:
             "enabled": self.auto_explain.enabled,
             "captured_total": self.auto_explain.captured_total,
             "entries": len(self.auto_explain),
-        }
-        snap["traces"] = {
-            "captured_total": self.traces.captured,
-            "entries": len(self.traces.entries()),
-            "last_trace_id": (
-                self.last_request_trace.trace_id
-                if self.last_request_trace is not None
-                else None
-            ),
         }
         snap["statement_latency"] = self.statements.snapshot()
         snap["statement_latency_dropped"] = self.statements.dropped

@@ -5,8 +5,9 @@ idle, and fed by one recorder at the end of the statement path):
 
 * :class:`ObsConfig` — the on/off switch; :class:`InstrumentLevel` —
   per-execution measurement depth (``config``).
-* :class:`Tracer` / :class:`Span` — planner/query span trees with JSON
-  round-tripping (``trace``).
+* :class:`Tracer` / :class:`Span` — planner/query span trees; a traced
+  reply carries ``Span.to_dict()`` (``trace``), exported for Perfetto by
+  :func:`export_chrome_trace` (``traceexport``).
 * :class:`MetricsRegistry` — process-wide counters, gauges, latency
   histograms, with a Prometheus text exporter (``metrics``).
 * :class:`QueryLog` / :func:`plan_fingerprint` — the per-query feedback
@@ -28,35 +29,26 @@ idle, and fed by one recorder at the end of the statement path):
   ``sys_stat_*`` virtual tables the engine serves through its own SQL,
   and the live-statement registry behind ``sys_stat_activity``
   (``systables``).
-* :class:`AutoExplain` — slow-statement capture: full EXPLAIN ANALYZE
-  trees persisted to a bounded JSONL log (``autoexplain``).
+* :class:`AutoExplain` — slow-request capture: span trees and a SELECT's
+  EXPLAIN ANALYZE tree in one bounded ring, mirrored to a JSONL log
+  (``autoexplain``).
+
+``__all__`` lists what the program outside this package imports
+(``tests/test_obs_census.py`` pins it).  The names imported below but
+not listed (``AutoExplainConfig``, ``SYSTEM_TABLE_NAMES``, ``Histogram``,
+``NULL_SPAN``, ``new_trace_id``, ``chrome_trace_events``,
+``normalize_statement``, ``normalized_predicate``) are read by this
+package's own modules and its tests only.
 """
 
 from .autoexplain import AutoExplain, AutoExplainConfig
 from .config import InstrumentLevel, ObsConfig
-from .feedback import (
-    FeedbackEntry,
-    FeedbackStore,
-    feedback_key,
-    normalized_predicate,
-    scan_key,
-)
-from .metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from .plandiff import plan_diff, plan_shape_lines, plan_shape_text
+from .feedback import FeedbackStore, feedback_key, normalized_predicate, scan_key
+from .metrics import Histogram, MetricsRegistry
+from .plandiff import plan_diff, plan_shape_text
 from .querylog import QueryLog, QueryLogRecord, plan_fingerprint, q_error
-from .search import PathAlt, RegionSearch, SearchTrace, plan_shape
-from .statements import (
-    PlanChange,
-    StatementStore,
-    normalize_statement,
-    statement_fingerprint,
-)
+from .search import RegionSearch, SearchTrace
+from .statements import StatementStore, normalize_statement, statement_fingerprint
 from .systables import (
     SYSTEM_TABLE_NAMES,
     ActivityEntry,
@@ -74,7 +66,6 @@ from .trace import (
     trace_span,
 )
 from .traceexport import (
-    TraceRing,
     chrome_trace_events,
     export_chrome_trace,
     validate_chrome_trace,
@@ -82,50 +73,34 @@ from .traceexport import (
 from .waits import WaitEventStats
 
 __all__ = [
-    "AutoExplain",
-    "AutoExplainConfig",
-    "WaitEventStats",
-    "ActivityEntry",
-    "ActivityRegistry",
-    "register_system_tables",
-    "SYSTEM_TABLE_NAMES",
-    "InstrumentLevel",
     "ObsConfig",
-    "Counter",
-    "Gauge",
-    "Histogram",
+    "InstrumentLevel",
     "MetricsRegistry",
-    "DEFAULT_BUCKETS",
     "QueryLog",
     "QueryLogRecord",
-    "plan_fingerprint",
-    "q_error",
+    "StatementStore",
+    "FeedbackStore",
+    "WaitEventStats",
+    "AutoExplain",
+    "ActivityRegistry",
+    "ActivityEntry",
+    "register_system_tables",
     "Span",
     "Tracer",
-    "NULL_SPAN",
     "RequestTrace",
-    "new_trace_id",
+    "trace_span",
     "active_tracer",
     "activate_tracer",
-    "trace_span",
-    "TraceRing",
-    "chrome_trace_events",
     "export_chrome_trace",
     "validate_chrome_trace",
     "SearchTrace",
     "RegionSearch",
-    "PathAlt",
-    "plan_shape",
-    "StatementStore",
-    "PlanChange",
-    "normalize_statement",
-    "statement_fingerprint",
-    "plan_diff",
-    "plan_shape_lines",
-    "plan_shape_text",
-    "FeedbackStore",
-    "FeedbackEntry",
     "feedback_key",
     "scan_key",
-    "normalized_predicate",
+    "plan_fingerprint",
+    "q_error",
+    "statement_fingerprint",
+    "plan_diff",
+    "plan_shape_text",
 ]
+

@@ -1,16 +1,20 @@
-"""auto_explain: capture the full story of statements that ran slow.
+"""auto_explain: capture the full story of requests that ran slow.
 
 A latency regression investigated tomorrow needs evidence recorded today.
-When enabled, every user statement whose execution time crosses
-``threshold_ms`` is captured — SQL text, planning/execution latency, I/O,
-the full EXPLAIN ANALYZE tree (per-node actuals), and a one-line summary
-of the optimizer's search — into a bounded in-memory ring mirrored to an
-on-disk JSONL file, so slow-query evidence survives the process.
+When enabled, every request whose span tree took ``threshold_ms`` or
+longer, from its root's start to its end, is captured: its SQL text,
+trace id, session, duration and span tree, what the engine measured of
+the statement it ran (planning/execution latency, rows, I/O) and, for a
+SELECT, the full EXPLAIN ANALYZE tree (per-node actuals) and a one-line
+summary of the optimizer's search.  A write or a COMMIT stalled on its
+fsync is slow by the same rule as a SELECT.  One bounded in-memory ring
+serves ``sys_stat_traces`` and the REPL's ``\\slow``; an on-disk JSONL
+file mirrors it, so slow-request evidence survives the process.
 
 The capture log is bounded both ways: the ring keeps the most recent
 ``capacity`` captures, and the JSONL file is compacted back to the ring's
-contents once appends exceed twice the capacity — the file never grows
-without bound.
+contents once it holds more than twice the capacity — the file never
+grows past ``2 * capacity`` lines.
 
 Statements run at FULL instrumentation while auto_explain is enabled, so
 a capture carries real per-node timing; the cost is the FULL-level
@@ -27,26 +31,29 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional
 
+from .trace import RequestTrace
+
 
 @dataclass
 class AutoExplainConfig:
-    """Dials for the slow-statement capture hook."""
+    """Dials for the slow-request capture."""
 
     enabled: bool = False
-    threshold_ms: float = 100.0  # capture statements at or above this
+    threshold_ms: float = 100.0  # capture requests at or above this
     path: Optional[str] = None  # JSONL mirror; None = in-memory only
     capacity: int = 64  # captures kept (ring + compacted file)
 
 
 class AutoExplain:
-    """Bounded capture log of slow statements (see module docstring)."""
+    """Bounded capture log of slow requests (see module docstring)."""
 
     def __init__(self, config: Optional[AutoExplainConfig] = None):
         self.config = config or AutoExplainConfig()
         self._entries: Deque[Dict[str, Any]] = deque(
             maxlen=max(1, self.config.capacity)
         )
-        self._appends_since_compact = 0
+        #: lines in the JSONL file
+        self._file_lines = 0
         self.captured_total = 0
 
     @property
@@ -72,36 +79,47 @@ class AutoExplain:
 
     def maybe_capture(
         self,
-        sql: str,
-        execution_ms: float,
-        planning_ms: float,
-        rows: int,
-        plan_text: str,
+        trace: RequestTrace,
+        execution_ms: Optional[float] = None,
+        planning_ms: float = 0.0,
+        rows: int = 0,
         reads: int = 0,
         writes: int = 0,
-        search_summary: Optional[str] = None,
+        plan: Any = None,
+        search: Any = None,
     ) -> Optional[Dict[str, Any]]:
-        """Capture one statement if it crossed the threshold.
+        """Capture one finished request if it crossed the threshold.
 
-        Returns the capture entry, or None when below threshold or
-        disabled.  The entry is appended to the ring and (when ``path``
-        is set) to the JSONL file.
+        The measurements are the statement's, as the engine recorded
+        them; a request that recorded none (BEGIN, COMMIT, DDL) reports
+        its duration as ``execution_ms``.  *plan* (a SELECT's, with
+        actuals) and *search* are rendered only for a capture.  Returns
+        the entry, or None when below threshold or disabled; the entry
+        is appended to the ring and (when ``path`` is set) to the JSONL
+        file.
         """
-        if not self.config.enabled or execution_ms < self.config.threshold_ms:
+        if not self.config.enabled or trace.duration_ms < self.config.threshold_ms:
             return None
         entry: Dict[str, Any] = {
             "captured_at": time.time(),
-            "sql": sql,
-            "execution_ms": execution_ms,
+            "sql": trace.sql,
+            "execution_ms": (
+                trace.duration_ms if execution_ms is None else execution_ms
+            ),
             "planning_ms": planning_ms,
             "rows": rows,
             "reads": reads,
             "writes": writes,
             "threshold_ms": self.config.threshold_ms,
-            "plan": plan_text,
+            "trace_id": trace.trace_id,
+            "session_id": trace.session_id,
+            "duration_ms": trace.duration_ms,
+            "trace": trace.root.to_dict(),
         }
-        if search_summary:
-            entry["search"] = search_summary
+        if plan is not None:
+            entry["plan"] = plan.pretty(actuals=True)
+            if search:
+                entry["search"] = search.render(top=3)
         self._entries.append(entry)
         self.captured_total += 1
         self._persist(entry)
@@ -113,8 +131,8 @@ class AutoExplain:
             return
         with open(path, "a", encoding="utf-8") as handle:
             handle.write(json.dumps(entry) + "\n")
-        self._appends_since_compact += 1
-        if self._appends_since_compact > 2 * max(1, self.config.capacity):
+        self._file_lines += 1
+        if self._file_lines > 2 * max(1, self.config.capacity):
             self._compact()
 
     def _compact(self) -> None:
@@ -127,7 +145,7 @@ class AutoExplain:
             for entry in self._entries:
                 handle.write(json.dumps(entry) + "\n")
         os.replace(tmp, path)
-        self._appends_since_compact = 0
+        self._file_lines = len(self._entries)
 
     # -- reading -------------------------------------------------------------
 
@@ -140,7 +158,7 @@ class AutoExplain:
 
     def clear(self) -> None:
         self._entries.clear()
-        self._appends_since_compact = 0
+        self._file_lines = 0
         if self.config.path is not None and os.path.exists(self.config.path):
             os.remove(self.config.path)
 

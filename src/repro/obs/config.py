@@ -49,7 +49,7 @@ class ObsConfig:
     #: EXPLAIN ANALYZE always bypasses it so actuals reflect a cold plan.
     #: Not observability: ``off()`` leaves it alone
     plan_cache_size: int = 128
-    #: slow-statement capture; disabled by default (set ``enabled=True``
+    #: slow-request capture; disabled by default (set ``enabled=True``
     #: or call ``Database.auto_explain.configure(enabled=True, ...)``)
     auto_explain: Optional[AutoExplainConfig] = field(default=None)
 

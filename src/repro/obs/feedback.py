@@ -19,10 +19,9 @@ pins this).
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, Optional, Sequence
 
 
 def normalized_predicate(expr: Any) -> str:
@@ -79,25 +78,6 @@ class FeedbackEntry:
             return 1.0
         return math.exp(self.log_ratio_sum / self.samples)
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "samples": self.samples,
-            "log_ratio_sum": self.log_ratio_sum,
-            "est_sum": self.est_sum,
-            "actual_sum": self.actual_sum,
-            "worst_q": self.worst_q,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FeedbackEntry":
-        return cls(
-            samples=data.get("samples", 0),
-            log_ratio_sum=data.get("log_ratio_sum", 0.0),
-            est_sum=data.get("est_sum", 0.0),
-            actual_sum=data.get("actual_sum", 0.0),
-            worst_q=data.get("worst_q", 1.0),
-        )
-
 
 @dataclass
 class FeedbackStore:
@@ -105,12 +85,19 @@ class FeedbackStore:
 
     ``clamp`` bounds how far one learned factor may move an estimate
     (default 64x either way); ``min_samples`` is the evidence threshold
-    before a correction applies.
+    before a correction applies.  The store is bounded: once it holds
+    :attr:`MAX_ENTRIES` keys a new key's evidence is dropped and counted
+    (``dropped``), never evicting a key already learned.
     """
+
+    #: keys kept: room for the statement store's 128 statements at eight
+    #: scans and joins each
+    MAX_ENTRIES = 1024
 
     clamp: float = 64.0
     min_samples: int = 1
     _entries: Dict[str, FeedbackEntry] = field(default_factory=dict)
+    dropped: int = field(default=0, init=False)
 
     def record(self, key: str, estimated: float, actual: float) -> None:
         # finite and non-negative (a NaN fails every comparison)
@@ -118,6 +105,9 @@ class FeedbackStore:
             return
         entry = self._entries.get(key)
         if entry is None:
+            if len(self._entries) >= self.MAX_ENTRIES:
+                self.dropped += 1
+                return
             entry = self._entries[key] = FeedbackEntry()
         entry.observe(estimated, actual)
 
@@ -141,7 +131,7 @@ class FeedbackStore:
         executor filled ``actual_rows``; rescanned nodes (loops > 1)
         contribute their per-loop average, matching the per-scan estimate.
         A plan holding a node of a type in *unless* contributes nothing.
-        Returns the number of observations recorded.
+        Returns the number of observations offered to :meth:`record`.
         """
         found = []
         stack = [plan]
@@ -168,36 +158,6 @@ class FeedbackStore:
     def entries(self) -> Dict[str, FeedbackEntry]:
         return dict(self._entries)
 
-    def worst(self, n: int = 10) -> List[Any]:
-        """(key, entry) pairs with the largest observed q-error."""
-        ranked = sorted(
-            self._entries.items(), key=lambda kv: kv[1].worst_q, reverse=True
-        )
-        return ranked[:n]
-
     def clear(self) -> None:
         self._entries.clear()
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "clamp": self.clamp,
-            "min_samples": self.min_samples,
-            "entries": {k: e.as_dict() for k, e in self._entries.items()},
-        }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.as_dict(), indent=indent)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FeedbackStore":
-        store = cls(
-            clamp=data.get("clamp", 64.0),
-            min_samples=data.get("min_samples", 1),
-        )
-        for key, entry in data.get("entries", {}).items():
-            store._entries[key] = FeedbackEntry.from_dict(entry)
-        return store
-
-    @classmethod
-    def from_json(cls, text: str) -> "FeedbackStore":
-        return cls.from_dict(json.loads(text))
+        self.dropped = 0

@@ -41,7 +41,7 @@ HELP_TEXTS: Dict[str, str] = {
     "temp_files_total": "temporary files created by spilling operators",
     "plan_changes_total": "statements whose plan differed from the baseline",
     "plan_regressions_total": "plan changes whose estimated cost went up",
-    "slow_queries_captured_total": "statements captured by auto_explain",
+    "slow_queries_captured_total": "slow requests captured by auto_explain",
     "cache_plan_hits_total": "statements planned from the plan cache",
     "cache_plan_misses_total": "cacheable statements that missed the plan cache",
     "cache_invalidations_total": "plan/result cache invalidation events",
@@ -63,13 +63,15 @@ HELP_TEXTS: Dict[str, str] = {
     "disk_allocations": "pages allocated",
     "query_log_entries": "records currently in the query log ring",
     "feedback_entries": "cardinality-feedback keys learned",
+    "feedback_dropped": (
+        "cardinality-feedback keys dropped because the feedback store was full"
+    ),
     "plan_baselines": "statements with a stored plan baseline",
     "wait_events_total": "distinct wait events observed",
     "dml_statements_total": "INSERT/UPDATE/DELETE statements executed",
     "rows_modified_total": "rows inserted, updated, or deleted",
     "dml_execution_ms": "DML statement execution latency",
-    "traces_captured_total": "request traces captured into the slow-trace ring",
-    "trace_spans_total": "spans recorded across captured request traces",
+    "trace_spans_total": "spans recorded across auto_explain captures",
     "statement_latency_ms": (
         "per-fingerprint statement execution latency quantiles "
         "(log-bucketed; labels: fingerprint, quantile)"
@@ -100,24 +102,15 @@ class Counter:
 
 
 class Gauge:
-    """A value that can go up and down (last write wins; thread-safe)."""
+    """A value that can go up and down (last write wins)."""
 
-    __slots__ = ("value", "_lock")
+    __slots__ = ("value",)
 
     def __init__(self) -> None:
         self.value = 0.0
-        self._lock = threading.Lock()
 
     def set(self, value: float) -> None:
         self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self.value -= amount
 
 
 class Histogram:

@@ -15,8 +15,9 @@ from typing import Any, List, Optional
 
 
 def plan_shape_lines(plan: Any) -> List[str]:
-    """Indented ``describe()`` lines for a plan tree — the structural text
-    that both plan fingerprints and plan diffs are computed over."""
+    """Indented ``describe()`` lines for a plan tree — the shape text a
+    statement's baseline keeps and plan diffs compare.  (The plan
+    fingerprint is :func:`.querylog.plan_fingerprint`'s own walk.)"""
     lines: List[str] = []
 
     def walk(node: Any, depth: int) -> None:

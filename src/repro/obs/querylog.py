@@ -16,11 +16,10 @@ anything.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, fields
-from typing import Any, Deque, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Deque, List
 
 
 def q_error(estimated: float, actual: float) -> float:
@@ -31,7 +30,7 @@ def q_error(estimated: float, actual: float) -> float:
     act=0`` is a perfect 1.0, and ``est=0, act=100`` scores the same 100x
     as ``est=1, act=100`` instead of dividing by zero.  Non-finite inputs
     (NaN/inf from broken estimates) return ``inf`` so they sort to the
-    top of :meth:`QueryLog.top_misestimates` rather than poisoning the
+    top of :meth:`QueryLog.worst_estimates` rather than poisoning the
     ordering with NaN comparisons.
     """
     inf = math.inf
@@ -88,24 +87,6 @@ class QueryLogRecord:
     session_id: int = 0  # owning session (0 = direct Database call)
     txn_id: int = 0  # transaction the statement ran in (0 = autocommit)
 
-    def as_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "QueryLogRecord":
-        """Inverse of :meth:`as_dict`.  Unknown keys are rejected (a
-        field added to the dataclass but missing here would silently
-        drop data — the round-trip tests enumerate ``fields()`` so any
-        serialization omission fails loudly); absent optional fields take
-        their defaults and the keys of retired features (the exchange
-        layer's, the result cache's) are dropped, so logs persisted by
-        older versions still load."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known - {"parallel_workers", "result_cache_hit"}
-        if unknown:
-            raise ValueError(f"unknown QueryLogRecord fields: {sorted(unknown)}")
-        return cls(**{k: v for k, v in data.items() if k in known})
-
 
 class QueryLog:
     """Bounded ring of :class:`QueryLogRecord`."""
@@ -123,43 +104,19 @@ class QueryLog:
     def entries(self) -> List[QueryLogRecord]:
         return list(self._records)
 
-    def as_dicts(self) -> List[Dict[str, Any]]:
-        return [r.as_dict() for r in self.entries()]
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.as_dicts(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str, capacity: int = 256) -> "QueryLog":
-        """Rebuild a log from :meth:`to_json` output (round-trip)."""
-        log = cls(capacity)
-        for data in json.loads(text):
-            log.record(QueryLogRecord.from_dict(data))
-        return log
-
     def worst_estimates(self, n: int = 10) -> List[QueryLogRecord]:
         """The n records with the largest cardinality q-error — where the
-        estimator most needs correcting.  NaN q-errors (which no longer
-        occur for new records, but may exist in persisted logs) sort as
-        infinite so the ordering stays total."""
+        estimator most needs correcting.  A NaN q-error sorts as infinite
+        so the ordering stays total."""
 
         def sort_key(r: QueryLogRecord) -> float:
             return r.q_error if not math.isnan(r.q_error) else math.inf
 
         return sorted(self.entries(), key=sort_key, reverse=True)[:n]
 
-    #: Alias: the operational name for the same ranking.
-    top_misestimates = worst_estimates
-
     def plan_changes(self) -> List[QueryLogRecord]:
         """Records whose chosen plan differed from the stored baseline."""
         return [r for r in self.entries() if r.plan_changed]
-
-    def by_fingerprint(self) -> Dict[str, List[QueryLogRecord]]:
-        out: Dict[str, List[QueryLogRecord]] = {}
-        for entry in self.entries():
-            out.setdefault(entry.fingerprint, []).append(entry)
-        return out
 
     def clear(self) -> None:
         self._records.clear()

@@ -8,12 +8,11 @@ it via ``EXPLAIN (VERBOSE SEARCH)`` and the REPL ``\\search`` command.
 
 Everything here is engine-independent and duck-typed against physical
 plan nodes (``describe()``/``children()``/``binding``), mirroring
-:func:`.querylog.plan_fingerprint`, and round-trips through JSON.
+:func:`.querylog.plan_fingerprint`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -50,31 +49,6 @@ class PathAlt:
     order: Optional[str]  # interesting order delivered, if any
     kept: bool
     reason: str
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "subset": list(self.subset),
-            "description": self.description,
-            "shape": self.shape,
-            "rows": self.rows,
-            "cost": self.cost,
-            "order": self.order,
-            "kept": self.kept,
-            "reason": self.reason,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "PathAlt":
-        return cls(
-            subset=tuple(data["subset"]),
-            description=data["description"],
-            shape=data.get("shape", ""),
-            rows=data["rows"],
-            cost=data["cost"],
-            order=data.get("order"),
-            kept=data["kept"],
-            reason=data.get("reason", ""),
-        )
 
 
 @dataclass
@@ -147,30 +121,6 @@ class RegionSearch:
             and abs(alt.cost - self.chosen_cost) < 1e-9
         )
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "strategy": self.strategy,
-            "relations": list(self.relations),
-            "alts": [a.as_dict() for a in self.alts],
-            "truncated": self.truncated,
-            "chosen_shape": self.chosen_shape,
-            "chosen_description": self.chosen_description,
-            "chosen_cost": self.chosen_cost,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RegionSearch":
-        region = cls(
-            strategy=data["strategy"],
-            relations=tuple(data["relations"]),
-            alts=[PathAlt.from_dict(a) for a in data.get("alts", [])],
-            truncated=data.get("truncated", 0),
-        )
-        region.chosen_shape = data.get("chosen_shape")
-        region.chosen_description = data.get("chosen_description")
-        region.chosen_cost = data.get("chosen_cost")
-        return region
-
 
 class SearchTrace:
     """One planning pass's search record: a list of region searches."""
@@ -185,26 +135,6 @@ class SearchTrace:
 
     def __len__(self) -> int:
         return len(self.regions)
-
-    # -- serialization -----------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"regions": [r.as_dict() for r in self.regions]}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SearchTrace":
-        trace = cls()
-        trace.regions = [
-            RegionSearch.from_dict(r) for r in data.get("regions", [])
-        ]
-        return trace
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SearchTrace":
-        return cls.from_dict(json.loads(text))
 
     # -- rendering ---------------------------------------------------------------
 

@@ -33,7 +33,7 @@ import functools
 import hashlib
 import threading
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..sql.lexer import Token, tokenize
@@ -105,22 +105,9 @@ class PlanChange:
         return self.new_cost - self.old_cost
 
     @property
-    def latency_delta_ms(self) -> float:
-        if self.old_best_ms == float("inf"):
-            return 0.0
-        return self.new_ms - self.old_best_ms
-
-    @property
     def is_regression(self) -> bool:
         """A change the cost model itself thinks got worse."""
         return self.cost_delta > 0
-
-    def as_dict(self) -> Dict[str, Any]:
-        out = asdict(self)
-        out["cost_delta"] = self.cost_delta
-        out["latency_delta_ms"] = self.latency_delta_ms
-        out["is_regression"] = self.is_regression
-        return out
 
 
 @dataclass

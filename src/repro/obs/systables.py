@@ -20,8 +20,8 @@ those tables for this engine:
   readers and writers, with a progress snapshot: phase (a writer parked
   on a table lock shows ``lock wait``), current operator, rows produced,
   elapsed;
-* ``sys_stat_traces``     — the slow-trace ring: one row per captured
-  request trace (trace id, statement, duration, span count, and the
+* ``sys_stat_traces``     — the auto_explain ring: one row per captured
+  slow request (trace id, statement, duration, span count, and the
   slowest non-root span with its share of the request);
 * ``sys_stat_locks``      — the table-lock registry: current holder and
   reader counts plus cumulative acquisition/contention/wait totals.
@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
 from ..types import Column, DataType, Schema
+from .trace import Span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine wires us)
     from ..engine.database import Database
@@ -285,7 +286,7 @@ def _stat_activity(db: "Database") -> Tuple[Schema, Rows]:
 
 
 def _stat_traces(db: "Database") -> Tuple[Schema, Rows]:
-    """The slow-trace ring as rows, newest last.  ``top_span``/``top_ms``
+    """The auto_explain ring as rows, newest last.  ``top_span``/``top_ms``
     name the slowest non-root span in each tree — usually the first
     thing an operator wants to know about a slow request."""
     schema = _schema(
@@ -301,26 +302,22 @@ def _stat_traces(db: "Database") -> Tuple[Schema, Rows]:
         ("captured_at", DataType.FLOAT),
     )
     rows: Rows = []
-    for trace in db.traces.entries():
-        top_name, top_ms = "", 0.0
-        if trace.root is not None:
-            for span in trace.root.walk():
-                if span is trace.root:
-                    continue
-                if span.duration_ms > top_ms:
-                    top_name, top_ms = span.name, span.duration_ms
-        share = top_ms / trace.duration_ms if trace.duration_ms > 0 else 0.0
+    for entry in db.auto_explain.entries():
+        root = Span.from_dict(entry["trace"])
+        top = root.slowest()
+        top_ms = 0.0 if top is None else top.duration_ms
+        duration = entry["duration_ms"]
         rows.append(
             (
-                trace.trace_id,
-                _bounded(" ".join(trace.sql.split())),
-                trace.session_id or 0,
-                trace.duration_ms,
-                trace.span_count(),
-                top_name,
+                entry["trace_id"],
+                _bounded(" ".join(entry["sql"].split())),
+                entry["session_id"] or 0,
+                duration,
+                sum(1 for _ in root.walk()),
+                "" if top is None else top.name,
                 top_ms,
-                share,
-                trace.captured_at,
+                top_ms / duration if duration > 0 else 0.0,
+                entry["captured_at"],
             )
         )
     return schema, rows

@@ -12,7 +12,7 @@ Spans nest by dynamic scope::
         with tracer.span("plan") as sp:
             sp.add("plans_considered", 42)
     root = tracer.root            # the finished tree
-    text = root.to_json()         # round-trips via Span.from_json
+    data = root.to_dict()         # what a traced reply carries; Span.from_dict
 
 Every child's interval lies inside its parent's, measured with the same
 clock, so the sum of child durations never exceeds the parent duration.
@@ -33,7 +33,6 @@ spans with :func:`trace_span` — the only route a tracer travels.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import threading
 import time
@@ -142,8 +141,13 @@ class Span:
         for child in self._children or ():
             yield from child.walk()
 
-    def child_time_ms(self) -> float:
-        return sum(c.duration_ms for c in self._children or ())
+    def slowest(self) -> Optional["Span"]:
+        """The longest span below this one; None when none took time."""
+        top = None
+        for span in itertools.islice(self.walk(), 1, None):
+            if span.duration_ms > (0.0 if top is None else top.duration_ms):
+                top = span
+        return top
 
     # -- serialization ---------------------------------------------------------
 
@@ -179,13 +183,6 @@ class Span:
         span.attrs = dict(attrs) if attrs else None
         span._children = [cls.from_dict(c) for c in data.get("children", [])]
         return span
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Span":
-        return cls.from_dict(json.loads(text))
 
     def pretty(self, indent: int = 0) -> str:
         attrs = (
@@ -291,6 +288,10 @@ class Tracer:
         self._open: Optional[Span] = None
         self._next_id = 1
         self._t0 = 0.0
+        #: what the engine's recorder measured of the statement this
+        #: request ran, left only while auto_explain is enabled: a slow
+        #: request's capture shows it beside the tree
+        self.statement: Optional[tuple] = None
 
     def now_ms(self) -> float:
         """Milliseconds since this tracer's zero point."""
@@ -359,7 +360,6 @@ class RequestTrace:
         "session_id",
         "root",
         "duration_ms",
-        "captured_at",
     )
 
     def __init__(
@@ -368,40 +368,15 @@ class RequestTrace:
         sql: str,
         root: Span,
         session_id: Optional[int] = None,
-        captured_at: float = 0.0,
     ):
         self.trace_id = trace_id
         self.sql = sql
         self.session_id = session_id
         self.root = root
         self.duration_ms = root.duration_ms if root is not None else 0.0
-        self.captured_at = captured_at or time.time()
 
     def span_count(self) -> int:
         return sum(1 for _ in self.root.walk()) if self.root else 0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "trace_id": self.trace_id,
-            "sql": self.sql,
-            "session_id": self.session_id,
-            "duration_ms": self.duration_ms,
-            "captured_at": self.captured_at,
-            "root": self.root.to_dict() if self.root else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RequestTrace":
-        root = data.get("root")
-        trace = cls(
-            data["trace_id"],
-            data.get("sql", ""),
-            Span.from_dict(root) if root else Span("request"),
-            session_id=data.get("session_id"),
-            captured_at=data.get("captured_at", 0.0),
-        )
-        trace.duration_ms = data.get("duration_ms", trace.duration_ms)
-        return trace
 
     def pretty(self) -> str:
         head = f"trace {self.trace_id}  {self.duration_ms:.3f} ms"

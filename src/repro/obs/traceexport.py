@@ -10,16 +10,11 @@ one track, so nesting renders as the request's flame graph.
 :func:`validate_chrome_trace` is the structural validator the tests and
 the CI smoke step hold exported files to — a cheap schema check, not a
 full re-implementation of the viewer's parser.
-
-:class:`TraceRing` is the bounded ring of recently captured slow
-requests behind ``sys_stat_traces``.
 """
 
 from __future__ import annotations
 
 import json
-import threading
-from collections import deque
 from typing import Any, Dict, List, Optional, Union
 
 from .trace import RequestTrace, Span
@@ -129,29 +124,3 @@ def export_chrome_trace(
             fh.write(text)
     return text
 
-
-class TraceRing:
-    """Bounded, thread-safe ring of recently captured request traces."""
-
-    def __init__(self, capacity: int = 64):
-        self.capacity = capacity
-        self._ring: deque = deque(maxlen=capacity)
-        self._lock = threading.Lock()
-        self.captured = 0
-
-    def record(self, trace: RequestTrace) -> None:
-        with self._lock:
-            self._ring.append(trace)
-            self.captured += 1
-
-    def entries(self) -> List[RequestTrace]:
-        with self._lock:
-            return list(self._ring)
-
-    def last(self) -> Optional[RequestTrace]:
-        with self._lock:
-            return self._ring[-1] if self._ring else None
-
-    def clear(self) -> None:
-        with self._lock:
-            self._ring.clear()

@@ -23,11 +23,8 @@ the wait *class* (``io``, ``lock``, ``exec``), which is how
 
 from __future__ import annotations
 
-import json
 import threading
-import time
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 #: snapshot form: event name -> (count, total_seconds)
 WaitSnapshot = Dict[str, Tuple[int, float]]
@@ -57,15 +54,6 @@ class WaitEventStats:
             else:
                 cell[0] += count
                 cell[1] += seconds
-
-    @contextmanager
-    def timer(self, event: str) -> Iterator[None]:
-        """Time a block and record it as one occurrence of *event*."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.record(event, time.perf_counter() - start)
 
     # -- reading -------------------------------------------------------------
 
@@ -120,20 +108,10 @@ class WaitEventStats:
         with self._lock:
             self._events.clear()
 
-    # -- serialization -------------------------------------------------------
+    # -- export ----------------------------------------------------------------
 
     def as_dict(self) -> Dict[str, Dict[str, float]]:
         return {
             event: {"count": count, "seconds": seconds}
             for event, (count, seconds) in sorted(self.snapshot().items())
         }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.as_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "WaitEventStats":
-        stats = cls()
-        for event, cell in json.loads(text).items():
-            stats.record(event, cell["seconds"], int(cell["count"]))
-        return stats

@@ -15,8 +15,8 @@ appends, fsyncs included — the statement joins the tracer this thread
 has active) → ``protocol.encode`` children.
 Clients may supply their own ``trace_id`` for end-to-end correlation and
 ask for the span tree back with ``"trace": true``; the finished trace is
-also captured engine-side (``Database.last_request_trace``, the
-slow-trace ring, ``sys_stat_traces``).
+also captured engine-side (``Database.last_request_trace``, and when
+it ran slow the ``auto_explain`` ring behind ``sys_stat_traces``).
 
 The connection thread owns its requests, so it finalizes them: what a
 statement and its trace leave for the engine's stores is queued while

@@ -68,7 +68,7 @@ class TestSearchTrace:
         text = explain_text(db, f"EXPLAIN {THREE_WAY}")
         assert "Search:" not in text
 
-    def test_last_search_populated_and_json_round_trips(self, db):
+    def test_last_search_populated(self, db):
         db.execute(f"EXPLAIN (SEARCH) {THREE_WAY}")
         trace = db.last_search
         assert trace is not None and len(trace) >= 1
@@ -76,10 +76,6 @@ class TestSearchTrace:
         assert len(region.relations) == 3
         assert any(alt.kept for alt in region.alts)
         assert any(not alt.kept for alt in region.alts)
-
-        clone = SearchTrace.from_json(trace.to_json())
-        assert clone.to_dict() == trace.to_dict()
-        assert clone.render(verbose=True) == trace.render(verbose=True)
 
     def test_kept_and_pruned_reasons_recorded(self, db):
         db.execute(f"EXPLAIN (SEARCH) {THREE_WAY}")
@@ -196,7 +192,7 @@ class TestFeedback:
         pred = normalized_predicate(parse_expression("a.v = 3"))
         assert "3" not in pred and "?" in pred
 
-    def test_store_learns_and_round_trips(self):
+    def test_store_learns(self):
         store = FeedbackStore()
         for _ in range(4):
             store.record("k1", estimated=10.0, actual=200.0)
@@ -205,9 +201,29 @@ class TestFeedback:
         # clamped to the configured bound
         store.record("k2", estimated=1.0, actual=10_000.0)
         assert store.correction("k2") == 64.0
-        clone = FeedbackStore.from_json(store.to_json())
-        assert clone.correction("k1") == pytest.approx(20.0)
-        assert len(clone) == len(store)
+
+    def test_store_is_bounded_and_counts_what_it_drops(self):
+        """Every SELECT is harvested while feedback is on (the default):
+        distinct aliases make distinct keys, and the store stops at its
+        cap instead of growing with the workload."""
+        db = Database()
+        db.execute("CREATE TABLE t (k INT PRIMARY KEY, v INT)")
+        db.insert_rows("t", [(i, i % 10) for i in range(20)])
+        cap = FeedbackStore.MAX_ENTRIES
+        for i in range(cap + 40):
+            db.query(f"SELECT v FROM t AS a{i} WHERE a{i}.v < 5")
+        assert len(db.feedback) == cap
+        assert db.feedback.dropped == 40
+        # a key already learned keeps learning when the store is full
+        before = {k: e.samples for k, e in db.feedback.entries().items()}
+        db.query("SELECT v FROM t AS a0 WHERE a0.v < 5")
+        after = {k: e.samples for k, e in db.feedback.entries().items()}
+        assert after.keys() == before.keys()
+        assert sum(after.values()) == sum(before.values()) + 1
+        assert db.feedback.dropped == 40
+        prom = db.metrics_snapshot(format="prom")
+        assert "repro_feedback_entries 1024" in prom
+        assert "repro_feedback_dropped 40" in prom
 
     def test_database_harvests_after_queries(self, db):
         db.query("SELECT a.id FROM a WHERE a.v = 3")
@@ -245,10 +261,6 @@ class TestQErrorEdgeCases:
         assert q_error(math.nan, 5.0) == math.inf
         assert q_error(5.0, math.inf) == math.inf
         assert q_error(math.inf, math.inf) == math.inf
-
-    def test_top_misestimates_alias(self, db):
-        db.query("SELECT a.id FROM a WHERE a.v = 3")
-        assert db.query_log.top_misestimates(5) == db.query_log.worst_estimates(5)
 
 
 class TestPrometheusExport:

@@ -147,3 +147,33 @@ class TestRepl:
         )
         assert "plan   [on ] 3/128 variants of 2 shapes  replans=1  hits=1 misses=3" in out
         assert "plan   [off] 0/0 variants of 0 shapes" in out
+
+    def test_slow_lists_a_write_with_its_top_span_and_a_select_with_its_plan(self):
+        out = run_repl(
+            "\\slow\n"
+            "CREATE TABLE t (a INT, b INT);\n"
+            "\\slow on 0\n"
+            "INSERT INTO t VALUES (1, 2);\n"
+            "SELECT b FROM t WHERE a = 1;\n"
+            "\\slow 2\n"
+            "\\q\n"
+        )
+        assert "no slow-query captures (auto_explain is off" in out
+        assert "auto_explain on (threshold 0.0 ms)" in out
+        listing = out[out.index("(1 rows)"):]
+        insert = listing.index("ms rows=1  INSERT INTO t VALUES (1, 2)")
+        assert listing.index("top span: ", insert) > insert
+        select = listing.index("rows=1  SELECT b FROM t WHERE a = 1")
+        assert select > insert
+        assert "SeqScan(t AS t)" in listing[select:]
+
+    def test_trace_before_and_after_a_statement(self):
+        out = run_repl(
+            "\\trace\n"
+            "CREATE TABLE t (a INT);\n"
+            "\\trace\n"
+            "\\q\n"
+        )
+        assert "no query traced yet" in out
+        assert "'CREATE TABLE t (a INT);'" in out
+        assert "\n  query: " in out

@@ -18,7 +18,6 @@ from repro import Database
 from repro.obs import (
     RequestTrace,
     Span,
-    TraceRing,
     Tracer,
     activate_tracer,
     active_tracer,
@@ -406,27 +405,50 @@ class TestChromeExport:
 
 
 class TestTraceRingAndSystables:
-    def test_ring_bounded(self):
-        ring = TraceRing(capacity=3)
-        for i in range(10):
-            tracer = Tracer()
-            with tracer.span("request"):
-                pass
-            ring.record(RequestTrace(f"t{i}", "q", tracer.root))
-        assert ring.captured == 10
-        assert [t.trace_id for t in ring.entries()] == ["t7", "t8", "t9"]
-        assert ring.last().trace_id == "t9"
-
     def test_slow_traces_gated_on_auto_explain(self):
         db = Database()
         db.execute("CREATE TABLE t (id INT)")
         db.execute("INSERT INTO t VALUES (1)")
-        assert len(db.traces.entries()) == 0  # auto_explain off
+        assert len(db.auto_explain.entries()) == 0  # auto_explain off
         db.auto_explain.configure(enabled=True, threshold_ms=0.0)
         db.execute("INSERT INTO t VALUES (2)")
-        entries = db.traces.entries()
+        entries = db.auto_explain.entries()
         assert len(entries) == 1
-        assert entries[0].sql.startswith("INSERT")
+        assert entries[0]["sql"].startswith("INSERT")
+
+    def test_one_capture_per_slow_request_whatever_its_kind(self):
+        db = Database()
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+        db.auto_explain.configure(enabled=True, threshold_ms=0.0)
+        db.execute("INSERT INTO t VALUES (1, 10)")
+        db.query("SELECT v FROM t WHERE id = 1")
+        entries = db.auto_explain.entries()
+        assert [e["sql"] for e in entries] == [
+            "INSERT INTO t VALUES (1, 10)", "SELECT v FROM t WHERE id = 1",
+        ]
+        insert, select = entries
+        assert "plan" not in insert and insert["rows"] == 1
+        assert "Scan(t AS t" in select["plan"] and select["rows"] == 1
+        for entry in entries:
+            tree = Span.from_dict(entry["trace"])
+            assert tree.name == "query"
+            assert entry["duration_ms"] == tree.duration_ms
+            assert entry["trace_id"] and entry["session_id"] == 1
+        rows = db.query("SELECT trace_id, sql FROM sys_stat_traces").rows
+        assert rows == [(e["trace_id"], e["sql"]) for e in entries]
+
+    def test_recorder_leaves_the_statement_only_while_enabled(self):
+        db = Database()
+        db.execute("CREATE TABLE t (id INT)")
+        off, on = Tracer(), Tracer()
+        with activate_tracer(off), off.span("request"):
+            db.execute("INSERT INTO t VALUES (1)")
+        db.auto_explain.configure(enabled=True, threshold_ms=1e9)
+        with activate_tracer(on), on.span("request"):
+            db.query("SELECT id FROM t")
+        assert off.statement is None
+        assert on.statement[0].sql == "SELECT id FROM t"
+        db.harvest_pending()
 
     def test_sys_stat_traces_queryable(self):
         db = Database()
@@ -568,13 +590,14 @@ class TestDmlAccounting:
         }
         assert [row[1] for row in store.rows()] == [2, 1]
 
-    def test_json_snapshot_has_trace_section(self):
+    def test_json_snapshot_counts_slow_requests_in_one_section(self):
         db = Database()
         db.auto_explain.configure(enabled=True, threshold_ms=0.0)
         db.execute("CREATE TABLE t (id INT)")
         db.execute("INSERT INTO t VALUES (1)")
         snap = db.metrics_snapshot()
         # CREATE TABLE and the INSERT both crossed the 0 ms threshold
-        assert snap["traces"]["captured_total"] == 2
-        assert snap["traces"]["last_trace_id"]
+        assert snap["auto_explain"]["captured_total"] == 2
+        assert snap["counters"]["slow_queries_captured_total"] == 2.0
+        assert "traces" not in snap
         assert snap["statement_latency"]

@@ -34,7 +34,7 @@ def test_raising_body_leaves_the_tracer_balanced_and_the_span_timed():
     assert inner.parent_id == root.find("outer").span_id
     for span in root.walk():
         assert span.duration_ms >= 0.0
-        assert span.child_time_ms() <= span.duration_ms + 1e-6
+        assert sum(c.duration_ms for c in span.children) <= span.duration_ms + 1e-6
     assert root.find("outer").duration_ms >= inner.duration_ms > 0.0
 
 
@@ -91,7 +91,6 @@ def test_round_trip_with_and_without_counters_attrs_children():
     assert tree.to_dict()["attrs"] == {"session": "3"}
     back = Span.from_dict(tree.to_dict())
     assert back.to_dict() == tree.to_dict()
-    assert Span.from_json(tree.to_json()).to_dict() == tree.to_dict()
     assert back.find("bare").children == [] and back.find("bare").counters == {}
     assert back.pretty() == tree.pretty()
 
@@ -100,7 +99,7 @@ def test_containers_are_allocated_on_first_use():
     span = Span("x")
     assert span._counters is None and span._children is None and span.attrs is None
     assert span.find("y") is None and list(span.walk()) == [span]
-    assert span.child_time_ms() == 0.0 and "x:" in span.pretty()
+    assert span.slowest() is None and "x:" in span.pretty()
     assert span.children == [] and span.counters == {}
     span.children.append(Span("y"))  # what a reader gets is the real list
     assert span.find("y") is span.children[0]

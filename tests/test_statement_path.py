@@ -210,7 +210,7 @@ def test_two_states_same_answers_same_plans_same_pages():
     assert len(off.query_log) == len(off.statements) == 0
     assert len(off.feedback) == len(off.waits) == 0
     assert off.last_trace is None and off.last_request_trace is None
-    assert off.last_search is None and len(off.traces.entries()) == 0
+    assert off.last_search is None and len(off.auto_explain) == 0
 
 
 # -- failure paths ------------------------------------------------------------

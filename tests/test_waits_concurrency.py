@@ -62,8 +62,9 @@ class TestWaitEventStatsConcurrency:
 
         def worker(seed):
             for _ in range(PER_THREAD):
-                with stats.timer("exec.cpu"):
-                    pass
+                # timed the way the engine times exec.cpu
+                start = time.perf_counter()
+                stats.record("exec.cpu", time.perf_counter() - start)
 
         _run_threads(worker)
         assert stats.count("exec.cpu") == THREADS * PER_THREAD
