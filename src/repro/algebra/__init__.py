@@ -6,7 +6,6 @@ from .joingraph import (
     JoinGraphError,
     extract_join_graph,
     is_join_region,
-    rebuild_region,
     transform_join_regions,
 )
 from .logical import (
@@ -16,20 +15,18 @@ from .logical import (
     LogicalGet,
     LogicalJoin,
     LogicalLimit,
-    LogicalNarrow,
     LogicalPlan,
     LogicalProject,
     LogicalSort,
     PlanError,
     leaves,
 )
-from .rewrite import prune_columns, push_down_predicates, rewrite
+from .rewrite import push_down_predicates
 
 __all__ = [
     "BindError", "build_plan", "JoinGraph", "JoinGraphError",
-    "extract_join_graph", "is_join_region", "rebuild_region",
-    "transform_join_regions", "LogicalAggregate", "LogicalDistinct",
-    "LogicalFilter", "LogicalGet", "LogicalJoin", "LogicalLimit",
-    "LogicalNarrow", "LogicalPlan", "LogicalProject", "LogicalSort",
-    "PlanError", "leaves", "prune_columns", "push_down_predicates", "rewrite",
+    "extract_join_graph", "is_join_region", "transform_join_regions",
+    "LogicalAggregate", "LogicalDistinct", "LogicalFilter", "LogicalGet",
+    "LogicalJoin", "LogicalLimit", "LogicalPlan", "LogicalProject",
+    "LogicalSort", "PlanError", "leaves", "push_down_predicates",
 ]

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..expr import Expr, conjoin, referenced_tables, split_conjuncts
+from ..expr import Expr, referenced_tables, split_conjuncts
 from .logical import (
     LogicalAggregate,
     LogicalDistinct,
@@ -25,7 +25,6 @@ from .logical import (
     LogicalGet,
     LogicalJoin,
     LogicalLimit,
-    LogicalNarrow,
     LogicalPlan,
     LogicalProject,
     LogicalSort,
@@ -64,13 +63,6 @@ class JoinGraph:
 
     def edge_conjuncts(self, a: str, b: str) -> List[Expr]:
         return self.edges.get(frozenset((a, b)), [])
-
-    def neighbors(self, binding: str) -> Set[str]:
-        out: Set[str] = set()
-        for pair in self.edges:
-            if binding in pair:
-                out |= pair - {binding}
-        return out
 
     def join_conjuncts_between(
         self, left: Set[str], right: Set[str]
@@ -246,10 +238,6 @@ def transform_join_regions(
         return LogicalLimit(transform_join_regions(plan.child, fn), plan.count)
     if isinstance(plan, LogicalDistinct):
         return LogicalDistinct(transform_join_regions(plan.child, fn))
-    if isinstance(plan, LogicalNarrow):
-        return LogicalNarrow(
-            transform_join_regions(plan.child, fn), plan.positions
-        )
     if isinstance(plan, LogicalJoin):
         # A join whose subtree is not pure (should not happen from the
         # builder, but handle compositionally).
@@ -261,35 +249,3 @@ def transform_join_regions(
     if isinstance(plan, LogicalGet):
         return fn(plan)
     raise JoinGraphError(f"unhandled operator {type(plan).__name__}")
-
-
-def rebuild_region(graph: JoinGraph, order: List[str]) -> LogicalPlan:
-    """Reassemble a logical join region joining relations in *order*
-    (left-deep), attaching filters at scans and join conjuncts at the
-    lowest join where both sides are available.  Used by baselines and
-    tests to materialize an order as a logical plan."""
-    if not order:
-        raise JoinGraphError("empty join order")
-    placed: Set[str] = set()
-    applied_hyper: Set[int] = set()
-
-    def scan(binding: str) -> LogicalPlan:
-        node: LogicalPlan = graph.relations[binding]
-        predicate = conjoin(graph.filter_conjuncts(binding))
-        if predicate is not None:
-            node = LogicalFilter(node, predicate)
-        return node
-
-    plan = scan(order[0])
-    placed.add(order[0])
-    for binding in order[1:]:
-        right = scan(binding)
-        conjuncts = graph.join_conjuncts_between(placed, {binding})
-        combined = placed | {binding}
-        for i, (tables, conjunct) in enumerate(graph.hyper):
-            if i not in applied_hyper and tables <= combined:
-                conjuncts.append(conjunct)
-                applied_hyper.add(i)
-        plan = LogicalJoin(plan, right, conjoin(conjuncts))
-        placed.add(binding)
-    return plan

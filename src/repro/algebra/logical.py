@@ -195,35 +195,6 @@ class LogicalAggregate(LogicalPlan):
 
 
 @dataclass(frozen=True, eq=False)
-class LogicalNarrow(LogicalPlan):
-    """Column-subset projection that *preserves* column identity.
-
-    Unlike :class:`LogicalProject` (which computes expressions and outputs
-    unqualified columns), Narrow keeps a subset of the child's columns with
-    their qualifiers intact, so names keep resolving above it.  Inserted by
-    projection pruning.
-    """
-
-    child: LogicalPlan
-    positions: Tuple[int, ...]
-    schema: Schema = field(compare=False)
-
-    def __init__(self, child: LogicalPlan, positions: Tuple[int, ...]):
-        object.__setattr__(self, "child", child)
-        object.__setattr__(self, "positions", tuple(positions))
-        object.__setattr__(
-            self, "schema", Schema(child.schema[i] for i in positions)
-        )
-
-    def children(self) -> Tuple[LogicalPlan, ...]:
-        return (self.child,)
-
-    def describe(self) -> str:
-        names = ", ".join(c.qualified_name for c in self.schema)
-        return f"Narrow({names})"
-
-
-@dataclass(frozen=True, eq=False)
 class LogicalSort(LogicalPlan):
     child: LogicalPlan
     keys: Tuple[Tuple[Expr, bool], ...]  # (expr, ascending)

@@ -1,21 +1,16 @@
-"""Logical rewrite rules.
+"""Logical rewrite: predicate pushdown.
 
-Two classic heuristic rewrites that run before cost-based optimization
-(every planner benefits from them; E9 measures their impact):
-
-* **Predicate pushdown** — move each WHERE conjunct to the lowest operator
-  whose schema covers its columns: single-table conjuncts drop onto their
-  scan, join conjuncts attach to the lowest join that sees both sides.
-* **Projection pruning** — insert :class:`LogicalNarrow` operators so scans
-  carry only columns some ancestor actually uses.
-
-Both preserve semantics exactly; tests verify result-set equality with
-rewrites on and off.
+The one heuristic rewrite that runs before cost-based optimization
+(every planner benefits from it; E9 measures its impact): move each
+WHERE conjunct to the lowest operator whose schema covers its columns.
+Single-table conjuncts drop onto their scan, join conjuncts attach to
+the lowest join that sees both sides.  It preserves semantics exactly;
+tests verify result-set equality with pushdown on and off.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set
+from typing import List, Sequence
 
 from ..expr import (
     ColumnRef,
@@ -33,20 +28,10 @@ from .logical import (
     LogicalGet,
     LogicalJoin,
     LogicalLimit,
-    LogicalNarrow,
     LogicalPlan,
     LogicalProject,
     LogicalSort,
 )
-
-
-def rewrite(plan: LogicalPlan, pushdown: bool = True, prune: bool = True) -> LogicalPlan:
-    """Apply the standard rewrite pipeline."""
-    if pushdown:
-        plan = push_down_predicates(plan)
-    if prune:
-        plan = prune_columns(plan)
-    return plan
 
 
 # -- predicate pushdown ----------------------------------------------------------
@@ -108,9 +93,8 @@ def _push(plan: LogicalPlan, pending: List[Expr]) -> LogicalPlan:
         out: LogicalPlan = LogicalProject(child, plan.exprs, plan.names)
         return _wrap(out, stay)
 
-    if isinstance(plan, (LogicalSort, LogicalDistinct, LogicalNarrow)):
-        # Filters commute with sort/distinct/narrow (narrow: only if covered,
-        # which it must be since the conjunct resolved against this schema).
+    if isinstance(plan, (LogicalSort, LogicalDistinct)):
+        # Filters commute with sort/distinct.
         child = _push(plan.children()[0], pending)
         return _rebuild_unary(plan, child)
 
@@ -139,11 +123,6 @@ def _rebuild_unary(plan: LogicalPlan, child: LogicalPlan) -> LogicalPlan:
         return LogicalDistinct(child)
     if isinstance(plan, LogicalLimit):
         return LogicalLimit(child, plan.count)
-    if isinstance(plan, LogicalNarrow):
-        positions = tuple(
-            child.schema.index_of(c.qualified_name) for c in plan.schema
-        )
-        return LogicalNarrow(child, positions)
     if isinstance(plan, LogicalAggregate):
         return LogicalAggregate(
             child, plan.group_exprs, plan.group_names, plan.aggs
@@ -190,106 +169,3 @@ def _substitute(expr: Expr, mapping) -> Expr:
     if isinstance(expr, Between):
         return Between(sub(expr.operand), sub(expr.low), sub(expr.high), expr.negated)
     raise TypeError(f"cannot substitute in {expr!r}")
-
-
-# -- projection pruning ----------------------------------------------------------------
-
-
-def prune_columns(plan: LogicalPlan) -> LogicalPlan:
-    """Insert Narrow operators so subtrees carry only needed columns."""
-    return _prune(plan, None)
-
-
-def _prune(plan: LogicalPlan, needed: Optional[Set[str]]) -> LogicalPlan:
-    """*needed* is the set of qualified column names required above, or
-    ``None`` meaning "everything" (e.g. below SELECT *)."""
-    if isinstance(plan, LogicalProject):
-        required: Set[str] = set()
-        for expr in plan.exprs:
-            required |= _qualified_refs(expr, plan.child.schema)
-        child = _prune(plan.child, required)
-        return LogicalProject(child, plan.exprs, plan.names)
-
-    if isinstance(plan, LogicalAggregate):
-        required = set()
-        for expr in plan.group_exprs:
-            required |= _qualified_refs(expr, plan.child.schema)
-        for agg in plan.aggs:
-            if agg.arg is not None:
-                required |= _qualified_refs(agg.arg, plan.child.schema)
-        child = _prune(plan.child, required)
-        return LogicalAggregate(child, plan.group_exprs, plan.group_names, plan.aggs)
-
-    if isinstance(plan, LogicalFilter):
-        if needed is None:
-            child = _prune(plan.child, None)
-            return LogicalFilter(child, plan.predicate)
-        required = set(needed) | _qualified_refs(plan.predicate, plan.child.schema)
-        child = _prune(plan.child, required)
-        out: LogicalPlan = LogicalFilter(child, plan.predicate)
-        return _narrow_to(out, needed)
-
-    if isinstance(plan, LogicalJoin):
-        if needed is None:
-            left = _prune(plan.left, None)
-            right = _prune(plan.right, None)
-            return LogicalJoin(left, right, plan.condition)
-        required = set(needed)
-        if plan.condition is not None:
-            required |= _qualified_refs(plan.condition, plan.schema)
-        left_needed = {
-            n for n in required if plan.left.schema.has_column(n)
-        }
-        right_needed = {
-            n for n in required if plan.right.schema.has_column(n)
-        }
-        left = _prune(plan.left, left_needed)
-        right = _prune(plan.right, right_needed)
-        out = LogicalJoin(left, right, plan.condition)
-        return _narrow_to(out, needed)
-
-    if isinstance(plan, LogicalGet):
-        if needed is None:
-            return plan
-        return _narrow_to(plan, needed)
-
-    if isinstance(plan, LogicalSort):
-        if needed is None:
-            return LogicalSort(_prune(plan.child, None), plan.keys)
-        required = set(needed)
-        for expr, _ in plan.keys:
-            required |= _qualified_refs(expr, plan.child.schema)
-        child = _prune(plan.child, required)
-        out = LogicalSort(child, plan.keys)
-        return _narrow_to(out, needed)
-
-    if isinstance(plan, (LogicalLimit, LogicalDistinct, LogicalNarrow)):
-        child = _prune(plan.children()[0], needed if not isinstance(plan, LogicalNarrow) else None)
-        return _rebuild_unary(plan, child)
-
-    raise TypeError(f"unhandled operator {type(plan).__name__}")
-
-
-def _qualified_refs(expr: Expr, schema: Schema) -> Set[str]:
-    """Column references in *expr*, resolved to qualified names."""
-    out: Set[str] = set()
-    for name in referenced_columns(expr):
-        out.add(schema.column(name).qualified_name)
-    return out
-
-
-def _narrow_to(plan: LogicalPlan, needed: Set[str]) -> LogicalPlan:
-    """Wrap *plan* with a Narrow keeping only *needed* columns (in schema
-    order).  No-op when nothing would be dropped."""
-    keep: List[int] = [
-        i
-        for i, column in enumerate(plan.schema)
-        if column.qualified_name in needed
-    ]
-    if len(keep) == len(plan.schema):
-        return plan
-    if not keep:
-        # Keep one column: zero-column tuples break downstream operators,
-        # and COUNT(*)-style queries still need row multiplicity.
-        keep = [0]
-    return LogicalNarrow(plan, tuple(keep))

@@ -23,7 +23,6 @@ from .measure import (
     Measurement,
     fresh_db,
     measure_plan,
-    measure_query,
     measure_repeated,
     plan_with_strategy,
     time_planning,
@@ -40,7 +39,7 @@ __all__ = [
     "e1_join_methods", "e2_access_paths", "e4_plan_quality", "e6_estimation",
     "e7_interesting_orders", "e8_buffer_sweep", "e9_rewrites", "e10_wholesale",
     "e11_ablations", "e12_scaling", "e15_feedback",
-    "Measurement", "fresh_db", "measure_plan", "measure_query",
+    "Measurement", "fresh_db", "measure_plan",
     "measure_repeated", "plan_with_strategy", "time_planning",
     "Ratio", "ResultTable",
     "geometric_mean", "quantile", "render_all",

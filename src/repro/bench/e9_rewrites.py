@@ -1,9 +1,8 @@
 """E9 — Rewrite ablation (Table 6): predicate pushdown on/off.
 
-The same wholesale queries planned with and without predicate pushdown
-(the projection-pruning rewrite is exercised by the logical layer's tests;
-pushdown is the one with first-order cost impact since filters that stay
-above a join multiply intermediate sizes).
+The same wholesale queries planned with and without predicate pushdown,
+the one logical rewrite the planner runs (it has first-order cost impact:
+filters that stay above a join multiply intermediate sizes).
 
 Reported per query: modeled cost, actual I/O and actual rows flowing
 through the top join, with pushdown on and off.

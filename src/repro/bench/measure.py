@@ -90,14 +90,6 @@ def measure_repeated(
     return first
 
 
-def measure_query(
-    db: Database, sql: str, keep_result: bool = False
-) -> Measurement:
-    """Plan (with the database's current strategy) and measure a query."""
-    plan = db.plan(sql)
-    return measure_plan(db, plan, keep_result=keep_result)
-
-
 def plan_with_strategy(db: Database, sql: str, strategy: str, **kwargs: Any):
     """Plan *sql* under a strategy without disturbing the DB's options."""
     from ..optimizer import PlannerOptions

@@ -79,32 +79,6 @@ class ResultTable:
         idx = self.columns.index(name)
         return [row[idx] for row in self.rows]
 
-    def to_csv(self) -> str:
-        """Comma-separated rendering for downstream analysis tools."""
-        import csv
-        import io
-
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(self.columns)
-        for row in self.rows:
-            writer.writerow(
-                [
-                    v.value if isinstance(v, Ratio) else v
-                    for v in row
-                ]
-            )
-        return buffer.getvalue()
-
-    def to_markdown(self) -> str:
-        lines = [
-            "| " + " | ".join(self.columns) + " |",
-            "|" + "|".join("---" for _ in self.columns) + "|",
-        ]
-        for row in self.rows:
-            lines.append("| " + " | ".join(_fmt(v) for v in row) + " |")
-        return "\n".join(lines)
-
 
 def render_all(tables: Iterable[ResultTable]) -> str:
     return "\n\n".join(t.render() for t in tables)

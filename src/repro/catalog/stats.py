@@ -84,19 +84,6 @@ class Histogram:
             break
         return min(1.0, acc / total)
 
-    def fraction_between(
-        self,
-        low: Optional[float],
-        high: Optional[float],
-        low_inclusive: bool = True,
-        high_inclusive: bool = True,
-    ) -> float:
-        hi_frac = 1.0 if high is None else self.fraction_below(high, high_inclusive)
-        lo_frac = (
-            0.0 if low is None else self.fraction_below(low, not low_inclusive)
-        )
-        return max(0.0, hi_frac - lo_frac)
-
     def fraction_equal(self, x: float) -> float:
         """Estimated fraction of values equal to *x*."""
         total = self.total

@@ -184,6 +184,8 @@ class Database:
         columnar: bool = True,
         data_dir: Optional[str] = None,
     ):
+        if batch_size < 1:
+            raise ValueError("batch size must be at least 1 row")
         self.disk = DiskManager(page_size)
         self.pool = BufferPool(self.disk, buffer_pages)
         self.catalog = Catalog(self.pool)

@@ -14,7 +14,7 @@ instrumentation overhead (results are identical at any size).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional
 
 from ..obs import InstrumentLevel
 from ..storage import BufferPool, HeapFile
@@ -101,28 +101,9 @@ class ExecContext:
 
     # -- memory accounting ----------------------------------------------------------
 
-    def rows_fit_in_memory(self, schema: Schema, num_rows: int) -> bool:
-        return num_rows * schema.estimated_row_bytes() <= self.work_mem_bytes
-
     def max_rows_in_memory(self, schema: Schema, pages: int = 0) -> int:
         """How many rows of *schema* fit in the budget (or in *pages*)."""
         budget = (
             pages * self.pool.disk.page_size if pages else self.work_mem_bytes
         )
         return max(1, budget // schema.estimated_row_bytes())
-
-
-def spill_rows(
-    ctx: ExecContext, schema: Schema, rows: Sequence[Tuple[Any, ...]]
-) -> HeapFile:
-    """Write *rows* to a fresh temp file (one spill event)."""
-    ctx.metrics.spills += 1
-    temp = ctx.create_temp(schema)
-    for row in rows:
-        temp.insert(row)
-    return temp
-
-
-def read_spill(ctx: ExecContext, temp: HeapFile) -> Iterator[Tuple[Any, ...]]:
-    """Stream a temp file's rows back (in insertion order)."""
-    return temp.scan_rows()

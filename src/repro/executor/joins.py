@@ -2,7 +2,7 @@
 
 The nested-loop inner side is rescanned per outer block through the
 operator lifecycle — ``close()`` then ``open()`` — instead of rebuilding
-a generator tree, so an inner Materialize keeps its cache across blocks.
+a generator tree.
 The hash join's Grace spill path (temp-file partitioning through the
 buffer pool) is unchanged from the generator engine.
 """

@@ -1,27 +1,25 @@
-"""Stateless row operators: filter, project, narrow, limit, materialize.
+"""Stateless row operators: filter, project, limit.
 
 These are the batch engine's cheapest operators — each call transforms
 one child batch, so their per-row overhead is a list comprehension step
 rather than a generator frame.
 
-Filter, project, narrow and limit take either kind of batch: a
-:class:`ColumnBatch` stays columnar (mask filter, kernel evaluation,
-column selection, slicing) and passes columns through untouched, so a
-scan→filter→project pipeline never materializes row tuples; a row batch
-(the row engine; above an index scan or a sort on either engine) goes
-through the scalar closures row by row.  Materialize converts to rows
-(its cache is row storage).
+All three take either kind of batch: a :class:`ColumnBatch` stays
+columnar (mask filter, kernel evaluation, slicing) and passes columns
+through untouched, so a scan→filter→project pipeline never materializes
+row tuples; a row batch (the row engine; above an index scan or a sort on
+either engine) goes through the scalar closures row by row.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from ..expr import compile_expr, compile_predicate
 from ..expr.vector import compile_expr_columnar, compile_predicate_columnar
-from ..physical import PFilter, PLimit, PMaterialize, PNarrow, PProject
+from ..physical import PFilter, PLimit, PProject
 from .columnar import ColumnBatch, is_columnar
-from .operator import Batch, Row, UnaryOperator, operator_for
+from .operator import Batch, UnaryOperator, operator_for
 
 
 @operator_for(PFilter)
@@ -72,25 +70,6 @@ class ProjectOp(UnaryOperator):
         return list(zip(*[map(fn, batch) for fn in self.fns]))
 
 
-@operator_for(PNarrow)
-class NarrowOp(UnaryOperator):
-    def _next_batch(self, max_rows=None) -> Optional[Batch]:
-        batch = self.child.next_batch(max_rows)
-        if batch is None:
-            return None
-        positions = self.plan.positions
-        if is_columnar(batch):
-            return ColumnBatch(
-                self.plan.schema,
-                [batch.columns[i] for i in positions],
-                len(batch),
-            )
-        if len(positions) == 1:
-            i = positions[0]
-            return [(row[i],) for row in batch]
-        return [tuple(row[i] for i in positions) for row in batch]
-
-
 @operator_for(PLimit)
 class LimitOp(UnaryOperator):
     def __init__(self, plan, ctx):
@@ -120,48 +99,3 @@ class LimitOp(UnaryOperator):
             )
         self._remaining -= len(batch)
         return batch
-
-
-@operator_for(PMaterialize)
-class MaterializeOp(UnaryOperator):
-    """Cache the child's rows for repeated scans.
-
-    The cache lives on the operator object — built on first demand,
-    served across rescans (``close()``/``open()`` just rewinds the read
-    position), gone when the execution's operator tree is dropped.  The
-    child runs exactly once and is closed as soon as the cache is full.
-    """
-
-    def __init__(self, plan, ctx):
-        super().__init__(plan, ctx)
-        self._cache: Optional[List[Row]] = None
-        self._pos = 0
-        self._child_open = False
-
-    def _open(self):
-        self._pos = 0
-        if self._cache is None and not self._child_open:
-            self.child.open()
-            self._child_open = True
-
-    def _next_batch(self, max_rows=None) -> Optional[Batch]:
-        if self._cache is None:
-            cache: List[Row] = []
-            while True:
-                batch = self.child.next_batch()
-                if batch is None:
-                    break
-                cache.extend(self._as_rows(batch))
-            self._cache = cache
-            self.child.close()
-            self._child_open = False
-        batch = self._cache[self._pos : self._pos + self._target(max_rows)]
-        if not batch:
-            return None
-        self._pos += len(batch)
-        return batch
-
-    def _close(self):
-        if self._child_open:
-            self.child.close()
-            self._child_open = False

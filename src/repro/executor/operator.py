@@ -16,9 +16,7 @@ or group fan-out may emit larger batches).  The lifecycle:
   keeps actual row counts identical at every batch size (and identical
   to the old tuple-at-a-time engine).
 * ``close()`` — release per-run state.  ``close()`` followed by
-  ``open()`` is a **rescan** (how a nested loop re-reads its inner side);
-  state that intentionally survives a rescan — Materialize's cache —
-  lives on the operator object, which exists for one execution only.
+  ``open()`` is a **rescan** (how a nested loop re-reads its inner side).
 
 Instrumentation happens here, once, at batch boundaries: the public
 ``next_batch`` wraps the subclass hook ``_next_batch`` with whatever
@@ -87,8 +85,6 @@ class Operator:
 
     def next_batch(self, max_rows: Optional[int] = None) -> Optional[Batch]:
         level = self._level
-        if level is InstrumentLevel.OFF:
-            return self._next_batch(max_rows)
         plan = self.plan
         if not self._started:
             # loops counts iterations that actually started, mirroring the
@@ -162,17 +158,6 @@ class Operator:
                 self.ctx.metrics.row_fallbacks += 1
             return batch.to_rows()
         return batch
-
-    # -- convenience --------------------------------------------------------
-
-    def rows(self):
-        """Iterate the remaining output row by row (internal consumers —
-        cursors, spill writers; the engine proper moves batches)."""
-        while True:
-            batch = self.next_batch()
-            if batch is None:
-                return
-            yield from as_row_batch(batch)
 
 
 class UnaryOperator(Operator):

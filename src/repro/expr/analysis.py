@@ -12,7 +12,7 @@ into the forms the optimizer knows how to price:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Any, FrozenSet, List, Optional, Sequence, Set
 
 from ..types import Schema
 from .nodes import (
@@ -299,25 +299,3 @@ def classify_conjunct(expr: Expr):
         ):
             return ColEqCol(left.name, right.name)
     return None
-
-
-def sargable_conjuncts(
-    conjuncts: Sequence[Expr],
-) -> List[Tuple[Expr, ColCmpConst]]:
-    """The subset of *conjuncts* that are ``col OP const``, with their
-    classification."""
-    out = []
-    for c in conjuncts:
-        cls = classify_conjunct(c)
-        if isinstance(cls, ColCmpConst):
-            out.append((c, cls))
-    return out
-
-
-def equijoin_conjuncts(conjuncts: Sequence[Expr]) -> List[Tuple[Expr, ColEqCol]]:
-    out = []
-    for c in conjuncts:
-        cls = classify_conjunct(c)
-        if isinstance(cls, ColEqCol):
-            out.append((c, cls))
-    return out

@@ -9,11 +9,12 @@
   ``obs.overhead_share`` divides by.  Nothing in between is
   configurable.
 * :class:`InstrumentLevel` — how much the executor measures per operator
-  in one execution; an :class:`~repro.executor.ExecContext` argument, not
-  a database setting.  The engine runs statements at ``ROWS`` in both
-  states (plan actuals predate this subsystem and the experiments rely on
-  them) and at ``FULL`` under ``EXPLAIN ANALYZE`` and while auto_explain
-  is enabled.
+  in one execution, ``ROWS`` or ``FULL``; an
+  :class:`~repro.executor.ExecContext` argument, not a database setting.
+  The engine runs statements at ``ROWS`` in both states (plan actuals
+  predate this subsystem and the experiments rely on them) and at
+  ``FULL`` under ``EXPLAIN ANALYZE`` and while auto_explain is enabled.
+  No level records less than ``ROWS``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .autoexplain import AutoExplainConfig
 class InstrumentLevel(enum.IntEnum):
     """Per-operator measurement depth for one execution."""
 
-    OFF = 0  # no per-node annotation at all
     ROWS = 1  # actual_rows + actual_loops (cheap; what statements run at)
     FULL = 2  # + per-next() timing and attributed buffer/disk I/O
 

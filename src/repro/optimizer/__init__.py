@@ -8,7 +8,6 @@ planner itself loads only when a baseline strategy is planned.
 from .access import (
     ScanCandidate,
     access_paths,
-    best_per_order,
     extract_bounds,
     index_bounds,
 )
@@ -25,7 +24,7 @@ from .estimate import (
 from .planner import STRATEGIES, Planner, PlannerOptions
 
 __all__ = [
-    "ScanCandidate", "access_paths", "best_per_order", "extract_bounds",
+    "ScanCandidate", "access_paths", "extract_bounds",
     "index_bounds",
     "Cost", "CostModel", "cardenas_pages",
     "DPPlanner", "PlannerStats", "SubPlan", "count_dp_subsets",

@@ -313,20 +313,3 @@ def _composite_candidate(
     plan.est_rows, plan.est_cost = out_rows, cost
     order = f"{binding}.{index.columns[0]}"
     return ScanCandidate(plan, cost, out_rows, order)
-
-
-def best_per_order(
-    candidates: Sequence[ScanCandidate],
-) -> List[ScanCandidate]:
-    """Prune dominated candidates: keep the cheapest per interesting order,
-    dropping ordered candidates that cost more than the cheapest unordered
-    one only if their order duplicates another cheaper candidate's."""
-    best: dict = {}
-    for cand in candidates:
-        key = cand.order
-        if key not in best or cand.cost.total < best[key].cost.total:
-            best[key] = cand
-    # An ordered candidate strictly worse than the best unordered one still
-    # survives (its order may save a sort later); only same-order dominance
-    # prunes.
-    return list(best.values())

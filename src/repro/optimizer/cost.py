@@ -291,8 +291,3 @@ class CostModel:
 
     def distinct(self, rows: float) -> Cost:
         return self._cost(0.0, rows)
-
-    def materialize(self, pages: float, rows: float) -> Cost:
-        if pages <= self.work_mem_pages:
-            return self._cost(0.0, rows)
-        return self._cost(2.0 * pages, rows)

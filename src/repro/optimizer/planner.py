@@ -37,7 +37,6 @@ from ..algebra import (
     LogicalGet,
     LogicalJoin,
     LogicalLimit,
-    LogicalNarrow,
     LogicalPlan,
     LogicalProject,
     LogicalSort,
@@ -53,7 +52,6 @@ from ..physical import (
     PDistinct,
     PFilter,
     PLimit,
-    PNarrow,
     PProject,
     PSort,
     PhysicalPlan,
@@ -108,8 +106,7 @@ def _resolve_to_base_column(node: LogicalPlan, name: str) -> Optional[str]:
             continue
         if isinstance(
             current,
-            (LogicalFilter, LogicalDistinct, LogicalLimit, LogicalSort,
-             LogicalNarrow),
+            (LogicalFilter, LogicalDistinct, LogicalLimit, LogicalSort),
         ):
             current = current.children()[0]
             continue
@@ -266,12 +263,6 @@ class Planner:
                 refs |= _qualified_refs(expr, plan.child.schema)
             self._collect_needed(plan.child, refs)
             return
-        if isinstance(plan, LogicalNarrow):
-            refs = {c.qualified_name for c in plan.schema}
-            if needed is not None:
-                refs &= needed | refs  # narrow already bounds the set
-            self._collect_needed(plan.child, refs)
-            return
         for child in plan.children():
             self._collect_needed(child, needed)
 
@@ -326,29 +317,6 @@ class Planner:
             )
             cost = child.cost + self.model.project(child.rows)
             return self._annotate(node, child.rows, cost, order, order_seq)
-
-        if isinstance(plan, LogicalNarrow):
-            child = self._convert(plan.child, desired)
-            positions = tuple(
-                child.plan.schema.index_of(c.qualified_name)
-                for c in plan.schema
-            )
-            node = PNarrow(child.plan, positions)
-            survivors = frozenset(
-                name
-                for name in child.order
-                if node.schema.has_column(name)
-            )
-            seq = []
-            for name in child.order_seq:
-                if node.schema.has_column(name):
-                    seq.append(name)
-                else:
-                    break
-            cost = child.cost + self.model.project(child.rows)
-            return self._annotate(
-                node, child.rows, cost, survivors, tuple(seq)
-            )
 
         if isinstance(plan, LogicalAggregate):
             return self._convert_aggregate(plan, desired)

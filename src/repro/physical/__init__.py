@@ -9,8 +9,6 @@ from .plan import (
     PIndexOnlyScan,
     PIndexScan,
     PLimit,
-    PMaterialize,
-    PNarrow,
     PNestedLoopJoin,
     PProject,
     PSeqScan,
@@ -24,7 +22,7 @@ from .plan import (
 
 __all__ = [
     "PAggregate", "PDistinct", "PFilter", "PHashJoin", "PIndexNLJoin",
-    "PIndexOnlyScan", "PIndexScan", "PLimit", "PMaterialize", "PNarrow",
-    "PNestedLoopJoin", "PProject", "PSeqScan", "PSort", "PSortMergeJoin",
+    "PIndexOnlyScan", "PIndexScan", "PLimit", "PNestedLoopJoin",
+    "PProject", "PSeqScan", "PSort", "PSortMergeJoin",
     "PhysicalError", "PhysicalPlan", "RangeBound", "walk_plan",
 ]

@@ -78,8 +78,8 @@ class PhysicalPlan:
     def reset_actuals(self) -> None:
         """Clear this subtree's actuals before a fresh execution.
 
-        ``actual_rows`` stays ``None`` at OFF instrumentation; the other
-        fields are only filled at FULL.
+        ``actual_rows`` stays ``None`` on a node that never ran; the
+        time and I/O fields are only filled at FULL.
         """
         self.actual_rows = None
         self.actual_loops = 0
@@ -291,22 +291,6 @@ class PProject(PhysicalPlan):
 
 
 @dataclass
-class PNarrow(PhysicalPlan):
-    child: PhysicalPlan
-    positions: Tuple[int, ...]
-    schema: Schema = field(init=False)
-
-    def __post_init__(self):
-        self.schema = Schema(self.child.schema[i] for i in self.positions)
-
-    def children(self) -> Tuple[PhysicalPlan, ...]:
-        return (self.child,)
-
-    def describe(self) -> str:
-        return f"Narrow({', '.join(c.qualified_name for c in self.schema)})"
-
-
-@dataclass
 class PNestedLoopJoin(PhysicalPlan):
     """Block nested-loop join: outer read once in blocks sized to the work
     memory, inner rescanned per block.  ``block_pages=1`` degenerates to
@@ -477,27 +461,8 @@ class PLimit(PhysicalPlan):
         return f"Limit({self.count})"
 
 
-@dataclass
-class PMaterialize(PhysicalPlan):
-    """Cache the child's rows in memory for repeated scans (inner of a
-    nested loop over a non-table subplan)."""
-
-    child: PhysicalPlan
-    schema: Schema = field(init=False)
-
-    def __post_init__(self):
-        self.schema = self.child.schema
-
-    def children(self) -> Tuple[PhysicalPlan, ...]:
-        return (self.child,)
-
-    def describe(self) -> str:
-        return "Materialize"
-
-
 def walk_plan(plan: PhysicalPlan):
     """Pre-order traversal."""
     yield plan
     for child in plan.children():
         yield from walk_plan(child)
-

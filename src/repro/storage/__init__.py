@@ -4,7 +4,7 @@ from .buffer import BufferError_, BufferPool, BufferStats, PageGuard, Replacemen
 from .disk import PAGE_SIZE, DiskError, DiskManager, IOStats, PageId
 from .heap import RID, HeapError, HeapFile
 from .page import PageError, SlottedPage
-from .record import RecordError, deserialize_row, record_size, serialize_row
+from .record import RecordError, deserialize_row, serialize_row
 
 __all__ = [
     "BufferError_",
@@ -24,6 +24,5 @@ __all__ = [
     "SlottedPage",
     "RecordError",
     "deserialize_row",
-    "record_size",
     "serialize_row",
 ]

@@ -186,22 +186,3 @@ def deserialize_row(schema: Schema, data: bytes) -> Tuple[Any, ...]:
     if pos != len(data):
         raise RecordError(f"{len(data) - pos} trailing bytes after record")
     return tuple(values)
-
-
-def record_size(schema: Schema, row: Sequence[Any]) -> int:
-    """Exact serialized size of *row* without building the bytes twice."""
-    ncols = len(schema)
-    size = (ncols + 7) // 8
-    for col, value in zip(schema, row):
-        if value is None:
-            continue
-        dtype = col.dtype
-        if dtype is DataType.INT or dtype is DataType.FLOAT:
-            size += 8
-        elif dtype is DataType.BOOL:
-            size += 1
-        elif dtype is DataType.DATE:
-            size += 4
-        elif dtype is DataType.TEXT:
-            size += 2 + len(value.encode("utf-8"))
-    return size

@@ -8,13 +8,11 @@ from .datatypes import (
     check_value,
     common_type,
     compare,
-    float_to_value,
     infer_type,
     parse_type,
-    successor,
     value_to_float,
 )
-from .schema import Column, Schema, SchemaBuilder, SchemaError, schema_of
+from .schema import Column, Schema, SchemaError, schema_of
 
 __all__ = [
     "DEFAULT_TEXT_WIDTH",
@@ -24,14 +22,11 @@ __all__ = [
     "check_value",
     "common_type",
     "compare",
-    "float_to_value",
     "infer_type",
     "parse_type",
-    "successor",
     "value_to_float",
     "Column",
     "Schema",
-    "SchemaBuilder",
     "SchemaError",
     "schema_of",
 ]

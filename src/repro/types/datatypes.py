@@ -13,7 +13,7 @@ SQL-ish three-valued logic: any comparison involving NULL yields ``None``
 from __future__ import annotations
 
 import enum
-from datetime import date, timedelta
+from datetime import date
 from typing import Any, Optional
 
 
@@ -191,34 +191,6 @@ def _text_ordinal(s: str, prefix: int = 8) -> float:
     for i, byte in enumerate(data):
         acc += byte / (256.0 ** (i + 1))
     return acc
-
-
-def float_to_value(x: float, dtype: DataType) -> Any:
-    """Best-effort inverse of :func:`value_to_float` (used by generators)."""
-    if dtype is DataType.INT:
-        return int(round(x))
-    if dtype is DataType.FLOAT:
-        return float(x)
-    if dtype is DataType.BOOL:
-        return x >= 0.5
-    if dtype is DataType.DATE:
-        return date.fromordinal(max(1, int(round(x))))
-    raise TypeError_(f"cannot invert real-line mapping for {dtype}")
-
-
-def successor(value: Any, dtype: DataType) -> Any:
-    """The smallest representable value strictly greater than *value*.
-
-    Used to convert ``>`` bounds into ``>=`` bounds for index range scans on
-    discrete types.  For continuous types returns the value itself.
-    """
-    if dtype is DataType.INT:
-        return value + 1
-    if dtype is DataType.DATE:
-        return value + timedelta(days=1)
-    if dtype is DataType.TEXT:
-        return value + "\x00"
-    return value
 
 
 def byte_width(dtype: DataType, avg_text: int = DEFAULT_TEXT_WIDTH) -> int:

@@ -9,7 +9,7 @@ plan-build time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .datatypes import DataType, TypeError_, byte_width, check_value
@@ -195,23 +195,6 @@ class Schema:
         return sum(byte_width(c.dtype) for c in self._columns) + 2 * len(
             self._columns
         )
-
-
-@dataclass
-class SchemaBuilder:
-    """Convenience builder used by DDL and tests."""
-
-    table: Optional[str] = None
-    _cols: List[Column] = field(default_factory=list)
-
-    def add(
-        self, name: str, dtype: DataType, nullable: bool = True
-    ) -> "SchemaBuilder":
-        self._cols.append(Column(name, dtype, self.table, nullable))
-        return self
-
-    def build(self) -> Schema:
-        return Schema(self._cols)
 
 
 def schema_of(table: Optional[str], *cols: Tuple[str, DataType]) -> Schema:

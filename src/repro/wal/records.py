@@ -45,7 +45,7 @@ import enum
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 _FRAME = struct.Struct(">II")  # body_len, crc
 _BODY = struct.Struct(">QBQH")  # lsn, type, txn_id, table_len
@@ -168,10 +168,3 @@ def valid_prefix(buf: bytes) -> Tuple[list, int]:
         records.append(rec)
         end = off
     return records, end
-
-
-def last_record(buf: bytes) -> Optional[WalRecord]:
-    rec = None
-    for rec, _ in iter_records(buf):
-        pass
-    return rec

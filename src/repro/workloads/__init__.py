@@ -3,7 +3,6 @@
 from .generators import (
     Rng,
     categorical,
-    column_set,
     correlated_pair,
     prefixed_words,
     sequential_ints,
@@ -32,7 +31,7 @@ from .wholesale import (
 )
 
 __all__ = [
-    "Rng", "categorical", "column_set", "correlated_pair", "prefixed_words",
+    "Rng", "categorical", "correlated_pair", "prefixed_words",
     "sequential_ints", "shuffled_ints", "uniform_floats", "uniform_ints",
     "with_nulls", "words", "zipf_ints", "ShapeWorkload", "build_chain",
     "build_clique", "build_cycle", "build_shape", "build_star", "REGIONS",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 import string
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 
 class Rng:
@@ -132,12 +132,3 @@ def prefixed_words(
 def with_nulls(rng: Rng, values: List[Any], null_fraction: float) -> List[Any]:
     r = rng.random
     return [None if r.random() < null_fraction else v for v in values]
-
-
-def column_set(
-    rng: Rng, n: int, spec: Sequence[Tuple[str, Callable[[Rng, int], List[Any]]]]
-) -> List[Tuple[Any, ...]]:
-    """Build rows column-wise from (name, generator) pairs (names are for
-    documentation; order defines the row layout)."""
-    columns = [gen(rng.spawn(i), n) for i, (_, gen) in enumerate(spec)]
-    return list(zip(*columns))

@@ -11,7 +11,6 @@ from repro.optimizer import (
     Estimator,
     StatsResolver,
     access_paths,
-    best_per_order,
     extract_bounds,
 )
 from repro.physical import PIndexOnlyScan, PIndexScan, PSeqScan
@@ -161,12 +160,6 @@ class TestAccessPaths:
             needed_columns={"t.id", "t.r"},
         )
         assert not any(isinstance(c.plan, PIndexOnlyScan) for c in cands)
-
-    def test_best_per_order_prunes(self, db):
-        cands = paths_for(db, [eq(col("t.id"), lit(5))])
-        pruned = best_per_order(cands)
-        orders = [c.order for c in pruned]
-        assert len(orders) == len(set(orders))
 
     def test_estimated_rows_sane(self, db):
         cands = paths_for(db, [eq(col("t.id"), lit(5))])

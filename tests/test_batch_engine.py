@@ -11,7 +11,6 @@ knob, invisible to results, plans, and observability.
 import pytest
 
 from repro.engine import Database
-from repro.obs import InstrumentLevel
 from repro.physical import walk_plan
 from repro.workloads import WHOLESALE_QUERIES, WholesaleScale, load_wholesale
 
@@ -78,6 +77,9 @@ class TestBatchSizeConfig:
         db = Database()
         with pytest.raises(ValueError):
             ExecContext(db.pool, batch_size=0)
+        # fails at construction, not at the first SELECT
+        with pytest.raises(ValueError, match="batch size"):
+            Database(batch_size=0)
 
     def test_intermediate_batch_sizes_agree(self):
         # a non-power-of-two batch size exercises ragged final batches
@@ -90,29 +92,3 @@ class TestBatchSizeConfig:
         r2 = db2.query(sql)
         assert r1.rows == r2.rows
 
-
-class TestRowsEmittedStreaming:
-    def test_rows_emitted_counts_during_drain(self):
-        """rows_emitted must grow as execute() is drained, not only after
-        the full result is materialized."""
-        from repro.executor import ExecContext, execute
-
-        db = Database(batch_size=4)
-        load_wholesale(db, WholesaleScale.tiny(), seed=7)
-        plan = db.plan("SELECT * FROM customer")
-        ctx = ExecContext(
-            db.pool,
-            db.work_mem_pages,
-            instrument=InstrumentLevel.OFF,
-            batch_size=4,
-        )
-        it = execute(plan, ctx)
-        drained = 0
-        for _ in it:
-            drained += 1
-            if drained == 8:
-                break
-        # two 4-row batches drained: the counter reflects them already
-        assert 0 < ctx.metrics.rows_emitted <= 8
-        it.close()
-        ctx.cleanup()

@@ -9,7 +9,7 @@ from repro.bench import (
     ResultTable,
     fresh_db,
     geometric_mean,
-    measure_query,
+    measure_plan,
     quantile,
     render_all,
 )
@@ -45,12 +45,6 @@ class TestTables:
         t.add(Ratio(2.345))
         assert "2.35x" in t.render()
 
-    def test_markdown(self):
-        t = ResultTable("demo", ["a", "b"])
-        t.add(1, 2)
-        md = t.to_markdown()
-        assert md.startswith("| a | b |")
-
     def test_column_values(self):
         t = ResultTable("demo", ["a", "b"])
         t.add(1, 2)
@@ -84,7 +78,7 @@ class TestMetrics:
         db.execute("CREATE TABLE t (a INT)")
         db.insert_rows("t", [(i,) for i in range(500)])
         db.analyze()
-        m = measure_query(db, "SELECT COUNT(*) AS n FROM t")
+        m = measure_plan(db, db.plan("SELECT COUNT(*) AS n FROM t"))
         assert m.rows == 1
         assert m.actual_reads > 0
         assert m.est_cost_total > 0
@@ -191,18 +185,6 @@ class TestExperimentsMiniature:
         )
         assert table.rows[-1][0] == "TOTAL"
         assert len(table.rows) == 3
-
-
-class TestCsvExport:
-    def test_to_csv(self):
-        t = ResultTable("demo", ["a", "b"])
-        t.add(1, Ratio(2.5))
-        t.add("x,y", None)
-        csv_text = t.to_csv()
-        lines = csv_text.strip().splitlines()
-        assert lines[0] == "a,b"
-        assert lines[1] == "1,2.5"
-        assert '"x,y"' in lines[2]
 
 
 class TestE12Miniature:

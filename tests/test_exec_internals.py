@@ -3,7 +3,7 @@ physical plan rendering."""
 
 import pytest
 
-from repro.executor import ExecContext, cmp_values, make_key_fn, read_spill, sorted_rows, spill_rows
+from repro.executor import ExecContext, cmp_values, make_key_fn, sorted_rows
 from repro.physical import PSeqScan, RangeBound
 from repro.storage import BufferPool, DiskManager
 from repro.types import DataType, schema_of
@@ -57,8 +57,8 @@ class TestExecContext:
     def test_rows_fit_in_memory(self):
         _, ctx = make_ctx(work_mem=4, page_size=512)
         schema = schema_of("t", ("a", DataType.INT))
-        assert ctx.rows_fit_in_memory(schema, 10)
-        assert not ctx.rows_fit_in_memory(schema, 10**6)
+        assert ctx.max_rows_in_memory(schema) >= 10
+        assert ctx.max_rows_in_memory(schema) < 10**6
 
     def test_max_rows_positive(self):
         _, ctx = make_ctx()
@@ -70,9 +70,10 @@ class TestExecContext:
         _, ctx = make_ctx()
         schema = schema_of("t", ("a", DataType.INT), ("b", DataType.TEXT))
         rows = [(i, f"r{i}") for i in range(50)]
-        temp = spill_rows(ctx, schema, rows)
-        assert list(read_spill(ctx, temp)) == rows
-        assert ctx.metrics.spills == 1
+        temp = ctx.create_temp(schema)
+        for row in rows:
+            temp.insert(row)
+        assert list(temp.scan_rows()) == rows
         ctx.drop_temp(temp)
 
     def test_cleanup_drops_all_temps(self):

@@ -17,8 +17,6 @@ from repro.physical import (
     PIndexOnlyScan,
     PIndexScan,
     PLimit,
-    PMaterialize,
-    PNarrow,
     PNestedLoopJoin,
     PProject,
     PSeqScan,
@@ -122,13 +120,6 @@ class TestRowOperators:
         rows, _ = execute(db, plan)
         assert rows[0][0] == pytest.approx(t_rows[0][2] * 2)
 
-    def test_narrow(self, env):
-        db, t_rows, _ = env
-        plan = PNarrow(PSeqScan(db.table("t"), "t"), (2, 0))
-        rows, _ = execute(db, plan)
-        assert rows[0] == (t_rows[0][2], t_rows[0][0])
-        assert plan.schema.qualified_names() == ["t.val", "t.id"]
-
     def test_limit(self, env):
         db, t_rows, _ = env
         plan = PLimit(PSeqScan(db.table("t"), "t"), 7)
@@ -142,19 +133,16 @@ class TestRowOperators:
 
     def test_distinct(self, env):
         db, t_rows, _ = env
-        plan = PDistinct(PNarrow(PSeqScan(db.table("t"), "t"), (1,)))
+        plan = PDistinct(
+            PProject(
+                PSeqScan(db.table("t"), "t"),
+                (col("t.grp"),),
+                ("grp",),
+                (DataType.INT,),
+            )
+        )
         rows, _ = execute(db, plan)
         assert sorted(r[0] for r in rows) == sorted(set(r[1] for r in t_rows))
-
-    def test_materialize_caches(self, env):
-        db, t_rows, _ = env
-        plan = PMaterialize(PSeqScan(db.table("t"), "t"))
-        ctx = ExecContext(db.pool, db.work_mem_pages)
-        from repro.executor.run import execute as exec_iter
-
-        first = list(exec_iter(plan, ctx))
-        second = list(exec_iter(plan, ctx))
-        assert first == second == t_rows
 
 
 def brute_force_join(t_rows, u_rows):
@@ -205,11 +193,16 @@ class TestJoins:
         # join t to itself on grp: many-to-many duplicate keys
         small_t = PLimit(PSeqScan(db.table("t"), "t"), 100)
         right = PSort(
-            PNarrow(PLimit(PSeqScan(db.table("t").__class__ and db.table("t"), "t2"), 100), (1,)),
-            ((col("t2.grp"), True),),
+            PProject(
+                PLimit(PSeqScan(db.table("t").__class__ and db.table("t"), "t2"), 100),
+                (col("t2.grp"),),
+                ("g2",),
+                (DataType.INT,),
+            ),
+            ((col("g2"), True),),
         )
         left = PSort(small_t, ((col("t.grp"), True),))
-        plan = PSortMergeJoin(left, right, col("t.grp"), col("t2.grp"))
+        plan = PSortMergeJoin(left, right, col("t.grp"), col("g2"))
         rows, _ = execute(db, plan)
         subset = t_rows[:100]
         expected = sorted(

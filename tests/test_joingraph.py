@@ -8,7 +8,6 @@ from repro.algebra import (
     extract_join_graph,
     is_join_region,
     push_down_predicates,
-    rebuild_region,
     transform_join_regions,
 )
 from repro.catalog import Catalog
@@ -50,7 +49,6 @@ class TestExtraction:
         )
         assert set(g.bindings()) == {"a", "b"}
         assert g.edge_conjuncts("a", "b")
-        assert g.neighbors("a") == {"b"}
 
     def test_chain_edges(self, catalog):
         g = extract_join_graph(
@@ -131,37 +129,6 @@ class TestConnectivity:
         )
         assert len(g.join_conjuncts_between({"a", "b"}, {"c"})) == 1
         assert len(g.join_conjuncts_between({"a"}, {"c"})) == 0
-
-
-class TestRebuild:
-    def test_rebuild_region_roundtrip(self, catalog):
-        region = region_of(
-            catalog,
-            "SELECT a.id FROM a, b, c "
-            "WHERE a.fk = b.id AND b.fk = c.id AND a.id > 0",
-        )
-        g = extract_join_graph(region)
-        rebuilt = rebuild_region(g, ["c", "b", "a"])
-        g2 = extract_join_graph(rebuilt)
-        assert set(g2.bindings()) == set(g.bindings())
-        assert g2.edges.keys() == g.edges.keys()
-
-    def test_rebuild_places_hyper_once(self, catalog):
-        region = region_of(
-            catalog,
-            "SELECT a.id FROM a, b, c WHERE a.fk = b.id AND b.fk = c.id "
-            "AND a.id + b.id + c.id > 0",
-        )
-        g = extract_join_graph(region)
-        rebuilt = rebuild_region(g, ["a", "b", "c"])
-        g2 = extract_join_graph(rebuilt)
-        assert len(g2.hyper) == 1
-
-    def test_rebuild_empty_order_rejected(self, catalog):
-        region = region_of(catalog, "SELECT id FROM a")
-        g = extract_join_graph(region)
-        with pytest.raises(JoinGraphError):
-            rebuild_region(g, [])
 
 
 class TestRegionDetection:

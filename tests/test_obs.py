@@ -5,8 +5,7 @@ import json
 
 import pytest
 
-from repro import Database, InstrumentLevel, ObsConfig, Span, Tracer
-from repro.executor import ExecContext, run
+from repro import Database, ObsConfig, Span, Tracer
 from repro.obs import MetricsRegistry, plan_fingerprint, q_error
 
 
@@ -207,17 +206,6 @@ class TestExplainAnalyzeActuals:
         for node in _walk(r.plan):
             assert node.actual_rows is not None
             assert node.actual_time_ms is None  # FULL only under ANALYZE
-
-    def test_level_off_leaves_plan_bare(self):
-        # the level is an ExecContext matter, not a database setting
-        db = _small_db()
-        plan = db.plan("SELECT b FROM t WHERE a < 10")
-        ctx = ExecContext(
-            db.pool, db.work_mem_pages, instrument=InstrumentLevel.OFF
-        )
-        assert len(run(plan, ctx)) == 10
-        for node in _walk(plan):
-            assert node.actual_rows is None
 
 
 def _walk(plan):

@@ -5,7 +5,7 @@ from datetime import date
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.storage import RecordError, deserialize_row, record_size, serialize_row
+from repro.storage import RecordError, deserialize_row, serialize_row
 from repro.types import DataType, schema_of
 
 SCHEMA = schema_of(
@@ -67,10 +67,6 @@ class TestProperties:
     @given(values)
     def test_roundtrip_any_row(self, row):
         assert roundtrip(row) == row
-
-    @given(values)
-    def test_record_size_matches(self, row):
-        assert record_size(SCHEMA, row) == len(serialize_row(SCHEMA, row))
 
 
 class TestErrors:

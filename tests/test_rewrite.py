@@ -1,4 +1,4 @@
-"""Tests for logical rewrites: predicate pushdown and projection pruning.
+"""Tests for the logical rewrite: predicate pushdown.
 
 Placement is checked structurally; semantics are checked by executing
 queries with rewrites on and off and comparing result sets.
@@ -12,10 +12,8 @@ from repro.algebra import (
     LogicalFilter,
     LogicalGet,
     LogicalJoin,
-    LogicalNarrow,
     build_plan,
     leaves,
-    prune_columns,
     push_down_predicates,
 )
 from repro.engine import Database
@@ -140,33 +138,6 @@ class TestPushdownPlacement:
         # the filter should now sit below the projection
         assert isinstance(rewritten, LogicalProject)
         assert find_nodes(rewritten.child, LogicalFilter)
-
-
-class TestPrunePlacement:
-    def test_narrow_inserted_above_scans(self, db):
-        p = prune_columns(
-            push_down_predicates(
-                logical(
-                    db,
-                    "SELECT c.name FROM orders o, customers c "
-                    "WHERE o.cust_id = c.id",
-                )
-            )
-        )
-        narrows = find_nodes(p, LogicalNarrow)
-        assert narrows
-        # orders contributes only cust_id above its scan
-        order_narrows = [
-            n
-            for n in narrows
-            if {c.table for c in n.schema} == {"o"}
-        ]
-        assert order_narrows
-        assert order_narrows[0].schema.qualified_names() == ["o.cust_id"]
-
-    def test_select_star_prunes_nothing(self, db):
-        p = prune_columns(logical(db, "SELECT * FROM orders"))
-        assert not find_nodes(p, LogicalNarrow)
 
 
 QUERIES = [

@@ -18,7 +18,6 @@ from repro.physical import (
     PFilter,
     PHashJoin,
     PIndexNLJoin,
-    PMaterialize,
     PNestedLoopJoin,
     PProject,
     PSeqScan,
@@ -95,7 +94,6 @@ CONVERTING = (
     PNestedLoopJoin,
     PIndexNLJoin,
     PSortMergeJoin,
-    PMaterialize,
 )
 
 

@@ -96,12 +96,6 @@ class TestHistograms:
         assert build_equi_width([], 4) is None
         assert build_equi_depth([], 4) is None
 
-    def test_fraction_between(self):
-        hist = build_equi_depth([float(i) for i in range(100)], 10)
-        frac = hist.fraction_between(20.0, 40.0)
-        assert frac == pytest.approx(0.2, abs=0.08)
-        assert hist.fraction_between(None, None) == pytest.approx(1.0)
-
     def test_fraction_equal_skew(self):
         values = [0.0] * 500 + [float(i) for i in range(1, 501)]
         hist = build_equi_depth(values, 16)

@@ -9,7 +9,6 @@ from repro.types import (
     Column,
     DataType,
     Schema,
-    SchemaBuilder,
     SchemaError,
     TypeError_,
     byte_width,
@@ -19,7 +18,6 @@ from repro.types import (
     infer_type,
     parse_type,
     schema_of,
-    successor,
     value_to_float,
 )
 
@@ -120,12 +118,6 @@ class TestRealLineMapping:
         if fa < fb:
             assert not (a.encode()[:8] > b.encode()[:8])
 
-    def test_successor_int(self):
-        assert successor(5, DataType.INT) == 6
-
-    def test_successor_text_sorts_after(self):
-        assert successor("abc", DataType.TEXT) > "abc"
-
     def test_byte_widths(self):
         assert byte_width(DataType.INT) == 8
         assert byte_width(DataType.TEXT, avg_text=20) == 20
@@ -192,16 +184,6 @@ class TestSchema:
         assert make_schema() == make_schema()
         assert hash(make_schema()) == hash(make_schema())
         assert make_schema() != make_schema().renamed("u")
-
-    def test_builder(self):
-        s = (
-            SchemaBuilder("b")
-            .add("x", DataType.INT)
-            .add("y", DataType.TEXT, nullable=False)
-            .build()
-        )
-        assert s.qualified_names() == ["b.x", "b.y"]
-        assert not s.column("y").nullable
 
     def test_estimated_row_bytes_positive(self):
         assert make_schema().estimated_row_bytes() > 0
