@@ -38,6 +38,7 @@ import json
 import sys
 
 from . import Database
+from .engine.cache import PlanCache
 from .obs import Span
 from .optimizer import STRATEGIES
 
@@ -209,7 +210,7 @@ def main(argv=None) -> int:
                 plans = db.plan_cache
                 if len(parts) > 1 and parts[1] in ("on", "off"):
                     enabled = parts[1] == "on"
-                    plans.size = db.obs.plan_cache_size if enabled else 0
+                    plans.size = PlanCache.SIZE if enabled else 0
                     if not enabled:
                         plans.invalidate("\\cache off")
                     print(f"plan cache {'on' if enabled else 'off'}")

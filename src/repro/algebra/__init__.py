@@ -19,7 +19,6 @@ from .logical import (
     LogicalProject,
     LogicalSort,
     PlanError,
-    leaves,
 )
 from .rewrite import push_down_predicates
 
@@ -28,5 +27,5 @@ __all__ = [
     "extract_join_graph", "is_join_region", "transform_join_regions",
     "LogicalAggregate", "LogicalDistinct", "LogicalFilter", "LogicalGet",
     "LogicalJoin", "LogicalLimit", "LogicalPlan", "LogicalProject",
-    "LogicalSort", "PlanError", "leaves", "push_down_predicates",
+    "LogicalSort", "PlanError", "push_down_predicates",
 ]

@@ -51,18 +51,11 @@ class JoinGraph:
     hyper: List[Tuple[FrozenSet[str], Expr]] = field(default_factory=list)
     syntactic_order: List[str] = field(default_factory=list)
 
-    @property
-    def num_relations(self) -> int:
-        return len(self.relations)
-
     def bindings(self) -> List[str]:
         return list(self.syntactic_order)
 
     def filter_conjuncts(self, binding: str) -> List[Expr]:
         return self.filters.get(binding, [])
-
-    def edge_conjuncts(self, a: str, b: str) -> List[Expr]:
-        return self.edges.get(frozenset((a, b)), [])
 
     def join_conjuncts_between(
         self, left: Set[str], right: Set[str]

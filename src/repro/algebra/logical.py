@@ -31,18 +31,6 @@ class LogicalPlan:
     def children(self) -> Tuple["LogicalPlan", ...]:
         return ()
 
-    def label(self) -> str:
-        return type(self).__name__.replace("Logical", "")
-
-    def pretty(self, indent: int = 0) -> str:
-        lines = ["  " * indent + self.describe()]
-        for child in self.children():
-            lines.append(child.pretty(indent + 1))
-        return "\n".join(lines)
-
-    def describe(self) -> str:  # pragma: no cover - overridden
-        return self.label()
-
 
 @dataclass(frozen=True, eq=False)
 class LogicalGet(LogicalPlan):
@@ -57,11 +45,6 @@ class LogicalGet(LogicalPlan):
         object.__setattr__(self, "binding", binding or table.name)
         object.__setattr__(self, "schema", table.schema.renamed(self.binding))
 
-    def describe(self) -> str:
-        if self.binding != self.table.name:
-            return f"Get({self.table.name} AS {self.binding})"
-        return f"Get({self.table.name})"
-
 
 @dataclass(frozen=True, eq=False)
 class LogicalFilter(LogicalPlan):
@@ -74,9 +57,6 @@ class LogicalFilter(LogicalPlan):
 
     def children(self) -> Tuple[LogicalPlan, ...]:
         return (self.child,)
-
-    def describe(self) -> str:
-        return f"Filter({self.predicate})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,33 +73,22 @@ class LogicalProject(LogicalPlan):
         child: LogicalPlan,
         exprs: Tuple[Expr, ...],
         names: Tuple[str, ...],
-        dtypes: Optional[Tuple[DataType, ...]] = None,
     ):
+        from ..expr import infer_expr_type
+
         if len(exprs) != len(names):
             raise PlanError("projection exprs/names length mismatch")
         object.__setattr__(self, "child", child)
         object.__setattr__(self, "exprs", tuple(exprs))
         object.__setattr__(self, "names", tuple(names))
-        if dtypes is None:
-            from ..expr import infer_expr_type
-
-            dtypes = tuple(
-                infer_expr_type(e, child.schema) for e in exprs
-            )
         schema = Schema(
-            Column(name, dtype, None) for name, dtype in zip(names, dtypes)
+            Column(name, infer_expr_type(e, child.schema), None)
+            for name, e in zip(names, exprs)
         )
         object.__setattr__(self, "schema", schema)
 
     def children(self) -> Tuple[LogicalPlan, ...]:
         return (self.child,)
-
-    def describe(self) -> str:
-        parts = ", ".join(
-            f"{e} AS {n}" if str(e) != n else str(e)
-            for e, n in zip(self.exprs, self.names)
-        )
-        return f"Project({parts})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,11 +107,6 @@ class LogicalJoin(LogicalPlan):
 
     def children(self) -> Tuple[LogicalPlan, ...]:
         return (self.left, self.right)
-
-    def describe(self) -> str:
-        if self.condition is None:
-            return "CrossJoin"
-        return f"Join({self.condition})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,11 +152,6 @@ class LogicalAggregate(LogicalPlan):
     def children(self) -> Tuple[LogicalPlan, ...]:
         return (self.child,)
 
-    def describe(self) -> str:
-        groups = ", ".join(str(g) for g in self.group_exprs) or "()"
-        aggs = ", ".join(str(a) for a in self.aggs)
-        return f"Aggregate(by {groups}: {aggs})"
-
 
 @dataclass(frozen=True, eq=False)
 class LogicalSort(LogicalPlan):
@@ -205,12 +164,6 @@ class LogicalSort(LogicalPlan):
 
     def children(self) -> Tuple[LogicalPlan, ...]:
         return (self.child,)
-
-    def describe(self) -> str:
-        keys = ", ".join(
-            f"{e} {'ASC' if asc else 'DESC'}" for e, asc in self.keys
-        )
-        return f"Sort({keys})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,9 +178,6 @@ class LogicalLimit(LogicalPlan):
     def children(self) -> Tuple[LogicalPlan, ...]:
         return (self.child,)
 
-    def describe(self) -> str:
-        return f"Limit({self.count})"
-
 
 @dataclass(frozen=True, eq=False)
 class LogicalDistinct(LogicalPlan):
@@ -239,16 +189,3 @@ class LogicalDistinct(LogicalPlan):
 
     def children(self) -> Tuple[LogicalPlan, ...]:
         return (self.child,)
-
-    def describe(self) -> str:
-        return "Distinct"
-
-
-def leaves(plan: LogicalPlan) -> List[LogicalGet]:
-    """All base-table scans under *plan*, left to right."""
-    if isinstance(plan, LogicalGet):
-        return [plan]
-    out: List[LogicalGet] = []
-    for child in plan.children():
-        out.extend(leaves(child))
-    return out

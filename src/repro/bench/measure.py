@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
 from ..engine import Database, QueryResult
-from ..obs.querylog import q_error
 from ..physical import PhysicalPlan
 from ..sql import SelectStmt, parse
 from ..storage import Replacement
@@ -36,10 +35,6 @@ class Measurement:
     @property
     def actual_io(self) -> int:
         return self.actual_reads + self.actual_writes
-
-    @property
-    def cardinality_q_error(self) -> float:
-        return q_error(self.est_rows, float(self.rows))
 
 
 def measure_plan(

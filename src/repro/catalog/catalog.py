@@ -83,14 +83,6 @@ class TableAccessStats:
             self.pages_read,
         )
 
-    def add(self, delta: Sequence[int]) -> None:
-        seq, idx, rows, hits, reads = delta
-        self.seq_scans += seq
-        self.index_scans += idx
-        self.rows_read += rows
-        self.pages_hit += hits
-        self.pages_read += reads
-
     def delta(self, earlier: Sequence[int]) -> Tuple[int, int, int, int, int]:
         now = self.snapshot()
         return tuple(n - e for n, e in zip(now, earlier))  # type: ignore[return-value]

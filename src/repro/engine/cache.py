@@ -76,7 +76,7 @@ from ..expr import (
     referenced_columns,
 )
 from ..obs import plan_fingerprint
-from ..optimizer import Estimator, EstimatorConfig, StatsResolver, index_bounds
+from ..optimizer import Estimator, StatsResolver, index_bounds
 from ..physical import (
     PhysicalPlan,
     PIndexNLJoin,
@@ -154,31 +154,22 @@ def _pins_row_count(conjunct: Expr, table: TableInfo) -> bool:
 
 
 def relation_estimator(
-    table: TableInfo,
-    binding: str,
-    config: Optional[EstimatorConfig],
-    feedback: Optional[Any] = None,
+    table: TableInfo, binding: str, feedback: Optional[Any] = None
 ) -> Estimator:
     """An estimator over the one relation *table* AS *binding*: what the
     bucket guard re-estimates with, and what prices the scan that locates
     an UPDATE/DELETE's rows."""
     graph = JoinGraph(relations={binding: LogicalGet(table, binding)})
-    return Estimator(StatsResolver(graph), config, feedback=feedback)
+    return Estimator(StatsResolver(graph), feedback=feedback)
 
 
 class _Guard:
     """Re-estimates one base relation of a cached plan under new values."""
 
-    def __init__(
-        self,
-        table: TableInfo,
-        binding: str,
-        conjuncts: List[Expr],
-        config: Optional[EstimatorConfig],
-    ):
+    def __init__(self, table: TableInfo, binding: str, conjuncts: List[Expr]):
         self.table = table
         self.conjuncts = conjuncts
-        self.estimator = relation_estimator(table, binding, config)
+        self.estimator = relation_estimator(table, binding)
 
     def bucket(self, params: Sequence[Any]) -> int:
         rows = self.estimator.scan_rows(
@@ -191,12 +182,7 @@ class CachedPlan:
     """One variant of a statement shape: the plan template, the parameter
     values it is pinned to, and the selectivity buckets it was planned in."""
 
-    def __init__(
-        self,
-        plan: PhysicalPlan,
-        params: Sequence[Any],
-        config: Optional[EstimatorConfig],
-    ):
+    def __init__(self, plan: PhysicalPlan, params: Sequence[Any]):
         self.template = PlanTemplate(plan)
         #: literal-free by construction, so every binding shares it
         self.fingerprint = plan_fingerprint(plan)
@@ -225,9 +211,7 @@ class CachedPlan:
                 and slots_of(tuple(conjuncts)) - pinned
                 and not any(_pins_row_count(c, table) for c in conjuncts)
             ):
-                self.guards.append(
-                    _Guard(table, node.binding, conjuncts, config)
-                )
+                self.guards.append(_Guard(table, node.binding, conjuncts))
         self.buckets = [guard.bucket(params) for guard in self.guards]
 
     def matches(self, params: Sequence[Any]) -> bool:
@@ -255,12 +239,15 @@ class PlanCache:
 
     A *shape* is ``(options_key, stmt.key)``: the rendering of the
     active :class:`PlannerOptions` and the literal-masked statement.
-    ``size`` bounds the variants over all shapes; ``size=0`` switches the
-    cache off.
+    ``size`` bounds the variants over all shapes, ``SIZE`` unless set;
+    ``size=0`` switches the cache off.  EXPLAIN ANALYZE always bypasses
+    it so actuals reflect a cold plan.
     """
 
-    def __init__(self, size: int):
-        self.size = max(0, size)
+    SIZE = 128
+
+    def __init__(self):
+        self.size = self.SIZE
         self._shapes: "OrderedDict[Any, List[CachedPlan]]" = OrderedDict()
         self._variants = 0
         self.stats = CacheStats()

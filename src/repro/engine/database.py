@@ -126,9 +126,6 @@ class QueryResult:
     def rowcount(self) -> int:
         return len(self.rows)
 
-    def as_dicts(self) -> List[dict]:
-        return [dict(zip(self.columns, row)) for row in self.rows]
-
 
 class _Harvested:
     """A store the recorder feeds, kept under ``_<name>``.  Reading it by
@@ -252,7 +249,7 @@ class Database:
         self.activity = ActivityRegistry()
         #: inter-query cache: physical plans keyed by the statement shape
         #: the parser yields; see ``engine.cache``
-        self.plan_cache = PlanCache(self.obs.plan_cache_size)
+        self.plan_cache = PlanCache()
         #: the engine-wide statement lock: one statement mutates or plans
         #: at a time; lock *waits* (table locks) happen outside it, and
         #: COMMIT's fsync happens after it, so sessions still overlap
@@ -759,8 +756,7 @@ class Database:
         """Plan a SELECT.  Views referenced by *stmt* are expanded here; a
         non-mergeable view is materialized into a transient table that the
         statement owning the planning drops when it finishes (the read
-        envelope and ``_plan_only`` clean up after themselves; direct
-        callers own the cleanup via :meth:`drop_transients`)."""
+        envelope and ``_plan_only`` clean up after themselves)."""
         with trace_span("view_expansion") as span:
             expansion = self._expand_views(stmt)
             if expansion.transient_tables:
@@ -873,10 +869,6 @@ class Database:
             self._live_transients.append(key)
             catalog.insert_rows(key, rows)
             catalog.analyze(key)
-
-    def drop_transients(self) -> None:
-        """Drop transient tables left over from planning view queries."""
-        self._drop_transients_from(0)
 
     def _drop_transients_from(self, before: int) -> None:
         """Drop the transients registered past index *before* — the ones
@@ -1281,7 +1273,7 @@ class Database:
             physical = plan_cold()
             if len(self._live_transients) > before:
                 return physical, None, False
-            cached = CachedPlan(physical, params, self.options.estimator)
+            cached = CachedPlan(physical, params)
             cache.store(shape, cached)
         return cached.bind(params), cached, hit
 
@@ -1581,7 +1573,6 @@ class Database:
                 relation_estimator(
                     info,
                     info.name,
-                    self.options.estimator,
                     self.feedback if self.options.use_feedback else None,
                 ),
                 self.model.undiscounted(),
@@ -1762,10 +1753,6 @@ class Database:
 
     def table(self, name: str) -> TableInfo:
         return self.catalog.table(name)
-
-    def reset_io(self) -> None:
-        self.disk.reset_stats()
-        self.pool.reset_stats()
 
     def set_strategy(self, strategy: str, **kwargs: Any) -> None:
         """Switch join-order strategy ('dp', 'greedy', 'naive', ...)."""

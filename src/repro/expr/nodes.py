@@ -335,24 +335,12 @@ def eq(left: Expr, right: Expr) -> Comparison:
     return Comparison(CmpOp.EQ, left, right)
 
 
-def ne(left: Expr, right: Expr) -> Comparison:
-    return Comparison(CmpOp.NE, left, right)
-
-
 def lt(left: Expr, right: Expr) -> Comparison:
     return Comparison(CmpOp.LT, left, right)
 
 
-def le(left: Expr, right: Expr) -> Comparison:
-    return Comparison(CmpOp.LE, left, right)
-
-
 def gt(left: Expr, right: Expr) -> Comparison:
     return Comparison(CmpOp.GT, left, right)
-
-
-def ge(left: Expr, right: Expr) -> Comparison:
-    return Comparison(CmpOp.GE, left, right)
 
 
 def and_(*operands: Expr) -> Expr:
@@ -377,10 +365,6 @@ def or_(*operands: Expr) -> Expr:
     if len(flat) == 1:
         return flat[0]
     return BoolOp(BoolKind.OR, tuple(flat))
-
-
-def not_(operand: Expr) -> Not:
-    return Not(operand)
 
 
 def walk(expr: Expr):

@@ -12,9 +12,9 @@ serves ``sys_stat_traces`` and the REPL's ``\\slow``; an on-disk JSONL
 file mirrors it, so slow-request evidence survives the process.
 
 The capture log is bounded both ways: the ring keeps the most recent
-``capacity`` captures, and the JSONL file is compacted back to the ring's
-contents once it holds more than twice the capacity — the file never
-grows past ``2 * capacity`` lines.
+``CAPACITY`` captures, and the JSONL file is compacted back to the ring's
+contents once it holds more than twice that — the file never grows past
+``2 * CAPACITY`` lines.
 
 Statements run at FULL instrumentation while auto_explain is enabled, so
 a capture carries real per-node timing; the cost is the FULL-level
@@ -41,17 +41,17 @@ class AutoExplainConfig:
     enabled: bool = False
     threshold_ms: float = 100.0  # capture requests at or above this
     path: Optional[str] = None  # JSONL mirror; None = in-memory only
-    capacity: int = 64  # captures kept (ring + compacted file)
 
 
 class AutoExplain:
     """Bounded capture log of slow requests (see module docstring)."""
 
+    #: captures kept (ring + compacted file)
+    CAPACITY = 64
+
     def __init__(self, config: Optional[AutoExplainConfig] = None):
         self.config = config or AutoExplainConfig()
-        self._entries: Deque[Dict[str, Any]] = deque(
-            maxlen=max(1, self.config.capacity)
-        )
+        self._entries: Deque[Dict[str, Any]] = deque(maxlen=self.CAPACITY)
         #: lines in the JSONL file
         self._file_lines = 0
         self.captured_total = 0
@@ -70,10 +70,6 @@ class AutoExplain:
             if not hasattr(self.config, key):
                 raise ValueError(f"unknown auto_explain option {key!r}")
             setattr(self.config, key, value)
-        if self.config.capacity != self._entries.maxlen:
-            self._entries = deque(
-                self._entries, maxlen=max(1, self.config.capacity)
-            )
 
     # -- capture -------------------------------------------------------------
 
@@ -132,7 +128,7 @@ class AutoExplain:
         with open(path, "a", encoding="utf-8") as handle:
             handle.write(json.dumps(entry) + "\n")
         self._file_lines += 1
-        if self._file_lines > 2 * max(1, self.config.capacity):
+        if self._file_lines > 2 * self.CAPACITY:
             self._compact()
 
     def _compact(self) -> None:
@@ -155,20 +151,3 @@ class AutoExplain:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._file_lines = 0
-        if self.config.path is not None and os.path.exists(self.config.path):
-            os.remove(self.config.path)
-
-    @staticmethod
-    def load(path: str) -> List[Dict[str, Any]]:
-        """Read a capture file back (one JSON object per line)."""
-        entries = []
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    entries.append(json.loads(line))
-        return entries

@@ -44,11 +44,6 @@ class ObsConfig:
     #: harvest est-vs-actual into the FeedbackStore while enabled; its own
     #: flag because E15 freezes the store mid-run with the rest recording
     feedback: bool = True
-    #: plan variants the inter-query plan cache keeps (statement shapes
-    #: as the parser slots them, see ``engine.cache``); 0 runs without it.
-    #: EXPLAIN ANALYZE always bypasses it so actuals reflect a cold plan.
-    #: Not observability: ``off()`` leaves it alone
-    plan_cache_size: int = 128
     #: slow-request capture; disabled by default (set ``enabled=True``
     #: or call ``Database.auto_explain.configure(enabled=True, ...)``)
     auto_explain: Optional[AutoExplainConfig] = field(default=None)

@@ -157,7 +157,3 @@ class FeedbackStore:
 
     def entries(self) -> Dict[str, FeedbackEntry]:
         return dict(self._entries)
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.dropped = 0

@@ -222,7 +222,7 @@ class MetricsRegistry:
     def bind(self, names: Tuple[Sequence[str], ...]) -> tuple:
         """The instruments *names* = ``(counters, histograms, gauges)``
         lists, as one flat tuple in that order: resolved (and created) on
-        the first call, remembered until :meth:`reset` — a per-statement
+        the first call, remembered for the registry's life — a per-statement
         caller pays one lookup, not one per instrument."""
         bound = self._bound.get(names)
         if bound is None:
@@ -233,13 +233,6 @@ class MetricsRegistry:
                 *map(self.gauge, gauges),
             )
         return bound
-
-    def names(self) -> List[str]:
-        return sorted(
-            list(self._counters)
-            + list(self._gauges)
-            + list(self._histograms)
-        )
 
     def snapshot(self) -> Dict[str, Dict]:
         """Plain-dict view of every instrument (JSON-safe)."""
@@ -332,12 +325,6 @@ class MetricsRegistry:
             lines.append(f"# TYPE {full} {kind}")
             lines.extend(samples)
         return "\n".join(lines) + "\n"
-
-    def reset(self) -> None:
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
-        self._bound.clear()
 
 
 def _fmt(value: float) -> str:

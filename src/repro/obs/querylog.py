@@ -29,9 +29,8 @@ def q_error(estimated: float, actual: float) -> float:
     either side are clamped to one row before the ratio — so ``est=0,
     act=0`` is a perfect 1.0, and ``est=0, act=100`` scores the same 100x
     as ``est=1, act=100`` instead of dividing by zero.  Non-finite inputs
-    (NaN/inf from broken estimates) return ``inf`` so they sort to the
-    top of :meth:`QueryLog.worst_estimates` rather than poisoning the
-    ordering with NaN comparisons.
+    (NaN/inf from broken estimates) return ``inf``, which orders, rather
+    than NaN, which does not.
     """
     inf = math.inf
     if not (-inf < estimated < inf and -inf < actual < inf):  # NaN fails too
@@ -91,9 +90,10 @@ class QueryLogRecord:
 class QueryLog:
     """Bounded ring of :class:`QueryLogRecord`."""
 
-    def __init__(self, capacity: int = 256):
-        self.capacity = capacity
-        self._records: Deque[QueryLogRecord] = deque(maxlen=capacity)
+    CAPACITY = 256
+
+    def __init__(self):
+        self._records: Deque[QueryLogRecord] = deque(maxlen=self.CAPACITY)
 
     def record(self, entry: QueryLogRecord) -> None:
         self._records.append(entry)
@@ -103,20 +103,3 @@ class QueryLog:
 
     def entries(self) -> List[QueryLogRecord]:
         return list(self._records)
-
-    def worst_estimates(self, n: int = 10) -> List[QueryLogRecord]:
-        """The n records with the largest cardinality q-error — where the
-        estimator most needs correcting.  A NaN q-error sorts as infinite
-        so the ordering stays total."""
-
-        def sort_key(r: QueryLogRecord) -> float:
-            return r.q_error if not math.isnan(r.q_error) else math.inf
-
-        return sorted(self.entries(), key=sort_key, reverse=True)[:n]
-
-    def plan_changes(self) -> List[QueryLogRecord]:
-        """Records whose chosen plan differed from the stored baseline."""
-        return [r for r in self.entries() if r.plan_changed]
-
-    def clear(self) -> None:
-        self._records.clear()

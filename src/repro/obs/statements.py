@@ -15,14 +15,14 @@ text and best observed time.
 Everything per statement reads these entries: ``sys_stat_statements``,
 the ``statement_latency_ms`` Prometheus family and JSON section, the
 ``plan_baselines`` gauge and ``EXPLAIN DIFF``.  The store is bounded:
-once it holds ``max_statements`` fingerprints a newcomer is dropped and
+once it holds ``MAX_STATEMENTS`` fingerprints a newcomer is dropped and
 counted (``dropped``), never evicting a hot entry.
 
 The operational failure mode of a cost-based optimizer is not a slow
 plan — it is a *different* plan than yesterday's for the same statement.
 When an observed SELECT's plan fingerprint differs from its baseline, a
 :class:`PlanChange` event carrying the estimated-cost and measured-latency
-deltas is kept in a bounded ring, the query log marks the record
+deltas goes back to the recorder, the query log marks the record
 ``plan_changed=True``, and the ``plan_regressions_total`` metric counts
 changes whose estimated cost went *up*.
 """
@@ -32,9 +32,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import threading
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..sql.lexer import Token, tokenize
 from .metrics import Histogram
@@ -131,16 +130,15 @@ class StatementStats:
 
 
 class StatementStore:
-    """Statement entries by fingerprint, at most *max_statements* of them,
-    plus a bounded ring of plan changes.  One writer at a time (the
-    engine's harvest) updates an entry under the store's lock; readers
-    copy what they need under the same lock, so a read that runs beside a
-    harvest sees every entry whole."""
+    """Statement entries by fingerprint, at most ``MAX_STATEMENTS`` of
+    them.  One writer at a time (the engine's harvest) updates an entry
+    under the store's lock; readers copy what they need under the same
+    lock, so a read that runs beside a harvest sees every entry whole."""
 
-    def __init__(self, max_statements: int = 128):
-        self.max_statements = max_statements
+    MAX_STATEMENTS = 128
+
+    def __init__(self):
         self._entries: Dict[str, StatementStats] = {}
-        self._changes: Deque[PlanChange] = deque(maxlen=128)
         self._lock = threading.Lock()
         self.dropped = 0
 
@@ -171,7 +169,7 @@ class StatementStore:
         with self._lock:
             entry = self._entries.get(fp)
             if entry is None:
-                if len(self._entries) >= self.max_statements:
+                if len(self._entries) >= self.MAX_STATEMENTS:
                     self.dropped += 1
                     return fp, None
                 entry = self._entries[fp] = StatementStats(
@@ -202,7 +200,6 @@ class StatementStore:
                         old_shape=entry.plan_shape,
                         new_shape=shape,
                     )
-                    self._changes.append(change)
                     entry.plan_changes += 1
                 entry.plan_fp, entry.plan_shape = plan_fp, shape
             entry.est_cost = est_cost
@@ -254,12 +251,6 @@ class StatementStore:
         """How many entries hold a plan baseline."""
         with self._lock:
             return sum(e.plan_fp is not None for e in self._entries.values())
-
-    def changes(self) -> List[PlanChange]:
-        return list(self._changes)
-
-    def regressions(self) -> List[PlanChange]:
-        return [c for c in self._changes if c.is_regression]
 
     def __len__(self) -> int:
         return len(self._entries)

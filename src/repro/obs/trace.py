@@ -346,10 +346,6 @@ class Tracer:
             return self._open
         return NULL_SPAN
 
-    def add(self, name: str, value: float = 1.0) -> None:
-        """Counter on the innermost open span."""
-        self.current().add(name, value)
-
 
 class RequestTrace:
     """One captured request: identity, statement, and the finished tree."""

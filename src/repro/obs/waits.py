@@ -104,10 +104,6 @@ class WaitEventStats:
         with self._lock:
             return len(self._events)
 
-    def reset(self) -> None:
-        with self._lock:
-            self._events.clear()
-
     # -- export ----------------------------------------------------------------
 
     def as_dict(self) -> Dict[str, Dict[str, float]]:

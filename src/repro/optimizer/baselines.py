@@ -224,9 +224,6 @@ class RandomPlanner(OrderPlanner):
     def plan(self) -> SubPlan:
         return self.plan_order(self.random_order())
 
-    def plan_many(self, trials: int) -> List[SubPlan]:
-        return [self.plan() for _ in range(trials)]
-
 
 #: strategy name -> baseline planner: the five non-DP STRATEGIES
 BASELINES = {

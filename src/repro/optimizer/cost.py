@@ -32,6 +32,9 @@ from typing import Optional
 
 from ..catalog import IndexInfo
 
+#: ``W`` of ``cost = page_fetches + W * cpu_operations``
+CPU_WEIGHT = 0.01
+
 
 @dataclass(frozen=True)
 class Cost:
@@ -39,14 +42,13 @@ class Cost:
 
     io: float = 0.0
     cpu: float = 0.0
-    cpu_weight: float = 0.01
 
     @property
     def total(self) -> float:
-        return self.io + self.cpu_weight * self.cpu
+        return self.io + CPU_WEIGHT * self.cpu
 
     def __add__(self, other: "Cost") -> "Cost":
-        return Cost(self.io + other.io, self.cpu + other.cpu, self.cpu_weight)
+        return Cost(self.io + other.io, self.cpu + other.cpu)
 
     def __lt__(self, other: "Cost") -> bool:
         return self.total < other.total
@@ -75,14 +77,12 @@ class CostModel:
     def __init__(
         self,
         work_mem_pages: int = 64,
-        cpu_weight: float = 0.01,
         buffer_pages: Optional[int] = None,
         vector_cpu_factor: float = 1.0,
     ):
         if work_mem_pages < 3:
             raise ValueError("work memory must be at least 3 pages")
         self.work_mem_pages = work_mem_pages
-        self.cpu_weight = cpu_weight
         #: per-row CPU discount for operators the columnar engine
         #: vectorizes (scans, filters, projections, hash joins,
         #: aggregation).  1.0 prices the row engine (the paper's); a
@@ -95,16 +95,10 @@ class CostModel:
         #: against tables larger than the pool.  None = assume ample.
         self.buffer_pages = buffer_pages
 
-    def _cost(self, io: float, cpu: float) -> Cost:
-        return Cost(io, cpu, self.cpu_weight)
-
     def _vcost(self, io: float, cpu: float) -> Cost:
         """Cost for a vectorizable operator: per-row CPU discounted by
         ``vector_cpu_factor``."""
-        return Cost(io, cpu * self.vector_cpu_factor, self.cpu_weight)
-
-    def zero(self) -> Cost:
-        return self._cost(0.0, 0.0)
+        return Cost(io, cpu * self.vector_cpu_factor)
 
     def undiscounted(self) -> "CostModel":
         """This model with ``vector_cpu_factor`` 1.0, every other constant
@@ -143,7 +137,7 @@ class CostModel:
         # Each qualifying row costs an entry decode plus a record fetch —
         # roughly twice the per-row work of a sequential scan.  Without this
         # asymmetry a full-range index scan under-prices a filtered seq scan.
-        return self._cost(descent + leaf_io + data_io, 2.0 * matching_rows)
+        return Cost(descent + leaf_io + data_io, 2.0 * matching_rows)
 
     def random_fetch_pages(
         self,
@@ -174,7 +168,7 @@ class CostModel:
         matching_rows = max(0.0, min(matching_rows, table_rows))
         fraction = matching_rows / table_rows if table_rows > 0 else 0.0
         leaf_io = max(1.0, math.ceil(fraction * max(1, index.leaf_pages)))
-        return self._cost(float(index.height) + leaf_io, matching_rows)
+        return Cost(float(index.height) + leaf_io, matching_rows)
 
     # -- sorting ---------------------------------------------------------------------
 
@@ -184,12 +178,12 @@ class CostModel:
         pages = max(1.0, pages)
         cmp_cost = rows * max(1.0, math.log2(max(2.0, rows)))
         if pages <= self.work_mem_pages:
-            return self._cost(0.0, cmp_cost)
+            return Cost(0.0, cmp_cost)
         runs = math.ceil(pages / self.work_mem_pages)
         fan_in = max(2, self.work_mem_pages - 1)
         passes = max(1, math.ceil(math.log(runs, fan_in)))
         io = 2.0 * pages * passes
-        return self._cost(io, cmp_cost)
+        return Cost(io, cmp_cost)
 
     # -- joins -----------------------------------------------------------------------
 
@@ -219,7 +213,7 @@ class CostModel:
             rescan_io = 0.0
         io = (blocks - 1.0) * rescan_io  # first inner pass paid below
         cpu = (blocks - 1.0) * inner_rescan.cpu + outer_rows * inner_rows
-        return self._cost(io, cpu) + inner_rescan
+        return Cost(io, cpu) + inner_rescan
 
     def index_nested_loop(
         self,
@@ -254,13 +248,13 @@ class CostModel:
         total_matches = outer_rows * max(0.0, matches_per_probe)
         data_io = self.random_fetch_pages(inner_pages, total_matches, data_buffer)
         cpu = outer_rows + total_matches
-        return self._cost(descent + leaf_io + data_io, cpu)
+        return Cost(descent + leaf_io + data_io, cpu)
 
     def merge_join(
         self, left_rows: float, right_rows: float, output_rows: float
     ) -> Cost:
         """Merge phase only (sorts priced separately)."""
-        return self._cost(0.0, left_rows + right_rows + output_rows)
+        return Cost(0.0, left_rows + right_rows + output_rows)
 
     def hash_join(
         self,
@@ -276,7 +270,7 @@ class CostModel:
         if right_pages <= self.work_mem_pages:
             return self._vcost(0.0, cpu)
         io = 2.0 * (max(1.0, left_pages) + max(1.0, right_pages))
-        return self._cost(io, cpu * 1.5)
+        return Cost(io, cpu * 1.5)
 
     # -- other operators --------------------------------------------------------------------
 
@@ -290,4 +284,4 @@ class CostModel:
         return self._vcost(0.0, input_rows + groups)
 
     def distinct(self, rows: float) -> Cost:
-        return self._cost(0.0, rows)
+        return Cost(0.0, rows)

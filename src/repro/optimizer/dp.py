@@ -79,7 +79,6 @@ class DPPlanner:
         left_deep: bool = True,
         use_interesting_orders: bool = True,
         allow_cross: bool = False,
-        interesting_orders: Optional[Set[str]] = None,
         page_size: int = 4096,
         needed_columns: Optional[Dict[str, Set[str]]] = None,
         search: Optional[RegionSearch] = None,
@@ -99,9 +98,7 @@ class DPPlanner:
         self.search = search
         self._rows_memo: Dict[FrozenSet[str], float] = {}
         self._key_memo: Dict[FrozenSet[str], str] = {}
-        self._interesting = interesting_orders
-        if self._interesting is None:
-            self._interesting = self._default_interesting_orders()
+        self._interesting = self._default_interesting_orders()
 
     # -- public entry -------------------------------------------------------------
 

@@ -54,7 +54,6 @@ class EstimatorConfig:
 
     use_histograms: bool = True
     use_mcvs: bool = True
-    use_distinct: bool = True  # False = always magic constants
 
 
 @dataclass
@@ -207,7 +206,7 @@ class Estimator:
             frac = stats.histogram.fraction_equal(x)
             if frac > 0.0:
                 return frac
-        if self.config.use_distinct and stats.num_distinct > 0:
+        if stats.num_distinct > 0:
             return 1.0 / stats.num_distinct
         return DEFAULT_EQ_SEL
 
@@ -236,11 +235,7 @@ class Estimator:
                     if _value_in_range(vx, x, pred.op):
                         mcv_in_range += freq / stats.nonnull_rows
             return base * (1.0 - mcv_mass) + mcv_in_range
-        if (
-            self.config.use_distinct
-            and stats.min_float is not None
-            and stats.max_float is not None
-        ):
+        if stats.min_float is not None and stats.max_float is not None:
             lo, hi = stats.min_float, stats.max_float
             if hi <= lo:
                 return 1.0 if _value_in_range(lo, x, pred.op) else 0.0
@@ -262,8 +257,6 @@ class Estimator:
         return 1.0 / max(1, v)
 
     def _distinct_of(self, resolved: Optional[ColumnBinding]) -> Optional[int]:
-        if not self.config.use_distinct:
-            return None
         if resolved is None or resolved.stats is None:
             return None
         return resolved.stats.num_distinct or None
@@ -331,13 +324,6 @@ class Estimator:
             sel *= self.selectivity(c)
         return sel
 
-    def join_rows(
-        self, left_rows: float, right_rows: float, conjuncts: Sequence[Expr]
-    ) -> float:
-        if not conjuncts:
-            return left_rows * right_rows
-        return left_rows * right_rows * self.join_selectivity(conjuncts)
-
     # -- helpers for access-path selection ----------------------------------------------
 
     def matches_per_probe(self, column: str, fallback_rows: float) -> float:
@@ -348,12 +334,6 @@ class Estimator:
             if distinct:
                 return max(1.0, resolved.stats.nonnull_rows / distinct)
         return max(1.0, fallback_rows * DEFAULT_EQ_SEL)
-
-    def distinct_values(self, column: str) -> Optional[int]:
-        resolved = self.resolver.resolve(column)
-        if resolved is None or resolved.stats is None:
-            return None
-        return resolved.stats.num_distinct or None
 
     # -- feedback corrections -------------------------------------------------------
 

@@ -58,7 +58,7 @@ from ..physical import (
 )
 from .cost import Cost, CostModel
 from .dp import DPPlanner, PlannerStats, SubPlan
-from .estimate import Estimator, EstimatorConfig, StatsResolver, pages_for
+from .estimate import Estimator, StatsResolver, pages_for
 
 STRATEGIES = (
     "dp",
@@ -139,7 +139,6 @@ class PlannerOptions:
     strategy: str = "dp"
     pushdown: bool = True
     use_interesting_orders: bool = True
-    estimator: Optional[EstimatorConfig] = None
     random_seed: int = 0
     #: apply learned est-vs-actual corrections from the Database's
     #: FeedbackStore during estimation (LEO-style; plans may change,
@@ -389,7 +388,6 @@ class Planner:
         resolver = StatsResolver(graph)
         estimator = Estimator(
             resolver,
-            self.options.estimator,
             feedback=self.feedback if self.options.use_feedback else None,
         )
         equivalence = graph.order_equivalence()

@@ -209,16 +209,6 @@ class PIndexScan(PhysicalPlan):
     def __post_init__(self):
         self.schema = self.table.schema.renamed(self.binding)
 
-    @property
-    def is_equality(self) -> bool:
-        return (
-            not self.low.unbounded
-            and not self.high.unbounded
-            and self.low.value == self.high.value
-            and self.low.inclusive
-            and self.high.inclusive
-        )
-
     def describe(self) -> str:
         clustered = " clustered" if self.index.clustered else ""
         rng = f"[{self.low} .. {self.high}]"

@@ -265,10 +265,6 @@ class BufferPool:
         with self._lock:
             return page_id in self._frames
 
-    def reset_stats(self) -> None:
-        with self._lock:
-            self.stats = BufferStats()
-
     # -- internals --------------------------------------------------------------------
 
     def _touch(self, frame: _Frame) -> None:

@@ -50,10 +50,6 @@ class IOStats:
             self.allocations - earlier.allocations,
         )
 
-    @property
-    def total(self) -> int:
-        return self.reads + self.writes
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"IOStats(reads={self.reads}, writes={self.writes}, "
@@ -92,9 +88,6 @@ class DiskManager:
 
     def num_pages(self, file_id: int) -> int:
         return len(self._file(file_id).pages)
-
-    def file_ids(self) -> List[int]:
-        return list(self._files)
 
     def _file(self, file_id: int) -> _File:
         try:
@@ -169,10 +162,3 @@ class DiskManager:
                     f"expected {self.page_size}"
                 )
             f.pages.append(bytearray(image))
-
-    # -- metrics ----------------------------------------------------------------
-
-    def reset_stats(self) -> None:
-        self.stats = IOStats()
-        for f in self._files.values():
-            f.last_read = -2

@@ -76,9 +76,6 @@ class HeapFile:
             self.hooks.on_insert(self.name, page_id, slot_no, record)
         return (page_no, slot_no)
 
-    def insert_many(self, rows: Sequence[Sequence[Any]]) -> List[RID]:
-        return [self.insert(row) for row in rows]
-
     def delete(self, rid: RID) -> bool:
         page_no, slot_no = rid
         self._check_page(page_no)

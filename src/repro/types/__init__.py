@@ -7,7 +7,6 @@ from .datatypes import (
     byte_width,
     check_value,
     common_type,
-    compare,
     infer_type,
     parse_type,
     value_to_float,
@@ -21,7 +20,6 @@ __all__ = [
     "byte_width",
     "check_value",
     "common_type",
-    "compare",
     "infer_type",
     "parse_type",
     "value_to_float",

@@ -81,6 +81,10 @@ def parse_type(name: str) -> DataType:
     raise TypeError_(f"unknown type name: {name!r}")
 
 
+#: the range an INT column stores (a signed 64-bit record field)
+INT_MIN, INT_MAX = -(2**63), 2**63 - 1
+
+
 def check_value(value: Any, dtype: DataType) -> Any:
     """Validate (and mildly coerce) *value* for storage in a *dtype* column.
 
@@ -93,15 +97,20 @@ def check_value(value: Any, dtype: DataType) -> Any:
         if isinstance(value, bool):
             raise TypeError_(f"BOOL value {value!r} in INT column")
         if isinstance(value, int):
-            return value
+            if INT_MIN <= value <= INT_MAX:
+                return value
+            raise TypeError_(f"INT value {value} out of range")
         if isinstance(value, float) and value.is_integer():
-            return int(value)
+            return check_value(int(value), dtype)
         raise TypeError_(f"value {value!r} is not an INT")
     if dtype is DataType.FLOAT:
         if isinstance(value, bool):
             raise TypeError_(f"BOOL value {value!r} in FLOAT column")
         if isinstance(value, (int, float)):
-            return float(value)
+            try:
+                return float(value)
+            except OverflowError:
+                raise TypeError_("INT value out of FLOAT range") from None
         raise TypeError_(f"value {value!r} is not a FLOAT")
     if dtype is DataType.TEXT:
         if isinstance(value, str):
@@ -115,7 +124,10 @@ def check_value(value: Any, dtype: DataType) -> Any:
         if isinstance(value, date):
             return value
         if isinstance(value, str):
-            return date.fromisoformat(value)
+            try:
+                return date.fromisoformat(value)
+            except ValueError:
+                raise TypeError_(f"value {value!r} is not a DATE") from None
         raise TypeError_(f"value {value!r} is not a DATE")
     raise TypeError_(f"unhandled type {dtype}")  # pragma: no cover
 
@@ -142,22 +154,6 @@ def common_type(a: DataType, b: DataType) -> DataType:
     if {a, b} == {DataType.INT, DataType.FLOAT}:
         return DataType.FLOAT
     raise TypeError_(f"incompatible types: {a.value} and {b.value}")
-
-
-def compare(a: Any, b: Any) -> Optional[int]:
-    """Three-valued SQL comparison.
-
-    Returns -1/0/+1, or ``None`` if either operand is NULL.
-    """
-    if a is None or b is None:
-        return None
-    if isinstance(a, bool) != isinstance(b, bool):
-        raise TypeError_(f"cannot compare {a!r} with {b!r}")
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
 
 
 def value_to_float(value: Any, dtype: DataType) -> float:

@@ -114,10 +114,6 @@ class Schema:
 
     # -- lookup --------------------------------------------------------------
 
-    @property
-    def columns(self) -> Tuple[Column, ...]:
-        return self._columns
-
     def index_of(self, name: str) -> int:
         """Resolve a (possibly qualified) column name to its position."""
         if name in self._by_qualified:
@@ -153,22 +149,13 @@ class Schema:
     def names(self) -> List[str]:
         return [c.name for c in self._columns]
 
-    def qualified_names(self) -> List[str]:
-        return [c.qualified_name for c in self._columns]
-
     # -- derivation ----------------------------------------------------------
-
-    def project(self, names: Sequence[str]) -> "Schema":
-        return Schema(self._columns[self.index_of(n)] for n in names)
 
     def concat(self, other: "Schema") -> "Schema":
         return Schema(self._columns + other._columns)
 
     def renamed(self, table: str) -> "Schema":
         return Schema(c.renamed(table) for c in self._columns)
-
-    def positions(self, names: Sequence[str]) -> List[int]:
-        return [self.index_of(n) for n in names]
 
     # -- rows ----------------------------------------------------------------
 
@@ -185,10 +172,6 @@ class Schema:
                 raise TypeError_(f"NULL in non-nullable column {col.qualified_name}")
             out.append(checked)
         return tuple(out)
-
-    def row_dict(self, row: Sequence[Any]) -> Dict[str, Any]:
-        """Render a tuple as a name->value dict (for display/tests)."""
-        return {c.qualified_name: v for c, v in zip(self._columns, row)}
 
     def estimated_row_bytes(self) -> int:
         """Rough stored size of one row, used by cost arithmetic."""

@@ -103,15 +103,12 @@ class _TableLock:
 class TxnManager:
     """Transaction lifecycle + locking + (optional) WAL logging."""
 
-    def __init__(
-        self,
-        writer: Optional[WalWriter] = None,
-        waits=None,
-        lock_timeout: float = 10.0,
-    ):
-        self.writer = writer
-        self.waits = waits
-        self.lock_timeout = lock_timeout
+    def __init__(self):
+        #: the WAL and the wait-event store, attached by the owning
+        #: Database; ``lock_timeout`` bounds a table-lock wait (seconds)
+        self.writer: Optional[WalWriter] = None
+        self.waits = None
+        self.lock_timeout = 10.0
         self.versions = VersionStore()
         self._next_txn_id = 1
         self._id_lock = threading.Lock()

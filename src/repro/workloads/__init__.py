@@ -9,7 +9,6 @@ from .generators import (
     shuffled_ints,
     uniform_floats,
     uniform_ints,
-    with_nulls,
     words,
     zipf_ints,
 )
@@ -33,7 +32,7 @@ from .wholesale import (
 __all__ = [
     "Rng", "categorical", "correlated_pair", "prefixed_words",
     "sequential_ints", "shuffled_ints", "uniform_floats", "uniform_ints",
-    "with_nulls", "words", "zipf_ints", "ShapeWorkload", "build_chain",
+    "words", "zipf_ints", "ShapeWorkload", "build_chain",
     "build_clique", "build_cycle", "build_shape", "build_star", "REGIONS",
     "SEGMENTS", "STATUSES", "WHOLESALE_QUERIES", "WholesaleScale",
     "load_wholesale",

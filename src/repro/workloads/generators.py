@@ -128,7 +128,3 @@ def prefixed_words(
     tails = words(rng, n, length)
     return [r.choice(list(prefixes)) + "-" + tail for tail in tails]
 
-
-def with_nulls(rng: Rng, values: List[Any], null_fraction: float) -> List[Any]:
-    r = rng.random
-    return [None if r.random() < null_fraction else v for v in values]

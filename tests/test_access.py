@@ -6,7 +6,7 @@ import pytest
 
 from repro.algebra import LogicalGet, JoinGraph
 from repro.engine import Database
-from repro.expr import col, eq, gt, lit, lt, ne
+from repro.expr import CmpOp, Comparison, col, eq, gt, lit, lt
 from repro.optimizer import (
     Estimator,
     StatsResolver,
@@ -37,9 +37,7 @@ class TestExtractBounds:
         assert bounds.low.value == 5
 
     def test_inclusive_vs_exclusive_tightening(self):
-        from repro.expr import ge
-
-        conjuncts = [ge(col("x"), lit(5)), gt(col("x"), lit(5))]
+        conjuncts = [Comparison(CmpOp.GE, col("x"), lit(5)), gt(col("x"), lit(5))]
         bounds, _ = extract_bounds(conjuncts, self.NAMES)
         assert bounds.low.value == 5 and not bounds.low.inclusive
 
@@ -50,7 +48,9 @@ class TestExtractBounds:
         assert len(residual) == 1
 
     def test_ne_not_sargable(self):
-        bounds, residual = extract_bounds([ne(col("x"), lit(5))], self.NAMES)
+        bounds, residual = extract_bounds(
+            [Comparison(CmpOp.NE, col("x"), lit(5))], self.NAMES
+        )
         assert not bounds.bounded
         assert len(residual) == 1
 
@@ -95,7 +95,7 @@ class TestAccessPaths:
         cands = paths_for(db, [eq(col("t.id"), lit(42))])
         best = min(cands, key=lambda c: c.cost.total)
         assert isinstance(best.plan, PIndexScan)
-        assert best.plan.is_equality
+        assert best.plan.low.value == best.plan.high.value == 42
 
     def test_full_table_prefers_seq(self, db):
         cands = paths_for(db, [])

@@ -121,8 +121,10 @@ class TestRandom:
 
     def test_plan_many(self, db):
         graph, est = graph_and_est(db)
-        plans = RandomPlanner(graph, est, db.model, seed=2).plan_many(3)
+        planner = RandomPlanner(graph, est, db.model, seed=2)
+        plans = [planner.plan() for _ in range(3)]  # one rng, three draws
         assert len(plans) == 3
+        assert all(p.relations == frozenset(graph.bindings()) for p in plans)
 
 
 class TestExecutionAgreement:

@@ -13,7 +13,6 @@ from repro.algebra import (
     LogicalProject,
     LogicalSort,
     build_plan,
-    leaves,
 )
 from repro.catalog import Catalog
 from repro.sql import parse
@@ -69,8 +68,12 @@ class TestShapes:
             catalog,
             "SELECT o.id FROM orders o, customers c WHERE o.cust_id = c.id",
         )
-        gets = leaves(p)
-        assert [g.binding for g in gets] == ["o", "c"]
+        def gets(node):  # the base-table scans, left to right
+            if isinstance(node, LogicalGet):
+                return [node]
+            return [g for child in node.children() for g in gets(child)]
+
+        assert [g.binding for g in gets(p)] == ["o", "c"]
 
     def test_explicit_join_condition_attached(self, catalog):
         p = plan_for(

@@ -23,16 +23,11 @@ from repro.expr import (
     compile_expr,
     compile_predicate,
     eq,
-    ge,
-    gt,
-    le,
     lit,
-    lt,
-    ne,
-    not_,
+    Not,
     or_,
 )
-from repro.expr.nodes import ArithOp, Arithmetic, Negate
+from repro.expr.nodes import ArithOp, Arithmetic, CmpOp, Comparison, Negate
 from repro.expr.vector import (
     compile_expr_columnar,
     compile_predicate_columnar,
@@ -77,15 +72,15 @@ num_exprs = st.recursive(
 )
 
 comparisons = st.builds(
-    lambda make, a, b: make(a, b),
-    st.sampled_from([eq, ne, lt, le, gt, ge]),
+    Comparison,
+    st.sampled_from(list(CmpOp)),
     num_exprs,
     num_exprs,
 )
 
 text_comparisons = st.builds(
-    lambda make, b: make(col("s"), b),
-    st.sampled_from([eq, ne, lt, le, gt, ge]),
+    lambda op, b: Comparison(op, col("s"), b),
+    st.sampled_from(list(CmpOp)),
     st.sampled_from(["", "a", "ab", "zz"]).map(lit),
 )
 
@@ -140,7 +135,7 @@ predicates = st.recursive(
     ),
     lambda inner: st.builds(and_, inner, inner)
     | st.builds(or_, inner, inner)
-    | inner.map(not_),
+    | inner.map(Not),
     max_leaves=8,
 )
 

@@ -21,11 +21,11 @@ def fake_index(clustered=False, height=2, leaf_pages=10):
 
 class TestCost:
     def test_total_weights_cpu(self):
-        c = Cost(io=10, cpu=100, cpu_weight=0.01)
+        c = Cost(io=10, cpu=100)
         assert c.total == pytest.approx(11.0)
 
     def test_addition(self):
-        c = Cost(1, 2, 0.01) + Cost(3, 4, 0.01)
+        c = Cost(1, 2) + Cost(3, 4)
         assert c.io == 4 and c.cpu == 6
 
     def test_ordering(self):

@@ -155,4 +155,3 @@ class TestHygiene:
             "(SELECT b.year FROM bonus b WHERE b.emp_id = e.id)"
         )
         assert "Join" in text
-        db.drop_transients()

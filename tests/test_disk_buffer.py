@@ -258,18 +258,6 @@ class TestBufferStatsAccounting:
         pool = BufferPool(disk, 2)
         assert pool.stats.hit_rate == 0.0
 
-    def test_reset_stats_clears_counters_not_frames(self):
-        disk, pool, f = self._workload(Replacement.LRU)
-        resident = [p for p in range(3) if pool.contains((f, p))]
-        pool.reset_stats()
-        assert pool.stats.accesses == 0
-        assert pool.stats.evictions == 0
-        assert pool.stats.dirty_writebacks == 0
-        # frames stay cached: touching a resident page is a hit
-        pool.fix((f, resident[0]))
-        pool.unfix((f, resident[0]))
-        assert pool.stats.hits == 1 and pool.stats.misses == 0
-
     def test_snapshot_and_delta(self):
         disk, pool, f = self._workload(Replacement.CLOCK)
         before = pool.stats.snapshot()

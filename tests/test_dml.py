@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Database
+from repro.types import TypeError_
 
 
 @pytest.fixture
@@ -83,6 +84,17 @@ class TestUpdate:
         assert db.query("SELECT id FROM t WHERE id = 1000").rows == [(1000,)]
         assert db.query("SELECT id FROM t WHERE id = 0").rows == []
         db.table("t").index_on("id").structure.validate()
+
+    def test_out_of_range_update_is_a_type_error_and_changes_nothing(self, db):
+        # id + INT_MAX still fits a 64-bit INT for id 0, not from id 1 on
+        before = db.query("SELECT id, grp, v FROM t ORDER BY id").rows
+        with pytest.raises(TypeError_):
+            db.execute("UPDATE t SET grp = id + 9223372036854775807")
+        assert db.query("SELECT id, grp, v FROM t ORDER BY id").rows == before
+        ix = db.table("t").index_on("grp")
+        assert sorted(ix.structure.items()) == sorted(
+            (row[1], rid) for rid, row in db.table("t").heap.scan()
+        )
 
     def test_update_nothing(self, db):
         r = db.execute("UPDATE t SET v = 0.0 WHERE id = -1")

@@ -208,7 +208,7 @@ def test_select_and_update_are_each_priced_for_their_own_executor():
     assert db.columnar and db.model.vector_cpu_factor < 1.0
     info = db.table("t")
     conjuncts = split_conjuncts(parse("SELECT * FROM t WHERE k = 17").where)
-    estimator = relation_estimator(info, "t", db.options.estimator)
+    estimator = relation_estimator(info, "t")
 
     def priced(model):
         """path name -> total cost of every candidate under *model*."""

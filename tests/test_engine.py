@@ -210,7 +210,7 @@ class TestQueries:
     def test_result_columns(self, db):
         r = db.query("SELECT id AS x, dept FROM emp LIMIT 1")
         assert r.columns == ["x", "dept"]
-        assert r.as_dicts()[0]["x"] == 0
+        assert r.rows[0][0] == 0
 
 
 class TestExplainAndMetrics:

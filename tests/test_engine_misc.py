@@ -45,16 +45,6 @@ class TestStrategyAndMetrics:
         db.set_strategy("dp", use_interesting_orders=False)
         assert not db.options.use_interesting_orders
 
-    def test_reset_io(self, db):
-        db.query("SELECT COUNT(*) AS n FROM t")
-        db.reset_io()
-        assert db.disk.stats.reads == 0
-        assert db.pool.stats.accesses == 0
-
-    def test_as_dicts(self, db):
-        r = db.query("SELECT a, b FROM t WHERE a = 1")
-        assert r.as_dicts() == [{"a": 1, "b": 1.0}]
-
     def test_plan_cleans_up_transients(self, db):
         db.execute(
             "CREATE VIEW agg AS SELECT COUNT(*) AS n FROM t"
@@ -71,7 +61,6 @@ class TestStrategyAndMetrics:
             x.name.startswith("__view") for x in db.catalog.tables()
         )
         assert db._live_transients == []
-        db.drop_transients()  # still safe to call with nothing to drop
 
 
 class TestViewExpanderInternals:

@@ -164,8 +164,8 @@ class TestJoins:
     def test_fk_join_cardinality(self, db):
         sql = "SELECT * FROM t, u WHERE t.maybe = u.grp"
         est, graph = estimator_for(db, sql)
-        conj = graph.edge_conjuncts("t", "u")
-        rows = est.join_rows(4000, 100, conj)
+        conj = graph.join_conjuncts_between({"t"}, {"u"})
+        rows = 4000 * 100 * est.join_selectivity(conj)
         actual = db.query(
             "SELECT COUNT(*) AS n FROM t, u WHERE t.maybe = u.grp"
         ).rows[0][0]
@@ -173,7 +173,7 @@ class TestJoins:
 
     def test_cross_product(self, db):
         est, _ = estimator_for(db, "SELECT * FROM t, u WHERE t.id = u.id")
-        assert est.join_rows(10, 20, []) == 200
+        assert 10 * 20 * est.join_selectivity([]) == 200
 
     def test_matches_per_probe(self, db):
         est, _ = estimator_for(db, "SELECT * FROM t, u WHERE t.maybe = u.grp")
@@ -181,8 +181,8 @@ class TestJoins:
 
     def test_distinct_values(self, db):
         est, _ = estimator_for(db, "SELECT * FROM t")
-        assert est.distinct_values("t.uni") == 100
-        assert est.distinct_values("t.unknown_col") is None
+        assert est.resolver.resolve("t.uni").stats.num_distinct == 100
+        assert est.resolver.resolve("t.unknown_col") is None
 
 
 class TestScanRows:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.executor import ExecContext, cmp_values, make_key_fn, sorted_rows
 from repro.physical import PSeqScan, RangeBound
-from repro.storage import BufferPool, DiskManager
+from repro.storage import BufferPool, DiskError, DiskManager
 from repro.types import DataType, schema_of
 
 
@@ -79,11 +79,11 @@ class TestExecContext:
     def test_cleanup_drops_all_temps(self):
         disk, ctx = make_ctx()
         schema = schema_of("t", ("a", DataType.INT))
-        before = len(disk.file_ids())
-        for _ in range(3):
-            ctx.create_temp(schema)
+        temps = [ctx.create_temp(schema) for _ in range(3)]
         ctx.cleanup()
-        assert len(disk.file_ids()) == before
+        for temp in temps:
+            with pytest.raises(DiskError):
+                disk.num_pages(temp.file_id)
         ctx.cleanup()  # idempotent
 
     def test_temp_files_counted(self):

@@ -23,7 +23,7 @@ from repro.expr import (
     lit,
     lt,
     normalize,
-    not_,
+    Not,
     or_,
     referenced_columns,
     referenced_tables,
@@ -47,27 +47,27 @@ class TestNormalize:
         assert isinstance(e, BoolOp) and e.kind is BoolKind.OR
 
     def test_de_morgan_and(self):
-        e = normalize(not_(and_(eq(col("a"), lit(1)), eq(col("b"), lit(2)))))
+        e = normalize(Not(and_(eq(col("a"), lit(1)), eq(col("b"), lit(2)))))
         assert isinstance(e, BoolOp) and e.kind is BoolKind.OR
         assert all(c.op is CmpOp.NE for c in e.operands)
 
     def test_de_morgan_or(self):
-        e = normalize(not_(or_(lt(col("a"), lit(1)), gt(col("a"), lit(9)))))
+        e = normalize(Not(or_(lt(col("a"), lit(1)), gt(col("a"), lit(9)))))
         assert isinstance(e, BoolOp) and e.kind is BoolKind.AND
         assert {c.op for c in e.operands} == {CmpOp.GE, CmpOp.LE}
 
     def test_double_negation(self):
-        e = normalize(not_(not_(eq(col("a"), lit(1)))))
+        e = normalize(Not(Not(eq(col("a"), lit(1)))))
         assert e == eq(col("a"), lit(1))
 
     def test_not_pushes_into_is_null(self):
-        e = normalize(not_(IsNull(col("a"))))
+        e = normalize(Not(IsNull(col("a"))))
         assert isinstance(e, IsNull) and e.negated
 
     def test_not_pushes_into_in_and_like(self):
-        e = normalize(not_(InList(col("a"), (lit(1),))))
+        e = normalize(Not(InList(col("a"), (lit(1),))))
         assert e.negated
-        e = normalize(not_(Like(col("a"), "x%")))
+        e = normalize(Not(Like(col("a"), "x%")))
         assert e.negated
 
     @given(
@@ -75,8 +75,8 @@ class TestNormalize:
     )
     def test_normalize_preserves_semantics(self, a, b, x):
         exprs = [
-            not_(and_(lt(col("a"), lit(a)), gt(col("b"), lit(b)))),
-            not_(or_(eq(col("a"), lit(a)), not_(eq(col("b"), lit(b))))),
+            Not(and_(lt(col("a"), lit(a)), gt(col("b"), lit(b)))),
+            Not(or_(eq(col("a"), lit(a)), Not(eq(col("b"), lit(b))))),
             Between(col("a"), lit(min(a, b)), lit(max(a, b)), negated=True),
         ]
         row = (x, b)

@@ -15,15 +15,12 @@ from repro.expr import (
     compile_predicate,
     eq,
     fold_constants,
-    ge,
     gt,
     infer_expr_type,
-    le,
     like_to_regex,
     lit,
     lt,
-    ne,
-    not_,
+    Not,
     or_,
 )
 from repro.executor.columnar import ColumnBatch, kernel_values
@@ -61,15 +58,15 @@ RN = (None, None, None, None)
 class TestComparisons:
     def test_all_operators(self):
         assert run(eq(col("i"), lit(5)), R) is True
-        assert run(ne(col("i"), lit(5)), R) is False
+        assert run(Comparison(CmpOp.NE, col("i"), lit(5)), R) is False
         assert run(lt(col("i"), lit(6)), R) is True
-        assert run(le(col("i"), lit(5)), R) is True
+        assert run(Comparison(CmpOp.LE, col("i"), lit(5)), R) is True
         assert run(gt(col("i"), lit(5)), R) is False
-        assert run(ge(col("i"), lit(5)), R) is True
+        assert run(Comparison(CmpOp.GE, col("i"), lit(5)), R) is True
 
     def test_null_propagates(self):
-        for make in (eq, ne, lt, le, gt, ge):
-            assert run(make(col("i"), lit(1)), RN) is None
+        for op in CmpOp:
+            assert run(Comparison(op, col("i"), lit(1)), RN) is None
 
     def test_mixed_numeric(self):
         assert run(gt(col("f"), lit(2)), R) is True
@@ -100,8 +97,8 @@ class TestBooleanLogic:
         assert run(or_(eq(col("i"), lit(1)), f), RN) is None
 
     def test_not(self):
-        assert run(not_(eq(col("i"), lit(5))), R) is False
-        assert run(not_(eq(col("i"), lit(5))), RN) is None
+        assert run(Not(eq(col("i"), lit(5))), R) is False
+        assert run(Not(eq(col("i"), lit(5))), RN) is None
 
     def test_predicate_maps_null_to_false(self):
         pred = compile_predicate(eq(col("i"), lit(1)), SCHEMA)

@@ -48,7 +48,7 @@ class TestExtraction:
             region_of(catalog, "SELECT a.id FROM a, b WHERE a.fk = b.id")
         )
         assert set(g.bindings()) == {"a", "b"}
-        assert g.edge_conjuncts("a", "b")
+        assert g.join_conjuncts_between({"a"}, {"b"})
 
     def test_chain_edges(self, catalog):
         g = extract_join_graph(
@@ -58,8 +58,8 @@ class TestExtraction:
                 "WHERE a.fk = b.id AND b.fk = c.id",
             )
         )
-        assert g.edge_conjuncts("a", "b") and g.edge_conjuncts("b", "c")
-        assert not g.edge_conjuncts("a", "c")
+        assert g.join_conjuncts_between({"a"}, {"b"}) and g.join_conjuncts_between({"b"}, {"c"})
+        assert not g.join_conjuncts_between({"a"}, {"c"})
 
     def test_filters_assigned_per_relation(self, catalog):
         g = extract_join_graph(

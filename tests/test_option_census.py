@@ -17,9 +17,10 @@ import pytest
 from repro import Database
 from repro.engine.session import Session
 from repro.executor import ExecContext
-from repro.obs import ObsConfig
+from repro.obs import ObsConfig, QueryLog, StatementStore
 from repro.obs.autoexplain import AutoExplainConfig
-from repro.optimizer import CostModel, Planner, PlannerOptions
+from repro.optimizer import CostModel, EstimatorConfig, Planner, PlannerOptions
+from repro.wal import TxnManager
 
 CONSTRUCTORS = {
     Database: (
@@ -43,24 +44,26 @@ CONSTRUCTORS = {
     ),
     CostModel: (
         "work_mem_pages",
-        "cpu_weight",
         "buffer_pages",
         "vector_cpu_factor",
     ),
+    # the stores and the transaction manager take nothing: their sizes
+    # and the lock timeout are constants, the WAL is attached afterwards
+    TxnManager: (),
+    QueryLog: (),
+    StatementStore: (),
 }
 
 CONFIG_FIELDS = {
     ObsConfig: (
         "enabled",
         "feedback",
-        "plan_cache_size",
         "auto_explain",
     ),
     PlannerOptions: (
         "strategy",
         "pushdown",
         "use_interesting_orders",
-        "estimator",
         "random_seed",
         "use_feedback",
     ),
@@ -68,7 +71,10 @@ CONFIG_FIELDS = {
         "enabled",
         "threshold_ms",
         "path",
-        "capacity",
+    ),
+    EstimatorConfig: (
+        "use_histograms",
+        "use_mcvs",
     ),
 }
 

@@ -3,7 +3,7 @@
 The plan cache plans a statement shape once and binds later statements'
 literals into a copy of that plan (``repro.engine.cache``).  Everything
 here runs the same statements on a caching database and on a
-``plan_cache_size=0`` twin that plans every statement cold, and demands
+``plan_cache.size = 0`` twin that plans every statement cold, and demands
 equal rows (or the same error) every time:
 
 * a hypothesis differential over random WHERE shapes — duplicated
@@ -28,7 +28,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Database
-from repro.obs import ObsConfig
+from repro.engine.cache import PlanCache
 from repro.physical import PIndexScan, PSeqScan, walk_plan
 from repro.qa import RandomWorkload
 from repro.qa.randomqueries import load_dataset
@@ -50,11 +50,8 @@ def rows_of_t():
 
 
 def build(plan_cache_size: int) -> Database:
-    db = Database(
-        buffer_pages=64,
-        work_mem_pages=8,
-        obs=ObsConfig(plan_cache_size=plan_cache_size),
-    )
+    db = Database(buffer_pages=64, work_mem_pages=8)
+    db.plan_cache.size = plan_cache_size
     db.execute("CREATE TABLE t (k INT PRIMARY KEY, g INT, h INT, f FLOAT, s TEXT)")
     db.insert_rows("t", rows_of_t())
     db.execute("CREATE INDEX ix_g ON t (g)")
@@ -309,8 +306,8 @@ class TestMatrixSliceOnWarmCache:
             db = Database(
                 buffer_pages=64,
                 work_mem_pages=4,
-                obs=ObsConfig(plan_cache_size=size),
             )
+            db.plan_cache.size = size
             load_dataset(db, self.workload.dataset())
             out.append(db)
         return out
@@ -341,7 +338,8 @@ class TestWholesaleOnWarmCache:
     def dbs(self):
         out = []
         for size in (128, 0):
-            db = Database(obs=ObsConfig(plan_cache_size=size))
+            db = Database()
+            db.plan_cache.size = size
             load_wholesale(db, WholesaleScale.tiny())
             out.append(db)
         return out
@@ -365,10 +363,11 @@ class TestWholesaleOnWarmCache:
 # -- targeted: pins, buckets, re-tightening ---------------------------------------
 
 
-def make_range_db(**obs) -> Database:
+def make_range_db(plan_cache_size: int = PlanCache.SIZE) -> Database:
     """2,000 rows; ``id`` is unique behind a secondary (unclustered)
     B+-tree, so a wide range is cheaper as a sequential scan."""
-    db = Database(buffer_pages=64, obs=ObsConfig(**obs))
+    db = Database(buffer_pages=64)
+    db.plan_cache.size = plan_cache_size
     db.execute("CREATE TABLE t (id INT, v INT, w INT)")
     db.insert_rows("t", [(i, i % 10, i % 7) for i in range(2000)])
     db.execute("CREATE INDEX ix_id ON t (id)")
@@ -479,7 +478,8 @@ class TestRetightenedRanges:
     def test_composite_index_prefix_and_range(self):
         dbs = []
         for size in (128, 0):
-            db = Database(obs=ObsConfig(plan_cache_size=size))
+            db = Database()
+            db.plan_cache.size = size
             db.execute("CREATE TABLE c (a INT, b INT, v INT)")
             db.insert_rows("c", [(i % 20, i % 50, i) for i in range(1000)])
             db.catalog.create_index("ix_ab", "c", ["a", "b"])

@@ -157,6 +157,6 @@ def test_join_rows_non_negative(left, right, seed):
     sql = "SELECT COUNT(*) AS n FROM t0, t1 WHERE t0.fk = t1.id"
     graph = graph_of(db, sql)
     est = Estimator(StatsResolver(graph))
-    conjuncts = graph.edge_conjuncts("t0", "t1")
-    assert est.join_rows(left, right, conjuncts) >= 0.0
-    assert est.join_rows(left, right, []) == left * right
+    conjuncts = graph.join_conjuncts_between({"t0"}, {"t1"})
+    assert left * right * est.join_selectivity(conjuncts) >= 0.0
+    assert est.join_selectivity([]) == 1.0

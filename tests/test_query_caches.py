@@ -5,12 +5,14 @@ observability surface (metrics counters, query-log flags,
 import pytest
 
 from repro import Database
+from repro.engine.cache import PlanCache
 from repro.obs import ObsConfig
 from repro.physical import walk_plan
 
 
-def make_db(**obs_kwargs) -> Database:
-    db = Database(buffer_pages=64, obs=ObsConfig(**obs_kwargs))
+def make_db(plan_cache_size: int = PlanCache.SIZE) -> Database:
+    db = Database(buffer_pages=64)
+    db.plan_cache.size = plan_cache_size
     db.execute("CREATE TABLE t (id INT, v INT)")
     db.insert_rows("t", [(i, i % 10) for i in range(500)])
     db.execute("ANALYZE t")

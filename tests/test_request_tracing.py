@@ -576,19 +576,19 @@ class TestDmlAccounting:
     def test_latency_store_bounds_fingerprints(self):
         from repro.obs import StatementStore, statement_fingerprint
 
-        store = StatementStore(max_statements=2)
-        store.observe("SELECT a FROM t", 1.0)
-        store.observe("SELECT b FROM t", 2.0)
-        store.observe("SELECT c FROM t", 3.0)  # dropped
-        store.observe("SELECT a FROM t", 4.0)  # known: still counted
-        assert len(store) == 2
+        store = StatementStore()
+        kept = [f"SELECT c{i} FROM t" for i in range(store.MAX_STATEMENTS)]
+        for i, sql in enumerate(kept):
+            store.observe(sql, float(i))
+        store.observe("SELECT dropped FROM t", 3.0)
+        store.observe(kept[0], 4.0)  # known: still counted
+        assert len(store) == store.MAX_STATEMENTS
         assert store.dropped == 1
         fps = {fp for fp, _q, _v in store.quantiles()}
-        assert fps == {
-            statement_fingerprint("SELECT a FROM t"),
-            statement_fingerprint("SELECT b FROM t"),
-        }
-        assert [row[1] for row in store.rows()] == [2, 1]
+        assert fps == {statement_fingerprint(sql) for sql in kept}
+        calls = {row[0]: row[1] for row in store.rows()}
+        assert calls["select c0 from t"] == 2
+        assert sum(calls.values()) == store.MAX_STATEMENTS + 1
 
     def test_json_snapshot_counts_slow_requests_in_one_section(self):
         db = Database()

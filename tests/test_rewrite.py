@@ -13,7 +13,6 @@ from repro.algebra import (
     LogicalGet,
     LogicalJoin,
     build_plan,
-    leaves,
     push_down_predicates,
 )
 from repro.engine import Database
@@ -97,8 +96,8 @@ class TestPushdownPlacement:
             )
         )
         joins = find_nodes(p, LogicalJoin)
-        left_leaves = leaves(joins[0].left)
-        right_leaves = leaves(joins[0].right)
+        left_leaves = find_nodes(joins[0].left, LogicalGet)
+        right_leaves = find_nodes(joins[0].right, LogicalGet)
         assert {g.binding for g in left_leaves} == {"o"}
         assert {g.binding for g in right_leaves} == {"c"}
         # each side has its filter below the join

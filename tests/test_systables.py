@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro import Database, ObsConfig
 from repro.obs import (
     SYSTEM_TABLE_NAMES,
+    AutoExplain,
     AutoExplainConfig,
     WaitEventStats,
     normalize_statement,
@@ -220,17 +221,16 @@ class TestWaitAccounting:
     def test_io_read_waits_reconcile_exactly_with_disk_reads(self):
         db = _db()
         db.pool.clear()
-        db.reset_io()
-        db.waits.reset()
+        before = db.waits.snapshot()
         result = db.query("SELECT b FROM t WHERE b < 100.0")
+        count, seconds = db.waits.delta(before)["io.read"]
         assert result.io.reads > 0
-        assert db.waits.count("io.read") == result.io.reads
-        assert db.waits.seconds("io.read") > 0.0
+        assert count == result.io.reads
+        assert seconds > 0.0
 
     def test_io_read_waits_reconcile_with_explain_analyze_actuals(self):
         db = _db()
         db.pool.clear()
-        db.waits.reset()
         before = db.waits.snapshot()
         result = db.execute("EXPLAIN ANALYZE SELECT b FROM t WHERE b < 100.0")
         delta = db.waits.delta(before)
@@ -247,11 +247,7 @@ class TestWaitAccounting:
         snapshotted at planning time, so the observing statement is not
         part of what it sees."""
         db = _db(rows=2000)
-        db.waits.reset()
-        db.metrics.reset()
-        db.query_log.clear()
         db.pool.clear()
-        db.reset_io()
 
         def one(sql):
             return db.query(sql).rows[0][0]
@@ -279,11 +275,11 @@ class TestWaitAccounting:
 
     def test_exec_cpu_recorded_per_user_query(self):
         db = _db()
-        db.waits.reset()
+        before = db.waits.count("exec.cpu")
         db.query("SELECT COUNT(*) AS n FROM t")
-        assert db.waits.count("exec.cpu") == 1
+        assert db.waits.count("exec.cpu") == before + 1
         db.query("SELECT COUNT(*) AS n FROM t")
-        assert db.waits.count("exec.cpu") == 2
+        assert db.waits.count("exec.cpu") == before + 2
 
     def test_wait_registry_round_trips_and_renders_rows(self):
         stats = WaitEventStats()
@@ -365,29 +361,30 @@ class TestAutoExplain:
 
     def test_ring_is_bounded(self):
         db = _db()
-        db.auto_explain.configure(enabled=True, threshold_ms=0.0, capacity=3)
-        for i in range(6):
+        db.auto_explain.configure(enabled=True, threshold_ms=0.0)
+        runs = AutoExplain.CAPACITY + 3
+        for i in range(runs):
             db.query(f"SELECT b FROM t WHERE a < {i + 1}")
-        assert len(db.auto_explain) == 3
-        assert db.auto_explain.captured_total == 6
+        assert len(db.auto_explain) == AutoExplain.CAPACITY
+        assert db.auto_explain.captured_total == runs
 
     def test_jsonl_persistence_and_compaction(self, tmp_path):
         path = str(tmp_path / "slow.jsonl")
         db = _db(
             obs=ObsConfig(
                 auto_explain=AutoExplainConfig(
-                    enabled=True, threshold_ms=0.0, path=path, capacity=2
+                    enabled=True, threshold_ms=0.0, path=path
                 )
             )
         )
-        from repro.obs import AutoExplain
-
-        for i in range(7):  # > 2x capacity: forces a compaction
+        capacity = AutoExplain.CAPACITY
+        for i in range(2 * capacity + 3):  # > 2x capacity: forces a compaction
             db.query(f"SELECT b FROM t WHERE a < {i + 1}")
-        on_disk = AutoExplain.load(path)
-        assert 1 <= len(on_disk) <= 2 * 2 + 1  # bounded, never unbounded
+        with open(path, encoding="utf-8") as handle:
+            on_disk = [json.loads(line) for line in handle]
+        assert 1 <= len(on_disk) <= 2 * capacity + 1  # bounded, never unbounded
         assert all("plan" in e and "sql" in e for e in on_disk)
-        # the ring holds the 2 most recent; the tail of the file agrees
+        # the ring holds the most recent; the tail of the file agrees
         ring = db.auto_explain.entries()
         assert on_disk[-len(ring):] == ring
 

@@ -20,7 +20,6 @@ from repro.workloads import (
     shuffled_ints,
     uniform_floats,
     uniform_ints,
-    with_nulls,
     words,
     zipf_ints,
 )
@@ -86,11 +85,6 @@ class TestGenerators:
         assert all(len(w) == 5 for w in ws)
         pws = prefixed_words(Rng(9), 20, ["x", "y"])
         assert all(w.split("-")[0] in ("x", "y") for w in pws)
-
-    def test_with_nulls(self):
-        vals = with_nulls(Rng(10), list(range(1000)), 0.3)
-        frac = sum(1 for v in vals if v is None) / 1000
-        assert 0.2 < frac < 0.4
 
 
 class TestShapes:
