@@ -13,6 +13,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..index import BPlusTree
 from ..storage import RID, BufferPool, HeapFile
+from ..storage.record import deserialize_row
 from ..types import Column, Schema
 from .stats import ColumnStats, HistogramKind, TableStats, analyze_column
 
@@ -156,11 +157,11 @@ class TableInfo:
                 index.structure.insert(new_key, new_rid)
         return new_rid
 
-    def restore(self, rid: RID, row: Sequence[Any]) -> RID:
-        """Put *row* back under *rid* (rollback's undo of a delete)."""
-        restored = self.heap.restore(rid, row)
-        self._entered(restored, row)
-        return restored
+    def restore(self, rid: RID, record: bytes) -> None:
+        """Put the stored bytes *record* back at the free slot *rid*
+        (rollback's put-back of a before-image)."""
+        self.heap.replay_insert(*rid, record)
+        self._entered(rid, deserialize_row(self.schema, record))
 
     def column_stats(self, column: str) -> Optional[ColumnStats]:
         if self.stats is None:

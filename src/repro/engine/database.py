@@ -328,7 +328,7 @@ class Database:
             self.txn.commit(txn)
 
     def _rollback_txn(self, txn: Transaction) -> None:
-        # undo mutates heaps and indexes, so it runs as a statement
+        # rollback rewrites heaps and indexes, so it runs as a statement
         # (lock ordering is safe: a statement-lock holder never waits on
         # table locks — those are always acquired first)
         with trace_span("txn.rollback") as sp:
@@ -348,7 +348,7 @@ class Database:
         elif session.txn is not None:
             raise EngineError("already in a transaction")
         else:
-            session.txn = self.txn.begin(session.id, explicit=True)
+            session.txn = self.txn.begin()
         return QueryResult(rows=[], columns=[])
 
     # -- the statement path ------------------------------------------------------------
@@ -530,7 +530,7 @@ class Database:
         statement lock is released (group commit batching)."""
         session = st.session
         own = session.txn
-        txn = st.txn = own if own is not None else self.txn.begin(session.id)
+        txn = st.txn = own if own is not None else self.txn.begin()
         try:
             st.phase("lock wait")
             for table in tables:

@@ -22,7 +22,9 @@ Design choices (documented, deliberately classic):
   are a ``range``; from the first TEXT or NULL on they come from a scan
   that skips keys by their tags, decoding none — the one O(n) step left on
   a visit.  A split is O(n) too: it cuts the node's bytes in two, still
-  without decoding.  Nothing decoded is kept between calls.
+  without decoding, at the middle entry unless variable-width keys make
+  a half too long for the page — then at the entry nearest the middle
+  where both halves fit.  Nothing decoded is kept between calls.
 
 Page formats::
 
@@ -52,7 +54,7 @@ from .keys import (
     serialize_key,
     skip_key,
 )
-from .page import fill_page
+from .page import BPTreeError, fill_page
 
 _LEAF = 0x01
 _INTERNAL = 0x02
@@ -65,10 +67,6 @@ _U32 = struct.Struct(">I")
 _RID = struct.Struct(">IH")
 _LEAF_HEAD = struct.Struct(">BHI")  # tag, nkeys, next_leaf + 1
 _INTERNAL_HEAD = struct.Struct(">BH")  # tag, nkeys
-
-
-class BPTreeError(Exception):
-    """Raised on structural violations."""
 
 
 class _Needle:
@@ -367,16 +365,21 @@ class BPlusTree:
             (next_raw,) = _U32.unpack_from(data, 3)
         offsets, end = self._offsets(body, 0, n + 1, _RID.size)
         starts = [*offsets, end]
-        mid = (n + 1) // 2
-        cut = starts[mid]
+        cut = self._cut(
+            range(1, n + 1),
+            (n + 1) // 2,
+            lambda k: (_LEAF_HEADER + starts[k], _LEAF_HEADER + end - starts[k]),
+        )
         right_page = self._alloc_node()
         self._store(
-            right_page, _LEAF_HEAD.pack(_LEAF, n + 1 - mid, next_raw) + body[cut:]
+            right_page,
+            _LEAF_HEAD.pack(_LEAF, n + 1 - cut, next_raw) + body[starts[cut] :],
         )
         self._store(
-            page_no, _LEAF_HEAD.pack(_LEAF, mid, right_page + 1) + body[:cut]
+            page_no,
+            _LEAF_HEAD.pack(_LEAF, cut, right_page + 1) + body[: starts[cut]],
         )
-        return bytes(body[cut : starts[mid + 1] - _RID.size]), right_page
+        return bytes(body[starts[cut] : starts[cut + 1] - _RID.size]), right_page
 
     def _internal_insert(
         self, page_no: int, idx: int, sep: bytes, right_page: int
@@ -397,24 +400,43 @@ class BPlusTree:
                     data, _INTERNAL_HEAD.pack(_INTERNAL, n + 1) + children + keys
                 )
                 return None
-            # no room: the middle key moves up, the rest is cut around it
+            # no room: one key moves up, the rest is cut around it
             offsets, end = self._offsets(keys, 0, n + 1, 0)
             starts = [*offsets, end]
-            mid = (n + 1) // 2
+            cut = self._cut(
+                range(n + 1),
+                (n + 1) // 2,
+                lambda k: (
+                    _INTERNAL_HEADER + 4 * (k + 1) + starts[k],
+                    _INTERNAL_HEADER + 4 * (n + 1 - k) + end - starts[k + 1],
+                ),
+            )
             fill_page(
                 data,
-                _INTERNAL_HEAD.pack(_INTERNAL, mid)
-                + children[: 4 * (mid + 1)]
-                + keys[: starts[mid]],
+                _INTERNAL_HEAD.pack(_INTERNAL, cut)
+                + children[: 4 * (cut + 1)]
+                + keys[: starts[cut]],
             )
         new_page = self._alloc_node()
         self._store(
             new_page,
-            _INTERNAL_HEAD.pack(_INTERNAL, n - mid)
-            + children[4 * (mid + 1) :]
-            + keys[starts[mid + 1] :],
+            _INTERNAL_HEAD.pack(_INTERNAL, n - cut)
+            + children[4 * (cut + 1) :]
+            + keys[starts[cut + 1] :],
         )
-        return bytes(keys[starts[mid] : starts[mid + 1]]), new_page
+        return bytes(keys[starts[cut] : starts[cut + 1]]), new_page
+
+    def _cut(
+        self, cuts: range, mid: int, sizes: Callable[[int], Tuple[int, int]]
+    ) -> int:
+        """Where to split a full node: at entry *mid* when both halves fit
+        a page, else at the one of *cuts* nearest it where they do.
+        *sizes* gives the two halves' bytes for a cut."""
+        page = self.pool.disk.page_size
+        for k in sorted(cuts, key=lambda k: abs(k - mid)):
+            if max(sizes(k)) <= page:
+                return k
+        raise BPTreeError("node overflows page after split — key too large")
 
     # -- navigation ----------------------------------------------------------------------
 
@@ -459,8 +481,6 @@ class BPlusTree:
         return page_id[1]
 
     def _store(self, page_no: int, image: bytes) -> None:
-        if len(image) > self.pool.disk.page_size:
-            raise BPTreeError("node overflows page after split — key too large")
         with self._pin(page_no, write=True) as data:
             fill_page(data, image)
 

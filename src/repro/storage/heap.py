@@ -37,8 +37,8 @@ class HeapFile:
         self._num_rows = 0
         #: transaction hooks (a ``repro.wal.TxnManager``), attached by the
         #: catalog.  Each mutation reports itself so the active transaction
-        #: can log redo and record undo; with no active transaction the
-        #: hooks are no-ops (transient tables, recovery, undo itself).
+        #: can log redo and version the row; with no active transaction
+        #: the hooks are no-ops (transient tables, recovery, rollback).
         self.hooks = None
 
     # -- geometry ---------------------------------------------------------------
@@ -183,8 +183,9 @@ class HeapFile:
     # -- recovery / rollback entry points --------------------------------------
     #
     # The replay_* methods apply one physiological WAL record verbatim:
-    # no schema validation, no hooks (recovery and undo must never re-log),
-    # no free-space search — the record says exactly which page and slot.
+    # no schema validation, no hooks (recovery and rollback must never
+    # re-log), no free-space search — the record says exactly which page
+    # and slot.
     #
     # All of them are *idempotent*: a fuzzy checkpoint's page images may
     # already reflect some records of the redo suffix (redo starts at the
@@ -215,6 +216,8 @@ class HeapFile:
         self.pool.unfix(page_id, dirty=True)
 
     def replay_insert(self, page_no: int, slot_no: int, record: bytes) -> None:
+        """Redo an insert; rollback puts a before-image back with it too
+        (its first pass left the slot free)."""
         self._check_page(page_no)
         with PageGuard(self.pool, (self.file_id, page_no), write=True) as data:
             page = SlottedPage(data)
@@ -222,12 +225,7 @@ class HeapFile:
                 # the image already reflects this insert (possibly with a
                 # later in-place update's bytes, which also replay)
                 return
-            if not page.place_at(slot_no, record):
-                page.compact()
-                if not page.place_at(slot_no, record):
-                    raise HeapError(
-                        f"insert replay does not fit at ({page_no}, {slot_no})"
-                    )
+            _place(page, page_no, slot_no, record)
         self._num_rows += 1
 
     def replay_update(self, page_no: int, slot_no: int, record: bytes) -> None:
@@ -242,13 +240,7 @@ class HeapFile:
                 # the slot's footprint shrank (a later shorter record, or
                 # compaction): reopen it at the full record size
                 page.delete(slot_no)
-                if not page.place_at(slot_no, record):
-                    page.compact()
-                    if not page.place_at(slot_no, record):
-                        raise HeapError(
-                            f"update replay does not fit at "
-                            f"({page_no}, {slot_no})"
-                        )
+                _place(page, page_no, slot_no, record)
 
     def replay_delete(self, page_no: int, slot_no: int) -> None:
         self._check_page(page_no)
@@ -260,36 +252,6 @@ class HeapFile:
         if deleted:
             self._num_rows -= 1
 
-    def restore(self, rid: RID, row: Sequence[Any]) -> RID:
-        """Put a row back under its original RID (rollback's undo of a
-        delete).
-
-        Keeping the RID stable matters beyond index hygiene: redo records
-        written *after* a rollback address rows by (page, slot), so undo
-        must leave the committed rows where the log believes they are.
-        When the page's free region is too small, the page is compacted
-        first — the row's own tombstoned bytes are reclaimable dead
-        space, so after compaction it always fits.  The plain-insert
-        fallback is kept as a last resort for out-of-range pages.
-        """
-        stored = self.schema.validate_row(row)
-        record = serialize_row(self.schema, stored)
-        page_no, slot_no = rid
-        if 0 <= page_no < self.num_pages:
-            page_id = (self.file_id, page_no)
-            with PageGuard(self.pool, page_id, write=True) as data:
-                page = SlottedPage(data)
-                if not page.place_at(slot_no, record):
-                    page.compact()
-                    if not page.place_at(slot_no, record):
-                        raise HeapError(
-                            f"cannot restore row at ({page_no}, {slot_no}) "
-                            "even after compaction"
-                        )
-                self._num_rows += 1
-                return rid
-        return self.insert(row)
-
     def recount(self) -> int:
         """Recompute the cached row count from the pages (recovery's
         authoritative pass after replay)."""
@@ -299,3 +261,12 @@ class HeapFile:
                 count += SlottedPage(data).live_count()
         self._num_rows = count
         return count
+
+
+def _place(page: SlottedPage, page_no: int, slot_no: int, record: bytes) -> None:
+    """Write *record* into the free slot *slot_no*, compacting the page
+    once if its free region is too short."""
+    if not page.place_at(slot_no, record):
+        page.compact()
+        if not page.place_at(slot_no, record):
+            raise HeapError(f"record does not fit at ({page_no}, {slot_no})")

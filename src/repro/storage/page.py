@@ -102,14 +102,14 @@ class SlottedPage:
 
     def place_at(self, slot_no: int, record: bytes) -> bool:
         """Place *record* at exactly *slot_no*, extending the slot
-        directory with tombstones if needed.  Returns False when the page
-        lacks space (caller falls back to a fresh insert elsewhere).
+        directory with tombstones if needed.  Returns False when the
+        page's free region is too short (the caller compacts and retries).
 
         Two callers need exact slot placement: WAL redo (a committed
         insert's RID must come back identical even when interleaved
         uncommitted inserts — which are *not* replayed — consumed the
-        slots in between) and rollback's undo-of-delete (restoring the
-        row under its original RID keeps undo idempotent).
+        slots in between) and rollback (a before-image goes back under
+        its original RID, where later redo records address it).
         """
         current = self.num_slots
         if slot_no < current:

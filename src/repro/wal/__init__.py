@@ -6,10 +6,10 @@ an opt-in ``Database(data_dir=...)`` opens a real on-disk WAL
 store atomically on CHECKPOINT (:mod:`.checkpoint`), and replays the
 committed WAL suffix on open (:mod:`.recovery`).  The transaction
 manager (:mod:`.manager`) is the engine-facing seam: transaction
-lifecycle, logical undo on rollback, strict table write locks, and the
-per-mutation hooks that emit redo records.  Those same hooks feed the
-MVCC version store (:mod:`.mvcc`), which gives readers lock-free
-snapshot isolation; checkpoints are *fuzzy* — writers stay live, and
+lifecycle, rollback, strict table write locks, and the per-mutation
+hooks that emit redo records.  Those same hooks feed the MVCC version
+store (:mod:`.mvcc`), whose before-images give readers lock-free
+snapshot isolation and are what rollback puts back; checkpoints are *fuzzy* — writers stay live, and
 recovery redoes from the checkpoint's recorded ``redo_lsn``.
 """
 

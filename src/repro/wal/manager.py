@@ -1,13 +1,12 @@
-"""Transaction manager: txn lifecycle, undo, table locks, WAL hooks.
+"""Transaction manager: txn lifecycle, rollback, table locks, WAL hooks.
 
 This is the seam between the engine and durability.  It works with or
 without a WAL writer attached:
 
 * **Always** (even for a purely in-memory database): transaction ids,
-  per-transaction *undo* logs (logical inverse operations applied on
-  ROLLBACK, with index maintenance), strict table write locks held to
-  transaction end, shared statement-scoped read locks, and the
-  no-steal eviction guard.
+  rollback (every row the transaction touched is put back to the
+  before-image its version chain holds, indexes included), strict table
+  write locks held to transaction end, and the no-steal eviction guard.
 * **With a writer** (``Database(data_dir=...)``): every heap mutation is
   also appended to the WAL as a physiological redo record, COMMIT
   fsyncs (group-batched), and dirty pages are tracked with the LSN of
@@ -60,26 +59,21 @@ class Transaction:
     """One transaction's book-keeping."""
 
     id: int
-    session_id: int = 0
-    explicit: bool = False
-    #: logical inverse ops, applied in reverse on rollback
-    undo: List[Tuple[Any, ...]] = field(default_factory=list)
     locked_tables: Set[str] = field(default_factory=set)
-    #: True once this txn has appended at least one WAL record
+    #: True once this txn has appended at least one WAL record (only
+    #: then is its COMMIT logged)
     logged: bool = False
     #: read view pinned at the txn's first SELECT (repeatable reads);
     #: released when the transaction resolves
     snapshot: Optional[Snapshot] = None
-    #: commit timestamp assigned by the VersionStore (None: wrote nothing)
-    commit_ts: Optional[int] = None
 
 
 class _TableLock:
     """An exclusive lock with owner tracking (readers take none: MVCC).
 
-    Carries its own cumulative statistics (acquisitions, contended
-    acquisitions, total wait) so ``sys_stat_locks`` can serve a per-table
-    contention view without a second registry.
+    Carries its own cumulative statistics (acquisitions, waits that
+    found the lock held, their total time) so ``sys_stat_locks`` can
+    serve a per-table contention view without a second registry.
     """
 
     __slots__ = (
@@ -123,7 +117,7 @@ class TxnManager:
         self._page_rec_lsn: Dict[PageId, int] = {}
         self._page_guard = threading.Lock()
         #: transactions begun but not yet finished (checkpoint ATT)
-        self._active: Dict[int, float] = {}
+        self._active: Set[int] = set()
 
     # -- txn lifecycle --------------------------------------------------------
 
@@ -135,12 +129,12 @@ class TxnManager:
         with self._id_lock:
             self._next_txn_id = max(self._next_txn_id, value)
 
-    def begin(self, session_id: int = 0, explicit: bool = False) -> Transaction:
+    def begin(self) -> Transaction:
         with self._id_lock:
             txn_id = self._next_txn_id
             self._next_txn_id += 1
-            self._active[txn_id] = time.monotonic()
-        return Transaction(txn_id, session_id, explicit)
+            self._active.add(txn_id)
+        return Transaction(txn_id)
 
     def current(self) -> Optional[Transaction]:
         """The transaction active on *this thread*, if any."""
@@ -148,7 +142,7 @@ class TxnManager:
 
     def activate(self, txn: Optional[Transaction]) -> "_Activation":
         """Context manager binding *txn* to the current thread, so heap
-        mutations on this thread log/undo under it."""
+        mutations on this thread log and version under it."""
         return _Activation(self._tls, txn)
 
     def commit(self, txn: Transaction) -> None:
@@ -161,23 +155,36 @@ class TxnManager:
         if self.writer is not None and txn.logged:
             lsn = self.writer.append(WalRecordType.COMMIT, txn.id)
             self.writer.flush_to(lsn)
-        txn.commit_ts = self.versions.commit(txn.id)
+        self.versions.commit(txn.id)
         self._finish(txn)
 
     def rollback(self, txn: Transaction, catalog) -> None:
-        """Undo every change *txn* made, then release its locks.
+        """Put every row *txn* touched back to its before-image, then
+        release its locks.
 
-        Undo runs with no transaction bound to the thread, so the
-        compensating heap mutations are neither WAL-logged nor re-undone
-        — recovery never redoes an uncommitted transaction, so its
-        compensations must not be redone either.
+        Two passes over the before-images its version chains hold: every
+        touched row still live leaves (index entries too), then every
+        row that existed before the transaction goes back at its RID.
+        After the first pass each page holds what it held at BEGIN, so
+        once compacted it has room for every before-image, whatever
+        order the rows were touched in.  Both passes run with no
+        transaction bound to the thread, so nothing is WAL-logged or
+        versioned — recovery never redoes an uncommitted transaction, so
+        it must not redo its rollback either.
         """
+        touched = [
+            (catalog.table(table), rid, pre)
+            for table, rid, pre in self.versions.before_images(txn.id)
+            if catalog.has_table(table)  # dropped after the write
+        ]
         with self.activate(None):
-            for op in reversed(txn.undo):
-                self._undo_one(catalog, op)
-        txn.undo.clear()
-        if self.writer is not None and txn.logged:
-            self.writer.append(WalRecordType.ABORT, txn.id)
+            for info, rid, _ in touched:
+                row = info.heap.fetch(rid)
+                if row is not None:
+                    info.delete(rid, row)
+            for info, rid, pre in touched:
+                if pre is not None:
+                    info.restore(rid, pre)
         self.versions.rollback(txn.id)
         self._finish(txn)
 
@@ -197,49 +204,23 @@ class TxnManager:
             self._release_write(txn, table)
         txn.locked_tables.clear()
         with self._id_lock:
-            self._active.pop(txn.id, None)
-
-    # -- undo -----------------------------------------------------------------
-
-    def _undo_one(self, catalog, op: Tuple[Any, ...]) -> None:
-        from ..storage.record import deserialize_row
-
-        kind, table = op[0], op[1]
-        if not catalog.has_table(table):
-            return  # table dropped after the write (DDL autocommits)
-        info = catalog.table(table)
-        if kind == "insert":
-            _, _, rid = op
-            row = info.heap.fetch(rid)
-            if row is not None:
-                info.delete(rid, row)
-        elif kind == "delete":
-            _, _, rid, old_bytes = op
-            info.restore(rid, deserialize_row(info.schema, old_bytes))
-        elif kind == "update":
-            # an in-place update: the current (new) row sits at *rid*.
-            # Tombstone + restore keeps the RID stable even when the old
-            # record is longer than the shrunk slot footprint.
-            _, _, rid, old_bytes = op
-            new_row = info.heap.fetch(rid)
-            if new_row is not None:
-                info.delete(rid, new_row)
-            info.restore(rid, deserialize_row(info.schema, old_bytes))
-        else:  # pragma: no cover - defensive
-            raise TxnError(f"unknown undo op {kind!r}")
+            self._active.discard(txn.id)
 
     # -- mutation hooks (called by HeapFile under an active transaction) ------
     #
-    # Each hook does two jobs: record the logical *undo* op on the active
-    # transaction (needed with or without a WAL — rollback is always
-    # supported), and, when a writer is attached, append the physiological
-    # *redo* record.  With no transaction bound to the thread (transient
-    # tables, recovery replay, undo itself) the hooks are no-ops.
+    # Each hook does two jobs: hang the row's before-image on its version
+    # chain (snapshots read it, and so does rollback — needed with or
+    # without a WAL), and, when a writer is attached, append the
+    # physiological *redo* record.  With no transaction bound to the
+    # thread (transient tables, recovery replay, rollback itself) the
+    # hooks are no-ops.
 
-    def _ensure_begin(self, txn: Transaction) -> None:
-        if not txn.logged:
-            txn.logged = True
-            self.writer.append(WalRecordType.BEGIN, txn.id)
+    def _log(
+        self, txn: Transaction, rec_type: WalRecordType, *fields: Any, **kw: Any
+    ) -> int:
+        """Append one of *txn*'s records; returns its LSN."""
+        txn.logged = True
+        return self.writer.append(rec_type, txn.id, *fields, **kw)
 
     def _note_page(self, txn: Transaction, page_id: PageId, lsn: int) -> None:
         with self._page_guard:
@@ -250,13 +231,10 @@ class TxnManager:
         txn = self.current()
         if txn is None:
             return
-        # no undo: page allocation is physical and non-transactional
-        # (rollback tombstones rows but keeps the page)
+        # no before-image: page allocation is physical and
+        # non-transactional (rollback tombstones rows but keeps the page)
         if self.writer is not None:
-            self._ensure_begin(txn)
-            lsn = self.writer.append(
-                WalRecordType.ALLOC, txn.id, table, page_id[1]
-            )
+            lsn = self._log(txn, WalRecordType.ALLOC, table, page_id[1])
             self._note_page(txn, page_id, lsn)
 
     def on_insert(
@@ -265,12 +243,10 @@ class TxnManager:
         txn = self.current()
         if txn is None:
             return
-        txn.undo.append(("insert", table, (page_id[1], slot_no)))
         self.versions.record(table, (page_id[1], slot_no), txn.id, None)
         if self.writer is not None:
-            self._ensure_begin(txn)
-            lsn = self.writer.append(
-                WalRecordType.INSERT, txn.id, table, page_id[1], slot_no, record
+            lsn = self._log(
+                txn, WalRecordType.INSERT, table, page_id[1], slot_no, record
             )
             self._note_page(txn, page_id, lsn)
 
@@ -285,12 +261,10 @@ class TxnManager:
         txn = self.current()
         if txn is None:
             return
-        txn.undo.append(("update", table, (page_id[1], slot_no), old_record))
         self.versions.record(table, (page_id[1], slot_no), txn.id, old_record)
         if self.writer is not None:
-            self._ensure_begin(txn)
-            lsn = self.writer.append(
-                WalRecordType.UPDATE, txn.id, table, page_id[1], slot_no, record
+            lsn = self._log(
+                txn, WalRecordType.UPDATE, table, page_id[1], slot_no, record
             )
             self._note_page(txn, page_id, lsn)
 
@@ -300,12 +274,10 @@ class TxnManager:
         txn = self.current()
         if txn is None:
             return
-        txn.undo.append(("delete", table, (page_id[1], slot_no), old_record))
         self.versions.record(table, (page_id[1], slot_no), txn.id, old_record)
         if self.writer is not None:
-            self._ensure_begin(txn)
-            lsn = self.writer.append(
-                WalRecordType.DELETE, txn.id, table, page_id[1], slot_no
+            lsn = self._log(
+                txn, WalRecordType.DELETE, table, page_id[1], slot_no
             )
             self._note_page(txn, page_id, lsn)
 
@@ -314,8 +286,7 @@ class TxnManager:
         txn = self.current()
         if txn is None or self.writer is None:
             return
-        self._ensure_begin(txn)
-        self.writer.append(WalRecordType.DDL, txn.id, payload=payload)
+        self._log(txn, WalRecordType.DDL, payload=payload)
 
     # -- buffer-pool integration (no-steal, WAL-before-data) ------------------
 
@@ -371,28 +342,15 @@ class TxnManager:
                 lock = self._locks[key] = _TableLock()
             return lock
 
-    def _timed_wait(self, lock: _TableLock, ready, table: str) -> float:
-        """Wait on *lock.cond* until ``ready()``; record contended time.
-        Returns the seconds spent waiting."""
-        deadline = time.monotonic() + self.lock_timeout
-        start = time.monotonic()
-        try:
-            while not ready():
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise LockTimeout(
-                        f"timeout waiting for lock on table {table!r} "
-                        f"({self.lock_timeout:.0f}s)"
-                    )
-                lock.cond.wait(min(remaining, 0.5))
-        finally:
-            waited = time.monotonic() - start
-            if self.waits is not None and waited > 0.0005:
-                self.waits.record("lock.table", waited)
-        return waited
-
     def lock_table(self, txn: Transaction, table: str) -> None:
-        """Acquire *table* exclusively for *txn* (held until txn end)."""
+        """Acquire *table* exclusively for *txn* (held until txn end).
+
+        A wait is read once, here: an acquisition that finds the lock
+        held (one that times out too) records the wait as the
+        ``lock.table`` wait event, in the lock's ``contended`` and
+        ``wait_seconds``, and as the ``lock.acquire`` span's ``wait_ms``;
+        one that finds it free records nothing.
+        """
         key = table.lower()
         if key in txn.locked_tables:
             return
@@ -403,18 +361,27 @@ class TxnManager:
             with lock.cond:
                 lock.writer_waiting += 1
                 contended = lock.writer is not None
+                start = time.monotonic()
                 try:
-                    waited = self._timed_wait(
-                        lock, lambda: lock.writer is None, table
-                    )
+                    while lock.writer is not None:
+                        remaining = start + self.lock_timeout - time.monotonic()
+                        if remaining <= 0:
+                            raise LockTimeout(
+                                f"timeout waiting for lock on table {table!r} "
+                                f"({self.lock_timeout:.0f}s)"
+                            )
+                        lock.cond.wait(min(remaining, 0.5))
                     lock.writer = txn.id
                     lock.acquisitions += 1
-                    lock.wait_seconds += waited
-                    if contended:
-                        lock.contended += 1
-                        sp.add("wait_ms", waited * 1000.0)
                 finally:
                     lock.writer_waiting -= 1
+                    if contended:
+                        waited = time.monotonic() - start
+                        lock.contended += 1
+                        lock.wait_seconds += waited
+                        sp.add("wait_ms", waited * 1000.0)
+                        if self.waits is not None:
+                            self.waits.record("lock.table", waited)
         txn.locked_tables.add(key)
 
     def _release_write(self, txn: Transaction, table: str) -> None:

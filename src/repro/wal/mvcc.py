@@ -7,7 +7,9 @@ the row's prior state is hung off an in-memory version chain keyed by
 timestamp ``ts`` — and reconstructs, per chain, the newest state whose
 writer committed at or before ``ts`` (or its own uncommitted state).
 SELECTs therefore never take table locks and never block on writers;
-DML keeps strict two-phase locking unchanged.
+DML keeps strict two-phase locking unchanged.  The same pre-images are
+the undo log: rollback puts each chain head its transaction owns back
+at its RID (:meth:`VersionStore.before_images`).
 
 Chain shape (newest writer first)::
 
@@ -150,18 +152,28 @@ class VersionStore:
             self._by_txn.setdefault(txn_id, []).append((key, rid))
             self.versions_recorded += 1
 
+    def before_images(
+        self, txn_id: int
+    ) -> List[Tuple[str, RID, Optional[bytes]]]:
+        """``(table, rid, pre)`` for every row active writer *txn_id*
+        touched, in first-touch order: the chain head it owns, whose
+        ``pre`` is the row as it was before the transaction (``None``: it
+        inserted the row).  Rollback puts these back."""
+        with self._lock:
+            return [
+                (key, rid, self._chains[key][rid][0].pre)
+                for key, rid in self._by_txn.get(txn_id, ())
+            ]
+
     # -- txn resolution -------------------------------------------------------
 
-    def commit(self, txn_id: int) -> Optional[int]:
-        """Stamp *txn_id*'s versions with the next commit timestamp.
-
-        Returns the timestamp, or ``None`` for transactions that wrote
-        nothing (read-only transactions don't advance the clock).
-        """
+    def commit(self, txn_id: int) -> None:
+        """Stamp *txn_id*'s versions with the next commit timestamp
+        (read-only transactions don't advance the clock)."""
         with self._lock:
             touched = self._by_txn.pop(txn_id, None)
             if not touched:
-                return None
+                return
             self.last_commit_ts += 1
             ts = self.last_commit_ts
             for key, rid in touched:
@@ -172,10 +184,9 @@ class VersionStore:
                     if version.txn_id == txn_id and version.commit_ts is None:
                         version.commit_ts = ts
                 self._prune_chain(key, rid)
-            return ts
 
     def rollback(self, txn_id: int) -> None:
-        """Drop *txn_id*'s uncommitted versions (the heap was undone)."""
+        """Drop *txn_id*'s uncommitted versions (the heap was put back)."""
         with self._lock:
             touched = self._by_txn.pop(txn_id, None)
             if not touched:

@@ -18,9 +18,9 @@ Record types (the *physiological* ones carry a page/slot address and a
 byte payload that redo applies verbatim):
 
 ==============  ==========================================================
-``BEGIN``       transaction start (debugging aid; redo keys off COMMIT)
+``BEGIN``       no longer written; older logs carry it and redo skips it
 ``COMMIT``      transaction end — the durability point (fsynced)
-``ABORT``       transaction rolled back (its records are never redone)
+``ABORT``       no longer written; older logs carry it and redo skips it
 ``ALLOC``       heap page *page_no* of *table* allocated + formatted
 ``INSERT``      record bytes placed at (*page_no*, *slot_no*) of *table*
 ``UPDATE``      record bytes overwritten in place at (*page_no*, *slot_no*)

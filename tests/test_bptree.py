@@ -7,7 +7,7 @@ from datetime import date, timedelta
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.index import BPlusTree
+from repro.index import BPlusTree, BPTreeError
 from repro.index.keys import MAX_KEY, MIN_KEY, key_lt
 from repro.storage import BufferPool, DiskManager
 from repro.types import DataType
@@ -458,3 +458,51 @@ def test_reinserted_duplicate_with_a_low_rid_keeps_the_tree_valid():
     for entry in rows:
         assert tree.delete(*entry) is True
     assert tree.num_entries == 0
+
+
+@pytest.mark.parametrize(
+    "page_size, seed, short, long",
+    [(4096, 0, (1, 19), (900, 1799)), (512, 1, (1, 19), (60, 150))],
+)
+@pytest.mark.parametrize("columns", ["b", "b, a"])
+def test_variable_width_text_keys_split_where_both_halves_fit(
+    tmp_path, page_size, seed, short, long, columns
+):
+    """A full node is cut at its middle entry only when both halves fit
+    the page; with TEXT keys of very different lengths the middle entry
+    can leave one half too long, and the cut moves to the nearest entry
+    where both fit.  Every insert succeeds, the tree stays valid, no
+    page image outgrows the page, and a checkpoint and reopen read the
+    same rows."""
+    from repro import Database
+
+    rng = random.Random(seed)
+    data_dir = str(tmp_path / "db")
+    db = Database(data_dir=data_dir, page_size=page_size)
+    db.execute("CREATE TABLE t (a INT PRIMARY KEY, b TEXT)")
+    db.execute(f"CREATE INDEX ix_b ON t ({columns})")
+    tree = db.catalog.table("t").indexes["b"].structure
+    for i in range(160):
+        width = rng.randint(*(short if rng.random() < 0.5 else long))
+        text = "".join(rng.choice("abcdefghijklmnopqrstuvwxyz") for _ in range(width))
+        db.execute(f"INSERT INTO t VALUES ({i}, '{text}')")
+        tree.validate()
+    for page_no in range(tree.num_pages):
+        with tree._pin(page_no) as data:
+            assert len(data) == page_size
+    rows = db.query("SELECT a, b FROM t ORDER BY a").rows
+    db.execute("CHECKPOINT")
+    db.close()
+    db2 = Database(data_dir=data_dir, page_size=page_size)
+    assert db2.query("SELECT a, b FROM t ORDER BY a").rows == rows
+    db2.catalog.table("t").indexes["b"].structure.validate()
+    db2.close()
+
+
+def test_an_image_longer_than_the_page_is_refused():
+    from repro.index.page import fill_page
+
+    data = bytearray(16)
+    with pytest.raises(BPTreeError, match="17 bytes"):
+        fill_page(data, bytes(17))
+    assert len(data) == 16

@@ -480,6 +480,46 @@ class TestTraceRingAndSystables:
         assert locks["t"][2] >= 2
         assert locks["t"][4] >= 0.0
 
+    def test_one_reading_of_a_table_lock_wait(self):
+        """A wait is recorded once, by the acquisition that found the lock
+        held: the ``lock.table`` wait event, ``contended``/``wait_ms`` in
+        ``sys_stat_locks`` and the ``lock.acquire`` span agree, and an
+        uncontended acquisition reaches none of them."""
+        import threading
+        import time
+
+        db = Database()
+        db.execute("CREATE TABLE t (id INT)")
+        for i in range(5):
+            result = db.execute(f"INSERT INTO t VALUES ({i})")
+            assert "wait_ms" not in result.trace.find("lock.acquire").counters
+        holder = db.create_session()
+        holder.execute("BEGIN")
+        holder.execute("INSERT INTO t VALUES (100)")
+        waiter = db.create_session()
+        done = []
+        thread = threading.Thread(
+            target=lambda: done.append(waiter.execute("INSERT INTO t VALUES (101)"))
+        )
+        thread.start()
+        time.sleep(0.05)
+        holder.execute("COMMIT")
+        thread.join(10)
+        db.execute("INSERT INTO t VALUES (102)")
+
+        (contended, wait_ms), = db.query(
+            "SELECT contended, wait_ms FROM sys_stat_locks WHERE table_name = 't'"
+        ).rows
+        waits = db.query(
+            "SELECT wait_count, total_ms FROM sys_stat_waits "
+            "WHERE event = 'lock.table'"
+        ).rows
+        assert contended == 1 and waits[0][0] == contended
+        assert waits[0][1] == pytest.approx(wait_ms, rel=1e-9, abs=0)
+        span_ms = done[0].trace.find("lock.acquire").counters["wait_ms"]
+        assert span_ms == pytest.approx(wait_ms, rel=1e-9, abs=0)
+        assert wait_ms >= 40.0
+
     def test_sys_stat_locks_shows_holder(self):
         db = Database()
         db.execute("CREATE TABLE t (id INT)")

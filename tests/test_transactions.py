@@ -1,9 +1,10 @@
 """Transaction semantics: BEGIN/COMMIT/ROLLBACK, rollback fidelity,
 session lifecycle, lock timeouts, and durable commit/rollback.
 
-Rollback here is *logical undo* (repro.wal.manager): every heap mutation
-records a compensating op, and ROLLBACK replays them in reverse —
-restoring rows at stable RIDs, secondary indexes, and zone maps.  These
+Rollback here puts back before-images (repro.wal.manager): every heap
+mutation hangs the row's prior bytes on its MVCC version chain, and
+ROLLBACK puts each back at its RID — restoring rows at stable RIDs and
+secondary indexes.  These
 tests pin the user-visible contract; the crash-side contract lives in
 test_crash_recovery.py.
 """
