@@ -20,10 +20,11 @@ benefits identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from dataclasses import replace as dc_replace
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..expr import ColumnRef, Expr, and_, map_expr
+from ..expr import ColumnRef, Expr, conjoin, map_expr
 from ..sql.ast import JoinClause, SelectItem, SelectStmt, TableRef
 
 
@@ -36,16 +37,6 @@ class ViewDef:
     name: str
     select: SelectStmt
     sql: str  # original definition text, for display
-
-
-@dataclass
-class Expansion:
-    """Result of expanding views in one statement."""
-
-    stmt: SelectStmt
-    #: names of transient tables created for materialized views; the caller
-    #: drops them once the query has executed
-    transient_tables: List[str] = field(default_factory=list)
 
 
 def is_mergeable(view: SelectStmt) -> bool:
@@ -72,69 +63,47 @@ class ViewExpander:
     def __init__(
         self,
         views: Dict[str, ViewDef],
-        is_table: Callable[[str], bool],
         materialize: Callable[[SelectStmt, str], str],
         table_columns: Callable[[str], List[str]],
     ):
         self.views = views
-        self.is_table = is_table
         self.materialize = materialize
         self.table_columns = table_columns
         self._counter = 0
 
-    # -- public ------------------------------------------------------------------
-
-    def expand(self, stmt: SelectStmt) -> Expansion:
-        expansion = Expansion(stmt)
-        expansion.stmt = self._expand_stmt(stmt, expansion, depth=0)
-        return expansion
-
-    # -- internals ------------------------------------------------------------------
-
-    def _expand_stmt(
-        self, stmt: SelectStmt, expansion: Expansion, depth: int
-    ) -> SelectStmt:
+    def expand(self, stmt: SelectStmt, depth: int = 0) -> SelectStmt:
         if depth > 16:
             raise ViewError("view nesting too deep (cycle?)")
         refs = list(stmt.from_tables) + [j.table for j in stmt.joins]
         if not any(self._is_view(r.table) for r in refs):
             return stmt
 
-        out = SelectStmt(
+        out = dc_replace(
+            stmt,
             items=list(stmt.items),
             from_tables=[],
             joins=[],
-            where=stmt.where,
             group_by=list(stmt.group_by),
-            having=stmt.having,
             order_by=list(stmt.order_by),
-            limit=stmt.limit,
-            distinct=stmt.distinct,
         )
         extra_where: List[Expr] = []
         renames: List[Tuple[str, Dict[str, Expr], List[str]]] = []
 
         def place(ref: TableRef, condition: Optional[Expr], from_join: bool):
-            if not self._is_view(ref.table):
-                if from_join:
-                    out.joins.append(JoinClause(ref, condition))
-                else:
-                    out.from_tables.append(ref)
-                return
-            view = self.views[ref.table.lower()]
-            inner = self._expand_stmt(view.select, expansion, depth + 1)
-            if is_mergeable(inner):
-                mapping, names = self._merge(
-                    inner, ref.binding, out, extra_where, from_join, condition
-                )
-                renames.append((ref.binding, mapping, names))
+            if self._is_view(ref.table):
+                view = self.views[ref.table.lower()]
+                inner = self.expand(view.select, depth + 1)
+                if is_mergeable(inner):
+                    mapping, names = self._merge(
+                        inner, ref.binding, out, extra_where, from_join, condition
+                    )
+                    renames.append((ref.binding, mapping, names))
+                    return
+                ref = TableRef(self._materialize_view(view, inner), ref.binding)
+            if from_join:
+                out.joins.append(JoinClause(ref, condition))
             else:
-                table_name = self._materialize_view(view, inner, expansion)
-                new_ref = TableRef(table_name, ref.binding)
-                if from_join:
-                    out.joins.append(JoinClause(new_ref, condition))
-                else:
-                    out.from_tables.append(new_ref)
+                out.from_tables.append(ref)
 
         for ref in stmt.from_tables:
             place(ref, None, from_join=False)
@@ -146,16 +115,8 @@ class ViewExpander:
         else:
             out_stmt = out
         if extra_where:
-            combined = (
-                and_(out_stmt.where, *extra_where)
-                if out_stmt.where is not None
-                else (
-                    extra_where[0]
-                    if len(extra_where) == 1
-                    else and_(*extra_where)
-                )
-            )
-            out_stmt.where = combined
+            outer = [] if out_stmt.where is None else [out_stmt.where]
+            out_stmt.where = conjoin(outer + extra_where)
         return out_stmt
 
     def _is_view(self, name: str) -> bool:
@@ -300,31 +261,19 @@ class ViewExpander:
                     continue
                 if item.star_qualifier is None and star_map:
                     # bare *: expand merged views in place, keep the rest
-                    items.append(SelectItem(None))
-                    # NOTE: bare * with merged views would also pull the
-                    # views' hidden internals; expand explicitly instead.
-                    items.pop()
                     for ref_binding, pairs in star_map.items():
                         for name, target in pairs:
                             items.append(SelectItem(target, name))
-                    # plus every non-view table's columns
-                    for ref in stmt.from_tables:
+                    # plus every other table's columns: the tables a
+                    # merge spliced in (its fresh ``__`` bindings) are the
+                    # views' internals, already expanded above
+                    for ref in list(stmt.from_tables) + [j.table for j in stmt.joins]:
+                        if ref.binding.startswith("__"):
+                            continue
                         for column in self.table_columns(ref.table):
                             items.append(
                                 SelectItem(
                                     ColumnRef(f"{ref.binding}.{column}"),
-                                    column,
-                                )
-                            )
-                    for join in stmt.joins:
-                        if join.table.binding.startswith("__"):
-                            continue
-                        for column in self.table_columns(join.table.table):
-                            items.append(
-                                SelectItem(
-                                    ColumnRef(
-                                        f"{join.table.binding}.{column}"
-                                    ),
                                     column,
                                 )
                             )
@@ -342,9 +291,9 @@ class ViewExpander:
                 alias = item.expr.name.split(".")[-1]
             items.append(SelectItem(new_expr, alias, None))
 
-        out = SelectStmt(
+        out = dc_replace(
+            stmt,
             items=items,
-            from_tables=stmt.from_tables,
             joins=[
                 JoinClause(j.table, rewrite(j.condition)) for j in stmt.joins
             ],
@@ -354,16 +303,9 @@ class ViewExpander:
             order_by=[
                 type(o)(rewrite(o.expr), o.ascending) for o in stmt.order_by
             ],
-            limit=stmt.limit,
-            distinct=stmt.distinct,
         )
         return out
 
-    def _materialize_view(
-        self, view: ViewDef, inner: SelectStmt, expansion: Expansion
-    ) -> str:
+    def _materialize_view(self, view: ViewDef, inner: SelectStmt) -> str:
         self._counter += 1
-        table_name = f"__view_{view.name}_{self._counter}"
-        created = self.materialize(inner, table_name)
-        expansion.transient_tables.append(created)
-        return created
+        return self.materialize(inner, f"__view_{view.name}_{self._counter}")

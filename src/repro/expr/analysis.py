@@ -33,6 +33,7 @@ from .nodes import (
     Literal,
     Negate,
     Not,
+    SubqueryExpr,
     and_,
     walk,
 )
@@ -213,8 +214,6 @@ def map_expr(expr: Expr, fn) -> Expr:
     """Bottom-up structural rewrite: rebuild *expr* with every node passed
     through *fn* (children already rewritten).  ``fn`` returns either the
     node unchanged or a replacement."""
-    from .nodes import SubqueryExpr
-
     if isinstance(expr, Comparison):
         expr = Comparison(expr.op, map_expr(expr.left, fn), map_expr(expr.right, fn))
     elif isinstance(expr, Arithmetic):
@@ -252,8 +251,6 @@ def map_expr(expr: Expr, fn) -> Expr:
 
 
 def contains_subquery(expr: Expr) -> bool:
-    from .nodes import SubqueryExpr
-
     return any(isinstance(node, SubqueryExpr) for node in walk(expr))
 
 

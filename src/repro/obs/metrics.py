@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_left
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: Default histogram ladder (latencies in milliseconds).
 DEFAULT_BUCKETS: Tuple[float, ...] = (
@@ -325,6 +325,99 @@ class MetricsRegistry:
             lines.append(f"# TYPE {full} {kind}")
             lines.extend(samples)
         return "\n".join(lines) + "\n"
+
+
+def metrics_snapshot(db: Any, format: str = "json") -> Any:
+    """A ``Database``'s process-wide observability snapshot: *db*'s
+    registry instruments plus the storage layer's cumulative counters
+    and the sizes of its stores.
+
+    ``format="json"`` returns nested plain dicts; ``format="prom"``
+    returns Prometheus text exposition (the storage counters and store
+    sizes render as gauges alongside the registry instruments).
+    """
+    bstats, dstats, versions = db.pool.stats, db.disk.stats, db.txn.versions
+    # the one list of storage counters: nested as it is for JSON,
+    # flattened to ``section_name`` gauges for Prometheus
+    storage = {
+        "buffer_pool": {
+            "hits": bstats.hits,
+            "misses": bstats.misses,
+            "evictions": bstats.evictions,
+            "dirty_writebacks": bstats.dirty_writebacks,
+            "hit_rate": bstats.hit_rate,
+        },
+        "disk": {
+            "reads": dstats.reads,
+            "writes": dstats.writes,
+            "seq_reads": dstats.seq_reads,
+            "allocations": dstats.allocations,
+        },
+        "mvcc": {
+            "last_commit_ts": versions.last_commit_ts,
+            "active_snapshots": versions.active_snapshots(),
+            "live_versions": versions.live_versions(),
+            "versions_recorded": versions.versions_recorded,
+            "versions_pruned": versions.versions_pruned,
+            "snapshots_taken": versions.snapshots_taken,
+        },
+    }
+    # the one list of store sizes: Prometheus shows every one as a
+    # gauge, JSON the query log's and the statement store's at the top
+    # level and the slow-request captures in its ``auto_explain`` section
+    sizes = {
+        "query_log_entries": len(db.query_log),
+        "feedback_entries": len(db.feedback),
+        "feedback_dropped": db.feedback.dropped,
+        "plan_baselines": db.statements.baselines(),
+        "wait_events_total": len(db.waits),
+        "slow_query_captures": db.auto_explain.captured_total,
+        "statement_latency_fingerprints": len(db.statements),
+        "statement_latency_dropped": db.statements.dropped,
+    }
+    if format == "prom":
+        extras = {
+            f"{section}_{name}": float(value)
+            for section, counters in storage.items()
+            for name, value in counters.items()
+        }
+        extras.update((name, float(size)) for name, size in sizes.items())
+        # one pair of series per wait event, dots flattened for the
+        # exposition grammar (io.read -> wait_io_read_*)
+        for event, count, total_ms, _ in db.waits.rows():
+            flat = event.replace(".", "_")
+            extras[f"wait_{flat}_count"] = float(count)
+            extras[f"wait_{flat}_seconds"] = total_ms / 1000.0
+        # per-fingerprint latency quantiles as one labeled family;
+        # sorted label bodies keep the exposition byte-stable
+        labeled = []
+        quantiles = db.statements.quantiles()
+        if quantiles:
+            labeled.append(
+                (
+                    "statement_latency_ms",
+                    "gauge",
+                    [
+                        (f'fingerprint="{fp}",quantile="{q}"', value)
+                        for fp, q, value in quantiles
+                    ],
+                )
+            )
+        return db.metrics.render_prometheus(extras=extras, labeled=labeled)
+    snap: Dict[str, Any] = db.metrics.snapshot()
+    snap.update(storage)
+    # JSON only: None while no snapshot is open
+    snap["mvcc"]["oldest_snapshot_ts"] = versions.oldest_snapshot_ts()
+    snap["query_log_entries"] = sizes["query_log_entries"]
+    snap["waits"] = db.waits.as_dict()
+    snap["auto_explain"] = {
+        "enabled": db.auto_explain.enabled,
+        "captured_total": sizes["slow_query_captures"],
+        "entries": len(db.auto_explain),
+    }
+    snap["statement_latency"] = db.statements.snapshot()
+    snap["statement_latency_dropped"] = sizes["statement_latency_dropped"]
+    return snap
 
 
 def _fmt(value: float) -> str:

@@ -25,7 +25,7 @@ a per-process random prefix.
 Request-scoped tracing adds identity on top of the tree shape: every
 span carries a ``span_id``/``parent_id`` pair and the tracer carries a
 ``trace_id`` shared by every span it opens.  A trace's owner (the server
-per request, ``Database._run_statement`` otherwise) installs its tracer
+per request, ``statement.run_statement`` otherwise) installs its tracer
 on the thread with :func:`activate_tracer`; every layer below it opens
 spans with :func:`trace_span` — the only route a tracer travels.
 """

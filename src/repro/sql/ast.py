@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence, Tuple
 
 from ..expr.nodes import Expr
-from ..types import DataType
+from ..types import Column, DataType, Schema
 from .lexer import Token
 
 
@@ -98,6 +98,14 @@ class ColumnDef:
 class CreateTableStmt(Statement):
     table: str
     columns: List[ColumnDef]
+
+    def schema(self) -> Schema:
+        return Schema(Column(c.name, c.dtype, self.table, c.nullable) for c in self.columns)
+
+    def primary_key_indexes(self) -> List[Tuple[str, str]]:
+        """``(index name, column)`` of the clustered index each PRIMARY KEY
+        column gets, named here so a replayed CREATE TABLE agrees."""
+        return [(f"pk_{self.table}_{c.name}", c.name) for c in self.columns if c.primary_key]
 
 
 @dataclass

@@ -17,6 +17,7 @@ from .checkpoint import (
     CHECKPOINT_FILE,
     CheckpointError,
     checkpoint_path,
+    fuzzy_checkpoint,
     load_checkpoint,
     write_checkpoint,
 )
@@ -45,6 +46,7 @@ __all__ = [
     "CHECKPOINT_FILE",
     "CheckpointError",
     "checkpoint_path",
+    "fuzzy_checkpoint",
     "load_checkpoint",
     "write_checkpoint",
     "WAL_FILE",

@@ -21,7 +21,9 @@ Layout::
 where ``pages`` is, per table in meta order, ``num_pages * page_size``
 raw bytes, and the CRC covers everything before it.
 
-Failpoint site: ``checkpoint.page`` — one hit per page image written.
+Failpoint sites: ``checkpoint.begin``, ``.flush`` and ``.end`` in
+:func:`fuzzy_checkpoint`, the protocol that takes the snapshot without
+quiescing writers; ``checkpoint.page`` — one hit per page image written.
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ import struct
 import zlib
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..obs.trace import trace_span
 from . import failpoints
+from .records import WalRecordType
 
 CHECKPOINT_FILE = "checkpoint.bin"
 _MAGIC = b"RPCKPT1\n"
@@ -46,12 +50,88 @@ def checkpoint_path(data_dir: str) -> str:
     return os.path.join(data_dir, CHECKPOINT_FILE)
 
 
+def fuzzy_checkpoint(db) -> Tuple[int, int, List[int], int]:
+    """Snapshot *db*'s page store and trim its WAL without quiescing
+    writers; returns ``(checkpoint_lsn, redo_lsn, active_txns,
+    pages_flushed)``.
+
+    No table locks are taken — transactions stay open across the
+    checkpoint.  The caller holds the engine's statement lock, so no
+    heap mutation interleaves; COMMITs still proceed, they only touch
+    the WAL:
+
+    1. log a ``CHECKPOINT_BEGIN`` record carrying the active-
+       transaction table and the dirty-page table (page -> recLSN);
+    2. write back every *committed*-dirty page — pages dirtied by an
+       active transaction are skipped (no-steal: uncommitted bytes
+       never reach disk), so their on-disk snapshot images are stale;
+    3. ``redo_lsn`` = the minimum recLSN over pages still dirty — no
+       record below it is needed to rebuild any page, every record at
+       or above it is replayed idempotently on recovery;
+    4. snapshot the page store, stamp ``redo_lsn`` into the meta,
+       drop WAL records below ``redo_lsn``, and log ``CHECKPOINT_END``.
+
+    Recovery redoes committed work from ``redo_lsn`` against the
+    (partly stale, partly ahead) snapshot images; replay is
+    idempotent, so images that already contain a suffix record
+    converge instead of corrupting.
+    """
+    txn, pool = db.txn, db.pool
+    writer = txn.writer
+    att = txn.active_txn_ids()
+    dpt = txn.dirty_page_table()
+    payload = json.dumps(
+        {
+            "active_txns": att,
+            "dirty_pages": {
+                f"{pid[0]}:{pid[1]}": rec for pid, rec in dpt.items()
+            },
+        }
+    ).encode("utf-8")
+    with trace_span("checkpoint.begin") as sp:
+        sp.add("active_txns", float(len(att)))
+        action = failpoints.FAILPOINTS.hit("checkpoint.begin")
+        begin_lsn = writer.append(
+            WalRecordType.CHECKPOINT_BEGIN, 0, payload=payload
+        )
+        writer.flush_to(begin_lsn)
+        if action is not None:
+            failpoints.crash()
+    flushed = 0
+    with trace_span("checkpoint.flush") as sp:
+        for pid in pool.dirty_pages():
+            if not txn.may_evict(pid):
+                continue  # no-steal: an active txn owns this page
+            action = failpoints.FAILPOINTS.hit("checkpoint.flush")
+            if pool.flush_page(pid):
+                flushed += 1
+            if action is not None:
+                failpoints.crash()
+        writer.flush_all()
+        sp.add("pages_flushed", float(flushed))
+    last = writer.flushed_lsn
+    rec = txn.min_rec_lsn()
+    redo_lsn = rec if rec is not None else last + 1
+    with trace_span("checkpoint.end") as sp:
+        sp.add("redo_lsn", float(redo_lsn))
+        write_checkpoint(db, last, redo_lsn, att)
+        writer.retain_from(redo_lsn)
+        action = failpoints.FAILPOINTS.hit("checkpoint.end")
+        lsn = writer.append(
+            WalRecordType.CHECKPOINT_END,
+            0,
+            payload=json.dumps(
+                {"redo_lsn": redo_lsn, "last_lsn": last}
+            ).encode("utf-8"),
+        )
+        writer.flush_to(lsn)
+        if action is not None:
+            failpoints.crash()
+    return last, redo_lsn, att, flushed
+
+
 def collect_meta(
-    db,
-    last_lsn: int,
-    next_txn_id: int,
-    redo_lsn: Optional[int] = None,
-    active_txns: Optional[List[int]] = None,
+    db, last_lsn: int, redo_lsn: int, active_txns: List[int]
 ) -> Dict[str, Any]:
     """The catalog metadata one checkpoint carries (JSON-safe)."""
     tables: List[Dict[str, Any]] = []
@@ -82,43 +162,36 @@ def collect_meta(
         "version": 2,
         "page_size": db.disk.page_size,
         "last_lsn": last_lsn,
-        "next_txn_id": next_txn_id,
+        "next_txn_id": db.txn.next_txn_id,
         "tables": tables,
         "views": [
             {"name": v.name, "sql": v.sql} for v in db.views.values()
         ],
+        # the snapshot's page images may be *stale* for pages the flush
+        # pass had to skip (no-steal); redo must start at the minimum
+        # recLSN of those pages, not at last_lsn + 1
+        "redo_lsn": redo_lsn,
     }
-    if redo_lsn is not None:
-        # fuzzy checkpoint: the snapshot's page images may be *stale* for
-        # pages the flush pass had to skip (no-steal); redo must start at
-        # the minimum recLSN of those pages, not at last_lsn + 1
-        meta["redo_lsn"] = redo_lsn
     if active_txns:
         meta["active_txns"] = list(active_txns)
     return meta
 
 
 def write_checkpoint(
-    db,
-    data_dir: str,
-    last_lsn: int,
-    next_txn_id: int,
-    redo_lsn: Optional[int] = None,
-    active_txns: Optional[List[int]] = None,
+    db, last_lsn: int, redo_lsn: int, active_txns: List[int]
 ) -> str:
-    """Snapshot *db* into ``checkpoint.bin`` (atomic install).
+    """Snapshot *db* into ``checkpoint.bin`` in its ``data_dir`` (atomic
+    install).
 
-    The caller must have flushed the buffer pool's *committed* dirty
-    pages first.  Quiesced callers guarantee no transaction is in
-    flight, so the images are current and redo starts after
-    ``last_lsn``.  Fuzzy callers may leave transaction-owned pages
-    unflushed (no-steal keeps uncommitted bytes out of the snapshot
-    either way); they pass ``redo_lsn`` — the minimum recLSN over pages
-    still dirty — so recovery's redo pass starts early enough to rebuild
-    the stale images.
+    The caller has flushed the buffer pool's *committed* dirty pages
+    and left transaction-owned pages unflushed (no-steal keeps
+    uncommitted bytes out of the snapshot); ``redo_lsn`` — the minimum
+    recLSN over pages still dirty — makes recovery's redo pass start
+    early enough to rebuild the stale images.
     """
-    meta = collect_meta(db, last_lsn, next_txn_id, redo_lsn, active_txns)
+    meta = collect_meta(db, last_lsn, redo_lsn, active_txns)
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
+    data_dir = db.data_dir
     final = checkpoint_path(data_dir)
     tmp = final + ".tmp"
     crc = 0

@@ -95,8 +95,6 @@ def _schema_from_meta(name: str, columns: List[List[Any]]) -> Schema:
 
 def recover(db, data_dir: str) -> RecoveryReport:
     """Rebuild *db* (freshly constructed, empty) from *data_dir*."""
-    from ..engine.views import ViewDef
-
     report = RecoveryReport()
     #: index definitions to build after replay: (name, table, columns,
     #: kind value, clustered)
@@ -128,11 +126,7 @@ def recover(db, data_dir: str) -> RecoveryReport:
             for ix in t["indexes"]:
                 pending_indexes.append({**ix, "table": t["name"]})
         for v in meta.get("views", []):
-            stmt = parse(v["sql"])
-            if isinstance(stmt, CreateViewStmt):
-                db.views[v["name"].lower()] = ViewDef(
-                    v["name"], stmt.select, v["sql"]
-                )
+            _replay_ddl(db, v["sql"], pending_indexes, analyzed)
         report.tables_restored = len(meta["tables"])
 
     wal_path = os.path.join(data_dir, WAL_FILE)
@@ -159,7 +153,8 @@ def recover(db, data_dir: str) -> RecoveryReport:
             continue
         if rec.type is WalRecordType.DDL:
             if rec.txn_id in committed:
-                _replay_ddl(db, rec.payload, pending_indexes, analyzed)
+                sql = json.loads(rec.payload.decode("utf-8"))["sql"]
+                _replay_ddl(db, sql, pending_indexes, analyzed)
                 report.records_applied += 1
             continue
         if not rec.is_physiological:
@@ -209,34 +204,29 @@ def recover(db, data_dir: str) -> RecoveryReport:
 
 def _replay_ddl(
     db,
-    payload: bytes,
+    sql: str,
     pending_indexes: List[Dict[str, Any]],
     analyzed: Set[str],
 ) -> None:
-    """Logically re-apply one committed DDL record."""
+    """Logically re-apply one committed DDL statement: a DDL record's,
+    or a view definition the checkpoint carries."""
     from ..engine.views import ViewDef
 
-    sql = json.loads(payload.decode("utf-8"))["sql"]
     stmt = parse(sql)
     catalog = db.catalog
     if isinstance(stmt, CreateTableStmt):
         if catalog.has_table(stmt.table):
             return  # fuzzy redo: the snapshot already carries this table
-        schema = Schema(
-            Column(c.name, c.dtype, stmt.table, c.nullable)
-            for c in stmt.columns
-        )
-        catalog.create_table(stmt.table, schema)
-        for c in stmt.columns:
-            if c.primary_key:
-                pending_indexes.append(
-                    {
-                        "name": f"pk_{stmt.table}_{c.name}",
-                        "table": stmt.table,
-                        "columns": [c.name],
-                        "clustered": True,
-                    }
-                )
+        catalog.create_table(stmt.table, stmt.schema())
+        for name, column in stmt.primary_key_indexes():
+            pending_indexes.append(
+                {
+                    "name": name,
+                    "table": stmt.table,
+                    "columns": [column],
+                    "clustered": True,
+                }
+            )
     elif isinstance(stmt, DropTableStmt):
         if catalog.has_table(stmt.table):
             catalog.drop_table(stmt.table)

@@ -93,6 +93,25 @@ class TestMergeableViews:
         got = db.query("SELECT name FROM vstar WHERE id = 3").rows
         assert got == [("c3",)]
 
+    @pytest.mark.parametrize(
+        "sql, columns",
+        [
+            ("SELECT * FROM small", ["id", "cust"]),
+            ("SELECT * FROM small, cust", ["id", "cust", "cust.id", "name"]),
+            (
+                "SELECT * FROM cust JOIN small ON cust.id = small.cust",
+                ["id", "cust", "cust.id", "name"],
+            ),
+        ],
+    )
+    def test_star_over_a_merged_view_shows_only_its_columns(self, db, sql, columns):
+        """The tables a merge splices in are the view's internals: a bare
+        ``*`` shows the view's output columns, not theirs."""
+        db.execute("CREATE VIEW small AS SELECT id, cust FROM orders WHERE id < 3")
+        r = db.query(sql)
+        assert r.columns == columns
+        assert all(len(row) == len(columns) for row in r.rows)
+
     def test_two_uses_of_same_view(self, db):
         db.execute("CREATE VIEW v AS SELECT id, cust FROM orders")
         r = db.query(
