@@ -88,6 +88,9 @@ class ViewExpander:
         )
         extra_where: List[Expr] = []
         renames: List[Tuple[str, Dict[str, Expr], List[str]]] = []
+        # the outer FROM entries in FROM order, for a bare ``*``: a merged
+        # view's binding with None, any other entry with the ref it became
+        from_order: List[Tuple[str, Optional[TableRef]]] = []
 
         def place(ref: TableRef, condition: Optional[Expr], from_join: bool):
             if self._is_view(ref.table):
@@ -98,8 +101,10 @@ class ViewExpander:
                         inner, ref.binding, out, extra_where, from_join, condition
                     )
                     renames.append((ref.binding, mapping, names))
+                    from_order.append((ref.binding, None))
                     return
                 ref = TableRef(self._materialize_view(view, inner), ref.binding)
+            from_order.append((ref.binding, ref))
             if from_join:
                 out.joins.append(JoinClause(ref, condition))
             else:
@@ -111,7 +116,7 @@ class ViewExpander:
             place(join.table, join.condition, from_join=True)
 
         if renames:
-            out_stmt = self._rename_outer(out, renames)
+            out_stmt = self._rename_outer(out, renames, from_order)
         else:
             out_stmt = out
         if extra_where:
@@ -221,8 +226,10 @@ class ViewExpander:
         self,
         stmt: SelectStmt,
         renames: List[Tuple[str, Dict[str, Expr], List[str]]],
+        from_order: List[Tuple[str, Optional[TableRef]]],
     ) -> SelectStmt:
-        """Rewrite outer references to merged views' columns."""
+        """Rewrite outer references to merged views' columns; a bare
+        ``*`` lists every FROM entry's columns in FROM order."""
         qualified: Dict[str, Expr] = {}
         bare: Dict[str, List[Expr]] = {}
         star_map: Dict[str, List[Tuple[str, Expr]]] = {}
@@ -260,23 +267,27 @@ class ViewExpander:
                         items.append(SelectItem(target, name))
                     continue
                 if item.star_qualifier is None and star_map:
-                    # bare *: expand merged views in place, keep the rest
-                    for ref_binding, pairs in star_map.items():
+                    # bare *: a merged view's output columns where the
+                    # view stood, every other entry's columns under its
+                    # binding (the tables a merge spliced in are the
+                    # views' internals, not FROM entries of their own);
+                    # a name already listed is qualified by its binding,
+                    # as a star over base tables qualifies it
+                    listed = set()
+                    for binding, ref in from_order:
+                        if ref is None:
+                            pairs = star_map[binding]
+                        else:
+                            pairs = [
+                                (column, ColumnRef(f"{binding}.{column}"))
+                                for column in self.table_columns(ref.table)
+                            ]
                         for name, target in pairs:
-                            items.append(SelectItem(target, name))
-                    # plus every other table's columns: the tables a
-                    # merge spliced in (its fresh ``__`` bindings) are the
-                    # views' internals, already expanded above
-                    for ref in list(stmt.from_tables) + [j.table for j in stmt.joins]:
-                        if ref.binding.startswith("__"):
-                            continue
-                        for column in self.table_columns(ref.table):
-                            items.append(
-                                SelectItem(
-                                    ColumnRef(f"{ref.binding}.{column}"),
-                                    column,
-                                )
+                            alias = (
+                                f"{binding}.{name}" if name in listed else name
                             )
+                            listed.add(name)
+                            items.append(SelectItem(target, alias))
                     continue
                 items.append(item)
                 continue

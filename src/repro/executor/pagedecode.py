@@ -17,6 +17,17 @@ the index nested-loop join the slots its RIDs name — the ``(pages, slots)``
 arrays of its index probes — each distinct page fixed once
 (``gather_rids``; ``gather_columns`` takes RID tuples).
 
+A heap page's decoded columns outlive the scan that decoded them: the
+scan reads a span through ``page_columns``, which takes each page's
+columns off its buffer frame (``BufferPool.fix_decoded``) and decodes
+only the pages whose frames hold none — in one ``decode_pages_columns``
+call, so a cold span costs what it always did — leaving each page's
+slice on its frame as its own read-only copy, decoded with the heap's
+own schema.  A resident page is therefore decoded once per write, not
+once per scan; a fix for write, an eviction or a pool ``clear`` drops
+the copy with the bytes it came from.  The gather (``gather_rids``)
+still copies and decodes the pages it fixes on every call.
+
 Every record decodes here.  The null bitmaps become per-column validity
 masks (``ColumnBatch``'s ``(data, valid)`` form) and a column holding a
 NULL reads its present lanes only; a span with no NULL bit set does no
@@ -57,16 +68,72 @@ _FIXED = {
 GATHER_SPAN_PAGES = 32
 
 
+#: one page's live records as its buffer frame keeps them: a read-only
+#: ``(data, valid)`` pair per column of the heap's schema, or ``()`` when
+#: the page holds no live record
+PageColumns = Tuple[ColumnData, ...]
+
+
+def page_columns(heap: HeapFile, page_nos: Sequence[int]) -> List[PageColumns]:
+    """The decoded columns of each page of *page_nos* that holds a live
+    record, in page order.  Every page is fixed once (hits and misses
+    count as ``page_bytes`` counts them); the pages whose frames hold no
+    columns yet are decoded in one span and left on their frames."""
+    schema = heap.schema
+    file_id = heap.file_id
+    pages = heap.pool.fix_decoded(
+        [(file_id, page_no) for page_no in page_nos],
+        lambda raws: _decode_per_page(schema, raws),
+    )
+    return [page for page in pages if page]
+
+
+def _decode_per_page(schema: Schema, raws: Sequence[bytes]) -> List[PageColumns]:
+    """``decode_pages_columns`` over the span *raws*, split back into one
+    ``PageColumns`` per page: each page's slice is copied, so a frame
+    holds its own page and no more, and made read-only, since every
+    later scan of the page is handed the same arrays."""
+    columns, counts = decode_pages_columns(schema, raws)
+    pages: List[PageColumns] = []
+    start = 0
+    for count in counts:
+        if not count:
+            pages.append(())
+            continue
+        stop = start + count
+        pages.append(
+            tuple(
+                (
+                    _frozen(data[start:stop]),
+                    None
+                    if valid is None or valid[start:stop].all()
+                    else _frozen(valid[start:stop]),
+                )
+                for data, valid in columns
+            )
+        )
+        start = stop
+    return pages
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array = array.copy()
+    array.flags.writeable = False
+    return array
+
+
 def decode_pages_columns(
     schema: Schema, raws: Sequence[bytes]
-) -> Tuple[List[ColumnData], int]:
-    """Decode a span of pages into ``(columns, num_rows)``.  Record order
-    is page order then slot order — exactly the row scan's order."""
+) -> Tuple[List[ColumnData], List[int]]:
+    """Decode a span of pages into ``(columns, rows per page)``.  Record
+    order is page order then slot order — exactly the row scan's order."""
     offs_parts: List[np.ndarray] = []
     lens_parts: List[np.ndarray] = []
+    counts: List[int] = []
     base = 0
     for raw in raws:
         num_slots = (raw[0] << 8) | raw[1]
+        count = 0
         if num_slots:
             slots = np.frombuffer(
                 raw, dtype=">u2", count=num_slots * 2, offset=HEADER_SIZE
@@ -75,12 +142,15 @@ def decode_pages_columns(
             if live.all():
                 offs_parts.append(slots[:, 0].astype(np.int64) + base)
                 lens_parts.append(slots[:, 1].astype(np.int64))
+                count = num_slots
             elif live.any():
                 offs_parts.append(slots[:, 0][live].astype(np.int64) + base)
                 lens_parts.append(slots[:, 1][live].astype(np.int64))
+                count = len(offs_parts[-1])
+        counts.append(count)
         base += len(raw)
     if not offs_parts:
-        return [], 0
+        return [], counts
     joined = raws[0] if len(raws) == 1 else b"".join(raws)
     offs = (
         offs_parts[0] if len(offs_parts) == 1 else np.concatenate(offs_parts)
@@ -88,7 +158,7 @@ def decode_pages_columns(
     lens = (
         lens_parts[0] if len(lens_parts) == 1 else np.concatenate(lens_parts)
     )
-    return _decode_records(schema, joined, offs, lens), int(offs.shape[0])
+    return _decode_records(schema, joined, offs, lens), counts
 
 
 def _decode_records(

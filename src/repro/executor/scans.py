@@ -34,7 +34,7 @@ from ..index.keys import key_lt
 from ..physical import PIndexOnlyScan, PIndexScan, PSeqScan
 from .columnar import ColumnBatch
 from .operator import Batch, Operator, operator_for
-from .pagedecode import decode_pages_columns
+from .pagedecode import page_columns
 
 RID = Tuple[int, int]
 Overlay = Tuple[Dict[RID, Optional[Tuple]], Dict[RID, Tuple]]
@@ -159,9 +159,13 @@ class SeqScanOp(TableReader):
     """Full heap scan with an optional pushed-down predicate.
 
     Under a columnar context (``ctx.columnar``) the scan reads every
-    page, decodes spans of them straight into :class:`ColumnBatch`
-    columns (NULLs as validity masks) and evaluates the pushed-down
-    predicate as a vectorized kernel.
+    page, a span at a time, as :class:`ColumnBatch` columns (NULLs as
+    validity masks) and evaluates the pushed-down predicate as a
+    vectorized kernel.  A page whose buffer frame still holds its
+    decoded columns costs a fix and no decode
+    (``pagedecode.page_columns``); those arrays are shared with later
+    scans of the page and are read-only, so nothing above the scan may
+    write into a batch's columns in place.
     """
 
     def __init__(self, plan, ctx):
@@ -249,16 +253,22 @@ class SeqScanOp(TableReader):
 
     def _decode_next_span(self) -> Optional[ColumnBatch]:
         """The next span of pages that holds a live record, as one
-        ColumnBatch."""
+        ColumnBatch: the pages' columns, cached on their frames or
+        decoded now, stacked column by column."""
         heap = self.plan.table.heap
         schema = self.plan.schema
         while True:
-            raws = [heap.page_bytes(p) for p in islice(self._pages, self._span)]
-            if not raws:
+            page_nos = list(islice(self._pages, self._span))
+            if not page_nos:
                 return None
-            columns, count = decode_pages_columns(schema, raws)
-            if count:
-                return ColumnBatch(schema, columns, count)
+            pages = page_columns(heap, page_nos)
+            if pages:
+                return ColumnBatch.concat(
+                    [
+                        ColumnBatch(schema, list(page), len(page[0][0]))
+                        for page in pages
+                    ]
+                )
 
     def _next_batch_columnar_rows(self, max_rows=None) -> Optional[ColumnBatch]:
         """Columnar scan under a snapshot overlay: decode row-at-a-time

@@ -57,6 +57,12 @@ HELP_TEXTS: Dict[str, str] = {
     "buffer_pool_evictions": "buffer pool frame evictions",
     "buffer_pool_dirty_writebacks": "dirty frames written back on eviction",
     "buffer_pool_hit_rate": "buffer pool hit rate since startup",
+    "buffer_pool_decoded_hits": (
+        "seq-scan page fixes served by the frame's cached decoded columns"
+    ),
+    "buffer_pool_decoded_misses": (
+        "seq-scan page fixes that decoded the page and cached its columns"
+    ),
     "disk_reads": "pages read from the simulated disk",
     "disk_writes": "pages written to the simulated disk",
     "disk_seq_reads": "sequential page reads",
@@ -346,6 +352,8 @@ def metrics_snapshot(db: Any, format: str = "json") -> Any:
             "evictions": bstats.evictions,
             "dirty_writebacks": bstats.dirty_writebacks,
             "hit_rate": bstats.hit_rate,
+            "decoded_hits": bstats.decoded_hits,
+            "decoded_misses": bstats.decoded_misses,
         },
         "disk": {
             "reads": dstats.reads,

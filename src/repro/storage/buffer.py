@@ -9,6 +9,15 @@ modeling.
 Frames hold ``bytearray`` page images.  A dirty frame is written back when
 evicted or on ``flush_all``.
 
+A frame may also hold one value a reader derived from its bytes — the
+columnar scan keeps a heap page's decoded columns there
+(``fix_decoded``).  The value lives exactly as long as the bytes it was
+derived from: every fix for write drops it (``fix(write=True)``,
+``unfix(dirty=True)``, a write guard whose body raised), and it goes with
+its frame on eviction, ``clear`` and ``discard_file``.  A write-back
+keeps it, since the bytes do not change.  There is no knob: the pool's
+frames bound it.
+
 The pool is thread-safe: a single reentrant lock serializes every public
 entry point, so concurrent pin/unpin/read from multiple threads can never
 interleave a lookup with an eviction (the classic fix-vs-evict race) or
@@ -23,7 +32,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Any, Callable, Iterator, List, Optional, Sequence
 
 from ..wal import failpoints
 from .disk import DiskManager, PageId
@@ -46,6 +55,10 @@ class BufferStats:
     misses: int = 0
     evictions: int = 0
     dirty_writebacks: int = 0
+    #: ``fix_decoded`` fixes served by a frame's derived value, and
+    #: those that had to decode (each is also a hit or a miss above)
+    decoded_hits: int = 0
+    decoded_misses: int = 0
 
     @property
     def accesses(self) -> int:
@@ -58,7 +71,12 @@ class BufferStats:
 
     def snapshot(self) -> "BufferStats":
         return BufferStats(
-            self.hits, self.misses, self.evictions, self.dirty_writebacks
+            self.hits,
+            self.misses,
+            self.evictions,
+            self.dirty_writebacks,
+            self.decoded_hits,
+            self.decoded_misses,
         )
 
     def delta(self, earlier: "BufferStats") -> "BufferStats":
@@ -67,6 +85,8 @@ class BufferStats:
             self.misses - earlier.misses,
             self.evictions - earlier.evictions,
             self.dirty_writebacks - earlier.dirty_writebacks,
+            self.decoded_hits - earlier.decoded_hits,
+            self.decoded_misses - earlier.decoded_misses,
         )
 
 
@@ -100,7 +120,10 @@ class _TimedRLock:
 
 
 class _Frame:
-    __slots__ = ("page_id", "data", "pin_count", "dirty", "referenced")
+    __slots__ = (
+        "page_id", "data", "pin_count", "dirty", "referenced", "derived",
+        "writes",
+    )
 
     def __init__(self, page_id: PageId, data: bytearray):
         self.page_id = page_id
@@ -108,6 +131,15 @@ class _Frame:
         self.pin_count = 0
         self.dirty = False
         self.referenced = True  # for Clock
+        #: the value ``fix_decoded`` derived from ``data`` (None = none)
+        self.derived: Any = None
+        #: fixes for write so far: a derivation stamped with an older
+        #: count read bytes that may have changed since
+        self.writes = 0
+
+    def wrote(self) -> None:
+        self.derived = None
+        self.writes += 1
 
 
 class BufferPool:
@@ -156,8 +188,10 @@ class BufferPool:
 
     # -- public protocol -----------------------------------------------------------
 
-    def fix(self, page_id: PageId) -> bytearray:
-        """Pin a page and return its in-pool image (mutable, shared)."""
+    def fix(self, page_id: PageId, write: bool = False) -> bytearray:
+        """Pin a page and return its in-pool image (mutable, shared).
+        *write*: the caller is about to change it, so the frame's derived
+        value goes now."""
         with self._lock:
             frame = self._frames.get(page_id)
             if frame is not None:
@@ -176,10 +210,17 @@ class BufferPool:
                 frame = _Frame(page_id, data)
                 self._frames[page_id] = frame
             frame.pin_count += 1
+            if write:
+                frame.wrote()
             return frame.data
 
-    def unfix(self, page_id: PageId, dirty: bool = False) -> None:
-        """Release one pin; mark the frame dirty if the caller modified it."""
+    def unfix(
+        self, page_id: PageId, dirty: bool = False, write: bool = False
+    ) -> None:
+        """Release one pin; mark the frame dirty if the caller modified it.
+        A dirty release, or the release of a fix for *write* (done or not:
+        a write that raised may have changed some bytes), drops the
+        frame's derived value."""
         with self._lock:
             frame = self._frames.get(page_id)
             if frame is None or frame.pin_count <= 0:
@@ -187,6 +228,54 @@ class BufferPool:
             frame.pin_count -= 1
             if dirty:
                 frame.dirty = True
+            if dirty or write:
+                frame.wrote()
+
+    def fix_decoded(
+        self,
+        page_ids: Sequence[PageId],
+        decode: Callable[[List[bytes]], List[Any]],
+    ) -> List[Any]:
+        """One derived value per page of *page_ids*, kept on the frames.
+
+        Every page is fixed once, in order, with ``fix`` and released at
+        once: hits, misses and evictions count as for any other fix.  A
+        frame that holds a value gives it; the bytes of the others are
+        copied, and *decode* turns the copies, in one call made outside
+        the lock, into one value per page.  A value
+        is kept only if its frame is still the same resident frame with
+        no fix for write since the copy.  Callers must treat a value as
+        immutable: every later reader of the page is handed the same one.
+        """
+        values: List[Any] = [None] * len(page_ids)
+        pending = []  # (position, frame, its write count at the copy)
+        raws: List[bytes] = []
+        stats = self.stats
+        for i, page_id in enumerate(page_ids):
+            data = self.fix(page_id)
+            try:
+                with self._lock:
+                    frame = self._frames[page_id]
+                    if frame.derived is not None:
+                        stats.decoded_hits += 1
+                        values[i] = frame.derived
+                        continue
+                    stats.decoded_misses += 1
+                    pending.append((i, frame, frame.writes))
+                raws.append(bytes(data))
+            finally:
+                self.unfix(page_id)
+        if raws:
+            decoded = decode(raws)
+            with self._lock:
+                for (i, frame, writes), value in zip(pending, decoded):
+                    values[i] = value
+                    if (
+                        frame.writes == writes
+                        and self._frames.get(frame.page_id) is frame
+                    ):
+                        frame.derived = value
+        return values
 
     def new_page(self, file_id: int) -> PageId:
         """Allocate a fresh page on disk and fix it (pinned, zeroed)."""
@@ -223,6 +312,8 @@ class BufferPool:
                     kept[pid] = frame
                     continue
                 self._writeback(frame)
+            for frame in kept.values():
+                frame.derived = None
             self._frames = OrderedDict(kept)
             self._clock_hand = 0
 
@@ -358,8 +449,15 @@ class PageGuard:
         self._data: Optional[bytearray] = None
 
     def __enter__(self) -> bytearray:
-        self._data = self.pool.fix(self.page_id)
+        if self.write:
+            self._data = self.pool.fix(self.page_id, write=True)
+        else:
+            self._data = self.pool.fix(self.page_id)
         return self._data
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.pool.unfix(self.page_id, dirty=self.write and exc_type is None)
+        self.pool.unfix(
+            self.page_id,
+            dirty=self.write and exc_type is None,
+            write=self.write,
+        )

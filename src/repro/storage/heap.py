@@ -126,8 +126,9 @@ class HeapFile:
     def page_bytes(self, page_no: int) -> bytes:
         """Snapshot one page's raw bytes (fixed, copied, released).
 
-        The columnar scan decodes pages outside the page guard, so the
-        pin is never held across decode or consumer work.
+        The index join's gather decodes pages outside the page guard, so
+        the pin is never held across decode or consumer work (the
+        columnar scan copies through ``BufferPool.fix_decoded``).
         """
         self._check_page(page_no)
         with PageGuard(self.pool, (self.file_id, page_no)) as data:

@@ -419,6 +419,8 @@ class TestPrometheusExposition:
             "buffer_pool_evictions",
             "buffer_pool_dirty_writebacks",
             "buffer_pool_hit_rate",
+            "buffer_pool_decoded_hits",
+            "buffer_pool_decoded_misses",
             "disk_reads",
             "disk_writes",
             "disk_seq_reads",

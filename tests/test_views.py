@@ -100,7 +100,7 @@ class TestMergeableViews:
             ("SELECT * FROM small, cust", ["id", "cust", "cust.id", "name"]),
             (
                 "SELECT * FROM cust JOIN small ON cust.id = small.cust",
-                ["id", "cust", "cust.id", "name"],
+                ["id", "name", "small.id", "cust"],
             ),
         ],
     )
@@ -111,6 +111,34 @@ class TestMergeableViews:
         r = db.query(sql)
         assert r.columns == columns
         assert all(len(row) == len(columns) for row in r.rows)
+
+    @pytest.mark.parametrize(
+        "sql, columns, row",
+        [
+            ("SELECT * FROM u, v", ["a", "n", "v.a", "b"], (1, 5, 1, 2)),
+            ("SELECT * FROM w, v", ["a", "n", "v.a", "b"], (1, 1, 1, 2)),
+            (
+                "SELECT * FROM u JOIN v ON u.a = v.a",
+                ["a", "n", "v.a", "b"],
+                (1, 5, 1, 2),
+            ),
+            ("SELECT * FROM v, u", ["a", "b", "u.a", "n"], (1, 2, 1, 5)),
+        ],
+    )
+    def test_bare_star_follows_from_order(self, sql, columns, row):
+        """A bare ``*`` lists a merged view's columns where the view
+        stands in FROM, beside a base table (``u``) or a materialized
+        view (``w``), as a star over base tables does."""
+        db = Database()
+        db.execute("CREATE TABLE t (a INT, b INT)")
+        db.execute("CREATE TABLE u (a INT, n INT)")
+        db.insert_rows("t", [(1, 2)])
+        db.insert_rows("u", [(1, 5)])
+        db.execute("CREATE VIEW v AS SELECT a, b FROM t")
+        db.execute("CREATE VIEW w AS SELECT a, COUNT(*) AS n FROM u GROUP BY a")
+        r = db.query(sql)
+        assert r.columns == columns
+        assert r.rows == [row]
 
     def test_two_uses_of_same_view(self, db):
         db.execute("CREATE VIEW v AS SELECT id, cust FROM orders")
