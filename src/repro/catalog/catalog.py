@@ -99,7 +99,8 @@ class TableInfo:
     every index's entry added or removed — so index consistency has one
     place to be wrong.  Nothing else calls
     ``structure.insert``/``structure.delete``
-    (``tests/test_single_write_door.py``).
+    (``tests/test_single_write_door.py``).  The first three ask the
+    transaction manager for room first (``TxnManager.admit``).
     """
 
     name: str
@@ -134,6 +135,8 @@ class TableInfo:
 
     def insert(self, row: Sequence[Any]) -> RID:
         """Validate and store *row*; returns its RID."""
+        if self.heap.hooks is not None:
+            self.heap.hooks.admit()
         stored = self.schema.validate_row(row)
         rid = self.heap.insert_stored(stored)
         self._entered(rid, stored)
@@ -141,12 +144,16 @@ class TableInfo:
 
     def delete(self, rid: RID, row: Sequence[Any]) -> None:
         """Delete the stored *row* at *rid*."""
+        if self.heap.hooks is not None:
+            self.heap.hooks.admit()
         self.heap.delete(rid)
         self._left(rid, row)
 
     def update(self, rid: RID, old: Sequence[Any], new: Sequence[Any]) -> RID:
         """Replace the stored row *old* at *rid* with *new*; returns where
         it lives now (the same RID unless the row grew and moved)."""
+        if self.heap.hooks is not None:
+            self.heap.hooks.admit()
         new_rid = self.heap.update(rid, new)  # raises on a mistyped row
         # what the heap just stored, without reading it back
         stored = self.schema.validate_row(new)

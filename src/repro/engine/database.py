@@ -121,9 +121,7 @@ class Database:
         #: as the WAL hook target (writer attached below when durable)
         self.txn = TxnManager()
         self.catalog.txn = self.txn
-        self.pool.evict_guard = self.txn.may_evict
-        self.pool.write_hook = self.txn.before_page_write
-        self.pool.clean_hook = self.txn.page_clean
+        self.txn.pool = self.pool
         #: the snapshot of the statement currently inside ``_stmt_lock``;
         #: nested internal selects (view materialization, subqueries)
         #: inherit it so one statement reads one consistent view
@@ -272,8 +270,8 @@ class Database:
                     self.txn.rollback(txn, self.catalog)
                 except Exception as exc:
                     # fail-stop: the transaction stays active with its
-                    # table locks and its eviction vetoes, because
-                    # dropping the vetoes would let its uncommitted bytes
+                    # table locks and its owned frames, because
+                    # releasing the frames would let its uncommitted bytes
                     # reach the disk, and redo-only recovery cannot take
                     # them back.  The disk never saw them, so a reopen
                     # recovers the committed state.
@@ -506,6 +504,9 @@ class Database:
                     self.rollback_session_txn(session)
                 if self.txn.writer is not None:
                     self.checkpoint()
+                    # no transaction is left, so every page is on disk:
+                    # the log goes, the checkpoint's END marker with it
+                    self.txn.writer.retain_from(self.txn.writer.next_lsn)
         finally:
             self._refusal = self.CLOSED
             if self.txn.writer is not None:

@@ -54,6 +54,7 @@ from ..sql import (
 )
 from ..storage import BufferStats, IOStats
 from ..types import Schema
+from ..wal import TransactionTooLarge
 from .cache import CachedPlan, relation_estimator
 from .views import ViewDef
 
@@ -449,9 +450,11 @@ def write(db: Database, st: StatementContext, tables: Sequence[str], body) -> An
         st.phase("executing")
         with db.txn.activate(txn), db._stmt_lock:
             out = body()
-    except BaseException:
+    except BaseException as exc:
         # statement failure aborts the whole transaction (a partially
         # applied statement cannot be left behind)
+        if isinstance(exc, TransactionTooLarge) and db.obs.enabled:
+            db._metrics.counter("transactions_too_large_total").inc()
         if own is not None:
             session.txn = None
         db._rollback_txn(txn)
@@ -668,7 +671,10 @@ def update(db: Database, st: StatementContext, stmt: UpdateStmt) -> Tuple[int, P
     setters = []
     for column, expr in stmt.assignments:
         positions.append(schema.index_of(column))
-        setters.append(compile_expr(expr, schema))
+        # a bare NULL takes the column's type; a NOT NULL column refuses
+        # it when the row is stored, as an INSERT's
+        bare_null = isinstance(expr, Literal) and expr.value is None
+        setters.append((lambda row: None) if bare_null else compile_expr(expr, schema))
     rows, path, hit = victims(db, st, info, stmt)
     for rid, row in rows:
         new_row = list(row)

@@ -78,6 +78,7 @@ HELP_TEXTS: Dict[str, str] = {
     "rows_modified_total": "rows inserted, updated, or deleted",
     "dml_execution_ms": "DML statement execution latency",
     "trace_spans_total": "spans recorded across auto_explain captures",
+    "transactions_too_large_total": "writes refused: too many buffer frames owned",
     "statement_latency_ms": (
         "per-fingerprint statement execution latency quantiles "
         "(log-bucketed; labels: fingerprint, quantile)"

@@ -9,6 +9,11 @@ modeling.
 Frames hold ``bytearray`` page images.  A dirty frame is written back when
 evicted or on ``flush_all``.
 
+A frame carries the one copy of its page's durability state: ``owner``,
+the active transaction that dirtied it (``own``/``release``; an owned
+frame is never written: no-steal), and ``rec_lsn``, the LSN that first
+dirtied it since its last write-back (ARIES' recLSN, reset by it).
+
 A frame may also hold one value a reader derived from its bytes — the
 columnar scan keeps a heap page's decoded columns there
 (``fix_decoded``).  The value lives exactly as long as the bytes it was
@@ -122,7 +127,7 @@ class _TimedRLock:
 class _Frame:
     __slots__ = (
         "page_id", "data", "pin_count", "dirty", "referenced", "derived",
-        "writes",
+        "writes", "owner", "rec_lsn",
     )
 
     def __init__(self, page_id: PageId, data: bytearray):
@@ -136,6 +141,9 @@ class _Frame:
         #: fixes for write so far: a derivation stamped with an older
         #: count read bytes that may have changed since
         self.writes = 0
+        #: the active transaction that dirtied the page, and the LSN that
+        #: first dirtied it since its last write-back (0 = none)
+        self.owner = self.rec_lsn = 0
 
     def wrote(self) -> None:
         self.derived = None
@@ -165,17 +173,8 @@ class BufferPool:
         # formatting paths fix/unfix while already holding the lock).
         # Contended acquisitions are timed when a wait registry is attached.
         self._lock = _TimedRLock()
-        #: no-steal hook: ``evict_guard(page_id) -> bool`` vetoes evicting
-        #: pages dirtied by an active transaction (attached by the engine's
-        #: transaction manager; None = every unpinned frame is fair game)
-        self.evict_guard = None
-        #: WAL-before-data hook, called with the page id right before a
-        #: dirty frame's image goes down to disk
-        self.write_hook = None
-        #: called with the page id right after a dirty frame's image
-        #: reached disk (the transaction manager clears the page's recLSN
-        #: so fuzzy checkpoints can compute their redo start point)
-        self.clean_hook = None
+        #: frames an active transaction owns (see ``own``)
+        self.owned = 0
 
     @property
     def waits(self):
@@ -288,6 +287,41 @@ class BufferPool:
             self._frames[page_id] = frame
             return page_id
 
+    def own(self, page_id: PageId, txn_id: int, lsn: int) -> bool:
+        """Record that transaction *txn_id* dirtied the resident page
+        *page_id* with the record at *lsn*: the frame stays unwritten
+        until ``release``, and its ``rec_lsn`` is set if it has none.
+        Returns True if the frame was not owned before."""
+        with self._lock:
+            frame = self._frames[page_id]  # the writer just released it
+            if not frame.rec_lsn:
+                frame.rec_lsn = lsn
+            if frame.owner:
+                return False
+            frame.owner = txn_id
+            self.owned += 1
+            return True
+
+    def release(self, page_ids: Sequence[PageId]) -> None:
+        """Clear the owner of every resident frame of *page_ids* (their
+        transaction has resolved)."""
+        with self._lock:
+            for page_id in page_ids:
+                frame = self._frames.get(page_id)
+                if frame is not None and frame.owner:
+                    frame.owner = 0
+                    self.owned -= 1
+
+    def min_rec_lsn(self) -> Optional[int]:
+        """The smallest ``rec_lsn`` of a resident dirty frame: no record
+        below it is needed to rebuild a page the disk does not hold
+        (None = no frame has one)."""
+        with self._lock:
+            return min(
+                (f.rec_lsn for f in self._frames.values() if f.rec_lsn),
+                default=None,
+            )
+
     def flush_all(self) -> None:
         with self._lock:
             for frame in self._frames.values():
@@ -295,20 +329,16 @@ class BufferPool:
 
     def clear(self) -> None:
         """Flush and drop every unpinned frame (used between experiments so
-        runs start cold).  Frames vetoed by the no-steal guard are kept
-        in place, neither written nor dropped — uncommitted bytes must
-        never reach the disk image."""
+        runs start cold).  Owned frames are kept in place, neither
+        written nor dropped — uncommitted bytes must never reach the
+        disk image."""
         with self._lock:
             pinned = [f for f in self._frames.values() if f.pin_count > 0]
             if pinned:
                 raise BufferError_(f"{len(pinned)} frames still pinned")
             kept = {}
             for pid, frame in self._frames.items():
-                if (
-                    frame.dirty
-                    and self.evict_guard is not None
-                    and not self.evict_guard(pid)
-                ):
+                if frame.owner:
                     kept[pid] = frame
                     continue
                 self._writeback(frame)
@@ -318,13 +348,14 @@ class BufferPool:
             self._clock_hand = 0
 
     def dirty_pages(self) -> list:
-        """Page ids of every dirty frame (a fuzzy checkpoint's worklist)."""
+        """Page ids of every dirty frame no transaction owns (a fuzzy
+        checkpoint's worklist)."""
         with self._lock:
-            return [pid for pid, f in self._frames.items() if f.dirty]
+            return [pid for pid, f in self._frames.items() if f.dirty and not f.owner]
 
     def flush_page(self, page_id: PageId) -> bool:
         """Write one dirty frame back (keeping it cached).  Returns True
-        if a write happened."""
+        if a write happened; raises on an owned frame."""
         with self._lock:
             frame = self._frames.get(page_id)
             if frame is None or not frame.dirty:
@@ -343,6 +374,8 @@ class BufferPool:
                     raise BufferError_(
                         f"page {pid} of dropped file still pinned"
                     )
+                if frame.owner:
+                    self.owned -= 1
                 del self._frames[pid]
             self._clock_hand = 0
 
@@ -373,17 +406,9 @@ class BufferPool:
         self.stats.evictions += 1
 
     def _evictable(self, frame: _Frame) -> bool:
-        if frame.pin_count > 0:
-            return False
-        # no-steal: a dirty page belonging to an in-flight transaction
-        # must not reach disk before that transaction resolves
-        if (
-            frame.dirty
-            and self.evict_guard is not None
-            and not self.evict_guard(frame.page_id)
-        ):
-            return False
-        return True
+        # no-steal: a page an in-flight transaction dirtied must not
+        # reach disk before that transaction resolves
+        return frame.pin_count == 0 and not frame.owner
 
     def _choose_victim(self) -> _Frame:
         if self.policy is Replacement.CLOCK:
@@ -393,7 +418,7 @@ class BufferPool:
         for frame in order:
             if self._evictable(frame):
                 return frame
-        raise BufferError_("all frames pinned or transaction-dirty; cannot evict")
+        raise BufferError_("all frames pinned or owned; cannot evict")
 
     def _clock_victim(self) -> _Frame:
         frames = list(self._frames.values())
@@ -409,12 +434,17 @@ class BufferPool:
                 frame.referenced = False
                 continue
             return frame
-        raise BufferError_("all frames pinned or transaction-dirty; cannot evict")
+        raise BufferError_("all frames pinned or owned; cannot evict")
 
     def _writeback(self, frame: _Frame) -> None:
         if frame.dirty:
-            if self.write_hook is not None:
-                self.write_hook(frame.page_id)
+            if frame.owner:
+                # no-steal, and so log-before-data: an owner releases its
+                # frames only once its COMMIT is durable
+                raise BufferError_(
+                    f"page {frame.page_id} is owned by active transaction "
+                    f"{frame.owner}; it cannot be written"
+                )
             action = failpoints.FAILPOINTS.hit("page.writeback")
             waits = self._lock.waits
             if waits is None:
@@ -424,9 +454,8 @@ class BufferPool:
                 self.disk.write_page(frame.page_id, bytes(frame.data))
                 waits.record("io.write", time.perf_counter() - start)
             frame.dirty = False
+            frame.rec_lsn = 0
             self.stats.dirty_writebacks += 1
-            if self.clean_hook is not None:
-                self.clean_hook(frame.page_id)
             if action is not None:
                 failpoints.crash()
 

@@ -29,7 +29,7 @@ from .log import (
     read_wal,
     truncate_wal,
 )
-from .manager import LockTimeout, Transaction, TxnError, TxnManager
+from .manager import LockTimeout, Transaction, TransactionTooLarge, TxnError, TxnManager
 from .mvcc import Snapshot, VersionStore
 from .records import (
     WalCodecError,
@@ -58,6 +58,7 @@ __all__ = [
     "LockTimeout",
     "Snapshot",
     "Transaction",
+    "TransactionTooLarge",
     "TxnError",
     "TxnManager",
     "VersionStore",

@@ -58,18 +58,19 @@ def fuzzy_checkpoint(db) -> Tuple[int, int, List[int], int]:
     No table locks are taken — transactions stay open across the
     checkpoint.  The caller holds the engine's statement lock, so no
     heap mutation interleaves; COMMITs still proceed, they only touch
-    the WAL:
+    the WAL.  Everything it needs to know about pages it reads off the
+    buffer pool's frames:
 
-    1. log a ``CHECKPOINT_BEGIN`` record carrying the active-
-       transaction table and the dirty-page table (page -> recLSN);
-    2. write back every *committed*-dirty page — pages dirtied by an
-       active transaction are skipped (no-steal: uncommitted bytes
-       never reach disk), so their on-disk snapshot images are stale;
-    3. ``redo_lsn`` = the minimum recLSN over pages still dirty — no
-       record below it is needed to rebuild any page, every record at
-       or above it is replayed idempotently on recovery;
+    1. log a ``CHECKPOINT_BEGIN`` marker (no payload);
+    2. write back every dirty frame no transaction owns — owned frames
+       are skipped (no-steal: uncommitted bytes never reach disk), so
+       their on-disk snapshot images are stale;
+    3. ``redo_lsn`` = the smallest ``rec_lsn`` of a frame still dirty —
+       no record below it is needed to rebuild any page, every record
+       at or above it is replayed idempotently on recovery;
     4. snapshot the page store, stamp ``redo_lsn`` into the meta,
-       drop WAL records below ``redo_lsn``, and log ``CHECKPOINT_END``.
+       drop WAL records below ``redo_lsn``, and log a ``CHECKPOINT_END``
+       marker (no payload).
 
     Recovery redoes committed work from ``redo_lsn`` against the
     (partly stale, partly ahead) snapshot images; replay is
@@ -79,29 +80,16 @@ def fuzzy_checkpoint(db) -> Tuple[int, int, List[int], int]:
     txn, pool = db.txn, db.pool
     writer = txn.writer
     att = txn.active_txn_ids()
-    dpt = txn.dirty_page_table()
-    payload = json.dumps(
-        {
-            "active_txns": att,
-            "dirty_pages": {
-                f"{pid[0]}:{pid[1]}": rec for pid, rec in dpt.items()
-            },
-        }
-    ).encode("utf-8")
     with trace_span("checkpoint.begin") as sp:
         sp.add("active_txns", float(len(att)))
         action = failpoints.FAILPOINTS.hit("checkpoint.begin")
-        begin_lsn = writer.append(
-            WalRecordType.CHECKPOINT_BEGIN, 0, payload=payload
-        )
+        begin_lsn = writer.append(WalRecordType.CHECKPOINT_BEGIN, 0)
         writer.flush_to(begin_lsn)
         if action is not None:
             failpoints.crash()
     flushed = 0
     with trace_span("checkpoint.flush") as sp:
         for pid in pool.dirty_pages():
-            if not txn.may_evict(pid):
-                continue  # no-steal: an active txn owns this page
             action = failpoints.FAILPOINTS.hit("checkpoint.flush")
             if pool.flush_page(pid):
                 flushed += 1
@@ -110,29 +98,21 @@ def fuzzy_checkpoint(db) -> Tuple[int, int, List[int], int]:
         writer.flush_all()
         sp.add("pages_flushed", float(flushed))
     last = writer.flushed_lsn
-    rec = txn.min_rec_lsn()
+    rec = pool.min_rec_lsn()
     redo_lsn = rec if rec is not None else last + 1
     with trace_span("checkpoint.end") as sp:
         sp.add("redo_lsn", float(redo_lsn))
-        write_checkpoint(db, last, redo_lsn, att)
+        write_checkpoint(db, last, redo_lsn)
         writer.retain_from(redo_lsn)
         action = failpoints.FAILPOINTS.hit("checkpoint.end")
-        lsn = writer.append(
-            WalRecordType.CHECKPOINT_END,
-            0,
-            payload=json.dumps(
-                {"redo_lsn": redo_lsn, "last_lsn": last}
-            ).encode("utf-8"),
-        )
+        lsn = writer.append(WalRecordType.CHECKPOINT_END, 0)
         writer.flush_to(lsn)
         if action is not None:
             failpoints.crash()
     return last, redo_lsn, att, flushed
 
 
-def collect_meta(
-    db, last_lsn: int, redo_lsn: int, active_txns: List[int]
-) -> Dict[str, Any]:
+def collect_meta(db, last_lsn: int, redo_lsn: int) -> Dict[str, Any]:
     """The catalog metadata one checkpoint carries (JSON-safe)."""
     tables: List[Dict[str, Any]] = []
     for info in db.catalog.tables():
@@ -158,7 +138,7 @@ def collect_meta(
                 ],
             }
         )
-    meta = {
+    return {
         "version": 2,
         "page_size": db.disk.page_size,
         "last_lsn": last_lsn,
@@ -172,14 +152,9 @@ def collect_meta(
         # recLSN of those pages, not at last_lsn + 1
         "redo_lsn": redo_lsn,
     }
-    if active_txns:
-        meta["active_txns"] = list(active_txns)
-    return meta
 
 
-def write_checkpoint(
-    db, last_lsn: int, redo_lsn: int, active_txns: List[int]
-) -> str:
+def write_checkpoint(db, last_lsn: int, redo_lsn: int) -> str:
     """Snapshot *db* into ``checkpoint.bin`` in its ``data_dir`` (atomic
     install).
 
@@ -189,7 +164,7 @@ def write_checkpoint(
     recLSN over pages still dirty — makes recovery's redo pass start
     early enough to rebuild the stale images.
     """
-    meta = collect_meta(db, last_lsn, redo_lsn, active_txns)
+    meta = collect_meta(db, last_lsn, redo_lsn)
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     data_dir = db.data_dir
     final = checkpoint_path(data_dir)

@@ -5,13 +5,14 @@ without a WAL writer attached:
 
 * **Always** (even for a purely in-memory database): transaction ids,
   rollback (every row the transaction touched is put back to the
-  before-image its version chain holds, indexes included), strict table
-  write locks held to transaction end, and the no-steal eviction guard.
+  before-image its version chain holds, indexes included) and strict
+  table write locks held to transaction end.
 * **With a writer** (``Database(data_dir=...)``): every heap mutation is
   also appended to the WAL as a physiological redo record, COMMIT
-  fsyncs (group-batched), and dirty pages are tracked with the LSN of
-  their latest record so the buffer pool can enforce WAL-before-data on
-  writeback.
+  fsyncs (group-batched), and a dirtied heap page's buffer frame is
+  owned by its transaction (``BufferPool.own``), so never written, until
+  COMMIT's fsync or ROLLBACK.  A write that would leave the pool too few
+  unowned frames for its rollback is refused (``TransactionTooLarge``).
 
 Concurrency model (documented in docs/RECOVERY.md): writers take a
 table-exclusive lock at first touch and hold it to COMMIT/ROLLBACK
@@ -24,11 +25,6 @@ lock: every mutation hook also hangs the row's pre-image on the
 snapshots give repeatable reads, and readers never block on writers.
 Lock waits (writer/writer only) are bounded by ``lock_timeout`` — a
 timeout aborts the waiting statement rather than deadlocking.
-
-For fuzzy checkpoints the manager also tracks, per dirty page, the LSN
-that *first* dirtied it since it was last written back (its recLSN):
-the checkpoint's redo start point is the minimum recLSN over pages
-still dirty after the checkpoint's flush pass.
 """
 
 from __future__ import annotations
@@ -54,6 +50,10 @@ class LockTimeout(TxnError):
     """A table lock could not be acquired within ``lock_timeout``."""
 
 
+class TransactionTooLarge(TxnError):
+    """A write would leave the buffer pool too few unowned frames."""
+
+
 @dataclass
 class Transaction:
     """One transaction's book-keeping."""
@@ -66,6 +66,8 @@ class Transaction:
     #: read view pinned at the txn's first SELECT (repeatable reads);
     #: released when the transaction resolves
     snapshot: Optional[Snapshot] = None
+    #: the heap pages this txn owns in the buffer pool
+    pages: List[PageId] = field(default_factory=list)
 
 
 class _TableLock:
@@ -97,10 +99,15 @@ class _TableLock:
 class TxnManager:
     """Transaction lifecycle + locking + (optional) WAL logging."""
 
+    #: frames the owned-frame bound leaves unowned for rollback, at most
+    #: a quarter of the pool
+    RESERVE_FRAMES = 8
+
     def __init__(self):
-        #: the WAL and the wait-event store, attached by the owning
-        #: Database; ``lock_timeout`` bounds a table-lock wait (seconds)
+        #: the WAL, buffer pool and wait-event store, attached by the
+        #: owning Database; ``lock_timeout`` bounds a table-lock wait (s)
         self.writer: Optional[WalWriter] = None
+        self.pool = None
         self.waits = None
         self.lock_timeout = 10.0
         self.versions = VersionStore()
@@ -109,14 +116,7 @@ class TxnManager:
         self._tls = threading.local()
         self._locks: Dict[str, _TableLock] = {}
         self._locks_guard = threading.Lock()
-        #: dirty page -> (owning active txn id, LSN of its latest record);
-        #: the buffer pool's no-steal guard consults this
-        self._page_txn: Dict[PageId, Tuple[int, int]] = {}
-        #: dirty page -> LSN that first dirtied it since last writeback
-        #: (ARIES recLSN; cleared by the buffer pool's clean hook)
-        self._page_rec_lsn: Dict[PageId, int] = {}
-        self._page_guard = threading.Lock()
-        #: transactions begun but not yet finished (checkpoint ATT)
+        #: transactions begun but not yet finished
         self._active: Set[int] = set()
 
     # -- txn lifecycle --------------------------------------------------------
@@ -192,14 +192,10 @@ class TxnManager:
         if txn.snapshot is not None:
             self.versions.release(txn.snapshot)
             txn.snapshot = None
-        with self._page_guard:
-            doomed = [
-                pid
-                for pid, (owner, _) in self._page_txn.items()
-                if owner == txn.id
-            ]
-            for pid in doomed:
-                del self._page_txn[pid]
+        if txn.pages:
+            # after COMMIT's fsync, and outside the statement lock: the
+            # pool's own lock guards the frames
+            self.pool.release(txn.pages)
         for table in sorted(txn.locked_tables):
             self._release_write(txn, table)
         txn.locked_tables.clear()
@@ -223,9 +219,27 @@ class TxnManager:
         return self.writer.append(rec_type, txn.id, *fields, **kw)
 
     def _note_page(self, txn: Transaction, page_id: PageId, lsn: int) -> None:
-        with self._page_guard:
-            self._page_txn[page_id] = (txn.id, lsn)
-            self._page_rec_lsn.setdefault(page_id, lsn)
+        """*txn* dirtied *page_id* with the record at *lsn*: it owns the
+        frame until it resolves."""
+        if self.pool.own(page_id, txn.id, lsn):
+            txn.pages.append(page_id)
+
+    def admit(self) -> None:
+        """Called before a row write starts (``TableInfo``): once the
+        frames active transactions own have reached the pool's capacity
+        less its reserve, the transaction on this thread is refused
+        before any page changes, so its rollback finds a whole row at
+        every RID and the reserve's frames free.  A row write owns at
+        most two more pages, so the owned frames stop one past the
+        bound."""
+        pool = self.pool
+        limit = pool.capacity - min(self.RESERVE_FRAMES, pool.capacity // 4)
+        if pool.owned >= limit and self.current() is not None:
+            raise TransactionTooLarge(
+                f"transaction {self.current().id} refused: active transactions "
+                f"own {pool.owned} of the buffer pool's {pool.capacity} frames, "
+                f"and {limit} is the most they may own; split it up"
+            )
 
     def on_alloc(self, table: str, page_id: PageId) -> None:
         txn = self.current()
@@ -288,49 +302,10 @@ class TxnManager:
             return
         self._log(txn, WalRecordType.DDL, payload=payload)
 
-    # -- buffer-pool integration (no-steal, WAL-before-data) ------------------
-
-    def may_evict(self, page_id: PageId) -> bool:
-        """No-steal: a page dirtied by an *active* transaction must stay
-        in the pool until that transaction resolves."""
-        with self._page_guard:
-            return page_id not in self._page_txn
-
-    def before_page_write(self, page_id: PageId) -> None:
-        """WAL-before-data: the log must be durable up to the LSN of the
-        page's latest record before the page image goes down."""
-        if self.writer is None:
-            return
-        with self._page_guard:
-            entry = self._page_txn.get(page_id)
-        if entry is not None:
-            self.writer.flush_to(entry[1])
-
-    def page_clean(self, page_id: PageId) -> None:
-        """The buffer pool wrote this page back: its recLSN resets (the
-        next record to touch it starts a fresh dirty interval)."""
-        with self._page_guard:
-            self._page_rec_lsn.pop(page_id, None)
-
-    # -- fuzzy-checkpoint bookkeeping ----------------------------------------
-
     def active_txn_ids(self) -> List[int]:
-        """Transactions begun but not yet resolved (checkpoint ATT)."""
+        """Transactions begun but not yet resolved."""
         with self._id_lock:
             return sorted(self._active)
-
-    def dirty_page_table(self) -> Dict[PageId, int]:
-        """page -> recLSN for every page dirtied since its last writeback."""
-        with self._page_guard:
-            return dict(self._page_rec_lsn)
-
-    def min_rec_lsn(self) -> Optional[int]:
-        """The redo start point: no record below this LSN is needed to
-        rebuild any page still dirty in the pool."""
-        with self._page_guard:
-            if not self._page_rec_lsn:
-                return None
-            return min(self._page_rec_lsn.values())
 
     # -- table locks ----------------------------------------------------------
 

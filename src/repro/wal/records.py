@@ -30,12 +30,11 @@ byte payload that redo applies verbatim):
 ``CHECKPOINT``  JSON payload: marker written after a quiesced checkpoint
                 install (legacy; kept so old logs stay readable)
 
-``CHECKPOINT_BEGIN``  JSON payload: the fuzzy checkpoint's view of the
-                world as it starts — active-transaction table (ATT) and
-                dirty-page table (DPT, page -> recLSN)
-``CHECKPOINT_END``    JSON payload: the fuzzy checkpoint installed; carries
-                ``redo_lsn`` (where recovery's redo pass starts) and the
-                ``last_lsn`` the snapshot covers
+``CHECKPOINT_BEGIN``  marker, no payload: a fuzzy checkpoint starts (older
+                logs carry a JSON payload; recovery skips it)
+``CHECKPOINT_END``    marker, no payload: a fuzzy checkpoint installed;
+                ``checkpoint.bin``'s meta carries its ``redo_lsn`` (older
+                logs carry a JSON payload; recovery skips it)
 ==============  ==========================================================
 """
 

@@ -96,6 +96,25 @@ class TestUpdate:
             (row[1], rid) for rid, row in db.table("t").heap.scan()
         )
 
+    def test_update_to_null_takes_the_column_type(self, db):
+        db.execute("CREATE TABLE n (id INT PRIMARY KEY, v INT, w TEXT NOT NULL)")
+        db.insert_rows("n", [(1, 10, "a"), (2, 20, "b")])
+        assert db.execute("UPDATE n SET v = NULL WHERE id = 1").rows == [(1,)]
+        assert db.query("SELECT id, v FROM n ORDER BY id").rows == [(1, None), (2, 20)]
+        # a NOT NULL or primary-key column refuses it as an INSERT does
+        for column, insert in (
+            ("w", "INSERT INTO n VALUES (3, 30, NULL)"),
+            ("id", "INSERT INTO n VALUES (NULL, 30, 'c')"),
+        ):
+            with pytest.raises(TypeError_) as inserted:
+                db.execute(insert)
+            with pytest.raises(TypeError_) as updated:
+                db.execute(f"UPDATE n SET {column} = NULL WHERE id = 2")
+            assert str(updated.value) == str(inserted.value)
+        assert db.query("SELECT id, v, w FROM n ORDER BY id").rows == [
+            (1, None, "a"), (2, 20, "b")
+        ]
+
     def test_update_nothing(self, db):
         r = db.execute("UPDATE t SET v = 0.0 WHERE id = -1")
         assert r.rows == [(0,)]

@@ -7,16 +7,20 @@ names the cause, through every entry (``execute``, ``query``,
 * **closed** — ``close()`` checkpointed and closed the WAL, so a write
   acknowledged afterwards could never reach the disk;
 * **stopped** — a rollback raised.  Its transaction stays active with
-  its table locks and eviction vetoes: dropping the vetoes would let
+  its table locks and owned frames: releasing them would let
   uncommitted bytes reach the disk, which redo-only recovery cannot take
   back.  A reopen recovers exactly the committed prefix.
+
+A write larger than the pool is neither: it is refused with
+``TransactionTooLarge`` while the pool still has the frames its
+rollback needs, and the engine keeps serving.
 """
 
 import pytest
 
 from repro import Database
 from repro.engine import EngineError
-from repro.wal import TxnManager
+from repro.wal import TransactionTooLarge, TxnManager
 
 
 def _entries(db):
@@ -94,16 +98,17 @@ def test_a_rollback_that_raises_stops_the_engine(tmp_path, monkeypatch, how):
         assert reopened.query("SELECT COUNT(*) FROM t").rows == [(3,)]
 
 
-def test_a_write_larger_than_the_pool_stops_the_engine_and_loses_nothing(tmp_path):
-    """The write dirties more heap pages than the pool holds, so the
-    pool refuses a frame; the rollback then needs one for the primary
-    key's pages and is refused too."""
+def test_a_write_larger_than_the_pool_is_refused_and_the_engine_keeps_serving(tmp_path):
+    """The write would own more heap pages than the pool can spare, so
+    it is refused; its rollback finds the frames it needs, and the
+    primary key's pages among them."""
     db = _durable(tmp_path, buffer_pages=16)
-    with pytest.raises(EngineError, match="BufferError_") as failed:
+    with pytest.raises(TransactionTooLarge, match="buffer pool's 16"):
         db.insert_rows("t", [(100 + i, i) for i in range(4000)])
-    assert "cannot evict" in str(failed.value.__context__)
-    with pytest.raises(EngineError, match="rollback of transaction .* failed"):
-        db.query("SELECT COUNT(*) FROM t")
+    assert db.txn.active_txn_ids() == [] and db.pool.owned == 0
+    assert db.query("SELECT k, v FROM t").rows == [(1, 10)]
+    db.insert_rows("t", [(100 + i, i) for i in range(100)])
+    assert db.query("SELECT COUNT(*) FROM t").rows == [(101,)]
     db.close()
     with Database(buffer_pages=16, data_dir=str(tmp_path)) as reopened:
-        assert reopened.query("SELECT k, v FROM t").rows == [(1, 10)]
+        assert reopened.query("SELECT COUNT(*) FROM t").rows == [(101,)]
