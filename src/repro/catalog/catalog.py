@@ -95,12 +95,12 @@ class TableInfo:
 
     :meth:`insert`, :meth:`delete`, :meth:`update` and :meth:`restore`
     are the four things the engine does to a stored row.  Each one does
-    the heap write and everything the table's indexes are owed for it —
-    every index's entry added or removed — so index consistency has one
-    place to be wrong.  Nothing else calls
-    ``structure.insert``/``structure.delete``
-    (``tests/test_single_write_door.py``).  The first three ask the
-    transaction manager for room first (``TxnManager.admit``).
+    the heap write, which logs its WAL record before the page changes (a
+    failed append leaves heap and indexes as they were), and then
+    everything the table's indexes are owed for it — every index's entry
+    added or removed — so index consistency has one place to be wrong.
+    Nothing else calls ``structure.insert``/``structure.delete``
+    (``tests/test_single_write_door.py``).
     """
 
     name: str
@@ -135,34 +135,33 @@ class TableInfo:
 
     def insert(self, row: Sequence[Any]) -> RID:
         """Validate and store *row*; returns its RID."""
-        if self.heap.hooks is not None:
-            self.heap.hooks.admit()
-        stored = self.schema.validate_row(row)
+        return self._store(self.schema.validate_row(row))
+
+    def _store(self, stored: Tuple[Any, ...]) -> RID:
+        """Store the validated *stored* at a new RID, index entries too."""
         rid = self.heap.insert_stored(stored)
         self._entered(rid, stored)
         return rid
 
     def delete(self, rid: RID, row: Sequence[Any]) -> None:
         """Delete the stored *row* at *rid*."""
-        if self.heap.hooks is not None:
-            self.heap.hooks.admit()
         self.heap.delete(rid)
         self._left(rid, row)
 
     def update(self, rid: RID, old: Sequence[Any], new: Sequence[Any]) -> RID:
         """Replace the stored row *old* at *rid* with *new*; returns where
         it lives now (the same RID unless the row grew and moved)."""
-        if self.heap.hooks is not None:
-            self.heap.hooks.admit()
-        new_rid = self.heap.update(rid, new)  # raises on a mistyped row
-        # what the heap just stored, without reading it back
         stored = self.schema.validate_row(new)
+        if not self.heap.update_stored(rid, stored):
+            # it grew past its slot: it moves as a whole delete and insert
+            self.delete(rid, old)
+            return self._store(stored)
         for index in self.indexes.values():
             old_key, new_key = index.key_of(old), index.key_of(stored)
-            if old_key != new_key or new_rid != rid:
+            if old_key != new_key:
                 index.structure.delete(old_key, rid)
-                index.structure.insert(new_key, new_rid)
-        return new_rid
+                index.structure.insert(new_key, rid)
+        return rid
 
     def restore(self, rid: RID, record: bytes) -> None:
         """Put the stored bytes *record* back at the free slot *rid*

@@ -36,9 +36,10 @@ class HeapFile:
         self._insert_hint: Optional[int] = None
         self._num_rows = 0
         #: transaction hooks (a ``repro.wal.TxnManager``), attached by the
-        #: catalog.  Each mutation reports itself so the active transaction
-        #: can log redo and version the row; with no active transaction
-        #: the hooks are no-ops (transient tables, recovery, rollback).
+        #: catalog.  Each write calls one before its page changes, so the
+        #: active transaction logs redo, versions the row and owns the
+        #: frame first; with no active transaction the hooks log nothing
+        #: (transient tables, recovery, rollback).
         self.hooks = None
 
     # -- geometry ---------------------------------------------------------------
@@ -69,47 +70,59 @@ class HeapFile:
         page_no = self._find_space(len(record))
         page_id = (self.file_id, page_no)
         with PageGuard(self.pool, page_id, write=True) as data:
-            slot_no = SlottedPage(data).insert(record)
+            page = SlottedPage(data)
+            slot_no = page.num_slots
+            if self.hooks is not None:
+                self.hooks.on_write(self.name, page_id, slot_no, record, None)
+            _place(page, page_no, slot_no, record)
         self._insert_hint = page_no
         self._num_rows += 1
-        if self.hooks is not None:
-            self.hooks.on_insert(self.name, page_id, slot_no, record)
         return (page_no, slot_no)
 
     def delete(self, rid: RID) -> bool:
         page_no, slot_no = rid
         self._check_page(page_no)
-        with PageGuard(self.pool, (self.file_id, page_no), write=True) as data:
+        page_id = (self.file_id, page_no)
+        with PageGuard(self.pool, page_id, write=True) as data:
             page = SlottedPage(data)
             old = page.read(slot_no)
-            deleted = page.delete(slot_no)
-        if deleted:
-            self._num_rows -= 1
-            self._insert_hint = None  # page gained space but needs compaction
+            if old is None:
+                return False
             if self.hooks is not None:
-                self.hooks.on_delete(
-                    self.name, (self.file_id, page_no), slot_no, old
-                )
-        return deleted
+                self.hooks.on_write(self.name, page_id, slot_no, None, old)
+            page.delete(slot_no)
+        self._num_rows -= 1
+        self._insert_hint = None  # page gained space but needs compaction
+        return True
 
     def update(self, rid: RID, row: Sequence[Any]) -> RID:
-        """Update in place when possible, else delete + reinsert (new RID)."""
+        """Update in place when possible, else delete + reinsert (new RID).
+        ``TableInfo`` moves a row itself, so each half gets its index step."""
         stored = self.schema.validate_row(row)
-        record = serialize_row(self.schema, stored)
-        page_no, slot_no = rid
-        self._check_page(page_no)
-        with PageGuard(self.pool, (self.file_id, page_no), write=True) as data:
-            page = SlottedPage(data)
-            old = page.read(slot_no)
-            updated = page.update(slot_no, record)
-        if updated:
-            if self.hooks is not None:
-                self.hooks.on_update(
-                    self.name, (self.file_id, page_no), slot_no, record, old
-                )
+        if self.update_stored(rid, stored):
             return rid
         self.delete(rid)
         return self.insert_stored(stored)
+
+    def update_stored(self, rid: RID, stored: Tuple[Any, ...]) -> bool:
+        """Overwrite the row at *rid* with the validated *stored* in place.
+        Returns False, having changed nothing, when its record is longer
+        than the slot's (the caller moves the row)."""
+        record = serialize_row(self.schema, stored)
+        page_no, slot_no = rid
+        self._check_page(page_no)
+        page_id = (self.file_id, page_no)
+        with PageGuard(self.pool, page_id, write=True) as data:
+            page = SlottedPage(data)
+            old = page.read(slot_no)
+            if old is None:
+                raise HeapError(f"update of deleted row {rid} in heap {self.name}")
+            if len(record) > len(old):
+                return False
+            if self.hooks is not None:
+                self.hooks.on_write(self.name, page_id, slot_no, record, old)
+            page.update(slot_no, record)
+        return True
 
     # -- access ------------------------------------------------------------------
 
@@ -172,13 +185,11 @@ class HeapFile:
             with PageGuard(self.pool, page_id) as data:
                 if SlottedPage(data).can_fit(record_len):
                     return page_no
-        page_id = self.pool.new_page(self.file_id)
-        _, page_no = page_id
-        SlottedPage.format(self.pool.fix(page_id))
-        self.pool.unfix(page_id, dirty=True)
-        self.pool.unfix(page_id, dirty=True)  # release new_page's pin too
-        if self.hooks is not None:
-            self.hooks.on_alloc(self.name, page_id)
+        page_no = self.num_pages
+        if self.hooks is None:
+            self.replay_alloc(page_no)
+        else:  # logs the ALLOC, then creates the page
+            self.hooks.on_alloc(self.name, (self.file_id, page_no), self.replay_alloc)
         return page_no
 
     # -- recovery / rollback entry points --------------------------------------
@@ -186,7 +197,8 @@ class HeapFile:
     # The replay_* methods apply one physiological WAL record verbatim:
     # no schema validation, no hooks (recovery and rollback must never
     # re-log), no free-space search — the record says exactly which page
-    # and slot.
+    # and slot.  The forward writes above use the same page steps once
+    # their hook has logged the record; ``_find_space`` uses ``replay_alloc``.
     #
     # All of them are *idempotent*: a fuzzy checkpoint's page images may
     # already reflect some records of the redo suffix (redo starts at the

@@ -83,21 +83,10 @@ class SlottedPage:
     # -- record operations -------------------------------------------------------------
 
     def insert(self, record: bytes) -> int:
-        """Insert a record, returning its slot number.
-
-        ``num_slots`` is published *last*: a concurrent reader that
-        observes the old slot count simply misses the new record, while
-        one that observes the new count finds a fully written slot entry
-        and record bytes — never a half-initialized slot.
-        """
-        if not self.can_fit(len(record)):
-            raise PageError("page full")
+        """Insert a record at the next slot, returning its number."""
         slot_no = self.num_slots
-        new_off = self.free_offset - len(record)
-        self.data[new_off : new_off + len(record)] = record
-        self._set_slot(slot_no, new_off, len(record))
-        self.free_offset = new_off
-        self.num_slots = slot_no + 1
+        if not self.place_at(slot_no, record):
+            raise PageError("page full")
         return slot_no
 
     def place_at(self, slot_no: int, record: bytes) -> bool:
@@ -105,11 +94,18 @@ class SlottedPage:
         directory with tombstones if needed.  Returns False when the
         page's free region is too short (the caller compacts and retries).
 
-        Two callers need exact slot placement: WAL redo (a committed
-        insert's RID must come back identical even when interleaved
-        uncommitted inserts — which are *not* replayed — consumed the
-        slots in between) and rollback (a before-image goes back under
-        its original RID, where later redo records address it).
+        Every insert places its record at an exact slot: WAL redo (a
+        committed insert's RID must come back identical even when
+        interleaved uncommitted inserts — which are *not* replayed —
+        consumed the slots in between), rollback (a before-image goes
+        back under its original RID, where later redo records address
+        it) and the heap's own inserts, which log the slot before they
+        place the record there.
+
+        ``num_slots`` is published *last*: a concurrent reader that
+        observes the old slot count simply misses the new record, while
+        one that observes the new count finds a fully written slot entry
+        and record bytes — never a half-initialized slot.
         """
         current = self.num_slots
         if slot_no < current:

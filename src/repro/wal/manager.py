@@ -32,7 +32,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..obs.trace import trace_span
 from .log import WalWriter
@@ -202,21 +202,26 @@ class TxnManager:
         with self._id_lock:
             self._active.discard(txn.id)
 
-    # -- mutation hooks (called by HeapFile under an active transaction) ------
+    # -- write hooks (called by HeapFile before it changes a page) ----------
     #
-    # Each hook does two jobs: hang the row's before-image on its version
-    # chain (snapshots read it, and so does rollback — needed with or
-    # without a WAL), and, when a writer is attached, append the
-    # physiological *redo* record.  With no transaction bound to the
+    # A write is logged, then applied: the hook appends the physiological
+    # *redo* record when a writer is attached, hangs the row's before-image
+    # on its version chain (snapshots and rollback read it, WAL or not) and
+    # owns the frame, so a raise here leaves the page, the indexes and the
+    # version chains as they were.  With no transaction bound to the
     # thread (transient tables, recovery replay, rollback itself) the
-    # hooks are no-ops.
+    # hooks log and version nothing.
 
     def _log(
         self, txn: Transaction, rec_type: WalRecordType, *fields: Any, **kw: Any
     ) -> int:
         """Append one of *txn*'s records; returns its LSN."""
+        try:
+            lsn = self.writer.append(rec_type, txn.id, *fields, **kw)
+        except OSError as exc:
+            raise TxnError(f"write-ahead log append failed: {exc}") from exc
         txn.logged = True
-        return self.writer.append(rec_type, txn.id, *fields, **kw)
+        return lsn
 
     def _note_page(self, txn: Transaction, page_id: PageId, lsn: int) -> None:
         """*txn* dirtied *page_id* with the record at *lsn*: it owns the
@@ -224,75 +229,62 @@ class TxnManager:
         if self.pool.own(page_id, txn.id, lsn):
             txn.pages.append(page_id)
 
-    def admit(self) -> None:
-        """Called before a row write starts (``TableInfo``): once the
-        frames active transactions own have reached the pool's capacity
-        less its reserve, the transaction on this thread is refused
-        before any page changes, so its rollback finds a whole row at
-        every RID and the reserve's frames free.  A row write owns at
-        most two more pages, so the owned frames stop one past the
-        bound."""
+    def _admit(self, txn: Transaction) -> None:
+        """Called by the write hooks before they append: once the frames
+        active transactions own have reached the pool's capacity less
+        its reserve, *txn* is refused before any page changes, so its
+        rollback finds a whole row at every RID and the reserve's frames
+        free.  A hook owns at most one more frame once admitted, so the
+        owned frames never pass the bound."""
         pool = self.pool
         limit = pool.capacity - min(self.RESERVE_FRAMES, pool.capacity // 4)
-        if pool.owned >= limit and self.current() is not None:
+        if pool.owned >= limit:
             raise TransactionTooLarge(
-                f"transaction {self.current().id} refused: active transactions "
+                f"transaction {txn.id} refused: active transactions "
                 f"own {pool.owned} of the buffer pool's {pool.capacity} frames, "
                 f"and {limit} is the most they may own; split it up"
             )
 
-    def on_alloc(self, table: str, page_id: PageId) -> None:
-        txn = self.current()
-        if txn is None:
-            return
-        # no before-image: page allocation is physical and
-        # non-transactional (rollback tombstones rows but keeps the page)
-        if self.writer is not None:
-            lsn = self._log(txn, WalRecordType.ALLOC, table, page_id[1])
-            self._note_page(txn, page_id, lsn)
-
-    def on_insert(
-        self, table: str, page_id: PageId, slot_no: int, record: bytes
+    def on_alloc(
+        self, table: str, page_id: PageId, create: Callable[[int], None]
     ) -> None:
+        """Log the allocation of *table*'s page *page_id*, which does not
+        exist yet, then *create* it.  No before-image: allocation is
+        physical and non-transactional (rollback tombstones rows but
+        keeps the page), and redo replays it for every transaction."""
         txn = self.current()
-        if txn is None:
+        if txn is None or self.writer is None:
+            create(page_id[1])
             return
-        self.versions.record(table, (page_id[1], slot_no), txn.id, None)
-        if self.writer is not None:
-            lsn = self._log(
-                txn, WalRecordType.INSERT, table, page_id[1], slot_no, record
-            )
-            self._note_page(txn, page_id, lsn)
+        self._admit(txn)
+        lsn = self._log(txn, WalRecordType.ALLOC, table, page_id[1])
+        create(page_id[1])
+        self._note_page(txn, page_id, lsn)
 
-    def on_update(
+    def on_write(
         self,
         table: str,
         page_id: PageId,
         slot_no: int,
-        record: bytes,
-        old_record: bytes,
+        record: Optional[bytes],
+        before: Optional[bytes],
     ) -> None:
+        """*record* is about to replace *before* at *table*'s slot
+        ``(page_id, slot_no)``, whose page the heap holds fixed: an
+        INSERT when *before* is None, a DELETE when *record* is None,
+        else an UPDATE."""
         txn = self.current()
         if txn is None:
             return
-        self.versions.record(table, (page_id[1], slot_no), txn.id, old_record)
         if self.writer is not None:
-            lsn = self._log(
-                txn, WalRecordType.UPDATE, table, page_id[1], slot_no, record
-            )
-            self._note_page(txn, page_id, lsn)
-
-    def on_delete(
-        self, table: str, page_id: PageId, slot_no: int, old_record: bytes
-    ) -> None:
-        txn = self.current()
-        if txn is None:
-            return
-        self.versions.record(table, (page_id[1], slot_no), txn.id, old_record)
+            self._admit(txn)
+            if record is None:
+                lsn = self._log(txn, WalRecordType.DELETE, table, page_id[1], slot_no)
+            else:
+                kind = WalRecordType.INSERT if before is None else WalRecordType.UPDATE
+                lsn = self._log(txn, kind, table, page_id[1], slot_no, record)
+        self.versions.record(table, (page_id[1], slot_no), txn.id, before)
         if self.writer is not None:
-            lsn = self._log(
-                txn, WalRecordType.DELETE, table, page_id[1], slot_no
-            )
             self._note_page(txn, page_id, lsn)
 
     def log_ddl(self, payload: bytes) -> None:

@@ -146,29 +146,26 @@ def recover(db, data_dir: str) -> RecoveryReport:
     for rec in records:
         if rec.lsn < redo_lsn:
             continue  # the checkpoint snapshot already contains this
-        if rec.type is WalRecordType.ALLOC:
-            if catalog.has_table(rec.table):
-                catalog.table(rec.table).heap.replay_alloc(rec.page_no)
-                report.records_applied += 1
-            continue
         if rec.type is WalRecordType.DDL:
             if rec.txn_id in committed:
                 sql = json.loads(rec.payload.decode("utf-8"))["sql"]
                 _replay_ddl(db, sql, pending_indexes, analyzed)
                 report.records_applied += 1
             continue
-        if not rec.is_physiological:
-            continue  # BEGIN/COMMIT/ABORT/CHECKPOINT markers
-        if rec.txn_id not in committed:
+        if (
+            not rec.is_physiological  # BEGIN/COMMIT/ABORT/CHECKPOINT markers
+            or not catalog.has_table(rec.table)  # dropped later in the log
+            or (rec.type is not WalRecordType.ALLOC and rec.txn_id not in committed)
+        ):
             continue
-        if not catalog.has_table(rec.table):
-            continue  # table dropped later in the log
         heap = catalog.table(rec.table).heap
-        if rec.type is WalRecordType.INSERT:
+        if rec.type is WalRecordType.ALLOC:
+            heap.replay_alloc(rec.page_no)
+        elif rec.type is WalRecordType.INSERT:
             heap.replay_insert(rec.page_no, rec.slot_no, rec.payload)
         elif rec.type is WalRecordType.UPDATE:
             heap.replay_update(rec.page_no, rec.slot_no, rec.payload)
-        elif rec.type is WalRecordType.DELETE:
+        else:
             heap.replay_delete(rec.page_no, rec.slot_no)
         report.records_applied += 1
 
